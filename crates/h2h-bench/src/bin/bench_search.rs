@@ -1,49 +1,46 @@
-//! Search-efficiency benchmark: runs the step-4 remapping loop with the
-//! incremental delta engine (sweeping scoring thread counts and
-//! bandwidth classes) and with the per-candidate full-re-evaluation
-//! reference on every zoo model, checks that every configuration
-//! reproduces the reference mapping bit-exactly, and emits
-//! `BENCH_search.json` so the perf trajectory of the search core is
-//! tracked from run to run.
+//! Search-efficiency record: runs the step-4 remapping loop on the
+//! incremental delta engine and on the per-candidate full-re-evaluation
+//! reference for every zoo model, bandwidth class and interconnect
+//! fabric, checks that both reproduce the same mapping bit-exactly, and
+//! writes `BENCH_search.json`.
 //!
 //! ```text
 //! cargo run --release -p h2h-bench --bin bench_search -- [out.json]
-//!     [--models VFS,MoCap] [--bandwidths Low-,Mid] [--threads 1,2,4,8]
-//!     [--strategy adaptive,replay,full-eval] [--reps 3]
-//!     [--min-large-speedup 1.1] [--profile]
+//!     [--models VFS,MoCap] [--bandwidths Low-,Mid] [--reps 3]
+//!     [--min-large-speedup 1.5] [--profile]
 //!     [--topology uniform,skewed,switched] [--min-topology-gain 1.1]
 //! ```
 //!
-//! `--profile` arms the engine's per-phase wall-clock timers
-//! (`H2hConfig::profile_phases`) and attaches a `profile` object to
-//! every delta row: seconds spent in candidate scoring vs deferred
-//! cost propagation vs risky-guard resolution vs commit, summed across
-//! scoring lanes (≈ CPU-seconds, not elapsed time). The run fails if
-//! any profiled row is malformed — a non-finite or negative bucket, or
-//! a row that attempted moves while reporting zero scoring time.
+//! The record holds only counted and modeled quantities — the
+//! `SearchStats` counters, final latencies, the topology gain and the
+//! reference match — so it reproduces byte for byte on any machine and
+//! CI diffs it against the committed copy. Wall-clock numbers go to
+//! stdout only: every row prints its speedup over the reference (best
+//! of `--reps` timed runs from the same seed mapping), and `--profile`
+//! arms the engine's per-phase timers (`H2hConfig::profile_phases`) and
+//! prints each row's seconds in candidate scoring, deferred cost
+//! propagation, risky-guard resolution and commit.
 //!
 //! `--topology` sweeps interconnect fabrics (specs as accepted by
-//! `h2h_system::topology::Topology::parse`). The `uniform` rows run
-//! the full strategy × thread matrix (and must stay bit-identical to
-//! the scalar model); non-uniform rows run the adaptive strategy, are
-//! still checked bit-exactly against the per-candidate
-//! full-re-evaluation reference *on that fabric*, and additionally
+//! `h2h_system::topology::Topology::parse`). Non-uniform rows also
 //! record the **topology-blind** latency — the mapping a scalar-model
 //! mapper would pick, its locality rebuilt and evaluated on the true
-//! fabric — so `topology_gain = blind / aware` measures what seeing
-//! the links is worth. With `--min-topology-gain G`, every non-uniform
-//! fabric must show at least one large-model row with gain ≥ G.
+//! fabric — so `topology_gain = blind / aware` measures what seeing the
+//! links is worth.
 //!
-//! Timings are best-of-`reps` (each configuration re-runs from the same
-//! seed mapping), which keeps sub-millisecond rows out of scheduler
-//! noise. Exits non-zero if any row fails to match the reference, or if
-//! an adaptive-strategy row on a large risky model (more layers than
-//! the small-model threshold and at least one multi-consumer producer,
-//! i.e. the ResNet-like zoo entries) reports `guards_skipped == 0` —
-//! dominance pruning must actually fire there. `--min-large-speedup`
-//! additionally fails any such adaptive row below the given wall-clock
-//! speedup vs the full-re-evaluation reference; CI's 2-thread smoke
-//! runs with `--min-large-speedup 1.1`.
+//! Exits non-zero if any row diverges from the reference or fails a
+//! gate:
+//! * a large risky model (more layers than the small-model threshold
+//!   and at least one multi-consumer producer: the ResNet-like zoo
+//!   entries) reports `guards_skipped == 0` — dominance pruning must
+//!   fire there;
+//! * with `--min-large-speedup S`, such a row is less than `S`× faster
+//!   than the reference on wall clock;
+//! * with `--profile`, a row's phase breakdown is malformed (a
+//!   non-finite or negative bucket, or no scoring time despite
+//!   attempted moves);
+//! * with `--min-topology-gain G`, no large model on a non-uniform
+//!   fabric gains at least `G`.
 
 use std::time::Instant;
 
@@ -52,13 +49,12 @@ use serde::Serialize;
 use h2h_core::activation_fusion::rebuild_locality;
 use h2h_core::compute_map::computation_prioritized;
 use h2h_core::remap::{data_locality_remapping, data_locality_remapping_reference, RemapOutcome};
-use h2h_core::{H2hConfig, PinPreset, ScoreStrategy};
+use h2h_core::{H2hConfig, PhaseProfile, PinPreset};
 use h2h_system::mapping::Mapping;
 use h2h_system::schedule::Evaluator;
 use h2h_system::system::{BandwidthClass, SystemSpec};
 
-/// One (model, bandwidth, topology, threads) delta-vs-reference search
-/// record.
+/// One (model, bandwidth, topology) delta-vs-reference search record.
 #[derive(Debug, Serialize)]
 struct SearchRecord {
     model: String,
@@ -66,11 +62,6 @@ struct SearchRecord {
     /// Interconnect fabric spec (`uniform` = the scalar star).
     topology: String,
     layers: usize,
-    /// Requested scoring threads (effective parallelism is additionally
-    /// capped at the machine's cores; results are identical either way).
-    threads: usize,
-    /// Candidate scoring strategy (see `h2h_core::ScoreStrategy`).
-    strategy: String,
     attempted_moves: usize,
     accepted_moves: usize,
     passes: usize,
@@ -90,9 +81,6 @@ struct SearchRecord {
     guards_total: usize,
     guards_skipped: usize,
     guard_reverts_fast: usize,
-    delta_seconds: f64,
-    reference_seconds: f64,
-    wall_clock_speedup: f64,
     final_latency_s: f64,
     /// Non-uniform fabrics only: the true-fabric latency of the
     /// topology-blind mapping (scalar-model search, locality rebuilt on
@@ -100,65 +88,26 @@ struct SearchRecord {
     topology_blind_latency_s: Option<f64>,
     topology_gain: Option<f64>,
     matches_reference: bool,
-    /// Per-phase wall-clock breakdown of the timed delta run
-    /// (`--profile` only; summed across scoring lanes).
-    profile: Option<ProfileRecord>,
 }
 
-/// Phase breakdown attached to a row under `--profile`.
-#[derive(Debug, Serialize)]
-struct ProfileRecord {
-    /// Candidate scoring (stage + rollback) outside the other buckets.
-    scoring_s: f64,
-    /// Deferred cost refresh + cone propagation.
-    propagate_s: f64,
-    /// Risky-guard resolution (dominance proofs, toggles, reverts).
-    guard_s: f64,
-    /// Committing accepted candidates.
-    commit_s: f64,
-    /// Sum of the buckets.
-    total_s: f64,
-}
-
-impl ProfileRecord {
-    fn from_phases(p: &h2h_core::PhaseProfile) -> ProfileRecord {
-        ProfileRecord {
-            scoring_s: p.scoring_s,
-            propagate_s: p.propagate_s,
-            guard_s: p.guard_s,
-            commit_s: p.commit_s,
-            total_s: p.total(),
+/// Why a `--profile` phase breakdown is malformed, if it is: every
+/// bucket must be finite and non-negative, and a run that attempted
+/// moves must have spent time scoring them.
+fn malformed_profile(p: &PhaseProfile, attempted_moves: usize) -> Option<String> {
+    let buckets = [
+        ("scoring_s", p.scoring_s),
+        ("propagate_s", p.propagate_s),
+        ("guard_s", p.guard_s),
+        ("commit_s", p.commit_s),
+        ("total_s", p.total()),
+    ];
+    for (name, v) in buckets {
+        if !v.is_finite() || v < 0.0 {
+            return Some(format!("{name} = {v}"));
         }
     }
-
-    /// A profiled row must be structurally sound: finite non-negative
-    /// buckets, a consistent total, and non-zero scoring time whenever
-    /// the row actually attempted moves.
-    fn malformed(&self, attempted_moves: usize) -> Option<String> {
-        let buckets = [
-            ("scoring_s", self.scoring_s),
-            ("propagate_s", self.propagate_s),
-            ("guard_s", self.guard_s),
-            ("commit_s", self.commit_s),
-            ("total_s", self.total_s),
-        ];
-        for (name, v) in buckets {
-            if !v.is_finite() || v < 0.0 {
-                return Some(format!("{name} = {v}"));
-            }
-        }
-        let sum = self.scoring_s + self.propagate_s + self.guard_s + self.commit_s;
-        if (self.total_s - sum).abs() > 1e-9 + sum.abs() * 1e-9 {
-            return Some(format!("total_s {} != bucket sum {sum}", self.total_s));
-        }
-        if attempted_moves > 0 && self.scoring_s <= 0.0 {
-            return Some(format!(
-                "scoring_s = {} with {attempted_moves} attempted moves",
-                self.scoring_s
-            ));
-        }
-        None
-    }
+    (attempted_moves > 0 && p.scoring_s <= 0.0)
+        .then(|| format!("scoring_s = {} with {attempted_moves} attempted moves", p.scoring_s))
 }
 
 fn parse_list(arg: &str) -> Vec<String> {
@@ -169,9 +118,6 @@ fn main() {
     let mut out_path = "BENCH_search.json".to_owned();
     let mut models_filter: Option<Vec<String>> = None;
     let mut bandwidths = vec!["Low-".to_owned(), "Mid".to_owned()];
-    let mut threads_sweep = vec![1usize, 2, 4, 8];
-    let mut strategies =
-        vec![ScoreStrategy::Adaptive, ScoreStrategy::Replay, ScoreStrategy::FullEval];
     let mut reps = 3usize;
     let mut min_large_speedup: Option<f64> = None;
     let mut topologies = vec!["uniform".to_owned(), "skewed".to_owned(), "switched".to_owned()];
@@ -186,23 +132,6 @@ fn main() {
         match arg.as_str() {
             "--models" => models_filter = Some(parse_list(&value("--models"))),
             "--bandwidths" => bandwidths = parse_list(&value("--bandwidths")),
-            "--threads" => {
-                threads_sweep = parse_list(&value("--threads"))
-                    .iter()
-                    .map(|t| t.parse().expect("--threads takes integers"))
-                    .collect();
-            }
-            "--strategy" => {
-                strategies = parse_list(&value("--strategy"))
-                    .iter()
-                    .map(|s| match s.as_str() {
-                        "adaptive" => ScoreStrategy::Adaptive,
-                        "replay" => ScoreStrategy::Replay,
-                        "full-eval" | "fulleval" => ScoreStrategy::FullEval,
-                        other => panic!("unknown strategy `{other}`"),
-                    })
-                    .collect();
-            }
             "--reps" => reps = value("--reps").parse().expect("--reps takes an integer"),
             "--profile" => profile_phases = true,
             "--topology" => topologies = parse_list(&value("--topology")),
@@ -225,7 +154,6 @@ fn main() {
         }
     }
     let reps = reps.max(1);
-    assert!(!strategies.is_empty(), "--strategy list must not be empty");
 
     // A typo'd filter must not let the divergence check pass vacuously
     // (CI smoke-tests rely on this binary's exit code).
@@ -251,12 +179,13 @@ fn main() {
         })
         .collect();
 
+    let cfg = H2hConfig { profile_phases, ..H2hConfig::default() };
     let mut records = Vec::new();
     let mut gate_failures = 0usize;
     println!(
-        "{:<10} {:>5} {:>9} {:>9} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
-        "model", "bw", "topology", "strategy", "threads", "layers", "attempts", "reduction",
-        "prefix", "g-skip", "speedup", "match"
+        "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
+        "model", "bw", "topology", "layers", "attempts", "reduction", "prefix", "g-skip",
+        "speedup", "match"
     );
     for bw in &bandwidths {
         let uniform_system = SystemSpec::standard(*bw);
@@ -270,11 +199,6 @@ fn main() {
         let system = SystemSpec::standard_with_topology(*bw, Some(topo_spec))
             .unwrap_or_else(|e| panic!("--topology `{topo_spec}`: {e}"));
         let fabric_uniform = system.topology().is_uniform();
-        // Non-uniform fabrics sweep the adaptive strategy only (the
-        // uniform rows already pin down strategy equivalence; these
-        // rows measure what topology awareness is worth).
-        let row_strategies: Vec<ScoreStrategy> =
-            if fabric_uniform { strategies.clone() } else { vec![ScoreStrategy::Adaptive] };
         let mut best_large_gain = f64::NEG_INFINITY;
         let mut any_large = false;
         for model in h2h_model::zoo::all_models() {
@@ -284,8 +208,7 @@ fn main() {
                 }
             }
             let ev = Evaluator::new(&model, &system);
-            let base_cfg = H2hConfig::default();
-            let (seed, _) = computation_prioritized(&ev, &base_cfg, &PinPreset::new())
+            let (seed, _) = computation_prioritized(&ev, &cfg, &PinPreset::new())
                 .expect("standard system maps every zoo model");
             // The topology-blind yardstick: map with the scalar model,
             // rebuild the locality (a deployment still pins/fuses
@@ -297,25 +220,26 @@ fn main() {
                     blind_maps.entry(model.name().to_owned()).or_insert_with(|| {
                         let blind_ev = Evaluator::new(&model, &uniform_system);
                         let (mut blind_map, _) =
-                            computation_prioritized(&blind_ev, &base_cfg, &PinPreset::new())
+                            computation_prioritized(&blind_ev, &cfg, &PinPreset::new())
                                 .expect("uniform system maps every zoo model");
                         let _ = data_locality_remapping(
                             &blind_ev,
-                            &base_cfg,
+                            &cfg,
                             &PinPreset::new(),
                             &mut blind_map,
                         );
                         blind_map
                     });
-                let loc = rebuild_locality(&ev, blind_map, &base_cfg, &PinPreset::new());
+                let loc = rebuild_locality(&ev, blind_map, &cfg, &PinPreset::new());
                 Some(ev.evaluate(blind_map, &loc).makespan().as_f64())
             };
-            // "Large risky" = more layers than the adaptive fallback
+            // "Large risky" = more layers than the small-model
             // threshold AND at least one multi-consumer producer (a
             // risky fusion candidate can actually arise) — the
             // ResNet-like zoo entries. Only these rows are held to the
             // dominance-pruning and speedup gates.
-            let large_risky = model.num_layers() > base_cfg.small_model_threshold
+            let large = model.num_layers() > cfg.small_model_threshold;
+            let large_risky = large
                 && model.layer_ids().any(|id| {
                     !matches!(
                         model.layer(id).op(),
@@ -329,14 +253,14 @@ fn main() {
             // sub-millisecond models).
             {
                 let mut m = seed.clone();
-                let _ = data_locality_remapping_reference(&ev, &base_cfg, &PinPreset::new(), &mut m);
+                let _ = data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), &mut m);
                 let mut m = seed.clone();
-                let _ = data_locality_remapping(&ev, &base_cfg, &PinPreset::new(), &mut m);
+                let _ = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut m);
             }
 
-            // Best-of-N timing; sub-millisecond configurations sample
-            // until ~50 ms of total run time so a single scheduler
-            // hiccup cannot skew a row.
+            // Best-of-N timing; sub-millisecond runs sample until ~50 ms
+            // of total run time so a single scheduler hiccup cannot skew
+            // a row.
             let time_best = |run: &mut dyn FnMut(&mut Mapping) -> RemapOutcome| {
                 let mut best_seconds = f64::INFINITY;
                 let mut result = None;
@@ -355,142 +279,103 @@ fn main() {
                 let (mapping, outcome) = result.expect("at least one sample");
                 (best_seconds, mapping, outcome)
             };
-
-            // The per-candidate full-re-evaluation reference, shared by
-            // every strategy/thread row of this (model, bandwidth).
             let (reference_seconds, map_ref, reference) = time_best(&mut |m| {
-                data_locality_remapping_reference(&ev, &base_cfg, &PinPreset::new(), m)
+                data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), m)
+            });
+            let (delta_seconds, map_delta, delta) = time_best(&mut |m| {
+                data_locality_remapping(&ev, &cfg, &PinPreset::new(), m)
             });
 
-            for &strategy in &row_strategies {
-                for &threads in &threads_sweep {
-                    let cfg =
-                        H2hConfig { strategy, score_threads: threads, profile_phases, ..base_cfg };
-                    let (delta_seconds, map_delta, delta) = time_best(&mut |m| {
-                        data_locality_remapping(&ev, &cfg, &PinPreset::new(), m)
-                    });
-                    // Phase breakdown of the last timed sample (the
-                    // sample whose outcome the row reports).
-                    let profile =
-                        profile_phases.then(|| ProfileRecord::from_phases(&delta.profile));
-                    let profile_err = profile
-                        .as_ref()
-                        .and_then(|p| p.malformed(delta.stats.attempted_moves));
-                    if let Some(err) = &profile_err {
-                        eprintln!(
-                            "FAIL: {} @ {} ({}, {} threads): malformed profile record: {err}",
-                            model.name(),
-                            bw.label(),
-                            strategy.label(),
-                            threads
-                        );
-                    }
-                    let aware_latency = delta.schedule.makespan().as_f64();
-                    let topology_gain =
-                        blind_latency.map(|b| b / aware_latency.max(1e-15));
-                    if let Some(g) = topology_gain {
-                        if model.num_layers() > base_cfg.small_model_threshold {
-                            any_large = true;
-                            best_large_gain = best_large_gain.max(g);
-                        }
-                    }
-
-                    let matches_reference = map_delta == map_ref
-                        && (delta.schedule.makespan().as_f64()
-                            - reference.schedule.makespan().as_f64())
-                        .abs()
-                            <= reference.schedule.makespan().as_f64() * 1e-12;
-                    let reduction = if delta.stats.full_evals > 0 {
-                        reference.stats.full_evals as f64 / delta.stats.full_evals as f64
-                    } else {
-                        f64::INFINITY
-                    };
-                    let speedup = reference_seconds / delta_seconds.max(1e-12);
-                    // Dominance pruning must actually fire where it is
-                    // the point: adaptive rows on large risky models
-                    // route risky candidates through the guard replay,
-                    // so zero skipped guards there means the pruning
-                    // regressed. (FullEval rows never reach guards, and
-                    // small models fall back to plain full evaluation.)
-                    let guards_ok = strategy == ScoreStrategy::FullEval
-                        || !large_risky
-                        || delta.stats.guards_skipped > 0;
-                    let speedup_ok = strategy != ScoreStrategy::Adaptive
-                        || !large_risky
-                        || min_large_speedup.is_none_or(|min| speedup >= min);
-                    println!(
-                        "{:<10} {:>5} {:>9} {:>9} {:>7} {:>7} {:>9} {:>8.1}x {:>9} {:>9} {:>8.1}x {:>8}{}",
-                        model.name(),
-                        bw.label(),
-                        topo_spec,
-                        strategy.label(),
-                        threads,
-                        model.num_layers(),
-                        delta.stats.attempted_moves,
-                        reduction,
-                        delta.stats.prefix_evals,
-                        delta.stats.guards_skipped,
-                        speedup,
-                        matches_reference,
-                        topology_gain
-                            .map(|g| format!(" gain {g:.2}x"))
-                            .unwrap_or_default(),
-                    );
-                    if !guards_ok {
-                        eprintln!(
-                            "FAIL: {} @ {} ({}, {} threads): guards_skipped == 0 on a large risky model",
-                            model.name(),
-                            bw.label(),
-                            strategy.label(),
-                            threads
-                        );
-                    }
-                    if !speedup_ok {
-                        eprintln!(
-                            "FAIL: {} @ {} ({}, {} threads): speedup {:.2}x below the {:.2}x gate",
-                            model.name(),
-                            bw.label(),
-                            strategy.label(),
-                            threads,
-                            speedup,
-                            min_large_speedup.unwrap_or(0.0)
-                        );
-                    }
-                    records.push(SearchRecord {
-                        model: model.name().to_owned(),
-                        bandwidth: bw.label().to_owned(),
-                        topology: topo_spec.clone(),
-                        layers: model.num_layers(),
-                        threads,
-                        strategy: strategy.label().to_owned(),
-                        attempted_moves: delta.stats.attempted_moves,
-                        accepted_moves: delta.stats.accepted_moves,
-                        passes: delta.stats.passes,
-                        delta_evals: delta.stats.delta_evals,
-                        prefix_evals: delta.stats.prefix_evals,
-                        full_evals_delta: delta.stats.full_evals,
-                        full_evals_reference: reference.stats.full_evals,
-                        full_eval_reduction: reduction,
-                        propagations: delta.stats.propagations,
-                        mean_propagated_layers: delta.stats.mean_propagated(),
-                        max_propagated_layers: delta.stats.max_propagated,
-                        guards_total: delta.stats.guards_total,
-                        guards_skipped: delta.stats.guards_skipped,
-                        guard_reverts_fast: delta.stats.guard_reverts_fast,
-                        delta_seconds,
-                        reference_seconds,
-                        wall_clock_speedup: speedup,
-                        final_latency_s: aware_latency,
-                        topology_blind_latency_s: blind_latency,
-                        topology_gain,
-                        matches_reference,
-                        profile,
-                    });
-                    if !guards_ok || !speedup_ok || profile_err.is_some() {
-                        gate_failures += 1;
-                    }
+            let aware_latency = delta.schedule.makespan().as_f64();
+            let topology_gain = blind_latency.map(|b| b / aware_latency.max(1e-15));
+            if let Some(g) = topology_gain {
+                if large {
+                    any_large = true;
+                    best_large_gain = best_large_gain.max(g);
                 }
             }
+            let matches_reference = map_delta == map_ref
+                && (aware_latency - reference.schedule.makespan().as_f64()).abs()
+                    <= reference.schedule.makespan().as_f64() * 1e-12;
+            let reduction = if delta.stats.full_evals > 0 {
+                reference.stats.full_evals as f64 / delta.stats.full_evals as f64
+            } else {
+                f64::INFINITY
+            };
+            let speedup = reference_seconds / delta_seconds.max(1e-12);
+            println!(
+                "{:<10} {:>5} {:>9} {:>7} {:>9} {:>8.1}x {:>9} {:>9} {:>8.1}x {:>8}{}",
+                model.name(),
+                bw.label(),
+                topo_spec,
+                model.num_layers(),
+                delta.stats.attempted_moves,
+                reduction,
+                delta.stats.prefix_evals,
+                delta.stats.guards_skipped,
+                speedup,
+                matches_reference,
+                topology_gain.map(|g| format!(" gain {g:.2}x")).unwrap_or_default(),
+            );
+            let row = format!("{} @ {} ({topo_spec})", model.name(), bw.label());
+            let mut failures = Vec::new();
+            // Dominance pruning must actually fire where it is the
+            // point: large risky models route risky candidates through
+            // the guard replay, so zero skipped guards there means the
+            // pruning regressed. (Small models score risky candidates by
+            // plain full evaluation.)
+            if large_risky && delta.stats.guards_skipped == 0 {
+                failures.push("guards_skipped == 0 on a large risky model".to_owned());
+            }
+            if let Some(min) = min_large_speedup.filter(|min| large_risky && speedup < *min) {
+                failures.push(format!("speedup {speedup:.2}x below the {min:.2}x gate"));
+            }
+            if profile_phases {
+                let p = &delta.profile;
+                println!(
+                    "{:>16} scoring {:.6} s, propagate {:.6} s, guard {:.6} s, commit {:.6} s \
+                     (total {:.6} s)",
+                    "profile:",
+                    p.scoring_s,
+                    p.propagate_s,
+                    p.guard_s,
+                    p.commit_s,
+                    p.total()
+                );
+                if let Some(err) = malformed_profile(p, delta.stats.attempted_moves) {
+                    failures.push(format!("malformed profile: {err}"));
+                }
+            }
+            for failure in &failures {
+                eprintln!("FAIL: {row}: {failure}");
+            }
+            if !failures.is_empty() {
+                gate_failures += 1;
+            }
+            records.push(SearchRecord {
+                model: model.name().to_owned(),
+                bandwidth: bw.label().to_owned(),
+                topology: topo_spec.clone(),
+                layers: model.num_layers(),
+                attempted_moves: delta.stats.attempted_moves,
+                accepted_moves: delta.stats.accepted_moves,
+                passes: delta.stats.passes,
+                delta_evals: delta.stats.delta_evals,
+                prefix_evals: delta.stats.prefix_evals,
+                full_evals_delta: delta.stats.full_evals,
+                full_evals_reference: reference.stats.full_evals,
+                full_eval_reduction: reduction,
+                propagations: delta.stats.propagations,
+                mean_propagated_layers: delta.stats.mean_propagated(),
+                max_propagated_layers: delta.stats.max_propagated,
+                guards_total: delta.stats.guards_total,
+                guards_skipped: delta.stats.guards_skipped,
+                guard_reverts_fast: delta.stats.guard_reverts_fast,
+                final_latency_s: aware_latency,
+                topology_blind_latency_s: blind_latency,
+                topology_gain,
+                matches_reference,
+            });
         }
         if let Some(min) = min_topology_gain {
             if !fabric_uniform && !any_large {

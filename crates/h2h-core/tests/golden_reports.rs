@@ -1,7 +1,8 @@
 //! Golden-snapshot tests of the human-readable reports: render
-//! `report::search_stats_report` on two fixed zoo models and
-//! `report::serve_report` on a fixed two-tenant registry, and diff the
-//! output against checked-in expected text. Every quantity rendered is
+//! `report::search_stats_report` on two fixed zoo models and on one
+//! seeded simulated-annealing walk, and `report::serve_report` on a
+//! fixed two-tenant registry, and diff the output against checked-in
+//! expected text. Every quantity rendered is
 //! *modeled* (no wall-clock), so the reports are deterministic and a
 //! textual diff is a real regression signal — a changed counter, a
 //! changed latency, or a reformatted column all fail loudly here
@@ -12,11 +13,13 @@
 
 use std::path::PathBuf;
 
+use h2h_core::anneal::{simulated_annealing, AnnealConfig};
 use h2h_core::report::{search_stats_report, serve_report};
 use h2h_core::serve::{TenantRegistry, TenantSpec};
-use h2h_core::{H2hConfig, H2hMapper};
+use h2h_core::{H2hConfig, H2hMapper, PinPreset};
 use h2h_model::units::Seconds;
 use h2h_system::fault::FaultPlan;
+use h2h_system::schedule::Evaluator;
 use h2h_system::system::{AccId, BandwidthClass, SystemSpec};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -61,6 +64,34 @@ fn search_stats_report_snapshot_casia_surf() {
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let out = H2hMapper::new(&model, &system).run().unwrap();
     check_golden("search_stats_casia_surf_lowminus", &search_stats_report(&out.remap_stats));
+}
+
+#[test]
+fn simulated_annealing_snapshot_cnn_lstm() {
+    // The annealer's walk: three RNG draws and one cooling step per
+    // iteration, skipped or not, with every proposal scored on the
+    // delta engine — or, for this small model's risky candidates, by a
+    // full evaluation. Any change to the draw order, the acceptance rule
+    // or a candidate's score moves the placement, makespan or counters.
+    let model = h2h_model::zoo::cnn_lstm();
+    let system = SystemSpec::standard(BandwidthClass::LowMinus);
+    let ev = Evaluator::new(&model, &system);
+    let anneal = AnnealConfig { iterations: 300, seed: 1, ..AnnealConfig::default() };
+    let sa = simulated_annealing(&ev, &H2hConfig::default(), &anneal, &PinPreset::new()).unwrap();
+    let placement: Vec<String> =
+        model.topo_order().iter().map(|id| sa.mapping.acc_of(*id).index().to_string()).collect();
+    let makespan = sa.schedule.makespan();
+    let report = format!(
+        "simulated annealing — {} @ Low-, seed {}, {} iterations\n  \
+         makespan {makespan} (bits {:#018x})\n  placement {}\n{}",
+        model.name(),
+        anneal.seed,
+        anneal.iterations,
+        makespan.as_f64().to_bits(),
+        placement.join(" "),
+        search_stats_report(&sa.stats)
+    );
+    check_golden("anneal_cnn_lstm_lowminus", &report);
 }
 
 #[test]

@@ -31,8 +31,8 @@
 //! ```
 //!
 //! Run `cargo run --release -p h2h-bench --bin repro_all` to regenerate
-//! every table and figure of the paper's evaluation; see EXPERIMENTS.md
-//! for the paper-vs-measured record.
+//! every table and figure of the paper's evaluation and its modeled
+//! record, `REPRO.json`.
 
 #![warn(missing_docs)]
 
