@@ -48,6 +48,7 @@ use serde::Serialize;
 
 use h2h_core::activation_fusion::rebuild_locality;
 use h2h_core::compute_map::computation_prioritized;
+use h2h_core::delta::SMALL_MODEL_THRESHOLD;
 use h2h_core::remap::{data_locality_remapping, data_locality_remapping_reference, RemapOutcome};
 use h2h_core::{H2hConfig, PhaseProfile, PinPreset};
 use h2h_system::mapping::Mapping;
@@ -238,7 +239,7 @@ fn main() {
             // risky fusion candidate can actually arise) — the
             // ResNet-like zoo entries. Only these rows are held to the
             // dominance-pruning and speedup gates.
-            let large = model.num_layers() > cfg.small_model_threshold;
+            let large = model.num_layers() > SMALL_MODEL_THRESHOLD;
             let large_risky = large
                 && model.layer_ids().any(|id| {
                     !matches!(

@@ -4,21 +4,16 @@
 //!
 //! | Binary | Paper artifact |
 //! |--------|----------------|
-//! | `fig4` | Fig. 4 latency + energy per step × bandwidth |
-//! | `table4` | Table 4 latency-reduction breakdown |
-//! | `fig5a` | Fig. 5a communication/computation ratio |
-//! | `fig5b` | Fig. 5b mapper search time |
-//! | `headline` | §1/§5.2 headline claims check |
+//! | `repro_all` | Fig. 4 latency + energy per step × bandwidth, Table 4 latency breakdown, Fig. 5a communication/computation ratio, Fig. 5b search time, §1/§5.2 headline claims → `REPRO.json`; `repro_all <fig4 \| table4 \| fig5a \| fig5b \| headline>` prints one |
 //! | `dynamic_modality` | §4.5 extension experiment |
 //! | `ablation` | design-choice ablations (ours) |
 //! | `batch_sweep` | batched-serving extension (ours) |
-//! | `bench_search` | delta-vs-full search-core record → `BENCH_search.json` (ours) |
-//! | `repro_all` | everything above + JSON dump |
+//! | `scaling` | search time on growing synthetic models (ours) |
+//! | `bench_search` | delta-vs-reference search-core record → `BENCH_search.json` (ours) |
+//! | `bench_serve` | multi-tenant serving record → `BENCH_serve.json` (ours) |
 //!
-//! Criterion benches (`cargo bench -p h2h-bench`) measure mapper search
-//! time (Fig. 5b's wall-clock complement), scheduler evaluation
-//! throughput, incremental-vs-full candidate scoring, knapsack solvers
-//! and the event-driven simulator.
+//! Host-time measurements of the whole mapper and serving layer live in
+//! the repository benchmark (`perfbench/`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -7,57 +7,42 @@
 //! objective (end-to-end modeled latency with steps 2–3 re-applied per
 //! candidate), used by the `ablation` experiment.
 //!
-//! Proposals are scored by the incremental [`DeltaEngine`] (scoped
-//! locality-rebuild replay + cone-local schedule propagation, with the
-//! adaptive strategy of [`crate::config::ScoreStrategy`] — risky
-//! fusion guards dominance-pruned and fast-reverted exactly as in the
-//! greedy loop, see [`crate::delta`]), whose makespans are
-//! bitwise-equal to full evaluations, so the walk pays no full
-//! evaluation per proposal at all. The returned result is still
-//! evaluated exactly and guarded to never lose to the seed mapping.
-//!
-//! # Parallel speculation
-//!
-//! With `score_threads > 1` the walk speculates down the
-//! most-likely-rejected branch: the RNG consumes a fixed three draws
-//! per iteration (layer, destination, acceptance), so the proposal
-//! stream is independent of accept/reject outcomes and the next
-//! `score_threads` proposals can be scored concurrently against the
-//! current state on a [`ScoringPool`]. Acceptance is then decided
-//! **serially in proposal order**; the first accepted proposal
-//! invalidates the speculative scores behind it, which return to the
-//! queue and are re-scored from the new state. The walk is therefore
-//! bit-identical for every thread count (and so are the search stats:
-//! discarded speculative scorings are uncounted wall-clock, not
-//! semantics).
-
-use std::collections::VecDeque;
+//! Each iteration draws three uniforms from the seeded stream (layer,
+//! destination, acceptance) and cools the temperature once, whether or
+//! not the drawn layer has an alternative placement. Proposals are
+//! scored by the [`DeltaEngine`] exactly as in the greedy loop (see
+//! [`crate::delta`]), so their makespans are bitwise-equal to full
+//! evaluations: a large model pays no full evaluation per proposal, and
+//! a small one (≤ [`crate::delta::SMALL_MODEL_THRESHOLD`] layers) pays
+//! one for each proposal that creates a risky fusion candidate. The
+//! returned result is evaluated exactly and guarded to never lose to
+//! the seed mapping.
 
 use h2h_model::graph::LayerId;
-use h2h_system::mapping::Mapping;
 use h2h_system::schedule::Evaluator;
 use h2h_system::system::AccId;
 
 use crate::activation_fusion::rebuild_locality;
-use crate::baseline::BaselineOutcome;
+use crate::baseline::{BaselineOutcome, XorShift};
 use crate::compute_map::computation_prioritized;
 use crate::config::H2hConfig;
-use crate::delta::{DeltaEngine, SearchStats};
-use crate::parallel::{commit_move, score_candidate, CandidateOutcome, ScoringPool};
+use crate::delta::DeltaEngine;
 use crate::pipeline::H2hError;
 use crate::preset::PinPreset;
 
 /// Annealing schedule parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealConfig {
-    /// Proposal count (each = one schedule evaluation).
+    /// Iteration count; each draws one proposal, scored unless the
+    /// drawn layer has a single capable accelerator.
     pub iterations: usize,
     /// Initial temperature as a fraction of the initial latency (e.g.
     /// `0.05` = accept ~5% regressions early).
     pub initial_temp: f64,
     /// Geometric cooling factor per iteration.
     pub cooling: f64,
-    /// RNG seed (xorshift64*; the crate stays dependency-free).
+    /// RNG seed (xorshift64*; the crate stays dependency-free). Distinct
+    /// seeds give distinct walks.
     pub seed: u64,
 }
 
@@ -67,41 +52,10 @@ impl Default for AnnealConfig {
     }
 }
 
-/// Deterministic xorshift64* stream (the crate stays dependency-free).
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        XorShift(seed | 1)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn uniform(&mut self) -> f64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// One generated (not yet resolved) proposal: the layer pick plus the
-/// destination and acceptance draws, and the temperature of its
-/// iteration. The destination is resolved against the mapping that is
-/// current when the proposal is actually *decided*, which is what makes
-/// speculative batches chunk-size-invariant.
-#[derive(Debug, Clone, Copy)]
-struct Proposal {
-    layer_idx: usize,
-    u_pick: f64,
-    u_accept: f64,
-    temp: f64,
-}
-
 /// Runs simulated annealing from the computation-prioritized seed
-/// mapping. Deterministic per configuration (and per thread count: see
-/// the module docs). The caller's [`PinPreset`] (dynamic modality
-/// change, §4.5) participates in every locality rebuild, exactly as in
-/// the greedy pipeline.
+/// mapping. Deterministic per configuration. The caller's [`PinPreset`]
+/// (dynamic modality change, §4.5) participates in every locality
+/// rebuild, exactly as in the greedy pipeline.
 ///
 /// # Errors
 ///
@@ -134,32 +88,43 @@ pub fn simulated_annealing(
     let mut best_mapping = mapping.clone();
     let mut best_makespan = seed_makespan.as_f64();
 
-    let workers = crate::parallel::effective_workers(cfg);
-    if workers == 0 {
-        anneal_walk(
-            anneal,
-            &layers,
-            &capable,
-            &mut engine,
-            &mut mapping,
-            &mut best_mapping,
-            &mut best_makespan,
-            None,
-        );
-    } else {
-        rayon::scope(|scope| {
-            let mut pool = ScoringPool::spawn(scope, &engine, &mapping, workers);
-            anneal_walk(
-                anneal,
-                &layers,
-                &capable,
-                &mut engine,
-                &mut mapping,
-                &mut best_mapping,
-                &mut best_makespan,
-                Some(&mut pool),
-            );
-        });
+    let mut rng = XorShift::new(anneal.seed);
+    let mut current_makespan = best_makespan;
+    let mut temp = current_makespan * anneal.initial_temp;
+    for _ in 0..anneal.iterations {
+        // Three draws and one cooling step per iteration, skipped or
+        // not, so the proposal stream depends on the seed alone.
+        let u_layer = rng.uniform();
+        let u_pick = rng.uniform();
+        let u_accept = rng.uniform();
+        let this_temp = temp;
+        temp *= anneal.cooling;
+        let layer_idx = (u_layer * layers.len() as f64) as usize % layers.len();
+        let options = &capable[layer_idx];
+        if options.len() < 2 {
+            continue;
+        }
+        let layer = layers[layer_idx];
+        let old = mapping.acc_of(layer);
+        let mut to = options[(u_pick * options.len() as f64) as usize % options.len()];
+        if to == old {
+            let at = options.iter().position(|a| *a == old).expect("old is capable");
+            to = options[(at + 1) % options.len()];
+        }
+        engine.stats.attempted_moves += 1;
+        engine.stage_move(&mut mapping, layer, to);
+        let makespan = engine.staged_makespan();
+        let delta = makespan - current_makespan;
+        if delta <= 0.0 || (this_temp > 0.0 && u_accept < (-delta / this_temp).exp()) {
+            engine.accept_staged(&mapping);
+            current_makespan = makespan;
+            if current_makespan < best_makespan {
+                best_makespan = current_makespan;
+                best_mapping.clone_from(&mapping);
+            }
+        } else {
+            engine.reject_staged(&mut mapping);
+        }
     }
 
     let mut stats = engine.stats;
@@ -177,146 +142,6 @@ pub fn simulated_annealing(
         stats.full_evals += 1;
     }
     Ok(BaselineOutcome { mapping: best_mapping, locality, schedule, stats })
-}
-
-/// The Metropolis walk: generate proposals with a fixed RNG consumption
-/// (three draws per iteration), speculatively score up to
-/// `score_threads` of them against the current state, then decide them
-/// serially in proposal order. An accepted proposal commits on the main
-/// engine (and broadcasts to the pool workers) and sends the
-/// speculative remainder back to the queue for re-scoring.
-#[allow(clippy::too_many_arguments)]
-fn anneal_walk(
-    anneal: &AnnealConfig,
-    layers: &[LayerId],
-    capable: &[Vec<AccId>],
-    engine: &mut DeltaEngine<'_, '_>,
-    mapping: &mut Mapping,
-    best_mapping: &mut Mapping,
-    best_makespan: &mut f64,
-    mut pool: Option<&mut ScoringPool>,
-) {
-    let mut rng = XorShift::new(anneal.seed);
-    let mut current_makespan = engine.schedule().makespan().as_f64();
-    let mut temp = current_makespan * anneal.initial_temp;
-    let chunk = pool.as_ref().map_or(1, |p| p.lanes());
-    let mut generated = 0usize;
-    let mut pending: VecDeque<Proposal> = VecDeque::new();
-    let mut jobs: Vec<(LayerId, AccId)> = Vec::with_capacity(chunk);
-    let mut batch: Vec<Proposal> = Vec::with_capacity(chunk);
-    let mut outcomes: Vec<CandidateOutcome> = Vec::with_capacity(chunk);
-
-    loop {
-        // Refill the speculation window. Iterations whose layer has no
-        // alternative placement are decided (skipped) right here — their
-        // draws are consumed and their iteration cools, like any other.
-        while pending.len() < chunk && generated < anneal.iterations {
-            let u_layer = rng.uniform();
-            let u_pick = rng.uniform();
-            let u_accept = rng.uniform();
-            let this_temp = temp;
-            temp *= anneal.cooling;
-            generated += 1;
-            let layer_idx = (u_layer * layers.len() as f64) as usize % layers.len();
-            if capable[layer_idx].len() < 2 {
-                continue;
-            }
-            pending.push_back(Proposal { layer_idx, u_pick, u_accept, temp: this_temp });
-        }
-        if pending.is_empty() {
-            break;
-        }
-
-        // Resolve this batch's destinations against the current state.
-        let take = pending.len().min(chunk);
-        batch.clear();
-        batch.extend(pending.drain(..take));
-        jobs.clear();
-        for prop in &batch {
-            let options = &capable[prop.layer_idx];
-            let layer = layers[prop.layer_idx];
-            let old = mapping.acc_of(layer);
-            let mut pick = options[(prop.u_pick * options.len() as f64) as usize % options.len()];
-            if pick == old {
-                pick = options
-                    [(options.iter().position(|a| *a == old).expect("old is capable") + 1)
-                        % options.len()];
-            }
-            jobs.push((layer, pick));
-        }
-        // Single-proposal batches (the serial walk, and speculation
-        // tails) decide on the staged candidate directly — one staging
-        // per proposal instead of stage/reject plus a committing
-        // re-stage. The recorded stats are identical to the batched
-        // path by construction.
-        if batch.len() == 1 {
-            let prop = batch[0];
-            let (layer, to) = jobs[0];
-            let saved = engine.stats;
-            engine.stats = SearchStats::default();
-            let _ = engine.stage_move(mapping, layer, to);
-            let makespan = engine.staged_makespan();
-            let mut scoring_stats = engine.stats;
-            scoring_stats.attempted_moves = 1;
-            let delta = makespan - current_makespan;
-            let accept =
-                delta <= 0.0 || (prop.temp > 0.0 && prop.u_accept < (-delta / prop.temp).exp());
-            if accept {
-                engine.accept_staged(mapping);
-            } else {
-                engine.reject_staged(mapping);
-            }
-            engine.stats = saved;
-            engine.stats.absorb(&scoring_stats);
-            if accept {
-                engine.stats.accepted_moves += 1;
-                if let Some(pool) = pool.as_deref_mut() {
-                    pool.broadcast_commit(layer, to);
-                }
-                current_makespan = makespan;
-                if current_makespan < *best_makespan {
-                    *best_makespan = current_makespan;
-                    best_mapping.clone_from(mapping);
-                }
-            }
-            continue;
-        }
-        match pool.as_deref_mut() {
-            Some(pool) => pool.score_batch(engine, mapping, &jobs, &mut outcomes),
-            None => {
-                outcomes.clear();
-                outcomes.extend(
-                    jobs.iter().map(|(layer, to)| score_candidate(engine, mapping, *layer, *to)),
-                );
-            }
-        }
-
-        // Decide serially in proposal order; the first accept
-        // invalidates the speculation behind it.
-        for (j, (prop, outcome)) in batch.iter().zip(&outcomes).enumerate() {
-            engine.stats.absorb(&outcome.stats);
-            let delta = outcome.makespan - current_makespan;
-            let accept =
-                delta <= 0.0 || (prop.temp > 0.0 && prop.u_accept < (-delta / prop.temp).exp());
-            if !accept {
-                continue;
-            }
-            let (layer, to) = jobs[j];
-            if let Some(pool) = pool.as_deref_mut() {
-                pool.broadcast_commit(layer, to);
-            }
-            commit_move(engine, mapping, layer, to);
-            current_makespan = outcome.makespan;
-            if current_makespan < *best_makespan {
-                *best_makespan = current_makespan;
-                best_mapping.clone_from(mapping);
-            }
-            for stale in batch[j + 1..].iter().rev() {
-                pending.push_front(*stale);
-            }
-            break;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -376,40 +201,6 @@ mod tests {
         .unwrap();
         assert_eq!(a.mapping, b.mapping);
         assert_eq!(a.schedule.makespan(), b.schedule.makespan());
-    }
-
-    #[test]
-    fn sa_is_thread_count_invariant() {
-        // The speculative walk must be bit-identical for every thread
-        // count — same final mapping, latency and stats.
-        let model = h2h_model::zoo::cnn_lstm();
-        let system = SystemSpec::standard(BandwidthClass::LowMinus);
-        let ev = Evaluator::new(&model, &system);
-        let run = |threads: usize| {
-            let cfg = H2hConfig {
-                score_threads: threads,
-                score_oversubscribe: true,
-                ..Default::default()
-            };
-            simulated_annealing(
-                &ev,
-                &cfg,
-                &AnnealConfig { iterations: 120, seed: 7, ..Default::default() },
-                &PinPreset::new(),
-            )
-            .unwrap()
-        };
-        let serial = run(1);
-        for threads in [2, 4] {
-            let parallel = run(threads);
-            assert_eq!(serial.mapping, parallel.mapping, "{threads} threads");
-            assert_eq!(
-                serial.schedule.makespan(),
-                parallel.schedule.makespan(),
-                "{threads} threads"
-            );
-            assert_eq!(serial.stats, parallel.stats, "{threads} threads");
-        }
     }
 
     #[test]

@@ -134,6 +134,32 @@ pub fn cluster_mapping(
     Ok(BaselineOutcome { mapping, locality, schedule, stats: SearchStats::default() })
 }
 
+/// Deterministic xorshift64* stream of the seeded mappers
+/// ([`random_mapping`], [`crate::anneal::simulated_annealing`]); the
+/// crate stays dependency-free.
+pub(crate) struct XorShift(u64);
+
+impl XorShift {
+    /// Every seed but 0 is its own state, so distinct seeds give
+    /// distinct streams; 0, xorshift's fixed point, maps to a fixed
+    /// non-zero constant.
+    pub(crate) fn new(seed: u64) -> Self {
+        XorShift(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })
+    }
+
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub(crate) fn uniform(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
 /// A validity-respecting pseudo-random mapping (xorshift64*, so the
 /// crate stays dependency-free); layers land on uniformly drawn capable
 /// accelerators. Zero locality.
@@ -148,13 +174,7 @@ pub fn random_mapping(
 ) -> Result<BaselineOutcome, H2hError> {
     let model = ev.model();
     let system = ev.system();
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
+    let mut rng = XorShift::new(seed);
     let mut mapping = Mapping::new(model);
     for (id, layer) in model.layers() {
         let capable: Vec<AccId> = system
@@ -164,7 +184,7 @@ pub fn random_mapping(
         if capable.is_empty() {
             return Err(H2hError::NoCapableAccelerator { layer: layer.name().to_owned() });
         }
-        let pick = (next() % capable.len() as u64) as usize;
+        let pick = (rng.next_u64() % capable.len() as u64) as usize;
         mapping.set(id, capable[pick]);
     }
     let locality = LocalityState::new(system);
@@ -290,16 +310,25 @@ mod tests {
 
     #[test]
     fn random_mapping_is_deterministic_per_seed() {
-        let model = tiny_mmmt();
+        let model = h2h_model::zoo::cnn_lstm();
         let system = SystemSpec::standard(BandwidthClass::Mid);
         let ev = Evaluator::new(&model, &system);
         let a = random_mapping(&ev, 7).unwrap();
         let b = random_mapping(&ev, 7).unwrap();
-        let c = random_mapping(&ev, 8).unwrap();
         assert_eq!(a.mapping, b.mapping);
         assert_eq!(a.schedule.makespan(), b.schedule.makespan());
-        // Different seed almost surely differs somewhere.
-        assert!(a.mapping != c.mapping || a.schedule.makespan() == c.schedule.makespan());
+        // Neighbouring seeds must not alias (seeding with `seed | 1`
+        // once gave 6 and 7 the same stream).
+        let c = random_mapping(&ev, 6).unwrap();
+        assert_ne!(a.mapping, c.mapping, "seeds 6 and 7 gave the same mapping");
+    }
+
+    #[test]
+    fn xorshift_seeds_do_not_alias() {
+        let first = |seed| XorShift::new(seed).next_u64();
+        assert_ne!(first(0), 0, "seed 0 must leave the all-zero fixed point");
+        assert_ne!(first(0), first(1));
+        assert_ne!(first(6), first(7));
     }
 
     #[test]

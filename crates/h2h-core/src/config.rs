@@ -81,44 +81,6 @@ impl MapObjective {
     }
 }
 
-/// How the search loops (step-4 remapping, simulated annealing) score a
-/// candidate layer move.
-///
-/// Every strategy produces **bit-identical search decisions** — they
-/// differ only in how much work a candidate costs. The delta engine's
-/// staged rebuild, its prefix-exact fast path and a plain full
-/// evaluation all reproduce the same score for the same candidate (the
-/// equivalence suites assert this over the whole zoo), so strategies
-/// can be mixed freely per candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScoreStrategy {
-    /// Per-candidate adaptive (default): take the prefix-exact fast
-    /// path when the candidate mapping has no risky fusion candidate
-    /// (skipping the global fusion-pass replay entirely); otherwise
-    /// fall back to a plain full evaluation for models at or below
-    /// [`H2hConfig::small_model_threshold`] layers (where the replay
-    /// overhead exceeds a full evaluation) and to the delta replay for
-    /// larger models.
-    Adaptive,
-    /// Always the staged delta rebuild with the global fusion-pass
-    /// replay (the pre-adaptive behavior; kept for benchmarking).
-    Replay,
-    /// Always a plain full locality rebuild + schedule evaluation per
-    /// candidate (the reference behavior; kept for benchmarking).
-    FullEval,
-}
-
-impl ScoreStrategy {
-    /// Stable lowercase label (bench/report output).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ScoreStrategy::Adaptive => "adaptive",
-            ScoreStrategy::Replay => "replay",
-            ScoreStrategy::FullEval => "full-eval",
-        }
-    }
-}
-
 /// How a serving round picks and orders its co-resident tenant set
 /// (see [`crate::serve`]). All policies respect the same per-board
 /// DRAM budget; they differ in *whom* they favor when tenants cannot
@@ -196,47 +158,6 @@ pub struct H2hConfig {
     pub accept_epsilon: f64,
     /// What step 4 minimizes (the paper: latency).
     pub objective: MapObjective,
-    /// How candidate moves are scored (see [`ScoreStrategy`]). All
-    /// strategies make bit-identical search decisions.
-    pub strategy: ScoreStrategy,
-    /// Models with at most this many layers prefer a plain full
-    /// evaluation over the delta replay when the prefix-exact fast path
-    /// does not apply (calibrated on the zoo: below ~80 layers the
-    /// global fusion-pass replay costs more than one full evaluation —
-    /// see `BENCH_search.json`).
-    pub small_model_threshold: usize,
-    /// Resolve risky fusion guards by dominance pruning when the
-    /// outcome is provable from local quantities (the producer's
-    /// duration change absorbed by every reader of its finish time, the
-    /// consumer's saving bounded by its own slack — see
-    /// [`crate::delta`]'s module docs). Proven guards skip the global
-    /// toggle/revert replay entirely; unproven guards still run it, so
-    /// search decisions are bit-identical either way (asserted by the
-    /// equivalence suites). Disabled only for benchmarking the pruning
-    /// itself.
-    pub enable_guard_dominance: bool,
-    /// Worker threads for candidate scoring in the search loops
-    /// (`1` = serial). Results, final mappings and search stats are
-    /// identical for every thread count: candidates are scored on
-    /// per-thread engine forks and committed in deterministic candidate
-    /// order, never in thread completion order. Effective parallelism
-    /// is capped at `std::thread::available_parallelism()` unless
-    /// [`H2hConfig::score_oversubscribe`] is set.
-    pub score_threads: usize,
-    /// Honor [`H2hConfig::score_threads`] beyond the machine's
-    /// available parallelism (oversubscription only adds scheduling
-    /// overhead, never changes results — the equivalence tests set this
-    /// to exercise the worker protocol on any machine).
-    pub score_oversubscribe: bool,
-    /// Minimum flattened candidate count before the pooled remap loop
-    /// scores a *multi-layer* frontier window in one work-stolen batch
-    /// (see [`crate::parallel`]); below it, each layer's candidates are
-    /// batched separately (the PR 2 protocol). Decisions and stats are
-    /// bit-identical either way — the threshold only trades wasted
-    /// speculative scoring against fan-out latency, so small models and
-    /// low lane counts stay on the cheaper per-layer path. `0` forces
-    /// frontier windows everywhere; `usize::MAX` disables them.
-    pub frontier_min_candidates: usize,
     /// Collect a per-phase wall-clock breakdown (candidate scoring vs
     /// schedule propagation vs guard resolution vs commit) on the delta
     /// engine ([`crate::delta::PhaseProfile`]). Off by default: the
@@ -290,11 +211,12 @@ pub struct H2hConfig {
     /// is the historical instantaneous-repair model — repairs land at
     /// the fault boundary and nothing is charged, keeping PR 6 fault
     /// plans bit-identical. A realistic setting is a few tens of
-    /// microseconds per move: `SearchStats` over the zoo put the
-    /// step-4 delta engine at roughly 25–50 µs per attempted move on
-    /// the `BENCH_search.json` reference machine (attempted moves /
-    /// wall seconds), so `25e-6` models repair running on one host
-    /// core concurrently with serving.
+    /// microseconds per move: the repository benchmark's
+    /// `step4_us_per_move` (`perfbench --workload paper-grid --trace 1`)
+    /// and `repair_us_per_move` (`--workload serve-faults --trace 1`)
+    /// put one attempted move at roughly 45–60 µs on one core of a
+    /// 2-core VM, so `25e-6` to `60e-6` models repair running on one
+    /// host core concurrently with serving.
     pub repair_secs_per_move: f64,
     /// How serving rounds select and order their tenant set (see
     /// [`RoundPolicy`]). The default urgency knapsack is bit-identical
@@ -327,12 +249,6 @@ impl Default for H2hConfig {
             enable_remapping: true,
             accept_epsilon: 1e-9,
             objective: MapObjective::Latency,
-            strategy: ScoreStrategy::Adaptive,
-            small_model_threshold: 80,
-            enable_guard_dominance: true,
-            score_threads: 1,
-            score_oversubscribe: false,
-            frontier_min_candidates: 16,
             profile_phases: false,
             serve_max_batch: 8,
             serve_dram_budget_frac: 1.0,
@@ -355,7 +271,6 @@ mod tests {
         assert!(c.enable_weight_locality);
         assert!(c.enable_activation_fusion);
         assert!(c.enable_remapping);
-        assert!(c.enable_guard_dominance);
         assert!(c.enumeration_cap >= 1);
         assert!(c.remap_max_passes >= 1);
         assert_eq!(c.knapsack, KnapsackKind::Auto);
@@ -373,10 +288,6 @@ mod tests {
             "the urgency knapsack is the bit-identity default"
         );
         assert_eq!(c.serve_queue_cap, 0, "unbounded queues are the default");
-        assert!(
-            c.frontier_min_candidates >= 1,
-            "frontier windows should not engage on single-candidate batches by default"
-        );
         assert!(!c.profile_phases, "phase timers are a bench/CI knob");
     }
 

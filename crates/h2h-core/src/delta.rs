@@ -19,19 +19,19 @@
 //!    end), so a layer stripped and re-fused within one candidate is
 //!    re-derived once, not twice.
 //!
-//! # Scoring strategies (all bitwise-exact)
+//! # Scoring a candidate (bitwise-exact)
 //!
 //! The fusion pass guards "risky" candidates with a *global* makespan
 //! comparison, so in general the staged rebuild must replay the fusion
 //! pass over **all** accelerators in its exact global order (with the
 //! guard answered by the incremental schedule, which is bitwise-equal
-//! to the full evaluation it replaces). How a candidate is scored, by
-//! [`ScoreStrategy`] and candidate shape:
+//! to the full evaluation it replaces). Each candidate takes the
+//! cheapest path its shape allows:
 //!
 //! | Candidate shape | Path | Per-guard cost |
 //! |---|---|---|
 //! | no risky producer anywhere | prefix-exact scoped re-fusion | no guards at all |
-//! | risky, ≤ `small_model_threshold` layers | plain full evaluation | n/a (one `O(V+E)` eval) |
+//! | risky, ≤ [`SMALL_MODEL_THRESHOLD`] layers | plain full evaluation | n/a (one `O(V+E)` eval) |
 //! | risky, large, guard **proven** by dominance | global replay, guard pruned | `O(1)` proof, deferred refresh |
 //! | risky, large, guard unproven, accepted | global replay, toggle kept | one cone propagation |
 //! | risky, large, guard unproven, rejected | global replay, toggle undone | one cone propagation + `O(cone)` journal restore |
@@ -45,12 +45,11 @@
 //!   global replay, no makespan guards. Chain-structured models (VFS,
 //!   CNN-LSTM, MoCap) take this path for essentially every candidate.
 //! * **Full-eval fallback** — on small models (≤
-//!   [`crate::H2hConfig::small_model_threshold`] layers) a risky
-//!   candidate is cheaper to score by a plain full rebuild +
-//!   evaluation than by the global replay; the adaptive strategy does
-//!   exactly that (and reseeds the delta state on accept).
-//! * **Guard-dominance pruning** (large-model replay, on by default via
-//!   [`crate::H2hConfig::enable_guard_dominance`]) — before a risky
+//!   [`SMALL_MODEL_THRESHOLD`] layers) a risky candidate is cheaper to
+//!   score by a plain full rebuild + evaluation than by the global
+//!   replay; the engine does exactly that (and reseeds the delta state
+//!   on accept).
+//! * **Guard-dominance pruning** (large-model replay) — before a risky
 //!   guard replays its toggle, [`DeltaOracle::resolve_guard`] tries to
 //!   *prove* the accept/reject outcome from local quantities: the
 //!   producer's new finish time is exactly computable, and when every
@@ -69,27 +68,14 @@
 //!
 //! Accepted candidates commit the delta state directly; the only full
 //! evaluations in a search run are the seed, the finalization and any
-//! full-eval-fallback candidates, and final mappings/latencies are
-//! identical to the historical per-candidate full-re-evaluation
-//! implementations (asserted by equivalence tests over the whole zoo,
-//! over every strategy, over scoring thread counts 1–8 and with
-//! dominance pruning on or off).
+//! full-eval-fallback candidates. Final mappings and latencies are
+//! identical to the per-candidate full-re-evaluation reference,
+//! [`crate::remap::data_locality_remapping_reference`] (asserted by the
+//! equivalence suites on the zoo, on random and synthetic models and on
+//! non-uniform fabrics).
 //!
-//! # Parallel scoring
-//!
-//! [`DeltaEngine::fork`] produces a cheap clone for a scoring worker:
-//! the read-only model/system data (sorted fusable edges, multi-consumer
-//! producer lists, topological priority inside [`IncrementalSchedule`],
-//! DRAM capacity tables inside [`LocalityState`]) is shared behind
-//! `Arc`s, and only the mutable scratch is copied. The commit protocol
-//! lives in [`crate::parallel`]: workers score disjoint candidate
-//! subsets transactionally (stage → record → reject) and the main
-//! engine commits the winning move in deterministic candidate order.
-//!
-//! [`SearchStats`] counts delta vs full evaluations so the speedup is
-//! observable (`h2h-bench` emits it as `BENCH_search.json`).
-
-use std::sync::Arc;
+//! [`SearchStats`] counts delta vs full evaluations so the savings are
+//! observable (`h2h-bench` records them in `BENCH_search.json`).
 
 use serde::Serialize;
 
@@ -105,9 +91,15 @@ use h2h_system::system::AccId;
 use crate::activation_fusion::{
     fusion_pass, rebuild_locality, sorted_fusable_edges, FusionOracle,
 };
-use crate::config::{H2hConfig, ScoreStrategy};
+use crate::config::H2hConfig;
 use crate::preset::PinPreset;
 use crate::weight_locality::weight_locality_pass;
+
+/// Models with at most this many layers score a risky candidate (one
+/// the prefix-exact fast path cannot take) by a plain full evaluation
+/// instead of the global fusion-pass replay: calibrated on the zoo,
+/// below ~80 layers the replay costs more than one full evaluation.
+pub const SMALL_MODEL_THRESHOLD: usize = 80;
 
 /// Instrumentation of one search run: how often the delta engine
 /// answered a candidate query versus how often a full evaluation was
@@ -205,11 +197,10 @@ fn note_propagation(stats: &mut SearchStats, touched: usize) {
 /// Wall-clock breakdown of one engine's search time by phase, filled
 /// only when [`H2hConfig::profile_phases`] is on (`bench_search
 /// --profile`). Deliberately **not** part of [`SearchStats`]: the stat
-/// counters are asserted bitwise-equal across thread counts and
-/// strategies, while wall-clock numbers are machine- and run-specific.
-/// When candidates are scored on worker lanes the per-lane deltas are
-/// absorbed into the main engine's profile, so the totals approximate
-/// *CPU seconds across all lanes*, not elapsed wall time.
+/// counters are pinned byte for byte, while wall-clock numbers are
+/// machine- and run-specific. The engine scores on the calling thread,
+/// so the buckets are elapsed seconds spent inside its staging,
+/// rollback and commit calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct PhaseProfile {
     /// Candidate scoring outside the other buckets: locality
@@ -232,23 +223,12 @@ impl PhaseProfile {
         self.scoring_s + self.propagate_s + self.guard_s + self.commit_s
     }
 
-    /// Accumulates another profile (e.g. a worker lane's delta).
+    /// Accumulates another run's profile into this one.
     pub fn absorb(&mut self, other: &PhaseProfile) {
         self.scoring_s += other.scoring_s;
         self.propagate_s += other.propagate_s;
         self.guard_s += other.guard_s;
         self.commit_s += other.commit_s;
-    }
-
-    /// Bucket-wise difference `self - before` (for snapshotting one
-    /// candidate's share out of a running accumulator).
-    pub fn delta_since(&self, before: &PhaseProfile) -> PhaseProfile {
-        PhaseProfile {
-            scoring_s: self.scoring_s - before.scoring_s,
-            propagate_s: self.propagate_s - before.propagate_s,
-            guard_s: self.guard_s - before.guard_s,
-            commit_s: self.commit_s - before.commit_s,
-        }
     }
 }
 
@@ -273,8 +253,6 @@ struct DeltaOracle<'x, 'e, 'm> {
     stats: &'x mut SearchStats,
     pending: Vec<LayerId>,
     pending_seeds: Vec<LayerId>,
-    /// Dominance pruning enabled ([`H2hConfig::enable_guard_dominance`]).
-    dominance: bool,
     /// Restore point of the risky-guard toggle currently in flight.
     savepoint: Option<h2h_system::incremental::Savepoint>,
     /// Phase wall-clock accumulator, present iff profiling is on.
@@ -384,9 +362,6 @@ impl FusionOracle for DeltaOracle<'_, '_, '_> {
         bytes: Bytes,
     ) -> Option<bool> {
         self.stats.guards_total += 1;
-        if !self.dominance {
-            return None;
-        }
         // The proof reads exact start/finish times, so the deferred
         // batches must land first — the same flush the reference pays
         // at this guard's `before` makespan read. Must happen before
@@ -514,21 +489,6 @@ impl DeltaOracle<'_, '_, '_> {
     }
 }
 
-/// Read-only per-(model, system) data shared by an engine and all its
-/// scoring-worker forks.
-#[derive(Debug)]
-struct EngineShared {
-    /// All non-input-producer edges pre-sorted by the fusion pass's
-    /// global order (bytes desc, then endpoint indices) — the
-    /// mapping-independent part of the candidate list, computed once.
-    sorted_edges: Vec<(LayerId, LayerId, Bytes)>,
-    /// Non-input producers with ≥ 2 consumers (and those consumers):
-    /// the only places a "risky" fusion candidate can arise. The
-    /// prefix-exact fast path applies exactly when no such producer is
-    /// co-located with any of its consumers in the candidate mapping.
-    multi_out: Vec<(LayerId, Vec<LayerId>)>,
-}
-
 /// The staged candidate: which layer moved, where it came from, and
 /// whether it was scored through the delta schedule (transactional) or
 /// a plain full evaluation.
@@ -546,11 +506,7 @@ struct StagedMove {
 /// resummed so every objective scores bitwise like a full evaluation).
 /// Candidates are staged transactionally on top and either rolled back
 /// or committed as the new current state.
-///
-/// `Clone` copies the mutable scratch and shares the read-only data;
-/// use [`DeltaEngine::fork`] for scoring workers (it also zeroes the
-/// stats, which workers report per candidate instead).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DeltaEngine<'e, 'm> {
     ev: &'e Evaluator<'m>,
     cfg: &'e H2hConfig,
@@ -563,10 +519,18 @@ pub struct DeltaEngine<'e, 'm> {
     staged_locality: Option<LocalityState>,
     staged_schedule: Option<Schedule>,
     staged_makespan: f64,
-    /// Resolved adaptive fallback: small models score risky candidates
-    /// by full evaluation, large ones by the global replay.
+    /// Small models score risky candidates by full evaluation, large
+    /// ones by the global replay ([`SMALL_MODEL_THRESHOLD`]).
     prefer_full: bool,
-    shared: Arc<EngineShared>,
+    /// All non-input-producer edges pre-sorted by the fusion pass's
+    /// global order (bytes desc, then endpoint indices) — the
+    /// mapping-independent part of the candidate list, computed once.
+    sorted_edges: Vec<(LayerId, LayerId, Bytes)>,
+    /// Non-input producers with ≥ 2 consumers (and those consumers):
+    /// the only places a "risky" fusion candidate can arise. The
+    /// prefix-exact fast path applies exactly when no such producer is
+    /// co-located with any of its consumers in the candidate mapping.
+    multi_out: Vec<(LayerId, Vec<LayerId>)>,
     // Reusable scratch for the staging hot path, kept across candidates
     // so steady-state scoring allocates nothing.
     spare_locality: Option<LocalityState>,
@@ -622,11 +586,9 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             staged_locality: None,
             staged_schedule: None,
             staged_makespan: 0.0,
-            prefer_full: model.num_layers() <= cfg.small_model_threshold,
-            shared: Arc::new(EngineShared {
-                sorted_edges: sorted_fusable_edges(model),
-                multi_out,
-            }),
+            prefer_full: model.num_layers() <= SMALL_MODEL_THRESHOLD,
+            sorted_edges: sorted_fusable_edges(model),
+            multi_out,
             spare_locality: None,
             scratch_costs: Vec::new(),
             scratch_seeds: Vec::new(),
@@ -637,26 +599,6 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             profile_enabled: cfg.profile_phases,
             profile: PhaseProfile::default(),
         }
-    }
-
-    /// Cheap clone for a scoring worker thread: shares the read-only
-    /// `Arc`s, copies the mutable scratch, zeroes the stats (workers
-    /// report per-candidate stat deltas back to the main engine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a candidate is staged.
-    pub fn fork(&self) -> Self {
-        assert!(self.staged.is_none(), "fork with a staged candidate");
-        let mut fork = self.clone();
-        fork.stats = SearchStats::default();
-        fork.profile = PhaseProfile::default();
-        fork
-    }
-
-    /// The configuration this engine scores under.
-    pub(crate) fn config(&self) -> &H2hConfig {
-        self.cfg
     }
 
     /// Objective score of the current (exact) state.
@@ -705,18 +647,19 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         to: AccId,
     ) -> bool {
         let mapped = |l: LayerId| if l == layer { Some(to) } else { mapping.get(l) };
-        self.shared.multi_out.iter().any(|(f, succs)| {
+        self.multi_out.iter().any(|(f, succs)| {
             let fa = mapped(*f);
             fa.is_some() && succs.iter().any(|s| mapped(*s) == fa)
         })
     }
 
     /// Stages the candidate "move `layer` to `to`": mutates `mapping`,
-    /// scores the candidate through the strategy-selected path
-    /// (prefix-exact scoped rebuild, global fusion replay, or plain
-    /// full evaluation — all bitwise-identical scores) and returns the
-    /// candidate's objective score. The candidate stays staged until
-    /// [`DeltaEngine::reject_staged`] or [`DeltaEngine::accept_staged`].
+    /// scores the candidate through the cheapest exact path its shape
+    /// allows (prefix-exact scoped rebuild, plain full evaluation on a
+    /// small model, or global fusion replay — see the module docs) and
+    /// returns the candidate's objective score. The candidate stays
+    /// staged until [`DeltaEngine::reject_staged`] or
+    /// [`DeltaEngine::accept_staged`].
     ///
     /// # Panics
     ///
@@ -740,18 +683,12 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         assert!(self.staged.is_none(), "candidate already staged");
         let from = mapping.acc_of(layer);
         assert_ne!(from, to, "staging a no-op move");
-        match self.cfg.strategy {
-            ScoreStrategy::FullEval => self.stage_full(mapping, layer, from, to),
-            ScoreStrategy::Replay => self.stage_delta(mapping, layer, from, to, false),
-            ScoreStrategy::Adaptive => {
-                if !self.candidate_has_risky_fusion(mapping, layer, to) {
-                    self.stage_delta(mapping, layer, from, to, true)
-                } else if self.prefer_full {
-                    self.stage_full(mapping, layer, from, to)
-                } else {
-                    self.stage_delta(mapping, layer, from, to, false)
-                }
-            }
+        if !self.candidate_has_risky_fusion(mapping, layer, to) {
+            self.stage_delta(mapping, layer, from, to, true)
+        } else if self.prefer_full {
+            self.stage_full(mapping, layer, from, to)
+        } else {
+            self.stage_delta(mapping, layer, from, to, false)
         }
     }
 
@@ -902,7 +839,6 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         pending_costs
             .extend(loc.pinned_layers().filter(|l| mapping.get(*l).is_some_and(in_scope)));
 
-        let shared = self.shared.clone();
         if self.cfg.enable_activation_fusion && prefix {
             // Prefix-exact step 3: only the touched accelerators'
             // candidates are re-fused, in the canonical global order
@@ -912,7 +848,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             // no-risky-candidate precondition makes every candidate's
             // accept rule unconditional-if-it-fits.
             let system = self.ev.system();
-            for &(f, t, bytes) in &shared.sorted_edges {
+            for &(f, t, bytes) in &self.sorted_edges {
                 let fa = mapping.get(f);
                 if fa.is_none() || fa != mapping.get(t) {
                     continue;
@@ -935,7 +871,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             // (bitwise-equal to the full evaluation it replaces).
             let mut candidates = std::mem::take(&mut self.scratch_cands);
             candidates.clear();
-            candidates.extend(shared.sorted_edges.iter().copied().filter(|(f, t, _)| {
+            candidates.extend(self.sorted_edges.iter().copied().filter(|(f, t, _)| {
                 mapping.get(*f).is_some() && mapping.get(*f) == mapping.get(*t)
             }));
             let mut oracle = DeltaOracle {
@@ -945,7 +881,6 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
                 stats: &mut self.stats,
                 pending: pending_costs,
                 pending_seeds,
-                dominance: self.cfg.enable_guard_dominance,
                 savepoint: None,
                 profile: self.profile_enabled.then_some(&mut self.profile),
             };

@@ -42,7 +42,6 @@ pub mod config;
 pub mod delta;
 pub mod dynamic;
 pub mod knapsack;
-pub mod parallel;
 pub mod pipeline;
 pub mod preset;
 pub mod remap;
@@ -52,9 +51,8 @@ pub mod serve;
 pub mod weight_locality;
 
 pub use arrivals::{ArrivalProcess, ArrivalSchedule, Arrivals};
-pub use config::{H2hConfig, KnapsackKind, MapObjective, RoundPolicy, ScoreStrategy};
+pub use config::{H2hConfig, KnapsackKind, MapObjective, RoundPolicy};
 pub use delta::{DeltaEngine, PhaseProfile, SearchStats};
-pub use parallel::ScoringPool;
 pub use dynamic::{DynamicOutcome, DynamicSession};
 pub use pipeline::{H2hError, H2hMapper, H2hOutcome, Step, StepSnapshot};
 pub use preset::PinPreset;

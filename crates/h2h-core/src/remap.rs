@@ -8,49 +8,28 @@
 //! a fixpoint (no accepted move in a full pass) or the configured pass
 //! bound.
 //!
-//! The inner loop runs on the [`DeltaEngine`]: candidates are scored by
-//! a scoped locality-rebuild replay plus cone-local schedule
-//! propagation (paper §4.2's "update … without traversing the entire
-//! graph"), through the strategy selected per candidate by
-//! [`crate::config::ScoreStrategy`] (prefix-exact fast path, global
-//! fusion replay — with risky guards dominance-pruned and rejected
-//! toggles restored from the journal savepoint, see [`crate::delta`] —
-//! or plain full evaluation; all bitwise-identical scores). Accepted
-//! moves commit the delta state directly, producing final mappings
-//! identical to the historical per-candidate full-re-evaluation loop
-//! (kept below as [`data_locality_remapping_reference`] and asserted
-//! equivalent by tests on every zoo model).
-//!
-//! With `score_threads > 1` candidate scoring fans out across a scoped
-//! [`ScoringPool`] (one [`DeltaEngine::fork`] per worker) over the
-//! **whole move frontier**: instead of batching one layer's 1–3
-//! candidates at a time, the pooled walk flattens the candidate groups
-//! of many upcoming layers into one work-stolen batch, scoring
-//! speculatively past layers whose decision has not been made yet. The
-//! decision rule stays serial — groups are resolved in visit order,
-//! each taking its **first improving candidate in serial order**, and
-//! everything scored beyond an accepted move is discarded (it was
-//! scored against a stale state) and regenerated. The window starts at
-//! the lane count (an accept costs the same wall-clock as the
-//! per-layer batch it replaces) and doubles across fully-rejected
-//! windows, so long rejection stretches — where greedy search spends
-//! most of its time near convergence — keep every lane busy. Final
-//! mappings, latencies *and search stats* are identical for every
-//! thread count and window size (see `crate::parallel` for the commit
-//! protocol); `cfg.frontier_min_candidates` gates the wide path, with
-//! small windows falling back to the classic per-group step.
+//! The loop runs on the [`DeltaEngine`]: candidates are scored by a
+//! scoped locality-rebuild replay plus cone-local schedule propagation
+//! (paper §4.2's "update … without traversing the entire graph"), with
+//! risky fusion guards dominance-pruned and rejected toggles restored
+//! from the journal savepoint — or, for a small model's risky
+//! candidates, by a plain full evaluation (see [`crate::delta`]; every
+//! path scores bitwise like a full evaluation). Accepted moves commit
+//! the delta state directly, producing final mappings identical to the
+//! per-candidate full-re-evaluation loop, kept below as
+//! [`data_locality_remapping_reference`] and asserted equivalent by the
+//! test suites.
 
 use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;
 use h2h_system::schedule::{Evaluator, Schedule};
 use h2h_system::system::AccId;
 
-use h2h_model::graph::LayerId;
+use h2h_model::graph::{LayerId, ModelGraph};
 
 use crate::activation_fusion::rebuild_locality;
 use crate::config::H2hConfig;
 use crate::delta::{DeltaEngine, PhaseProfile, SearchStats};
-use crate::parallel::{commit_move, try_first_improving, CandidateOutcome, ScoringPool};
 use crate::preset::PinPreset;
 
 /// Outcome of the remapping loop.
@@ -64,8 +43,8 @@ pub struct RemapOutcome {
     /// instrumentation.
     pub stats: SearchStats,
     /// Per-phase wall-clock breakdown, zeroed unless
-    /// [`H2hConfig::profile_phases`] is on (≈ CPU-seconds across
-    /// scoring lanes; never part of the cross-run equality contract).
+    /// [`H2hConfig::profile_phases`] is on (elapsed seconds of the
+    /// search; never part of the cross-run equality contract).
     pub profile: PhaseProfile,
 }
 
@@ -87,25 +66,39 @@ impl RemapOutcome {
 }
 
 /// Runs the greedy remapping loop on the incremental delta engine,
-/// mutating `mapping` in place. With `cfg.score_threads > 1` the
-/// candidate scoring fans out across a scoped worker pool; results are
-/// identical for every thread count.
+/// mutating `mapping` in place.
 pub fn data_locality_remapping(
     ev: &Evaluator<'_>,
     cfg: &H2hConfig,
     preset: &PinPreset,
     mapping: &mut Mapping,
 ) -> RemapOutcome {
+    let model = ev.model();
+    let system = ev.system();
     let mut engine = DeltaEngine::new(ev, cfg, preset, mapping);
-    let workers = crate::parallel::effective_workers(cfg);
-    let passes = if workers == 0 {
-        remap_loop_serial(ev, cfg, &mut engine, mapping)
-    } else {
-        rayon::scope(|scope| {
-            let mut pool = ScoringPool::spawn(scope, &engine, mapping, workers);
-            remap_loop_frontier(ev, cfg, &mut engine, mapping, &mut pool)
-        })
-    };
+    let order = model.topo_order();
+    let mut neighbours: Vec<AccId> = Vec::new();
+    let mut passes = 0;
+    while passes < cfg.remap_max_passes {
+        passes += 1;
+        let mut improved = false;
+        for &layer in &order {
+            neighbour_accs(model, mapping, layer, &mut neighbours);
+            // Greedy: take the first improving move, go to the next
+            // layer.
+            for &acc in &neighbours {
+                if system.acc(acc).supports(model.layer(layer))
+                    && engine.try_improving_move(mapping, layer, acc)
+                {
+                    improved = true;
+                    break;
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
 
     let profile = engine.profile;
     let (locality, schedule, mut stats) = engine.finalize(mapping);
@@ -113,202 +106,34 @@ pub fn data_locality_remapping(
     RemapOutcome { locality, schedule, stats, profile }
 }
 
-/// Candidate destinations for one layer: accelerators hosting a
-/// neighbour, in deterministic ascending-id order (sorted + deduped —
-/// same order a `BTreeSet` would yield, without allocating per visit),
-/// restricted to accelerators that support the layer. Appends
-/// `(layer, acc)` pairs to `out` (callers building a frontier window
-/// concatenate several layers' groups into one flat batch).
-fn layer_candidates(
-    model: &h2h_model::ModelGraph,
-    system: &h2h_system::SystemSpec,
+/// Candidate destinations of one layer's move: the accelerators hosting
+/// one of its graph neighbours, other than its own, in ascending id
+/// order without repeats. Written into `out` (cleared first) so the
+/// search loops allocate nothing per visit.
+pub(crate) fn neighbour_accs(
+    model: &ModelGraph,
     mapping: &Mapping,
     layer: LayerId,
-    neighbours: &mut Vec<AccId>,
-    out: &mut Vec<(LayerId, AccId)>,
+    out: &mut Vec<AccId>,
 ) {
     let current = mapping.acc_of(layer);
-    neighbours.clear();
-    neighbours.extend(
+    out.clear();
+    out.extend(
         model
             .predecessors(layer)
             .chain(model.successors(layer))
             .filter_map(|n| mapping.get(n))
             .filter(|acc| *acc != current),
     );
-    neighbours.sort_unstable();
-    neighbours.dedup();
-    out.extend(
-        neighbours
-            .iter()
-            .filter(|acc| system.acc(**acc).supports(model.layer(layer)))
-            .map(|acc| (layer, *acc)),
-    );
-}
-
-/// The serial pass loop: visit layers in topological order, gather each
-/// layer's candidates, take the first improving move.
-fn remap_loop_serial(
-    ev: &Evaluator<'_>,
-    cfg: &H2hConfig,
-    engine: &mut DeltaEngine<'_, '_>,
-    mapping: &mut Mapping,
-) -> usize {
-    let model = ev.model();
-    let system = ev.system();
-    let order = model.topo_order();
-    let mut passes = 0;
-    let mut neighbours: Vec<AccId> = Vec::new();
-    let mut cands: Vec<(LayerId, AccId)> = Vec::new();
-    let mut outcomes: Vec<CandidateOutcome> = Vec::new();
-    while passes < cfg.remap_max_passes {
-        passes += 1;
-        let mut improved = false;
-        for &layer in &order {
-            cands.clear();
-            layer_candidates(model, system, mapping, layer, &mut neighbours, &mut cands);
-            if cands.is_empty() {
-                continue;
-            }
-            // Greedy: take the first improving move, go to the next
-            // layer.
-            if try_first_improving(engine, mapping, &cands, None, &mut outcomes) {
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    passes
-}
-
-/// The pooled pass loop: identical decisions to
-/// [`remap_loop_serial`], but candidates are scored in
-/// **frontier-wide work-stolen batches** spanning many upcoming
-/// layers' candidate groups (see the module docs).
-///
-/// Within one window no state changes — the serial walk's `best` score
-/// is constant across rejected groups — so all of the window's
-/// candidates are scored against exactly the state the serial walk
-/// would have scored them against. Groups then resolve strictly in
-/// serial order: each absorbs the stat deltas of its serially-visited
-/// prefix (everything before the first improving candidate, or the
-/// whole group), and the first group with a winner commits it and
-/// invalidates the rest of the window (those speculative outcomes are
-/// discarded, their stats *not* absorbed — the serial walk never
-/// scored them against this state). Hence mappings, latencies and
-/// stats are bitwise independent of lane count and window size.
-///
-/// The window starts at the lane count and doubles each time an entire
-/// window is rejected (resetting on accept), which bounds wasted
-/// speculation near an accept to one window while giving rejection
-/// stretches batch sizes big enough to keep every lane busy. Windows
-/// smaller than `cfg.frontier_min_candidates` fall back to the classic
-/// per-group protocol — with `frontier_min_candidates = usize::MAX`
-/// this *is* the classic per-layer pooled walk.
-fn remap_loop_frontier(
-    ev: &Evaluator<'_>,
-    cfg: &H2hConfig,
-    engine: &mut DeltaEngine<'_, '_>,
-    mapping: &mut Mapping,
-    pool: &mut ScoringPool,
-) -> usize {
-    let model = ev.model();
-    let system = ev.system();
-    let order = model.topo_order();
-    let base = pool.lanes().max(1);
-    let mut passes = 0;
-    let mut neighbours: Vec<AccId> = Vec::new();
-    let mut flat: Vec<(LayerId, AccId)> = Vec::new();
-    // One entry per layer with candidates in the current window:
-    // (position in `order`, start..end range in `flat`).
-    let mut groups: Vec<(usize, usize, usize)> = Vec::new();
-    let mut outcomes: Vec<CandidateOutcome> = Vec::new();
-    while passes < cfg.remap_max_passes {
-        passes += 1;
-        let mut improved = false;
-        let mut pos = 0;
-        let mut window = base;
-        while pos < order.len() {
-            // Assemble the window: whole candidate groups until the
-            // target size is reached (the last group may overshoot) or
-            // the pass runs out of layers.
-            flat.clear();
-            groups.clear();
-            let mut j = pos;
-            while j < order.len() && flat.len() < window {
-                let start = flat.len();
-                layer_candidates(model, system, mapping, order[j], &mut neighbours, &mut flat);
-                if flat.len() > start {
-                    groups.push((j, start, flat.len()));
-                }
-                j += 1;
-            }
-            if flat.is_empty() {
-                pos = j;
-                continue;
-            }
-            let accepted_at = if flat.len() < cfg.frontier_min_candidates {
-                // Narrow window: classic per-group first-improving
-                // steps (still pooled within each group).
-                groups.iter().find_map(|&(gpos, start, end)| {
-                    try_first_improving(
-                        engine,
-                        mapping,
-                        &flat[start..end],
-                        Some(&mut *pool),
-                        &mut outcomes,
-                    )
-                    .then_some(gpos)
-                })
-            } else {
-                // Wide path: score the whole frontier as one
-                // work-stolen batch, then decide group by group.
-                let best = engine.score();
-                pool.score_batch(engine, mapping, &flat, &mut outcomes);
-                groups.iter().find_map(|&(gpos, start, end)| {
-                    let outs = &outcomes[start..end];
-                    let winner =
-                        outs.iter().position(|o| o.score + cfg.accept_epsilon < best);
-                    let attempted = winner.map_or(outs.len(), |w| w + 1);
-                    for outcome in &outs[..attempted] {
-                        engine.stats.absorb(&outcome.stats);
-                    }
-                    winner.map(|w| {
-                        let (layer, to) = flat[start + w];
-                        pool.broadcast_commit(layer, to);
-                        commit_move(engine, mapping, layer, to);
-                        gpos
-                    })
-                })
-            };
-            match accepted_at {
-                Some(gpos) => {
-                    // Everything scored past the accepted group is
-                    // stale speculation: drop it and regenerate from
-                    // the next layer against the committed state.
-                    improved = true;
-                    pos = gpos + 1;
-                    window = base;
-                }
-                None => {
-                    pos = j;
-                    window = window.saturating_mul(2);
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    passes
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// The historical implementation: every candidate pays a full locality
 /// rebuild and a full schedule evaluation. Kept as the semantic
 /// reference the delta engine is asserted against (equivalence tests,
-/// the `incremental` bench) — not used on the production search path.
+/// `bench_search`, the repository benchmark) — not used on the
+/// production search path.
 pub fn data_locality_remapping_reference(
     ev: &Evaluator<'_>,
     cfg: &H2hConfig,
@@ -332,16 +157,7 @@ pub fn data_locality_remapping_reference(
         let mut improved = false;
         for &layer in &order {
             let current = mapping.acc_of(layer);
-            neighbours.clear();
-            neighbours.extend(
-                model
-                    .predecessors(layer)
-                    .chain(model.successors(layer))
-                    .filter_map(|n| mapping.get(n))
-                    .filter(|acc| *acc != current),
-            );
-            neighbours.sort_unstable();
-            neighbours.dedup();
+            neighbour_accs(model, mapping, layer, &mut neighbours);
             for &acc in &neighbours {
                 if !system.acc(acc).supports(model.layer(layer)) {
                     continue;

@@ -40,6 +40,7 @@ use crate::config::H2hConfig;
 use crate::delta::{DeltaEngine, SearchStats};
 use crate::pipeline::{H2hError, H2hMapper};
 use crate::preset::PinPreset;
+use crate::remap::neighbour_accs;
 
 /// Result of a budgeted repair.
 #[derive(Debug)]
@@ -145,17 +146,7 @@ pub fn repair_mapping(
         passes += 1;
         let mut improved = false;
         for &layer in &order {
-            let current = mapping.acc_of(layer);
-            neighbours.clear();
-            neighbours.extend(
-                model
-                    .predecessors(layer)
-                    .chain(model.successors(layer))
-                    .filter_map(|n| mapping.get(n))
-                    .filter(|acc| *acc != current),
-            );
-            neighbours.sort_unstable();
-            neighbours.dedup();
+            neighbour_accs(model, &mapping, layer, &mut neighbours);
             for &acc in &neighbours {
                 if !state.acc_is_up(acc) || !system.acc(acc).supports(model.layer(layer)) {
                     continue;
@@ -180,8 +171,8 @@ pub fn repair_mapping(
     stats.full_rebuilds += 1;
     stats.full_evals += 1;
     // The attempted-move counter is the deterministic currency; the
-    // per-move cost converts it into modeled wall time (calibrated
-    // against BENCH_search.json evaluator throughput).
+    // per-move cost converts it into modeled wall time (see
+    // `H2hConfig::repair_secs_per_move` for a measured setting).
     let wall_time = Seconds::new(stats.attempted_moves as f64 * cfg.repair_secs_per_move);
     Ok(RepairOutcome { mapping, locality, schedule, evacuated, incumbent_degraded, stats, wall_time })
 }

@@ -3,9 +3,8 @@
 //! explicit equal-link `star`, equal-link `switched` with no peers) —
 //! must reproduce the historical scalar-Ethernet path **bitwise**,
 //! zoo-wide: mappings, per-step latencies, energies, `SearchStats` and
-//! multi-tenant serve ledgers, with dominance pruning on or off. Every
-//! PR 1–4 guarantee therefore carries over to the topology-aware stack
-//! unchanged.
+//! multi-tenant serve ledgers. Every guarantee of the scalar model
+//! therefore carries over to the topology-aware stack unchanged.
 
 use h2h_core::serve::{TenantRegistry, TenantSpec};
 use h2h_core::{H2hConfig, H2hMapper};
@@ -48,54 +47,29 @@ fn uniform_topology_pipeline_is_bit_identical_to_the_scalar_path_zoo_wide() {
     for bw in [BandwidthClass::LowMinus, BandwidthClass::Mid] {
         let scalar_system = SystemSpec::standard(bw);
         for model in h2h_model::zoo::all_models() {
-            for dominance in [true, false] {
-                let cfg = H2hConfig {
-                    enable_guard_dominance: dominance,
-                    ..H2hConfig::default()
-                };
-                let reference = H2hMapper::new(&model, &scalar_system)
-                    .with_config(cfg)
+            let reference = H2hMapper::new(&model, &scalar_system)
+                .run()
+                .expect("scalar path maps every zoo model");
+            for (name, topo) in uniform_variants(bw, scalar_system.num_accs()) {
+                let system = SystemSpec::standard(bw).with_topology(topo);
+                let out = H2hMapper::new(&model, &system)
                     .run()
-                    .expect("scalar path maps every zoo model");
-                for (name, topo) in uniform_variants(bw, scalar_system.num_accs()) {
-                    let system = SystemSpec::standard(bw).with_topology(topo);
-                    let out = H2hMapper::new(&model, &system)
-                        .with_config(cfg)
-                        .run()
-                        .expect("uniform topology maps every zoo model");
-                    assert_eq!(
-                        out.mapping,
-                        reference.mapping,
-                        "{} @ {bw} ({name}, dom={dominance}): mapping diverged",
-                        model.name()
-                    );
-                    assert_eq!(
-                        out.final_latency(),
-                        reference.final_latency(),
-                        "{} @ {bw} ({name}, dom={dominance}): latency diverged",
-                        model.name()
-                    );
-                    assert_eq!(
-                        out.schedule.energy().total(),
-                        reference.schedule.energy().total(),
-                        "{} @ {bw} ({name}, dom={dominance}): energy diverged",
-                        model.name()
-                    );
-                    assert_eq!(
-                        out.remap_stats,
-                        reference.remap_stats,
-                        "{} @ {bw} ({name}, dom={dominance}): SearchStats diverged",
-                        model.name()
-                    );
-                    for (a, b) in out.snapshots.iter().zip(reference.snapshots.iter()) {
-                        assert_eq!(
-                            a.latency,
-                            b.latency,
-                            "{} @ {bw} ({name}, dom={dominance}): step {:?} latency diverged",
-                            model.name(),
-                            a.step
-                        );
-                    }
+                    .expect("uniform topology maps every zoo model");
+                let tag = format!("{} @ {bw} ({name})", model.name());
+                assert_eq!(out.mapping, reference.mapping, "{tag}: mapping diverged");
+                assert_eq!(
+                    out.final_latency(),
+                    reference.final_latency(),
+                    "{tag}: latency diverged"
+                );
+                assert_eq!(
+                    out.schedule.energy().total(),
+                    reference.schedule.energy().total(),
+                    "{tag}: energy diverged"
+                );
+                assert_eq!(out.remap_stats, reference.remap_stats, "{tag}: SearchStats diverged");
+                for (a, b) in out.snapshots.iter().zip(reference.snapshots.iter()) {
+                    assert_eq!(a.latency, b.latency, "{tag}: step {:?} latency diverged", a.step);
                 }
             }
         }

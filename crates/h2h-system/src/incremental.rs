@@ -52,9 +52,8 @@
 //!    revert a rejected risky-guard toggle at the cost of the cone it
 //!    touched instead of a second propagation round.
 //!
-//! Equivalence with full re-evaluation is asserted by unit tests here,
-//! by `prop_schedule.rs`/`prop_incremental.rs` property suites, and
-//! measured by the `incremental` criterion bench.
+//! Equivalence with full re-evaluation is asserted by unit tests here
+//! and by the `prop_schedule.rs`/`prop_incremental.rs` property suites.
 
 use std::sync::Arc;
 
@@ -126,9 +125,8 @@ pub struct Savepoint {
 
 /// Read-only per-(model, system) data shared by every clone of an
 /// [`IncrementalSchedule`]: the global topological priority and the
-/// energy-model constants. The parallel search core forks one schedule
-/// per scoring worker, so this is split behind an [`Arc`] to keep those
-/// clones to the mutable scratch only.
+/// energy-model constants. It sits behind an [`Arc`], so a clone copies
+/// only the mutable scratch.
 #[derive(Debug)]
 struct IncShared {
     /// Rank of each layer in the global topological priority.

@@ -6,8 +6,8 @@
 //! no optimization pass can oversubscribe a board.
 //!
 //! The representation is optimized for the incremental search core,
-//! which clones one `LocalityState` per scored candidate (and one per
-//! scoring worker thread): the read-only per-accelerator capacity table
+//! which clones one `LocalityState` per scored candidate: the read-only
+//! per-accelerator capacity table
 //! is shared behind an [`Arc`], and the mutable scratch is flat vectors
 //! (`memcpy`-cheap clones, allocation-free membership tests) instead of
 //! hash sets.

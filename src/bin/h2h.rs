@@ -8,7 +8,7 @@
 //! h2h serve <m1,m2,..> [bw]       # multi-tenant batched serving window
 //! h2h parse <file.h2h> [bw]       # ingest a text-format model and map it
 //! h2h trace <model> [bw] <out>    # export a chrome://tracing JSON
-//! h2h inspect <model> [bw]        # placement + topology table + link lanes
+//! h2h inspect <model> [bw]        # placement + topology table + search stats + link lanes
 //! ```
 //!
 //! Models: vlocnet | casia | vfs | facebag | cnnlstm | mocap.
@@ -19,7 +19,9 @@
 //! `switched[:mult]` | `star:host=G;links=g0,g1,…` |
 //! `switched:host=G;links=…;peers=i-j@G,…` — to run against a
 //! non-uniform interconnect fabric; `inspect` prints the per-link
-//! rates and the effective-bandwidth route table.
+//! rates and the effective-bandwidth route table, and the step-4
+//! search counters (attempted and accepted moves, delta vs full
+//! evaluations, propagation cones, risky guards).
 //!
 //! `inspect` and `serve` also take `--faults <spec>` — `;`-separated
 //! events over the full grammar: `board:IDX@T[-T2]` (outage),
@@ -39,7 +41,7 @@
 
 use std::process::ExitCode;
 
-use h2h::core::report::mapping_report;
+use h2h::core::report::{mapping_report, search_stats_report};
 use h2h::core::H2hMapper;
 use h2h::model::parse::parse_model;
 use h2h::model::{ModelGraph, ModelStats};
@@ -93,20 +95,22 @@ fn system_for(
         .map_err(|e| std::io::Error::other(format!("--topology: {e}")).into())
 }
 
-/// Whether [`map_and_report`] prints the topology table itself.
+/// The command [`map_and_report`] reports for.
 #[derive(PartialEq)]
-enum ShowTopology {
-    /// Print it when the fabric is non-uniform (`map`, `parse`).
-    NonUniform,
-    /// The caller already printed it (`inspect`).
-    Never,
+enum Report {
+    /// `map`, `parse`: print the topology table when the fabric is
+    /// non-uniform.
+    Map,
+    /// `inspect`: the caller already printed the topology table; add
+    /// the step-4 search stats.
+    Inspect,
 }
 
 fn map_and_report(
     model: &ModelGraph,
     bw: BandwidthClass,
     system: &SystemSpec,
-    show_topology: ShowTopology,
+    report: Report,
 ) -> Result<(), h2h::core::H2hError> {
     let out = H2hMapper::new(model, system).run()?;
     println!("{}\n", ModelStats::of(model));
@@ -119,13 +123,17 @@ fn map_and_report(
         out.energy_reduction() * 100.0,
         out.search_time,
     );
-    if show_topology == ShowTopology::NonUniform && !system.topology().is_uniform() {
+    if report == Report::Map && !system.topology().is_uniform() {
         print!("{}", system.topology().describe());
         println!();
     }
     let ev = Evaluator::new(model, system);
     print!("{}", mapping_report(&ev, &out.mapping, &out.locality, &out.schedule));
     println!();
+    if report == Report::Inspect {
+        print!("{}", search_stats_report(&out.remap_stats));
+        println!();
+    }
     println!("{}", render_gantt(model, system, &out.mapping, &out.schedule, 100));
     println!(
         "{}",
@@ -298,7 +306,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
                 return Ok(usage());
             };
             let system = system_for(bw, topology)?;
-            map_and_report(&model, bw, &system, ShowTopology::NonUniform)?;
+            map_and_report(&model, bw, &system, Report::Map)?;
         }
         "inspect" => {
             let Some(model) = args.get(1).and_then(|n| model_by_name(n)) else {
@@ -313,7 +321,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             // scalar-equivalent one-liner.
             print!("{}", system.topology().describe());
             println!();
-            map_and_report(&model, bw, &system, ShowTopology::Never)?;
+            map_and_report(&model, bw, &system, Report::Inspect)?;
             if let Some(spec) = faults {
                 fault_repair_report(&model, &system, spec)?;
             }
@@ -347,7 +355,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             let text = std::fs::read_to_string(path)?;
             let model = parse_model(&text)?;
             let system = system_for(bw, topology)?;
-            map_and_report(&model, bw, &system, ShowTopology::NonUniform)?;
+            map_and_report(&model, bw, &system, Report::Map)?;
         }
         "serve" => {
             let Some(names) = args.get(1) else { return Ok(usage()) };

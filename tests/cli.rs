@@ -46,6 +46,16 @@ fn map_reports_placement_and_gantt() {
 }
 
 #[test]
+fn inspect_reports_the_search_stats() {
+    let out = h2h(&["inspect", "casia", "low-", "--topology", "skewed"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = stdout(&out);
+    assert!(text.contains("mapping report"));
+    assert!(text.contains("search stats —"), "step-4 counters expected: {text}");
+    assert!(text.contains("skipped by dominance"));
+}
+
+#[test]
 fn parse_ingests_the_bundled_models() {
     for file in ["models/av_assistant.h2h", "models/driver_monitor.h2h"] {
         let path = format!("{}/{}", env!("CARGO_MANIFEST_DIR"), file);

@@ -1,6 +1,7 @@
 //! Property-based tests over randomly generated MMMT-shaped DAGs:
 //! schedule well-formedness, locality monotonicity, analytic↔event-sim
-//! agreement and full-pipeline invariants on arbitrary inputs.
+//! agreement, delta search ↔ full-re-evaluation reference on random
+//! fabrics, and full-pipeline invariants on arbitrary inputs.
 
 use proptest::prelude::*;
 
@@ -157,6 +158,37 @@ proptest! {
         prop_assert!(
             (analytic - sim).abs() <= analytic.max(1e-12) * 1e-6,
             "analytic {analytic} vs sim {sim}"
+        );
+    }
+
+    #[test]
+    fn delta_search_matches_reference_on_random_star_fabrics(
+        model in model_strategy(),
+        classes in proptest::collection::vec(0usize..BandwidthClass::ALL.len(), 13),
+    ) {
+        // Host NIC and every board link at an independently drawn
+        // bandwidth class: per-route rates make a move re-price its
+        // neighbours' transfers, which the delta engine must refresh.
+        use h2h::core::compute_map::computation_prioritized;
+        use h2h::core::preset::PinPreset;
+        use h2h::core::remap::{data_locality_remapping, data_locality_remapping_reference};
+        use h2h::system::topology::Topology;
+        let rate = |i: usize| BandwidthClass::ALL[classes[i]].bandwidth();
+        let base = SystemSpec::standard(BandwidthClass::LowMinus);
+        let links = (0..base.num_accs()).map(|a| rate(1 + a)).collect();
+        let system = base.with_topology(Topology::star(rate(0), links));
+        let ev = Evaluator::new(&model, &system);
+        let cfg = H2hConfig::default();
+        let (seed, _) = computation_prioritized(&ev, &cfg, &PinPreset::new()).unwrap();
+        let mut map_delta = seed.clone();
+        let mut map_ref = seed;
+        let delta = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut map_delta);
+        let reference =
+            data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), &mut map_ref);
+        prop_assert_eq!(map_delta, map_ref);
+        prop_assert_eq!(
+            delta.schedule.makespan().as_f64().to_bits(),
+            reference.schedule.makespan().as_f64().to_bits()
         );
     }
 
