@@ -100,7 +100,6 @@ fn malformed_profile(p: &PhaseProfile, attempted_moves: usize) -> Option<String>
         ("propagate_s", p.propagate_s),
         ("guard_s", p.guard_s),
         ("commit_s", p.commit_s),
-        ("total_s", p.total()),
     ];
     for (name, v) in buckets {
         if !v.is_finite() || v < 0.0 {

@@ -26,7 +26,11 @@ const ARTIFACTS: [&str; 5] = ["fig4", "table4", "fig5a", "fig5b", "headline"];
 
 fn render(artifact: &str, runs: &[ModelRun]) -> String {
     match artifact {
-        "fig4" => format!("{}\n{}", tables::fig4_latency(runs), tables::fig4_energy(runs)),
+        "fig4" => format!(
+            "{}\n{}",
+            tables::fig4_latency(runs),
+            tables::fig4_energy(runs)
+        ),
         "table4" => tables::table4(runs),
         "fig5a" => tables::fig5a(runs),
         "fig5b" => tables::fig5b(runs),

@@ -41,8 +41,8 @@ pub struct AnnealConfig {
     pub initial_temp: f64,
     /// Geometric cooling factor per iteration.
     pub cooling: f64,
-    /// RNG seed (xorshift64*; the crate stays dependency-free). Distinct
-    /// seeds give distinct walks.
+    /// RNG seed (xorshift64*; the crate stays dependency-free). Every
+    /// non-zero seed gives its own walk.
     pub seed: u64,
 }
 

@@ -140,8 +140,8 @@ pub fn cluster_mapping(
 pub(crate) struct XorShift(u64);
 
 impl XorShift {
-    /// Every seed but 0 is its own state, so distinct seeds give
-    /// distinct streams; 0, xorshift's fixed point, maps to a fixed
+    /// Every seed but 0 is its own state, so distinct non-zero seeds
+    /// give distinct streams; 0, xorshift's fixed point, maps to a fixed
     /// non-zero constant.
     pub(crate) fn new(seed: u64) -> Self {
         XorShift(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })

@@ -8,9 +8,7 @@
 
 use h2h_core::compute_map::computation_prioritized;
 use h2h_core::delta::SMALL_MODEL_THRESHOLD;
-use h2h_core::remap::{
-    data_locality_remapping, data_locality_remapping_reference, RemapOutcome,
-};
+use h2h_core::remap::{data_locality_remapping, data_locality_remapping_reference, RemapOutcome};
 use h2h_core::{H2hConfig, PinPreset};
 use h2h_model::graph::ModelGraph;
 use h2h_model::synth::{synthetic_mmmt, SyntheticConfig};
@@ -20,7 +18,11 @@ use h2h_system::topology::Topology;
 
 /// Runs the delta loop and the reference from the same step-1 seed,
 /// asserts they agree bit-exactly, and returns the delta outcome.
-fn assert_delta_matches_reference(model: &ModelGraph, system: &SystemSpec, tag: &str) -> RemapOutcome {
+fn assert_delta_matches_reference(
+    model: &ModelGraph,
+    system: &SystemSpec,
+    tag: &str,
+) -> RemapOutcome {
     let ev = Evaluator::new(model, system);
     let cfg = H2hConfig::default();
     let (seed, _) = computation_prioritized(&ev, &cfg, &PinPreset::new()).unwrap();
@@ -28,14 +30,23 @@ fn assert_delta_matches_reference(model: &ModelGraph, system: &SystemSpec, tag: 
     let reference = data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), &mut map_ref);
     let mut mapping = seed;
     let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut mapping);
-    assert_eq!(mapping, map_ref, "{tag}: diverged from the reference mapping");
+    assert_eq!(
+        mapping, map_ref,
+        "{tag}: diverged from the reference mapping"
+    );
     assert_eq!(
         out.schedule.makespan().as_f64().to_bits(),
         reference.schedule.makespan().as_f64().to_bits(),
         "{tag}: makespan must be bitwise equal to the reference"
     );
-    assert_eq!(out.stats.attempted_moves, reference.stats.attempted_moves, "{tag}: attempts");
-    assert_eq!(out.stats.accepted_moves, reference.stats.accepted_moves, "{tag}: accepts");
+    assert_eq!(
+        out.stats.attempted_moves, reference.stats.attempted_moves,
+        "{tag}: attempts"
+    );
+    assert_eq!(
+        out.stats.accepted_moves, reference.stats.accepted_moves,
+        "{tag}: accepts"
+    );
     out
 }
 
@@ -63,7 +74,11 @@ fn delta_search_matches_reference_on_non_uniform_topologies() {
             h2h_model::zoo::cnn_lstm(),
             h2h_model::zoo::casia_surf(),
         ] {
-            assert_delta_matches_reference(&model, &system, &format!("{} on `{spec}`", model.name()));
+            assert_delta_matches_reference(
+                &model,
+                &system,
+                &format!("{} on `{spec}`", model.name()),
+            );
         }
     }
 }
@@ -76,12 +91,22 @@ fn delta_search_matches_reference_on_synthetic_models() {
     // never reach.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     for seed in [4u64, 6] {
-        let model =
-            synthetic_mmmt(&SyntheticConfig { modalities: 8, depth: 12, seed, ..Default::default() });
-        assert!(model.num_layers() > SMALL_MODEL_THRESHOLD, "seed {seed}: too small to replay");
+        let model = synthetic_mmmt(&SyntheticConfig {
+            modalities: 8,
+            depth: 12,
+            seed,
+            ..Default::default()
+        });
+        assert!(
+            model.num_layers() > SMALL_MODEL_THRESHOLD,
+            "seed {seed}: too small to replay"
+        );
         let tag = format!("synthetic 8x12 seed {seed} ({} layers)", model.num_layers());
         let out = assert_delta_matches_reference(&model, &system, &tag);
-        assert!(out.stats.accepted_moves > 0, "{tag}: the search accepted nothing");
+        assert!(
+            out.stats.accepted_moves > 0,
+            "{tag}: the search accepted nothing"
+        );
         assert!(
             out.stats.guards_skipped > 0,
             "{tag}: no risky guard resolved by dominance ({:?})",
@@ -149,14 +174,23 @@ fn chain_models_take_the_prefix_fast_path() {
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     for model in [h2h_model::zoo::vfs(), h2h_model::zoo::mocap()] {
         let stats = remap_from_step1(&model, &system).stats;
-        assert!(stats.delta_evals > 0, "{}: no candidates scored", model.name());
+        assert!(
+            stats.delta_evals > 0,
+            "{}: no candidates scored",
+            model.name()
+        );
         assert_eq!(
             stats.prefix_evals,
             stats.delta_evals,
             "{}: chain model must stay on the fast path",
             model.name()
         );
-        assert_eq!(stats.full_evals, 2, "{}: only seed + finalize may evaluate fully", model.name());
+        assert_eq!(
+            stats.full_evals,
+            2,
+            "{}: only seed + finalize may evaluate fully",
+            model.name()
+        );
     }
 }
 
