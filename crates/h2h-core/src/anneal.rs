@@ -14,7 +14,7 @@
 //! [`crate::delta`]), so their makespans are bitwise-equal to full
 //! evaluations: a large model pays no full evaluation per proposal, and
 //! a small one (≤ [`crate::delta::SMALL_MODEL_THRESHOLD`] layers) pays
-//! one for each proposal that creates a risky fusion candidate. The
+//! one for each proposal whose mapping has a risky fusion candidate. The
 //! returned result is evaluated exactly and guarded to never lose to
 //! the seed mapping.
 
