@@ -34,6 +34,9 @@
 //!   and at least one multi-consumer producer: the ResNet-like zoo
 //!   entries) reports `guards_skipped == 0` — dominance pruning must
 //!   fire there;
+//! * a large model (more layers than the small-model threshold)
+//!   reports `screened == 0` — the latency screen must reject some
+//!   hopeless moves there;
 //! * with `--min-large-speedup S`, such a row is less than `S`× faster
 //!   than the reference on wall clock;
 //! * with `--profile`, a row's phase breakdown is malformed (a
@@ -66,6 +69,8 @@ struct SearchRecord {
     attempted_moves: usize,
     accepted_moves: usize,
     passes: usize,
+    /// Attempted moves the latency screen rejected without staging.
+    screened: usize,
     delta_evals: usize,
     /// Delta evaluations that took the prefix-exact fast path.
     prefix_evals: usize,
@@ -183,9 +188,9 @@ fn main() {
     let mut records = Vec::new();
     let mut gate_failures = 0usize;
     println!(
-        "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
-        "model", "bw", "topology", "layers", "attempts", "reduction", "prefix", "g-skip",
-        "speedup", "match"
+        "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
+        "model", "bw", "topology", "layers", "attempts", "screened", "reduction", "prefix",
+        "g-skip", "speedup", "match"
     );
     for bw in &bandwidths {
         let uniform_system = SystemSpec::standard(*bw);
@@ -304,12 +309,13 @@ fn main() {
             };
             let speedup = reference_seconds / delta_seconds.max(1e-12);
             println!(
-                "{:<10} {:>5} {:>9} {:>7} {:>9} {:>8.1}x {:>9} {:>9} {:>8.1}x {:>8}{}",
+                "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>8.1}x {:>9} {:>9} {:>8.1}x {:>8}{}",
                 model.name(),
                 bw.label(),
                 topo_spec,
                 model.num_layers(),
                 delta.stats.attempted_moves,
+                delta.stats.screened,
                 reduction,
                 delta.stats.prefix_evals,
                 delta.stats.guards_skipped,
@@ -326,6 +332,11 @@ fn main() {
             // plain full evaluation.)
             if large_risky && delta.stats.guards_skipped == 0 {
                 failures.push("guards_skipped == 0 on a large risky model".to_owned());
+            }
+            // Likewise the latency screen: on a large model most moves
+            // are hopeless, so a screen that rejects none has regressed.
+            if large && delta.stats.screened == 0 {
+                failures.push("screened == 0 on a large model".to_owned());
             }
             if let Some(min) = min_large_speedup.filter(|min| large_risky && speedup < *min) {
                 failures.push(format!("speedup {speedup:.2}x below the {min:.2}x gate"));
@@ -360,6 +371,7 @@ fn main() {
                 attempted_moves: delta.stats.attempted_moves,
                 accepted_moves: delta.stats.accepted_moves,
                 passes: delta.stats.passes,
+                screened: delta.stats.screened,
                 delta_evals: delta.stats.delta_evals,
                 prefix_evals: delta.stats.prefix_evals,
                 full_evals_delta: delta.stats.full_evals,
@@ -412,7 +424,7 @@ fn main() {
         std::process::exit(1);
     }
     if gate_failures > 0 {
-        eprintln!("WARNING: {gate_failures} row(s) failed the guard-pruning/speedup gates");
+        eprintln!("WARNING: {gate_failures} row(s) failed the guard-pruning/screen/speedup gates");
         std::process::exit(1);
     }
 }

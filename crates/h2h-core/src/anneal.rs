@@ -276,5 +276,7 @@ mod tests {
             sa.stats.full_evals,
             sa.stats.attempted_moves
         );
+        // The Metropolis rule needs exact scores: no proposal is screened.
+        assert_eq!(sa.stats.screened, 0);
     }
 }

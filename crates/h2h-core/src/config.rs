@@ -214,9 +214,10 @@ pub struct H2hConfig {
     /// microseconds per move: the repository benchmark's
     /// `step4_us_per_move` (`perfbench --workload paper-grid --trace 1`)
     /// and `repair_us_per_move` (`--workload serve-faults --trace 1`)
-    /// put one attempted move at roughly 45–60 µs on one core of a
-    /// 2-core VM, so `25e-6` to `60e-6` models repair running on one
-    /// host core concurrently with serving.
+    /// put one attempted move at roughly 25–31 µs on one core of a
+    /// 2-core Xeon VM (most moves end at the step-4 latency screen), so
+    /// `25e-6` to `35e-6` models repair running on one host core
+    /// concurrently with serving.
     pub repair_secs_per_move: f64,
     /// How serving rounds select and order their tenant set (see
     /// [`RoundPolicy`]). The default urgency knapsack is bit-identical

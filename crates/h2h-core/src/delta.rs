@@ -25,17 +25,41 @@
 //! comparison, so in general the staged rebuild must replay the fusion
 //! pass over **all** accelerators in its exact global order (with the
 //! guard answered by the incremental schedule, which is bitwise-equal
-//! to the full evaluation it replaces). Each candidate takes the
-//! cheapest path its shape allows:
+//! to the full evaluation it replaces). The greedy step first asks the
+//! latency screen whether the candidate can win at all; each candidate
+//! it lets through takes the cheapest path its shape allows:
 //!
 //! | Candidate shape | Path | Per-guard cost |
 //! |---|---|---|
+//! | latency objective, floor makespan cannot beat the incumbent | **screened**: rejected unstaged | none (one floor propagation, no fusion pass) |
 //! | no risky producer anywhere | prefix-exact scoped re-fusion | no guards at all |
 //! | risky, ≤ [`SMALL_MODEL_THRESHOLD`] layers | plain full evaluation | n/a (one `O(V+E)` eval) |
 //! | risky, large, guard **proven** by dominance | global replay, guard pruned | `O(1)` proof, deferred refresh |
 //! | risky, large, guard unproven, accepted | global replay, toggle kept | one cone propagation |
 //! | risky, large, guard unproven, rejected | global replay, toggle undone | one cone propagation + `O(cone)` journal restore |
 //!
+//! * **Latency screen** ([`DeltaEngine::try_improving_move`] under
+//!   [`MapObjective::Latency`] only) — most step-4 moves are rejected,
+//!   yet staging one pays the whole fusion replay. The engine
+//!   keeps a second, *floor* schedule beside the exact one: the same
+//!   queues and `max`/`+` recurrence, with each layer's duration from
+//!   [`Evaluator::layer_cost_floor`], a lower bound on the exact
+//!   duration under any fusion set step 3 can choose for the current
+//!   pins. Pricing a candidate on it runs the two touched boards'
+//!   scoped step 2 (pins are exact, not bounded), refreshes the moved
+//!   layer, its graph neighbours and the pin diff, and propagates once.
+//!   The recurrence is monotone in every input under IEEE
+//!   round-to-nearest (`max`, `+`), so by induction in queue order
+//!   every floor start and finish is at most the exact one, and the
+//!   floor makespan is at most the exact makespan — bitwise, not up to
+//!   rounding. A candidate whose floor fails the accept rule's own test
+//!   `floor + accept_epsilon < best` therefore fails it exactly too,
+//!   and is rejected without staging ([`SearchStats::screened`]):
+//!   decisions stay identical. Any other candidate keeps its floor
+//!   transaction open; it commits or rolls back with the staged
+//!   candidate, so an accept needs no rebuild. The annealer stages
+//!   directly and needs exact scores for its Metropolis rule, so it
+//!   never builds or reads the floor.
 //! * **Prefix-exact fast path** — risky candidates only arise at
 //!   producers with ≥ 2 consumers at least one of which is co-located.
 //!   When the candidate mapping has *no* such producer anywhere, every
@@ -74,8 +98,9 @@
 //! equivalence suites on the zoo, on random and synthetic models and on
 //! non-uniform fabrics).
 //!
-//! [`SearchStats`] counts delta vs full evaluations so the savings are
-//! observable (`h2h-bench` records them in `BENCH_search.json`).
+//! [`SearchStats`] counts screened moves and delta vs full evaluations
+//! so the savings are observable (`h2h-bench` records them in
+//! `BENCH_search.json`).
 
 use serde::Serialize;
 
@@ -91,7 +116,7 @@ use h2h_system::system::AccId;
 use crate::activation_fusion::{
     fusion_pass, rebuild_locality, sorted_fusable_edges, FusionOracle,
 };
-use crate::config::H2hConfig;
+use crate::config::{H2hConfig, MapObjective};
 use crate::preset::PinPreset;
 use crate::weight_locality::weight_locality_pass;
 
@@ -138,6 +163,11 @@ pub struct SearchStats {
     pub guard_reverts_fast: usize,
     /// Moves attempted by the search loop.
     pub attempted_moves: usize,
+    /// Attempted moves the latency screen rejected on their floor
+    /// makespan alone ([`DeltaEngine::try_improving_move`]). They count
+    /// in `attempted_moves` and in the propagation counters (one floor
+    /// round each), but in no evaluation or rebuild counter.
+    pub screened: usize,
     /// Moves accepted.
     pub accepted_moves: usize,
     /// Full passes executed (remap loop only).
@@ -183,6 +213,7 @@ impl SearchStats {
         self.guards_skipped += other.guards_skipped;
         self.guard_reverts_fast += other.guard_reverts_fast;
         self.attempted_moves += other.attempted_moves;
+        self.screened += other.screened;
         self.accepted_moves += other.accepted_moves;
         self.passes += other.passes;
     }
@@ -269,11 +300,10 @@ impl DeltaOracle<'_, '_, '_> {
             // `layer_cost` derivations.
             self.pending.sort_unstable();
             self.pending.dedup();
+            let (ev, mapping) = (self.ev, self.mapping);
             self.inc.refresh_costs_into(
-                self.ev,
-                self.mapping,
-                loc,
                 self.pending.drain(..),
+                |id| ev.layer_cost(mapping, loc, id),
                 &mut self.pending_seeds,
             );
         }
@@ -303,11 +333,10 @@ impl FusionOracle for DeltaOracle<'_, '_, '_> {
         // drained and `pending_seeds` is free to reuse as the seed
         // buffer.
         debug_assert!(self.pending.is_empty() && self.pending_seeds.is_empty());
+        let (ev, mapping) = (self.ev, self.mapping);
         self.inc.refresh_costs_into(
-            self.ev,
-            self.mapping,
-            loc,
             [from, to],
+            |id| ev.layer_cost(mapping, loc, id),
             &mut self.pending_seeds,
         );
         self.inc.propagate(&self.pending_seeds);
@@ -499,6 +528,150 @@ struct StagedMove {
     delta: bool,
 }
 
+/// The latency screen's lower-bound twin of the engine's exact state
+/// (see the module docs): the current mapping's pins, and a schedule
+/// seeded and refreshed from [`Evaluator::layer_cost_floor`] under them.
+#[derive(Debug)]
+struct Floor {
+    inc: IncrementalSchedule,
+    /// The current mapping's pins and nothing else. The floor kernel
+    /// reads no fused edge, and with no fusion charges the scoped step
+    /// 2 sees each touched board's whole capacity, exactly as the
+    /// staged rebuild does after its strip.
+    pins: LocalityState,
+    /// Undo record of an open pricing: the in-scope pins it stripped
+    /// and the pins its scoped step 2 made, each with its board.
+    stripped: Vec<(LayerId, AccId)>,
+    added: Vec<(LayerId, AccId)>,
+    // Reusable scratch, so pricing allocates nothing.
+    refresh: Vec<LayerId>,
+    seeds: Vec<LayerId>,
+    /// A candidate is priced and neither accepted nor rejected yet.
+    open: bool,
+}
+
+impl Floor {
+    fn new(ev: &Evaluator<'_>, mapping: &Mapping, locality: &LocalityState) -> Self {
+        let (model, system) = (ev.model(), ev.system());
+        let mut pins = LocalityState::new(system);
+        for l in locality.pinned_layers() {
+            let ok = pins.try_pin(model, system, l, mapping.acc_of(l));
+            debug_assert!(ok, "pins fit without the fusions they fitted beside");
+        }
+        let inc = IncrementalSchedule::from_costs(ev, mapping, |id| {
+            ev.layer_cost_floor(mapping, &pins, id)
+        });
+        Floor {
+            inc,
+            pins,
+            stripped: Vec::new(),
+            added: Vec::new(),
+            refresh: Vec::new(),
+            seeds: Vec::new(),
+            open: false,
+        }
+    }
+
+    /// Prices "move `layer` to `to`" on the floor and leaves the pricing
+    /// open (transaction begun, `pins` holding the candidate's pins);
+    /// returns the floor makespan. `mapping` comes back unmoved.
+    #[allow(clippy::too_many_arguments)]
+    fn price(
+        &mut self,
+        ev: &Evaluator<'_>,
+        cfg: &H2hConfig,
+        preset: &PinPreset,
+        mapping: &mut Mapping,
+        layer: LayerId,
+        to: AccId,
+        stats: &mut SearchStats,
+    ) -> f64 {
+        debug_assert!(!self.open, "one pricing at a time");
+        self.open = true;
+        self.inc.begin();
+        let model = ev.model();
+        let from = mapping.acc_of(layer);
+        let in_scope = |a: &AccId| *a == from || *a == to;
+
+        // 1. The scoped pins of the two touched boards: the same strip
+        //    and `weight_locality_pass` the staged rebuild runs.
+        self.stripped.clear();
+        self.stripped.extend(
+            self.pins
+                .pinned_layers()
+                .filter_map(|l| mapping.get(l).filter(in_scope).map(|a| (l, a))),
+        );
+        for &(l, a) in &self.stripped {
+            self.pins.unpin(model, l, a);
+        }
+        mapping.set(layer, to);
+        if cfg.enable_weight_locality {
+            let mut scoped = [from, to];
+            scoped.sort_by_key(|a| a.index());
+            weight_locality_pass(ev, mapping, &mut self.pins, cfg.knapsack, preset, &scoped);
+        }
+        self.added.clear();
+        self.added.extend(
+            self.pins
+                .pinned_layers()
+                .filter_map(|l| mapping.get(l).filter(in_scope).map(|a| (l, a))),
+        );
+
+        // 2. Refresh the moved layer, its graph neighbours (their
+        //    routes and co-locations changed) and the pin diff.
+        self.refresh.clear();
+        self.refresh.push(layer);
+        self.refresh.extend(ev.predecessors_flat(layer));
+        self.refresh.extend(ev.successors_flat(layer));
+        self.stripped.sort_unstable();
+        let (pins, stripped) = (&self.pins, &self.stripped);
+        self.refresh
+            .extend(stripped.iter().map(|e| e.0).filter(|l| !pins.is_pinned(*l)));
+        self.refresh.extend(
+            self.added
+                .iter()
+                .map(|e| e.0)
+                .filter(|l| stripped.binary_search_by_key(l, |e| e.0).is_err()),
+        );
+        self.refresh.sort_unstable();
+        self.refresh.dedup();
+        self.seeds.clear();
+        self.inc.move_layer_into(layer, to, &mut self.seeds);
+        let moved: &Mapping = mapping;
+        self.inc.refresh_costs_into(
+            self.refresh.drain(..),
+            |id| ev.layer_cost_floor(moved, pins, id),
+            &mut self.seeds,
+        );
+
+        // 3. One propagation.
+        self.inc.propagate(&self.seeds);
+        note_propagation(stats, self.inc.touched());
+        mapping.set(layer, from);
+        self.inc.makespan().as_f64()
+    }
+
+    /// Ends the open pricing with its candidate: an accept keeps it, a
+    /// reject restores the pre-pricing state.
+    fn close(&mut self, ev: &Evaluator<'_>, accept: bool) {
+        debug_assert!(self.open, "no open pricing");
+        self.open = false;
+        if accept {
+            self.inc.commit();
+            return;
+        }
+        self.inc.rollback();
+        let (model, system) = (ev.model(), ev.system());
+        for &(l, a) in &self.added {
+            self.pins.unpin(model, l, a);
+        }
+        for &(l, a) in &self.stripped {
+            let ok = self.pins.try_pin(model, system, l, a);
+            debug_assert!(ok, "restored pins fit where they were");
+        }
+    }
+}
+
 /// Incremental candidate-move evaluator bound to one search run.
 ///
 /// The engine always holds the exact state of the current mapping
@@ -531,6 +704,10 @@ pub struct DeltaEngine<'e, 'm> {
     /// prefix-exact fast path applies exactly when no such producer is
     /// co-located with any of its consumers in the candidate mapping.
     multi_out: Vec<(LayerId, Vec<LayerId>)>,
+    /// The latency screen's floor state. The first screened
+    /// [`DeltaEngine::try_improving_move`] builds it, so direct staging
+    /// (the annealer) never does; a commit it did not price drops it.
+    floor: Option<Floor>,
     // Reusable scratch for the staging hot path, kept across candidates
     // so steady-state scoring allocates nothing.
     spare_locality: Option<LocalityState>,
@@ -589,6 +766,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             prefer_full: model.num_layers() <= SMALL_MODEL_THRESHOLD,
             sorted_edges: sorted_fusable_edges(model),
             multi_out,
+            floor: None,
             spare_locality: None,
             scratch_costs: Vec::new(),
             scratch_seeds: Vec::new(),
@@ -896,11 +1074,10 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             let t0 = self.profile_enabled.then(std::time::Instant::now);
             pending_costs.sort_unstable();
             pending_costs.dedup();
+            let (ev, mapping) = (self.ev, &*mapping);
             self.inc.refresh_costs_into(
-                self.ev,
-                mapping,
-                &loc,
                 pending_costs.drain(..),
+                |id| ev.layer_cost(mapping, &loc, id),
                 &mut pending_seeds,
             );
             self.inc.propagate(&pending_seeds);
@@ -942,6 +1119,9 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         if staged.delta {
             self.inc.rollback();
         }
+        if let Some(floor) = self.floor.as_mut().filter(|f| f.open) {
+            floor.close(self.ev, false);
+        }
         if let Some(t0) = t0 {
             // Rollback is part of the transactional scoring cost.
             self.profile.scoring_s += t0.elapsed().as_secs_f64();
@@ -977,6 +1157,22 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
                 .expect("full-eval candidate carries its schedule");
             self.inc = IncrementalSchedule::new(self.ev, mapping, &self.locality);
         }
+        match self.floor.as_mut() {
+            Some(floor) if floor.open => {
+                floor.close(self.ev, true);
+                debug_assert!(
+                    floor.pins.num_pinned() == self.locality.num_pinned()
+                        && self
+                            .locality
+                            .pinned_layers()
+                            .all(|l| floor.pins.is_pinned(l)),
+                    "the floor's scoped step 2 diverged from the staged rebuild"
+                );
+            }
+            // Staged directly, so the floor no longer mirrors the state.
+            Some(_) => self.floor = None,
+            None => {}
+        }
         self.score = self.cfg.objective.score_proxy(&self.inc.proxy());
         self.stats.accepted_moves += 1;
         if let Some(t0) = t0 {
@@ -988,18 +1184,37 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
     /// Greedy accept-if-better step: stages the move and accepts iff
     /// the candidate score improves on the current state by more than
     /// `accept_epsilon` — the same decision rule (over bitwise-equal
-    /// scores) as the historical full-re-evaluation loop. Returns
-    /// `true` on accept (with `mapping` left moved) and `false` on
-    /// reject (with `mapping` restored).
+    /// scores) as the historical full-re-evaluation loop. Under
+    /// [`MapObjective::Latency`] the latency screen runs first and
+    /// rejects a hopeless move without staging it (see the module
+    /// docs). Returns `true` on accept (with `mapping` left moved) and
+    /// `false` on reject (with `mapping` restored).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate is already staged or `to` equals the
+    /// layer's current accelerator.
     pub fn try_improving_move(
         &mut self,
         mapping: &mut Mapping,
         layer: LayerId,
         to: AccId,
     ) -> bool {
+        assert!(self.staged.is_none(), "candidate already staged");
+        assert_ne!(mapping.acc_of(layer), to, "staging a no-op move");
         self.stats.attempted_moves += 1;
         let best = self.score;
+        if self.cfg.objective == MapObjective::Latency && self.screen(mapping, layer, to, best) {
+            self.stats.screened += 1;
+            return false;
+        }
         let cand = self.stage_move(mapping, layer, to);
+        debug_assert!(
+            self.floor
+                .as_ref()
+                .is_none_or(|f| f.inc.makespan().as_f64() <= self.staged_makespan),
+            "floor makespan above the exact one"
+        );
         if cand + self.cfg.accept_epsilon < best {
             self.accept_staged(mapping);
             true
@@ -1008,5 +1223,93 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             false
         }
     }
+
+    /// Prices the candidate on the floor schedule and reports whether it
+    /// is hopeless: `floor + accept_epsilon < best` fails, so the exact
+    /// score, which is no lower, fails the accept rule too. A hopeless
+    /// pricing is undone here; any other stays open and closes with the
+    /// staged candidate. Charged to [`PhaseProfile::scoring_s`].
+    fn screen(&mut self, mapping: &mut Mapping, layer: LayerId, to: AccId, best: f64) -> bool {
+        let t0 = self.profile_enabled.then(std::time::Instant::now);
+        let ev = self.ev;
+        let floor = self
+            .floor
+            .get_or_insert_with(|| Floor::new(ev, mapping, &self.locality));
+        let bound = floor.price(
+            ev,
+            self.cfg,
+            self.preset,
+            mapping,
+            layer,
+            to,
+            &mut self.stats,
+        );
+        // The accept rule's own expression, on the bound.
+        let hopeful = bound + self.cfg.accept_epsilon < best;
+        if !hopeful {
+            floor.close(ev, false);
+        }
+        if let Some(t0) = t0 {
+            self.profile.scoring_s += t0.elapsed().as_secs_f64();
+        }
+        !hopeful
+    }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compute_map::computation_prioritized;
+    use crate::remap::neighbour_accs;
+    use h2h_system::system::{BandwidthClass, SystemSpec};
+
+    #[test]
+    fn a_commit_the_screen_did_not_price_drops_the_floor() {
+        // Direct staging (the annealer's path) bypasses the floor, so a
+        // direct commit must retire it; the next screened move rebuilds
+        // it, and from then on it mirrors the engine's state exactly.
+        let model = h2h_model::zoo::casia_surf();
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let ev = Evaluator::new(&model, &system);
+        let cfg = H2hConfig::default();
+        let preset = PinPreset::new();
+        let (mut mapping, _) = computation_prioritized(&ev, &cfg, &preset).unwrap();
+        let mut moves = Vec::new();
+        let mut accs = Vec::new();
+        for layer in model.topo_order() {
+            neighbour_accs(&model, &mapping, layer, &mut accs);
+            let supported = accs
+                .iter()
+                .filter(|a| system.acc(**a).supports(model.layer(layer)));
+            moves.extend(supported.map(|a| (layer, *a)));
+        }
+        let mut engine = DeltaEngine::new(&ev, &cfg, &preset, &mapping);
+        engine.try_improving_move(&mut mapping, moves[0].0, moves[0].1);
+        assert!(engine.floor.is_some(), "a screened move builds the floor");
+        let (layer, to) = moves[1];
+        engine.stage_move(&mut mapping, layer, to);
+        engine.accept_staged(&mapping);
+        assert!(
+            engine.floor.is_none(),
+            "a direct commit must retire the floor"
+        );
+        for &(layer, to) in moves[2..].iter().take(40) {
+            if mapping.acc_of(layer) == to {
+                continue;
+            }
+            engine.try_improving_move(&mut mapping, layer, to);
+            let floor = engine
+                .floor
+                .as_ref()
+                .expect("a screened move rebuilds the floor");
+            let fresh = Floor::new(&ev, &mapping, engine.locality());
+            for id in model.layer_ids() {
+                assert_eq!(floor.inc.finish_of(id), fresh.inc.finish_of(id), "{id:?}");
+            }
+        }
+        assert!(
+            engine.stats.screened > 0,
+            "the rebuilt floor screened nothing"
+        );
+    }
+}

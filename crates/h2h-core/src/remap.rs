@@ -8,15 +8,21 @@
 //! a fixpoint (no accepted move in a full pass) or the configured pass
 //! bound.
 //!
-//! The loop runs on the [`DeltaEngine`]: candidates are scored by a
-//! scoped locality-rebuild replay plus cone-local schedule propagation
-//! (paper §4.2's "update … without traversing the entire graph"), with
-//! risky fusion guards dominance-pruned and rejected toggles restored
-//! from the journal savepoint — or, for a small model's risky
-//! candidates, by a plain full evaluation (see [`crate::delta`]; every
-//! path scores bitwise like a full evaluation). Accepted moves commit
-//! the delta state directly, producing final mappings identical to the
-//! per-candidate full-re-evaluation loop, kept below as
+//! The loop runs on the [`DeltaEngine`]. Under the latency objective a
+//! move first meets the latency screen: a floor schedule, priced with
+//! the move's exact pins and a lower bound on every fusion step 3 could
+//! choose, rejects a move whose bound already fails the accept rule —
+//! most rejected moves never reach the fusion replay. The moves it
+//! lets through are scored by a scoped locality-rebuild replay plus
+//! cone-local schedule propagation (paper §4.2's "update … without
+//! traversing the entire graph"), with risky fusion guards
+//! dominance-pruned and rejected toggles restored from the journal
+//! savepoint — or, for a small model's risky candidates, by a plain
+//! full evaluation (see [`crate::delta`]; every path scores bitwise
+//! like a full evaluation, and the screen only rejects moves the exact
+//! score would reject too). Accepted moves commit the delta state
+//! directly, producing final mappings identical to the per-candidate
+//! full-re-evaluation loop, kept below as
 //! [`data_locality_remapping_reference`] and asserted equivalent by the
 //! test suites.
 
@@ -373,6 +379,7 @@ mod tests {
                     model.name(),
                     objective
                 );
+                assert_eq!(out_delta.stats.screened, 0, "the screen is latency-only");
                 let d = cfg.objective.score(&out_delta.schedule);
                 let r = cfg.objective.score(&out_ref.schedule);
                 assert!(
@@ -406,7 +413,14 @@ mod tests {
             out.stats.attempted_moves,
             out.stats.full_evals
         );
-        assert!(out.stats.delta_evals >= out.stats.attempted_moves);
+        // Every attempted move is screened, scored on the delta engine
+        // or scored by a full evaluation (beyond seed + finalize).
+        let s = &out.stats;
+        assert_eq!(
+            s.screened + s.delta_evals + (s.full_evals - 2),
+            s.attempted_moves
+        );
+        assert!(s.screened > 0, "the latency screen rejected nothing: {s:?}");
         assert!(
             out.stats.max_propagated <= model.num_layers(),
             "propagation cone cannot exceed the graph"

@@ -109,10 +109,11 @@ pub fn mapping_report(
 }
 
 /// Human-readable summary of one search run's [`SearchStats`]: the
-/// evaluation mix (delta / prefix / full), the propagation locality,
-/// and the risky-guard columns (how many guards the fusion replay
-/// reached, how many were resolved by dominance pruning, how many
-/// rejected toggles used the `O(cone)` fast revert).
+/// moves the latency screen rejected unstaged, the evaluation mix
+/// (delta / prefix / full), the propagation locality, and the
+/// risky-guard columns (how many guards the fusion replay reached, how
+/// many were resolved by dominance pruning, how many rejected toggles
+/// used the `O(cone)` fast revert).
 pub fn search_stats_report(stats: &SearchStats) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -120,6 +121,11 @@ pub fn search_stats_report(stats: &SearchStats) -> String {
         out,
         "search stats — {} attempted / {} accepted moves over {} passes",
         stats.attempted_moves, stats.accepted_moves, stats.passes
+    );
+    let _ = writeln!(
+        out,
+        "  screened: {} moves rejected on the latency floor",
+        stats.screened
     );
     let _ = writeln!(
         out,
@@ -336,6 +342,7 @@ mod tests {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let out = H2hMapper::new(&model, &system).run().unwrap();
         let rep = search_stats_report(&out.remap_stats);
+        assert!(rep.contains("screened:"), "{rep}");
         assert!(rep.contains("risky guards"), "{rep}");
         assert!(rep.contains("skipped by dominance"), "{rep}");
         assert!(rep.contains("fast reverts"), "{rep}");

@@ -167,6 +167,30 @@ fn guard_counters_are_coherent() {
 }
 
 #[test]
+fn screen_counters_are_coherent() {
+    // Every attempted move is rejected by the latency screen, scored on
+    // the delta engine, or scored by a full evaluation beyond the seed
+    // and the finalization — never two of those, never none.
+    let system = SystemSpec::standard(BandwidthClass::LowMinus);
+    for model in h2h_model::zoo::all_models() {
+        let s = remap_from_step1(&model, &system).stats;
+        assert_eq!(
+            s.screened + s.delta_evals + (s.full_evals - 2),
+            s.attempted_moves,
+            "{}: {s:?}",
+            model.name()
+        );
+        if ["CASIA-SURF", "FaceBag", "VLocNet"].contains(&model.name()) {
+            assert!(
+                s.screened > 0,
+                "{}: the screen rejected nothing",
+                model.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn chain_models_take_the_prefix_fast_path() {
     // VFS and MoCap have no multi-consumer producer, so every candidate
     // must be scored on the prefix-exact fast path (no global fusion
@@ -215,7 +239,8 @@ fn propagation_stats_are_coherent() {
             model.name()
         );
         // Every delta-scored candidate flushes at least one round (the
-        // moved layer is always in the deferred batch).
-        assert!(stats.propagations >= stats.delta_evals);
+        // moved layer is always in the deferred batch), and every
+        // screened one ran its floor round.
+        assert!(stats.propagations >= stats.delta_evals + stats.screened);
     }
 }

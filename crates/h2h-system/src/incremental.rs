@@ -22,10 +22,13 @@
 //!
 //! 1. **Cost fidelity** — `dur[l]` always equals
 //!    `LayerCost::duration()` of the layer's last refreshed cost, and
-//!    costs come from [`Evaluator::layer_cost`], the same primitive the
-//!    full evaluator sums. Identical durations + an identical start-time
-//!    recurrence ⇒ after propagation over the full affected cone, every
-//!    start/finish equals the full evaluation *bitwise*.
+//!    costs come from one cost source, passed as a closure: normally
+//!    [`Evaluator::layer_cost`], the same primitive the full evaluator
+//!    sums. Identical durations + an identical start-time recurrence ⇒
+//!    after propagation over the full affected cone, every start/finish
+//!    equals the full evaluation *bitwise*. Seeded and refreshed from
+//!    [`Evaluator::layer_cost_floor`] instead, every start/finish bounds
+//!    the exact one from below (the recurrence is monotone).
 //! 2. **Queue order** — each accelerator executes its layers in the
 //!    single global topological priority (`Evaluator`'s `topo_order`);
 //!    [`IncrementalSchedule::move_layer`] re-inserts at the sorted
@@ -218,6 +221,24 @@ impl IncrementalSchedule {
         mapping: &Mapping,
         locality: &LocalityState,
     ) -> Self {
+        Self::from_costs(ev, mapping, |id| ev.layer_cost(mapping, locality, id))
+    }
+
+    /// Seeds the state from `mapping` with each layer's cost taken from
+    /// `cost_of`, under the recurrence of [`Evaluator::evaluate`]. With
+    /// [`Evaluator::layer_cost`] this is [`IncrementalSchedule::new`];
+    /// the step-4 latency screen passes [`Evaluator::layer_cost_floor`]
+    /// to get a schedule whose every start and finish bounds the exact
+    /// one from below. Refreshes must then use the same cost source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mapping is incomplete (validate first).
+    pub fn from_costs(
+        ev: &Evaluator<'_>,
+        mapping: &Mapping,
+        mut cost_of: impl FnMut(LayerId) -> LayerCost,
+    ) -> Self {
         let model = ev.model();
         let system = ev.system();
         let bound = model.id_bound();
@@ -291,7 +312,7 @@ impl IncrementalSchedule {
         let shared = inc.shared.clone();
         for id in shared.order.iter().copied() {
             let i = id.index();
-            let cost = ev.layer_cost(mapping, locality, id);
+            let cost = cost_of(id);
             let dur = cost.duration().as_f64();
             let a = mapping.acc_of(id).index();
             inc.acc_of[i] = a;
@@ -690,19 +711,23 @@ impl IncrementalSchedule {
         layers: impl IntoIterator<Item = LayerId>,
     ) -> Vec<LayerId> {
         let mut changed = Vec::new();
-        self.refresh_costs_into(ev, mapping, locality, layers, &mut changed);
+        self.refresh_costs_into(
+            layers,
+            |id| ev.layer_cost(mapping, locality, id),
+            &mut changed,
+        );
         changed
     }
 
-    /// [`IncrementalSchedule::refresh_costs`], appending the changed
-    /// layers into a caller-owned buffer (the search core reuses one
-    /// across candidates).
+    /// [`IncrementalSchedule::refresh_costs`] with the cost source given
+    /// as `cost_of` (the one the state was seeded with, see
+    /// [`IncrementalSchedule::from_costs`]), appending the changed layers
+    /// into a caller-owned buffer (the search core reuses one across
+    /// candidates).
     pub fn refresh_costs_into(
         &mut self,
-        ev: &Evaluator<'_>,
-        mapping: &Mapping,
-        locality: &LocalityState,
         layers: impl IntoIterator<Item = LayerId>,
+        mut cost_of: impl FnMut(LayerId) -> LayerCost,
         changed: &mut Vec<LayerId>,
     ) {
         for id in layers {
@@ -710,7 +735,7 @@ impl IncrementalSchedule {
             self.journal_cost(i);
             let old = self.costs[i];
             let old_dur = self.dur[i];
-            let new = ev.layer_cost(mapping, locality, id);
+            let new = cost_of(id);
             let new_dur = new.duration().as_f64();
             self.eth_busy += new.eth_time.as_f64() - old.eth_time.as_f64();
             self.comp_busy += new.compute.as_f64() - old.compute.as_f64();

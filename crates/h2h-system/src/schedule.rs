@@ -576,18 +576,133 @@ impl<'a> Evaluator<'a> {
         locality: &LocalityState,
         id: LayerId,
     ) -> LayerCost {
+        let ai = mapping.acc_of(id).index();
+        // Route-matrix node of the owning accelerator (host is node 0).
+        let here = ai + 1;
+        let dram_bw = self.flat.dram_bw[ai];
+        let mut cost = LayerCost::default();
+        self.accum_weight(locality, id, here, dram_bw, &mut cost);
+        self.accum_ifm(mapping, locality, id, here, dram_bw, None, &mut cost);
+        self.accum_compute(id, ai, &mut cost);
+        self.accum_ofm(mapping, locality, id, here, dram_bw, None, &mut cost);
+        cost
+    }
+
+    /// A lower bound on the duration [`Evaluator::layer_cost`] reports
+    /// for `id` under *any* fusion set step 3 can choose for the current
+    /// mapping and pins. It is the per-layer kernel of the step-4
+    /// latency screen, and reads only the pins of `locality`, never its
+    /// fused edges:
+    ///
+    /// * the weight and compute terms are exact (pins are fixed);
+    /// * an IFM edge that step 3 could fuse (co-located, non-input
+    ///   producer) costs the lesser of its DRAM read and its route
+    ///   transfer; every other edge pays its route exactly;
+    /// * the OFM is the lesser of two branches. "No co-located consumer
+    ///   fused" is one upload at the slowest route among all consumers.
+    ///   "Every co-located consumer fused" is an upload at the slowest
+    ///   remote route (if any consumer is remote) plus one DRAM write.
+    ///   Fusing a nonempty proper subset pays the same DRAM write and
+    ///   an upload no faster than the all-fused one, so it never
+    ///   undercuts that branch. Neither branch alone is a bound: with a
+    ///   remote consumer left, "none fused" skips the DRAM write that
+    ///   "all fused" pays.
+    ///
+    /// Every term is the minimum over values the exact kernel can
+    /// produce, computed with the same IEEE operations, and
+    /// [`LayerCost::duration`] sums the terms in the same order. IEEE
+    /// round-to-nearest `+`, `*` and `/` are monotone, so the bound
+    /// holds bitwise, not just up to rounding. Only the four duration
+    /// terms carry meaning: the split fields (`eth_time`, `dram_time`,
+    /// `dram_bytes`) hold the weight term's share alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer is unmapped or mapped to an accelerator that
+    /// cannot execute it.
+    pub fn layer_cost_floor(
+        &self,
+        mapping: &Mapping,
+        locality: &LocalityState,
+        id: LayerId,
+    ) -> LayerCost {
         let f = &self.flat;
         let li = id.index();
         let b = self.batch as f64;
         let acc = mapping.acc_of(id);
         let ai = acc.index();
-        // Route-matrix node of the owning accelerator (host is node 0).
         let here = ai + 1;
         let dram_bw = f.dram_bw[ai];
         let mut cost = LayerCost::default();
+        self.accum_weight(locality, id, here, dram_bw, &mut cost);
 
-        // Weight transfer (once per batch), streamed from the host.
-        let wbytes = f.wbytes[li];
+        for k in f.pred_off[li] as usize..f.pred_off[li + 1] as usize {
+            let pred = f.pred_src[k];
+            let bytes = f.pred_bytes[k];
+            let pred_is_input = f.is_input[pred.index()];
+            let src = match mapping.get(pred) {
+                Some(pa) if !pred_is_input => pa.index() + 1,
+                _ => 0,
+            };
+            let route = f.route[src * f.nodes + here].transfer_time(bytes) * b;
+            cost.ifm_xfer += if src == here {
+                route.min(dram_bw.transfer_time(bytes) * b)
+            } else {
+                route
+            };
+        }
+
+        self.accum_compute(id, ai, &mut cost);
+
+        if !f.is_input[li] {
+            let obytes = f.obytes[li];
+            let (ss, se) = (f.succ_off[li] as usize, f.succ_off[li + 1] as usize);
+            let upload = |bw: BytesPerSec| bw.transfer_time(obytes) * b;
+            if ss == se {
+                cost.ofm_xfer += upload(f.route[here * f.nodes]);
+            } else {
+                let slower = |cur: Option<BytesPerSec>, r: BytesPerSec| {
+                    Some(cur.map_or(r, |c| if c < r { c } else { r }))
+                };
+                let mut slowest = None;
+                let mut slowest_remote = None;
+                let mut any_colocated = false;
+                for &succ in &f.succ_dst[ss..se] {
+                    let sa = mapping.get(succ);
+                    let r = f.route[here * f.nodes + sa.map_or(0, |a| a.index() + 1)];
+                    slowest = slower(slowest, r);
+                    if sa == Some(acc) {
+                        any_colocated = true;
+                    } else {
+                        slowest_remote = slower(slowest_remote, r);
+                    }
+                }
+                let none_fused = Seconds::ZERO + upload(slowest.expect("consumer row is non-empty"));
+                let mut all_fused = Seconds::ZERO;
+                if let Some(bw) = slowest_remote {
+                    all_fused += upload(bw);
+                }
+                if any_colocated {
+                    all_fused += dram_bw.transfer_time(obytes) * b;
+                }
+                cost.ofm_xfer = none_fused.min(all_fused);
+            }
+        }
+        cost
+    }
+
+    /// The weight section of [`Evaluator::layer_cost`]: fetched once per
+    /// batch, from local DRAM if pinned, else streamed host → `here`.
+    #[inline(always)]
+    fn accum_weight(
+        &self,
+        locality: &LocalityState,
+        id: LayerId,
+        here: usize,
+        dram_bw: BytesPerSec,
+        cost: &mut LayerCost,
+    ) {
+        let wbytes = self.flat.wbytes[id.index()];
         if wbytes > Bytes::ZERO {
             if locality.is_pinned(id) {
                 cost.weight_xfer = dram_bw.transfer_time(wbytes);
@@ -595,32 +710,29 @@ impl<'a> Evaluator<'a> {
                 cost.dram_bytes += wbytes;
             } else {
                 // route[host * nodes + here] with host = 0.
-                cost.weight_xfer = f.route[here].transfer_time(wbytes);
+                cost.weight_xfer = self.flat.route[here].transfer_time(wbytes);
                 cost.eth_time += cost.weight_xfer;
             }
         }
+    }
 
-        self.accum_ifm(mapping, locality, id, here, dram_bw, None, &mut cost);
-
-        // Compute, per batch item. The table stores healthy-speed
-        // times; a compute-throttled board on a degraded system view
-        // stretches them at read time. The branch (rather than an
-        // unconditional `* 1.0`) keeps the healthy path
-        // bitwise-identical to the historical arithmetic.
-        cost.compute = f.ctime[li * f.n_accs + ai]
-            .expect("mapping validated: accelerator supports layer")
-            * b;
+    /// The compute section of [`Evaluator::layer_cost`], per batch item.
+    /// The table stores healthy-speed times; a compute-throttled board
+    /// on a degraded system view stretches them at read time. The branch
+    /// (rather than an unconditional `* 1.0`) keeps the healthy path
+    /// bitwise-identical to the historical arithmetic.
+    #[inline(always)]
+    fn accum_compute(&self, id: LayerId, ai: usize, cost: &mut LayerCost) {
+        let f = &self.flat;
+        let b = self.batch as f64;
+        let at = id.index() * f.n_accs + ai;
+        cost.compute = f.ctime[at].expect("mapping validated: accelerator supports layer") * b;
         let slow = f.compute_factor[ai];
         if slow != 1.0 {
             cost.compute = cost.compute * slow;
         }
-        cost.compute_energy = f.cenergy[li * f.n_accs + ai]
-            .expect("mapping validated: accelerator supports layer")
-            * b;
-
-        self.accum_ofm(mapping, locality, id, here, dram_bw, None, &mut cost);
-
-        cost
+        cost.compute_energy =
+            f.cenergy[at].expect("mapping validated: accelerator supports layer") * b;
     }
 
     /// The IFM section of [`Evaluator::layer_cost`]: one transfer per

@@ -1,7 +1,9 @@
 //! Property tests on the scheduler stack: evaluator well-formedness on
 //! random systems, incremental↔full equivalence, and event-sim
 //! agreement, all over randomized FC-chain workloads and constant-cost
-//! accelerators (exact arithmetic, no catalog noise).
+//! accelerators (exact arithmetic, no catalog noise); plus the flat cost
+//! kernel against its pointer-chasing reference and the latency floor
+//! against every fusion set, on zoo models with random mappings and pins.
 
 use proptest::prelude::*;
 
@@ -63,6 +65,36 @@ fn setup(
         map.set(id, AccId::new(picks.get(i).copied().unwrap_or(0) % speeds.len()));
     }
     (sys, map)
+}
+
+/// A zoo model on the standard Low- system with `fabric`: every layer
+/// on the supporting accelerator `picks` selects, and the weighted
+/// layers `pin_mask` selects pinned where they are mapped (capacity
+/// permitting). No edge is fused.
+fn zoo_state(
+    model: &ModelGraph,
+    fabric: &str,
+    picks: &[usize],
+    pin_mask: &[bool],
+) -> (h2h_system::SystemSpec, Mapping, LocalityState) {
+    use h2h_system::system::{BandwidthClass, SystemSpec};
+    let sys = SystemSpec::standard_with_topology(BandwidthClass::LowMinus, Some(fabric)).unwrap();
+    let order = model.topo_order();
+    let mut map = Mapping::new(model);
+    for (i, id) in order.iter().copied().enumerate() {
+        let supp: Vec<AccId> = sys
+            .acc_ids()
+            .filter(|a| sys.acc(*a).supports(model.layer(id)))
+            .collect();
+        map.set(id, supp[picks.get(i).copied().unwrap_or(0) % supp.len()]);
+    }
+    let mut loc = LocalityState::new(&sys);
+    for (i, id) in order.iter().copied().enumerate() {
+        if pin_mask.get(i).copied().unwrap_or(false) && model.layer(id).has_weights() {
+            let _ = loc.try_pin(model, &sys, id, map.acc_of(id));
+        }
+    }
+    (sys, map, loc)
 }
 
 proptest! {
@@ -206,33 +238,12 @@ proptest! {
         // *bitwise* — every `LayerCost` field, not just the makespan —
         // across the zoo, the three bench fabrics, random valid
         // mappings, random pin/fuse states and serving batch sizes.
-        use h2h_system::system::{BandwidthClass, SystemSpec};
-
         let models = h2h_model::zoo::all_models();
         let model = &models[model_sel % models.len()];
         let fabric = ["uniform", "skewed", "switched"][fabric_sel];
-        let sys = SystemSpec::standard_with_topology(
-            BandwidthClass::LowMinus,
-            Some(fabric),
-        ).unwrap();
+        let (sys, map, mut loc) = zoo_state(model, fabric, &picks, &pin_mask);
         let batch = [1u32, 4, 16][batch_sel];
-
         let order = model.topo_order();
-        let mut map = Mapping::new(model);
-        for (i, id) in order.iter().copied().enumerate() {
-            let supp: Vec<AccId> = sys
-                .acc_ids()
-                .filter(|a| sys.acc(*a).supports(model.layer(id)))
-                .collect();
-            prop_assert!(!supp.is_empty());
-            map.set(id, supp[picks.get(i).copied().unwrap_or(0) % supp.len()]);
-        }
-        let mut loc = LocalityState::new(&sys);
-        for (i, id) in order.iter().copied().enumerate() {
-            if pin_mask.get(i).copied().unwrap_or(false) && model.layer(id).has_weights() {
-                let _ = loc.try_pin(model, &sys, id, map.acc_of(id));
-            }
-        }
         for (i, (from, to, _)) in model.edges().enumerate() {
             if fuse_mask.get(i).copied().unwrap_or(false) && map.acc_of(from) == map.acc_of(to) {
                 let _ = loc.try_fuse(model, &sys, from, to, map.acc_of(from));
@@ -262,6 +273,63 @@ proptest! {
                 let reference = ev.layer_cost_reference(&partial, &empty, id);
                 prop_assert_eq!(flat, reference, "partial layer {:?} on {}", id, model.name());
             }
+        }
+    }
+
+    #[test]
+    fn layer_cost_floor_bounds_every_fusion_set(
+        model_sel in 0usize..8,
+        fabric_sel in 0usize..3,
+        batch_sel in 0usize..3,
+        picks in proptest::collection::vec(0usize..2, 160),
+        pin_mask in proptest::collection::vec(any::<bool>(), 160),
+        fuse_mask in proptest::collection::vec(any::<bool>(), 320),
+    ) {
+        // With the pins fixed, the floor kernel must bound the exact
+        // duration of every layer, and the floor schedule the exact
+        // makespan, under any fusion set step 3 could pick: none, a
+        // random subset of the co-located edges, and all of them
+        // (capacity permitting). Picking among two accelerators per
+        // layer co-locates many edges, so producers with co-located and
+        // remote consumers are common: the case where the OFM floor
+        // needs both of its branches.
+        let models = h2h_model::zoo::all_models();
+        let model = &models[model_sel % models.len()];
+        let fabric = ["uniform", "skewed", "switched"][fabric_sel];
+        let (sys, map, pins) = zoo_state(model, fabric, &picks, &pin_mask);
+        let ev = Evaluator::new(model, &sys).with_batch([1u32, 4, 16][batch_sel]);
+        let order = model.topo_order();
+        let floors: Vec<_> = order.iter().map(|id| ev.layer_cost_floor(&map, &pins, *id)).collect();
+        let floor_makespan =
+            IncrementalSchedule::from_costs(&ev, &map, |id| ev.layer_cost_floor(&map, &pins, id))
+                .makespan();
+        let colocated: Vec<(LayerId, LayerId)> = model
+            .edges()
+            .map(|(f, t, _)| (f, t))
+            .filter(|(f, t)| map.acc_of(*f) == map.acc_of(*t))
+            .collect();
+        // Fusion subsets: none, the masked ones, all.
+        for subset in 0..3 {
+            let mut loc = pins.clone();
+            for (i, (f, t)) in colocated.iter().enumerate() {
+                if subset == 2 || (subset == 1 && fuse_mask[i % fuse_mask.len()]) {
+                    let _ = loc.try_fuse(model, &sys, *f, *t, map.acc_of(*f));
+                }
+            }
+            for (id, floor) in order.iter().zip(&floors) {
+                let exact = ev.layer_cost(&map, &loc, *id);
+                prop_assert!(
+                    floor.duration() <= exact.duration(),
+                    "layer {:?} of {} on {}, subset {}: floor {} above exact {}",
+                    id, model.name(), fabric, subset, floor.duration(), exact.duration()
+                );
+            }
+            let exact = ev.evaluate(&map, &loc).makespan();
+            prop_assert!(
+                floor_makespan <= exact,
+                "{} on {}, subset {}: floor makespan {} above exact {}",
+                model.name(), fabric, subset, floor_makespan, exact
+            );
         }
     }
 

@@ -1,7 +1,8 @@
 //! Property-based tests over randomly generated MMMT-shaped DAGs:
 //! schedule well-formedness, locality monotonicity, analytic↔event-sim
-//! agreement, delta search ↔ full-re-evaluation reference on random
-//! fabrics, and full-pipeline invariants on arbitrary inputs.
+//! agreement, delta search ↔ full-re-evaluation reference and the
+//! latency floor ↔ the rebuilt makespan on random fabrics, and
+//! full-pipeline invariants on arbitrary inputs.
 
 use proptest::prelude::*;
 
@@ -190,6 +191,31 @@ proptest! {
             delta.schedule.makespan().as_f64().to_bits(),
             reference.schedule.makespan().as_f64().to_bits()
         );
+    }
+
+    #[test]
+    fn floor_schedule_bounds_the_rebuilt_makespan_on_random_star_fabrics(
+        model in model_strategy(),
+        classes in proptest::collection::vec(0usize..BandwidthClass::ALL.len(), 13),
+        picks in proptest::collection::vec(0usize..3, 32),
+    ) {
+        // The step-4 latency screen's soundness at schedule level: under
+        // the pins and fusions steps 2-3 actually choose, the floor
+        // schedule's makespan never exceeds the exact one.
+        use h2h::core::activation_fusion::rebuild_locality;
+        use h2h::core::preset::PinPreset;
+        use h2h::system::{IncrementalSchedule, Topology};
+        let rate = |i: usize| BandwidthClass::ALL[classes[i]].bandwidth();
+        let base = SystemSpec::standard(BandwidthClass::LowMinus);
+        let links = (0..base.num_accs()).map(|a| rate(1 + a)).collect();
+        let system = base.with_topology(Topology::star(rate(0), links));
+        let mapping = any_mapping(&model, &system, &picks);
+        let ev = Evaluator::new(&model, &system);
+        let loc = rebuild_locality(&ev, &mapping, &H2hConfig::default(), &PinPreset::new());
+        let floor =
+            IncrementalSchedule::from_costs(&ev, &mapping, |id| ev.layer_cost_floor(&mapping, &loc, id));
+        let exact = ev.evaluate(&mapping, &loc).makespan();
+        prop_assert!(floor.makespan() <= exact, "floor {} above exact {}", floor.makespan(), exact);
     }
 
     #[test]
