@@ -52,13 +52,16 @@
 //!    [`H2hConfig::serve_verify`] is set).
 //! 5. **Per-tenant tail-latency accounting** ([`TenantServeStats`]) —
 //!    the full attained-latency *distribution* per tenant (exact
-//!    sorted samples, [`LatencyLedger`]): p50/p95/p99 alongside
-//!    mean/max, violation counters, amortized weight-fetch time —
-//!    rendered by [`crate::report::serve_report`] and recorded (with
-//!    offered-load × p99 throughput curves) by the `bench_serve` bin.
+//!    samples, [`LatencyLedger`]): p50/p95/p99 alongside mean/max,
+//!    violation counters, amortized weight-fetch time — rendered by
+//!    [`crate::report::serve_report`] and recorded (with offered-load
+//!    × p99 throughput curves) by the `bench_serve` bin. A round
+//!    appends its samples and the drain sorts each ledger once at the
+//!    end, so a round costs the same at any window length.
 //!    [`ServeOutcome::check_coherence`] cross-validates the ledger
-//!    against the scalar counters (sample count == served, ledger max
-//!    == worst latency bitwise, samples over SLO == violations).
+//!    against the scalar counters (sample count == served, samples
+//!    sorted, ledger max == worst latency bitwise, samples over SLO ==
+//!    violations).
 //! 6. **Overload shedding** ([`H2hConfig::serve_queue_cap`]) — with a
 //!    bounded per-tenant queue, backlog above the cap sheds from the
 //!    queue *head*: under a latency SLO the oldest waiting request is
@@ -535,12 +538,24 @@ impl Tenant {
     /// (the closed-form `floor(horizon·rate)+1` estimate this
     /// replaces over-counted by one whenever `horizon·rate` sat
     /// within its 1e-9 fudge of an integer).
+    ///
+    /// A binary search for the partition point of
+    /// `arrival(k) < horizon` over `0..requests`: it relies on the
+    /// [`Arrivals`] contract that schedules are monotone
+    /// non-decreasing, under which the predicate holds on a prefix
+    /// and the count equals a linear scan's exactly, in
+    /// `O(log requests)` per round.
     fn doomed_arrivals(&self, horizon: f64) -> usize {
-        let mut k = 0;
-        while k < self.spec.requests && self.arrival(k) < horizon {
-            k += 1;
+        let (mut lo, mut hi) = (0, self.spec.requests);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.arrival(mid) < horizon {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        k
+        lo
     }
 }
 
@@ -663,22 +678,36 @@ fn install_placement(
 }
 
 /// Exact per-tenant attained-latency distribution: every served
-/// request's latency, kept sorted, with nearest-rank percentiles.
-/// Exact sampling is deliberate at serving-window scale (tens to
-/// thousands of requests): the tail quantiles are reproducible bit
-/// for bit, which the equivalence suites and the `BENCH_serve.json`
-/// byte-identity contract require — a streaming sketch would trade
-/// that away to save memory the windows don't need.
+/// request's latency, appended as it completes and sorted once when
+/// the drain ends, with nearest-rank percentiles. Exact sampling is
+/// deliberate at serving-window scale (up to tens of thousands of
+/// requests per tenant; the repository benchmark serves 40,000): the
+/// tail quantiles are reproducible bit for bit, which the equivalence
+/// suites and the `BENCH_serve.json` byte-identity contract require —
+/// a streaming sketch would trade that away to save memory the
+/// windows don't need. The readers below assume sorted samples;
+/// [`ServeOutcome::check_coherence`] rejects a ledger that is not.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencyLedger {
+    // The field name is part of the `Debug` rendering, which the
+    // repository benchmark hashes into its ledger digests.
     sorted: Vec<f64>,
 }
 
 impl LatencyLedger {
-    /// Records one attained latency (seconds), keeping order.
+    /// Records one attained latency (seconds) in completion order;
+    /// [`LatencyLedger::sort`] orders the samples when the drain ends.
     fn record(&mut self, latency: f64) {
-        let pos = self.sorted.partition_point(|s| *s <= latency);
-        self.sorted.insert(pos, latency);
+        self.sorted.push(latency);
+    }
+
+    /// Sorts the samples ascending, once per drain. Latencies are
+    /// finite and positive, so `total_cmp` orders them exactly as
+    /// `<=` does, and samples it calls equal are bit-identical: the
+    /// sorted vector is the same whichever sort produced it. The
+    /// in-place unstable sort needs no scratch buffer.
+    fn sort(&mut self) {
+        self.sorted.sort_unstable_by(f64::total_cmp);
     }
 
     /// Samples recorded (== requests served).
@@ -890,9 +919,10 @@ impl ServeOutcome {
     /// accounted for (served or ledgered as shed), violations within
     /// the request population, attained latencies at or above the
     /// zero-queueing ideal, the latency distribution coherent with the
-    /// scalar columns (sample count == served, p50 ≤ p95 ≤ p99 ≤ max,
-    /// ledger max == worst latency bitwise, samples over SLO ==
-    /// violations), the DRAM budget never exceeded, and zero
+    /// scalar columns (sample count == served, samples sorted — the
+    /// quantile, max and over-SLO readers assume it — p50 ≤ p95 ≤
+    /// p99 ≤ max, ledger max == worst latency bitwise, samples over
+    /// SLO == violations), the DRAM budget never exceeded, and zero
     /// incremental-vs-full mismatches. Returns the first violated
     /// invariant as an error string — the CI smoke and the property
     /// suite both gate on this. A tenant parked for the whole drain
@@ -919,6 +949,9 @@ impl ServeOutcome {
                     t.latencies.count(),
                     t.served
                 ));
+            }
+            if !t.latencies.sorted.is_sorted() {
+                return Err(format!("{}: latency ledger samples are not sorted", t.name));
             }
             if t.violations > t.served {
                 return Err(format!(
@@ -1382,53 +1415,66 @@ impl<'s> TenantRegistry<'s> {
     }
 
     /// Packs this round's co-resident tenant set under the configured
-    /// [`RoundPolicy`]. The default (`Knapsack`) keeps the historical
-    /// bit-identical former: all backlogged tenants if they fit the
-    /// budget together, otherwise a knapsack over per-tenant footprints
-    /// (value = backlog + SLO urgency) with a per-board feasibility
-    /// repair, returning ascending tenant indices. The ranked policies
-    /// (`Edf`, `WeightedFair`) instead order candidates by `rank`
-    /// (ascending, ties to admission order) and greedy-pack under the
-    /// per-board budgets — the returned order is the *serve* order, so
-    /// the most deadline-pressed (EDF) or least-attended (WFQ) tenant's
-    /// slice runs first. Never empty when some tenant has backlog.
-    fn form_round(&self, pending: &[usize], urgency: &[f64], rank: &[f64]) -> Vec<usize> {
-        let n_accs = self.system.num_accs();
-        let budgets: Vec<u64> =
-            self.system.acc_ids().map(|a| self.budget_bytes(a).as_u64()).collect();
-        let cands: Vec<usize> =
-            (0..self.tenants.len()).filter(|i| pending[*i] > 0).collect();
-        debug_assert!(!cands.is_empty(), "form_round needs backlog");
+    /// [`RoundPolicy`] and writes it into `chosen` (its previous
+    /// contents are discarded). `budgets` are the per-board serve
+    /// budgets in bytes, computed once per drain; `used` is per-board
+    /// scratch the ranked path overwrites. The default (`Knapsack`)
+    /// keeps the historical bit-identical former: all backlogged
+    /// tenants if they fit the budget together, otherwise a knapsack
+    /// over per-tenant footprints (value = backlog + SLO urgency) with
+    /// a per-board feasibility repair, in ascending tenant indices.
+    /// The ranked policies (`Edf`, `WeightedFair`) instead order
+    /// candidates by `rank` (ascending, ties to admission order) and
+    /// greedy-pack under the per-board budgets — the written order is
+    /// the *serve* order, so the most deadline-pressed (EDF) or
+    /// least-attended (WFQ) tenant's slice runs first. Never empty
+    /// when some tenant has backlog. Only the knapsack fallback for an
+    /// oversubscribed backlog allocates.
+    fn form_round(
+        &self,
+        budgets: &[u64],
+        pending: &[usize],
+        urgency: &[f64],
+        rank: &[f64],
+        used: &mut [u64],
+        chosen: &mut Vec<usize>,
+    ) {
+        chosen.clear();
+        chosen.extend((0..self.tenants.len()).filter(|i| pending[*i] > 0));
+        debug_assert!(!chosen.is_empty(), "form_round needs backlog");
         let fits = |sel: &[usize]| {
-            (0..n_accs).all(|a| {
-                sel.iter().map(|i| self.tenants[*i].resident[a]).sum::<u64>() <= budgets[a]
+            budgets.iter().enumerate().all(|(a, budget)| {
+                sel.iter().map(|i| self.tenants[*i].resident[a]).sum::<u64>() <= *budget
             })
         };
         if self.config.serve_policy != RoundPolicy::Knapsack {
             // Ranked path: serve order = rank order. Greedy-pack under
             // the budgets; the front-ranked candidate always enters
             // (admission guarantees a lone tenant fits its budget).
-            let mut ordered = cands;
-            ordered.sort_by(|&a, &b| rank[a].total_cmp(&rank[b]).then(a.cmp(&b)));
-            let mut used = vec![0u64; n_accs];
-            let mut chosen = Vec::with_capacity(ordered.len());
-            for i in ordered {
-                let fits_i = (0..n_accs)
-                    .all(|a| used[a] + self.tenants[i].resident[a] <= budgets[a]);
-                if chosen.is_empty() || fits_i {
-                    for (a, u) in used.iter_mut().enumerate() {
-                        *u += self.tenants[i].resident[a];
+            // Index ties make the order total, so the unstable sort
+            // gives the stable one's result.
+            chosen.sort_unstable_by(|&a, &b| rank[a].total_cmp(&rank[b]).then(a.cmp(&b)));
+            used.fill(0);
+            let mut first = true;
+            chosen.retain(|&i| {
+                let r = &self.tenants[i].resident;
+                let enters =
+                    first || used.iter().zip(r).zip(budgets).all(|((u, b), cap)| u + b <= *cap);
+                if enters {
+                    for (u, b) in used.iter_mut().zip(r) {
+                        *u += b;
                     }
-                    chosen.push(i);
                 }
-            }
-            return chosen;
+                first = false;
+                enters
+            });
+            return;
         }
-        if fits(&cands) {
-            return cands;
+        if fits(chosen) {
+            return;
         }
         // Knapsack over the total-footprint dimension…
-        let items: Vec<Item> = cands
+        let items: Vec<Item> = chosen
             .iter()
             .map(|&i| Item {
                 id: i,
@@ -1436,12 +1482,13 @@ impl<'s> TenantRegistry<'s> {
                 value: urgency[i],
             })
             .collect();
-        let mut chosen = solve_auto(&items, budgets.iter().sum());
+        chosen.clear();
+        chosen.extend(solve_auto(&items, budgets.iter().sum()));
         chosen.sort_unstable();
         // …then a per-board repair: drop the lowest-urgency-density
         // tenant until every board fits (admission guarantees a single
         // tenant always does).
-        while chosen.len() > 1 && !fits(&chosen) {
+        while chosen.len() > 1 && !fits(chosen) {
             let worst = chosen
                 .iter()
                 .copied()
@@ -1455,16 +1502,15 @@ impl<'s> TenantRegistry<'s> {
         }
         if chosen.is_empty() {
             // Defensive: fall back to the single most urgent tenant.
-            let best = cands
+            let best = items
                 .iter()
-                .copied()
+                .map(|it| it.id)
                 .max_by(|&a, &b| {
                     urgency[a].partial_cmp(&urgency[b]).expect("urgency is finite").then(b.cmp(&a))
                 })
                 .expect("candidates are non-empty");
             chosen.push(best);
         }
-        chosen
     }
 
     /// Snapshot/serve/restore wrapper: a faulted run mutates tenant
@@ -1674,20 +1720,26 @@ impl<'s> TenantRegistry<'s> {
         let mut fault_active = false;
         let mut degraded_sys: Option<SystemSpec> = None;
         let verify = self.config.serve_verify;
+        // Per-round buffers, allocated once per drain and overwritten
+        // by every round.
+        let mut pending = vec![0usize; n];
+        let mut servable = vec![false; n];
+        let mut urgency = vec![0.0f64; n];
+        let mut rank = vec![0.0f64; n];
+        let mut was_resident = vec![false; n];
+        let mut used = vec![0u64; n_accs];
+        let mut selected: Vec<usize> = Vec::with_capacity(n);
         // Deployment-time residency: admission-order greedy pack under
         // the shared budget. Weights loaded here are part of bring-up,
         // not the serving window (a single tenant is therefore always
         // resident from the start — the bit-identity contract).
         let mut resident = vec![false; n];
-        {
-            let mut used = vec![0u64; n_accs];
-            for (slot, t) in resident.iter_mut().zip(self.tenants.iter()) {
-                if (0..n_accs).all(|a| used[a] + t.resident[a] <= budgets_u[a]) {
-                    for (a, u) in used.iter_mut().enumerate() {
-                        *u += t.resident[a];
-                    }
-                    *slot = true;
+        for (slot, t) in resident.iter_mut().zip(self.tenants.iter()) {
+            if (0..n_accs).all(|a| used[a] + t.resident[a] <= budgets_u[a]) {
+                for (a, u) in used.iter_mut().enumerate() {
+                    *u += t.resident[a];
                 }
+                *slot = true;
             }
         }
         // Fault-window tenant state: parked (shed) tenants sit out
@@ -1796,20 +1848,14 @@ impl<'s> TenantRegistry<'s> {
                     }
                 }
             }
-            let pending: Vec<usize> =
-                (0..n).map(|i| arrived[i] - served[i] - shed[i]).collect();
-            // Serviceability gate: parked tenants are shelved until a
-            // later transition re-admits them, and while the host NIC
-            // is down only already-resident tenants can serve (a
-            // swap-in would have to stream weights through the dead
-            // host). Healthy runs never zero anything here.
-            let mut pending = pending;
-            let servable: Vec<bool> =
-                (0..n).map(|i| !parked[i] && (host_up || resident[i])).collect();
+            // Backlog, behind the serviceability gate: parked tenants
+            // are shelved until a later transition re-admits them, and
+            // while the host NIC is down only already-resident tenants
+            // can serve (a swap-in would have to stream weights through
+            // the dead host). Healthy runs never zero anything here.
             for i in 0..n {
-                if !servable[i] {
-                    pending[i] = 0;
-                }
+                servable[i] = !parked[i] && (host_up || resident[i]);
+                pending[i] = if servable[i] { arrived[i] - served[i] - shed[i] } else { 0 };
             }
             if pending.iter().all(|p| *p == 0) {
                 // Idle: jump to the earliest outstanding servable
@@ -1875,46 +1921,41 @@ impl<'s> TenantRegistry<'s> {
             // unless served immediately (arrived strictly before
             // `now + ideal - slo`, counted against the actual arrival
             // schedule — see [`Tenant::doomed_arrivals`]).
-            let urgency: Vec<f64> = (0..n)
-                .map(|i| {
-                    let t = &self.tenants[i];
-                    if pending[i] == 0 {
-                        return 0.0;
-                    }
+            for (i, t) in self.tenants.iter().enumerate() {
+                urgency[i] = if pending[i] == 0 {
+                    0.0
+                } else {
                     let horizon = now + t.ideal.as_f64() - t.spec.slo.as_f64();
                     let doomed_arrivals = t.doomed_arrivals(horizon);
                     let at_risk =
                         doomed_arrivals.saturating_sub(served[i] + shed[i]).min(pending[i]);
                     (pending[i] + at_risk) as f64
-                })
-                .collect();
-            // Ranked-policy keys (unused — and uncomputed — under the
-            // default knapsack former): EDF ranks by the head-of-queue
-            // deadline, weighted-fair by the virtual finish time of
-            // the tenant's next service quantum.
-            let rank: Vec<f64> = (0..n)
-                .map(|i| {
-                    let t = &self.tenants[i];
-                    if pending[i] == 0 {
-                        return f64::INFINITY;
-                    }
+                };
+            }
+            // Ranked-policy keys (unused under the default knapsack
+            // former): EDF ranks by the head-of-queue deadline,
+            // weighted-fair by the virtual finish time of the tenant's
+            // next service quantum.
+            for (i, t) in self.tenants.iter().enumerate() {
+                rank[i] = if pending[i] == 0 {
+                    f64::INFINITY
+                } else {
                     match self.config.serve_policy {
                         RoundPolicy::Knapsack => 0.0,
-                        RoundPolicy::Edf => {
-                            t.arrival(served[i] + shed[i]) + t.spec.slo.as_f64()
-                        }
+                        RoundPolicy::Edf => t.arrival(served[i] + shed[i]) + t.spec.slo.as_f64(),
                         RoundPolicy::WeightedFair => (served[i] + 1) as f64 / t.spec.rate_hz,
                     }
-                })
-                .collect();
-            let selected = self.form_round(&pending, &urgency, &rank);
+                };
+            }
+            self.form_round(&budgets_u, &pending, &urgency, &rank, &mut used, &mut selected);
             // Residency transition: the selected tenants swap in
             // (evicted ones re-stream their pinned weights over
             // Ethernet before their slice); previous residents keep
             // their slot while it still fits next to the selected set,
             // in admission order.
-            let was_resident = std::mem::replace(&mut resident, vec![false; n]);
-            let mut used = vec![0u64; n_accs];
+            std::mem::swap(&mut resident, &mut was_resident);
+            resident.fill(false);
+            used.fill(0);
             for &i in &selected {
                 for (a, u) in used.iter_mut().enumerate() {
                     *u += self.tenants[i].resident[a];
@@ -1990,6 +2031,9 @@ impl<'s> TenantRegistry<'s> {
             }
         }
 
+        for s in &mut stats {
+            s.latencies.sort();
+        }
         Ok(ServeOutcome {
             tenants: stats,
             makespan: Seconds::new(now),
@@ -2242,6 +2286,104 @@ mod tests {
         assert_eq!(t.doomed_arrivals(0.0), 0);
         assert_eq!(t.doomed_arrivals(-1.0), 0);
         assert_eq!(t.doomed_arrivals(100.0), 4, "the count caps at the window");
+    }
+
+    /// The linear scan `doomed_arrivals` replaced: the oracle its
+    /// binary search must equal.
+    fn doomed_by_scan(t: &Tenant, horizon: f64) -> usize {
+        let mut k = 0;
+        while k < t.spec.requests && t.arrival(k) < horizon {
+            k += 1;
+        }
+        k
+    }
+
+    #[test]
+    fn doomed_arrivals_equals_the_linear_scan_on_every_schedule() {
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let mut reg = TenantRegistry::new(&system, H2hConfig::default());
+        let m = h2h_model::zoo::mocap();
+        reg.admit(spec("fixed", m.clone(), 7.0, 1.0, 50)).unwrap();
+        reg.admit(
+            spec("poisson", m.clone(), 20.0, 1.0, 64)
+                .with_arrivals(ArrivalProcess::Poisson { seed: 3 }),
+        )
+        .unwrap();
+        let ties = vec![0.0, 0.0, 0.1, 0.1, 0.1, 0.25, 0.5, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0];
+        let n_ties = ties.len();
+        let tr = ArrivalTrace::new(ties).unwrap();
+        reg.admit(spec("ties", m, 5.0, 1.0, n_ties).with_arrivals(ArrivalProcess::Trace(tr)))
+            .unwrap();
+        for t in reg.tenants() {
+            let last = t.arrival(t.spec.requests - 1);
+            let mut horizons = vec![-1.0, last + 1.0];
+            for j in 0..t.spec.requests {
+                let a = t.arrival(j);
+                horizons.extend([a, a.next_up(), a.next_down()]);
+            }
+            for h in horizons {
+                assert_eq!(
+                    t.doomed_arrivals(h),
+                    doomed_by_scan(t, h),
+                    "{}: horizon {h:e}",
+                    t.spec.name
+                );
+            }
+            assert_eq!(t.doomed_arrivals(-1.0), 0);
+            assert_eq!(t.doomed_arrivals(last + 1.0), t.spec.requests);
+        }
+    }
+
+    #[test]
+    fn the_end_of_drain_sort_equals_per_insert_ordering_bitwise() {
+        // Shuffled samples with many repeats and near-equal neighbours.
+        let samples: Vec<f64> = (0..600usize)
+            .map(|i| {
+                let v = 1e-3 * ((i * 23) % 37 + 1) as f64;
+                if i % 5 == 0 {
+                    v.next_up()
+                } else {
+                    v
+                }
+            })
+            .collect();
+        let mut ledger = LatencyLedger::default();
+        for &x in &samples {
+            ledger.record(x);
+        }
+        assert!(!ledger.sorted.is_sorted(), "the samples must arrive out of order");
+        ledger.sort();
+        assert!(ledger.sorted.is_sorted());
+        // The per-insert ordering `record` used to keep.
+        let mut inserted = LatencyLedger::default();
+        for &x in &samples {
+            let pos = inserted.sorted.partition_point(|s| *s <= x);
+            inserted.sorted.insert(pos, x);
+        }
+        let bits = |l: &LatencyLedger| l.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ledger), bits(&inserted));
+        assert_eq!(ledger.p50(), inserted.p50());
+        assert_eq!(ledger.p95(), inserted.p95());
+        assert_eq!(ledger.p99(), inserted.p99());
+        assert_eq!(ledger.max(), inserted.max());
+        assert_eq!(ledger.total().to_bits(), inserted.total().to_bits());
+        for slo in [0.0, 5e-3, 0.02, 0.037, 1.0] {
+            assert_eq!(ledger.over(Seconds::new(slo)), inserted.over(Seconds::new(slo)));
+        }
+    }
+
+    #[test]
+    fn an_unsorted_ledger_fails_the_coherence_check() {
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let mut reg = TenantRegistry::new(&system, H2hConfig::default());
+        reg.admit(spec("m", h2h_model::zoo::mocap(), 500.0, 60.0, 40)).unwrap();
+        let mut out = reg.serve();
+        out.check_coherence().unwrap();
+        let samples = &mut out.tenants[0].latencies.sorted;
+        assert!(samples.first() < samples.last(), "the drain must attain distinct latencies");
+        samples.reverse();
+        let err = out.check_coherence().unwrap_err();
+        assert!(err.contains("not sorted"), "unexpected error: {err}");
     }
 
     #[test]
