@@ -37,6 +37,9 @@
 //! * a large model (more layers than the small-model threshold)
 //!   reports `screened == 0` — the latency screen must reject some
 //!   hopeless moves there;
+//! * a large model whose search reaches risky guards reports
+//!   `split_screened == 0` — the screen's split on fusion outcomes
+//!   must reject some moves the plain floor lets through there;
 //! * with `--min-large-speedup S`, such a row is less than `S`× faster
 //!   than the reference on wall clock;
 //! * with `--profile`, a row's phase breakdown is malformed (a
@@ -71,6 +74,8 @@ struct SearchRecord {
     passes: usize,
     /// Attempted moves the latency screen rejected without staging.
     screened: usize,
+    /// The screened moves only the split on fusion outcomes rejected.
+    split_screened: usize,
     delta_evals: usize,
     /// Delta evaluations that took the prefix-exact fast path.
     prefix_evals: usize,
@@ -188,9 +193,9 @@ fn main() {
     let mut records = Vec::new();
     let mut gate_failures = 0usize;
     println!(
-        "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
-        "model", "bw", "topology", "layers", "attempts", "screened", "reduction", "prefix",
-        "g-skip", "speedup", "match"
+        "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
+        "model", "bw", "topology", "layers", "attempts", "screened", "split", "reduction",
+        "prefix", "g-skip", "speedup", "match"
     );
     for bw in &bandwidths {
         let uniform_system = SystemSpec::standard(*bw);
@@ -309,13 +314,14 @@ fn main() {
             };
             let speedup = reference_seconds / delta_seconds.max(1e-12);
             println!(
-                "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>8.1}x {:>9} {:>9} {:>8.1}x {:>8}{}",
+                "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>9} {:>8.1}x {:>9} {:>9} {:>8.1}x {:>8}{}",
                 model.name(),
                 bw.label(),
                 topo_spec,
                 model.num_layers(),
                 delta.stats.attempted_moves,
                 delta.stats.screened,
+                delta.stats.split_screened,
                 reduction,
                 delta.stats.prefix_evals,
                 delta.stats.guards_skipped,
@@ -337,6 +343,14 @@ fn main() {
             // are hopeless, so a screen that rejects none has regressed.
             if large && delta.stats.screened == 0 {
                 failures.push("screened == 0 on a large model".to_owned());
+            }
+            // And its split: where the search reaches risky guards, the
+            // producers it branches on exist, so a split that rejects
+            // nothing has regressed.
+            if large && delta.stats.guards_total > 0 && delta.stats.split_screened == 0 {
+                failures.push(
+                    "split_screened == 0 on a large model with risky guards".to_owned(),
+                );
             }
             if let Some(min) = min_large_speedup.filter(|min| large_risky && speedup < *min) {
                 failures.push(format!("speedup {speedup:.2}x below the {min:.2}x gate"));
@@ -372,6 +386,7 @@ fn main() {
                 accepted_moves: delta.stats.accepted_moves,
                 passes: delta.stats.passes,
                 screened: delta.stats.screened,
+                split_screened: delta.stats.split_screened,
                 delta_evals: delta.stats.delta_evals,
                 prefix_evals: delta.stats.prefix_evals,
                 full_evals_delta: delta.stats.full_evals,
@@ -424,7 +439,9 @@ fn main() {
         std::process::exit(1);
     }
     if gate_failures > 0 {
-        eprintln!("WARNING: {gate_failures} row(s) failed the guard-pruning/screen/speedup gates");
+        eprintln!(
+            "WARNING: {gate_failures} row(s) failed the guard-pruning/screen/split/speedup gates"
+        );
         std::process::exit(1);
     }
 }

@@ -32,6 +32,7 @@
 //! | Candidate shape | Path | Per-guard cost |
 //! |---|---|---|
 //! | latency objective, floor makespan cannot beat the incumbent | **screened**: rejected unstaged | none (one floor propagation, no fusion pass) |
+//! | latency objective, floor passes but no branch of its split on fusion outcomes can beat the incumbent | **split-screened**: rejected unstaged | none (one floor propagation per branch, no fusion pass) |
 //! | no risky producer anywhere | prefix-exact scoped re-fusion | no guards at all |
 //! | risky, ≤ [`SMALL_MODEL_THRESHOLD`] layers | plain full evaluation | n/a (one `O(V+E)` eval) |
 //! | risky, large, guard **proven** by dominance | global replay, guard pruned | `O(1)` proof, deferred refresh |
@@ -55,7 +56,41 @@
 //!   rounding. A candidate whose floor fails the accept rule's own test
 //!   `floor + accept_epsilon < best` therefore fails it exactly too,
 //!   and is rejected without staging ([`SearchStats::screened`]):
-//!   decisions stay identical. Any other candidate keeps its floor
+//!   decisions stay identical.
+//! * **Split on fusion outcomes** (same screen) — most moves the floor
+//!   lets through leave the exact makespan unchanged. They pass the
+//!   floor only because it lets a producer drop the DRAM write an
+//!   accepted fusion costs while its co-located consumers keep their
+//!   cheap DRAM reads; no single fusion set does both.
+//!   - *Partition.* For a producer, "some co-located consumer fused"
+//!     and "none fused" partition every fusion set step 3 can choose.
+//!     [`Evaluator::layer_cost_floor`] takes a per-producer
+//!     [`FusionOutcome`] that prices one class: the fused class pays
+//!     the all-fused OFM, the unfused class the none-fused upload, with
+//!     every co-located consumer's edge from it at its route.
+//!   - *Monotonicity.* Each term is a value the exact kernel produces
+//!     for every fusion set of the class, with the same IEEE
+//!     operations, so per-layer durations are bitwise lower bounds
+//!     within the class, and the monotone recurrence makes a branch's
+//!     floor makespan a lower bound on the exact makespan of every
+//!     fusion set in it. A class the replay cannot reach (one that
+//!     fails capacity, say) only loosens its branch. A move whose
+//!     every branch fails the accept rule's test therefore fails it
+//!     exactly too.
+//!   - *Search.* When the floor passes, the screen walks the floor
+//!     schedule's critical path back from the makespan tail to the
+//!     first free producer whose none-fused OFM is below its all-fused
+//!     one (only there do both classes raise some duration), prices
+//!     each class on the floor's own schedule under a savepoint (the
+//!     producer and its co-located consumers refreshed, one
+//!     propagation) and recurses, depth first, into any branch that
+//!     still passes. Only if every branch fails is the move rejected
+//!     ([`SearchStats::split_screened`]); an open leaf with nothing
+//!     left to split, six producers fixed or 64 branches priced
+//!     (`SPLIT_MAX_DEPTH`, `SPLIT_MAX_BRANCHES`) sends it to staging.
+//!     Either way the floor is rolled back to the pricing state.
+//!
+//!   Any candidate the screen does not reject keeps its floor
 //!   transaction open; it commits or rolls back with the staged
 //!   candidate, so an accept needs no rebuild. The annealer stages
 //!   directly and needs exact scores for its Metropolis rule, so it
@@ -98,9 +133,9 @@
 //! equivalence suites on the zoo, on random and synthetic models and on
 //! non-uniform fabrics).
 //!
-//! [`SearchStats`] counts screened moves and delta vs full evaluations
-//! so the savings are observable (`h2h-bench` records them in
-//! `BENCH_search.json`).
+//! [`SearchStats`] counts screened (and split-screened) moves and
+//! delta vs full evaluations so the savings are observable (`h2h-bench`
+//! records them in `BENCH_search.json`).
 
 use serde::Serialize;
 
@@ -110,7 +145,7 @@ use h2h_model::units::{Bytes, Seconds};
 use h2h_system::incremental::IncrementalSchedule;
 use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;
-use h2h_system::schedule::{Evaluator, Schedule};
+use h2h_system::schedule::{Evaluator, FusionOutcome, Schedule};
 use h2h_system::system::AccId;
 
 use crate::activation_fusion::{
@@ -125,6 +160,14 @@ use crate::weight_locality::weight_locality_pass;
 /// instead of the global fusion-pass replay: calibrated on the zoo,
 /// below ~80 layers the replay costs more than one full evaluation.
 pub const SMALL_MODEL_THRESHOLD: usize = 80;
+
+/// Deepest chain of producers the latency screen's split fixes before
+/// it gives up on a move (see the module docs).
+const SPLIT_MAX_DEPTH: usize = 6;
+
+/// Branches the latency screen's split may price for one move before it
+/// gives up on it.
+const SPLIT_MAX_BRANCHES: usize = 64;
 
 /// Instrumentation of one search run: how often the delta engine
 /// answered a candidate query versus how often a full evaluation was
@@ -163,11 +206,16 @@ pub struct SearchStats {
     pub guard_reverts_fast: usize,
     /// Moves attempted by the search loop.
     pub attempted_moves: usize,
-    /// Attempted moves the latency screen rejected on their floor
-    /// makespan alone ([`DeltaEngine::try_improving_move`]). They count
-    /// in `attempted_moves` and in the propagation counters (one floor
-    /// round each), but in no evaluation or rebuild counter.
+    /// Attempted moves the latency screen rejected on a floor makespan
+    /// ([`DeltaEngine::try_improving_move`]). They count in
+    /// `attempted_moves` and in the propagation counters (one floor
+    /// round each, plus one per branch priced), but in no evaluation or
+    /// rebuild counter.
     pub screened: usize,
+    /// The subset of `screened` rejected only after splitting the floor
+    /// on producers' fusion outcomes: the floor itself passed the accept
+    /// rule's test, but every branch failed it.
+    pub split_screened: usize,
     /// Moves accepted.
     pub accepted_moves: usize,
     /// Full passes executed (remap loop only).
@@ -214,6 +262,7 @@ impl SearchStats {
         self.guard_reverts_fast += other.guard_reverts_fast;
         self.attempted_moves += other.attempted_moves;
         self.screened += other.screened;
+        self.split_screened += other.split_screened;
         self.accepted_moves += other.accepted_moves;
         self.passes += other.passes;
     }
@@ -539,6 +588,9 @@ struct Floor {
     /// 2 sees each touched board's whole capacity, exactly as the
     /// staged rebuild does after its strip.
     pins: LocalityState,
+    /// The fusion outcome each producer's floor assumes, by layer index:
+    /// all [`FusionOutcome::Free`] except inside [`Floor::split`].
+    outcomes: Vec<FusionOutcome>,
     /// Undo record of an open pricing: the in-scope pins it stripped
     /// and the pins its scoped step 2 made, each with its board.
     stripped: Vec<(LayerId, AccId)>,
@@ -558,12 +610,14 @@ impl Floor {
             let ok = pins.try_pin(model, system, l, mapping.acc_of(l));
             debug_assert!(ok, "pins fit without the fusions they fitted beside");
         }
+        let outcomes = vec![FusionOutcome::Free; model.id_bound()];
         let inc = IncrementalSchedule::from_costs(ev, mapping, |id| {
-            ev.layer_cost_floor(mapping, &pins, id)
+            ev.layer_cost_floor(mapping, &pins, &outcomes, id)
         });
         Floor {
             inc,
             pins,
+            outcomes,
             stripped: Vec::new(),
             added: Vec::new(),
             refresh: Vec::new(),
@@ -640,7 +694,7 @@ impl Floor {
         let moved: &Mapping = mapping;
         self.inc.refresh_costs_into(
             self.refresh.drain(..),
-            |id| ev.layer_cost_floor(moved, pins, id),
+            |id| ev.layer_cost_floor(moved, pins, &self.outcomes, id),
             &mut self.seeds,
         );
 
@@ -649,6 +703,102 @@ impl Floor {
         note_propagation(stats, self.inc.touched());
         mapping.set(layer, from);
         self.inc.makespan().as_f64()
+    }
+
+    /// Splits the open pricing on producers' fusion outcomes, depth
+    /// first, and reports whether no branch is `hopeful`. `mapping` is
+    /// the priced candidate (moved). At each node the producer to fix
+    /// is the first splittable one on the floor's critical path
+    /// ([`Floor::branch_producer`]); each of its two classes is priced
+    /// under a savepoint by refreshing it and its co-located consumers
+    /// and propagating once. A hopeful branch is split again; an open
+    /// leaf (depth [`SPLIT_MAX_DEPTH`] or nothing left to split) or a
+    /// spent `budget` ends the search with `false`. Either way the
+    /// floor comes back in its pricing state.
+    fn split(
+        &mut self,
+        ev: &Evaluator<'_>,
+        mapping: &Mapping,
+        hopeful: &impl Fn(f64) -> bool,
+        depth: usize,
+        budget: &mut usize,
+        stats: &mut SearchStats,
+    ) -> bool {
+        if depth == SPLIT_MAX_DEPTH {
+            return false;
+        }
+        let Some(producer) = self.branch_producer(ev, mapping) else {
+            return false;
+        };
+        let acc = mapping.acc_of(producer);
+        for outcome in [FusionOutcome::Fused, FusionOutcome::Unfused] {
+            if *budget == 0 {
+                return false;
+            }
+            *budget -= 1;
+            let sp = self.inc.savepoint();
+            self.outcomes[producer.index()] = outcome;
+            self.refresh.clear();
+            self.refresh.push(producer);
+            self.refresh.extend(
+                ev.successors_flat(producer)
+                    .iter()
+                    .filter(|c| mapping.get(**c) == Some(acc)),
+            );
+            self.seeds.clear();
+            self.inc.refresh_costs_into(
+                self.refresh.drain(..),
+                |id| ev.layer_cost_floor(mapping, &self.pins, &self.outcomes, id),
+                &mut self.seeds,
+            );
+            if !self.seeds.is_empty() {
+                self.inc.propagate(&self.seeds);
+                note_propagation(stats, self.inc.touched());
+            }
+            let closed = !hopeful(self.inc.makespan().as_f64())
+                || self.split(ev, mapping, hopeful, depth + 1, budget, stats);
+            self.inc.rollback_to(&sp);
+            self.outcomes[producer.index()] = FusionOutcome::Free;
+            if !closed {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The producer the split fixes next: walking the floor schedule's
+    /// critical path back from the makespan tail (each step to the graph
+    /// predecessor whose finish is the start, else the queue
+    /// predecessor), the first layer whose outcome is still free and
+    /// whose none-fused OFM floor is below its all-fused one. Only then
+    /// does each class raise some duration: the fused class the
+    /// producer's OFM, the unfused class its co-located consumers' IFM
+    /// edges (from the lesser of DRAM and route to the route).
+    fn branch_producer(&self, ev: &Evaluator<'_>, mapping: &Mapping) -> Option<LayerId> {
+        let inc = &self.inc;
+        let makespan = inc.makespan().as_f64();
+        let mut layer = ev
+            .system()
+            .acc_ids()
+            .filter_map(|a| inc.queue(a).last().copied())
+            .find(|l| inc.finish_of(*l).as_f64() == makespan)?;
+        loop {
+            if self.outcomes[layer.index()] == FusionOutcome::Free
+                && ev
+                    .ofm_floor_branches(mapping, layer)
+                    .is_some_and(|(none, all)| none < all)
+            {
+                return Some(layer);
+            }
+            let start = inc.start_of(layer).as_f64();
+            let reads_start = |l: &LayerId| inc.finish_of(*l).as_f64() == start;
+            layer = ev
+                .predecessors_flat(layer)
+                .iter()
+                .copied()
+                .find(reads_start)
+                .or_else(|| inc.queue_predecessor(layer).filter(reads_start))?;
+        }
     }
 
     /// Ends the open pricing with its candidate: an accept keeps it, a
@@ -1225,16 +1375,19 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
     }
 
     /// Prices the candidate on the floor schedule and reports whether it
-    /// is hopeless: `floor + accept_epsilon < best` fails, so the exact
-    /// score, which is no lower, fails the accept rule too. A hopeless
-    /// pricing is undone here; any other stays open and closes with the
-    /// staged candidate. Charged to [`PhaseProfile::scoring_s`].
+    /// is hopeless: `floor + accept_epsilon < best` fails, either on the
+    /// floor itself or on every branch of its split on fusion outcomes,
+    /// so the exact score, which is no lower than the branch its fusion
+    /// set falls in, fails the accept rule too. A hopeless pricing is
+    /// undone here; any other stays open and closes with the staged
+    /// candidate. Charged to [`PhaseProfile::scoring_s`].
     fn screen(&mut self, mapping: &mut Mapping, layer: LayerId, to: AccId, best: f64) -> bool {
         let t0 = self.profile_enabled.then(std::time::Instant::now);
         let ev = self.ev;
         let floor = self
             .floor
             .get_or_insert_with(|| Floor::new(ev, mapping, &self.locality));
+        let from = mapping.acc_of(layer);
         let bound = floor.price(
             ev,
             self.cfg,
@@ -1244,15 +1397,24 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             to,
             &mut self.stats,
         );
-        // The accept rule's own expression, on the bound.
-        let hopeful = bound + self.cfg.accept_epsilon < best;
-        if !hopeful {
+        // The accept rule's own expression, on a bound.
+        let eps = self.cfg.accept_epsilon;
+        let hopeful = |bound: f64| bound + eps < best;
+        let mut rejected = !hopeful(bound);
+        if !rejected {
+            mapping.set(layer, to);
+            let mut budget = SPLIT_MAX_BRANCHES;
+            rejected = floor.split(ev, mapping, &hopeful, 0, &mut budget, &mut self.stats);
+            mapping.set(layer, from);
+            self.stats.split_screened += usize::from(rejected);
+        }
+        if rejected {
             floor.close(ev, false);
         }
         if let Some(t0) = t0 {
             self.profile.scoring_s += t0.elapsed().as_secs_f64();
         }
-        !hopeful
+        rejected
     }
 }
 

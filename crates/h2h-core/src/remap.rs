@@ -11,14 +11,18 @@
 //! The loop runs on the [`DeltaEngine`]. Under the latency objective a
 //! move first meets the latency screen: a floor schedule, priced with
 //! the move's exact pins and a lower bound on every fusion step 3 could
-//! choose, rejects a move whose bound already fails the accept rule —
-//! most rejected moves never reach the fusion replay. The moves it
-//! lets through are scored by a scoped locality-rebuild replay plus
-//! cone-local schedule propagation (paper §4.2's "update … without
-//! traversing the entire graph"), with risky fusion guards
-//! dominance-pruned and rejected toggles restored from the journal
-//! savepoint — or, for a small model's risky candidates, by a plain
-//! full evaluation (see [`crate::delta`]; every path scores bitwise
+//! choose, rejects a move whose bound already fails the accept rule.
+//! When the bound passes, the screen splits it on the fusion outcomes
+//! of producers along the floor's critical path (some co-located
+//! consumer fused, or none) and rejects the move if every branch fails
+//! — which catches most of the moves that would leave the makespan
+//! exactly unchanged. Most rejected moves never reach the fusion
+//! replay. The moves the screen lets through are scored by a scoped
+//! locality-rebuild replay plus cone-local schedule propagation (paper
+//! §4.2's "update … without traversing the entire graph"), with risky
+//! fusion guards dominance-pruned and rejected toggles restored from
+//! the journal savepoint — or, for a small model's risky candidates, by
+//! a plain full evaluation (see [`crate::delta`]; every path scores bitwise
 //! like a full evaluation, and the screen only rejects moves the exact
 //! score would reject too). Accepted moves commit the delta state
 //! directly, producing final mappings identical to the per-candidate

@@ -13,7 +13,9 @@
 //!    minimal forced change.
 //! 2. **Re-price**: the evacuated incumbent is evaluated on the
 //!    degraded fabric (every route-crossing edge now pays the degraded
-//!    per-route bandwidth) — the *incumbent-on-degraded* baseline.
+//!    per-route bandwidth) — the *incumbent-on-degraded* baseline. The
+//!    search engine's seed evaluation is exactly this pricing, so it is
+//!    read from there rather than paid twice.
 //! 3. **Budgeted search**: a [`DeltaEngine`] pass loop identical in
 //!    decision rule to step-4 remapping, but visiting fault-affected
 //!    layers first and hard-capped at a **budget in attempted-move
@@ -133,12 +135,12 @@ pub fn repair_mapping(
     // 1. Evacuate dead boards (topological order, deterministic).
     let evacuated = evacuate(ev, &mut mapping, state)?;
 
-    // 2. Price the evacuated incumbent on the degraded fabric.
-    let incumbent_loc = rebuild_locality(ev, &mapping, cfg, preset);
-    let incumbent_degraded = ev.evaluate(&mapping, &incumbent_loc).makespan();
+    // 2. Price the evacuated incumbent on the degraded fabric: the
+    //    engine's seed is that mapping's full rebuild and evaluation.
+    let mut engine = DeltaEngine::new(ev, cfg, preset, &mapping);
+    let incumbent_degraded = engine.schedule().makespan();
 
     // 3. Budgeted delta search, fault-affected layers first.
-    let mut engine = DeltaEngine::new(ev, cfg, preset, &mapping);
     let order = repair_visit_order(model, &mapping, &evacuated, state);
     let mut passes = 0;
     let mut neighbours: Vec<AccId> = Vec::new();
@@ -167,9 +169,6 @@ pub fn repair_mapping(
 
     let (locality, schedule, mut stats) = engine.finalize(&mapping);
     stats.passes = passes;
-    // The incumbent pricing of step 2 is part of the repair's bill.
-    stats.full_rebuilds += 1;
-    stats.full_evals += 1;
     // The attempted-move counter is the deterministic currency; the
     // per-move cost converts it into modeled wall time (see
     // `H2hConfig::repair_secs_per_move` for a measured setting).

@@ -109,7 +109,8 @@ pub fn mapping_report(
 }
 
 /// Human-readable summary of one search run's [`SearchStats`]: the
-/// moves the latency screen rejected unstaged, the evaluation mix
+/// moves the latency screen rejected unstaged (and how many of them
+/// only its split on fusion outcomes rejected), the evaluation mix
 /// (delta / prefix / full), the propagation locality, and the
 /// risky-guard columns (how many guards the fusion replay reached, how
 /// many were resolved by dominance pruning, how many rejected toggles
@@ -122,11 +123,19 @@ pub fn search_stats_report(stats: &SearchStats) -> String {
         "search stats — {} attempted / {} accepted moves over {} passes",
         stats.attempted_moves, stats.accepted_moves, stats.passes
     );
-    let _ = writeln!(
+    let _ = write!(
         out,
         "  screened: {} moves rejected on the latency floor",
         stats.screened
     );
+    if stats.screened > 0 {
+        let _ = write!(
+            out,
+            ", {} after splitting on fusion outcomes",
+            stats.split_screened
+        );
+    }
+    out.push('\n');
     let _ = writeln!(
         out,
         "  evals: {} delta ({} prefix-exact) + {} full ({:.1}x saved)",

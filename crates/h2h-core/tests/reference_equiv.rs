@@ -170,7 +170,8 @@ fn guard_counters_are_coherent() {
 fn screen_counters_are_coherent() {
     // Every attempted move is rejected by the latency screen, scored on
     // the delta engine, or scored by a full evaluation beyond the seed
-    // and the finalization — never two of those, never none.
+    // and the finalization — never two of those, never none. The moves
+    // only the split on fusion outcomes rejected are screened moves.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     for model in h2h_model::zoo::all_models() {
         let s = remap_from_step1(&model, &system).stats;
@@ -180,10 +181,16 @@ fn screen_counters_are_coherent() {
             "{}: {s:?}",
             model.name()
         );
+        assert!(s.split_screened <= s.screened, "{}: {s:?}", model.name());
         if ["CASIA-SURF", "FaceBag", "VLocNet"].contains(&model.name()) {
             assert!(
                 s.screened > 0,
                 "{}: the screen rejected nothing",
+                model.name()
+            );
+            assert!(
+                s.split_screened > 0,
+                "{}: the split rejected nothing",
                 model.name()
             );
         }

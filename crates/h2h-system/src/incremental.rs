@@ -28,7 +28,8 @@
 //!    after propagation over the full affected cone, every start/finish
 //!    equals the full evaluation *bitwise*. Seeded and refreshed from
 //!    [`Evaluator::layer_cost_floor`] instead, every start/finish bounds
-//!    the exact one from below (the recurrence is monotone).
+//!    from below the exact one of every fusion set in the floor's
+//!    outcome classes (the recurrence is monotone).
 //! 2. **Queue order** — each accelerator executes its layers in the
 //!    single global topological priority (`Evaluator`'s `topo_order`);
 //!    [`IncrementalSchedule::move_layer`] re-inserts at the sorted
@@ -106,14 +107,21 @@ struct Journal {
     dram_bytes: f64,
     compute_energy: f64,
     per_acc_busy: Vec<f64>,
+    /// `per_acc_busy` snapshots of the open savepoints, one
+    /// accelerator-count slice each, oldest first. The buffer lives as
+    /// long as the schedule (the journal is recycled across
+    /// transactions), so a savepoint allocates nothing once it has
+    /// grown to the deepest nesting seen.
+    busy_snaps: Vec<f64>,
 }
 
 /// A nested restore point inside an open transaction (see
 /// [`IncrementalSchedule::savepoint`]): the journal lengths at creation
-/// time plus an aggregate snapshot. [`IncrementalSchedule::rollback_to`]
+/// time plus an aggregate snapshot, whose per-accelerator part sits in
+/// the journal's snapshot buffer. [`IncrementalSchedule::rollback_to`]
 /// undoes exactly the journal suffix recorded since — the touched set of
 /// whatever ran in between — without re-propagating anything.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Savepoint {
     times_len: usize,
     costs_len: usize,
@@ -123,7 +131,9 @@ pub struct Savepoint {
     dram_busy: f64,
     dram_bytes: f64,
     compute_energy: f64,
-    per_acc_busy: Vec<f64>,
+    /// Offset of this savepoint's `per_acc_busy` snapshot in
+    /// `Journal::busy_snaps`.
+    busy_at: usize,
 }
 
 /// Read-only per-(model, system) data shared by every clone of an
@@ -383,6 +393,16 @@ impl IncrementalSchedule {
         (next != u32::MAX).then(|| LayerId::from_index(next as usize))
     }
 
+    /// The layer scheduled immediately before `layer` on its accelerator
+    /// queue (`None` if it runs first). Together with the graph
+    /// predecessors, this is exactly the set of layers whose finish
+    /// times `layer`'s start reads — the step-4 latency screen walks it
+    /// back along the critical path.
+    pub fn queue_predecessor(&self, layer: LayerId) -> Option<LayerId> {
+        let prev = self.queue_prev[layer.index()];
+        (prev != u32::MAX).then(|| LayerId::from_index(prev as usize))
+    }
+
     /// Duration currently assumed for one layer.
     pub fn duration_of(&self, layer: LayerId) -> Seconds {
         Seconds::new(self.dur[layer.index()])
@@ -479,6 +499,7 @@ impl IncrementalSchedule {
         journal.times.clear();
         journal.costs.clear();
         journal.moves.clear();
+        journal.busy_snaps.clear();
         journal.eth_busy = self.eth_busy;
         journal.comp_busy = self.comp_busy;
         journal.dram_busy = self.dram_busy;
@@ -535,20 +556,27 @@ impl IncrementalSchedule {
     /// Savepoints nest implicitly: a later savepoint's suffix is a
     /// prefix-stable extension of an earlier one's, so rolling back to
     /// an earlier savepoint after a later one also restores correctly
-    /// (later-region entries sit above the earlier marks). A savepoint
-    /// that is *not* rolled back needs no explicit release — its extra
-    /// journal entries are harmless because full
+    /// (later-region entries sit above the earlier marks); the later
+    /// savepoint is spent then. A savepoint can be rolled back to any
+    /// number of times. One that is *not* rolled back needs no explicit
+    /// release — its extra journal entries are harmless because full
     /// [`IncrementalSchedule::rollback`] applies in reverse order.
+    ///
+    /// The per-accelerator busy snapshot goes into a buffer the journal
+    /// owns and keeps across transactions, so savepoints do not allocate
+    /// in steady state.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn savepoint(&mut self) -> Savepoint {
-        let j = self.journal.as_ref().expect("savepoint requires an open transaction");
+        let j = self.journal.as_mut().expect("savepoint requires an open transaction");
         // New epoch: layers first-touched before this savepoint must be
         // re-journaled (with their current, i.e. at-savepoint, values)
         // when touched inside the region.
         self.epoch += 1;
+        let busy_at = j.busy_snaps.len();
+        j.busy_snaps.extend_from_slice(&self.per_acc_busy);
         Savepoint {
             times_len: j.times.len(),
             costs_len: j.costs.len(),
@@ -558,7 +586,7 @@ impl IncrementalSchedule {
             dram_busy: self.dram_busy,
             dram_bytes: self.dram_bytes,
             compute_energy: self.compute_energy,
-            per_acc_busy: self.per_acc_busy.clone(),
+            busy_at,
         }
     }
 
@@ -576,10 +604,12 @@ impl IncrementalSchedule {
     pub fn rollback_to(&mut self, sp: &Savepoint) {
         // Take the journal out so `requeue` can borrow `self` freely.
         let mut journal = self.journal.take().expect("rollback_to requires an open transaction");
+        let busy_end = sp.busy_at + self.per_acc_busy.len();
         debug_assert!(
             sp.times_len <= journal.times.len()
                 && sp.costs_len <= journal.costs.len()
-                && sp.moves_len <= journal.moves.len(),
+                && sp.moves_len <= journal.moves.len()
+                && busy_end <= journal.busy_snaps.len(),
             "savepoint does not belong to this transaction"
         );
         while journal.moves.len() > sp.moves_len {
@@ -599,7 +629,10 @@ impl IncrementalSchedule {
         self.dram_busy = sp.dram_busy;
         self.dram_bytes = sp.dram_bytes;
         self.compute_energy = sp.compute_energy;
-        self.per_acc_busy.clone_from(&sp.per_acc_busy);
+        self.per_acc_busy
+            .copy_from_slice(&journal.busy_snaps[sp.busy_at..busy_end]);
+        // Later savepoints are spent; this one stays usable.
+        journal.busy_snaps.truncate(busy_end);
         self.journal = Some(journal);
         // New epoch: the popped entries' layers carry region stamps, so
         // later touches must journal their (just restored) values anew.

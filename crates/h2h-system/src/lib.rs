@@ -55,7 +55,7 @@ pub use gantt::{render_gantt, render_link_gantt};
 pub use incremental::IncrementalSchedule;
 pub use locality::LocalityState;
 pub use mapping::{Mapping, MappingError};
-pub use schedule::{CostCache, EnergyBreakdown, Evaluator, LayerTiming, Schedule};
+pub use schedule::{CostCache, EnergyBreakdown, Evaluator, FusionOutcome, LayerTiming, Schedule};
 pub use sim::{simulate, simulate_with_faults, SimConfig, SimError, SimReport};
 pub use system::{AccId, BandwidthClass, SystemSpec};
 pub use topology::{Endpoint, Topology};

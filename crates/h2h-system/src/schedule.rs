@@ -263,6 +263,22 @@ impl LayerCost {
     }
 }
 
+/// What [`Evaluator::layer_cost_floor`] assumes about one producer's
+/// step-3 fusions. Every fusion set step 3 can choose puts each
+/// producer in exactly one of two classes: some co-located consumer
+/// fused, or none. [`FusionOutcome::Free`] covers both classes; the
+/// other two variants each cover one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FusionOutcome {
+    /// Either class: each term takes the cheaper of the two.
+    #[default]
+    Free,
+    /// At least one co-located consumer is fused.
+    Fused,
+    /// No co-located consumer is fused.
+    Unfused,
+}
+
 /// Timing decomposition of one scheduled layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LayerTiming {
@@ -590,47 +606,49 @@ impl<'a> Evaluator<'a> {
 
     /// A lower bound on the duration [`Evaluator::layer_cost`] reports
     /// for `id` under *any* fusion set step 3 can choose for the current
-    /// mapping and pins. It is the per-layer kernel of the step-4
-    /// latency screen, and reads only the pins of `locality`, never its
-    /// fused edges:
+    /// mapping and pins in which every producer falls in the class its
+    /// entry of `outcomes` (indexed by `LayerId::index()`) names. It is
+    /// the per-layer kernel of the step-4 latency screen, and reads only
+    /// the pins of `locality`, never its fused edges:
     ///
     /// * the weight and compute terms are exact (pins are fixed);
     /// * an IFM edge that step 3 could fuse (co-located, non-input
     ///   producer) costs the lesser of its DRAM read and its route
-    ///   transfer; every other edge pays its route exactly;
-    /// * the OFM is the lesser of two branches. "No co-located consumer
-    ///   fused" is one upload at the slowest route among all consumers.
-    ///   "Every co-located consumer fused" is an upload at the slowest
-    ///   remote route (if any consumer is remote) plus one DRAM write.
-    ///   Fusing a nonempty proper subset pays the same DRAM write and
-    ///   an upload no faster than the all-fused one, so it never
-    ///   undercuts that branch. Neither branch alone is a bound: with a
-    ///   remote consumer left, "none fused" skips the DRAM write that
-    ///   "all fused" pays.
+    ///   transfer, or its route alone when its producer is
+    ///   [`FusionOutcome::Unfused`]; every other edge pays its route
+    ///   exactly;
+    /// * the OFM is one of the two branches of
+    ///   [`Evaluator::ofm_floor_branches`]: "none fused" for an
+    ///   [`FusionOutcome::Unfused`] producer, "all fused" for a
+    ///   [`FusionOutcome::Fused`] one, and the lesser of the two for a
+    ///   [`FusionOutcome::Free`] one.
     ///
     /// Every term is the minimum over values the exact kernel can
-    /// produce, computed with the same IEEE operations, and
-    /// [`LayerCost::duration`] sums the terms in the same order. IEEE
-    /// round-to-nearest `+`, `*` and `/` are monotone, so the bound
-    /// holds bitwise, not just up to rounding. Only the four duration
-    /// terms carry meaning: the split fields (`eth_time`, `dram_time`,
+    /// produce in the named classes, computed with the same IEEE
+    /// operations, and [`LayerCost::duration`] sums the terms in the
+    /// same order. IEEE round-to-nearest `+`, `*` and `/` are monotone,
+    /// so the bound holds bitwise, not just up to rounding. With every
+    /// entry [`FusionOutcome::Unfused`] the floor is the exact cost
+    /// under the empty fusion set. Only the four duration terms carry
+    /// meaning: the split fields (`eth_time`, `dram_time`,
     /// `dram_bytes`) hold the weight term's share alone.
     ///
     /// # Panics
     ///
     /// Panics if the layer is unmapped or mapped to an accelerator that
-    /// cannot execute it.
+    /// cannot execute it, or if `outcomes` is shorter than the model's
+    /// id bound.
     pub fn layer_cost_floor(
         &self,
         mapping: &Mapping,
         locality: &LocalityState,
+        outcomes: &[FusionOutcome],
         id: LayerId,
     ) -> LayerCost {
         let f = &self.flat;
         let li = id.index();
         let b = self.batch as f64;
-        let acc = mapping.acc_of(id);
-        let ai = acc.index();
+        let ai = mapping.acc_of(id).index();
         let here = ai + 1;
         let dram_bw = f.dram_bw[ai];
         let mut cost = LayerCost::default();
@@ -645,7 +663,7 @@ impl<'a> Evaluator<'a> {
                 _ => 0,
             };
             let route = f.route[src * f.nodes + here].transfer_time(bytes) * b;
-            cost.ifm_xfer += if src == here {
+            cost.ifm_xfer += if src == here && outcomes[pred.index()] != FusionOutcome::Unfused {
                 route.min(dram_bw.transfer_time(bytes) * b)
             } else {
                 route
@@ -654,41 +672,74 @@ impl<'a> Evaluator<'a> {
 
         self.accum_compute(id, ai, &mut cost);
 
-        if !f.is_input[li] {
-            let obytes = f.obytes[li];
-            let (ss, se) = (f.succ_off[li] as usize, f.succ_off[li + 1] as usize);
-            let upload = |bw: BytesPerSec| bw.transfer_time(obytes) * b;
-            if ss == se {
-                cost.ofm_xfer += upload(f.route[here * f.nodes]);
-            } else {
-                let slower = |cur: Option<BytesPerSec>, r: BytesPerSec| {
-                    Some(cur.map_or(r, |c| if c < r { c } else { r }))
-                };
-                let mut slowest = None;
-                let mut slowest_remote = None;
-                let mut any_colocated = false;
-                for &succ in &f.succ_dst[ss..se] {
-                    let sa = mapping.get(succ);
-                    let r = f.route[here * f.nodes + sa.map_or(0, |a| a.index() + 1)];
-                    slowest = slower(slowest, r);
-                    if sa == Some(acc) {
-                        any_colocated = true;
-                    } else {
-                        slowest_remote = slower(slowest_remote, r);
-                    }
-                }
-                let none_fused = Seconds::ZERO + upload(slowest.expect("consumer row is non-empty"));
-                let mut all_fused = Seconds::ZERO;
-                if let Some(bw) = slowest_remote {
-                    all_fused += upload(bw);
-                }
-                if any_colocated {
-                    all_fused += dram_bw.transfer_time(obytes) * b;
-                }
-                cost.ofm_xfer = none_fused.min(all_fused);
-            }
+        if let Some((none_fused, all_fused)) = self.ofm_floor_branches(mapping, id) {
+            cost.ofm_xfer = match outcomes[li] {
+                FusionOutcome::Free => none_fused.min(all_fused),
+                FusionOutcome::Fused => all_fused,
+                FusionOutcome::Unfused => none_fused,
+            };
         }
         cost
+    }
+
+    /// The two OFM branches of [`Evaluator::layer_cost_floor`] for `id`,
+    /// `(none_fused, all_fused)`; `None` for a model input, which emits
+    /// nothing.
+    ///
+    /// * "No co-located consumer fused" is one upload at the slowest
+    ///   route among all consumers (the host route for a model output).
+    ///   It is the exact OFM of every fusion set in that class.
+    /// * "Every co-located consumer fused" is an upload at the slowest
+    ///   remote route (if any consumer is remote) plus one DRAM write.
+    ///   Fusing a nonempty proper subset pays the same DRAM write and an
+    ///   upload no faster than the all-fused one, so it never undercuts
+    ///   this branch, which therefore bounds every fusion set with some
+    ///   co-located consumer fused.
+    ///
+    /// Without a co-located consumer the two branches are equal. With
+    /// one, neither bounds the other in general: with a remote consumer
+    /// left, "none fused" skips the DRAM write that "all fused" pays.
+    pub fn ofm_floor_branches(&self, mapping: &Mapping, id: LayerId) -> Option<(Seconds, Seconds)> {
+        let f = &self.flat;
+        let li = id.index();
+        if f.is_input[li] {
+            return None;
+        }
+        let b = self.batch as f64;
+        let acc = mapping.acc_of(id);
+        let here = acc.index() + 1;
+        let obytes = f.obytes[li];
+        let (ss, se) = (f.succ_off[li] as usize, f.succ_off[li + 1] as usize);
+        let upload = |bw: BytesPerSec| bw.transfer_time(obytes) * b;
+        if ss == se {
+            let to_host = Seconds::ZERO + upload(f.route[here * f.nodes]);
+            return Some((to_host, to_host));
+        }
+        let slower = |cur: Option<BytesPerSec>, r: BytesPerSec| {
+            Some(cur.map_or(r, |c| if c < r { c } else { r }))
+        };
+        let mut slowest = None;
+        let mut slowest_remote = None;
+        let mut any_colocated = false;
+        for &succ in &f.succ_dst[ss..se] {
+            let sa = mapping.get(succ);
+            let r = f.route[here * f.nodes + sa.map_or(0, |a| a.index() + 1)];
+            slowest = slower(slowest, r);
+            if sa == Some(acc) {
+                any_colocated = true;
+            } else {
+                slowest_remote = slower(slowest_remote, r);
+            }
+        }
+        let none_fused = Seconds::ZERO + upload(slowest.expect("consumer row is non-empty"));
+        let mut all_fused = Seconds::ZERO;
+        if let Some(bw) = slowest_remote {
+            all_fused += upload(bw);
+        }
+        if any_colocated {
+            all_fused += f.dram_bw[acc.index()].transfer_time(obytes) * b;
+        }
+        Some((none_fused, all_fused))
     }
 
     /// The weight section of [`Evaluator::layer_cost`]: fetched once per

@@ -182,6 +182,26 @@ proptest! {
             }
             prop_assert!(inc.proxy() == at_savepoint.proxy());
 
+            // Nested savepoints, as the latency screen's split takes
+            // them: mutate, mark an inner savepoint, mutate back, then
+            // roll back to the inner one and to the outer one again.
+            let seeds = inc.refresh_costs(&ev, &mapping, &toggled_loc, model.layer_ids());
+            inc.propagate(&seeds);
+            let at_inner = inc.clone();
+            let inner = inc.savepoint();
+            let seeds = inc.refresh_costs(&ev, &mapping, &loc, model.layer_ids());
+            inc.propagate(&seeds);
+            inc.rollback_to(&inner);
+            prop_assert!(inc.makespan() == at_inner.makespan());
+            prop_assert!(inc.proxy() == at_inner.proxy());
+            inc.rollback_to(&sp);
+            prop_assert!(inc.makespan() == at_savepoint.makespan());
+            for id in model.layer_ids() {
+                prop_assert!(inc.finish_of(id) == at_savepoint.finish_of(id));
+                prop_assert!(inc.duration_of(id) == at_savepoint.duration_of(id));
+            }
+            prop_assert!(inc.proxy() == at_savepoint.proxy());
+
             // Touches after the savepoint revert must journal correctly,
             // including through a savepoint that is *committed* (never
             // rolled back — its duplicate journal entries exercise the

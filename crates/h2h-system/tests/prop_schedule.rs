@@ -2,8 +2,9 @@
 //! random systems, incremental↔full equivalence, and event-sim
 //! agreement, all over randomized FC-chain workloads and constant-cost
 //! accelerators (exact arithmetic, no catalog noise); plus the flat cost
-//! kernel against its pointer-chasing reference and the latency floor
-//! against every fusion set, on zoo models with random mappings and pins.
+//! kernel against its pointer-chasing reference and the latency floor,
+//! free or with producers fixed to a fusion outcome, against every
+//! fusion set in its class, on zoo models with random mappings and pins.
 
 use proptest::prelude::*;
 
@@ -14,7 +15,7 @@ use h2h_model::units::Seconds;
 use h2h_system::incremental::IncrementalSchedule;
 use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;
-use h2h_system::schedule::Evaluator;
+use h2h_system::schedule::{Evaluator, FusionOutcome};
 use h2h_system::sim::{simulate, SimConfig};
 use h2h_system::system::AccId;
 use h2h_system::testutil::{const_system, ConstAccel};
@@ -284,25 +285,38 @@ proptest! {
         picks in proptest::collection::vec(0usize..2, 160),
         pin_mask in proptest::collection::vec(any::<bool>(), 160),
         fuse_mask in proptest::collection::vec(any::<bool>(), 320),
+        fix_mask in proptest::collection::vec(any::<bool>(), 160),
     ) {
         // With the pins fixed, the floor kernel must bound the exact
         // duration of every layer, and the floor schedule the exact
         // makespan, under any fusion set step 3 could pick: none, a
         // random subset of the co-located edges, and all of them
-        // (capacity permitting). Picking among two accelerators per
-        // layer co-locates many edges, so producers with co-located and
-        // remote consumers are common: the case where the OFM floor
-        // needs both of its branches.
+        // (capacity permitting). With every producer free the floor
+        // covers all three sets. A producer fixed to the class a set
+        // puts it in (some co-located consumer fused, or none) must
+        // still bound that set: checked with a random choice of
+        // producers fixed and with all of them. Picking among two
+        // accelerators per layer co-locates many edges, so producers
+        // with co-located and remote consumers are common: the case
+        // where the OFM floor needs both of its branches.
         let models = h2h_model::zoo::all_models();
         let model = &models[model_sel % models.len()];
         let fabric = ["uniform", "skewed", "switched"][fabric_sel];
         let (sys, map, pins) = zoo_state(model, fabric, &picks, &pin_mask);
         let ev = Evaluator::new(model, &sys).with_batch([1u32, 4, 16][batch_sel]);
         let order = model.topo_order();
-        let floors: Vec<_> = order.iter().map(|id| ev.layer_cost_floor(&map, &pins, *id)).collect();
-        let floor_makespan =
-            IncrementalSchedule::from_costs(&ev, &map, |id| ev.layer_cost_floor(&map, &pins, id))
-                .makespan();
+        let floor_of = |outcomes: &[FusionOutcome]| {
+            let durations: Vec<Seconds> = order
+                .iter()
+                .map(|id| ev.layer_cost_floor(&map, &pins, outcomes, *id).duration())
+                .collect();
+            let makespan = IncrementalSchedule::from_costs(&ev, &map, |id| {
+                ev.layer_cost_floor(&map, &pins, outcomes, id)
+            })
+            .makespan();
+            (durations, makespan)
+        };
+        let free = vec![FusionOutcome::Free; model.id_bound()];
         let colocated: Vec<(LayerId, LayerId)> = model
             .edges()
             .map(|(f, t, _)| (f, t))
@@ -316,20 +330,41 @@ proptest! {
                     let _ = loc.try_fuse(model, &sys, *f, *t, map.acc_of(*f));
                 }
             }
-            for (id, floor) in order.iter().zip(&floors) {
-                let exact = ev.layer_cost(&map, &loc, *id);
-                prop_assert!(
-                    floor.duration() <= exact.duration(),
-                    "layer {:?} of {} on {}, subset {}: floor {} above exact {}",
-                    id, model.name(), fabric, subset, floor.duration(), exact.duration()
-                );
+            let mut class = vec![FusionOutcome::Unfused; model.id_bound()];
+            for (f, t) in &colocated {
+                if loc.is_fused(*f, *t) {
+                    class[f.index()] = FusionOutcome::Fused;
+                }
             }
-            let exact = ev.evaluate(&map, &loc).makespan();
-            prop_assert!(
-                floor_makespan <= exact,
-                "{} on {}, subset {}: floor makespan {} above exact {}",
-                model.name(), fabric, subset, floor_makespan, exact
-            );
+            let masked: Vec<FusionOutcome> = class
+                .iter()
+                .enumerate()
+                .map(|(i, c)| if fix_mask[i % fix_mask.len()] { *c } else { FusionOutcome::Free })
+                .collect();
+            let exact: Vec<Seconds> =
+                order.iter().map(|id| ev.layer_cost(&map, &loc, *id).duration()).collect();
+            let exact_makespan = ev.evaluate(&map, &loc).makespan();
+            for (fixed, outcomes) in [("none", &free), ("some", &masked), ("all", &class)] {
+                let (floors, floor_makespan) = floor_of(outcomes);
+                for ((id, floor), exact) in order.iter().zip(&floors).zip(&exact) {
+                    prop_assert!(
+                        floor <= exact,
+                        "layer {:?} of {} on {}, subset {}, {} fixed: floor {} above exact {}",
+                        id, model.name(), fabric, subset, fixed, floor, exact
+                    );
+                }
+                prop_assert!(
+                    floor_makespan <= exact_makespan,
+                    "{} on {}, subset {}, {} fixed: floor makespan {} above exact {}",
+                    model.name(), fabric, subset, fixed, floor_makespan, exact_makespan
+                );
+                if subset == 0 && fixed == "all" {
+                    // Every producer unfused: the floor is the exact
+                    // cost of the empty fusion set, bitwise.
+                    prop_assert!(floors == exact, "{} on {}: unfused floor not exact", model.name(), fabric);
+                    prop_assert!(floor_makespan == exact_makespan);
+                }
+            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Property-based tests over randomly generated MMMT-shaped DAGs:
 //! schedule well-formedness, locality monotonicity, analytic↔event-sim
-//! agreement, delta search ↔ full-re-evaluation reference and the
-//! latency floor ↔ the rebuilt makespan on random fabrics, and
-//! full-pipeline invariants on arbitrary inputs.
+//! agreement, delta search ↔ full-re-evaluation reference, the latency
+//! floor ↔ the rebuilt makespan and the floor's split ↔ exact scores on
+//! random fabrics, and full-pipeline invariants on arbitrary inputs.
 
 use proptest::prelude::*;
 
@@ -95,6 +95,96 @@ fn any_mapping(model: &ModelGraph, system: &SystemSpec, picks: &[usize]) -> Mapp
         mapping.set(id, capable[pick]);
     }
     mapping
+}
+
+/// Runs step 4's search walk on the delta engine — layers in
+/// topological order, each one's neighbour boards in ascending order,
+/// the first improving move taken, until a pass accepts nothing — and
+/// asserts that every move the latency screen's split on fusion
+/// outcomes rejects fails the accept rule when staged and scored
+/// exactly. Returns the search counters.
+fn split_search_is_sound(model: &ModelGraph, system: &SystemSpec) -> h2h::core::SearchStats {
+    use h2h::core::compute_map::computation_prioritized;
+    use h2h::core::preset::PinPreset;
+    use h2h::core::DeltaEngine;
+    let ev = Evaluator::new(model, system);
+    let cfg = H2hConfig::default();
+    let preset = PinPreset::new();
+    let (mut mapping, _) = computation_prioritized(&ev, &cfg, &preset).unwrap();
+    let mut engine = DeltaEngine::new(&ev, &cfg, &preset, &mapping);
+    let mut accs: Vec<AccId> = Vec::new();
+    for _ in 0..cfg.remap_max_passes {
+        let mut improved = false;
+        for layer in model.topo_order() {
+            let here = mapping.acc_of(layer);
+            accs.clear();
+            accs.extend(
+                model
+                    .predecessors(layer)
+                    .chain(model.successors(layer))
+                    .map(|n| mapping.acc_of(n))
+                    .filter(|a| *a != here && system.acc(*a).supports(model.layer(layer))),
+            );
+            accs.sort_unstable();
+            accs.dedup();
+            for &to in &accs {
+                let split_before = engine.stats.split_screened;
+                if engine.try_improving_move(&mut mapping, layer, to) {
+                    improved = true;
+                    break;
+                }
+                if engine.stats.split_screened > split_before {
+                    let best = engine.score();
+                    let exact = engine.stage_move(&mut mapping, layer, to);
+                    let accepted = exact + cfg.accept_epsilon < best;
+                    assert!(
+                        !accepted,
+                        "split rejected {layer:?} -> {to:?}, whose exact score {exact} beats {best}"
+                    );
+                    engine.reject_staged(&mut mapping);
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    engine.stats
+}
+
+#[test]
+fn split_search_rejects_moves_on_fixed_random_dags() {
+    // The property below holds vacuously if the split never rejects a
+    // move. Pin that it does: four full-size DAG recipes, drawn from a
+    // fixed xorshift stream (so they cannot drift with the test RNG),
+    // on the uniform Low- star.
+    let system = SystemSpec::standard(BandwidthClass::LowMinus);
+    let mut split = 0;
+    for seed in 0..4u64 {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as usize
+        };
+        let grows: Vec<Grow> = (0..18)
+            .map(|_| match next() % 3 {
+                0 => Grow::Concat {
+                    a: next(),
+                    b: next(),
+                },
+                _ => Grow::Fc {
+                    from: next(),
+                    width: (16 + next() % 2000) as u16,
+                },
+            })
+            .collect();
+        let widths = (0..3).map(|_| (8 + next() % 500) as u16).collect();
+        let model = random_model(1 + seed as usize % 3, widths, grows);
+        split += split_search_is_sound(&model, &system).split_screened;
+    }
+    assert!(split > 0, "the split rejected no move on any recipe");
 }
 
 proptest! {
@@ -204,7 +294,7 @@ proptest! {
         // schedule's makespan never exceeds the exact one.
         use h2h::core::activation_fusion::rebuild_locality;
         use h2h::core::preset::PinPreset;
-        use h2h::system::{IncrementalSchedule, Topology};
+        use h2h::system::{FusionOutcome, IncrementalSchedule, Topology};
         let rate = |i: usize| BandwidthClass::ALL[classes[i]].bandwidth();
         let base = SystemSpec::standard(BandwidthClass::LowMinus);
         let links = (0..base.num_accs()).map(|a| rate(1 + a)).collect();
@@ -212,10 +302,27 @@ proptest! {
         let mapping = any_mapping(&model, &system, &picks);
         let ev = Evaluator::new(&model, &system);
         let loc = rebuild_locality(&ev, &mapping, &H2hConfig::default(), &PinPreset::new());
-        let floor =
-            IncrementalSchedule::from_costs(&ev, &mapping, |id| ev.layer_cost_floor(&mapping, &loc, id));
+        let free = vec![FusionOutcome::Free; model.id_bound()];
+        let floor = IncrementalSchedule::from_costs(&ev, &mapping, |id| {
+            ev.layer_cost_floor(&mapping, &loc, &free, id)
+        });
         let exact = ev.evaluate(&mapping, &loc).makespan();
         prop_assert!(floor.makespan() <= exact, "floor {} above exact {}", floor.makespan(), exact);
+    }
+
+    #[test]
+    fn split_rejections_fail_the_accept_rule_on_random_star_fabrics(
+        model in model_strategy(),
+        classes in proptest::collection::vec(0usize..BandwidthClass::ALL.len(), 13),
+    ) {
+        // Host NIC and every board link at an independently drawn
+        // bandwidth class: the producers the split branches on, and
+        // the routes its unfused class charges, vary with the fabric.
+        let rate = |i: usize| BandwidthClass::ALL[classes[i]].bandwidth();
+        let base = SystemSpec::standard(BandwidthClass::LowMinus);
+        let links = (0..base.num_accs()).map(|a| rate(1 + a)).collect();
+        let system = base.with_topology(h2h::system::Topology::star(rate(0), links));
+        split_search_is_sound(&model, &system);
     }
 
     #[test]
