@@ -22,22 +22,22 @@
 //! # Scoring a candidate (bitwise-exact)
 //!
 //! The fusion pass guards "risky" candidates with a *global* makespan
-//! comparison, so in general the staged rebuild must replay the fusion
-//! pass over **all** accelerators in its exact global order (with the
-//! guard answered by the incremental schedule, which is bitwise-equal
-//! to the full evaluation it replaces). The greedy step first asks the
-//! latency screen whether the candidate can win at all; each candidate
-//! it lets through takes the cheapest path its shape allows:
+//! comparison, so the staged rebuild replays the fusion pass over
+//! **all** accelerators in its exact global order, with the guard
+//! answered by the incremental schedule (bitwise-equal to the full
+//! evaluation it replaces). The greedy step first asks the latency
+//! screen whether the candidate can win at all; every candidate it lets
+//! through, and every candidate the annealer stages, takes that one
+//! replay. A candidate that meets no risky guard pays only the replay's
+//! final flush; each risky guard it meets costs what its row says:
 //!
-//! | Candidate shape | Path | Per-guard cost |
+//! | Candidate or guard | Path | Cost |
 //! |---|---|---|
-//! | latency objective, floor makespan cannot beat the incumbent | **screened**: rejected unstaged | none (one floor propagation, no fusion pass) |
-//! | latency objective, floor passes but no branch of its split on fusion outcomes can beat the incumbent | **split-screened**: rejected unstaged | none (one floor propagation per branch, no fusion pass) |
-//! | no risky producer anywhere | prefix-exact scoped re-fusion | no guards at all |
-//! | risky, ≤ [`SMALL_MODEL_THRESHOLD`] layers | plain full evaluation | n/a (one `O(V+E)` eval) |
-//! | risky, large, guard **proven** by dominance | global replay, guard pruned | `O(1)` proof, deferred refresh |
-//! | risky, large, guard unproven, accepted | global replay, toggle kept | one cone propagation |
-//! | risky, large, guard unproven, rejected | global replay, toggle undone | one cone propagation + `O(cone)` journal restore |
+//! | latency objective, floor makespan cannot beat the incumbent | **screened**: rejected unstaged | one floor propagation, no fusion pass |
+//! | latency objective, floor passes but no branch of its split on fusion outcomes can beat the incumbent | **split-screened**: rejected unstaged | one floor propagation per branch, no fusion pass |
+//! | risky guard **proven** by dominance | global replay, guard pruned | `O(1)` proof, deferred refresh |
+//! | risky guard unproven, accepted | global replay, toggle kept | one cone propagation |
+//! | risky guard unproven, rejected | global replay, toggle undone | one cone propagation + `O(cone)` journal restore |
 //!
 //! * **Latency screen** ([`DeltaEngine::try_improving_move`] under
 //!   [`MapObjective::Latency`] only) — most step-4 moves are rejected,
@@ -95,22 +95,9 @@
 //!   candidate, so an accept needs no rebuild. The annealer stages
 //!   directly and needs exact scores for its Metropolis rule, so it
 //!   never builds or reads the floor.
-//! * **Prefix-exact fast path** — risky candidates only arise at
-//!   producers with ≥ 2 consumers at least one of which is co-located.
-//!   When the candidate mapping has *no* such producer anywhere, every
-//!   fusion decision is a purely per-accelerator capacity rule, so
-//!   untouched accelerators' fusion sets are carried over verbatim and
-//!   only the two touched accelerators' candidates are re-fused — no
-//!   global replay, no makespan guards. Chain-structured models (VFS,
-//!   CNN-LSTM, MoCap) take this path for essentially every candidate.
-//! * **Full-eval fallback** — on small models (≤
-//!   [`SMALL_MODEL_THRESHOLD`] layers) a risky candidate is cheaper to
-//!   score by a plain full rebuild + evaluation than by the global
-//!   replay; the engine does exactly that (and reseeds the delta state
-//!   on accept).
-//! * **Guard-dominance pruning** (large-model replay) — before a risky
-//!   guard replays its toggle, [`DeltaOracle::resolve_guard`] tries to
-//!   *prove* the accept/reject outcome from local quantities: the
+//! * **Guard-dominance pruning** — before a risky guard replays its
+//!   toggle, [`DeltaOracle::resolve_guard`] tries to *prove* the
+//!   accept/reject outcome from local quantities: the
 //!   producer's new finish time is exactly computable, and when every
 //!   reader of it absorbs the change (their starts already clear it)
 //!   while the consumer's saving keeps its own finish bounded, the
@@ -126,9 +113,9 @@
 //!   instead of paying a second cost-refresh + re-propagation.
 //!
 //! Accepted candidates commit the delta state directly; the only full
-//! evaluations in a search run are the seed, the finalization and any
-//! full-eval-fallback candidates. Final mappings and latencies are
-//! identical to the per-candidate full-re-evaluation reference,
+//! evaluations in a search run are the seed and the finalization. Final
+//! mappings and latencies are identical to the per-candidate
+//! full-re-evaluation reference,
 //! [`crate::remap::data_locality_remapping_reference`] (asserted by the
 //! equivalence suites on the zoo, on random and synthetic models and on
 //! non-uniform fabrics).
@@ -140,7 +127,6 @@
 use serde::Serialize;
 
 use h2h_model::graph::LayerId;
-use h2h_model::layer::LayerOp;
 use h2h_model::units::{Bytes, Seconds};
 use h2h_system::incremental::IncrementalSchedule;
 use h2h_system::locality::LocalityState;
@@ -154,12 +140,6 @@ use crate::activation_fusion::{
 use crate::config::{H2hConfig, MapObjective};
 use crate::preset::PinPreset;
 use crate::weight_locality::weight_locality_pass;
-
-/// Models with at most this many layers score a risky candidate (one
-/// the prefix-exact fast path cannot take) by a plain full evaluation
-/// instead of the global fusion-pass replay: calibrated on the zoo,
-/// below ~80 layers the replay costs more than one full evaluation.
-pub const SMALL_MODEL_THRESHOLD: usize = 80;
 
 /// Deepest chain of producers the latency screen's split fixes before
 /// it gives up on a move (see the module docs).
@@ -176,8 +156,9 @@ const SPLIT_MAX_BRANCHES: usize = 64;
 pub struct SearchStats {
     /// Candidate moves scored by the delta engine.
     pub delta_evals: usize,
-    /// Delta evaluations that took the prefix-exact fast path (no
-    /// global fusion replay).
+    /// Always 0: every delta evaluation takes the global fusion
+    /// replay. Kept only until the next benchmark change stops reading
+    /// it.
     pub prefix_evals: usize,
     /// Full `Evaluator::evaluate` calls on the search path.
     pub full_evals: usize,
@@ -250,7 +231,6 @@ impl SearchStats {
     /// Accumulates another run's counters into this one.
     pub fn absorb(&mut self, other: &SearchStats) {
         self.delta_evals += other.delta_evals;
-        self.prefix_evals += other.prefix_evals;
         self.full_evals += other.full_evals;
         self.full_rebuilds += other.full_rebuilds;
         self.scoped_rebuilds += other.scoped_rebuilds;
@@ -284,11 +264,11 @@ fn note_propagation(stats: &mut SearchStats, touched: usize) {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct PhaseProfile {
     /// Candidate scoring outside the other buckets: locality
-    /// strip/rebuild replay, fusion-pass bookkeeping, full-eval
-    /// fallbacks, staged-candidate rollback.
+    /// strip/rebuild replay, fusion-pass bookkeeping, staged-candidate
+    /// rollback.
     pub scoring_s: f64,
     /// Deferred cost refresh + cone propagation rounds (the
-    /// [`DeltaOracle`] flush/toggle paths and the prefix-path flush).
+    /// [`DeltaOracle`] flush/toggle paths).
     pub propagate_s: f64,
     /// Risky-guard resolution: dominance proofs, toggle savepoints and
     /// `O(cone)` reverts.
@@ -568,13 +548,12 @@ impl DeltaOracle<'_, '_, '_> {
 }
 
 /// The staged candidate: which layer moved, where it came from, and
-/// whether it was scored through the delta schedule (transactional) or
-/// a plain full evaluation.
-#[derive(Debug, Clone, Copy)]
+/// the locality its replay rebuilt.
+#[derive(Debug)]
 struct StagedMove {
     layer: LayerId,
     from: AccId,
-    delta: bool,
+    locality: LocalityState,
 }
 
 /// The latency screen's lower-bound twin of the engine's exact state
@@ -836,24 +815,14 @@ pub struct DeltaEngine<'e, 'm> {
     preset: &'e PinPreset,
     inc: IncrementalSchedule,
     locality: LocalityState,
-    schedule: Schedule,
+    /// The seed mapping's full evaluation.
+    seed_schedule: Schedule,
     score: f64,
     staged: Option<StagedMove>,
-    staged_locality: Option<LocalityState>,
-    staged_schedule: Option<Schedule>,
-    staged_makespan: f64,
-    /// Small models score risky candidates by full evaluation, large
-    /// ones by the global replay ([`SMALL_MODEL_THRESHOLD`]).
-    prefer_full: bool,
     /// All non-input-producer edges pre-sorted by the fusion pass's
     /// global order (bytes desc, then endpoint indices) — the
     /// mapping-independent part of the candidate list, computed once.
     sorted_edges: Vec<(LayerId, LayerId, Bytes)>,
-    /// Non-input producers with ≥ 2 consumers (and those consumers):
-    /// the only places a "risky" fusion candidate can arise. The
-    /// prefix-exact fast path applies exactly when no such producer is
-    /// co-located with any of its consumers in the candidate mapping.
-    multi_out: Vec<(LayerId, Vec<LayerId>)>,
     /// The latency screen's floor state. The first screened
     /// [`DeltaEngine::try_improving_move`] builds it, so direct staging
     /// (the annealer) never does; a commit it did not price drops it.
@@ -865,7 +834,6 @@ pub struct DeltaEngine<'e, 'm> {
     scratch_seeds: Vec<LayerId>,
     scratch_cands: Vec<(LayerId, LayerId, Bytes)>,
     scratch_pins: Vec<(LayerId, AccId)>,
-    scratch_fusions: Vec<(LayerId, LayerId, AccId)>,
     /// Evaluation counters for this run.
     pub stats: SearchStats,
     /// Phase timers armed ([`H2hConfig::profile_phases`]).
@@ -888,41 +856,26 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         let mut stats = SearchStats::default();
         stats.full_rebuilds += 1;
         stats.full_evals += 1;
-        let model = ev.model();
         let locality = rebuild_locality(ev, mapping, cfg, preset);
-        let schedule = ev.evaluate(mapping, &locality);
-        let score = cfg.objective.score(&schedule);
+        let seed_schedule = ev.evaluate(mapping, &locality);
+        let score = cfg.objective.score(&seed_schedule);
         let inc = IncrementalSchedule::new(ev, mapping, &locality);
-        let multi_out = model
-            .layer_ids()
-            .filter(|id| !matches!(model.layer(*id).op(), LayerOp::Input { .. }))
-            .filter_map(|id| {
-                let succs: Vec<LayerId> = model.successors(id).collect();
-                (succs.len() >= 2).then_some((id, succs))
-            })
-            .collect();
         DeltaEngine {
             ev,
             cfg,
             preset,
             inc,
             locality,
-            schedule,
+            seed_schedule,
             score,
             staged: None,
-            staged_locality: None,
-            staged_schedule: None,
-            staged_makespan: 0.0,
-            prefer_full: model.num_layers() <= SMALL_MODEL_THRESHOLD,
-            sorted_edges: sorted_fusable_edges(model),
-            multi_out,
+            sorted_edges: sorted_fusable_edges(ev.model()),
             floor: None,
             spare_locality: None,
             scratch_costs: Vec::new(),
             scratch_seeds: Vec::new(),
             scratch_cands: Vec::new(),
             scratch_pins: Vec::new(),
-            scratch_fusions: Vec::new(),
             stats,
             profile_enabled: cfg.profile_phases,
             profile: PhaseProfile::default(),
@@ -934,13 +887,12 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         self.score
     }
 
-    /// Schedule of the last exactly evaluated state (the seed, the last
-    /// [`DeltaEngine::finalize`]d state, or the last accepted
-    /// full-eval-fallback candidate). Trusted delta accepts advance the
-    /// engine past this snapshot; call [`DeltaEngine::finalize`] for an
-    /// up-to-date exact schedule.
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
+    /// Schedule of the seed mapping, from the one full evaluation
+    /// [`DeltaEngine::new`] runs. Accepted moves advance the engine past
+    /// it; call [`DeltaEngine::finalize`] for an exact schedule of the
+    /// current state.
+    pub fn seed_schedule(&self) -> &Schedule {
+        &self.seed_schedule
     }
 
     /// Locality of the current state (exact: the staged rebuild replay
@@ -963,102 +915,27 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         (self.locality, schedule, self.stats)
     }
 
-    /// True when moving `layer` to `to` leaves a mapping in which some
-    /// multi-consumer producer is co-located with one of its consumers —
-    /// i.e. the fusion pass could see a "risky" candidate whose accept
-    /// decision needs a global makespan guard. When false, the
-    /// prefix-exact fast path applies.
-    fn candidate_has_risky_fusion(
-        &self,
-        mapping: &Mapping,
-        layer: LayerId,
-        to: AccId,
-    ) -> bool {
-        let mapped = |l: LayerId| if l == layer { Some(to) } else { mapping.get(l) };
-        self.multi_out.iter().any(|(f, succs)| {
-            let fa = mapped(*f);
-            fa.is_some() && succs.iter().any(|s| mapped(*s) == fa)
-        })
-    }
-
     /// Stages the candidate "move `layer` to `to`": mutates `mapping`,
-    /// scores the candidate through the cheapest exact path its shape
-    /// allows (prefix-exact scoped rebuild, plain full evaluation on a
-    /// small model, or global fusion replay — see the module docs) and
-    /// returns the candidate's objective score. The candidate stays
-    /// staged until [`DeltaEngine::reject_staged`] or
-    /// [`DeltaEngine::accept_staged`].
+    /// scores the candidate exactly by a scoped step-2 rebuild of the
+    /// two touched boards and the global fusion-pass replay on the
+    /// delta schedule (see the module docs), and returns its objective
+    /// score. The candidate stays staged until
+    /// [`DeltaEngine::reject_staged`] or [`DeltaEngine::accept_staged`].
     ///
     /// # Panics
     ///
     /// Panics if a candidate is already staged or `to` equals the
     /// layer's current accelerator.
     pub fn stage_move(&mut self, mapping: &mut Mapping, layer: LayerId, to: AccId) -> f64 {
-        if !self.profile_enabled {
-            return self.stage_move_inner(mapping, layer, to);
-        }
-        // The oracle charges its own propagate/guard spans while the
-        // stage runs; scoring gets the remainder of the elapsed time.
-        let inner_before = self.profile.propagate_s + self.profile.guard_s;
-        let t0 = std::time::Instant::now();
-        let score = self.stage_move_inner(mapping, layer, to);
-        let inner = (self.profile.propagate_s + self.profile.guard_s) - inner_before;
-        self.profile.scoring_s += (t0.elapsed().as_secs_f64() - inner).max(0.0);
-        score
-    }
-
-    fn stage_move_inner(&mut self, mapping: &mut Mapping, layer: LayerId, to: AccId) -> f64 {
         assert!(self.staged.is_none(), "candidate already staged");
         let from = mapping.acc_of(layer);
         assert_ne!(from, to, "staging a no-op move");
-        if !self.candidate_has_risky_fusion(mapping, layer, to) {
-            self.stage_delta(mapping, layer, from, to, true)
-        } else if self.prefer_full {
-            self.stage_full(mapping, layer, from, to)
-        } else {
-            self.stage_delta(mapping, layer, from, to, false)
-        }
-    }
-
-    /// Plain full evaluation of the candidate (reference semantics);
-    /// the delta schedule is left untouched and reseeded on accept.
-    fn stage_full(
-        &mut self,
-        mapping: &mut Mapping,
-        layer: LayerId,
-        from: AccId,
-        to: AccId,
-    ) -> f64 {
-        self.stats.full_evals += 1;
-        self.stats.full_rebuilds += 1;
-        self.staged = Some(StagedMove { layer, from, delta: false });
-        mapping.set(layer, to);
-        let loc = rebuild_locality(self.ev, mapping, self.cfg, self.preset);
-        let schedule = self.ev.evaluate(mapping, &loc);
-        let score = self.cfg.objective.score(&schedule);
-        self.staged_makespan = schedule.makespan().as_f64();
-        self.staged_locality = Some(loc);
-        self.staged_schedule = Some(schedule);
-        score
-    }
-
-    /// Transactional delta scoring: scoped pin rebuild plus either the
-    /// prefix-exact local re-fusion (`prefix`) or the global
-    /// fusion-pass replay.
-    fn stage_delta(
-        &mut self,
-        mapping: &mut Mapping,
-        layer: LayerId,
-        from: AccId,
-        to: AccId,
-        prefix: bool,
-    ) -> f64 {
+        // The oracle charges its own propagate/guard spans while the
+        // stage runs; scoring gets the remainder of the elapsed time.
+        let t0 = self.profile_enabled.then(std::time::Instant::now);
+        let inner_before = self.profile.propagate_s + self.profile.guard_s;
         self.stats.delta_evals += 1;
         self.stats.scoped_rebuilds += 1;
-        if prefix {
-            self.stats.prefix_evals += 1;
-        }
-        self.staged = Some(StagedMove { layer, from, delta: true });
         self.inc.begin();
 
         let model = self.ev.model();
@@ -1106,39 +983,18 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         }
 
         // Fusions: the activation-fusion pass guards "risky" candidates
-        // with a *global* makespan comparison, so in general any
-        // accelerator's fusion decisions can flip when the schedule
-        // changes — the replay strips them all and re-runs the pass in
-        // its exact global order below. On the prefix fast path the
-        // caller has proven no risky candidate exists anywhere, so
-        // every fusion decision is a per-accelerator capacity rule:
-        // only the two touched accelerators' fusions (charge
-        // attribution: the producer's pre-move accelerator, which
-        // co-location guarantees equals the consumer's) can change.
-        if prefix {
-            self.scratch_fusions.clear();
-            self.scratch_fusions.extend(
-                loc.fused_edges()
-                    .filter_map(|(f, t)| mapping.get(f).map(|a| (f, t, a)))
-                    .filter(|(_, _, a)| in_scope(*a)),
-            );
-            for k in 0..self.scratch_fusions.len() {
-                let (f, t, a) = self.scratch_fusions[k];
-                loc.unfuse(model, f, t, a);
-                pending_costs.push(f);
-                pending_costs.push(t);
-            }
-        } else {
-            // The replay strips *every* fused edge; per-edge removal
-            // from the sorted vec would be quadratic, so the bulk strip
-            // refunds all recorded charges in one linear pass.
-            pending_costs.extend(
-                loc.fused_edges()
-                    .filter(|(f, _)| mapping.get(*f).is_some())
-                    .flat_map(|(f, t)| [f, t]),
-            );
-            loc.unfuse_all(mapping);
-        }
+        // with a *global* makespan comparison, so any accelerator's
+        // fusion decisions can flip when the schedule changes — the
+        // replay strips them all and re-runs the pass in its exact
+        // global order below. Per-edge removal from the sorted vec
+        // would be quadratic, so the bulk strip refunds all recorded
+        // charges in one linear pass.
+        pending_costs.extend(
+            loc.fused_edges()
+                .filter(|(f, _)| mapping.get(*f).is_some())
+                .flat_map(|(f, t)| [f, t]),
+        );
+        loc.unfuse_all(mapping);
 
         // Apply the move.
         mapping.set(layer, to);
@@ -1167,90 +1023,57 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         pending_costs
             .extend(loc.pinned_layers().filter(|l| mapping.get(*l).is_some_and(in_scope)));
 
-        if self.cfg.enable_activation_fusion && prefix {
-            // Prefix-exact step 3: only the touched accelerators'
-            // candidates are re-fused, in the canonical global order
-            // restricted to them (per-accelerator budget consumption
-            // order is preserved, and that is all a capacity-only
-            // decision depends on). No makespan guards are needed: the
-            // no-risky-candidate precondition makes every candidate's
-            // accept rule unconditional-if-it-fits.
-            let system = self.ev.system();
-            for &(f, t, bytes) in &self.sorted_edges {
-                let fa = mapping.get(f);
-                if fa.is_none() || fa != mapping.get(t) {
-                    continue;
-                }
-                let acc = fa.expect("checked above");
-                if !in_scope(acc) {
-                    continue;
-                }
-                if loc.try_fuse_bytes(system, f, t, acc, bytes) {
-                    pending_costs.push(f);
-                    pending_costs.push(t);
-                }
-            }
-        }
-        if self.cfg.enable_activation_fusion && !prefix {
-            // Step 3 replay: the shared `fusion_pass` body over all
-            // accelerators in the exact global candidate order of
-            // `activation_fusion_opt`, with the makespan guard for
-            // risky candidates answered by the delta schedule
-            // (bitwise-equal to the full evaluation it replaces).
+        // Step 3 replay: the shared `fusion_pass` body over all
+        // accelerators in the exact global candidate order of
+        // `activation_fusion_opt`, with the makespan guard for risky
+        // candidates answered by the delta schedule (bitwise-equal to
+        // the full evaluation it replaces). The final flush lands
+        // whatever the guards left pending; with fusion off it is the
+        // only one.
+        let mut oracle = DeltaOracle {
+            ev: self.ev,
+            mapping,
+            inc: &mut self.inc,
+            stats: &mut self.stats,
+            pending: pending_costs,
+            pending_seeds,
+            savepoint: None,
+            profile: self.profile_enabled.then_some(&mut self.profile),
+        };
+        if self.cfg.enable_activation_fusion {
             let mut candidates = std::mem::take(&mut self.scratch_cands);
             candidates.clear();
             candidates.extend(self.sorted_edges.iter().copied().filter(|(f, t, _)| {
                 mapping.get(*f).is_some() && mapping.get(*f) == mapping.get(*t)
             }));
-            let mut oracle = DeltaOracle {
-                ev: self.ev,
-                mapping,
-                inc: &mut self.inc,
-                stats: &mut self.stats,
-                pending: pending_costs,
-                pending_seeds,
-                savepoint: None,
-                profile: self.profile_enabled.then_some(&mut self.profile),
-            };
             fusion_pass(self.ev, mapping, &mut loc, &candidates, &mut oracle);
-            oracle.flush(&loc);
-            self.scratch_costs = oracle.pending;
-            self.scratch_seeds = oracle.pending_seeds;
             self.scratch_cands = candidates;
-        } else {
-            // Prefix path (or fusion disabled): one deferred flush (a
-            // layer refreshed once with its final state is the same
-            // snapshot its duplicates would telescope to).
-            let t0 = self.profile_enabled.then(std::time::Instant::now);
-            pending_costs.sort_unstable();
-            pending_costs.dedup();
-            let (ev, mapping) = (self.ev, &*mapping);
-            self.inc.refresh_costs_into(
-                pending_costs.drain(..),
-                |id| ev.layer_cost(mapping, &loc, id),
-                &mut pending_seeds,
-            );
-            self.inc.propagate(&pending_seeds);
-            note_propagation(&mut self.stats, self.inc.touched());
-            self.scratch_costs = pending_costs;
-            self.scratch_seeds = pending_seeds;
-            if let Some(t0) = t0 {
-                self.profile.propagate_s += t0.elapsed().as_secs_f64();
-            }
         }
+        oracle.flush(&loc);
+        self.scratch_costs = oracle.pending;
+        self.scratch_seeds = oracle.pending_seeds;
 
         // A fresh in-order summation makes the proxy aggregates
         // bitwise-equal to a full evaluation's, so every objective's
         // score — not just latency — filters exactly.
         self.inc.resum_aggregates();
-        self.staged_makespan = self.inc.makespan().as_f64();
-        self.staged_locality = Some(loc);
-        self.cfg.objective.score_proxy(&self.inc.proxy())
+        self.staged = Some(StagedMove {
+            layer,
+            from,
+            locality: loc,
+        });
+        let score = self.cfg.objective.score_proxy(&self.inc.proxy());
+        if let Some(t0) = t0 {
+            let inner = (self.profile.propagate_s + self.profile.guard_s) - inner_before;
+            self.profile.scoring_s += (t0.elapsed().as_secs_f64() - inner).max(0.0);
+        }
+        score
     }
 
-    /// Makespan of the currently staged candidate (exact).
+    /// Makespan of the currently staged candidate (exact), or of the
+    /// current state when none is staged.
     pub fn staged_makespan(&self) -> f64 {
-        self.staged_makespan
+        self.inc.makespan().as_f64()
     }
 
     /// Rolls the staged candidate back, restoring `mapping` and the
@@ -1263,12 +1086,9 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         let t0 = self.profile_enabled.then(std::time::Instant::now);
         let staged = self.staged.take().expect("no staged candidate");
         // Recycle the staged locality's buffers for the next candidate.
-        self.spare_locality = self.staged_locality.take();
-        self.staged_schedule = None;
+        self.spare_locality = Some(staged.locality);
         mapping.set(staged.layer, staged.from);
-        if staged.delta {
-            self.inc.rollback();
-        }
+        self.inc.rollback();
         if let Some(floor) = self.floor.as_mut().filter(|f| f.open) {
             floor.close(self.ev, false);
         }
@@ -1279,34 +1099,19 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
     }
 
     /// Commits the staged candidate: its replayed locality and delta
-    /// schedule become the engine's current state (a delta-staged
-    /// candidate commits without any full evaluation — the replay is
-    /// exact by construction; a full-eval-staged candidate reseeds the
-    /// delta schedule from its already-evaluated state). `mapping` must
-    /// be the mapping the candidate was staged on (still moved).
-    /// Returns the committed objective score.
+    /// schedule become the engine's current state, without any full
+    /// evaluation (the replay is exact by construction). The mapping
+    /// the candidate was staged on stays moved. Returns the committed
+    /// objective score.
     ///
     /// # Panics
     ///
     /// Panics if no candidate is staged.
-    pub fn accept_staged(&mut self, mapping: &Mapping) -> f64 {
+    pub fn accept_staged(&mut self) -> f64 {
         let t0 = self.profile_enabled.then(std::time::Instant::now);
         let staged = self.staged.take().expect("no staged candidate");
-        let accepted = self
-            .staged_locality
-            .take()
-            .expect("staged candidate carries its locality");
-        self.spare_locality = Some(std::mem::replace(&mut self.locality, accepted));
-        if staged.delta {
-            self.inc.commit();
-            self.staged_schedule = None;
-        } else {
-            self.schedule = self
-                .staged_schedule
-                .take()
-                .expect("full-eval candidate carries its schedule");
-            self.inc = IncrementalSchedule::new(self.ev, mapping, &self.locality);
-        }
+        self.spare_locality = Some(std::mem::replace(&mut self.locality, staged.locality));
+        self.inc.commit();
         match self.floor.as_mut() {
             Some(floor) if floor.open => {
                 floor.close(self.ev, true);
@@ -1362,11 +1167,11 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         debug_assert!(
             self.floor
                 .as_ref()
-                .is_none_or(|f| f.inc.makespan().as_f64() <= self.staged_makespan),
+                .is_none_or(|f| f.inc.makespan() <= self.inc.makespan()),
             "floor makespan above the exact one"
         );
         if cand + self.cfg.accept_epsilon < best {
-            self.accept_staged(mapping);
+            self.accept_staged();
             true
         } else {
             self.reject_staged(mapping);
@@ -1450,7 +1255,7 @@ mod tests {
         assert!(engine.floor.is_some(), "a screened move builds the floor");
         let (layer, to) = moves[1];
         engine.stage_move(&mut mapping, layer, to);
-        engine.accept_staged(&mapping);
+        engine.accept_staged();
         assert!(
             engine.floor.is_none(),
             "a direct commit must retire the floor"

@@ -21,10 +21,9 @@
 //! locality-rebuild replay plus cone-local schedule propagation (paper
 //! §4.2's "update … without traversing the entire graph"), with risky
 //! fusion guards dominance-pruned and rejected toggles restored from
-//! the journal savepoint — or, for a small model's risky candidates, by
-//! a plain full evaluation (see [`crate::delta`]; every path scores bitwise
-//! like a full evaluation, and the screen only rejects moves the exact
-//! score would reject too). Accepted moves commit the delta state
+//! the journal savepoint (see [`crate::delta`]; the replay scores
+//! bitwise like a full evaluation, and the screen only rejects moves the
+//! exact score would reject too). Accepted moves commit the delta state
 //! directly, producing final mappings identical to the per-candidate
 //! full-re-evaluation loop, kept below as
 //! [`data_locality_remapping_reference`] and asserted equivalent by the

@@ -138,7 +138,7 @@ pub fn repair_mapping(
     // 2. Price the evacuated incumbent on the degraded fabric: the
     //    engine's seed is that mapping's full rebuild and evaluation.
     let mut engine = DeltaEngine::new(ev, cfg, preset, &mapping);
-    let incumbent_degraded = engine.schedule().makespan();
+    let incumbent_degraded = engine.seed_schedule().makespan();
 
     // 3. Budgeted delta search, fault-affected layers first.
     let order = repair_visit_order(model, &mapping, &evacuated, state);

@@ -138,9 +138,8 @@ pub fn search_stats_report(stats: &SearchStats) -> String {
     out.push('\n');
     let _ = writeln!(
         out,
-        "  evals: {} delta ({} prefix-exact) + {} full ({:.1}x saved)",
+        "  evals: {} delta + {} full ({:.1}x saved)",
         stats.delta_evals,
-        stats.prefix_evals,
         stats.full_evals,
         stats.full_evals_saved_ratio()
     );

@@ -48,8 +48,8 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn search_stats_report_snapshot_mocap() {
-    // A chain model: every candidate on the prefix fast path, zero
-    // risky guards.
+    // A chain model: zero risky guards, so each staged candidate's
+    // replay is one flush and one propagation.
     let model = h2h_model::zoo::mocap();
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let out = H2hMapper::new(&model, &system).run().unwrap();
@@ -70,9 +70,9 @@ fn search_stats_report_snapshot_casia_surf() {
 fn simulated_annealing_snapshot_cnn_lstm() {
     // The annealer's walk: three RNG draws and one cooling step per
     // iteration, skipped or not, with every proposal scored on the
-    // delta engine — or, for this small model's risky candidates, by a
-    // full evaluation. Any change to the draw order, the acceptance rule
-    // or a candidate's score moves the placement, makespan or counters.
+    // delta engine's fusion replay, risky guards included. Any change
+    // to the draw order, the acceptance rule or a candidate's score
+    // moves the placement, makespan or counters.
     let model = h2h_model::zoo::cnn_lstm();
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let ev = Evaluator::new(&model, &system);

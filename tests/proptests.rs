@@ -1,12 +1,13 @@
 //! Property-based tests over randomly generated MMMT-shaped DAGs:
 //! schedule well-formedness, locality monotonicity, analytic↔event-sim
-//! agreement, delta search ↔ full-re-evaluation reference, the latency
-//! floor ↔ the rebuilt makespan and the floor's split ↔ exact scores on
-//! random fabrics, and full-pipeline invariants on arbitrary inputs.
+//! agreement, delta search ↔ full-re-evaluation reference, staged delta
+//! scores ↔ full evaluation under every objective, the latency floor ↔
+//! the rebuilt makespan and the floor's split ↔ exact scores on random
+//! fabrics, and full-pipeline invariants on arbitrary inputs.
 
 use proptest::prelude::*;
 
-use h2h::core::{H2hConfig, H2hMapper};
+use h2h::core::{H2hConfig, H2hMapper, MapObjective};
 use h2h::model::builder::ModelBuilder;
 use h2h::model::graph::{LayerId, ModelGraph};
 use h2h::model::tensor::TensorShape;
@@ -79,6 +80,47 @@ fn model_strategy() -> impl Strategy<Value = ModelGraph> {
         proptest::collection::vec(grow_strategy(), 1..18),
     )
         .prop_map(|(inputs, widths, grows)| random_model(inputs, widths, grows))
+}
+
+/// The standard Low- system on a star whose host NIC (`classes[0]`)
+/// and board links (`classes[1..]`) each run at an independently drawn
+/// bandwidth class.
+fn random_star(classes: &[usize]) -> SystemSpec {
+    let rate = |i: usize| BandwidthClass::ALL[classes[i]].bandwidth();
+    let base = SystemSpec::standard(BandwidthClass::LowMinus);
+    let links = (0..base.num_accs()).map(|a| rate(1 + a)).collect();
+    base.with_topology(h2h::system::Topology::star(rate(0), links))
+}
+
+/// One of four fixed full-size DAG recipes (`seed` 0–3), drawn from a
+/// fixed xorshift stream so they cannot drift with the test RNG.
+fn fixed_random_dag(seed: u64) -> ModelGraph {
+    let mut next = xorshift(seed);
+    let grows: Vec<Grow> = (0..18)
+        .map(|_| match next() % 3 {
+            0 => Grow::Concat {
+                a: next(),
+                b: next(),
+            },
+            _ => Grow::Fc {
+                from: next(),
+                width: (16 + next() % 2000) as u16,
+            },
+        })
+        .collect();
+    let widths = (0..3).map(|_| (8 + next() % 500) as u16).collect();
+    random_model(1 + seed as usize % 3, widths, grows)
+}
+
+/// A fixed xorshift stream per seed.
+fn xorshift(seed: u64) -> impl FnMut() -> usize {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x as usize
+    }
 }
 
 /// Random-but-valid mapping: every layer to a capable accelerator picked
@@ -155,36 +197,109 @@ fn split_search_is_sound(model: &ModelGraph, system: &SystemSpec) -> h2h::core::
 #[test]
 fn split_search_rejects_moves_on_fixed_random_dags() {
     // The property below holds vacuously if the split never rejects a
-    // move. Pin that it does: four full-size DAG recipes, drawn from a
-    // fixed xorshift stream (so they cannot drift with the test RNG),
-    // on the uniform Low- star.
+    // move. Pin that it does: four full-size DAG recipes on the uniform
+    // Low- star.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let mut split = 0;
     for seed in 0..4u64 {
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x as usize
-        };
-        let grows: Vec<Grow> = (0..18)
-            .map(|_| match next() % 3 {
-                0 => Grow::Concat {
-                    a: next(),
-                    b: next(),
-                },
-                _ => Grow::Fc {
-                    from: next(),
-                    width: (16 + next() % 2000) as u16,
-                },
-            })
-            .collect();
-        let widths = (0..3).map(|_| (8 + next() % 500) as u16).collect();
-        let model = random_model(1 + seed as usize % 3, widths, grows);
-        split += split_search_is_sound(&model, &system).split_screened;
+        split += split_search_is_sound(&fixed_random_dag(seed), &system).split_screened;
     }
     assert!(split > 0, "the split rejected no move on any recipe");
+}
+
+/// The objectives step 4 can search under.
+const OBJECTIVES: [MapObjective; 4] = [
+    MapObjective::Latency,
+    MapObjective::Energy,
+    MapObjective::EnergyDelayProduct,
+    MapObjective::Throughput,
+];
+
+/// Stages a walk of moves on the delta engine under `objective` from
+/// the step-1 mapping. Each step moves layer `pick_layer` (mod the
+/// layer count, in topological order) to another capable board
+/// (`pick_board` mod their count) and keeps or undoes the move as
+/// `accept` says, whatever its score, as the annealer's Metropolis rule
+/// may. Asserts that every staged score equals, bitwise, the
+/// objective's score of a full locality rebuild and evaluation of the
+/// moved mapping, and returns the engine's counters.
+fn staged_walk_matches_full_evaluation(
+    model: &ModelGraph,
+    system: &SystemSpec,
+    objective: MapObjective,
+    walk: &[(usize, usize, bool)],
+) -> h2h::core::SearchStats {
+    use h2h::core::activation_fusion::rebuild_locality;
+    use h2h::core::compute_map::computation_prioritized;
+    use h2h::core::preset::PinPreset;
+    use h2h::core::DeltaEngine;
+    let ev = Evaluator::new(model, system);
+    let cfg = H2hConfig {
+        objective,
+        ..H2hConfig::default()
+    };
+    let preset = PinPreset::new();
+    let layers = model.topo_order();
+    let (mut mapping, _) = computation_prioritized(&ev, &cfg, &preset).unwrap();
+    let mut engine = DeltaEngine::new(&ev, &cfg, &preset, &mapping);
+    let mut boards: Vec<AccId> = Vec::new();
+    for &(pick_layer, pick_board, accept) in walk {
+        let layer = layers[pick_layer % layers.len()];
+        let here = mapping.acc_of(layer);
+        boards.clear();
+        boards.extend(
+            system
+                .acc_ids()
+                .filter(|a| *a != here && ev.cache().time(layer, *a).is_some()),
+        );
+        if boards.is_empty() {
+            continue;
+        }
+        let to = boards[pick_board % boards.len()];
+        let staged = engine.stage_move(&mut mapping, layer, to);
+        let loc = rebuild_locality(&ev, &mapping, &cfg, &preset);
+        let full = objective.score(&ev.evaluate(&mapping, &loc));
+        assert_eq!(
+            staged.to_bits(),
+            full.to_bits(),
+            "{objective:?}: {layer:?} -> {to:?} staged {staged}, full evaluation {full}"
+        );
+        if accept {
+            engine.accept_staged();
+        } else {
+            engine.reject_staged(&mut mapping);
+        }
+    }
+    engine.stats
+}
+
+#[test]
+fn staged_walks_reach_risky_guards_on_fixed_random_dags() {
+    // The walk property below holds vacuously for the guard path if no
+    // walk meets a risky guard. Pin that walks on the four fixed
+    // recipes do, and that the dominance proof resolves some of them.
+    let system = SystemSpec::standard(BandwidthClass::LowMinus);
+    let mut stats = h2h::core::SearchStats::default();
+    for seed in 0..4u64 {
+        let model = fixed_random_dag(seed);
+        let mut next = xorshift(seed + 100);
+        let walk: Vec<(usize, usize, bool)> = (0..64)
+            .map(|_| (next(), next(), next().is_multiple_of(2)))
+            .collect();
+        for objective in OBJECTIVES {
+            stats.absorb(&staged_walk_matches_full_evaluation(
+                &model, &system, objective, &walk,
+            ));
+        }
+    }
+    assert!(
+        stats.guards_total > 0,
+        "no walk met a risky guard: {stats:?}"
+    );
+    assert!(
+        stats.guards_skipped > 0,
+        "no guard resolved by dominance: {stats:?}"
+    );
 }
 
 proptest! {
@@ -263,11 +378,7 @@ proptest! {
         use h2h::core::compute_map::computation_prioritized;
         use h2h::core::preset::PinPreset;
         use h2h::core::remap::{data_locality_remapping, data_locality_remapping_reference};
-        use h2h::system::topology::Topology;
-        let rate = |i: usize| BandwidthClass::ALL[classes[i]].bandwidth();
-        let base = SystemSpec::standard(BandwidthClass::LowMinus);
-        let links = (0..base.num_accs()).map(|a| rate(1 + a)).collect();
-        let system = base.with_topology(Topology::star(rate(0), links));
+        let system = random_star(&classes);
         let ev = Evaluator::new(&model, &system);
         let cfg = H2hConfig::default();
         let (seed, _) = computation_prioritized(&ev, &cfg, &PinPreset::new()).unwrap();
@@ -294,11 +405,8 @@ proptest! {
         // schedule's makespan never exceeds the exact one.
         use h2h::core::activation_fusion::rebuild_locality;
         use h2h::core::preset::PinPreset;
-        use h2h::system::{FusionOutcome, IncrementalSchedule, Topology};
-        let rate = |i: usize| BandwidthClass::ALL[classes[i]].bandwidth();
-        let base = SystemSpec::standard(BandwidthClass::LowMinus);
-        let links = (0..base.num_accs()).map(|a| rate(1 + a)).collect();
-        let system = base.with_topology(Topology::star(rate(0), links));
+        use h2h::system::{FusionOutcome, IncrementalSchedule};
+        let system = random_star(&classes);
         let mapping = any_mapping(&model, &system, &picks);
         let ev = Evaluator::new(&model, &system);
         let loc = rebuild_locality(&ev, &mapping, &H2hConfig::default(), &PinPreset::new());
@@ -318,11 +426,23 @@ proptest! {
         // Host NIC and every board link at an independently drawn
         // bandwidth class: the producers the split branches on, and
         // the routes its unfused class charges, vary with the fabric.
-        let rate = |i: usize| BandwidthClass::ALL[classes[i]].bandwidth();
-        let base = SystemSpec::standard(BandwidthClass::LowMinus);
-        let links = (0..base.num_accs()).map(|a| rate(1 + a)).collect();
-        let system = base.with_topology(h2h::system::Topology::star(rate(0), links));
-        split_search_is_sound(&model, &system);
+        split_search_is_sound(&model, &random_star(&classes));
+    }
+
+    #[test]
+    fn staged_scores_match_full_evaluation_on_random_star_fabrics(
+        model in model_strategy(),
+        classes in proptest::collection::vec(0usize..BandwidthClass::ALL.len(), 13),
+        walk in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<bool>()), 1..40),
+    ) {
+        // However small the model, and whether or not a move leaves a
+        // risky fusion candidate, the engine scores every staged move on
+        // its one fusion replay; each score must be the full
+        // evaluation's, bitwise, under every objective.
+        let system = random_star(&classes);
+        for objective in OBJECTIVES {
+            staged_walk_matches_full_evaluation(&model, &system, objective, &walk);
+        }
     }
 
     #[test]
