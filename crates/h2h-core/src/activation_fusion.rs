@@ -57,7 +57,7 @@ pub fn sorted_fusable_edges(model: &h2h_model::ModelGraph) -> Vec<(LayerId, Laye
             .then(a.1.index().cmp(&b.1.index()))
             .then(a.2.index().cmp(&b.2.index()))
     });
-    // The byte volume rides along: capacity checks on the strip/replay
+    // The byte volume rides along: capacity checks on the replay
     // hot path read it from the candidate instead of re-scanning the
     // graph's edge storage per `try_fuse`.
     edges.into_iter().map(|(b, f, t)| (f, t, b)).collect()

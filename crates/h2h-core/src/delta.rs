@@ -6,18 +6,37 @@
 //! fusion rebuild and a full `O(V+E)` list schedule. [`DeltaEngine`]
 //! answers it incrementally instead:
 //!
-//! 1. **Scoped locality rebuild** — a move from accelerator `A` to `B`
-//!    can only change the weight-knapsack inputs *of `A` and `B`*
-//!    (knapsacks are per-accelerator), so only those two accelerators'
-//!    pin sets are re-optimized; every other accelerator's pins are
-//!    carried over unchanged.
-//! 2. **Delta scheduling** — the tentative durations feed
-//!    [`IncrementalSchedule`], which re-times only the affected cone
-//!    (graph successors + same-accelerator queue successors) instead of
-//!    the whole graph. Cost refreshes are *deferred*: they batch up and
-//!    flush right before the first exact makespan read (or once at the
-//!    end), so a layer stripped and re-fused within one candidate is
-//!    re-derived once, not twice.
+//! 1. **Pin diff** — a move from accelerator `A` to `B` can only change
+//!    the weight-knapsack inputs *of `A` and `B`* (knapsacks are
+//!    per-accelerator), so only those two accelerators' pins are
+//!    re-derived; every other accelerator's pins carry over. Usually
+//!    even that is one pin: when both boards already pin every weighted
+//!    layer they host, `B` still fits the moved layer beside its own and
+//!    the knapsack is not `Dp` (whose grid rounds weights up), the
+//!    scoped step 2 pins everything it is offered, so the only change is
+//!    the moved layer's pin, from `A` to `B`, applied in `O(1)`. The
+//!    fit test is the all-fit branch of `weight_locality_pass` itself,
+//!    and debug builds check each diff against the scoped pass run on a
+//!    scratch copy. Otherwise the engine strips both boards' pins and
+//!    reruns the pass on them. The engine keeps, per board, whether
+//!    every weighted layer on it is pinned: an accepted diff leaves both
+//!    flags set, and a fallback recounts its two boards.
+//! 2. **Delta scheduling from a fusion-free resting state** — the
+//!    engine's [`IncrementalSchedule`] rests at the current mapping's
+//!    *pins-only* state (step 2 done, no fused edge), which is where the
+//!    reference's step 3 starts. Staging a move refreshes the moved
+//!    layer, its graph neighbours and the pin diff, propagates once to
+//!    reach the moved mapping's pins-only state, takes a savepoint there
+//!    and replays the fusion pass on top, re-timing only the affected
+//!    cone (graph successors + same-accelerator queue successors) of
+//!    each change instead of the whole graph. A reject rolls the
+//!    transaction back to the resting state. An accept rolls back to the
+//!    savepoint and commits, so the schedule rests at the new mapping's
+//!    pins-only state, and the engine adopts the replayed locality, the
+//!    new pins and the score read before the rollback. Cost refreshes
+//!    are *deferred*: they batch up and flush right before the first
+//!    exact makespan read (or once at the end), so a layer several
+//!    fusions touch is re-derived once.
 //!
 //! # Scoring a candidate (bitwise-exact)
 //!
@@ -28,8 +47,9 @@
 //! evaluation it replaces). The greedy step first asks the latency
 //! screen whether the candidate can win at all; every candidate it lets
 //! through, and every candidate the annealer stages, takes that one
-//! replay. A candidate that meets no risky guard pays only the replay's
-//! final flush; each risky guard it meets costs what its row says:
+//! replay. A candidate that meets no risky guard pays only the landing
+//! propagation of its move and pins and the replay's final flush; each
+//! risky guard it meets costs what its row says:
 //!
 //! | Candidate or guard | Path | Cost |
 //! |---|---|---|
@@ -127,8 +147,9 @@
 use serde::Serialize;
 
 use h2h_model::graph::LayerId;
+use h2h_model::tensor::DataType;
 use h2h_model::units::{Bytes, Seconds};
-use h2h_system::incremental::IncrementalSchedule;
+use h2h_system::incremental::{IncrementalSchedule, Savepoint};
 use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;
 use h2h_system::schedule::{Evaluator, FusionOutcome, Schedule};
@@ -137,9 +158,9 @@ use h2h_system::system::AccId;
 use crate::activation_fusion::{
     fusion_pass, rebuild_locality, sorted_fusable_edges, FusionOracle,
 };
-use crate::config::{H2hConfig, MapObjective};
+use crate::config::{H2hConfig, KnapsackKind, MapObjective};
 use crate::preset::PinPreset;
-use crate::weight_locality::weight_locality_pass;
+use crate::weight_locality::{pin_saving_per_byte, pins_every_item, weight_locality_pass};
 
 /// Deepest chain of producers the latency screen's split fixes before
 /// it gives up on a move (see the module docs).
@@ -263,9 +284,8 @@ fn note_propagation(stats: &mut SearchStats, touched: usize) {
 /// rollback and commit calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct PhaseProfile {
-    /// Candidate scoring outside the other buckets: locality
-    /// strip/rebuild replay, fusion-pass bookkeeping, staged-candidate
-    /// rollback.
+    /// Candidate scoring outside the other buckets: the scoped step 2,
+    /// fusion-pass bookkeeping, staged-candidate rollback.
     pub scoring_s: f64,
     /// Deferred cost refresh + cone propagation rounds (the
     /// [`DeltaOracle`] flush/toggle paths).
@@ -294,12 +314,11 @@ impl PhaseProfile {
 
 /// The [`FusionOracle`] that answers the shared fusion pass's makespan
 /// guards from the incremental schedule. Cost refreshes (the staged
-/// move itself, pin diffs, stripped and re-fused edge endpoints) batch
-/// in `pending` and structural re-queue seeds in `pending_seeds`; both
-/// are flushed lazily right before a guard reads the makespan (and once
-/// at the end via [`DeltaOracle::flush`]), so layers stripped and
-/// re-fused within one candidate are refreshed once, with their final
-/// state.
+/// move itself and its pin diff, then fused edge endpoints) batch in
+/// `pending` and structural re-queue seeds in `pending_seeds`; both are
+/// flushed lazily right before a guard reads the makespan (and once at
+/// the end via [`DeltaOracle::flush`]), so a layer several fusions touch
+/// within one candidate is refreshed once, with its final state.
 ///
 /// Risky guards additionally go through [`FusionOracle::resolve_guard`]
 /// dominance pruning (see [`DeltaOracle::resolve_guard`] for the proof
@@ -314,7 +333,7 @@ struct DeltaOracle<'x, 'e, 'm> {
     pending: Vec<LayerId>,
     pending_seeds: Vec<LayerId>,
     /// Restore point of the risky-guard toggle currently in flight.
-    savepoint: Option<h2h_system::incremental::Savepoint>,
+    savepoint: Option<Savepoint>,
     /// Phase wall-clock accumulator, present iff profiling is on.
     profile: Option<&'x mut PhaseProfile>,
 }
@@ -323,9 +342,9 @@ impl DeltaOracle<'_, '_, '_> {
     fn flush(&mut self, loc: &LocalityState) {
         let t0 = self.profile.is_some().then(std::time::Instant::now);
         if !self.pending.is_empty() {
-            // Stripped-then-restored layers appear several times in the
-            // batch; one refresh against the flush-time locality is the
-            // same snapshot (and the same seeds), minus the repeat
+            // Endpoints of several fused edges appear several times in
+            // the batch; one refresh against the flush-time locality is
+            // the same snapshot (and the same seeds), minus the repeat
             // `layer_cost` derivations.
             self.pending.sort_unstable();
             self.pending.dedup();
@@ -547,13 +566,177 @@ impl DeltaOracle<'_, '_, '_> {
     }
 }
 
-/// The staged candidate: which layer moved, where it came from, and
-/// the locality its replay rebuilt.
+/// The staged candidate: which layer moved between which boards, what
+/// its replay rebuilt, and the resting state an accept keeps.
 #[derive(Debug)]
 struct StagedMove {
     layer: LayerId,
     from: AccId,
+    to: AccId,
+    /// The replayed locality: the moved mapping's pins and fusions.
     locality: LocalityState,
+    /// The moved mapping's pins alone.
+    pins: LocalityState,
+    /// Whether `from` and `to` are full boards under the moved mapping
+    /// (see [`DeltaEngine`]'s `full_boards`).
+    full: [bool; 2],
+    /// The schedule at the moved mapping's pins-only state, before the
+    /// fusion replay.
+    resting: Savepoint,
+    /// The candidate's objective score.
+    score: f64,
+}
+
+/// Whether the scoped step 2 of moving `layer` from `from` to `to` can
+/// only move `layer`'s own pin (see the module docs). `full_boards`
+/// holds, per board, whether every weighted layer on it is pinned in
+/// `pins`, the unmoved mapping's pins-only state, so a full board's DRAM
+/// use is exactly the weighted bytes it hosts. `from` then keeps all of
+/// its other layers pinned, and `to` pins all of its layers and `layer`
+/// when its knapsack values pins at all and they pass the all-fit test,
+/// preset pins included (those are subtracted from both sides of it).
+fn pin_diff_applies(
+    ev: &Evaluator<'_>,
+    kind: KnapsackKind,
+    full_boards: &[bool],
+    pins: &LocalityState,
+    layer: LayerId,
+    from: AccId,
+    to: AccId,
+) -> bool {
+    if !(full_boards[from.index()] && full_boards[to.index()])
+        || pin_saving_per_byte(ev, to) <= 0.0
+    {
+        return false;
+    }
+    let bytes = ev.model().layer(layer).weight_bytes(DataType::F32).as_u64();
+    let capacity = ev.system().acc(to).dram_capacity().as_u64();
+    pins_every_item(kind, pins.dram_used(to).as_u64() + bytes, capacity)
+}
+
+/// Whether every weighted layer `mapping` puts on `acc` is pinned.
+fn board_full(ev: &Evaluator<'_>, mapping: &Mapping, pins: &LocalityState, acc: AccId) -> bool {
+    ev.weighted_layers()
+        .iter()
+        .all(|&(id, _)| mapping.get(id) != Some(acc) || pins.is_pinned(id))
+}
+
+/// The pins of `locality` alone: the pins-only state the engine rests at.
+fn pins_of(ev: &Evaluator<'_>, mapping: &Mapping, locality: &LocalityState) -> LocalityState {
+    let (model, system) = (ev.model(), ev.system());
+    let mut pins = LocalityState::new(system);
+    for l in locality.pinned_layers() {
+        let ok = pins.try_pin(model, system, l, mapping.acc_of(l));
+        debug_assert!(ok, "pins fit without the fusions they fitted beside");
+    }
+    pins
+}
+
+/// A copy of `source`, in `spare`'s buffers when there is one.
+fn recycled(spare: Option<LocalityState>, source: &LocalityState) -> LocalityState {
+    match spare {
+        Some(mut spare) => {
+            spare.clone_from(source);
+            spare
+        }
+        None => source.clone(),
+    }
+}
+
+/// The scoped step 2 of "move `layer` to `to`", applied to `pins`, the
+/// pins-only state of the unmoved `mapping`, which comes back moved. It
+/// takes the pin diff when [`pin_diff_applies`], else
+/// [`rerun_scoped_step2`]. `stripped` and `added` receive the pins it
+/// removed and made, each with its board. Returns whether the diff
+/// applied.
+#[allow(clippy::too_many_arguments)]
+fn scoped_step2(
+    ev: &Evaluator<'_>,
+    cfg: &H2hConfig,
+    preset: &PinPreset,
+    full_boards: &[bool],
+    mapping: &mut Mapping,
+    layer: LayerId,
+    to: AccId,
+    pins: &mut LocalityState,
+    stripped: &mut Vec<(LayerId, AccId)>,
+    added: &mut Vec<(LayerId, AccId)>,
+) -> bool {
+    let from = mapping.acc_of(layer);
+    stripped.clear();
+    added.clear();
+    if !pin_diff_applies(ev, cfg.knapsack, full_boards, pins, layer, from, to) {
+        rerun_scoped_step2(ev, cfg, preset, mapping, layer, to, pins, stripped, added);
+        return false;
+    }
+    #[cfg(debug_assertions)]
+    let mut scratch = pins.clone();
+    let (model, system) = (ev.model(), ev.system());
+    if pins.unpin(model, layer, from) {
+        let ok = pins.try_pin(model, system, layer, to);
+        debug_assert!(ok, "the pin diff's fit test passed");
+        stripped.push((layer, from));
+        added.push((layer, to));
+    }
+    #[cfg(debug_assertions)]
+    {
+        let (mut s, mut a) = (Vec::new(), Vec::new());
+        rerun_scoped_step2(
+            ev,
+            cfg,
+            preset,
+            mapping,
+            layer,
+            to,
+            &mut scratch,
+            &mut s,
+            &mut a,
+        );
+        assert!(
+            scratch == *pins,
+            "the pin diff diverged from the scoped step 2"
+        );
+    }
+    mapping.set(layer, to);
+    true
+}
+
+/// [`scoped_step2`] the long way: strip the pins of the two touched
+/// boards (attributed by the unmoved mapping) and rerun
+/// `weight_locality_pass` on them. A move can only change its endpoints'
+/// knapsack inputs, so every other board's pins are what a full rebuild
+/// would recompute.
+#[allow(clippy::too_many_arguments)]
+fn rerun_scoped_step2(
+    ev: &Evaluator<'_>,
+    cfg: &H2hConfig,
+    preset: &PinPreset,
+    mapping: &mut Mapping,
+    layer: LayerId,
+    to: AccId,
+    pins: &mut LocalityState,
+    stripped: &mut Vec<(LayerId, AccId)>,
+    added: &mut Vec<(LayerId, AccId)>,
+) {
+    let from = mapping.acc_of(layer);
+    let in_scope = |a: &AccId| *a == from || *a == to;
+    stripped.extend(
+        pins.pinned_layers()
+            .filter_map(|l| mapping.get(l).filter(in_scope).map(|a| (l, a))),
+    );
+    for &(l, a) in stripped.iter() {
+        pins.unpin(ev.model(), l, a);
+    }
+    mapping.set(layer, to);
+    if cfg.enable_weight_locality {
+        let mut scoped = [from, to];
+        scoped.sort_by_key(|a| a.index());
+        weight_locality_pass(ev, mapping, pins, cfg.knapsack, preset, &scoped);
+    }
+    added.extend(
+        pins.pinned_layers()
+            .filter_map(|l| mapping.get(l).filter(in_scope).map(|a| (l, a))),
+    );
 }
 
 /// The latency screen's lower-bound twin of the engine's exact state
@@ -562,10 +745,8 @@ struct StagedMove {
 #[derive(Debug)]
 struct Floor {
     inc: IncrementalSchedule,
-    /// The current mapping's pins and nothing else. The floor kernel
-    /// reads no fused edge, and with no fusion charges the scoped step
-    /// 2 sees each touched board's whole capacity, exactly as the
-    /// staged rebuild does after its strip.
+    /// The current mapping's pins and nothing else, a copy of the
+    /// engine's: the floor kernel reads no fused edge.
     pins: LocalityState,
     /// The fusion outcome each producer's floor assumes, by layer index:
     /// all [`FusionOutcome::Free`] except inside [`Floor::split`].
@@ -582,14 +763,9 @@ struct Floor {
 }
 
 impl Floor {
-    fn new(ev: &Evaluator<'_>, mapping: &Mapping, locality: &LocalityState) -> Self {
-        let (model, system) = (ev.model(), ev.system());
-        let mut pins = LocalityState::new(system);
-        for l in locality.pinned_layers() {
-            let ok = pins.try_pin(model, system, l, mapping.acc_of(l));
-            debug_assert!(ok, "pins fit without the fusions they fitted beside");
-        }
-        let outcomes = vec![FusionOutcome::Free; model.id_bound()];
+    fn new(ev: &Evaluator<'_>, mapping: &Mapping, pins: &LocalityState) -> Self {
+        let pins = pins.clone();
+        let outcomes = vec![FusionOutcome::Free; ev.model().id_bound()];
         let inc = IncrementalSchedule::from_costs(ev, mapping, |id| {
             ev.layer_cost_floor(mapping, &pins, &outcomes, id)
         });
@@ -614,6 +790,7 @@ impl Floor {
         ev: &Evaluator<'_>,
         cfg: &H2hConfig,
         preset: &PinPreset,
+        full_boards: &[bool],
         mapping: &mut Mapping,
         layer: LayerId,
         to: AccId,
@@ -622,32 +799,20 @@ impl Floor {
         debug_assert!(!self.open, "one pricing at a time");
         self.open = true;
         self.inc.begin();
-        let model = ev.model();
         let from = mapping.acc_of(layer);
-        let in_scope = |a: &AccId| *a == from || *a == to;
 
-        // 1. The scoped pins of the two touched boards: the same strip
-        //    and `weight_locality_pass` the staged rebuild runs.
-        self.stripped.clear();
-        self.stripped.extend(
-            self.pins
-                .pinned_layers()
-                .filter_map(|l| mapping.get(l).filter(in_scope).map(|a| (l, a))),
-        );
-        for &(l, a) in &self.stripped {
-            self.pins.unpin(model, l, a);
-        }
-        mapping.set(layer, to);
-        if cfg.enable_weight_locality {
-            let mut scoped = [from, to];
-            scoped.sort_by_key(|a| a.index());
-            weight_locality_pass(ev, mapping, &mut self.pins, cfg.knapsack, preset, &scoped);
-        }
-        self.added.clear();
-        self.added.extend(
-            self.pins
-                .pinned_layers()
-                .filter_map(|l| mapping.get(l).filter(in_scope).map(|a| (l, a))),
+        // 1. The move's scoped step 2, the same one staging runs.
+        scoped_step2(
+            ev,
+            cfg,
+            preset,
+            full_boards,
+            mapping,
+            layer,
+            to,
+            &mut self.pins,
+            &mut self.stripped,
+            &mut self.added,
         );
 
         // 2. Refresh the moved layer, its graph neighbours (their
@@ -803,18 +968,25 @@ impl Floor {
 
 /// Incremental candidate-move evaluator bound to one search run.
 ///
-/// The engine always holds the exact state of the current mapping
-/// (locality + the delta schedule mirroring it, with aggregates
-/// resummed so every objective scores bitwise like a full evaluation).
-/// Candidates are staged transactionally on top and either rolled back
-/// or committed as the new current state.
+/// The engine always holds the exact state of the current mapping: its
+/// locality and score, and the delta schedule of its pins-only state,
+/// where each candidate's fusion replay starts. Candidates are staged
+/// transactionally on top and either rolled back or committed as the
+/// new current state.
 #[derive(Debug)]
 pub struct DeltaEngine<'e, 'm> {
     ev: &'e Evaluator<'m>,
     cfg: &'e H2hConfig,
     preset: &'e PinPreset,
+    /// The resting schedule: the current mapping under `pins`.
     inc: IncrementalSchedule,
     locality: LocalityState,
+    /// The pins of `locality` alone.
+    pins: LocalityState,
+    /// Per board: every weighted layer the current mapping puts on it is
+    /// pinned. An accepted pin diff keeps both flags set; a fallback
+    /// recounts its two boards.
+    full_boards: Vec<bool>,
     /// The seed mapping's full evaluation.
     seed_schedule: Schedule,
     score: f64,
@@ -830,10 +1002,12 @@ pub struct DeltaEngine<'e, 'm> {
     // Reusable scratch for the staging hot path, kept across candidates
     // so steady-state scoring allocates nothing.
     spare_locality: Option<LocalityState>,
+    spare_pins: Option<LocalityState>,
     scratch_costs: Vec<LayerId>,
     scratch_seeds: Vec<LayerId>,
     scratch_cands: Vec<(LayerId, LayerId, Bytes)>,
-    scratch_pins: Vec<(LayerId, AccId)>,
+    scratch_stripped: Vec<(LayerId, AccId)>,
+    scratch_added: Vec<(LayerId, AccId)>,
     /// Evaluation counters for this run.
     pub stats: SearchStats,
     /// Phase timers armed ([`H2hConfig::profile_phases`]).
@@ -859,23 +1033,33 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         let locality = rebuild_locality(ev, mapping, cfg, preset);
         let seed_schedule = ev.evaluate(mapping, &locality);
         let score = cfg.objective.score(&seed_schedule);
-        let inc = IncrementalSchedule::new(ev, mapping, &locality);
+        let pins = pins_of(ev, mapping, &locality);
+        let inc = IncrementalSchedule::new(ev, mapping, &pins);
+        let full_boards = ev
+            .system()
+            .acc_ids()
+            .map(|a| board_full(ev, mapping, &pins, a))
+            .collect();
         DeltaEngine {
             ev,
             cfg,
             preset,
             inc,
             locality,
+            pins,
+            full_boards,
             seed_schedule,
             score,
             staged: None,
             sorted_edges: sorted_fusable_edges(ev.model()),
             floor: None,
             spare_locality: None,
+            spare_pins: None,
             scratch_costs: Vec::new(),
             scratch_seeds: Vec::new(),
             scratch_cands: Vec::new(),
-            scratch_pins: Vec::new(),
+            scratch_stripped: Vec::new(),
+            scratch_added: Vec::new(),
             stats,
             profile_enabled: cfg.profile_phases,
             profile: PhaseProfile::default(),
@@ -916,11 +1100,11 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
     }
 
     /// Stages the candidate "move `layer` to `to`": mutates `mapping`,
-    /// scores the candidate exactly by a scoped step-2 rebuild of the
-    /// two touched boards and the global fusion-pass replay on the
-    /// delta schedule (see the module docs), and returns its objective
-    /// score. The candidate stays staged until
-    /// [`DeltaEngine::reject_staged`] or [`DeltaEngine::accept_staged`].
+    /// scores the candidate exactly by the two touched boards' scoped
+    /// step 2 and the global fusion-pass replay on the delta schedule
+    /// (see the module docs), and returns its objective score. The
+    /// candidate stays staged until [`DeltaEngine::reject_staged`] or
+    /// [`DeltaEngine::accept_staged`].
     ///
     /// # Panics
     ///
@@ -938,28 +1122,37 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         self.stats.scoped_rebuilds += 1;
         self.inc.begin();
 
-        let model = self.ev.model();
-
-        // Strip the pins charged to the two touched accelerators
-        // (attribution uses the pre-move mapping): a move can only
-        // change the per-accelerator knapsack inputs of its endpoints,
-        // so every other accelerator's pin set is provably identical to
-        // what a full rebuild would recompute and is carried over.
-        let mut loc = match self.spare_locality.take() {
-            Some(mut spare) => {
-                spare.clone_from(&self.locality);
-                spare
-            }
-            None => self.locality.clone(),
+        // Step 2 of the moved mapping: the resting pins with the move's
+        // scoped step 2 applied (usually its pin diff).
+        let mut pins = recycled(self.spare_pins.take(), &self.pins);
+        let (mut stripped, mut added) = (
+            std::mem::take(&mut self.scratch_stripped),
+            std::mem::take(&mut self.scratch_added),
+        );
+        let pin_diff = scoped_step2(
+            self.ev,
+            self.cfg,
+            self.preset,
+            &self.full_boards,
+            mapping,
+            layer,
+            to,
+            &mut pins,
+            &mut stripped,
+            &mut added,
+        );
+        let full = if pin_diff {
+            [true, true]
+        } else {
+            [from, to].map(|a| board_full(self.ev, mapping, &pins, a))
         };
-        let in_scope = |a: AccId| a == from || a == to;
-        // Deferred cost refreshes: the moved layer, stripped fusion
-        // endpoints, (re-)pinned layers and re-fused endpoints
-        // accumulate here and are re-derived lazily — at the first
-        // exact makespan read, or once at the end when no guard fires —
-        // with their final locality state, instead of once per
-        // intermediate state. Duplicates and unchanged-state layers are
-        // fine: a refresh whose cost comes out identical seeds nothing.
+
+        // Deferred cost refreshes: the moved layer, the pin diff and,
+        // once the replay runs, fused edge endpoints accumulate here and
+        // are re-derived lazily, at the next exact makespan read, with
+        // their state at that point. Duplicates and unchanged-state
+        // layers are fine: a refresh whose cost comes out identical
+        // seeds nothing.
         let mut pending_costs = std::mem::take(&mut self.scratch_costs);
         pending_costs.clear();
         pending_costs.push(layer);
@@ -971,65 +1164,13 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         // durations and seed nothing.)
         pending_costs.extend(self.ev.predecessors_flat(layer));
         pending_costs.extend(self.ev.successors_flat(layer));
-        self.scratch_pins.clear();
-        self.scratch_pins.extend(
-            loc.pinned_layers()
-                .filter_map(|l| mapping.get(l).filter(|a| in_scope(*a)).map(|a| (l, a))),
-        );
-        for k in 0..self.scratch_pins.len() {
-            let (l, a) = self.scratch_pins[k];
-            loc.unpin(model, l, a);
-            pending_costs.push(l);
-        }
-
-        // Fusions: the activation-fusion pass guards "risky" candidates
-        // with a *global* makespan comparison, so any accelerator's
-        // fusion decisions can flip when the schedule changes — the
-        // replay strips them all and re-runs the pass in its exact
-        // global order below. Per-edge removal from the sorted vec
-        // would be quadratic, so the bulk strip refunds all recorded
-        // charges in one linear pass.
-        pending_costs.extend(
-            loc.fused_edges()
-                .filter(|(f, _)| mapping.get(*f).is_some())
-                .flat_map(|(f, t)| [f, t]),
-        );
-        loc.unfuse_all(mapping);
-
-        // Apply the move.
-        mapping.set(layer, to);
+        pending_costs.extend(stripped.iter().chain(&added).map(|e| e.0));
+        self.scratch_stripped = stripped;
+        self.scratch_added = added;
         let mut pending_seeds = std::mem::take(&mut self.scratch_seeds);
         pending_seeds.clear();
         self.inc.move_layer_into(layer, to, &mut pending_seeds);
 
-        // Scoped step 2: the shared `weight_locality_pass` body (preset
-        // pins + per-accelerator knapsack) restricted to the two
-        // touched accelerators.
-        let mut scoped = [from, to];
-        scoped.sort_by_key(|a| a.index());
-        if self.cfg.enable_weight_locality {
-            weight_locality_pass(
-                self.ev,
-                mapping,
-                &mut loc,
-                self.cfg.knapsack,
-                self.preset,
-                &scoped,
-            );
-        }
-        // Every in-scope pin of the rebuilt state joins the refresh;
-        // together with the stripped pins above this covers the pin
-        // diff (re-deriving a pin whose state is unchanged is a no-op).
-        pending_costs
-            .extend(loc.pinned_layers().filter(|l| mapping.get(*l).is_some_and(in_scope)));
-
-        // Step 3 replay: the shared `fusion_pass` body over all
-        // accelerators in the exact global candidate order of
-        // `activation_fusion_opt`, with the makespan guard for risky
-        // candidates answered by the delta schedule (bitwise-equal to
-        // the full evaluation it replaces). The final flush lands
-        // whatever the guards left pending; with fusion off it is the
-        // only one.
         let mut oracle = DeltaOracle {
             ev: self.ev,
             mapping,
@@ -1040,6 +1181,19 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             savepoint: None,
             profile: self.profile_enabled.then_some(&mut self.profile),
         };
+        // Land the move and its pins: one propagation takes the schedule
+        // to the moved mapping's pins-only state, where the reference's
+        // step 3 starts and where an accept leaves it resting.
+        oracle.flush(&pins);
+        let resting = oracle.inc.savepoint();
+
+        // Step 3 replay: the shared `fusion_pass` body over all
+        // accelerators in the exact global candidate order of
+        // `activation_fusion_opt`, with the makespan guard for risky
+        // candidates answered by the delta schedule (bitwise-equal to
+        // the full evaluation it replaces). The final flush lands
+        // whatever the guards left pending.
+        let mut loc = recycled(self.spare_locality.take(), &pins);
         if self.cfg.enable_activation_fusion {
             let mut candidates = std::mem::take(&mut self.scratch_cands);
             candidates.clear();
@@ -1057,12 +1211,17 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         // bitwise-equal to a full evaluation's, so every objective's
         // score — not just latency — filters exactly.
         self.inc.resum_aggregates();
+        let score = self.cfg.objective.score_proxy(&self.inc.proxy());
         self.staged = Some(StagedMove {
             layer,
             from,
+            to,
             locality: loc,
+            pins,
+            full,
+            resting,
+            score,
         });
-        let score = self.cfg.objective.score_proxy(&self.inc.proxy());
         if let Some(t0) = t0 {
             let inner = (self.profile.propagate_s + self.profile.guard_s) - inner_before;
             self.profile.scoring_s += (t0.elapsed().as_secs_f64() - inner).max(0.0);
@@ -1070,9 +1229,14 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         score
     }
 
-    /// Makespan of the currently staged candidate (exact), or of the
-    /// current state when none is staged.
+    /// Makespan of the staged candidate (exact).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no candidate is staged: the resting schedule holds the
+    /// current mapping without its fusions.
     pub fn staged_makespan(&self) -> f64 {
+        assert!(self.staged.is_some(), "no staged candidate");
         self.inc.makespan().as_f64()
     }
 
@@ -1085,8 +1249,9 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
     pub fn reject_staged(&mut self, mapping: &mut Mapping) {
         let t0 = self.profile_enabled.then(std::time::Instant::now);
         let staged = self.staged.take().expect("no staged candidate");
-        // Recycle the staged locality's buffers for the next candidate.
+        // Recycle the staged states' buffers for the next candidate.
         self.spare_locality = Some(staged.locality);
+        self.spare_pins = Some(staged.pins);
         mapping.set(staged.layer, staged.from);
         self.inc.rollback();
         if let Some(floor) = self.floor.as_mut().filter(|f| f.open) {
@@ -1098,10 +1263,11 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         }
     }
 
-    /// Commits the staged candidate: its replayed locality and delta
-    /// schedule become the engine's current state, without any full
-    /// evaluation (the replay is exact by construction). The mapping
-    /// the candidate was staged on stays moved. Returns the committed
+    /// Commits the staged candidate: its replayed locality, its pins
+    /// and its score become the engine's current state, and the delta
+    /// schedule rests at its pins-only state, without any full
+    /// evaluation (the replay is exact by construction). The mapping the
+    /// candidate was staged on stays moved. Returns the committed
     /// objective score.
     ///
     /// # Panics
@@ -1110,25 +1276,25 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
     pub fn accept_staged(&mut self) -> f64 {
         let t0 = self.profile_enabled.then(std::time::Instant::now);
         let staged = self.staged.take().expect("no staged candidate");
-        self.spare_locality = Some(std::mem::replace(&mut self.locality, staged.locality));
+        self.inc.rollback_to(&staged.resting);
         self.inc.commit();
+        self.spare_locality = Some(std::mem::replace(&mut self.locality, staged.locality));
+        self.spare_pins = Some(std::mem::replace(&mut self.pins, staged.pins));
+        self.full_boards[staged.from.index()] = staged.full[0];
+        self.full_boards[staged.to.index()] = staged.full[1];
         match self.floor.as_mut() {
             Some(floor) if floor.open => {
                 floor.close(self.ev, true);
                 debug_assert!(
-                    floor.pins.num_pinned() == self.locality.num_pinned()
-                        && self
-                            .locality
-                            .pinned_layers()
-                            .all(|l| floor.pins.is_pinned(l)),
-                    "the floor's scoped step 2 diverged from the staged rebuild"
+                    floor.pins == self.pins,
+                    "the floor's scoped step 2 diverged from the staged one"
                 );
             }
             // Staged directly, so the floor no longer mirrors the state.
             Some(_) => self.floor = None,
             None => {}
         }
-        self.score = self.cfg.objective.score_proxy(&self.inc.proxy());
+        self.score = staged.score;
         self.stats.accepted_moves += 1;
         if let Some(t0) = t0 {
             self.profile.commit_s += t0.elapsed().as_secs_f64();
@@ -1191,12 +1357,13 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         let ev = self.ev;
         let floor = self
             .floor
-            .get_or_insert_with(|| Floor::new(ev, mapping, &self.locality));
+            .get_or_insert_with(|| Floor::new(ev, mapping, &self.pins));
         let from = mapping.acc_of(layer);
         let bound = floor.price(
             ev,
             self.cfg,
             self.preset,
+            &self.full_boards,
             mapping,
             layer,
             to,
@@ -1228,7 +1395,127 @@ mod tests {
     use super::*;
     use crate::compute_map::computation_prioritized;
     use crate::remap::neighbour_accs;
+    use h2h_model::synth::{synthetic_mmmt, SyntheticConfig};
+    use h2h_model::ModelGraph;
     use h2h_system::system::{BandwidthClass, SystemSpec};
+    use h2h_system::testutil::{const_system, ConstAccel};
+
+    /// Every move of a layer to a capable board that hosts one of its
+    /// graph neighbours under `mapping`, in topological order.
+    fn neighbour_moves(
+        model: &ModelGraph,
+        system: &SystemSpec,
+        mapping: &Mapping,
+    ) -> Vec<(LayerId, AccId)> {
+        let mut moves = Vec::new();
+        let mut accs = Vec::new();
+        for layer in model.topo_order() {
+            neighbour_accs(model, mapping, layer, &mut accs);
+            let supported = accs
+                .iter()
+                .filter(|a| system.acc(**a).supports(model.layer(layer)));
+            moves.extend(supported.map(|a| (layer, *a)));
+        }
+        moves
+    }
+
+    /// Asserts that `engine` rests where a fresh engine on `mapping`
+    /// would: its locality is the full rebuild, its pins are that
+    /// rebuild's pins, its full-board flags are recounted from them, and
+    /// its resting schedule is the pins-only schedule, bitwise.
+    fn assert_resting(engine: &DeltaEngine<'_, '_>, mapping: &Mapping, tag: &str) {
+        let ev = engine.ev;
+        let rebuilt = rebuild_locality(ev, mapping, engine.cfg, engine.preset);
+        assert!(engine.locality() == &rebuilt, "{tag}: locality");
+        let pins = pins_of(ev, mapping, &rebuilt);
+        assert!(engine.pins == pins, "{tag}: pins");
+        for acc in ev.system().acc_ids() {
+            let full = board_full(ev, mapping, &pins, acc);
+            assert_eq!(engine.full_boards[acc.index()], full, "{tag}: {acc:?} full");
+        }
+        let fresh = IncrementalSchedule::new(ev, mapping, &pins);
+        for id in ev.model().layer_ids() {
+            let bits = |inc: &IncrementalSchedule| {
+                (
+                    inc.start_of(id).as_f64().to_bits(),
+                    inc.finish_of(id).as_f64().to_bits(),
+                )
+            };
+            assert_eq!(bits(&engine.inc), bits(&fresh), "{tag}: {id:?}");
+        }
+    }
+
+    #[test]
+    fn every_accept_leaves_the_engine_resting_at_the_pins_only_state() {
+        // Through the latency screen and through direct staging as the
+        // annealer stages (accepting whatever the score), each accept
+        // must leave the engine where a fresh engine on the moved mapping
+        // starts. On the standard boards every move takes the pin diff;
+        // boards holding a tenth of the model's weight bytes force the
+        // strip-and-rerun fallback and its full-board recount.
+        let model = synthetic_mmmt(&SyntheticConfig {
+            seed: 5,
+            ..Default::default()
+        });
+        let small = Bytes::new(model_weight_bytes(&model) / 10);
+        let systems = [
+            ("standard", SystemSpec::standard(BandwidthClass::LowMinus)),
+            (
+                "small boards",
+                const_system(
+                    [1.0e-3, 1.2e-3, 1.5e-3, 2.0e-3]
+                        .iter()
+                        .enumerate()
+                        .map(|(i, t)| ConstAccel::universal(&format!("b{i}"), *t).with_dram(small))
+                        .collect(),
+                    1e8,
+                ),
+            ),
+        ];
+        for (name, system) in &systems {
+            let ev = Evaluator::new(&model, system);
+            let cfg = H2hConfig::default();
+            let preset = PinPreset::new();
+            let (mut mapping, _) = computation_prioritized(&ev, &cfg, &preset).unwrap();
+            let mut engine = DeltaEngine::new(&ev, &cfg, &preset, &mapping);
+            assert_resting(&engine, &mapping, name);
+            let mut accepts = [0; 2];
+            for pass in 0..4 {
+                for (k, (layer, to)) in neighbour_moves(&model, system, &mapping)
+                    .into_iter()
+                    .enumerate()
+                {
+                    if mapping.acc_of(layer) == to {
+                        continue;
+                    }
+                    let direct = (pass + k) % 3 == 0;
+                    let accepted = if direct {
+                        engine.stage_move(&mut mapping, layer, to);
+                        engine.accept_staged();
+                        true
+                    } else {
+                        engine.try_improving_move(&mut mapping, layer, to)
+                    };
+                    if accepted {
+                        accepts[usize::from(direct)] += 1;
+                        assert_resting(&engine, &mapping, &format!("{name}: {layer:?} -> {to:?}"));
+                    }
+                }
+            }
+            assert!(
+                accepts.iter().all(|n| *n > 0),
+                "{name}: accepts by screen and direct staging {accepts:?}"
+            );
+        }
+    }
+
+    /// Total weight bytes of `model`.
+    fn model_weight_bytes(model: &ModelGraph) -> u64 {
+        model
+            .layers()
+            .map(|(_, l)| l.weight_bytes(DataType::F32).as_u64())
+            .sum()
+    }
 
     #[test]
     fn a_commit_the_screen_did_not_price_drops_the_floor() {
@@ -1241,15 +1528,7 @@ mod tests {
         let cfg = H2hConfig::default();
         let preset = PinPreset::new();
         let (mut mapping, _) = computation_prioritized(&ev, &cfg, &preset).unwrap();
-        let mut moves = Vec::new();
-        let mut accs = Vec::new();
-        for layer in model.topo_order() {
-            neighbour_accs(&model, &mapping, layer, &mut accs);
-            let supported = accs
-                .iter()
-                .filter(|a| system.acc(**a).supports(model.layer(layer)));
-            moves.extend(supported.map(|a| (layer, *a)));
-        }
+        let moves = neighbour_moves(&model, &system, &mapping);
         let mut engine = DeltaEngine::new(&ev, &cfg, &preset, &mapping);
         engine.try_improving_move(&mut mapping, moves[0].0, moves[0].1);
         assert!(engine.floor.is_some(), "a screened move builds the floor");
@@ -1269,7 +1548,7 @@ mod tests {
                 .floor
                 .as_ref()
                 .expect("a screened move rebuilds the floor");
-            let fresh = Floor::new(&ev, &mapping, engine.locality());
+            let fresh = Floor::new(&ev, &mapping, &pins_of(&ev, &mapping, engine.locality()));
             for id in model.layer_ids() {
                 assert_eq!(floor.inc.finish_of(id), fresh.inc.finish_of(id), "{id:?}");
             }

@@ -17,17 +17,19 @@
 //! consumer fused, or none) and rejects the move if every branch fails
 //! — which catches most of the moves that would leave the makespan
 //! exactly unchanged. Most rejected moves never reach the fusion
-//! replay. The moves the screen lets through are scored by a scoped
-//! locality-rebuild replay plus cone-local schedule propagation (paper
-//! §4.2's "update … without traversing the entire graph"), with risky
-//! fusion guards dominance-pruned and rejected toggles restored from
-//! the journal savepoint (see [`crate::delta`]; the replay scores
-//! bitwise like a full evaluation, and the screen only rejects moves the
-//! exact score would reject too). Accepted moves commit the delta state
-//! directly, producing final mappings identical to the per-candidate
-//! full-re-evaluation loop, kept below as
-//! [`data_locality_remapping_reference`] and asserted equivalent by the
-//! test suites.
+//! replay. The moves the screen lets through are scored incrementally
+//! (paper §4.2's "update … without traversing the entire graph"): the
+//! move and its pin diff (or, when the two touched boards do not fit all
+//! their weights, their rerun step 2) land on the engine's fusion-free
+//! resting schedule, and the fusion pass replays on top with cone-local
+//! schedule propagation, risky fusion guards dominance-pruned and
+//! rejected toggles restored from the journal savepoint (see
+//! [`crate::delta`]; the replay scores bitwise like a full evaluation,
+//! and the screen only rejects moves the exact score would reject too).
+//! Accepted moves commit the delta state directly, producing final
+//! mappings identical to the per-candidate full-re-evaluation loop, kept
+//! below as [`data_locality_remapping_reference`] and asserted
+//! equivalent by the test suites.
 
 use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;

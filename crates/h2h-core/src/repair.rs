@@ -17,10 +17,12 @@
 //!    search engine's seed evaluation is exactly this pricing, so it is
 //!    read from there rather than paid twice.
 //! 3. **Budgeted search**: a [`DeltaEngine`] pass loop identical in
-//!    decision rule to step-4 remapping, but visiting fault-affected
-//!    layers first and hard-capped at a **budget in attempted-move
-//!    units** — a deterministic currency (no wall clocks), so repairs
-//!    reproduce bit-identically across machines.
+//!    decision rule and candidate scoring to step-4 remapping (pin diff
+//!    and fusion replay on the engine's fusion-free resting schedule),
+//!    but visiting fault-affected layers first and hard-capped at a
+//!    **budget in attempted-move units** — a deterministic currency (no
+//!    wall clocks), so repairs reproduce bit-identically across
+//!    machines.
 //!
 //! [`scratch_remap`] prices the alternative: a full H2H pipeline run
 //! on the live sub-system ([`SystemSpec::live_subsystem`]), translated

@@ -54,7 +54,6 @@ pub fn weight_locality_pass(
 ) {
     let model = ev.model();
     let system = ev.system();
-    let topo = system.topology();
 
     // Forced pins first: weights already resident from a previous
     // configuration keep their slot as long as the layer still maps to
@@ -73,12 +72,7 @@ pub fn weight_locality_pass(
     let mut ids = Vec::new();
     let mut items: Vec<Item> = Vec::new();
     for &acc in accs {
-        let dram = system.acc(acc).dram_bandwidth().as_f64();
-        // Weights stream from the host, so the saved time is priced at
-        // this board's host-route bandwidth — boards behind slow links
-        // value their pins proportionally higher.
-        let eth = topo.path_bw(Endpoint::Host, Endpoint::Acc(acc)).as_f64();
-        let saved_per_byte = 1.0 / eth - 1.0 / dram;
+        let saved_per_byte = pin_saving_per_byte(ev, acc);
         if saved_per_byte <= 0.0 {
             // Every item would be priced at zero-or-negative value, and
             // all three solvers ignore those: nothing to pin.
@@ -107,12 +101,8 @@ pub fn weight_locality_pass(
             continue;
         }
         let capacity = loc.dram_free(acc, system).as_u64();
-        if total <= capacity && !matches!(kind, KnapsackKind::Dp) {
-            // Everything fits: the greedy solver (which Auto picks here —
-            // all items share the same exact density) selects every item
-            // and returns the ids in input order, so pin directly and
-            // skip the density sort. DP is excluded: its grid rounds
-            // weights up, so "fits raw" does not imply "fits scaled".
+        if pins_every_item(kind, total, capacity) {
+            // Everything fits: pin directly, skipping the density sort.
             for idx in 0..ids.len() {
                 let ok = loc.try_pin_bytes(system, ids[idx], acc, Bytes::new(items[idx].weight));
                 debug_assert!(ok, "all-fit fast path: every pin fits by construction");
@@ -131,6 +121,32 @@ pub fn weight_locality_pass(
             debug_assert!(ok, "knapsack selections must fit the DRAM budget");
         }
     }
+}
+
+/// Host-route seconds one byte pinned on `acc` saves, the knapsack's
+/// value density there. Weights stream from the host, so the saving is
+/// priced at this board's host-route bandwidth: boards behind slow links
+/// value their pins proportionally higher. At zero or below the pass
+/// packs nothing on the board beyond its preset pins.
+pub(crate) fn pin_saving_per_byte(ev: &Evaluator<'_>, acc: AccId) -> f64 {
+    let system = ev.system();
+    let dram = system.acc(acc).dram_bandwidth().as_f64();
+    let eth = system
+        .topology()
+        .path_bw(Endpoint::Host, Endpoint::Acc(acc))
+        .as_f64();
+    1.0 / eth - 1.0 / dram
+}
+
+/// The per-board knapsack's all-fit test: `total` candidate bytes fit
+/// the board's free `capacity`, so the pass pins every item without
+/// solving. The greedy solver (which Auto picks here — all items share
+/// the same exact density) would select every item anyway. DP is
+/// excluded: its grid rounds weights up, so "fits raw" does not imply
+/// "fits scaled". The step-4 search core's pin diff takes the same test,
+/// so the two cannot drift.
+pub(crate) fn pins_every_item(kind: KnapsackKind, total: u64, capacity: u64) -> bool {
+    total <= capacity && !matches!(kind, KnapsackKind::Dp)
 }
 
 /// Total weight bytes mapped to `acc` (reporting helper).
@@ -221,6 +237,53 @@ mod tests {
         );
         assert!(loc.is_pinned(ids[3]), "preset layer must stay pinned");
         assert_eq!(loc.num_pinned(), 2);
+    }
+
+    #[test]
+    fn zoo_boards_fit_their_weights_so_every_knapsack_pins_the_same_set() {
+        // On the step-1 mapping and on the final H2H mapping of every
+        // zoo model at every bandwidth class, each board's DRAM holds all
+        // the weight bytes mapped to it, with room to spare for the DP
+        // grid's rounding: every solver then pins every weighted layer,
+        // so `KnapsackKind` cannot change a zoo mapping.
+        use crate::compute_map::computation_prioritized;
+        use crate::config::H2hConfig;
+        use crate::pipeline::H2hMapper;
+        use h2h_system::system::{BandwidthClass, SystemSpec};
+        let kinds = [KnapsackKind::Dp, KnapsackKind::Greedy, KnapsackKind::Auto];
+        for bw in BandwidthClass::ALL {
+            let system = SystemSpec::standard(bw);
+            for model in h2h_model::zoo::all_models() {
+                let ev = Evaluator::new(&model, &system);
+                let preset = PinPreset::new();
+                let (step1, _) =
+                    computation_prioritized(&ev, &H2hConfig::default(), &preset).unwrap();
+                let last = H2hMapper::new(&model, &system).run().unwrap().mapping;
+                for (step, mapping) in [("step 1", step1), ("final", last)] {
+                    let tag = format!("{} at {}, {step} mapping", model.name(), bw.label());
+                    for acc in system.acc_ids() {
+                        assert!(
+                            weight_bytes_on(&ev, &mapping, acc) <= system.acc(acc).dram_capacity(),
+                            "{tag}: board {acc:?} holds less than its weights"
+                        );
+                    }
+                    for kind in kinds {
+                        let loc = weight_locality_opt(
+                            &ev,
+                            &mapping,
+                            LocalityState::new(&system),
+                            kind,
+                            &preset,
+                        );
+                        assert_eq!(
+                            loc.num_pinned(),
+                            ev.weighted_layers().len(),
+                            "{tag}: {kind:?} left a weighted layer unpinned"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

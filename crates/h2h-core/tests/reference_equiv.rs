@@ -1,18 +1,23 @@
 //! Equivalence and coherence properties of the step-4 search core: the
 //! delta-engine remapping loop must reproduce the per-candidate
 //! full-re-evaluation reference (`data_locality_remapping_reference`)
-//! bit-exactly — same final mapping, bitwise-equal makespan — on
-//! non-uniform fabrics and on synthetic models past the zoo, and its
-//! `SearchStats` counters must stay coherent. (The zoo-wide check on the
-//! uniform fabric lives next to the loop, in `remap.rs`.)
+//! bit-exactly — same final mapping and locality, bitwise-equal
+//! makespan — on non-uniform fabrics, on synthetic models past the zoo
+//! and on boards too small for their weights, and its `SearchStats`
+//! counters must stay coherent. (The zoo-wide check on the uniform
+//! fabric lives next to the loop, in `remap.rs`.)
 
 use h2h_core::compute_map::computation_prioritized;
+use h2h_core::config::KnapsackKind;
 use h2h_core::remap::{data_locality_remapping, data_locality_remapping_reference, RemapOutcome};
 use h2h_core::{H2hConfig, PinPreset};
 use h2h_model::graph::ModelGraph;
 use h2h_model::synth::{synthetic_mmmt, SyntheticConfig};
+use h2h_model::tensor::DataType;
+use h2h_model::units::Bytes;
 use h2h_system::schedule::Evaluator;
 use h2h_system::system::{BandwidthClass, SystemSpec};
+use h2h_system::testutil::{const_system, ConstAccel};
 use h2h_system::topology::Topology;
 
 /// Runs the delta loop and the reference from the same step-1 seed,
@@ -22,16 +27,29 @@ fn assert_delta_matches_reference(
     system: &SystemSpec,
     tag: &str,
 ) -> RemapOutcome {
+    assert_delta_matches_reference_under(model, system, &H2hConfig::default(), tag)
+}
+
+/// [`assert_delta_matches_reference`] under `cfg`.
+fn assert_delta_matches_reference_under(
+    model: &ModelGraph,
+    system: &SystemSpec,
+    cfg: &H2hConfig,
+    tag: &str,
+) -> RemapOutcome {
     let ev = Evaluator::new(model, system);
-    let cfg = H2hConfig::default();
-    let (seed, _) = computation_prioritized(&ev, &cfg, &PinPreset::new()).unwrap();
+    let (seed, _) = computation_prioritized(&ev, cfg, &PinPreset::new()).unwrap();
     let mut map_ref = seed.clone();
-    let reference = data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), &mut map_ref);
+    let reference = data_locality_remapping_reference(&ev, cfg, &PinPreset::new(), &mut map_ref);
     let mut mapping = seed;
-    let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut mapping);
+    let out = data_locality_remapping(&ev, cfg, &PinPreset::new(), &mut mapping);
     assert_eq!(
         mapping, map_ref,
         "{tag}: diverged from the reference mapping"
+    );
+    assert!(
+        out.locality == reference.locality,
+        "{tag}: diverged from the reference locality"
     );
     assert_eq!(
         out.schedule.makespan().as_f64().to_bits(),
@@ -106,6 +124,56 @@ fn delta_search_matches_reference_on_synthetic_models() {
             "{tag}: no risky guard resolved by dominance ({:?})",
             out.stats
         );
+    }
+}
+
+#[test]
+fn delta_search_matches_reference_on_boards_too_small_for_their_weights() {
+    // On the standard boards every layer's weights fit, so step 4 only
+    // ever moves one pin at a time. Boards holding 5-30% of a synthetic
+    // model's weight bytes make the per-board knapsack choose, so moves
+    // take the scoped step 2's strip and rerun instead, under every
+    // knapsack solver.
+    let kinds = [KnapsackKind::Dp, KnapsackKind::Greedy, KnapsackKind::Auto];
+    let mut accepted = [0; 3];
+    for seed in 1..=5u64 {
+        let model = synthetic_mmmt(&SyntheticConfig {
+            seed,
+            ..Default::default()
+        });
+        let weights: u64 = model
+            .layers()
+            .map(|(_, l)| l.weight_bytes(DataType::F32).as_u64())
+            .sum();
+        for frac in [0.05, 0.15, 0.3] {
+            let dram = Bytes::new((weights as f64 * frac) as u64);
+            let system = const_system(
+                [1.0e-3, 1.2e-3, 1.5e-3, 2.0e-3]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| ConstAccel::universal(&format!("b{i}"), *t).with_dram(dram))
+                    .collect(),
+                1e8,
+            );
+            for (k, &knapsack) in kinds.iter().enumerate() {
+                let cfg = H2hConfig {
+                    knapsack,
+                    ..H2hConfig::default()
+                };
+                let tag =
+                    format!("synthetic seed {seed}, boards at {frac} of weights, {knapsack:?}");
+                let out = assert_delta_matches_reference_under(&model, &system, &cfg, &tag);
+                accepted[k] += out.stats.accepted_moves;
+                let weighted = model.layers().filter(|(_, l)| l.has_weights()).count();
+                assert!(
+                    out.locality.num_pinned() < weighted,
+                    "{tag}: every weight fit, so no move left the pin diff"
+                );
+            }
+        }
+    }
+    for (kind, accepted) in kinds.iter().zip(accepted) {
+        assert!(accepted > 0, "{kind:?}: no search accepted a move");
     }
 }
 

@@ -32,7 +32,7 @@ pub struct LocalityState {
     pinned: Vec<LayerId>,
     /// Byte volume charged per pin, parallel to `pinned`: unpin refunds
     /// from here instead of re-deriving the layer's weight bytes from
-    /// the model (the search core strips and replays the touched
+    /// the model (the search core moves or re-derives the touched
     /// accelerators' pins once per scored candidate).
     pinned_bytes: Vec<u64>,
     /// `pinned_pos[layer.index()]` = position in `pinned`, or
@@ -42,10 +42,10 @@ pub struct LocalityState {
     /// Fused edges with their charged byte volume, sorted ascending by
     /// endpoints — binary-searched on the scheduler's hot path,
     /// `memcpy`-cloned by the search core. The bytes ride in the same
-    /// entry (instead of a parallel vector) so the fusion pass's
-    /// strip/replay churn pays one shift per insert/remove, not two;
-    /// unfuse refunds from the record instead of re-walking the model
-    /// graph's edge storage.
+    /// entry (instead of a parallel vector) so the fusion pass's replay
+    /// churn pays one shift per insert/remove, not two; unfuse refunds
+    /// from the record instead of re-walking the model graph's edge
+    /// storage.
     fused: Vec<(LayerId, LayerId, u64)>,
     /// Number of fused outgoing edges per producer layer index (grown
     /// on demand like `pinned_pos`). [`LocalityState::is_fused`] is
@@ -183,7 +183,7 @@ impl LocalityState {
     pub fn unpin(&mut self, model: &ModelGraph, layer: LayerId, acc: AccId) -> bool {
         // `model` stays in the signature for parity with `try_pin`, but
         // the refund comes from the recorded charge — no model lookup
-        // on the strip/replay hot path.
+        // on the search core's hot path.
         let _ = model;
         if !self.is_pinned(layer) {
             return false;
@@ -259,33 +259,6 @@ impl LocalityState {
         true
     }
 
-    /// Strips every fused edge whose producer is mapped, refunding each
-    /// recorded charge to the producer's accelerator — the bulk form of
-    /// [`LocalityState::unfuse`] used by the search core's global
-    /// fusion-pass replay, which strips the whole fused set once per
-    /// scored candidate (per-edge removal from the sorted vec would be
-    /// quadratic). The refunds are exact integer subtraction, so the
-    /// final state is identical to unfusing edge by edge. Edges with an
-    /// unmapped producer (never the case mid-search) are retained, as
-    /// the per-edge strip attributed by `mapping` would skip them.
-    pub fn unfuse_all(&mut self, mapping: &crate::mapping::Mapping) {
-        let mut w = 0;
-        for r in 0..self.fused.len() {
-            let (f, _, b) = self.fused[r];
-            match mapping.get(f) {
-                Some(a) => {
-                    self.used[a.index()] -= b;
-                    self.fused_out[f.index()] -= 1;
-                }
-                None => {
-                    self.fused[w] = self.fused[r];
-                    w += 1;
-                }
-            }
-        }
-        self.fused.truncate(w);
-    }
-
     /// Reverts a fusion, refunding the edge's bytes to `acc`'s budget
     /// (the accelerator originally charged in [`LocalityState::try_fuse`]).
     /// Returns `false` if the edge was not fused.
@@ -298,7 +271,7 @@ impl LocalityState {
     ) -> bool {
         // `model` stays in the signature for parity with `try_fuse`,
         // but the refund comes from the recorded charge — no graph
-        // walk on the strip/replay hot path.
+        // walk on the search core's hot path.
         let _ = model;
         let Ok(slot) = self.fused.binary_search_by_key(&(from, to), |e| (e.0, e.1)) else {
             return false;
