@@ -1,10 +1,10 @@
 //! Comparison mappers (paper §2 / §5.2).
 //!
 //! * [`computation_prioritized_baseline`] — the paper's evaluation
-//!   baseline: dataflow-preference mapping [10] plus weight locality
+//!   baseline: dataflow-preference mapping \[10\] plus weight locality
 //!   (steps 1–2 of the pipeline), no activation awareness.
 //! * [`cluster_mapping`] — a communication-prioritized mapper in the
-//!   spirit of Taura et al. [17]: one cluster per modality, each cluster
+//!   spirit of Taura et al. \[17\]: one cluster per modality, each cluster
 //!   pinned to a single accelerator. Good locality, poor compute fit —
 //!   the failure mode §2 describes.
 //! * [`random_mapping`] — a validity-respecting random assignment, the

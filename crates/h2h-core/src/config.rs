@@ -60,7 +60,7 @@ impl MapObjective {
     }
 
     /// Scalar score from raw schedule quantities; lets the incremental
-    /// delta engine score candidates from its running aggregates without
+    /// delta engine score candidates from its per-layer state without
     /// materializing a full `Schedule`.
     pub fn score_parts(&self, makespan: f64, energy_total: f64, bottleneck_busy: f64) -> f64 {
         match self {

@@ -116,7 +116,7 @@
 //!   directly and needs exact scores for its Metropolis rule, so it
 //!   never builds or reads the floor.
 //! * **Guard-dominance pruning** — before a risky guard replays its
-//!   toggle, [`DeltaOracle::resolve_guard`] tries to *prove* the
+//!   toggle, `DeltaOracle::resolve_guard` tries to *prove* the
 //!   accept/reject outcome from local quantities: the
 //!   producer's new finish time is exactly computable, and when every
 //!   reader of it absorbs the change (their starts already clear it)
@@ -288,7 +288,7 @@ pub struct PhaseProfile {
     /// fusion-pass bookkeeping, staged-candidate rollback.
     pub scoring_s: f64,
     /// Deferred cost refresh + cone propagation rounds (the
-    /// [`DeltaOracle`] flush/toggle paths).
+    /// `DeltaOracle` flush/toggle paths).
     pub propagate_s: f64,
     /// Risky-guard resolution: dominance proofs, toggle savepoints and
     /// `O(cone)` reverts.
@@ -466,8 +466,8 @@ impl FusionOracle for DeltaOracle<'_, '_, '_> {
     fn guard_revert(&mut self, _loc: &LocalityState, _from: LayerId, _to: LayerId) {
         let t0 = self.profile.is_some().then(std::time::Instant::now);
         // The savepoint journal recorded the toggle's touched set
-        // (costs, durations, start/finish times, aggregates); restoring
-        // it is O(touched), replacing the reference's second refresh +
+        // (costs, durations, start/finish times); restoring it is
+        // O(touched), replacing the reference's second refresh +
         // re-propagation — which would recompute exactly these values.
         let sp = self.savepoint.take().expect("guard_begin marks the restore point");
         self.inc.rollback_to(&sp);
@@ -1207,10 +1207,9 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         self.scratch_costs = oracle.pending;
         self.scratch_seeds = oracle.pending_seeds;
 
-        // A fresh in-order summation makes the proxy aggregates
+        // The proxy sums the per-layer state in the evaluator's order,
         // bitwise-equal to a full evaluation's, so every objective's
         // score — not just latency — filters exactly.
-        self.inc.resum_aggregates();
         let score = self.cfg.objective.score_proxy(&self.inc.proxy());
         self.staged = Some(StagedMove {
             layer,

@@ -5,7 +5,7 @@
 //! DRAM capacities are gigabytes while layer weights are kilobytes to
 //! hundreds of megabytes, so the classic DP runs on a *scaled* capacity
 //! grid: item weights are rounded **up** to the grid (so no solution can
-//! oversubscribe the board) and the grid is sized to [`DP_GRID`] cells.
+//! oversubscribe the board) and the grid is sized to `DP_GRID` cells.
 //! The greedy fallback sorts by value density — optimal when values are
 //! proportional to weights (the paper's saved-transfer-time objective),
 //! near-optimal otherwise.

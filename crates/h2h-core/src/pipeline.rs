@@ -166,7 +166,7 @@ impl H2hOutcome {
     }
 
     /// The paper's baseline latency: after step 2 (computation-
-    /// prioritized mapping + weight locality, like [10] with DRAM).
+    /// prioritized mapping + weight locality, like \[10\] with DRAM).
     pub fn baseline_latency(&self) -> Seconds {
         self.after(Step::WeightLocality).latency
     }

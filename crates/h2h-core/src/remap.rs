@@ -347,8 +347,8 @@ mod tests {
 
     #[test]
     fn delta_loop_matches_reference_on_other_objectives() {
-        // The non-latency objectives score through the resummed proxy
-        // aggregates — assert they drive the same decisions as the
+        // The non-latency objectives score through the proxy's on-read
+        // sums — assert they drive the same decisions as the
         // full-evaluation reference too.
         use crate::config::MapObjective;
         use h2h_system::system::{BandwidthClass, SystemSpec};

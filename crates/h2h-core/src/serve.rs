@@ -389,10 +389,6 @@ fn trim_to_budget(
         let seeds = inc.refresh_costs(ev, mapping, locality, dropped);
         inc.propagate(&seeds);
     }
-    if trimmed_pins > 0 {
-        // Restore bitwise-exact aggregates after the delta edits.
-        inc.resum_aggregates();
-    }
     for acc in system.acc_ids() {
         let used = locality.dram_used(acc);
         let budget = Bytes::new(budget_of(acc));

@@ -5,18 +5,18 @@
 //! traversing the entire graph"*).
 //!
 //! [`IncrementalSchedule`] mirrors the full [`Evaluator`]'s list
-//! schedule as mutable per-layer state and re-derives start/finish times
+//! schedule as mutable per-layer state — costs, durations, start/finish
+//! times and accelerator queues — and re-derives start/finish times
 //! along only the *affected cone* of a change: the changed layers, their
 //! graph successors, and queue successors on the owning accelerators.
-//! On top of the original duration-delta API
-//! ([`IncrementalSchedule::set_duration`] +
-//! [`IncrementalSchedule::propagate`]) it supports the full search-move
-//! primitive: [`IncrementalSchedule::move_layer`] re-queues a layer onto
-//! another accelerator and [`IncrementalSchedule::refresh_costs`]
-//! re-derives per-layer cost decompositions from a tentative locality
-//! state, keeping running aggregates (Ethernet/DRAM busy time, energy,
-//! per-accelerator busy) in sync so any [`crate::schedule::Schedule`]-level
-//! objective can be scored without a full re-evaluation.
+//! [`IncrementalSchedule::move_layer`] re-queues a layer onto another
+//! accelerator, [`IncrementalSchedule::refresh_costs`] re-derives
+//! per-layer cost decompositions from a tentative locality state, and
+//! [`IncrementalSchedule::propagate`] re-times the cone. The schedule
+//! keeps no running totals: [`IncrementalSchedule::proxy`] sums the
+//! schedule-level quantities from the per-layer state on read, so any
+//! [`crate::schedule::Schedule`]-level objective can be scored without a
+//! full re-evaluation.
 //!
 //! # Invariants the delta engine maintains
 //!
@@ -26,7 +26,9 @@
 //!    [`Evaluator::layer_cost`], the same primitive the full evaluator
 //!    sums. Identical durations + an identical start-time recurrence ⇒
 //!    after propagation over the full affected cone, every start/finish
-//!    equals the full evaluation *bitwise*. Seeded and refreshed from
+//!    equals the full evaluation *bitwise*, and so does every
+//!    [`ScheduleProxy`] quantity, which adds the same per-layer terms in
+//!    the evaluator's order. Seeded and refreshed from
 //!    [`Evaluator::layer_cost_floor`] instead, every start/finish bounds
 //!    from below the exact one of every fusion set in the floor's
 //!    outcome classes (the recurrence is monotone).
@@ -34,20 +36,11 @@
 //!    single global topological priority (`Evaluator`'s `topo_order`);
 //!    [`IncrementalSchedule::move_layer`] re-inserts at the sorted
 //!    position, so queue order never depends on move history.
-//! 3. **Aggregate coherence** — `eth_busy`/`dram_busy`/`comp_busy`/
-//!    energy/`per_acc_busy` are updated by exact add/subtract of layer
-//!    cost terms on every refresh and move, so they can drift from a
-//!    fresh sum by float re-association only (≈ulp per operation).
-//!    [`IncrementalSchedule::resum_aggregates`] eliminates even that:
-//!    it re-sums in the evaluator's exact iteration order, after which
-//!    the proxy quantities are bitwise-equal to a full
-//!    [`Evaluator::evaluate`] of the same state — search loops call it
-//!    before reading a candidate's score.
-//! 4. **Transactionality** — between [`IncrementalSchedule::begin`] and
+//! 3. **Transactionality** — between [`IncrementalSchedule::begin`] and
 //!    [`IncrementalSchedule::rollback`] every mutation is journaled
-//!    (first-touch undo log for times/costs, move list, aggregate
-//!    snapshot); rollback restores the pre-transaction state exactly, so
-//!    a rejected candidate move costs only its cone size. Within an open
+//!    (first-touch undo log for times/costs, move list); rollback
+//!    restores the pre-transaction state exactly, so a rejected
+//!    candidate move costs only its cone size. Within an open
 //!    transaction, [`IncrementalSchedule::savepoint`] marks a nested
 //!    restore point: the journal keeps recording (first touch *per
 //!    savepoint region*), and [`IncrementalSchedule::rollback_to`]
@@ -69,10 +62,9 @@ use crate::mapping::Mapping;
 use crate::schedule::{Evaluator, LayerCost};
 use crate::system::AccId;
 
-/// Schedule-level quantities derivable from the incremental aggregates —
-/// enough to score any mapping objective (latency, energy, EDP,
-/// pipelined throughput) without building a full
-/// [`crate::schedule::Schedule`].
+/// Schedule-level quantities summed from the per-layer state — enough
+/// to score any mapping objective (latency, energy, EDP, pipelined
+/// throughput) without building a full [`crate::schedule::Schedule`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleProxy {
     /// End-to-end latency (max finish).
@@ -81,8 +73,6 @@ pub struct ScheduleProxy {
     pub energy_total: f64,
     /// Busy time of the bottleneck accelerator.
     pub bottleneck_busy: Seconds,
-    /// Total Ethernet busy time.
-    pub eth_busy: Seconds,
 }
 
 /// Undo log of one open transaction.
@@ -100,40 +90,18 @@ struct Journal {
     costs: Vec<(usize, LayerCost, f64)>,
     /// `(layer, from_acc)` in application order.
     moves: Vec<(LayerId, usize)>,
-    /// Aggregate snapshot taken at `begin`.
-    eth_busy: f64,
-    comp_busy: f64,
-    dram_busy: f64,
-    dram_bytes: f64,
-    compute_energy: f64,
-    per_acc_busy: Vec<f64>,
-    /// `per_acc_busy` snapshots of the open savepoints, one
-    /// accelerator-count slice each, oldest first. The buffer lives as
-    /// long as the schedule (the journal is recycled across
-    /// transactions), so a savepoint allocates nothing once it has
-    /// grown to the deepest nesting seen.
-    busy_snaps: Vec<f64>,
 }
 
 /// A nested restore point inside an open transaction (see
 /// [`IncrementalSchedule::savepoint`]): the journal lengths at creation
-/// time plus an aggregate snapshot, whose per-accelerator part sits in
-/// the journal's snapshot buffer. [`IncrementalSchedule::rollback_to`]
-/// undoes exactly the journal suffix recorded since — the touched set of
-/// whatever ran in between — without re-propagating anything.
+/// time. [`IncrementalSchedule::rollback_to`] undoes exactly the journal
+/// suffix recorded since — the touched set of whatever ran in between —
+/// without re-propagating anything.
 #[derive(Debug, Clone, Copy)]
 pub struct Savepoint {
     times_len: usize,
     costs_len: usize,
     moves_len: usize,
-    eth_busy: f64,
-    comp_busy: f64,
-    dram_busy: f64,
-    dram_bytes: f64,
-    compute_energy: f64,
-    /// Offset of this savepoint's `per_acc_busy` snapshot in
-    /// `Journal::busy_snaps`.
-    busy_at: usize,
 }
 
 /// Read-only per-(model, system) data shared by every clone of an
@@ -145,7 +113,7 @@ struct IncShared {
     /// Rank of each layer in the global topological priority.
     topo_pos: Vec<usize>,
     /// The global topological priority itself (the evaluator's
-    /// iteration order, used by exact aggregate resummation).
+    /// iteration order, which [`IncrementalSchedule::proxy`] sums in).
     order: Vec<LayerId>,
     /// CSR-flattened adjacency (by raw layer index): predecessor ids of
     /// layer `i` live in `preds[pred_off[i]..pred_off[i + 1]]`, and
@@ -192,14 +160,6 @@ pub struct IncrementalSchedule {
     acc_of: Vec<usize>,
     /// Shared read-only topology/energy data (see [`IncShared`]).
     shared: Arc<IncShared>,
-    /// Busy seconds per accelerator.
-    per_acc_busy: Vec<f64>,
-    // Running aggregates (see invariant 3).
-    eth_busy: f64,
-    comp_busy: f64,
-    dram_busy: f64,
-    dram_bytes: f64,
-    compute_energy: f64,
     /// Layers touched by the last [`IncrementalSchedule::propagate`].
     touched: usize,
     /// First-touch epoch stamps for time/cost journaling.
@@ -210,9 +170,6 @@ pub struct IncrementalSchedule {
     /// (persistent, so the hot path allocates nothing per call).
     queued_stamp: Vec<u64>,
     prop_epoch: u64,
-    /// Set once the duration-only legacy path (`set_duration`) is used;
-    /// the aggregate-backed proxy is then meaningless.
-    duration_only: bool,
     journal: Option<Journal>,
     /// Retired journal kept for buffer reuse (one transaction per
     /// scored candidate — the hot loop should not allocate).
@@ -302,19 +259,12 @@ impl IncrementalSchedule {
                 eth_power_w: emodel.eth_link_power_w,
                 dram_pj_per_byte: emodel.dram_pj_per_byte,
             }),
-            per_acc_busy: vec![0.0; n_accs],
-            eth_busy: 0.0,
-            comp_busy: 0.0,
-            dram_busy: 0.0,
-            dram_bytes: 0.0,
-            compute_energy: 0.0,
             touched: 0,
             time_stamp: vec![0; bound],
             cost_stamp: vec![0; bound],
             epoch: 0,
             queued_stamp: vec![0; bound],
             prop_epoch: 0,
-            duration_only: false,
             journal: None,
             spare_journal: None,
         };
@@ -334,12 +284,6 @@ impl IncrementalSchedule {
             inc.acc_queue[a].push(id);
             inc.costs[i] = cost;
             inc.dur[i] = dur;
-            inc.eth_busy += cost.eth_time.as_f64();
-            inc.comp_busy += cost.compute.as_f64();
-            inc.dram_busy += cost.dram_time.as_f64();
-            inc.dram_bytes += cost.dram_bytes.as_f64();
-            inc.compute_energy += cost.compute_energy.as_f64();
-            inc.per_acc_busy[a] += dur;
             let deps = model
                 .predecessors(id)
                 .map(|p| inc.finish[p.index()])
@@ -428,60 +372,37 @@ impl IncrementalSchedule {
         self.touched
     }
 
-    /// Recomputes every running aggregate by a fresh summation over the
-    /// per-layer costs in the evaluator's exact iteration order. After
-    /// this call the [`ScheduleProxy`] quantities are bitwise-equal to
-    /// a full [`Evaluator::evaluate`] of the same `(mapping, locality)`
-    /// state — delta updates can only differ from a fresh sum by float
-    /// re-association, and this removes that.
-    pub fn resum_aggregates(&mut self) {
-        let mut eth = 0.0f64;
-        let mut comp = 0.0f64;
-        let mut dram = 0.0f64;
-        let mut dram_bytes = 0u64;
-        let mut energy = 0.0f64;
-        // In-place re-accumulation (any open transaction snapshotted
-        // `per_acc_busy` at `begin`, so rollback still restores it).
-        self.per_acc_busy.fill(0.0);
-        for k in 0..self.shared.order.len() {
-            let i = self.shared.order[k].index();
-            let c = &self.costs[i];
-            eth += c.eth_time.as_f64();
-            comp += c.compute.as_f64();
-            dram += c.dram_time.as_f64();
-            dram_bytes += c.dram_bytes.as_u64();
-            energy += c.compute_energy.as_f64();
-            self.per_acc_busy[self.acc_of[i]] += self.dur[i];
-        }
-        self.eth_busy = eth;
-        self.comp_busy = comp;
-        self.dram_busy = dram;
-        self.dram_bytes = dram_bytes as f64;
-        self.compute_energy = energy;
-    }
-
-    /// Schedule-level scores derived from the running aggregates.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the duration-only legacy path
-    /// ([`IncrementalSchedule::set_duration`]) was never used on this
-    /// instance — it leaves the cost aggregates stale.
+    /// Schedule-level scores, summed from the per-layer state on read in
+    /// `O(layers)` without allocating. The energy terms are added over
+    /// the global topological priority and each accelerator's busy time
+    /// over its queue, which holds its layers in that same order — the
+    /// same values in the same order as [`Evaluator::evaluate`] adds
+    /// them, so every field is bitwise-equal to the full evaluation of
+    /// the same state (invariant 1).
     pub fn proxy(&self) -> ScheduleProxy {
-        debug_assert!(
-            !self.duration_only,
-            "proxy() after set_duration(): aggregates are stale; use refresh_costs"
-        );
-        let energy_total = self.compute_energy
-            + self.eth_busy * self.shared.eth_power_w
-            + self.dram_bytes * self.shared.dram_pj_per_byte * 1e-12;
+        let mut eth_busy = 0.0f64;
+        let mut dram_bytes = 0u64;
+        let mut compute_energy = 0.0f64;
+        for id in &self.shared.order {
+            let c = &self.costs[id.index()];
+            eth_busy += c.eth_time.as_f64();
+            dram_bytes += c.dram_bytes.as_u64();
+            compute_energy += c.compute_energy.as_f64();
+        }
+        let mut bottleneck = 0.0f64;
+        for queue in &self.acc_queue {
+            let busy = queue
+                .iter()
+                .fold(0.0f64, |sum, l| sum + self.dur[l.index()]);
+            bottleneck = bottleneck.max(busy);
+        }
+        let energy_total = compute_energy
+            + eth_busy * self.shared.eth_power_w
+            + dram_bytes as f64 * self.shared.dram_pj_per_byte * 1e-12;
         ScheduleProxy {
             makespan: self.makespan(),
             energy_total,
-            bottleneck_busy: Seconds::new(
-                self.per_acc_busy.iter().cloned().fold(0.0, f64::max),
-            ),
-            eth_busy: Seconds::new(self.eth_busy.max(0.0)),
+            bottleneck_busy: Seconds::new(bottleneck),
         }
     }
 
@@ -499,13 +420,6 @@ impl IncrementalSchedule {
         journal.times.clear();
         journal.costs.clear();
         journal.moves.clear();
-        journal.busy_snaps.clear();
-        journal.eth_busy = self.eth_busy;
-        journal.comp_busy = self.comp_busy;
-        journal.dram_busy = self.dram_busy;
-        journal.dram_bytes = self.dram_bytes;
-        journal.compute_energy = self.compute_energy;
-        journal.per_acc_busy.clone_from(&self.per_acc_busy);
         self.journal = Some(journal);
     }
 
@@ -537,12 +451,6 @@ impl IncrementalSchedule {
             self.start[*i] = *s;
             self.finish[*i] = *f;
         }
-        self.eth_busy = journal.eth_busy;
-        self.comp_busy = journal.comp_busy;
-        self.dram_busy = journal.dram_busy;
-        self.dram_bytes = journal.dram_bytes;
-        self.compute_energy = journal.compute_energy;
-        self.per_acc_busy.clone_from(&journal.per_acc_busy);
         self.spare_journal = Some(journal);
     }
 
@@ -562,39 +470,26 @@ impl IncrementalSchedule {
     /// release — its extra journal entries are harmless because full
     /// [`IncrementalSchedule::rollback`] applies in reverse order.
     ///
-    /// The per-accelerator busy snapshot goes into a buffer the journal
-    /// owns and keeps across transactions, so savepoints do not allocate
-    /// in steady state.
-    ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn savepoint(&mut self) -> Savepoint {
-        let j = self.journal.as_mut().expect("savepoint requires an open transaction");
+        let j = self.journal.as_ref().expect("savepoint requires an open transaction");
         // New epoch: layers first-touched before this savepoint must be
         // re-journaled (with their current, i.e. at-savepoint, values)
         // when touched inside the region.
         self.epoch += 1;
-        let busy_at = j.busy_snaps.len();
-        j.busy_snaps.extend_from_slice(&self.per_acc_busy);
         Savepoint {
             times_len: j.times.len(),
             costs_len: j.costs.len(),
             moves_len: j.moves.len(),
-            eth_busy: self.eth_busy,
-            comp_busy: self.comp_busy,
-            dram_busy: self.dram_busy,
-            dram_bytes: self.dram_bytes,
-            compute_energy: self.compute_energy,
-            busy_at,
         }
     }
 
     /// Restores the exact state as of `sp`'s [`IncrementalSchedule::savepoint`]
     /// call by undoing the journal suffix recorded since (reverse
-    /// order) and reinstating the aggregate snapshot. Costs, durations,
-    /// start/finish times, queues and aggregates all come back bitwise;
-    /// the transaction stays open.
+    /// order). Costs, durations, start/finish times and queues all come
+    /// back bitwise; the transaction stays open.
     ///
     /// # Panics
     ///
@@ -604,12 +499,10 @@ impl IncrementalSchedule {
     pub fn rollback_to(&mut self, sp: &Savepoint) {
         // Take the journal out so `requeue` can borrow `self` freely.
         let mut journal = self.journal.take().expect("rollback_to requires an open transaction");
-        let busy_end = sp.busy_at + self.per_acc_busy.len();
         debug_assert!(
             sp.times_len <= journal.times.len()
                 && sp.costs_len <= journal.costs.len()
-                && sp.moves_len <= journal.moves.len()
-                && busy_end <= journal.busy_snaps.len(),
+                && sp.moves_len <= journal.moves.len(),
             "savepoint does not belong to this transaction"
         );
         while journal.moves.len() > sp.moves_len {
@@ -624,15 +517,8 @@ impl IncrementalSchedule {
             self.start[i] = s;
             self.finish[i] = f;
         }
-        self.eth_busy = sp.eth_busy;
-        self.comp_busy = sp.comp_busy;
-        self.dram_busy = sp.dram_busy;
-        self.dram_bytes = sp.dram_bytes;
-        self.compute_energy = sp.compute_energy;
-        self.per_acc_busy
-            .copy_from_slice(&journal.busy_snaps[sp.busy_at..busy_end]);
-        // Later savepoints are spent; this one stays usable.
-        journal.busy_snaps.truncate(busy_end);
+        // The journal is back at `sp`'s marks: later savepoints are
+        // spent, this one stays usable.
         self.journal = Some(journal);
         // New epoch: the popped entries' layers carry region stamps, so
         // later touches must journal their (just restored) values anew.
@@ -689,8 +575,6 @@ impl IncrementalSchedule {
         for k in insert_at..self.acc_queue[to_acc].len() {
             self.queue_pos[self.acc_queue[to_acc][k].index()] = k;
         }
-        self.per_acc_busy[from_acc] -= self.dur[i];
-        self.per_acc_busy[to_acc] += self.dur[i];
         self.acc_of[i] = to_acc;
     }
 
@@ -733,9 +617,9 @@ impl IncrementalSchedule {
     }
 
     /// Re-derives the cost decomposition of `layers` from `(mapping,
-    /// locality)` (journaled), updating durations and aggregates.
-    /// Returns the subset whose duration actually changed — the seeds a
-    /// subsequent [`IncrementalSchedule::propagate`] needs.
+    /// locality)` (journaled), updating their durations. Returns the
+    /// subset whose duration actually changed — the seeds a subsequent
+    /// [`IncrementalSchedule::propagate`] needs.
     pub fn refresh_costs(
         &mut self,
         ev: &Evaluator<'_>,
@@ -766,19 +650,10 @@ impl IncrementalSchedule {
         for id in layers {
             let i = id.index();
             self.journal_cost(i);
-            let old = self.costs[i];
-            let old_dur = self.dur[i];
             let new = cost_of(id);
             let new_dur = new.duration().as_f64();
-            self.eth_busy += new.eth_time.as_f64() - old.eth_time.as_f64();
-            self.comp_busy += new.compute.as_f64() - old.compute.as_f64();
-            self.dram_busy += new.dram_time.as_f64() - old.dram_time.as_f64();
-            self.dram_bytes += new.dram_bytes.as_f64() - old.dram_bytes.as_f64();
-            self.compute_energy +=
-                new.compute_energy.as_f64() - old.compute_energy.as_f64();
-            self.per_acc_busy[self.acc_of[i]] += new_dur - old_dur;
+            let old_dur = std::mem::replace(&mut self.dur[i], new_dur);
             self.costs[i] = new;
-            self.dur[i] = new_dur;
             if new_dur != old_dur {
                 changed.push(id);
             }
@@ -794,12 +669,10 @@ impl IncrementalSchedule {
     /// Compared to a fresh [`Evaluator::evaluate`] this reuses the queue
     /// structure, the CSR adjacency and every scratch buffer, and a
     /// no-op rebatch (costs unchanged, e.g. the batch size the schedule
-    /// already reflects) propagates nothing. Aggregates are re-summed in
-    /// the evaluator's exact iteration order afterwards, so the
-    /// [`IncrementalSchedule::proxy`] quantities — and every
-    /// start/finish time, by invariant 1 — are **bitwise-equal** to a
-    /// full evaluation under `ev`. Returns the number of layers whose
-    /// duration changed.
+    /// already reflects) propagates nothing. By invariant 1, every
+    /// start/finish time — and so every [`IncrementalSchedule::proxy`]
+    /// quantity — is then **bitwise-equal** to a full evaluation under
+    /// `ev`. Returns the number of layers whose duration changed.
     pub fn rebatch(
         &mut self,
         ev: &Evaluator<'_>,
@@ -810,26 +683,8 @@ impl IncrementalSchedule {
         let changed = seeds.len();
         if changed > 0 {
             self.propagate(&seeds);
-            self.resum_aggregates();
         }
         changed
-    }
-
-    /// Overrides one layer's duration (e.g. after pinning its weights or
-    /// fusing one of its edges) **without** propagating; call
-    /// [`IncrementalSchedule::propagate`] once after a batch of changes.
-    ///
-    /// Duration-only override: the per-layer cost decomposition and the
-    /// energy/Ethernet aggregates are *not* adjusted, so
-    /// [`IncrementalSchedule::proxy`] becomes meaningless (debug-asserted)
-    /// — use [`IncrementalSchedule::refresh_costs`] on the search path.
-    pub fn set_duration(&mut self, layer: LayerId, dur: Seconds) {
-        let i = layer.index();
-        self.journal_cost(i);
-        let new = dur.as_f64();
-        self.per_acc_busy[self.acc_of[i]] += new - self.dur[i];
-        self.dur[i] = new;
-        self.duration_only = true;
     }
 
     /// Recomputes start/finish times along the affected cone of `seeds`
@@ -841,7 +696,7 @@ impl IncrementalSchedule {
     /// edges and same-accelerator queue edges both point forward in
     /// that order) is final before its reader is visited, so each layer
     /// in the cone is recomputed **exactly once**, with neighbours read
-    /// from the CSR adjacency in [`IncShared`]. Read
+    /// from a CSR copy of the graph's adjacency. Read
     /// [`IncrementalSchedule::makespan`] afterwards when the new value
     /// is needed (most propagations — deferred-batch flushes — never
     /// look at it).
@@ -927,25 +782,9 @@ impl IncrementalSchedule {
         self.touched = touched;
     }
 
-    /// Convenience: seed, apply a batch of duration changes, propagate.
-    pub fn with_changes(
-        ev: &Evaluator<'_>,
-        mapping: &Mapping,
-        locality: &LocalityState,
-        changes: &[(LayerId, Seconds)],
-    ) -> (Self, Seconds) {
-        let mut inc = IncrementalSchedule::new(ev, mapping, locality);
-        for (l, d) in changes {
-            inc.set_duration(*l, *d);
-        }
-        let seeds: Vec<LayerId> = changes.iter().map(|(l, _)| *l).collect();
-        inc.propagate(&seeds);
-        let mk = inc.makespan();
-        (inc, mk)
-    }
-
-    /// Asserts (in tests) that the incremental state matches a fresh full
-    /// evaluation; exposed for downstream test suites.
+    /// Asserts (in tests) that every start and finish time equals a
+    /// fresh full evaluation's bitwise (invariant 1); exposed for
+    /// downstream test suites.
     #[doc(hidden)]
     pub fn assert_matches_full(
         &self,
@@ -956,10 +795,11 @@ impl IncrementalSchedule {
         let full = ev.evaluate(mapping, locality);
         for id in ev.model().layer_ids() {
             let t = full.timing(id).expect("scheduled");
-            let inc_f = self.finish[id.index()];
+            let (s, f) = (self.start[id.index()], self.finish[id.index()]);
             assert!(
-                (t.finish.as_f64() - inc_f).abs() < 1e-9,
-                "{id}: incremental {inc_f} vs full {}",
+                s == t.start.as_f64() && f == t.finish.as_f64(),
+                "{id}: incremental [{s}, {f}] vs full [{}, {}]",
+                t.start.as_f64(),
                 t.finish.as_f64()
             );
         }
@@ -969,11 +809,21 @@ impl IncrementalSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Schedule;
     use crate::system::{AccId, BandwidthClass};
     use crate::testutil::{const_system, ConstAccel};
     use h2h_model::graph::ModelGraph;
     use h2h_model::builder::ModelBuilder;
     use h2h_model::tensor::TensorShape;
+
+    /// The proxy sums what the full schedule sums, in its order, so
+    /// every field matches bitwise.
+    fn assert_proxy_matches(inc: &IncrementalSchedule, full: &Schedule) {
+        let proxy = inc.proxy();
+        assert_eq!(proxy.makespan, full.makespan());
+        assert_eq!(proxy.energy_total, full.energy().total().as_f64());
+        assert_eq!(proxy.bottleneck_busy, full.bottleneck_busy());
+    }
 
     fn chain() -> ModelGraph {
         let mut b = ModelBuilder::new("inc");
@@ -1001,22 +851,14 @@ mod tests {
         let loc = LocalityState::new(&sys);
         let inc = IncrementalSchedule::new(&ev, &map, &loc);
         inc.assert_matches_full(&ev, &map, &loc);
-        let full = ev.evaluate(&map, &loc);
-        assert!((inc.makespan().as_f64() - full.makespan().as_f64()).abs() < 1e-12);
-        // Aggregates agree with the full schedule at seed time.
-        let proxy = inc.proxy();
-        assert!((proxy.energy_total - full.energy().total().as_f64()).abs() < 1e-12);
-        assert!(
-            (proxy.bottleneck_busy.as_f64() - full.bottleneck_busy().as_f64()).abs() < 1e-12
-        );
-        assert!((proxy.eth_busy.as_f64() - full.eth_busy().as_f64()).abs() < 1e-12);
+        assert_proxy_matches(&inc, &ev.evaluate(&map, &loc));
     }
 
     #[test]
     fn pinning_delta_propagates_to_full_equivalence() {
         // Pin a layer's weights in locality B; the incremental schedule
-        // seeded from locality A plus one duration change must equal the
-        // full evaluation of B.
+        // seeded from locality A, with that layer's cost refreshed under
+        // B and propagated, must equal the full evaluation of B.
         let m = chain();
         let sys = const_system(vec![ConstAccel::universal("u0", 1e-3)], 1e6);
         let mut map = Mapping::new(&m);
@@ -1029,19 +871,12 @@ mod tests {
         let mut loc_b = LocalityState::new(&sys);
         assert!(loc_b.try_pin(&m, &sys, ids[1], AccId::new(0)));
 
-        let full_b = ev.evaluate(&map, &loc_b);
-        let new_dur = {
-            let t = full_b.timing(ids[1]).unwrap();
-            t.finish - t.start
-        };
-        let (inc, mk) =
-            IncrementalSchedule::with_changes(&ev, &map, &loc_a, &[(ids[1], new_dur)]);
-        assert!(
-            (mk.as_f64() - full_b.makespan().as_f64()).abs() < 1e-12,
-            "incremental {mk} vs full {}",
-            full_b.makespan()
-        );
+        let mut inc = IncrementalSchedule::new(&ev, &map, &loc_a);
+        let seeds = inc.refresh_costs(&ev, &map, &loc_b, [ids[1]]);
+        assert_eq!(seeds, [ids[1]], "pinning must change the layer's duration");
+        inc.propagate(&seeds);
         inc.assert_matches_full(&ev, &map, &loc_b);
+        assert_proxy_matches(&inc, &ev.evaluate(&map, &loc_b));
     }
 
     #[test]
@@ -1062,15 +897,21 @@ mod tests {
         let ev = Evaluator::new(&m, &sys);
         let loc = LocalityState::new(&sys);
         let mut inc = IncrementalSchedule::new(&ev, &map, &loc);
+        let compute_only = |secs: f64| LayerCost {
+            compute: Seconds::new(secs),
+            ..LayerCost::default()
+        };
+        let mut seeds = Vec::new();
         let last = *m.topo_order().last().unwrap();
-        inc.set_duration(last, Seconds::new(5e-3));
-        inc.propagate(&[last]);
+        inc.refresh_costs_into([last], |_| compute_only(5e-3), &mut seeds);
+        inc.propagate(&seeds);
         assert_eq!(inc.touched(), 1, "tail change must touch one layer");
 
         // Changing the head touches everything downstream.
+        seeds.clear();
         let head = m.topo_order()[0];
-        inc.set_duration(head, Seconds::new(2e-3));
-        inc.propagate(&[head]);
+        inc.refresh_costs_into([head], |_| compute_only(2e-3), &mut seeds);
+        inc.propagate(&seeds);
         assert_eq!(inc.touched(), m.num_layers());
     }
 
@@ -1092,18 +933,14 @@ mod tests {
                 let _ = loc_b.try_pin(&m, &sys, id, map.acc_of(id));
             }
         }
-        let full_b = ev.evaluate(&map, &loc_b);
-        let changes: Vec<(LayerId, Seconds)> = m
-            .layer_ids()
-            .filter(|id| loc_b.is_pinned(*id))
-            .map(|id| {
-                let t = full_b.timing(id).unwrap();
-                (id, t.finish - t.start)
-            })
-            .collect();
-        let (inc, mk) = IncrementalSchedule::with_changes(&ev, &map, &loc_a, &changes);
-        assert!((mk.as_f64() - full_b.makespan().as_f64()).abs() < 1e-9);
+        // Re-cost only the pinned layers under B, as production does.
+        let pinned: Vec<LayerId> = m.layer_ids().filter(|id| loc_b.is_pinned(*id)).collect();
+        let mut inc = IncrementalSchedule::new(&ev, &map, &loc_a);
+        let seeds = inc.refresh_costs(&ev, &map, &loc_b, pinned);
+        assert!(!seeds.is_empty(), "pinning must change some duration");
+        inc.propagate(&seeds);
         inc.assert_matches_full(&ev, &map, &loc_b);
+        assert_proxy_matches(&inc, &ev.evaluate(&map, &loc_b));
     }
 
     #[test]
@@ -1129,15 +966,8 @@ mod tests {
         let mut seeds = inc.move_layer(ids[2], AccId::new(1));
         seeds.extend(inc.refresh_costs(&ev, &map, &loc, m.layer_ids()));
         inc.propagate(&seeds);
-        let mk = inc.makespan();
-        let full = ev.evaluate(&map, &loc);
-        assert_eq!(mk.as_f64(), full.makespan().as_f64(), "bitwise equality expected");
         inc.assert_matches_full(&ev, &map, &loc);
-        let proxy = inc.proxy();
-        assert!((proxy.energy_total - full.energy().total().as_f64()).abs() < 1e-9);
-        assert!(
-            (proxy.bottleneck_busy.as_f64() - full.bottleneck_busy().as_f64()).abs() < 1e-9
-        );
+        assert_proxy_matches(&inc, &ev.evaluate(&map, &loc));
     }
 
     #[test]
@@ -1207,23 +1037,9 @@ mod tests {
         let mut inc = IncrementalSchedule::new(&base, &map, &loc);
         for batch in [4u32, 1, 16, 16, 2] {
             let ev = Evaluator::from_cache(&m, &sys, base.cache().clone()).with_batch(batch);
-            let changed = inc.rebatch(&ev, &map, &loc);
-            let full = ev.evaluate(&map, &loc);
-            assert_eq!(
-                inc.makespan(),
-                full.makespan(),
-                "batch {batch}: rebatch diverged from the full evaluation"
-            );
-            let proxy = inc.proxy();
-            assert_eq!(proxy.makespan, full.makespan());
-            assert_eq!(proxy.bottleneck_busy, full.bottleneck_busy());
-            assert!(
-                (proxy.energy_total - full.energy().total().as_f64()).abs()
-                    <= full.energy().total().as_f64() * 1e-12,
-                "batch {batch}: energy diverged"
-            );
+            inc.rebatch(&ev, &map, &loc);
             inc.assert_matches_full(&ev, &map, &loc);
-            let _ = changed;
+            assert_proxy_matches(&inc, &ev.evaluate(&map, &loc));
         }
         // Same-batch rebatch is a no-op: no duration can change.
         let ev = Evaluator::from_cache(&m, &sys, base.cache().clone()).with_batch(2);

@@ -28,7 +28,7 @@
 //! [`Evaluator::layer_cost`] is the unit cost of the entire search
 //! stack — the delta engine scores millions of candidates through it —
 //! so the evaluator flattens everything the kernel reads into
-//! structure-of-arrays form at construction ([`FlatCost`]): per-layer
+//! structure-of-arrays form at construction (`FlatCost`): per-layer
 //! weight/OFM byte volumes and Input bits, CSR predecessor/successor
 //! adjacency with per-edge byte volumes, dense per-(layer, accelerator)
 //! compute tables, per-accelerator DRAM rates and compute-slowdown
@@ -523,28 +523,78 @@ impl<'a> Evaluator<'a> {
     /// cannot execute it (callers validate with [`Mapping::validate`]).
     pub fn evaluate(&self, mapping: &Mapping, locality: &LocalityState) -> Schedule {
         self.evals.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.evaluate_filtered(mapping, locality, |_| true)
+        let emodel = self.system.energy_model();
+        let bound = self.model.id_bound();
+        let mut timings: Vec<Option<LayerTiming>> = vec![None; bound];
+        let mut finish: Vec<Seconds> = vec![Seconds::ZERO; bound];
+        let mut acc_ready = vec![Seconds::ZERO; self.system.num_accs()];
+        let mut per_acc_busy = vec![Seconds::ZERO; self.system.num_accs()];
+
+        let mut makespan = Seconds::ZERO;
+        let mut eth_busy = Seconds::ZERO;
+        let mut comp_busy = Seconds::ZERO;
+        let mut dram_busy = Seconds::ZERO;
+        let mut energy = EnergyBreakdown::default();
+        let mut dram_bytes = Bytes::ZERO;
+
+        for &id in &self.order {
+            let acc = mapping.acc_of(id);
+            let cost = self.layer_cost(mapping, locality, id);
+            eth_busy += cost.eth_time;
+            comp_busy += cost.compute;
+            dram_busy += cost.dram_time;
+            dram_bytes += cost.dram_bytes;
+            energy.compute += cost.compute_energy;
+
+            // Dependencies + accelerator availability. The max fold is
+            // order-insensitive (non-negative finish times, no NaN), so
+            // reading the CSR row instead of the graph iterator cannot
+            // change the result bitwise.
+            let (ps, pe) = (
+                self.flat.pred_off[id.index()] as usize,
+                self.flat.pred_off[id.index() + 1] as usize,
+            );
+            let ready = self.flat.pred_src[ps..pe]
+                .iter()
+                .map(|p| finish[p.index()])
+                .fold(Seconds::ZERO, Seconds::max);
+            let start = ready.max(acc_ready[acc.index()]);
+            let dur = cost.duration();
+            let end = start + dur;
+            finish[id.index()] = end;
+            acc_ready[acc.index()] = end;
+            per_acc_busy[acc.index()] += dur;
+            makespan = makespan.max(end);
+
+            timings[id.index()] = Some(LayerTiming {
+                acc,
+                start,
+                finish: end,
+                weight_xfer: cost.weight_xfer,
+                ifm_xfer: cost.ifm_xfer,
+                compute: cost.compute,
+                ofm_xfer: cost.ofm_xfer,
+            });
+        }
+
+        energy.ethernet = Joules::new(eth_busy.as_f64() * emodel.eth_link_power_w);
+        energy.dram = Joules::new(dram_bytes.as_f64() * emodel.dram_pj_per_byte * 1e-12);
+
+        Schedule {
+            makespan,
+            energy,
+            eth_busy,
+            comp_busy,
+            dram_busy,
+            timings,
+            per_acc_busy,
+        }
     }
 
-    /// Full [`Evaluator::evaluate`] calls made through this evaluator
-    /// since construction — the currency search budgets are billed in.
-    /// Partial (prefix) evaluations are not counted: they price a
-    /// fragment of the model, not a schedule.
+    /// [`Evaluator::evaluate`] calls made through this evaluator since
+    /// construction — the currency search budgets are billed in.
     pub fn evals_performed(&self) -> usize {
         self.evals.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Evaluates the sub-schedule of layers for which `include` returns
-    /// true (used by the frontier search of step 1, where only a prefix
-    /// of the model is mapped). The include set must be closed under
-    /// predecessors.
-    pub fn evaluate_partial(
-        &self,
-        mapping: &Mapping,
-        locality: &LocalityState,
-        include: impl Fn(LayerId) -> bool,
-    ) -> Schedule {
-        self.evaluate_filtered(mapping, locality, include)
     }
 
     /// See [`LocalityState::edge_is_local`] — the one owner of the
@@ -567,7 +617,7 @@ impl<'a> Evaluator<'a> {
     /// schedules agree bitwise.
     ///
     /// This is the data-oriented kernel: straight-line arithmetic over
-    /// the [`FlatCost`] arrays (see the module docs). It is asserted
+    /// the `FlatCost` arrays (see the module docs). It is asserted
     /// bitwise-equal to [`Evaluator::layer_cost_reference`], the
     /// retained pointer-chasing implementation that serves as the
     /// executable spec of the cost semantics.
@@ -789,8 +839,8 @@ impl<'a> Evaluator<'a> {
     /// The IFM section of [`Evaluator::layer_cost`]: one transfer per
     /// incoming edge (CSR row, graph order — this is a float sum, so
     /// order is part of the contract), repeated per batch item, each at
-    /// its route's effective bandwidth. An unmapped producer (partial
-    /// evaluation of a frontier prefix) charges the host route — data
+    /// its route's effective bandwidth. An unmapped producer (a partial
+    /// mapping of a frontier prefix) charges the host route — data
     /// not yet placed lives at the host. Factored out so
     /// [`Evaluator::duration_new_ifm`] reruns the exact arithmetic.
     ///
@@ -931,7 +981,7 @@ impl<'a> Evaluator<'a> {
     /// and every other term taken from `stored`, a cost for `id` that
     /// is current except (at most) its IFM term. Bitwise equal to
     /// `self.layer_cost(mapping, locality, id).duration()` because the
-    /// IFM sum reruns [`Evaluator::accum_ifm`] verbatim (same values,
+    /// IFM sum reruns `Evaluator::accum_ifm` verbatim (same values,
     /// same float-op order) and `duration()`'s left-to-right sum is
     /// reproduced term for term. The fusion-guard dominance proof uses
     /// this to price a fuse toggle's consumer — whose weight, compute
@@ -958,7 +1008,7 @@ impl<'a> Evaluator<'a> {
     /// `LayerCost::duration()` of `id` with a freshly computed OFM term
     /// and every other term taken from `stored` — the producer-side
     /// twin of [`Evaluator::duration_new_ifm`], with the same bitwise
-    /// argument (the OFM fold reruns [`Evaluator::accum_ofm`]
+    /// argument (the OFM fold reruns `Evaluator::accum_ofm`
     /// verbatim) and the same `extra_fused` overlay (here the
     /// hypothetical `id → extra_fused` fusion).
     pub fn duration_new_ofm(
@@ -1014,7 +1064,7 @@ impl<'a> Evaluator<'a> {
 
         // IFM transfers: one per incoming edge, repeated per batch
         // item, each at its route's effective bandwidth. An unmapped
-        // producer (partial evaluation of a frontier prefix) charges
+        // producer (a partial mapping of a frontier prefix) charges
         // the host route — data not yet placed lives at the host.
         for pred in self.model.predecessors(id) {
             let bytes = self
@@ -1082,83 +1132,6 @@ impl<'a> Evaluator<'a> {
         }
 
         cost
-    }
-
-    fn evaluate_filtered(
-        &self,
-        mapping: &Mapping,
-        locality: &LocalityState,
-        include: impl Fn(LayerId) -> bool,
-    ) -> Schedule {
-        let emodel = self.system.energy_model();
-        let bound = self.model.id_bound();
-        let mut timings: Vec<Option<LayerTiming>> = vec![None; bound];
-        let mut finish: Vec<Seconds> = vec![Seconds::ZERO; bound];
-        let mut acc_ready = vec![Seconds::ZERO; self.system.num_accs()];
-        let mut per_acc_busy = vec![Seconds::ZERO; self.system.num_accs()];
-
-        let mut makespan = Seconds::ZERO;
-        let mut eth_busy = Seconds::ZERO;
-        let mut comp_busy = Seconds::ZERO;
-        let mut dram_busy = Seconds::ZERO;
-        let mut energy = EnergyBreakdown::default();
-        let mut dram_bytes = Bytes::ZERO;
-
-        for &id in &self.order {
-            if !include(id) {
-                continue;
-            }
-            let acc = mapping.acc_of(id);
-            let cost = self.layer_cost(mapping, locality, id);
-            eth_busy += cost.eth_time;
-            comp_busy += cost.compute;
-            dram_busy += cost.dram_time;
-            dram_bytes += cost.dram_bytes;
-            energy.compute += cost.compute_energy;
-
-            // Dependencies + accelerator availability. The max fold is
-            // order-insensitive (non-negative finish times, no NaN), so
-            // reading the CSR row instead of the graph iterator cannot
-            // change the result bitwise.
-            let (ps, pe) = (
-                self.flat.pred_off[id.index()] as usize,
-                self.flat.pred_off[id.index() + 1] as usize,
-            );
-            let ready = self.flat.pred_src[ps..pe]
-                .iter()
-                .map(|p| finish[p.index()])
-                .fold(Seconds::ZERO, Seconds::max);
-            let start = ready.max(acc_ready[acc.index()]);
-            let dur = cost.duration();
-            let end = start + dur;
-            finish[id.index()] = end;
-            acc_ready[acc.index()] = end;
-            per_acc_busy[acc.index()] += dur;
-            makespan = makespan.max(end);
-
-            timings[id.index()] = Some(LayerTiming {
-                acc,
-                start,
-                finish: end,
-                weight_xfer: cost.weight_xfer,
-                ifm_xfer: cost.ifm_xfer,
-                compute: cost.compute,
-                ofm_xfer: cost.ofm_xfer,
-            });
-        }
-
-        energy.ethernet = Joules::new(eth_busy.as_f64() * emodel.eth_link_power_w);
-        energy.dram = Joules::new(dram_bytes.as_f64() * emodel.dram_pj_per_byte * 1e-12);
-
-        Schedule {
-            makespan,
-            energy,
-            eth_busy,
-            comp_busy,
-            dram_busy,
-            timings,
-            per_acc_busy,
-        }
     }
 }
 
@@ -1342,24 +1315,6 @@ mod tests {
             serial.as_f64() - overlapped.as_f64() > 0.4,
             "serial {serial} vs overlapped {overlapped}"
         );
-    }
-
-    #[test]
-    fn partial_evaluation_matches_full_when_all_included() {
-        let m = chain();
-        let sys = const_system(vec![ConstAccel::universal("U", 1e-3)], 1e6);
-        let map = map_all(&m, AccId::new(0));
-        let loc = LocalityState::new(&sys);
-        let ev = Evaluator::new(&m, &sys);
-        let full = ev.evaluate(&map, &loc);
-        let part = ev.evaluate_partial(&map, &loc, |_| true);
-        assert_eq!(full.makespan(), part.makespan());
-
-        // Prefix-only evaluation is shorter.
-        let ids = m.topo_order();
-        let first_two: std::collections::HashSet<_> = ids[..2].iter().copied().collect();
-        let prefix = ev.evaluate_partial(&map, &loc, |id| first_two.contains(&id));
-        assert!(prefix.makespan() < full.makespan());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Each mapped layer executes as a pipeline of *phases* on its board,
 //! in order:
 //!
-//! 1. **Weight fetch** — a local-DRAM [`Phase::Timed`] when the layer
-//!    is pinned, a host→board [`Phase::Link`] stream otherwise;
+//! 1. **Weight fetch** — a local-DRAM `Phase::Timed` when the layer
+//!    is pinned, a host→board `Phase::Link` stream otherwise;
 //! 2. **IFM ingest** — one phase per incoming activation edge: a
 //!    local-DRAM `Timed` read when the edge is fused, a `Link` phase
 //!    from [`crate::topology::edge_src`] otherwise;

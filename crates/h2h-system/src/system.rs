@@ -6,7 +6,7 @@
 //! uniform star — every board behind Ethernet at one `BW_acc` (the
 //! paper sweeps five classes from 1 GbE to 10 GbE), with
 //! accelerator↔accelerator data relayed through the host as in the
-//! Brainwave-style deployment the paper targets [2]. Non-uniform
+//! Brainwave-style deployment the paper targets \[2\]. Non-uniform
 //! fabrics (per-link rates, direct accelerator↔accelerator peer links)
 //! plug in via [`SystemSpec::with_topology`]; transfers are then
 //! charged at each route's effective bandwidth rather than one global

@@ -15,7 +15,7 @@ use h2h_model::units::Seconds;
 use h2h_system::incremental::IncrementalSchedule;
 use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;
-use h2h_system::schedule::{Evaluator, FusionOutcome};
+use h2h_system::schedule::{Evaluator, FusionOutcome, LayerCost};
 use h2h_system::sim::{simulate, SimConfig};
 use h2h_system::system::AccId;
 use h2h_system::testutil::{const_system, ConstAccel};
@@ -132,17 +132,19 @@ proptest! {
         let loc = LocalityState::new(&sys);
         let mut inc = IncrementalSchedule::new(&ev, &map, &loc);
 
-        // Apply random duration overrides and propagate.
+        // Re-cost random layers with compute-only costs (duration = the
+        // compute term exactly) and propagate.
         let order = model.topo_order();
         let mut changed: Vec<(LayerId, Seconds)> = Vec::new();
         for (vi, d) in &victims {
             let layer = order[vi % order.len()];
             changed.push((layer, Seconds::new(*d)));
         }
+        let mut seeds = Vec::new();
         for (l, d) in &changed {
-            inc.set_duration(*l, *d);
+            let cost = LayerCost { compute: *d, ..LayerCost::default() };
+            inc.refresh_costs_into([*l], |_| cost, &mut seeds);
         }
-        let seeds: Vec<LayerId> = changed.iter().map(|(l, _)| *l).collect();
         inc.propagate(&seeds);
         let mk_inc = inc.makespan().as_f64();
 
