@@ -15,7 +15,7 @@ use crate::dataflow::Dataflow;
 const CONV_ONLY: &[LayerClass] = &[LayerClass::Conv];
 const CONV_FC_LSTM: &[LayerClass] = &[LayerClass::Conv, LayerClass::Fc, LayerClass::Lstm];
 
-/// J.Z [26] — OpenCL conv accelerator on Arria-10 GX1150 (FPGA'17),
+/// J.Z \[26\] — OpenCL conv accelerator on Arria-10 GX1150 (FPGA'17),
 /// optimized around on-chip memory: a balanced row-stationary-like
 /// mapping with large buffers. Niche: stems and large-spatial layers.
 pub fn jz_gx1150() -> AnalyticAccel {
@@ -34,7 +34,7 @@ pub fn jz_gx1150() -> AnalyticAccel {
     })
 }
 
-/// C.Z [19] — the classic Zhang et al. FPGA'15 design on VC707 with
+/// C.Z \[19\] — the classic Zhang et al. FPGA'15 design on VC707 with
 /// `Tn=7 × Tm=64` channel tiling. Slowest of the catalog (fp32, 2015)
 /// but its tiny input-channel tile gives it a niche on shallow-input
 /// convolutions (sensor frontends).
@@ -54,7 +54,7 @@ pub fn cz_vc707() -> AnalyticAccel {
     })
 }
 
-/// W.J [27] — super-linear multi-FPGA inference design on ZCU102
+/// W.J \[27\] — super-linear multi-FPGA inference design on ZCU102
 /// (TECS'19), memory- and channel-optimized int8 datapath.
 pub fn wj_zcu102() -> AnalyticAccel {
     AnalyticAccel::new(AccelSpec {
@@ -72,7 +72,7 @@ pub fn wj_zcu102() -> AnalyticAccel {
     })
 }
 
-/// J.Q [28] — Going Deeper (FPGA'16) on ZC706: the generality-first
+/// J.Q \[28\] — Going Deeper (FPGA'16) on ZC706: the generality-first
 /// embedded design, runs Conv, FC and (with reduced efficiency) LSTM.
 pub fn jq_zc706() -> AnalyticAccel {
     AnalyticAccel::new(AccelSpec {
@@ -90,7 +90,7 @@ pub fn jq_zc706() -> AnalyticAccel {
     })
 }
 
-/// A.C [29] — compiler-generated accelerator on XC7Z045 (arXiv'17),
+/// A.C \[29\] — compiler-generated accelerator on XC7Z045 (arXiv'17),
 /// loop-optimized output-pixel parallelism.
 pub fn ac_xc7z045() -> AnalyticAccel {
     AnalyticAccel::new(AccelSpec {
@@ -108,7 +108,7 @@ pub fn ac_xc7z045() -> AnalyticAccel {
     })
 }
 
-/// Y.G [30] — FP-DNN (FCCM'17) on Stratix-V: RTL-HLS hybrid mapping
+/// Y.G \[30\] — FP-DNN (FCCM'17) on Stratix-V: RTL-HLS hybrid mapping
 /// framework, Conv + FC + LSTM generality. Niche: small FC heads.
 pub fn yg_stratixv() -> AnalyticAccel {
     AnalyticAccel::new(AccelSpec {
@@ -126,7 +126,7 @@ pub fn yg_stratixv() -> AnalyticAccel {
     })
 }
 
-/// T.M [31] — loop-operation/dataflow-optimized design on GX1150
+/// T.M \[31\] — loop-operation/dataflow-optimized design on GX1150
 /// (FPGA'17): deep output-pixel + output-channel parallelism. Niche:
 /// full-channel mid-network 3×3 convolutions with healthy spatial size.
 pub fn tm_gx1150() -> AnalyticAccel {
@@ -145,7 +145,7 @@ pub fn tm_gx1150() -> AnalyticAccel {
     })
 }
 
-/// A.P [32] — Winograd F(2,3) engine on Stratix-V (ASAP'17). A 2.25×
+/// A.P \[32\] — Winograd F(2,3) engine on Stratix-V (ASAP'17). A 2.25×
 /// arithmetic-strength gain on 3×3 stride-1 kernels, steep fallback
 /// elsewhere. Niche: thin-channel 3×3 backbones (half-width ResNets).
 pub fn ap_stratixv() -> AnalyticAccel {
@@ -164,7 +164,7 @@ pub fn ap_stratixv() -> AnalyticAccel {
     })
 }
 
-/// X.W [33] — automated systolic-array synthesis on GT1150 (DAC'17):
+/// X.W \[33\] — automated systolic-array synthesis on GT1150 (DAC'17):
 /// a 128×128 GEMM array with im2col streaming. Niche: pointwise (1×1)
 /// and deep late-network convolutions.
 pub fn xw_gt1150() -> AnalyticAccel {

@@ -8,7 +8,7 @@ use crate::dataflow::Dataflow;
 const LSTM_FC: &[LayerClass] = &[LayerClass::Lstm, LayerClass::Fc];
 const LSTM_ONLY: &[LayerClass] = &[LayerClass::Lstm];
 
-/// S.H [34] — ESE (FPGA'17 best paper) on XCKU060: sparse LSTM engine
+/// S.H \[34\] — ESE (FPGA'17 best paper) on XCKU060: sparse LSTM engine
 /// with a deep pipeline; also runs FC. Niche: large hidden states at
 /// short-to-medium sequence lengths.
 pub fn sh_xcku060() -> AnalyticAccel {
@@ -27,7 +27,7 @@ pub fn sh_xcku060() -> AnalyticAccel {
     })
 }
 
-/// X.Z [35] — the authors' own gate-parallel LSTM design (ICCD'20) on
+/// X.Z \[35\] — the authors' own gate-parallel LSTM design (ICCD'20) on
 /// PYNQ-Z1/VC707: all four gates computed concurrently, sized for
 /// small-to-medium hidden states; tiny 512 MB board (the paper's lower
 /// `M_acc` bound) and very low power.
@@ -47,7 +47,7 @@ pub fn xz_pynqz1() -> AnalyticAccel {
     })
 }
 
-/// B.L [36] — FTrans (ISLPED'20) on VCU118: a wide deeply-pipelined
+/// B.L \[36\] — FTrans (ISLPED'20) on VCU118: a wide deeply-pipelined
 /// recurrent/transformer engine. Niche: very long sequences (the
 /// pipeline amortizes its fill depth) and wide FC layers.
 pub fn bl_vcu118() -> AnalyticAccel {

@@ -2,18 +2,18 @@
 //!
 //! | Id | Design | Type | Optimization | FPGA |
 //! |----|--------|------|--------------|------|
-//! | JZ | [26] | Conv | on-chip memory | GX1150 |
-//! | CZ | [19] | Conv | channel parallelism | VC707 |
-//! | WJ | [27] | Conv | memory + channel | ZCU102 |
-//! | JQ | [28] | Conv/FC/(LSTM) | computing generality | ZC706 |
-//! | AC | [29] | Conv | loop optimization | XC7Z045 |
-//! | YG | [30] | Conv/FC/LSTM | computing generality | Stratix-V |
-//! | TM | [31] | Conv | loop optimization | GX1150 |
-//! | AP | [32] | Conv | Winograd | Stratix-V |
-//! | XW | [33] | Conv | systolic array | GT1150 |
-//! | SH | [34] | LSTM/FC | deep pipeline | XCKU060 |
-//! | XZ | [35] | LSTM | gate parallelism | PYNQ-Z1/VC707 |
-//! | BL | [36] | LSTM | deep pipeline | VCU118 |
+//! | JZ | \[26\] | Conv | on-chip memory | GX1150 |
+//! | CZ | \[19\] | Conv | channel parallelism | VC707 |
+//! | WJ | \[27\] | Conv | memory + channel | ZCU102 |
+//! | JQ | \[28\] | Conv/FC/(LSTM) | computing generality | ZC706 |
+//! | AC | \[29\] | Conv | loop optimization | XC7Z045 |
+//! | YG | \[30\] | Conv/FC/LSTM | computing generality | Stratix-V |
+//! | TM | \[31\] | Conv | loop optimization | GX1150 |
+//! | AP | \[32\] | Conv | Winograd | Stratix-V |
+//! | XW | \[33\] | Conv | systolic array | GT1150 |
+//! | SH | \[34\] | LSTM/FC | deep pipeline | XCKU060 |
+//! | XZ | \[35\] | LSTM | gate parallelism | PYNQ-Z1/VC707 |
+//! | BL | \[36\] | LSTM | deep pipeline | VCU118 |
 
 mod conv_accels;
 mod lstm_accels;

@@ -20,7 +20,6 @@ use std::process::ExitCode;
 use serde::Serialize;
 
 use h2h_bench::{run_sweep, tables, ModelRun};
-use h2h_core::H2hConfig;
 
 const ARTIFACTS: [&str; 5] = ["fig4", "table4", "fig5a", "fig5b", "headline"];
 
@@ -72,7 +71,7 @@ fn main() -> ExitCode {
         eprintln!("usage: repro_all [{} | OUT.json]", ARTIFACTS.join(" | "));
         return ExitCode::from(2);
     }
-    let runs = run_sweep(&H2hConfig::default());
+    let runs = run_sweep();
     if let Some(artifact) = artifact {
         print!("{}", render(artifact, &runs));
         return ExitCode::SUCCESS;

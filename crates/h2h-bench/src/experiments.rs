@@ -7,7 +7,6 @@ use std::thread;
 use serde::{Deserialize, Serialize};
 
 use h2h_core::pipeline::{H2hMapper, Step};
-use h2h_core::H2hConfig;
 use h2h_model::graph::ModelGraph;
 use h2h_model::zoo;
 use h2h_system::system::{BandwidthClass, SystemSpec};
@@ -55,16 +54,16 @@ impl ModelRun {
     }
 }
 
-/// Runs the full H2H pipeline for one model at one bandwidth class.
+/// Runs the full H2H pipeline, default configuration, for one model at
+/// one bandwidth class.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline fails — the standard system supports every
 /// zoo layer class, so this indicates a bug.
-pub fn run_model(model: &ModelGraph, bw: BandwidthClass, cfg: &H2hConfig) -> ModelRun {
+pub fn run_model(model: &ModelGraph, bw: BandwidthClass) -> ModelRun {
     let system = SystemSpec::standard(bw);
     let outcome = H2hMapper::new(model, &system)
-        .with_config(*cfg)
         .run()
         .unwrap_or_else(|e| panic!("{} at {}: {e}", model.name(), bw.label()));
     let latency = Step::ALL.map(|s| outcome.after(s).latency.as_f64());
@@ -84,7 +83,7 @@ pub fn run_model(model: &ModelGraph, bw: BandwidthClass, cfg: &H2hConfig) -> Mod
 /// The full evaluation grid (6 models × 5 bandwidths), parallelized
 /// across models. Results are ordered: model-major (Table 2 order),
 /// bandwidth-minor (Low- → High).
-pub fn run_sweep(cfg: &H2hConfig) -> Vec<ModelRun> {
+pub fn run_sweep() -> Vec<ModelRun> {
     let models = zoo::all_models();
     let mut results: Vec<Vec<ModelRun>> = Vec::new();
     thread::scope(|scope| {
@@ -94,7 +93,7 @@ pub fn run_sweep(cfg: &H2hConfig) -> Vec<ModelRun> {
                 scope.spawn(move || {
                     BandwidthClass::ALL
                         .iter()
-                        .map(|bw| run_model(model, *bw, cfg))
+                        .map(|bw| run_model(model, *bw))
                         .collect::<Vec<_>>()
                 })
             })
@@ -123,7 +122,7 @@ mod tests {
     #[test]
     fn run_model_records_all_steps() {
         let model = zoo::mocap();
-        let run = run_model(&model, BandwidthClass::LowMinus, &H2hConfig::default());
+        let run = run_model(&model, BandwidthClass::LowMinus);
         assert_eq!(run.model, "MoCap");
         assert_eq!(run.bandwidth, "Low-");
         assert!(run.latency.iter().all(|l| *l > 0.0));
@@ -137,14 +136,13 @@ mod tests {
     fn selectors_partition_the_sweep() {
         // A reduced grid (2 models × 5 bw) keeps the test quick while
         // checking ordering and the selector helpers.
-        let cfg = H2hConfig::default();
         let models = [zoo::mocap(), zoo::cnn_lstm()];
         let runs: Vec<ModelRun> = models
             .iter()
             .flat_map(|m| {
                 BandwidthClass::ALL
                     .iter()
-                    .map(|bw| run_model(m, *bw, &cfg))
+                    .map(|bw| run_model(m, *bw))
                     .collect::<Vec<_>>()
             })
             .collect();

@@ -5,22 +5,19 @@
 //! | Binary | Paper artifact |
 //! |--------|----------------|
 //! | `repro_all` | Fig. 4 latency + energy per step × bandwidth, Table 4 latency breakdown, Fig. 5a communication/computation ratio, Fig. 5b search time, §1/§5.2 headline claims → `REPRO.json`; `repro_all <fig4 \| table4 \| fig5a \| fig5b \| headline>` prints one |
-//! | `motivation` | Fig. 2 motivation: Gantt charts of a toy model before and after communication-aware mapping |
-//! | `ablation` | design-choice ablations (ours) |
-//! | `batch_sweep` | batched-serving extension (ours) |
-//! | `scaling` | search time on growing synthetic models (ours) |
 //! | `bench_search` | delta-vs-reference search-core record → `BENCH_search.json` (ours) |
 //! | `bench_serve` | multi-tenant serving record → `BENCH_serve.json` (ours) |
 //!
-//! The §4.5 dynamic-modality experiment is the `dynamic_modality`
-//! example of the root crate. Host-time measurements of the whole
-//! mapper and serving layer live in the repository benchmark
-//! (`perfbench/`).
+//! The Fig. 2 motivation (Gantt charts of a toy model before and after
+//! communication-aware mapping) is pinned as the golden snapshot
+//! `h2h-core/tests/golden/fig2_motivation_lowminus.txt`. The §4.5
+//! dynamic-modality experiment is the `dynamic_modality` example of the
+//! root crate. Host-time measurements of the whole mapper and serving
+//! layer live in the repository benchmark (`perfbench/`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod ablation;
 pub mod experiments;
 pub mod tables;
 

@@ -210,13 +210,9 @@ pub fn rebuild_locality(
     cfg: &H2hConfig,
     preset: &PinPreset,
 ) -> LocalityState {
-    let mut loc = LocalityState::new(ev.system());
-    if cfg.enable_weight_locality {
-        loc = weight_locality_opt(ev, mapping, loc, cfg.knapsack, preset);
-    }
-    if cfg.enable_activation_fusion {
-        activation_fusion_opt(ev, mapping, &mut loc);
-    }
+    let zero = LocalityState::new(ev.system());
+    let mut loc = weight_locality_opt(ev, mapping, zero, cfg.knapsack, preset);
+    activation_fusion_opt(ev, mapping, &mut loc);
     loc
 }
 
@@ -311,14 +307,5 @@ mod tests {
         let loc = rebuild_locality(&ev, &map, &cfg, &PinPreset::new());
         assert!(loc.num_pinned() > 0, "weights pinned");
         assert!(loc.num_fused() > 0, "activations fused");
-
-        let off = H2hConfig {
-            enable_weight_locality: false,
-            enable_activation_fusion: false,
-            ..cfg
-        };
-        let empty = rebuild_locality(&ev, &map, &off, &PinPreset::new());
-        assert_eq!(empty.num_pinned(), 0);
-        assert_eq!(empty.num_fused(), 0);
     }
 }

@@ -1,11 +1,13 @@
-//! Simulated-annealing mapper — a search-budget ablation for H2H.
+//! Simulated-annealing mapper — a generic stochastic rival to H2H's greedy search.
 //!
 //! The paper positions H2H's greedy pipeline as finding good mappings
 //! "within seconds". A natural question a reviewer asks: what does a
 //! generic stochastic search achieve with a comparable or larger budget?
 //! This module provides a deterministic (seeded) SA over the same
 //! objective (end-to-end modeled latency with steps 2–3 re-applied per
-//! candidate), used by the `ablation` experiment.
+//! candidate). It is one of the rival searchers that ROADMAP.md's
+//! mapping-quality item measures H2H against, and the golden snapshot
+//! `tests/golden/anneal_cnn_lstm_lowminus.txt` pins one seeded walk.
 //!
 //! Each iteration draws three uniforms from the seeded stream (layer,
 //! destination, acceptance) and cools the temperature once, whether or

@@ -131,6 +131,13 @@ impl RoundPolicy {
     }
 }
 
+/// Minimum improvement of the step-4 objective score for a remapping
+/// move to be accepted, guarding against floating-point churn. The
+/// delta engine's accept rule and latency screen and the
+/// full-re-evaluation reference all compare `score + ACCEPT_EPSILON <
+/// best`.
+pub const ACCEPT_EPSILON: f64 = 1e-9;
+
 /// Configuration of the four-step H2H mapper.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct H2hConfig {
@@ -146,16 +153,6 @@ pub struct H2hConfig {
     /// loop also stops at the paper's fixpoint criterion (no accepted
     /// move in a pass).
     pub remap_max_passes: usize,
-    /// Enable step 2 (weight locality). Disabled only in ablations.
-    pub enable_weight_locality: bool,
-    /// Enable step 3 (activation fusion). Disabled only in ablations.
-    pub enable_activation_fusion: bool,
-    /// Enable step 4 (data-locality-aware remapping). Disabled only in
-    /// ablations.
-    pub enable_remapping: bool,
-    /// Minimum absolute latency improvement (seconds) for a remapping
-    /// move to be accepted, guarding against floating-point churn.
-    pub accept_epsilon: f64,
     /// What step 4 minimizes (the paper: latency).
     pub objective: MapObjective,
     /// Collect a per-phase wall-clock breakdown (candidate scoring vs
@@ -245,10 +242,6 @@ impl Default for H2hConfig {
             enumeration_cap: 4096,
             knapsack: KnapsackKind::Auto,
             remap_max_passes: 8,
-            enable_weight_locality: true,
-            enable_activation_fusion: true,
-            enable_remapping: true,
-            accept_epsilon: 1e-9,
             objective: MapObjective::Latency,
             profile_phases: false,
             serve_max_batch: 8,
@@ -267,11 +260,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_enables_all_steps() {
+    fn default_config_is_the_paper_pipeline() {
         let c = H2hConfig::default();
-        assert!(c.enable_weight_locality);
-        assert!(c.enable_activation_fusion);
-        assert!(c.enable_remapping);
         assert!(c.enumeration_cap >= 1);
         assert!(c.remap_max_passes >= 1);
         assert_eq!(c.knapsack, KnapsackKind::Auto);

@@ -74,7 +74,7 @@
 //!   every floor start and finish is at most the exact one, and the
 //!   floor makespan is at most the exact makespan — bitwise, not up to
 //!   rounding. A candidate whose floor fails the accept rule's own test
-//!   `floor + accept_epsilon < best` therefore fails it exactly too,
+//!   `floor + ACCEPT_EPSILON < best` therefore fails it exactly too,
 //!   and is rejected without staging ([`SearchStats::screened`]):
 //!   decisions stay identical.
 //! * **Split on fusion outcomes** (same screen) — most moves the floor
@@ -158,7 +158,7 @@ use h2h_system::system::AccId;
 use crate::activation_fusion::{
     fusion_pass, rebuild_locality, sorted_fusable_edges, FusionOracle,
 };
-use crate::config::{H2hConfig, KnapsackKind, MapObjective};
+use crate::config::{H2hConfig, KnapsackKind, MapObjective, ACCEPT_EPSILON};
 use crate::preset::PinPreset;
 use crate::weight_locality::{pin_saving_per_byte, pins_every_item, weight_locality_pass};
 
@@ -728,11 +728,9 @@ fn rerun_scoped_step2(
         pins.unpin(ev.model(), l, a);
     }
     mapping.set(layer, to);
-    if cfg.enable_weight_locality {
-        let mut scoped = [from, to];
-        scoped.sort_by_key(|a| a.index());
-        weight_locality_pass(ev, mapping, pins, cfg.knapsack, preset, &scoped);
-    }
+    let mut scoped = [from, to];
+    scoped.sort_by_key(|a| a.index());
+    weight_locality_pass(ev, mapping, pins, cfg.knapsack, preset, &scoped);
     added.extend(
         pins.pinned_layers()
             .filter_map(|l| mapping.get(l).filter(in_scope).map(|a| (l, a))),
@@ -1194,15 +1192,13 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         // the full evaluation it replaces). The final flush lands
         // whatever the guards left pending.
         let mut loc = recycled(self.spare_locality.take(), &pins);
-        if self.cfg.enable_activation_fusion {
-            let mut candidates = std::mem::take(&mut self.scratch_cands);
-            candidates.clear();
-            candidates.extend(self.sorted_edges.iter().copied().filter(|(f, t, _)| {
-                mapping.get(*f).is_some() && mapping.get(*f) == mapping.get(*t)
-            }));
-            fusion_pass(self.ev, mapping, &mut loc, &candidates, &mut oracle);
-            self.scratch_cands = candidates;
-        }
+        let mut candidates = std::mem::take(&mut self.scratch_cands);
+        candidates.clear();
+        candidates.extend(self.sorted_edges.iter().copied().filter(|(f, t, _)| {
+            mapping.get(*f).is_some() && mapping.get(*f) == mapping.get(*t)
+        }));
+        fusion_pass(self.ev, mapping, &mut loc, &candidates, &mut oracle);
+        self.scratch_cands = candidates;
         oracle.flush(&loc);
         self.scratch_costs = oracle.pending;
         self.scratch_seeds = oracle.pending_seeds;
@@ -1303,7 +1299,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
 
     /// Greedy accept-if-better step: stages the move and accepts iff
     /// the candidate score improves on the current state by more than
-    /// `accept_epsilon` — the same decision rule (over bitwise-equal
+    /// [`ACCEPT_EPSILON`] — the same decision rule (over bitwise-equal
     /// scores) as the historical full-re-evaluation loop. Under
     /// [`MapObjective::Latency`] the latency screen runs first and
     /// rejects a hopeless move without staging it (see the module
@@ -1335,7 +1331,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
                 .is_none_or(|f| f.inc.makespan() <= self.inc.makespan()),
             "floor makespan above the exact one"
         );
-        if cand + self.cfg.accept_epsilon < best {
+        if cand + ACCEPT_EPSILON < best {
             self.accept_staged();
             true
         } else {
@@ -1345,7 +1341,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
     }
 
     /// Prices the candidate on the floor schedule and reports whether it
-    /// is hopeless: `floor + accept_epsilon < best` fails, either on the
+    /// is hopeless: `floor + ACCEPT_EPSILON < best` fails, either on the
     /// floor itself or on every branch of its split on fusion outcomes,
     /// so the exact score, which is no lower than the branch its fusion
     /// set falls in, fails the accept rule too. A hopeless pricing is
@@ -1369,8 +1365,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             &mut self.stats,
         );
         // The accept rule's own expression, on a bound.
-        let eps = self.cfg.accept_epsilon;
-        let hopeful = |bound: f64| bound + eps < best;
+        let hopeful = |bound: f64| bound + ACCEPT_EPSILON < best;
         let mut rejected = !hopeful(bound);
         if !rejected {
             mapping.set(layer, to);

@@ -51,7 +51,7 @@ pub mod serve;
 pub mod weight_locality;
 
 pub use arrivals::{ArrivalProcess, ArrivalSchedule, Arrivals};
-pub use config::{H2hConfig, KnapsackKind, MapObjective, RoundPolicy};
+pub use config::{H2hConfig, KnapsackKind, MapObjective, RoundPolicy, ACCEPT_EPSILON};
 pub use delta::{DeltaEngine, PhaseProfile, SearchStats};
 pub use dynamic::{DynamicOutcome, DynamicSession};
 pub use pipeline::{H2hError, H2hMapper, H2hOutcome, Step, StepSnapshot};

@@ -24,7 +24,7 @@ use h2h_system::mapping::{Mapping, MappingError};
 use h2h_system::schedule::{EnergyBreakdown, Evaluator, Schedule};
 use h2h_system::system::SystemSpec;
 
-use crate::activation_fusion::{activation_fusion_opt, rebuild_locality};
+use crate::activation_fusion::activation_fusion_opt;
 use crate::compute_map::computation_prioritized;
 use crate::config::H2hConfig;
 use crate::delta::SearchStats;
@@ -288,45 +288,30 @@ impl<'a> H2hMapper<'a> {
 
         // Step 2: weight locality.
         let t = Instant::now();
-        let loc2 = if cfg.enable_weight_locality {
-            weight_locality_opt(ev, &mapping, zero, cfg.knapsack, &self.preset)
-        } else {
-            LocalityState::new(ev.system())
-        };
+        let loc2 = weight_locality_opt(ev, &mapping, zero, cfg.knapsack, &self.preset);
         let s2 = ev.evaluate(&mapping, &loc2);
         snapshots.push(StepSnapshot::record(Step::WeightLocality, &s2, t.elapsed()));
 
         // Step 3: activation fusion.
         let t = Instant::now();
-        let mut loc3 = loc2.clone();
-        if cfg.enable_activation_fusion {
-            activation_fusion_opt(ev, &mapping, &mut loc3);
-        }
+        let mut loc3 = loc2;
+        activation_fusion_opt(ev, &mapping, &mut loc3);
         let s3 = ev.evaluate(&mapping, &loc3);
         snapshots.push(StepSnapshot::record(Step::ActivationFusion, &s3, t.elapsed()));
 
         // Step 4: remapping (delta-scored, exact at accept time).
         let t = Instant::now();
-        let (locality, schedule, remap_stats) = if cfg.enable_remapping {
-            let out = data_locality_remapping(ev, cfg, &self.preset, &mut mapping);
-            (out.locality, out.schedule, out.stats)
-        } else {
-            // Even with remapping disabled the final state re-runs the
-            // rebuild so step-3 capacity ordering matches step 4's.
-            let loc = rebuild_locality(ev, &mapping, cfg, &self.preset);
-            let sched = ev.evaluate(&mapping, &loc);
-            (loc, sched, SearchStats::default())
-        };
-        snapshots.push(StepSnapshot::record(Step::Remapping, &schedule, t.elapsed()));
+        let remap = data_locality_remapping(ev, cfg, &self.preset, &mut mapping);
+        snapshots.push(StepSnapshot::record(Step::Remapping, &remap.schedule, t.elapsed()));
 
         mapping.validate(ev.model(), ev.system())?;
         Ok(H2hOutcome {
             snapshots,
             mapping,
-            locality,
-            schedule,
+            locality: remap.locality,
+            schedule: remap.schedule,
             search_time: total_start.elapsed(),
-            remap_stats,
+            remap_stats: remap.stats,
         })
     }
 }
@@ -369,26 +354,6 @@ mod tests {
             out.latency_reduction() * 100.0
         );
         assert!(out.energy_reduction() > 0.0);
-    }
-
-    #[test]
-    fn disabled_steps_preserve_state() {
-        let model = h2h_model::zoo::cnn_lstm();
-        let system = SystemSpec::standard(BandwidthClass::Mid);
-        let cfg = H2hConfig {
-            enable_weight_locality: false,
-            enable_activation_fusion: false,
-            enable_remapping: false,
-            ..Default::default()
-        };
-        let out = H2hMapper::new(&model, &system)
-            .with_config(cfg)
-            .run()
-            .unwrap();
-        let l: Vec<f64> = out.snapshots.iter().map(|s| s.latency.as_f64()).collect();
-        assert!((l[0] - l[1]).abs() < 1e-12);
-        assert!((l[1] - l[2]).abs() < 1e-12);
-        assert!((l[2] - l[3]).abs() < 1e-12);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use h2h_system::system::AccId;
 use h2h_model::graph::{LayerId, ModelGraph};
 
 use crate::activation_fusion::rebuild_locality;
-use crate::config::H2hConfig;
+use crate::config::{H2hConfig, ACCEPT_EPSILON};
 use crate::delta::{DeltaEngine, PhaseProfile, SearchStats};
 use crate::preset::PinPreset;
 
@@ -178,7 +178,7 @@ pub fn data_locality_remapping_reference(
                 let loc = rebuild_locality(ev, mapping, cfg, preset);
                 let sched = ev.evaluate(mapping, &loc);
                 let score = cfg.objective.score(&sched);
-                if score + cfg.accept_epsilon < best_score {
+                if score + ACCEPT_EPSILON < best_score {
                     best = sched;
                     best_score = score;
                     best_loc = loc;

@@ -1,7 +1,8 @@
 //! Golden-snapshot tests of the human-readable reports: render
 //! `report::search_stats_report` on two fixed zoo models and on one
-//! seeded simulated-annealing walk, and `report::serve_report` on a
-//! fixed two-tenant registry, and diff the output against checked-in
+//! seeded simulated-annealing walk, `report::serve_report` on a fixed
+//! two-tenant registry, and the paper's Fig. 2 Gantt charts and mapping
+//! reports of a toy model, and diff the output against checked-in
 //! expected text. Every quantity rendered is
 //! *modeled* (no wall-clock), so the reports are deterministic and a
 //! textual diff is a real regression signal — a changed counter, a
@@ -14,12 +15,18 @@
 use std::path::PathBuf;
 
 use h2h_core::anneal::{simulated_annealing, AnnealConfig};
-use h2h_core::report::{search_stats_report, serve_report};
+use h2h_core::baseline::computation_prioritized_baseline;
+use h2h_core::report::{mapping_report, search_stats_report, serve_report};
 use h2h_core::serve::{TenantRegistry, TenantSpec};
 use h2h_core::{H2hConfig, H2hMapper, PinPreset};
+use h2h_model::builder::ModelBuilder;
+use h2h_model::tensor::TensorShape;
 use h2h_model::units::Seconds;
 use h2h_system::fault::FaultPlan;
-use h2h_system::schedule::Evaluator;
+use h2h_system::gantt::render_gantt;
+use h2h_system::locality::LocalityState;
+use h2h_system::mapping::Mapping;
+use h2h_system::schedule::{Evaluator, Schedule};
 use h2h_system::system::{AccId, BandwidthClass, SystemSpec};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -92,6 +99,61 @@ fn simulated_annealing_snapshot_cnn_lstm() {
         search_stats_report(&sa.stats)
     );
     check_golden("anneal_cnn_lstm_lowminus", &report);
+}
+
+#[test]
+fn fig2_motivation_snapshot() {
+    // The paper's Fig. 2 on a toy model: two parallel branches of
+    // 1x1 / 3x3 / 1x1 bottlenecks, whose layers prefer different
+    // dataflows. Computation-prioritized mapping scatters adjacent
+    // layers across boards and pays host round-trips for every edge;
+    // H2H trades a little per-layer compute efficiency for far less
+    // data movement.
+    let mut b = ModelBuilder::new("fig2-toy");
+    let shape = TensorShape::Feature { c: 256, h: 28, w: 28 };
+    for branch in 1..=2 {
+        b.modality(Some(&format!("net{branch}")));
+        let mut x = b.input(&format!("{branch}.in"), shape);
+        for i in 1..=2 {
+            let r = b.conv(&format!("{branch}.{i}.reduce"), x, 128, 1, 1).unwrap();
+            let s = b.conv(&format!("{branch}.{i}.spatial"), r, 128, 3, 1).unwrap();
+            let e = b.conv(&format!("{branch}.{i}.expand"), s, 256, 1, 1).unwrap();
+            x = b.add(&format!("{branch}.{i}.add"), &[e, x]).unwrap();
+        }
+        b.global_pool(&format!("{branch}.gap"), x).unwrap();
+    }
+    let model = b.finish().unwrap();
+    let system = SystemSpec::standard(BandwidthClass::LowMinus);
+    let ev = Evaluator::new(&model, &system);
+    let base = computation_prioritized_baseline(&ev, &H2hConfig::default()).unwrap();
+    let h2h = H2hMapper::new(&model, &system).run().unwrap();
+    assert!(
+        h2h.final_latency() < base.schedule.makespan(),
+        "H2H must beat the computation-prioritized mapping on Fig. 2's toy model"
+    );
+    let section = |title: &str, map: &Mapping, loc: &LocalityState, sched: &Schedule| {
+        format!(
+            "== {title} ==\n{}\n{}",
+            render_gantt(&model, &system, map, sched, 86),
+            mapping_report(&ev, map, loc, sched)
+        )
+    };
+    let report = format!(
+        "{}\n{}",
+        section(
+            "computation-prioritized mapping (existing approaches [10])",
+            &base.mapping,
+            &base.locality,
+            &base.schedule
+        ),
+        section(
+            "H2H: computation AND communication aware",
+            &h2h.mapping,
+            &h2h.locality,
+            &h2h.schedule
+        )
+    );
+    check_golden("fig2_motivation_lowminus", &report);
 }
 
 #[test]

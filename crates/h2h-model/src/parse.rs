@@ -106,7 +106,9 @@ pub fn parse_model(text: &str) -> Result<ModelGraph, ParseError> {
             _ => (line, None),
         };
         let toks: Vec<&str> = line.split_whitespace().collect();
-        let op = toks[0];
+        let Some(&op) = toks.first() else {
+            return Err(ParseError::Syntax(ln, "modality tag without a layer".into()));
+        };
 
         if op == "model" {
             if toks.len() != 2 {
@@ -332,6 +334,19 @@ fc head cat 4
         match parse_model("model x\nfrobnicate f\n") {
             Err(ParseError::Syntax(2, msg)) => assert!(msg.contains("frobnicate")),
             other => panic!("expected syntax error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_modality_tag_alone_is_a_syntax_error() {
+        for (text, line) in [("@audio\n", 1), ("input i vec 4\n  @ x\n", 2)] {
+            match parse_model(text) {
+                Err(ParseError::Syntax(l, msg)) => {
+                    assert_eq!(l, line, "{text:?}");
+                    assert!(msg.contains("modality tag"), "{text:?}: {msg}");
+                }
+                other => panic!("{text:?}: expected syntax error, got {other:?}"),
+            }
         }
     }
 

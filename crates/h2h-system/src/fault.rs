@@ -222,8 +222,14 @@ impl FaultPlan {
             Ok(Seconds::new(v))
         };
         let window = |s: &str| -> Result<(Seconds, Option<Seconds>), String> {
-            let (at, recover_at) = match s.split_once('-') {
-                Some((a, r)) => (secs(a)?, Some(secs(r)?)),
+            // Onset and recovery split at the first `-` that is not an
+            // exponent's sign, so `1e-6` is one time.
+            let dash = s
+                .match_indices('-')
+                .map(|(i, _)| i)
+                .find(|&i| !s[..i].ends_with(['e', 'E']));
+            let (at, recover_at) = match dash {
+                Some(i) => (secs(&s[..i])?, Some(secs(&s[i + 1..])?)),
                 None => (secs(s)?, None),
             };
             if let Some(r) = recover_at {
@@ -497,6 +503,20 @@ mod tests {
         assert!(matches!(plan.events()[2].kind, FaultKind::HostDown));
         assert_eq!(plan.events()[2].recover_at, None);
         assert_eq!(plan.boundaries(), vec![1.0, 4.0, 5.0, 6.0, 7.0]);
+    }
+
+    #[test]
+    fn parse_accepts_times_with_negative_exponents() {
+        let plan = FaultPlan::parse("board:0@1e-6;board:0@1e-3-2e-3;link:1/4@2e-1-3", 12).unwrap();
+        let windows: Vec<_> = plan.events().iter().map(|e| (e.at, e.recover_at)).collect();
+        assert_eq!(
+            windows,
+            vec![
+                (Seconds::new(1e-6), None),
+                (Seconds::new(1e-3), Some(Seconds::new(2e-3))),
+                (Seconds::new(0.2), Some(Seconds::new(3.0))),
+            ]
+        );
     }
 
     #[test]

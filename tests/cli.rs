@@ -126,3 +126,17 @@ fn parse_rejects_broken_files() {
     assert!(err.contains("line 2"), "error should carry the line number: {err}");
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn parse_reports_a_bare_modality_tag_without_panicking() {
+    let dir = std::env::temp_dir().join("h2h_cli_parse_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bare_tag.h2h");
+    std::fs::write(&path, "model tagged\ninput i vec 4\n  @ audio\nfc f i 2\n").unwrap();
+    let out = h2h(&["parse", path.to_str().unwrap(), "low-"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "a syntax error, not a panic: {err}");
+    assert!(err.contains("line 3"), "error should carry the line number: {err}");
+    std::fs::remove_file(&path).ok();
+}

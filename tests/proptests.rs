@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use h2h::core::{H2hConfig, H2hMapper, MapObjective};
+use h2h::core::{H2hConfig, H2hMapper, MapObjective, ACCEPT_EPSILON};
 use h2h::model::builder::ModelBuilder;
 use h2h::model::graph::{LayerId, ModelGraph};
 use h2h::model::tensor::TensorShape;
@@ -178,7 +178,7 @@ fn split_search_is_sound(model: &ModelGraph, system: &SystemSpec) -> h2h::core::
                 if engine.stats.split_screened > split_before {
                     let best = engine.score();
                     let exact = engine.stage_move(&mut mapping, layer, to);
-                    let accepted = exact + cfg.accept_epsilon < best;
+                    let accepted = exact + ACCEPT_EPSILON < best;
                     assert!(
                         !accepted,
                         "split rejected {layer:?} -> {to:?}, whose exact score {exact} beats {best}"
