@@ -156,7 +156,6 @@ pub fn fusion_pass(
     candidates: &[(LayerId, LayerId, Bytes)],
     oracle: &mut dyn FusionOracle,
 ) {
-    let model = ev.model();
     let system = ev.system();
     for &(from, to, bytes) in candidates {
         let acc = mapping.acc_of(from);
@@ -191,7 +190,7 @@ pub fn fusion_pass(
             oracle.toggled(loc, from, to);
             let after = oracle.makespan(loc);
             if after > before {
-                loc.unfuse(model, from, to, acc);
+                loc.unfuse(from, to, acc);
                 oracle.guard_revert(loc, from, to);
             } else {
                 oracle.guard_commit();

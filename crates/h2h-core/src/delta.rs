@@ -532,7 +532,7 @@ impl DeltaOracle<'_, '_, '_> {
                 ndt.to_bits(),
                 self.ev.layer_cost(self.mapping, loc, to).duration().as_f64().to_bits()
             );
-            assert!(loc.unfuse(self.ev.model(), from, to, acc));
+            assert!(loc.unfuse(from, to, acc));
         }
         let nf = self.inc.start_of(from).as_f64() + ndf;
         let start_of = |l: LayerId| self.inc.start_of(l).as_f64();
@@ -672,7 +672,7 @@ fn scoped_step2(
     #[cfg(debug_assertions)]
     let mut scratch = pins.clone();
     let (model, system) = (ev.model(), ev.system());
-    if pins.unpin(model, layer, from) {
+    if pins.unpin(layer, from) {
         let ok = pins.try_pin(model, system, layer, to);
         debug_assert!(ok, "the pin diff's fit test passed");
         stripped.push((layer, from));
@@ -725,7 +725,7 @@ fn rerun_scoped_step2(
             .filter_map(|l| mapping.get(l).filter(in_scope).map(|a| (l, a))),
     );
     for &(l, a) in stripped.iter() {
-        pins.unpin(ev.model(), l, a);
+        pins.unpin(l, a);
     }
     mapping.set(layer, to);
     let mut scoped = [from, to];
@@ -955,7 +955,7 @@ impl Floor {
         self.inc.rollback();
         let (model, system) = (ev.model(), ev.system());
         for &(l, a) in &self.added {
-            self.pins.unpin(model, l, a);
+            self.pins.unpin(l, a);
         }
         for &(l, a) in &self.stripped {
             let ok = self.pins.try_pin(model, system, l, a);

@@ -2,11 +2,16 @@
 //! request streams scheduled through **one** heterogeneous system,
 //! with tail-latency (p50/p95/p99) accounting.
 //!
-//! The offline mapper (PRs 1–3) answers "where does one model's every
-//! layer run"; deployment asks the next question — *N* tenants, each a
+//! The offline mapper answers "where does one model's every layer
+//! run"; deployment asks the next question — *N* tenants, each a
 //! (model, arrival process, latency SLO) triple, sharing the same
-//! boards and the same local DRAM. This module covers the ROADMAP's
-//! serving items, batched rounds through streaming tails:
+//! boards and the same local DRAM. A [`Tenant`] is a contract (its
+//! spec, cost cache and arrival schedule) plus the placement installed
+//! for it: mapping, locality, incremental schedule, slice memo and
+//! footprint, all derived by one constructor, so admission, every
+//! fault-transition install and every staged-repair landing build it
+//! the same way. A serve run keeps its per-run ledgers, residency,
+//! parked flags and staged repairs in one drain state. The pieces:
 //!
 //! 1. **Tenant registry** ([`TenantRegistry::admit`]) — each tenant is
 //!    mapped *offline* by the full four-step pipeline (bit-identical to
@@ -22,8 +27,7 @@
 //! 2. **Open-loop arrivals** ([`crate::arrivals`]) — each tenant's
 //!    requests enter its queue on an arrival schedule materialized
 //!    from its [`ArrivalProcess`]: the deterministic `j / rate_hz`
-//!    clock (default — bit-identical to the pre-streaming loop),
-//!    a seeded Poisson process, or a replayed
+//!    clock (the default), a seeded Poisson process, or a replayed
 //!    [`h2h_system::trace::ArrivalTrace`]. The round loop consults
 //!    the schedule through one monotone *event clock*: arrival
 //!    cursors advance by exact comparison against the same
@@ -39,8 +43,8 @@
 //!    selected tenant one *slice* of up to
 //!    [`H2hConfig::serve_max_batch`] requests. Round forming is a
 //!    policy surface ([`RoundPolicy`]): the urgency knapsack (value =
-//!    backlog + doomed requests; default and bit-identical to PR 4),
-//!    earliest-deadline-first, or weighted-fair virtual finish times.
+//!    backlog + doomed requests; the default), earliest-deadline-first,
+//!    or weighted-fair virtual finish times.
 //! 4. **Interleaved slice evaluator** — a slice of `k` requests streams
 //!    through the tenant's pinned mapping with weights fetched **once**
 //!    ([`Evaluator::with_batch`] semantics). Slice makespans come from
@@ -70,11 +74,9 @@
 //!    per-tenant ledger ([`TenantServeStats::shed`], with
 //!    [`TenantServeStats::shed_doomed`] counting those already unable
 //!    to meet their SLO), and an unrecovered outage sheds the blocked
-//!    tenants' remaining windows instead of stalling the drain — the
-//!    bounded-queue fix for the PR 7 "parks whoever fails" gap. The
-//!    default unbounded queue keeps the historical semantics
-//!    (everything served; a permanent blockage is
-//!    [`ServeError::Stalled`]).
+//!    tenants' remaining windows instead of stalling the drain. The
+//!    default unbounded queue serves everything, and a permanent
+//!    blockage is [`ServeError::Stalled`].
 //! 7. **Degraded-fabric serving** ([`TenantRegistry::serve_with_faults`])
 //!    — the same round loop replayed through a
 //!    [`h2h_system::fault::FaultPlan`]: at every boundary that changes
@@ -84,8 +86,9 @@
 //!    weights are evicted (the next slice re-streams them over the
 //!    degraded routes — re-admission), and the SLO ledger records the
 //!    degraded window separately. An empty plan is bit-identical to
-//!    [`TenantRegistry::serve`], and the registry is snapshot-restored
-//!    afterwards so later no-fault calls stay bit-identical too.
+//!    [`TenantRegistry::serve`], and every tenant's admitted placement
+//!    is restored afterwards so later no-fault calls stay
+//!    bit-identical too.
 //!    Host-scoped faults extend the timeline: a degraded host NIC
 //!    re-prices every via-host route and weight re-stream, while a
 //!    **down** host freezes swap-ins entirely — only tenants already
@@ -302,25 +305,23 @@ fn validate_contract(
     Ok(())
 }
 
-/// Per-board serve-budget enforcement, shared by admission and the
-/// fault-transition repair path: on every board over budget, keep the
-/// highest-value pins that fit (knapsack on saved transfer time, the
-/// step-2 objective), unpin the rest, and re-cost the dropped layers'
-/// cones as an incremental delta. `system` is whatever fabric the
-/// tenant is currently priced on (the degraded one during a fault
-/// window — budgets depend only on DRAM capacity, which faults never
-/// change). Returns the number of pins dropped.
-#[allow(clippy::too_many_arguments)]
+/// Per-board serve-budget enforcement, run by [`Placement::new`] for
+/// every install: on every board over budget, keep the highest-value
+/// pins that fit (knapsack on saved transfer time, the step-2
+/// objective), unpin the rest, and re-cost the dropped layers' cones as
+/// an incremental delta. The model and system come from `ev`, which is
+/// priced on whatever fabric the tenant is installed on (the degraded
+/// one during a fault window — budgets depend only on DRAM capacity,
+/// which faults never change). Returns the number of pins dropped.
 fn trim_to_budget(
-    system: &SystemSpec,
+    ev: &Evaluator<'_>,
     config: &H2hConfig,
     tenant: &str,
-    model: &ModelGraph,
     mapping: &Mapping,
     locality: &mut LocalityState,
     inc: &mut IncrementalSchedule,
-    ev: &Evaluator<'_>,
 ) -> Result<usize, ServeError> {
+    let (model, system) = (ev.model(), ev.system());
     let budget_of = |acc: AccId| {
         let cap = system.acc(acc).dram_capacity().as_u64() as f64;
         (cap * config.serve_dram_budget_frac) as u64
@@ -377,7 +378,7 @@ fn trim_to_budget(
         let mut dropped = Vec::new();
         for (idx, layer) in pins.iter().enumerate() {
             if !keep_mask[idx] {
-                let ok = locality.unpin(model, *layer, acc);
+                let ok = locality.unpin(*layer, acc);
                 debug_assert!(ok, "trim targets were pinned");
                 dropped.push(*layer);
                 trimmed_pins += 1;
@@ -407,8 +408,8 @@ fn trim_to_budget(
 /// Evaluates one tenant's slice makespan at batch `k` through its
 /// incremental schedule (memoized per batch size). `system` is the
 /// fabric the tenant is currently priced on — the degraded system
-/// during a fault window; the memo is reset at every fault transition,
-/// so hits never cross fabrics.
+/// during a fault window; every install starts a fresh memo, so hits
+/// never cross fabrics.
 fn slice_makespan_on(
     system: &SystemSpec,
     verify: bool,
@@ -416,7 +417,8 @@ fn slice_makespan_on(
     k: u32,
     counters: &mut ServeCounters,
 ) -> Seconds {
-    if let Some((_, m)) = t.slice_memo.iter().find(|(b, _)| *b == k) {
+    let p = &mut t.placement;
+    if let Some((_, m)) = p.slice_memo.iter().find(|(b, _)| *b == k) {
         counters.slice_cache_hits += 1;
         return *m;
     }
@@ -424,57 +426,37 @@ fn slice_makespan_on(
     let ev = Evaluator::from_cache(&t.spec.model, system, t.cache.clone()).with_batch(k);
     // The memo pre-empts same-size re-evaluation, so every call
     // here rebatches to a genuinely new size.
-    t.inc.rebatch(&ev, &t.mapping, &t.locality);
-    let m = t.inc.makespan();
+    p.inc.rebatch(&ev, &p.mapping, &p.locality);
+    let m = p.inc.makespan();
     if verify {
         counters.crosschecks += 1;
-        let full = ev.evaluate(&t.mapping, &t.locality).makespan();
+        let full = ev.evaluate(&p.mapping, &p.locality).makespan();
         if full.as_f64() != m.as_f64() {
             counters.crosscheck_mismatches += 1;
         }
     }
-    t.slice_memo.push((k, m));
+    p.slice_memo.push((k, m));
     m
 }
 
-/// One admitted tenant: its offline-searched placement plus the
-/// long-lived incremental schedule the slice evaluator mutates.
+/// One admitted tenant: its contract (the spec, the cost cache and
+/// the arrival schedule) plus the placement currently installed.
 #[derive(Debug)]
 pub struct Tenant {
     spec: TenantSpec,
-    mapping: Mapping,
-    locality: LocalityState,
     /// Memoized per-(layer, accelerator) compute costs, cloned from the
     /// admission mapper so per-round evaluator rebuilds are cheap
-    /// ([`Evaluator::from_cache`]).
+    /// ([`Evaluator::from_cache`]). It stores healthy-speed times
+    /// (throttles are priced at read time), so it stays valid on any
+    /// degraded fabric.
     cache: CostCache,
-    /// The tenant's schedule state; durations reflect the batch size
-    /// of the last fresh slice evaluation.
-    inc: IncrementalSchedule,
-    /// Slice makespan memo, keyed by batch size (append-only, tiny).
-    slice_memo: Vec<(u32, Seconds)>,
-    /// Batch-1 slice makespan — the latency a request attains executing
-    /// alone with zero queueing, the "ideal" of the SLO accounting.
-    ideal: Seconds,
-    /// Weight-transfer seconds one slice pays exactly once regardless
-    /// of batch size (the amortization the batch former exploits).
-    weight_xfer_once: Seconds,
-    /// Resident DRAM bytes per accelerator (pins + fusion buffers).
-    resident: Vec<u64>,
-    /// Total pinned weight bytes (post-trim) — the payload an evicted
-    /// tenant must re-stream over the interconnect to become resident
-    /// again.
-    pinned_total: Bytes,
-    /// Pinned weight bytes per accelerator (post-trim): eviction
-    /// reloads charge each board's share at that board's actual
-    /// host-link rate, not one global scalar.
-    pinned_by_acc: Vec<u64>,
-    /// Pins dropped at admission to fit the shared budget.
-    trimmed_pins: usize,
     /// Materialization of `spec.arrivals` against the contract —
     /// rebuilt by `admit`, `set_contract` and `set_arrivals`, never by
-    /// serving (fault snapshots need not carry it).
+    /// serving.
     arrivals: ArrivalSchedule,
+    /// Admission installs it; a faulted drain replaces it and puts the
+    /// admitted one back when it ends.
+    placement: Placement,
 }
 
 impl Tenant {
@@ -485,38 +467,38 @@ impl Tenant {
 
     /// The offline-searched mapping.
     pub fn mapping(&self) -> &Mapping {
-        &self.mapping
+        &self.placement.mapping
     }
 
     /// The (possibly budget-trimmed) locality state.
     pub fn locality(&self) -> &LocalityState {
-        &self.locality
+        &self.placement.locality
     }
 
     /// Batch-1 slice makespan (zero-queueing request latency).
     pub fn ideal_latency(&self) -> Seconds {
-        self.ideal
+        self.placement.ideal
     }
 
     /// Pins dropped at admission to fit the shared DRAM budget.
     pub fn trimmed_pins(&self) -> usize {
-        self.trimmed_pins
+        self.placement.trimmed_pins
     }
 
     /// Total pinned weight bytes (post-trim) — the payload an evicted
     /// tenant re-streams, each board's share at its own link rate.
     pub fn pinned_bytes(&self) -> Bytes {
-        self.pinned_total
+        self.placement.pinned_total
     }
 
     /// Resident DRAM bytes on one accelerator.
     pub fn resident_bytes(&self, acc: AccId) -> Bytes {
-        Bytes::new(self.resident[acc.index()])
+        Bytes::new(self.placement.resident[acc.index()])
     }
 
     /// Resident DRAM bytes summed over the system.
     pub fn resident_total(&self) -> Bytes {
-        Bytes::new(self.resident.iter().sum())
+        Bytes::new(self.placement.resident.iter().sum())
     }
 
     /// Arrival time of request `j` under the materialized schedule
@@ -555,48 +537,83 @@ impl Tenant {
     }
 }
 
-/// The tenant fields a fault window mutates — snapshotted at the start
-/// of a faulted serve and restored at the end, so the registry (and
-/// every later [`TenantRegistry::serve`] call) stays bit-identical to
-/// a run that never saw faults.
-#[derive(Debug)]
-struct TenantSnapshot {
+/// A tenant's installed placement and everything derived from it: the
+/// long-lived incremental schedule the slice evaluator mutates, the
+/// slice memo and the footprint the batch former packs. Only
+/// [`Placement::new`] builds one, so admission, every fault-transition
+/// install and every staged-repair landing derive it the same way.
+#[derive(Debug, Clone)]
+struct Placement {
     mapping: Mapping,
     locality: LocalityState,
+    /// The schedule state; durations reflect the batch size of the
+    /// last fresh slice evaluation.
     inc: IncrementalSchedule,
+    /// Slice makespan memo, keyed by batch size (append-only, tiny).
     slice_memo: Vec<(u32, Seconds)>,
+    /// Batch-1 slice makespan — the latency a request attains executing
+    /// alone with zero queueing, the "ideal" of the SLO accounting.
     ideal: Seconds,
+    /// Weight-transfer seconds one slice pays exactly once regardless
+    /// of batch size (the amortization the batch former exploits).
     weight_xfer_once: Seconds,
+    /// Resident DRAM bytes per accelerator (pins + fusion buffers).
     resident: Vec<u64>,
+    /// Total pinned weight bytes (post-trim) — the payload an evicted
+    /// tenant must re-stream over the interconnect to become resident
+    /// again.
     pinned_total: Bytes,
+    /// Pinned weight bytes per accelerator (post-trim): eviction
+    /// reloads charge each board's share at that board's actual
+    /// host-link rate, not one global scalar.
     pinned_by_acc: Vec<u64>,
+    /// Pins the budget trim dropped.
+    trimmed_pins: usize,
 }
 
-impl TenantSnapshot {
-    fn of(t: &Tenant) -> Self {
-        TenantSnapshot {
-            mapping: t.mapping.clone(),
-            locality: t.locality.clone(),
-            inc: t.inc.clone(),
-            slice_memo: t.slice_memo.clone(),
-            ideal: t.ideal,
-            weight_xfer_once: t.weight_xfer_once,
-            resident: t.resident.clone(),
-            pinned_total: t.pinned_total,
-            pinned_by_acc: t.pinned_by_acc.clone(),
+impl Placement {
+    /// Derives the placement of `(mapping, locality)` on the fabric
+    /// `ev` is priced on: builds the incremental schedule, trims the
+    /// pins to the serve budget ([`trim_to_budget`]), derives the
+    /// footprint and seeds the memo with the batch-1 makespan.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::DramBudget`] when the trim cannot fit the budget.
+    fn new(
+        ev: &Evaluator<'_>,
+        cfg: &H2hConfig,
+        tenant: &str,
+        mapping: Mapping,
+        mut locality: LocalityState,
+    ) -> Result<Self, ServeError> {
+        let (model, system) = (ev.model(), ev.system());
+        let mut inc = IncrementalSchedule::new(ev, &mapping, &locality);
+        let trimmed_pins = trim_to_budget(ev, cfg, tenant, &mapping, &mut locality, &mut inc)?;
+        let ideal = inc.makespan();
+        let weight_xfer_once = model
+            .layer_ids()
+            .map(|id| ev.layer_cost(&mapping, &locality, id).weight_xfer)
+            .sum();
+        let resident = system.acc_ids().map(|a| locality.dram_used(a).as_u64()).collect();
+        let pinned_total = locality.total_pinned_bytes(model);
+        let mut pinned_by_acc = vec![0u64; system.num_accs()];
+        for l in locality.pinned_layers() {
+            pinned_by_acc[mapping.acc_of(l).index()] +=
+                model.layer(l).weight_bytes(DataType::F32).as_u64();
         }
-    }
-
-    fn restore(self, t: &mut Tenant) {
-        t.mapping = self.mapping;
-        t.locality = self.locality;
-        t.inc = self.inc;
-        t.slice_memo = self.slice_memo;
-        t.ideal = self.ideal;
-        t.weight_xfer_once = self.weight_xfer_once;
-        t.resident = self.resident;
-        t.pinned_total = self.pinned_total;
-        t.pinned_by_acc = self.pinned_by_acc;
+        Ok(Placement {
+            mapping,
+            locality,
+            inc,
+            slice_memo: vec![(1, ideal)],
+            ideal,
+            weight_xfer_once,
+            resident,
+            pinned_total,
+            pinned_by_acc,
+            trimmed_pins,
+        })
     }
 }
 
@@ -612,65 +629,6 @@ struct StagedRepair {
     lands_at: f64,
     mapping: Mapping,
     locality: LocalityState,
-}
-
-/// Installs a placement (a transition's repair, its interim
-/// evacuation, or a landed stage) into a tenant priced on fabric
-/// `sys`: rebuild the incremental schedule, re-enforce the serve
-/// budget, refresh the memo/ideal/footprint bookkeeping. Residency is
-/// the *caller's* decision — an install usually evicts, but a down
-/// host keeps an unchanged placement resident.
-///
-/// # Errors
-///
-/// Propagates [`ServeError::DramBudget`] from the trim; the caller
-/// parks the tenant then.
-fn install_placement(
-    sys: &SystemSpec,
-    cfg: &H2hConfig,
-    t: &mut Tenant,
-    s: &mut TenantServeStats,
-    mapping: Mapping,
-    locality: LocalityState,
-) -> Result<(), ServeError> {
-    // The compute-cost cache stores healthy-speed times (throttles are
-    // priced at read time), so it stays valid on any degraded fabric.
-    let ev = Evaluator::from_cache(&t.spec.model, sys, t.cache.clone());
-    t.mapping = mapping;
-    t.locality = locality;
-    t.inc = IncrementalSchedule::new(&ev, &t.mapping, &t.locality);
-    // The repair re-ran pin selection against DRAM capacity; re-enforce
-    // the serve fraction exactly like admission.
-    trim_to_budget(
-        sys,
-        cfg,
-        &t.spec.name,
-        &t.spec.model,
-        &t.mapping,
-        &mut t.locality,
-        &mut t.inc,
-        &ev,
-    )?;
-    let ideal = t.inc.makespan();
-    t.ideal = ideal;
-    t.slice_memo = vec![(1, ideal)];
-    // The ledger's ideal floor must hold for requests served on any
-    // fabric of the run; keep the smallest.
-    s.ideal = s.ideal.min(ideal);
-    t.weight_xfer_once = t
-        .spec
-        .model
-        .layer_ids()
-        .map(|id| ev.layer_cost(&t.mapping, &t.locality, id).weight_xfer)
-        .sum();
-    t.resident = sys.acc_ids().map(|a| t.locality.dram_used(a).as_u64()).collect();
-    t.pinned_total = t.locality.total_pinned_bytes(&t.spec.model);
-    t.pinned_by_acc = vec![0u64; sys.num_accs()];
-    for l in t.locality.pinned_layers() {
-        t.pinned_by_acc[t.mapping.acc_of(l).index()] +=
-            t.spec.model.layer(l).weight_bytes(DataType::F32).as_u64();
-    }
-    Ok(())
 }
 
 /// Exact per-tenant attained-latency distribution: every served
@@ -901,11 +859,6 @@ impl ServeOutcome {
         self.tenants.iter().map(|t| t.served).sum()
     }
 
-    /// Total SLO violations across tenants.
-    pub fn total_violations(&self) -> usize {
-        self.tenants.iter().map(|t| t.violations).sum()
-    }
-
     /// Total requests shed across tenants (bounded-queue policy).
     pub fn total_shed(&self) -> usize {
         self.tenants.iter().map(|t| t.shed).sum()
@@ -1108,6 +1061,120 @@ impl ServeOutcome {
     }
 }
 
+/// The per-drain ledgers and flags one serve run threads through its
+/// rounds, fault transitions and staged-repair landings. Parking,
+/// installing and head-shedding each have one body here.
+#[derive(Debug)]
+struct Drain {
+    /// Per-tenant SLO ledgers, in admission order.
+    stats: Vec<TenantServeStats>,
+    counters: ServeCounters,
+    /// Whose weights sit on the boards now; a swap-in re-streams them.
+    resident: Vec<bool>,
+    /// Parked (shed) tenants sit out rounds until a later transition
+    /// installs a placement for them.
+    parked: Vec<bool>,
+    /// Repairs waiting out their modeled wall time before landing.
+    staged: Vec<Option<StagedRepair>>,
+}
+
+impl Drain {
+    /// Empty ledgers for `tenants`: nobody resident, parked or staged.
+    fn new(tenants: &[Tenant]) -> Self {
+        let n = tenants.len();
+        let stats = tenants
+            .iter()
+            .map(|t| TenantServeStats {
+                name: t.spec.name.clone(),
+                requests: t.spec.requests,
+                served: 0,
+                violations: 0,
+                slo: t.spec.slo,
+                ideal: t.placement.ideal,
+                attained_total: Seconds::ZERO,
+                attained_max: Seconds::ZERO,
+                latencies: LatencyLedger::default(),
+                shed: 0,
+                shed_doomed: 0,
+                batches: 0,
+                max_batch: 0,
+                amortized_weight_time: Seconds::ZERO,
+                weight_reloads: 0,
+                reload_time: Seconds::ZERO,
+                repairs: 0,
+                degraded_served: 0,
+                violations_degraded: 0,
+                repair_time_charged: Seconds::ZERO,
+                parks: 0,
+            })
+            .collect();
+        Drain {
+            stats,
+            counters: ServeCounters::default(),
+            resident: vec![false; n],
+            parked: vec![false; n],
+            staged: (0..n).map(|_| None).collect(),
+        }
+    }
+
+    /// Requests tenant `i` has finished with, served or shed — the
+    /// index of its queue head.
+    fn done(&self, i: usize) -> usize {
+        self.stats[i].served + self.stats[i].shed
+    }
+
+    /// Sheds tenant `i`'s queue head at `now`, counting it as doomed
+    /// when even an immediate ideal-latency slice would have violated
+    /// its SLO.
+    fn shed_head(&mut self, i: usize, t: &Tenant, now: f64) {
+        let arrival = t.arrival(self.done(i));
+        let s = &mut self.stats[i];
+        s.shed += 1;
+        if now + t.placement.ideal.as_f64() - arrival > t.spec.slo.as_f64() {
+            s.shed_doomed += 1;
+        }
+        self.counters.requests_shed += 1;
+    }
+
+    /// Parks tenant `i`: it leaves the boards, drops any staged repair
+    /// and sits out rounds until a later install succeeds.
+    fn park(&mut self, i: usize) {
+        self.counters.sheds += 1;
+        self.stats[i].parks += 1;
+        self.parked[i] = true;
+        self.resident[i] = false;
+        self.staged[i] = None;
+    }
+
+    /// Installs `placement` into tenant `i` and un-parks it, or parks
+    /// it with its previous placement intact when the placement could
+    /// not be built. The install evicts the tenant unless
+    /// `keep_if_unchanged` is set and the mapping and locality are
+    /// those already installed. Returns whether it installed.
+    fn install(
+        &mut self,
+        i: usize,
+        t: &mut Tenant,
+        placement: Result<Placement, ServeError>,
+        keep_if_unchanged: bool,
+    ) -> bool {
+        let Ok(p) = placement else {
+            self.park(i);
+            return false;
+        };
+        let unchanged = p.mapping == t.placement.mapping && p.locality == t.placement.locality;
+        if !(keep_if_unchanged && unchanged) {
+            self.resident[i] = false;
+        }
+        self.parked[i] = false;
+        // The ledger's ideal floor must hold for requests served on any
+        // fabric of the run; keep the smallest.
+        self.stats[i].ideal = self.stats[i].ideal.min(p.ideal);
+        t.placement = p;
+        true
+    }
+}
+
 /// The multi-tenant serving state: admitted tenants, their pinned
 /// placements, and the shared-budget batch former.
 #[derive(Debug)]
@@ -1196,72 +1263,25 @@ impl<'s> TenantRegistry<'s> {
         let mapper = H2hMapper::new(&spec.model, self.system).with_config(self.config);
         let out = mapper.run()?;
         let cache = mapper.evaluator().cache().clone();
-        let mapping = out.mapping;
-        let mut locality = out.locality;
-
         let ev = Evaluator::from_cache(&spec.model, self.system, cache.clone());
-        let mut inc = IncrementalSchedule::new(&ev, &mapping, &locality);
-
-        // Budget trim: per board, keep the highest-value pins that fit
-        // the serve budget; drop the rest and re-cost their cone. The
-        // same enforcement re-runs after every fault-transition repair.
-        let trimmed_pins = trim_to_budget(
-            self.system,
-            &self.config,
-            &spec.name,
-            &spec.model,
-            &mapping,
-            &mut locality,
-            &mut inc,
-            &ev,
-        )?;
-
-        let ideal = inc.makespan();
+        let placement = Placement::new(&ev, &self.config, &spec.name, out.mapping, out.locality)?;
         if self.config.serve_verify {
             // The memo is pre-seeded with `(1, ideal)`, so batch-1
             // slices never re-run the serve-loop crosscheck — verify
             // the (possibly trim-delta-produced) ideal here instead. A
             // mismatch is an internal soundness bug, not a caller
             // error, hence the assert.
-            let full = ev.evaluate(&mapping, &locality).makespan();
+            let full = ev.evaluate(&placement.mapping, &placement.locality).makespan();
             assert!(
-                ideal.as_f64() == full.as_f64(),
+                placement.ideal.as_f64() == full.as_f64(),
                 "tenant `{}`: admission ideal {} diverged from the full evaluation {} \
                  (trim delta is unsound)",
                 spec.name,
-                ideal,
+                placement.ideal,
                 full
             );
         }
-        let weight_xfer_once: Seconds = spec
-            .model
-            .layer_ids()
-            .map(|id| ev.layer_cost(&mapping, &locality, id).weight_xfer)
-            .sum();
-        let resident: Vec<u64> =
-            self.system.acc_ids().map(|a| locality.dram_used(a).as_u64()).collect();
-        let pinned_total = locality.total_pinned_bytes(&spec.model);
-        let mut pinned_by_acc = vec![0u64; self.system.num_accs()];
-        for l in locality.pinned_layers() {
-            pinned_by_acc[mapping.acc_of(l).index()] +=
-                spec.model.layer(l).weight_bytes(DataType::F32).as_u64();
-        }
-
-        self.tenants.push(Tenant {
-            spec,
-            arrivals,
-            mapping,
-            locality,
-            cache,
-            inc,
-            slice_memo: vec![(1, ideal)],
-            ideal,
-            weight_xfer_once,
-            resident,
-            pinned_total,
-            pinned_by_acc,
-            trimmed_pins,
-        });
+        self.tenants.push(Tenant { spec, cache, arrivals, placement });
         Ok(TenantId(self.tenants.len() - 1))
     }
 
@@ -1330,12 +1350,6 @@ impl<'s> TenantRegistry<'s> {
         self.config.serve_policy = policy;
     }
 
-    /// Sets the per-tenant queue bound for subsequent serve calls
-    /// (0 = unbounded, the historical semantics).
-    pub fn set_queue_cap(&mut self, cap: usize) {
-        self.config.serve_queue_cap = cap;
-    }
-
     /// Serves every tenant's full request window with batched slices
     /// (up to [`H2hConfig::serve_max_batch`] requests per slice) and
     /// the shared-budget batch former. Deterministic: same registry,
@@ -1370,12 +1384,12 @@ impl<'s> TenantRegistry<'s> {
     /// ([`TenantServeStats::degraded_served`] /
     /// [`TenantServeStats::violations_degraded`]).
     ///
-    /// The registry is snapshot-restored afterwards, so later calls
-    /// are unaffected. With an empty plan this is exactly
+    /// Every tenant's admitted placement is restored afterwards, so
+    /// later calls are unaffected. With an empty plan this is exactly
     /// [`TenantRegistry::serve`], bit for bit — the no-fault identity
     /// contract of the fault subsystem.
     ///
-    /// Repair failures no longer abort the run: a tenant whose repair
+    /// Repair failures do not abort the run: a tenant whose repair
     /// strands a layer class with no live supporting board, or whose
     /// repaired footprint cannot be trimmed to the serve budget, is
     /// *parked* (gracefully shed — [`TenantServeStats::parks`]) and
@@ -1440,7 +1454,7 @@ impl<'s> TenantRegistry<'s> {
         debug_assert!(!chosen.is_empty(), "form_round needs backlog");
         let fits = |sel: &[usize]| {
             budgets.iter().enumerate().all(|(a, budget)| {
-                sel.iter().map(|i| self.tenants[*i].resident[a]).sum::<u64>() <= *budget
+                sel.iter().map(|i| self.tenants[*i].placement.resident[a]).sum::<u64>() <= *budget
             })
         };
         if self.config.serve_policy != RoundPolicy::Knapsack {
@@ -1453,7 +1467,7 @@ impl<'s> TenantRegistry<'s> {
             used.fill(0);
             let mut first = true;
             chosen.retain(|&i| {
-                let r = &self.tenants[i].resident;
+                let r = &self.tenants[i].placement.resident;
                 let enters =
                     first || used.iter().zip(r).zip(budgets).all(|((u, b), cap)| u + b <= *cap);
                 if enters {
@@ -1474,7 +1488,7 @@ impl<'s> TenantRegistry<'s> {
             .iter()
             .map(|&i| Item {
                 id: i,
-                weight: self.tenants[i].resident.iter().sum(),
+                weight: self.tenants[i].placement.resident.iter().sum(),
                 value: urgency[i],
             })
             .collect();
@@ -1509,23 +1523,22 @@ impl<'s> TenantRegistry<'s> {
         }
     }
 
-    /// Snapshot/serve/restore wrapper: a faulted run mutates tenant
-    /// state (repaired mappings, reset memos, new residents); the
-    /// snapshot puts everything back so the registry stays reusable
-    /// and bit-identical for later calls. The no-fault path takes no
-    /// snapshot and runs the historical loop unchanged.
+    /// Save/serve/restore wrapper: a faulted run installs new
+    /// placements; putting the saved ones back keeps the registry
+    /// reusable and bit-identical for later calls. The no-fault path
+    /// installs nothing and saves nothing.
     fn serve_impl(
         &mut self,
         max_batch: u32,
         plan: &FaultPlan,
         budgeted: bool,
     ) -> Result<ServeOutcome, ServeError> {
-        let snapshot: Option<Vec<TenantSnapshot>> =
-            (!plan.is_empty()).then(|| self.tenants.iter().map(TenantSnapshot::of).collect());
+        let saved: Option<Vec<Placement>> =
+            (!plan.is_empty()).then(|| self.tenants.iter().map(|t| t.placement.clone()).collect());
         let result = self.serve_inner(max_batch, plan, budgeted);
-        if let Some(snap) = snapshot {
-            for (t, s) in self.tenants.iter_mut().zip(snap) {
-                s.restore(t);
+        if let Some(saved) = saved {
+            for (t, placement) in self.tenants.iter_mut().zip(saved) {
+                t.placement = placement;
             }
         }
         result
@@ -1534,12 +1547,11 @@ impl<'s> TenantRegistry<'s> {
     /// Applies one fault-state change mid-serve: rebuild the degraded
     /// system and, for every tenant, repair its mapping onto it
     /// (budget per [`H2hConfig::repair_eval_budget`], or
-    /// evacuation-only when `budgeted` is false), re-enforce the serve
-    /// budget, rebuild the incremental schedule and memo on the new
-    /// fabric, and evict residency — the next slice re-streams the
-    /// repaired placement's pinned weights. Returns the degraded
-    /// system the following rounds are priced on (`None` once healthy
-    /// again). Three refinements over the plain install:
+    /// evacuation-only when `budgeted` is false) and install the
+    /// result on the new fabric. Returns the degraded system the
+    /// following rounds are priced on (`None` once healthy again).
+    /// One evaluator per tenant prices the repair, the interim and the
+    /// install. Three refinements over the plain install:
     ///
     /// * **Repair wall time** — when
     ///   [`H2hConfig::repair_secs_per_move`] is set and the budgeted
@@ -1560,90 +1572,55 @@ impl<'s> TenantRegistry<'s> {
     /// * **Graceful shedding** — a tenant whose repair or budget trim
     ///   fails on the shrunken fabric is parked (shed) instead of
     ///   failing the whole serve; every later transition retries it.
-    #[allow(clippy::too_many_arguments)]
     fn apply_fault_transition(
         &mut self,
         state: &FaultState,
         budgeted: bool,
         now: f64,
-        stats: &mut [TenantServeStats],
-        counters: &mut ServeCounters,
-        resident: &mut [bool],
-        parked: &mut [bool],
-        staged: &mut [Option<StagedRepair>],
+        drain: &mut Drain,
     ) -> Option<SystemSpec> {
-        counters.fault_transitions += 1;
+        drain.counters.fault_transitions += 1;
         let degraded = (!state.is_healthy()).then(|| self.system.degrade(state));
+        let sys: &SystemSpec = degraded.as_ref().unwrap_or(self.system);
         let cfg = self.config;
         let preset = PinPreset::new();
         for (i, t) in self.tenants.iter_mut().enumerate() {
             // Any stage computed against the previous fabric is stale.
-            staged[i] = None;
-            let sys: &SystemSpec = degraded.as_ref().unwrap_or(self.system);
+            drain.staged[i] = None;
             let ev = Evaluator::from_cache(&t.spec.model, sys, t.cache.clone());
             let budget =
                 if budgeted { resolve_repair_budget(&cfg, &t.spec.model) } else { 0 };
-            let rep = match repair_mapping(&ev, &cfg, &preset, &t.mapping, state, budget) {
-                Ok(rep) => rep,
-                Err(_) => {
-                    // Shed: no live board can host some stranded layer.
-                    counters.sheds += 1;
-                    stats[i].parks += 1;
-                    parked[i] = true;
-                    resident[i] = false;
-                    continue;
-                }
+            let old = &t.placement.mapping;
+            let Ok(rep) = repair_mapping(&ev, &cfg, &preset, old, state, budget) else {
+                // Shed: no live board can host some stranded layer.
+                drain.park(i);
+                continue;
             };
-            counters.repair_evals += rep.stats.attempted_moves;
-            let old_mapping = t.mapping.clone();
-            let old_locality = t.locality.clone();
+            drain.counters.repair_evals += rep.stats.attempted_moves;
             // The search's wall time is charged whether or not it
             // found anything — the host CPU spent it either way.
-            stats[i].repair_time_charged += rep.wall_time;
-            let (mapping, locality) = if rep.wall_time > Seconds::ZERO
-                && rep.mapping != old_mapping
-            {
+            drain.stats[i].repair_time_charged += rep.wall_time;
+            let (mapping, locality) = if rep.wall_time > Seconds::ZERO && rep.mapping != *old {
                 // Stage the searched placement to land after its wall
                 // time; serve meanwhile on the evacuation-only interim
                 // (the same evacuation step, zero search budget).
-                let interim = repair_mapping(&ev, &cfg, &preset, &old_mapping, state, 0)
+                let interim = repair_mapping(&ev, &cfg, &preset, old, state, 0)
                     .expect("evacuation succeeded under the larger budget");
-                staged[i] = Some(StagedRepair {
+                drain.staged[i] = Some(StagedRepair {
                     lands_at: now + rep.wall_time.as_f64(),
                     mapping: rep.mapping,
                     locality: rep.locality,
                 });
-                counters.staged_repairs += 1;
+                drain.counters.staged_repairs += 1;
                 (interim.mapping, interim.locality)
             } else {
                 (rep.mapping, rep.locality)
             };
-            match install_placement(sys, &cfg, t, &mut stats[i], mapping, locality) {
-                Ok(()) => {
-                    counters.repairs += 1;
-                    stats[i].repairs += 1;
-                    let unchanged = t.mapping == old_mapping && t.locality == old_locality;
-                    // Eviction: the installed placement's weights are
-                    // not on the boards yet — its next slice pays the
-                    // re-stream. Two exceptions keep residency for an
-                    // *unchanged* placement: a down host cannot
-                    // restream at all, and the staged-repair interim
-                    // left every weight exactly where it was (the real
-                    // move is paid when the searched placement lands).
-                    if !(unchanged && (!state.host_is_up() || staged[i].is_some())) {
-                        resident[i] = false;
-                    }
-                    parked[i] = false;
-                }
-                Err(_) => {
-                    // Shed: the repaired footprint cannot be trimmed to
-                    // the serve budget on the shrunken fabric.
-                    counters.sheds += 1;
-                    stats[i].parks += 1;
-                    parked[i] = true;
-                    resident[i] = false;
-                    staged[i] = None;
-                }
+            let keep = !state.host_is_up() || drain.staged[i].is_some();
+            let placement = Placement::new(&ev, &cfg, &t.spec.name, mapping, locality);
+            if drain.install(i, t, placement, keep) {
+                drain.counters.repairs += 1;
+                drain.stats[i].repairs += 1;
             }
         }
         degraded
@@ -1662,45 +1639,13 @@ impl<'s> TenantRegistry<'s> {
         let acc_names: Vec<String> =
             self.system.acc_ids().map(|a| self.system.acc(a).meta().id.clone()).collect();
 
-        let mut stats: Vec<TenantServeStats> = self
-            .tenants
-            .iter()
-            .map(|t| TenantServeStats {
-                name: t.spec.name.clone(),
-                requests: t.spec.requests,
-                served: 0,
-                violations: 0,
-                slo: t.spec.slo,
-                ideal: t.ideal,
-                attained_total: Seconds::ZERO,
-                attained_max: Seconds::ZERO,
-                latencies: LatencyLedger::default(),
-                shed: 0,
-                shed_doomed: 0,
-                batches: 0,
-                max_batch: 0,
-                amortized_weight_time: Seconds::ZERO,
-                weight_reloads: 0,
-                reload_time: Seconds::ZERO,
-                repairs: 0,
-                degraded_served: 0,
-                violations_degraded: 0,
-                repair_time_charged: Seconds::ZERO,
-                parks: 0,
-            })
-            .collect();
-        let mut counters = ServeCounters::default();
+        let mut drain = Drain::new(&self.tenants);
         let mut peak = vec![0u64; n_accs];
-        let mut served = vec![0usize; n];
         // Monotone per-tenant cursors over the arrival schedule: `now`
         // never moves backwards, so arrival counting is an exact
         // integer advance (`#{j : arrival(j) <= now}`) instead of the
         // old floor-of-rate estimate plus bidirectional correction.
-        // `shed` requests left the queue without service (bounded-queue
-        // drops and stall-point write-offs); a request is *done* once
-        // served or shed.
         let mut arrived = vec![0usize; n];
-        let mut shed = vec![0usize; n];
         let queue_cap = self.config.serve_queue_cap;
         let total: usize = self.tenants.iter().map(|t| t.spec.requests).sum();
         let mut done = 0usize;
@@ -1729,21 +1674,15 @@ impl<'s> TenantRegistry<'s> {
         // the shared budget. Weights loaded here are part of bring-up,
         // not the serving window (a single tenant is therefore always
         // resident from the start — the bit-identity contract).
-        let mut resident = vec![false; n];
-        for (slot, t) in resident.iter_mut().zip(self.tenants.iter()) {
-            if (0..n_accs).all(|a| used[a] + t.resident[a] <= budgets_u[a]) {
+        for (slot, t) in drain.resident.iter_mut().zip(self.tenants.iter()) {
+            let r = &t.placement.resident;
+            if (0..n_accs).all(|a| used[a] + r[a] <= budgets_u[a]) {
                 for (a, u) in used.iter_mut().enumerate() {
-                    *u += t.resident[a];
+                    *u += r[a];
                 }
                 *slot = true;
             }
         }
-        // Fault-window tenant state: parked (shed) tenants sit out
-        // rounds until a later transition re-admits them; staged
-        // repairs wait out their modeled wall time before landing.
-        // Both are per-run scratch, inert on no-fault paths.
-        let mut parked = vec![false; n];
-        let mut staged: Vec<Option<StagedRepair>> = (0..n).map(|_| None).collect();
 
         while done < total {
             // Fault boundaries crossed since the last round change the
@@ -1762,52 +1701,28 @@ impl<'s> TenantRegistry<'s> {
                 if new_state != fault_state {
                     fault_state = new_state;
                     fault_active = !fault_state.is_healthy();
-                    degraded_sys = self.apply_fault_transition(
-                        &fault_state,
-                        budgeted,
-                        now,
-                        &mut stats,
-                        &mut counters,
-                        &mut resident,
-                        &mut parked,
-                        &mut staged,
-                    );
+                    degraded_sys =
+                        self.apply_fault_transition(&fault_state, budgeted, now, &mut drain);
                 }
             }
             let active_sys: &SystemSpec = degraded_sys.as_ref().unwrap_or(self.system);
+            let host_up = fault_state.host_is_up();
             // Land staged repairs whose modeled wall time has elapsed:
             // install the searched placement on the current fabric and
             // evict (the improved placement's weights re-stream next
             // slice) unless the host-down unchanged-placement rule
             // keeps residency.
             for i in 0..n {
-                if !staged[i].as_ref().is_some_and(|s| event_reached(now, s.lands_at)) {
+                if !drain.staged[i].as_ref().is_some_and(|s| event_reached(now, s.lands_at)) {
                     continue;
                 }
-                let sr = staged[i].take().expect("a due stage exists");
-                let cfg = self.config;
-                let old_mapping = self.tenants[i].mapping.clone();
-                let old_locality = self.tenants[i].locality.clone();
+                let sr = drain.staged[i].take().expect("a due stage exists");
                 let t = &mut self.tenants[i];
-                match install_placement(active_sys, &cfg, t, &mut stats[i], sr.mapping, sr.locality)
-                {
-                    Ok(()) => {
-                        let unchanged =
-                            t.mapping == old_mapping && t.locality == old_locality;
-                        if fault_state.host_is_up() || !unchanged {
-                            resident[i] = false;
-                        }
-                        parked[i] = false;
-                    }
-                    Err(_) => {
-                        counters.sheds += 1;
-                        stats[i].parks += 1;
-                        parked[i] = true;
-                        resident[i] = false;
-                    }
-                }
+                let ev = Evaluator::from_cache(&t.spec.model, active_sys, t.cache.clone());
+                let placement =
+                    Placement::new(&ev, &self.config, &t.spec.name, sr.mapping, sr.locality);
+                drain.install(i, t, placement, !host_up);
             }
-            let host_up = fault_state.host_is_up();
             // Backlog at round start: arrivals up to `now`, minus
             // everything already served or shed. The cursor advance is
             // integer-exact against the same `arrival(j)` values the
@@ -1825,21 +1740,11 @@ impl<'s> TenantRegistry<'s> {
             // Bounded queues: with a cap, overload sheds from the queue
             // *head* — under a latency SLO the oldest waiter is the
             // nearest deadline and therefore the least salvageable, so
-            // head-drop is the value-ranked choice. `shed_doomed`
-            // counts drops that were already past saving (even an
-            // immediate ideal-latency slice would have violated).
+            // head-drop is the value-ranked choice.
             if queue_cap > 0 {
-                for i in 0..n {
-                    let t = &self.tenants[i];
-                    while arrived[i] - served[i] - shed[i] > queue_cap {
-                        let j = served[i] + shed[i];
-                        let s = &mut stats[i];
-                        s.shed += 1;
-                        if now + t.ideal.as_f64() - t.arrival(j) > t.spec.slo.as_f64() {
-                            s.shed_doomed += 1;
-                        }
-                        shed[i] += 1;
-                        counters.requests_shed += 1;
+                for (i, t) in self.tenants.iter().enumerate() {
+                    while arrived[i] - drain.done(i) > queue_cap {
+                        drain.shed_head(i, t, now);
                         done += 1;
                     }
                 }
@@ -1850,8 +1755,8 @@ impl<'s> TenantRegistry<'s> {
             // can serve (a swap-in would have to stream weights through
             // the dead host). Healthy runs never zero anything here.
             for i in 0..n {
-                servable[i] = !parked[i] && (host_up || resident[i]);
-                pending[i] = if servable[i] { arrived[i] - served[i] - shed[i] } else { 0 };
+                servable[i] = !drain.parked[i] && (host_up || drain.resident[i]);
+                pending[i] = if servable[i] { arrived[i] - drain.done(i) } else { 0 };
             }
             if pending.iter().all(|p| *p == 0) {
                 // Idle: jump to the earliest outstanding servable
@@ -1861,11 +1766,11 @@ impl<'s> TenantRegistry<'s> {
                 // the drain is deadlocked. Fully-servable runs keep
                 // the historical next-arrival-only jump (bitwise).
                 let next_arrival = (0..n)
-                    .filter(|&i| servable[i] && served[i] + shed[i] < self.tenants[i].spec.requests)
-                    .map(|i| self.tenants[i].arrival(served[i] + shed[i]))
+                    .filter(|&i| servable[i] && drain.done(i) < self.tenants[i].spec.requests)
+                    .map(|i| self.tenants[i].arrival(drain.done(i)))
                     .fold(f64::INFINITY, f64::min);
                 let blocked = (0..n)
-                    .any(|i| !servable[i] && served[i] + shed[i] < self.tenants[i].spec.requests);
+                    .any(|i| !servable[i] && drain.done(i) < self.tenants[i].spec.requests);
                 let next_b = if blocked {
                     boundaries.get(next_boundary).copied().unwrap_or(f64::INFINITY)
                 } else {
@@ -1881,20 +1786,12 @@ impl<'s> TenantRegistry<'s> {
                     // unbounded mode keeps the structural stall error.
                     if queue_cap > 0 {
                         let mut wrote_off = false;
-                        for i in 0..n {
+                        for (i, t) in self.tenants.iter().enumerate() {
                             if servable[i] {
                                 continue;
                             }
-                            let t = &self.tenants[i];
-                            while served[i] + shed[i] < t.spec.requests {
-                                let j = served[i] + shed[i];
-                                let s = &mut stats[i];
-                                s.shed += 1;
-                                if now + t.ideal.as_f64() - t.arrival(j) > t.spec.slo.as_f64() {
-                                    s.shed_doomed += 1;
-                                }
-                                shed[i] += 1;
-                                counters.requests_shed += 1;
+                            while drain.done(i) < t.spec.requests {
+                                drain.shed_head(i, t, now);
                                 done += 1;
                                 wrote_off = true;
                             }
@@ -1906,7 +1803,7 @@ impl<'s> TenantRegistry<'s> {
                     return Err(ServeError::Stalled {
                         at: Seconds::new(now),
                         unserved: total - done,
-                        parked: parked.iter().filter(|p| **p).count(),
+                        parked: drain.parked.iter().filter(|p| **p).count(),
                         host_down: !host_up,
                     });
                 }
@@ -1921,10 +1818,9 @@ impl<'s> TenantRegistry<'s> {
                 urgency[i] = if pending[i] == 0 {
                     0.0
                 } else {
-                    let horizon = now + t.ideal.as_f64() - t.spec.slo.as_f64();
+                    let horizon = now + t.placement.ideal.as_f64() - t.spec.slo.as_f64();
                     let doomed_arrivals = t.doomed_arrivals(horizon);
-                    let at_risk =
-                        doomed_arrivals.saturating_sub(served[i] + shed[i]).min(pending[i]);
+                    let at_risk = doomed_arrivals.saturating_sub(drain.done(i)).min(pending[i]);
                     (pending[i] + at_risk) as f64
                 };
             }
@@ -1938,8 +1834,10 @@ impl<'s> TenantRegistry<'s> {
                 } else {
                     match self.config.serve_policy {
                         RoundPolicy::Knapsack => 0.0,
-                        RoundPolicy::Edf => t.arrival(served[i] + shed[i]) + t.spec.slo.as_f64(),
-                        RoundPolicy::WeightedFair => (served[i] + 1) as f64 / t.spec.rate_hz,
+                        RoundPolicy::Edf => t.arrival(drain.done(i)) + t.spec.slo.as_f64(),
+                        RoundPolicy::WeightedFair => {
+                            (drain.stats[i].served + 1) as f64 / t.spec.rate_hz
+                        }
                     }
                 };
             }
@@ -1949,23 +1847,21 @@ impl<'s> TenantRegistry<'s> {
             // Ethernet before their slice); previous residents keep
             // their slot while it still fits next to the selected set,
             // in admission order.
-            std::mem::swap(&mut resident, &mut was_resident);
-            resident.fill(false);
+            std::mem::swap(&mut drain.resident, &mut was_resident);
+            drain.resident.fill(false);
             used.fill(0);
             for &i in &selected {
                 for (a, u) in used.iter_mut().enumerate() {
-                    *u += self.tenants[i].resident[a];
+                    *u += self.tenants[i].placement.resident[a];
                 }
-                resident[i] = true;
+                drain.resident[i] = true;
             }
-            for (i, slot) in resident.iter_mut().enumerate() {
-                if was_resident[i]
-                    && !*slot
-                    && (0..n_accs)
-                        .all(|a| used[a] + self.tenants[i].resident[a] <= budgets_u[a])
+            for (i, slot) in drain.resident.iter_mut().enumerate() {
+                let r = &self.tenants[i].placement.resident;
+                if was_resident[i] && !*slot && (0..n_accs).all(|a| used[a] + r[a] <= budgets_u[a])
                 {
                     for (a, u) in used.iter_mut().enumerate() {
-                        *u += self.tenants[i].resident[a];
+                        *u += r[a];
                     }
                     *slot = true;
                 }
@@ -1973,20 +1869,21 @@ impl<'s> TenantRegistry<'s> {
             for (a, slot) in peak.iter_mut().enumerate() {
                 *slot = (*slot).max(used[a]);
             }
-            counters.rounds += 1;
+            drain.counters.rounds += 1;
             for &i in &selected {
                 let k = (pending[i].min(max_batch as usize)) as u32;
                 let reload = if was_resident[i] {
                     Seconds::ZERO
                 } else {
-                    counters.weight_reloads += 1;
-                    stats[i].weight_reloads += 1;
+                    drain.counters.weight_reloads += 1;
+                    drain.stats[i].weight_reloads += 1;
                     // Each board's pinned share re-streams at that
                     // board's actual host-link rate (collapses to one
                     // scalar-rate transfer on a uniform star, bitwise;
                     // degraded routes during a fault window).
                     active_sys.topology().host_stream_time(
                         self.tenants[i]
+                            .placement
                             .pinned_by_acc
                             .iter()
                             .enumerate()
@@ -1994,14 +1891,13 @@ impl<'s> TenantRegistry<'s> {
                             .map(|(a, b)| (AccId::new(a), Bytes::new(*b))),
                     )
                 };
-                stats[i].reload_time += reload;
-                let m =
-                    slice_makespan_on(active_sys, verify, &mut self.tenants[i], k, &mut counters);
+                drain.stats[i].reload_time += reload;
+                let t = &mut self.tenants[i];
+                let m = slice_makespan_on(active_sys, verify, t, k, &mut drain.counters);
                 let end = now + reload.as_f64() + m.as_f64();
+                let s = &mut drain.stats[i];
                 for _ in 0..k {
-                    let j = served[i] + shed[i];
-                    let latency = end - self.tenants[i].arrival(j);
-                    let s = &mut stats[i];
+                    let latency = end - t.arrival(s.served + s.shed);
                     s.served += 1;
                     s.attained_total += Seconds::new(latency);
                     s.attained_max = s.attained_max.max(Seconds::new(latency));
@@ -2015,25 +1911,22 @@ impl<'s> TenantRegistry<'s> {
                     if fault_active {
                         s.degraded_served += 1;
                     }
-                    served[i] += 1;
                     done += 1;
                 }
-                let s = &mut stats[i];
                 s.batches += 1;
                 s.max_batch = s.max_batch.max(k);
-                s.amortized_weight_time +=
-                    self.tenants[i].weight_xfer_once * (k - 1) as f64;
+                s.amortized_weight_time += t.placement.weight_xfer_once * (k - 1) as f64;
                 now = end;
             }
         }
 
-        for s in &mut stats {
+        for s in &mut drain.stats {
             s.latencies.sort();
         }
         Ok(ServeOutcome {
-            tenants: stats,
+            tenants: drain.stats,
             makespan: Seconds::new(now),
-            counters,
+            counters: drain.counters,
             policy: self.config.serve_policy,
             peak_resident: peak.into_iter().map(Bytes::new).collect(),
             budgets,
@@ -2173,8 +2066,8 @@ mod tests {
         let mut frac = None;
         for acc in system.acc_ids() {
             let cap = system.acc(acc).dram_capacity().as_u64() as f64;
-            let ra = probe.tenant(TenantId(0)).resident[acc.index()] as f64;
-            let rb = probe.tenant(TenantId(1)).resident[acc.index()] as f64;
+            let ra = probe.tenant(TenantId(0)).resident_bytes(acc).as_u64() as f64;
+            let rb = probe.tenant(TenantId(1)).resident_bytes(acc).as_u64() as f64;
             if ra > 0.0 && rb > 0.0 {
                 let f = (ra.max(rb) * 1.05 / cap).min(1.0);
                 if ra + rb > f * cap {
@@ -2539,5 +2432,112 @@ mod tests {
         out.check_coherence().unwrap();
         assert_eq!(out.tenants[0].served, 6, "every request exactly once");
         assert_eq!(out.counters.requests_shed, 0);
+    }
+
+    /// Admits one tenant whose serve budget trims its pins: VFS keeps
+    /// only part of its weights resident at 10% of every board.
+    fn trimmed_vfs(system: &SystemSpec) -> TenantRegistry<'_> {
+        let cfg = H2hConfig { serve_dram_budget_frac: 0.1, ..H2hConfig::default() };
+        let mut reg = TenantRegistry::new(system, cfg);
+        reg.admit(spec("vfs", h2h_model::zoo::vfs(), 2.0, 2.0, 6)).unwrap();
+        assert!(reg.tenants[0].trimmed_pins() > 0, "the 10% budget must trim VFS");
+        reg
+    }
+
+    /// Builds the first tenant a placement on the registry's healthy
+    /// fabric under `cfg`, as a fault transition builds one.
+    fn placement_of(
+        reg: &TenantRegistry<'_>,
+        cfg: &H2hConfig,
+        mapping: &Mapping,
+        locality: &LocalityState,
+    ) -> Result<Placement, ServeError> {
+        let t = &reg.tenants[0];
+        let ev = Evaluator::from_cache(&t.spec.model, reg.system, t.cache.clone());
+        Placement::new(&ev, cfg, &t.spec.name, mapping.clone(), locality.clone())
+    }
+
+    /// Every field of two placements except the trim count, floats
+    /// compared bit for bit.
+    fn assert_same_placement(a: &Placement, b: &Placement, model: &ModelGraph) {
+        let bits = |x: Seconds| x.as_f64().to_bits();
+        assert_eq!(a.mapping, b.mapping);
+        assert_eq!(a.locality, b.locality);
+        for id in model.layer_ids() {
+            assert_eq!(bits(a.inc.start_of(id)), bits(b.inc.start_of(id)));
+            assert_eq!(bits(a.inc.finish_of(id)), bits(b.inc.finish_of(id)));
+        }
+        let memo =
+            |p: &Placement| p.slice_memo.iter().map(|(k, m)| (*k, bits(*m))).collect::<Vec<_>>();
+        assert_eq!(memo(a), memo(b));
+        assert_eq!(bits(a.ideal), bits(b.ideal));
+        assert_eq!(bits(a.weight_xfer_once), bits(b.weight_xfer_once));
+        assert_eq!(a.resident, b.resident);
+        assert_eq!(a.pinned_total, b.pinned_total);
+        assert_eq!(a.pinned_by_acc, b.pinned_by_acc);
+    }
+
+    #[test]
+    fn placement_new_reproduces_the_admitted_placement() {
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let reg = trimmed_vfs(&system);
+        let t = &reg.tenants[0];
+        let p = placement_of(&reg, &reg.config, t.mapping(), t.locality()).unwrap();
+        assert_eq!(p.trimmed_pins, 0, "the admitted locality already fits the budget");
+        assert_same_placement(&p, &t.placement, &t.spec.model);
+    }
+
+    #[test]
+    fn a_failed_install_parks_the_tenant_with_its_placement_intact() {
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let mut reg = trimmed_vfs(&system);
+        let before = reg.tenants[0].placement.clone();
+        // A zero-byte budget cannot hold the tenant's fusion buffers.
+        assert!(before.locality.num_fused() > 0);
+        let none = H2hConfig { serve_dram_budget_frac: 1e-12, ..reg.config };
+        let failed = placement_of(&reg, &none, &before.mapping, &before.locality);
+        assert!(matches!(failed, Err(ServeError::DramBudget { .. })));
+        let mut drain = Drain::new(&reg.tenants);
+        drain.resident[0] = true;
+        drain.staged[0] = Some(StagedRepair {
+            lands_at: 1.0,
+            mapping: before.mapping.clone(),
+            locality: before.locality.clone(),
+        });
+        assert!(!drain.install(0, &mut reg.tenants[0], failed, true));
+        assert!(drain.parked[0], "parked");
+        assert!(!drain.resident[0], "evicted");
+        assert!(drain.staged[0].is_none(), "stage cleared");
+        assert_eq!((drain.stats[0].parks, drain.counters.sheds), (1, 1));
+        let t = &reg.tenants[0];
+        assert_same_placement(&t.placement, &before, &t.spec.model);
+        assert_eq!(t.trimmed_pins(), before.trimmed_pins);
+        assert_eq!(drain.stats[0].ideal, before.ideal);
+    }
+
+    #[test]
+    fn an_install_keeps_residency_only_for_an_unchanged_kept_placement() {
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let mut reg = trimmed_vfs(&system);
+        let cfg = reg.config;
+        let mapping = reg.tenants[0].mapping().clone();
+        let locality = reg.tenants[0].locality().clone();
+        let mut drain = Drain::new(&reg.tenants);
+        let mut install = |reg: &mut TenantRegistry<'_>, loc: &LocalityState, keep: bool| {
+            drain.resident[0] = true;
+            drain.parked[0] = true;
+            let p = placement_of(reg, &cfg, &mapping, loc);
+            assert!(drain.install(0, &mut reg.tenants[0], p, keep));
+            assert!(!drain.parked[0], "an install un-parks");
+            drain.resident[0]
+        };
+        assert!(install(&mut reg, &locality, true), "unchanged and kept: stays resident");
+        assert!(!install(&mut reg, &locality, false), "unchanged, not kept: evicted");
+        // One pin fewer changes the placement.
+        let mut fewer = locality.clone();
+        let l = fewer.pinned_layers().next().expect("the trimmed tenant keeps some pins");
+        assert!(fewer.unpin(l, mapping.acc_of(l)));
+        assert!(!install(&mut reg, &fewer, true), "changed: evicted even when kept");
+        assert_eq!(reg.tenants[0].locality(), &fewer, "the changed placement is installed");
     }
 }

@@ -151,11 +151,6 @@ impl Seconds {
         self.0 * 1e3
     }
 
-    /// Microseconds view, for reporting.
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// Larger of two durations.
     pub fn max(self, rhs: Seconds) -> Seconds {
         Seconds(self.0.max(rhs.0))

@@ -407,12 +407,6 @@ impl FaultState {
         self.compute_factor[acc.index()]
     }
 
-    /// Sets a board's compute slowdown divisor.
-    pub fn set_compute_factor(&mut self, acc: AccId, factor: f64) {
-        assert!(factor.is_finite() && factor >= 1.0, "slowdown factor must be >= 1");
-        self.compute_factor[acc.index()] = factor;
-    }
-
     /// True when any board is compute-throttled.
     pub fn any_compute_degraded(&self) -> bool {
         self.compute_factor.iter().any(|f| *f != 1.0)
@@ -438,34 +432,6 @@ impl FaultState {
         assert!(factor.is_finite() && factor >= 1.0, "slowdown factor must be >= 1");
         self.host_factor = factor;
     }
-
-    /// Boards currently down, ascending.
-    pub fn down_accs(&self) -> impl Iterator<Item = AccId> + '_ {
-        self.down
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| **d)
-            .map(|(i, _)| AccId::new(i))
-    }
-}
-
-/// Strips a `--faults <spec>` flag (and its value) out of a raw
-/// argv-style list, shared by the CLI front ends (mirrors
-/// [`crate::topology::take_topology_flag`]).
-///
-/// # Errors
-///
-/// Errors when the flag is present without a value.
-pub fn take_faults_flag(args: &mut Vec<String>) -> Result<Option<String>, String> {
-    let Some(pos) = args.iter().position(|a| a == "--faults") else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err("--faults needs a value".into());
-    }
-    let spec = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(spec))
 }
 
 #[cfg(test)]
@@ -591,17 +557,5 @@ mod tests {
         assert!(at(3.5).host_is_up());
         assert!(!at(3.5).is_healthy(), "the compute throttle is still in force");
         assert!(at(9.5).is_healthy());
-    }
-
-    #[test]
-    fn take_faults_flag_strips_the_pair() {
-        let mut args: Vec<String> =
-            ["serve", "--faults", "board:1@2", "mocap"].map(String::from).to_vec();
-        assert_eq!(take_faults_flag(&mut args).unwrap().as_deref(), Some("board:1@2"));
-        assert_eq!(args, ["serve", "mocap"]);
-        let mut dangling: Vec<String> = ["serve", "--faults"].map(String::from).to_vec();
-        assert!(take_faults_flag(&mut dangling).is_err());
-        let mut none: Vec<String> = ["serve"].map(String::from).to_vec();
-        assert_eq!(take_faults_flag(&mut none).unwrap(), None);
     }
 }

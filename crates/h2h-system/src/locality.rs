@@ -180,11 +180,9 @@ impl LocalityState {
     /// budget (the accelerator the layer was mapped to when
     /// [`LocalityState::try_pin`] charged it). Returns `false` if the
     /// layer was not pinned.
-    pub fn unpin(&mut self, model: &ModelGraph, layer: LayerId, acc: AccId) -> bool {
-        // `model` stays in the signature for parity with `try_pin`, but
-        // the refund comes from the recorded charge — no model lookup
+    pub fn unpin(&mut self, layer: LayerId, acc: AccId) -> bool {
+        // The refund comes from the recorded charge — no model lookup
         // on the search core's hot path.
-        let _ = model;
         if !self.is_pinned(layer) {
             return false;
         }
@@ -262,17 +260,9 @@ impl LocalityState {
     /// Reverts a fusion, refunding the edge's bytes to `acc`'s budget
     /// (the accelerator originally charged in [`LocalityState::try_fuse`]).
     /// Returns `false` if the edge was not fused.
-    pub fn unfuse(
-        &mut self,
-        model: &ModelGraph,
-        from: LayerId,
-        to: LayerId,
-        acc: AccId,
-    ) -> bool {
-        // `model` stays in the signature for parity with `try_fuse`,
-        // but the refund comes from the recorded charge — no graph
-        // walk on the search core's hot path.
-        let _ = model;
+    pub fn unfuse(&mut self, from: LayerId, to: LayerId, acc: AccId) -> bool {
+        // The refund comes from the recorded charge — no graph walk on
+        // the search core's hot path.
         let Ok(slot) = self.fused.binary_search_by_key(&(from, to), |e| (e.0, e.1)) else {
             return false;
         };

@@ -210,12 +210,6 @@ impl SystemSpec {
         self
     }
 
-    /// Replaces the interconnect/memory energy constants.
-    pub fn with_energy_model(mut self, energy: SystemEnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
     /// Number of accelerators.
     pub fn num_accs(&self) -> usize {
         self.accs.len()

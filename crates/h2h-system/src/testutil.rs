@@ -56,12 +56,6 @@ impl ConstAccel {
         self.dram_capacity = capacity;
         self
     }
-
-    /// Overrides the per-layer time.
-    pub fn with_time(mut self, secs: f64) -> Self {
-        self.time = Seconds::new(secs);
-        self
-    }
 }
 
 impl AccelModel for ConstAccel {

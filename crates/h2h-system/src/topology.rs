@@ -505,24 +505,6 @@ pub fn edge_src(model: &ModelGraph, mapping: &Mapping, pred: LayerId) -> Endpoin
     }
 }
 
-/// Strips a `--topology <spec>` flag (and its value) out of a raw
-/// argv-style list, shared by the CLI front ends.
-///
-/// # Errors
-///
-/// Errors when the flag is present without a value.
-pub fn take_topology_flag(args: &mut Vec<String>) -> Result<Option<String>, String> {
-    let Some(pos) = args.iter().position(|a| a == "--topology") else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err("--topology needs a value".into());
-    }
-    let spec = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(spec))
-}
-
 /// Total bytes the host NIC relays for one inference of `(mapping,
 /// locality)` at the given serving batch size: unpinned weight streams
 /// (once per batch), unfused IFM downloads and remote OFM uploads whose

@@ -192,27 +192,6 @@ fn fault_repair_report(
     Ok(())
 }
 
-/// Extracts `--repair-cost <secs-per-move>` wherever it appears: the
-/// modeled wall-time cost of one attempted repair move
-/// ([`h2h::core::H2hConfig::repair_secs_per_move`]); only `serve`
-/// reads it.
-fn take_repair_cost_flag(args: &mut Vec<String>) -> Result<Option<f64>, String> {
-    let Some(pos) = args.iter().position(|a| a == "--repair-cost") else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err("--repair-cost needs a value (seconds per attempted move)".into());
-    }
-    let raw = args.remove(pos + 1);
-    args.remove(pos);
-    let v: f64 =
-        raw.parse().map_err(|_| format!("--repair-cost `{raw}` is not a number"))?;
-    if !(v.is_finite() && v >= 0.0) {
-        return Err(format!("--repair-cost must be finite and >= 0, got `{raw}`"));
-    }
-    Ok(Some(v))
-}
-
 /// Extracts a `--flag <value>` pair wherever it appears, returning the
 /// raw value; the caller parses it. `Err` when the flag is present but
 /// dangling.
@@ -232,7 +211,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Extract `--topology <spec>` wherever it appears; only the
     // subcommands with no system to build (zoo, accels) never read it.
-    let topology = match h2h::system::topology::take_topology_flag(&mut args) {
+    let topology = match take_string_flag(&mut args, "--topology") {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("{e}");
@@ -240,7 +219,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         }
     };
     let topology = topology.as_deref();
-    let faults = match h2h::system::fault::take_faults_flag(&mut args) {
+    let faults = match take_string_flag(&mut args, "--faults") {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("{e}");
@@ -248,10 +227,18 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         }
     };
     let faults = faults.as_deref();
-    let repair_cost = match take_repair_cost_flag(&mut args) {
+    // The modeled wall-time cost of one attempted repair move
+    // (`H2hConfig::repair_secs_per_move`); only `serve` reads it.
+    let repair_cost = match take_string_flag(&mut args, "--repair-cost").and_then(|v| {
+        v.map(|raw| match raw.parse::<f64>() {
+            Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+            _ => Err(format!("seconds per move must be finite and >= 0, got `{raw}`")),
+        })
+        .transpose()
+    }) {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("--repair-cost: {e}");
             return Ok(usage());
         }
     };

@@ -107,6 +107,14 @@ fn bad_arguments_exit_with_usage() {
         &["map", "mocap", "warp-speed"][..],
         &["trace", "mocap", "high"][..], // missing output path
         &["serve", "mocap,unknown-model"][..],
+        // A value flag left dangling at the end of the arguments.
+        &["map", "mocap", "--topology"][..],
+        &["serve", "mocap", "--faults"][..],
+        &["serve", "mocap", "--repair-cost"][..],
+        &["serve", "mocap", "--arrivals"][..],
+        &["serve", "mocap", "--policy"][..],
+        &["serve", "mocap", "--queue-cap"][..],
+        &["serve", "mocap", "--repair-cost", "-1"][..],
     ] {
         let out = h2h(args);
         assert!(!out.status.success(), "args {args:?} should fail");
