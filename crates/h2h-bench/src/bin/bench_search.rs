@@ -32,8 +32,9 @@
 //! gate:
 //! * a large risky model (more than [`LARGE_MODEL_LAYERS`] layers and
 //!   at least one multi-consumer producer: the ResNet-like zoo
-//!   entries) reports `guards_skipped == 0` — dominance pruning must
-//!   fire there;
+//!   entries) resolves fewer than [`MIN_LARGE_GUARD_SKIP`] of its risky
+//!   guards without a toggle (`guards_skipped / guards_total`) — the
+//!   delay walk must prove most of them there;
 //! * a large model (more than [`LARGE_MODEL_LAYERS`] layers) reports
 //!   `screened == 0` — the latency screen must reject some hopeless
 //!   moves there;
@@ -65,6 +66,11 @@ use h2h_system::system::{BandwidthClass, SystemSpec};
 /// below expect the screen and the guard pruning to fire.
 const LARGE_MODEL_LAYERS: usize = 80;
 
+/// Share of a large risky row's risky guards the delay walk must prove
+/// without a toggle: every such row measured 0.90–1.00 when the walk
+/// replaced the two-condition dominance proof (0.59–0.94 before).
+const MIN_LARGE_GUARD_SKIP: f64 = 0.8;
+
 /// One (model, bandwidth, topology) delta-vs-reference search record.
 #[derive(Debug, Serialize)]
 struct SearchRecord {
@@ -88,8 +94,8 @@ struct SearchRecord {
     propagations: usize,
     mean_propagated_layers: f64,
     max_propagated_layers: usize,
-    /// Risky fusion guards reached by the delta replay, how many were
-    /// resolved by dominance pruning (no toggle/revert replay), and how
+    /// Risky fusion guards reached by the delta replay, how many the
+    /// delay walk proved (no toggle/revert replay), and how
     /// many rejected toggles restored via the O(cone) savepoint.
     guards_total: usize,
     guards_skipped: usize,
@@ -249,7 +255,7 @@ fn main() {
             // at least one multi-consumer producer (a risky fusion
             // candidate can actually arise) — the ResNet-like zoo
             // entries. Only these rows are held to the
-            // dominance-pruning and speedup gates.
+            // delay-walk and speedup gates.
             let large = model.num_layers() > LARGE_MODEL_LAYERS;
             let large_risky = large
                 && model.layer_ids().any(|id| {
@@ -332,13 +338,22 @@ fn main() {
             );
             let row = format!("{} @ {} ({topo_spec})", model.name(), bw.label());
             let mut failures = Vec::new();
-            // Dominance pruning must actually fire where it is the
+            // The delay walk must prove most guards where it is the
             // point: large risky models reach many risky guards in the
-            // replay, so zero skipped guards there means the pruning
-            // regressed. (Small models reach at most a handful of
-            // risky guards, too few to hold them to it.)
-            if large_risky && delta.stats.guards_skipped == 0 {
-                failures.push("guards_skipped == 0 on a large risky model".to_owned());
+            // replay, so a low proven share there means the walk
+            // regressed. (Small models reach at most a handful of risky
+            // guards, too few to hold them to it.)
+            let skip_ratio =
+                delta.stats.guards_skipped as f64 / delta.stats.guards_total.max(1) as f64;
+            if large_risky && skip_ratio < MIN_LARGE_GUARD_SKIP {
+                failures.push(format!(
+                    "{} of {} risky guards ({:.0}%) resolved without a toggle on a large \
+                     risky model, below the {:.0}% gate",
+                    delta.stats.guards_skipped,
+                    delta.stats.guards_total,
+                    skip_ratio * 100.0,
+                    MIN_LARGE_GUARD_SKIP * 100.0
+                ));
             }
             // Likewise the latency screen: on a large model most moves
             // are hopeless, so a screen that rejects none has regressed.

@@ -177,8 +177,8 @@ pub fn fusion_pass(
             }
             continue;
         }
-        // Guard-dominance pruning: when the oracle can prove the
-        // accept/reject outcome from local quantities, the whole
+        // Guard pruning: when the oracle can prove the outcome (the
+        // delta engine's delay walk proves accepts), the whole
         // toggle/measure/maybe-revert replay below is skipped (same
         // decision, by proof).
         if oracle.resolve_guard(loc, from, to, acc, bytes).is_some() {

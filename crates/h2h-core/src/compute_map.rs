@@ -6,14 +6,17 @@
 //! zero-data-locality assumption: every weight and activation streams
 //! through the host's main memory.
 //!
-//! Because frontier waves coincide with ASAP rank levels, the incremental
+//! The frontier waves are the ASAP-rank buckets
+//! ([`h2h_model::ModelGraph::asap_waves`]), taken once, each in index
+//! order. Because waves coincide with ASAP rank levels, the incremental
 //! schedule state maintained here reproduces exactly what the full
 //! [`Evaluator`] computes for the same mapping — a property the tests
-//! assert. Group enumeration is exact up to
-//! [`H2hConfig::enumeration_cap`] combinations; wider groups fall back to
-//! per-node greedy with the same objective.
-
-use std::collections::HashSet;
+//! assert. No layer reads another of its own wave, so each member's
+//! dependency time (the latest finish among its predecessors, all
+//! committed in earlier waves) is fixed for the wave and computed once.
+//! Group enumeration is exact up to [`H2hConfig::enumeration_cap`]
+//! combinations, in odometer order over reused buffers; wider groups
+//! fall back to per-node greedy with the same objective.
 
 use h2h_model::graph::LayerId;
 use h2h_model::layer::LayerOp;
@@ -118,35 +121,32 @@ struct WaveState {
 
 impl WaveState {
     /// Simulates assigning `group[i] → combo[i]` (in order) on top of the
-    /// committed state; returns `(makespan, sum_of_finish)` without
-    /// mutating anything.
+    /// committed state, with `deps[i]` the dependency time of
+    /// `group[i]`; returns `(makespan, sum_of_finish)` without mutating
+    /// anything. `ready` is scratch.
     fn peek(
         &self,
-        ev: &Evaluator<'_>,
         dur: &[Vec<Option<Seconds>>],
         group: &[LayerId],
+        deps: &[Seconds],
         combo: &[AccId],
+        ready: &mut Vec<(usize, Seconds)>,
     ) -> (Seconds, Seconds) {
-        let model = ev.model();
-        let mut ready_scratch: Vec<(usize, Seconds)> = Vec::with_capacity(group.len());
+        ready.clear();
         let mut makespan = self.makespan;
         let mut sum = Seconds::ZERO;
-        for (layer, acc) in group.iter().zip(combo) {
+        for ((layer, acc), deps) in group.iter().zip(combo).zip(deps) {
             let d = dur[layer.index()][acc.index()].expect("candidate filtered to supported");
-            let deps = model
-                .predecessors(*layer)
-                .map(|p| self.finish[p.index()])
-                .fold(Seconds::ZERO, Seconds::max);
             // Accelerator availability includes earlier group members
             // placed on the same accelerator within this wave.
             let mut avail = self.acc_ready[acc.index()];
-            for &(a, f) in &ready_scratch {
+            for &(a, f) in ready.iter() {
                 if a == acc.index() {
                     avail = avail.max(f);
                 }
             }
             let fin = deps.max(avail) + d;
-            ready_scratch.push((acc.index(), fin));
+            ready.push((acc.index(), fin));
             makespan = makespan.max(fin);
             sum += fin;
         }
@@ -156,19 +156,14 @@ impl WaveState {
     /// Commits an assignment.
     fn commit(
         &mut self,
-        ev: &Evaluator<'_>,
         dur: &[Vec<Option<Seconds>>],
         group: &[LayerId],
+        deps: &[Seconds],
         combo: &[AccId],
         mapping: &mut Mapping,
     ) {
-        let model = ev.model();
-        for (layer, acc) in group.iter().zip(combo) {
+        for ((layer, acc), deps) in group.iter().zip(combo).zip(deps) {
             let d = dur[layer.index()][acc.index()].expect("supported");
-            let deps = model
-                .predecessors(*layer)
-                .map(|p| self.finish[p.index()])
-                .fold(Seconds::ZERO, Seconds::max);
             let start = deps.max(self.acc_ready[acc.index()]);
             let fin = start + d;
             self.finish[layer.index()] = fin;
@@ -177,6 +172,12 @@ impl WaveState {
             mapping.set(*layer, *acc);
         }
     }
+}
+
+/// Whether `(mk, sum)` beats the best so far: smaller makespan, then
+/// smaller sum of finishes.
+fn beats(mk: Seconds, sum: Seconds, best: Option<(Seconds, Seconds)>) -> bool {
+    best.is_none_or(|(bmk, bsum)| mk < bmk || (mk == bmk && sum < bsum))
 }
 
 /// Runs step 1 and returns the mapping together with the modeled
@@ -200,35 +201,43 @@ pub fn computation_prioritized(
         vec![vec![None; system.num_accs()]; model.id_bound()];
 
     let mut mapping = Mapping::new(model);
-    let mut mapped: HashSet<LayerId> = HashSet::new();
     let mut state = WaveState {
         finish: vec![Seconds::ZERO; model.id_bound()],
         acc_ready: vec![Seconds::ZERO; system.num_accs()],
         makespan: Seconds::ZERO,
     };
+    // Per-wave buffers, reused across waves and combinations.
+    let mut candidates: Vec<Vec<AccId>> = Vec::new();
+    let mut deps: Vec<Seconds> = Vec::new();
+    let mut idx: Vec<usize> = Vec::new();
+    let mut combo: Vec<AccId> = Vec::new();
+    let mut chosen: Vec<AccId> = Vec::new();
+    let mut ready: Vec<(usize, Seconds)> = Vec::new();
 
-    while mapped.len() < model.num_layers() {
-        let group = model.frontier(&mapped);
-        debug_assert!(!group.is_empty(), "validated DAGs always have a frontier");
-
+    for group in model.asap_waves() {
         // Fill the wave's duration rows against the now-committed
         // predecessor placements (per-route bandwidths).
         refresh_wave_durations(ev, preset, &mapping, &group, &mut dur);
 
         // Candidate accelerators per group member.
-        let mut candidates: Vec<Vec<AccId>> = Vec::with_capacity(group.len());
-        for layer in &group {
-            let accs: Vec<AccId> = system
-                .acc_ids()
-                .filter(|a| dur[layer.index()][a.index()].is_some())
-                .collect();
+        candidates.resize_with(group.len(), Vec::new);
+        for (layer, accs) in group.iter().zip(&mut candidates) {
+            accs.clear();
+            accs.extend(system.acc_ids().filter(|a| dur[layer.index()][a.index()].is_some()));
             if accs.is_empty() {
                 return Err(H2hError::NoCapableAccelerator {
                     layer: model.layer(*layer).name().to_owned(),
                 });
             }
-            candidates.push(accs);
         }
+        let candidates = &candidates[..group.len()];
+        deps.clear();
+        deps.extend(group.iter().map(|layer| {
+            model
+                .predecessors(*layer)
+                .map(|p| state.finish[p.index()])
+                .fold(Seconds::ZERO, Seconds::max)
+        }));
 
         let combos: usize = candidates
             .iter()
@@ -236,25 +245,18 @@ pub fn computation_prioritized(
             .try_fold(1usize, |acc, n| acc.checked_mul(n))
             .unwrap_or(usize::MAX);
 
-        let chosen: Vec<AccId> = if combos <= cfg.enumeration_cap {
+        if combos <= cfg.enumeration_cap {
             // Exhaustive enumeration (odometer order → deterministic).
-            let mut idx = vec![0usize; group.len()];
-            let mut best: Option<(Seconds, Seconds, Vec<AccId>)> = None;
+            idx.clear();
+            idx.resize(group.len(), 0);
+            let mut best = None;
             loop {
-                let combo: Vec<AccId> = idx
-                    .iter()
-                    .zip(&candidates)
-                    .map(|(i, c)| c[*i])
-                    .collect();
-                let (mk, sum) = state.peek(ev, &dur, &group, &combo);
-                let better = match &best {
-                    None => true,
-                    Some((bmk, bsum, _)) => {
-                        mk < *bmk || (mk == *bmk && sum < *bsum)
-                    }
-                };
-                if better {
-                    best = Some((mk, sum, combo));
+                combo.clear();
+                combo.extend(idx.iter().zip(candidates).map(|(i, c)| c[*i]));
+                let (mk, sum) = state.peek(&dur, &group, &deps, &combo, &mut ready);
+                if beats(mk, sum, best) {
+                    best = Some((mk, sum));
+                    chosen.clone_from(&combo);
                 }
                 // Advance the odometer.
                 let mut pos = 0;
@@ -273,32 +275,27 @@ pub fn computation_prioritized(
                     break;
                 }
             }
-            best.expect("at least one combo").2
         } else {
             // Greedy per node with the same Δ-latency objective.
-            let mut combo: Vec<AccId> = Vec::with_capacity(group.len());
-            for (i, layer) in group.iter().enumerate() {
-                let mut best: Option<(Seconds, Seconds, AccId)> = None;
-                for &acc in &candidates[i] {
-                    let mut trial = combo.clone();
-                    trial.push(acc);
-                    let (mk, sum) = state.peek(ev, &dur, &group[..=i], &trial);
-                    let better = match &best {
-                        None => true,
-                        Some((bmk, bsum, _)) => mk < *bmk || (mk == *bmk && sum < *bsum),
-                    };
-                    if better {
-                        best = Some((mk, sum, acc));
+            chosen.clear();
+            for (i, accs) in candidates.iter().enumerate() {
+                let mut best = None;
+                let mut pick = accs[0];
+                for &acc in accs {
+                    chosen.push(acc);
+                    let (mk, sum) =
+                        state.peek(&dur, &group[..=i], &deps[..=i], &chosen, &mut ready);
+                    chosen.pop();
+                    if beats(mk, sum, best) {
+                        best = Some((mk, sum));
+                        pick = acc;
                     }
                 }
-                let _ = layer;
-                combo.push(best.expect("non-empty candidates").2);
+                chosen.push(pick);
             }
-            combo
-        };
+        }
 
-        state.commit(ev, &dur, &group, &chosen, &mut mapping);
-        mapped.extend(group);
+        state.commit(&dur, &group, &deps, &chosen, &mut mapping);
     }
 
     Ok((mapping, state.makespan))
@@ -312,6 +309,184 @@ mod tests {
     use h2h_system::locality::LocalityState;
     use h2h_system::system::{BandwidthClass, SystemSpec};
     use h2h_system::testutil::{const_system, ConstAccel};
+
+    /// Step 1 as it was before waves were taken once: a `HashSet`
+    /// frontier rescan per wave, a combination and a scratch `Vec` per
+    /// enumerated combination, and every member's predecessors walked
+    /// per combination. The per-wave enumerator must match it bitwise.
+    fn computation_prioritized_reference(
+        ev: &Evaluator<'_>,
+        cfg: &H2hConfig,
+        preset: &PinPreset,
+    ) -> (Mapping, Seconds) {
+        use std::collections::HashSet;
+        let model = ev.model();
+        let system = ev.system();
+        let peek = |finish: &[Seconds],
+                    acc_ready: &[Seconds],
+                    makespan: Seconds,
+                    group: &[LayerId],
+                    combo: &[AccId],
+                    dur: &[Vec<Option<Seconds>>]| {
+            let mut ready_scratch: Vec<(usize, Seconds)> = Vec::with_capacity(group.len());
+            let mut makespan = makespan;
+            let mut sum = Seconds::ZERO;
+            for (layer, acc) in group.iter().zip(combo) {
+                let d = dur[layer.index()][acc.index()].unwrap();
+                let deps = model
+                    .predecessors(*layer)
+                    .map(|p| finish[p.index()])
+                    .fold(Seconds::ZERO, Seconds::max);
+                let mut avail = acc_ready[acc.index()];
+                for &(a, f) in &ready_scratch {
+                    if a == acc.index() {
+                        avail = avail.max(f);
+                    }
+                }
+                let fin = deps.max(avail) + d;
+                ready_scratch.push((acc.index(), fin));
+                makespan = makespan.max(fin);
+                sum += fin;
+            }
+            (makespan, sum)
+        };
+        let mut dur: Vec<Vec<Option<Seconds>>> =
+            vec![vec![None; system.num_accs()]; model.id_bound()];
+        let mut mapping = Mapping::new(model);
+        let mut mapped: HashSet<LayerId> = HashSet::new();
+        let mut finish = vec![Seconds::ZERO; model.id_bound()];
+        let mut acc_ready = vec![Seconds::ZERO; system.num_accs()];
+        let mut makespan = Seconds::ZERO;
+        while mapped.len() < model.num_layers() {
+            let mut group: Vec<LayerId> = model
+                .layer_ids()
+                .filter(|id| !mapped.contains(id))
+                .filter(|id| model.predecessors(*id).all(|p| mapped.contains(&p)))
+                .collect();
+            group.sort_by_key(|id| id.index());
+            refresh_wave_durations(ev, preset, &mapping, &group, &mut dur);
+            let candidates: Vec<Vec<AccId>> = group
+                .iter()
+                .map(|l| {
+                    system
+                        .acc_ids()
+                        .filter(|a| dur[l.index()][a.index()].is_some())
+                        .collect()
+                })
+                .collect();
+            let combos: usize = candidates
+                .iter()
+                .map(|c| c.len())
+                .try_fold(1usize, |acc, n| acc.checked_mul(n))
+                .unwrap_or(usize::MAX);
+            let chosen: Vec<AccId> = if combos <= cfg.enumeration_cap {
+                let mut idx = vec![0usize; group.len()];
+                let mut best: Option<(Seconds, Seconds, Vec<AccId>)> = None;
+                loop {
+                    let combo: Vec<AccId> =
+                        idx.iter().zip(&candidates).map(|(i, c)| c[*i]).collect();
+                    let (mk, sum) = peek(&finish, &acc_ready, makespan, &group, &combo, &dur);
+                    let better = match &best {
+                        None => true,
+                        Some((bmk, bsum, _)) => mk < *bmk || (mk == *bmk && sum < *bsum),
+                    };
+                    if better {
+                        best = Some((mk, sum, combo));
+                    }
+                    let mut pos = 0;
+                    loop {
+                        if pos == idx.len() {
+                            break;
+                        }
+                        idx[pos] += 1;
+                        if idx[pos] < candidates[pos].len() {
+                            break;
+                        }
+                        idx[pos] = 0;
+                        pos += 1;
+                    }
+                    if pos == idx.len() {
+                        break;
+                    }
+                }
+                best.unwrap().2
+            } else {
+                let mut combo: Vec<AccId> = Vec::with_capacity(group.len());
+                for i in 0..group.len() {
+                    let mut best: Option<(Seconds, Seconds, AccId)> = None;
+                    for &acc in &candidates[i] {
+                        let mut trial = combo.clone();
+                        trial.push(acc);
+                        let (mk, sum) =
+                            peek(&finish, &acc_ready, makespan, &group[..=i], &trial, &dur);
+                        let better = match &best {
+                            None => true,
+                            Some((bmk, bsum, _)) => mk < *bmk || (mk == *bmk && sum < *bsum),
+                        };
+                        if better {
+                            best = Some((mk, sum, acc));
+                        }
+                    }
+                    combo.push(best.unwrap().2);
+                }
+                combo
+            };
+            for (layer, acc) in group.iter().zip(&chosen) {
+                let d = dur[layer.index()][acc.index()].unwrap();
+                let deps = model
+                    .predecessors(*layer)
+                    .map(|p| finish[p.index()])
+                    .fold(Seconds::ZERO, Seconds::max);
+                let fin = deps.max(acc_ready[acc.index()]) + d;
+                finish[layer.index()] = fin;
+                acc_ready[acc.index()] = fin;
+                makespan = makespan.max(fin);
+                mapping.set(*layer, *acc);
+            }
+            mapped.extend(group);
+        }
+        (mapping, makespan)
+    }
+
+    #[test]
+    fn per_wave_enumeration_matches_the_per_combination_reference_bitwise() {
+        use h2h_model::synth::{synthetic_mmmt, SyntheticConfig};
+        let mut models = h2h_model::zoo::all_models();
+        models.extend((1..=19).map(|seed| {
+            synthetic_mmmt(&SyntheticConfig {
+                seed,
+                ..Default::default()
+            })
+        }));
+        // The paper grid's seven fabrics: the five standard bandwidth
+        // classes and the skewed preset at Low- and Mid.
+        let mut systems: Vec<SystemSpec> =
+            BandwidthClass::ALL.iter().map(|bw| SystemSpec::standard(*bw)).collect();
+        for bw in [BandwidthClass::LowMinus, BandwidthClass::Mid] {
+            systems.push(SystemSpec::standard_with_topology(bw, Some("skewed")).unwrap());
+        }
+        let preset = PinPreset::new();
+        for model in &models {
+            for system in &systems {
+                let ev = Evaluator::new(model, system);
+                for enumeration_cap in [0, 16, 4096] {
+                    let cfg = H2hConfig { enumeration_cap, ..Default::default() };
+                    let (mapping, makespan) = computation_prioritized(&ev, &cfg, &preset).unwrap();
+                    let (ref_mapping, ref_makespan) =
+                        computation_prioritized_reference(&ev, &cfg, &preset);
+                    let at = format!("{} cap {enumeration_cap}", model.name());
+                    assert_eq!(
+                        makespan.as_f64().to_bits(),
+                        ref_makespan.as_f64().to_bits(),
+                        "{at}"
+                    );
+                    for id in model.layer_ids() {
+                        assert_eq!(mapping.acc_of(id), ref_mapping.acc_of(id), "{at}: {id:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn internal_makespan_matches_full_evaluator() {

@@ -34,9 +34,12 @@
 //!    savepoint and commits, so the schedule rests at the new mapping's
 //!    pins-only state, and the engine adopts the replayed locality, the
 //!    new pins and the score read before the rollback. Cost refreshes
-//!    are *deferred*: they batch up and flush right before the first
-//!    exact makespan read (or once at the end), so a layer several
-//!    fusions touch is re-derived once.
+//!    are *deferred*: they batch up and land right before the next
+//!    exact read, so a layer several fusions touch is re-derived once.
+//!    The wavefront then re-times only the ranks that read needs (a
+//!    risky guard reads `from` and its readers); the rest stay pending
+//!    until a makespan read or the end of the replay settles them, so a
+//!    cone several fusions seed is re-timed once.
 //!
 //! # Scoring a candidate (bitwise-exact)
 //!
@@ -48,16 +51,18 @@
 //! screen whether the candidate can win at all; every candidate it lets
 //! through, and every candidate the annealer stages, takes that one
 //! replay. A candidate that meets no risky guard pays only the landing
-//! propagation of its move and pins and the replay's final flush; each
+//! propagation of its move and pins and the replay's final settle; each
 //! risky guard it meets costs what its row says:
 //!
 //! | Candidate or guard | Path | Cost |
 //! |---|---|---|
 //! | latency objective, floor makespan cannot beat the incumbent | **screened**: rejected unstaged | one floor propagation, no fusion pass |
-//! | latency objective, floor passes but no branch of its split on fusion outcomes can beat the incumbent | **split-screened**: rejected unstaged | one floor propagation per branch, no fusion pass |
-//! | risky guard **proven** by dominance | global replay, guard pruned | `O(1)` proof, deferred refresh |
-//! | risky guard unproven, accepted | global replay, toggle kept | one cone propagation |
-//! | risky guard unproven, rejected | global replay, toggle undone | one cone propagation + `O(cone)` journal restore |
+//! | latency objective, floor passes but no branch of its split on fusion outcomes can beat the incumbent | **split-screened**: rejected unstaged | one floor propagation per branch its critical path does not close |
+//! | split branch whose re-timed critical path already cannot beat the incumbent | **path-closed**: rolled back unpropagated | `O(path)` re-time of the path the split walked |
+//! | any risky guard not refused for capacity | **settled to its rank** | the pending ranks up to `from`'s highest reader re-timed, the rest left pending |
+//! | risky guard **proven** by the delay walk | global replay, guard pruned | at most 8 raised layers and their readers read, deferred refresh |
+//! | risky guard unproven, accepted | global replay, toggle kept | a full settle + one cone propagation |
+//! | risky guard unproven, rejected | global replay, toggle undone | a full settle + one cone propagation + `O(cone)` journal restore |
 //!
 //! * **Latency screen** ([`DeltaEngine::try_improving_move`] under
 //!   [`MapObjective::Latency`] only) — most step-4 moves are rejected,
@@ -102,9 +107,16 @@
 //!     first free producer whose none-fused OFM is below its all-fused
 //!     one (only there do both classes raise some duration), prices
 //!     each class on the floor's own schedule under a savepoint (the
-//!     producer and its co-located consumers refreshed, one
-//!     propagation) and recurses, depth first, into any branch that
-//!     still passes. Only if every branch fails is the move rejected
+//!     producer and its co-located consumers refreshed) and recurses,
+//!     depth first, into any branch that still passes.
+//!   - *Closing on the path.* Before a branch propagates, the screen
+//!     re-times the critical path it walked forward from the producer
+//!     under the branch's raised durations, every off-path input at its
+//!     current floor time. Both classes only raise durations, so every
+//!     input only rises and the re-timed tail finish bounds the branch's
+//!     floor makespan from below, bitwise; a branch it already fails is
+//!     closed without propagating its cone. Otherwise the branch
+//!     propagates once. Only if every branch fails is the move rejected
 //!     ([`SearchStats::split_screened`]); an open leaf with nothing
 //!     left to split, six producers fixed or 64 branches priced
 //!     (`SPLIT_MAX_DEPTH`, `SPLIT_MAX_BRANCHES`) sends it to staging.
@@ -115,16 +127,19 @@
 //!   candidate, so an accept needs no rebuild. The annealer stages
 //!   directly and needs exact scores for its Metropolis rule, so it
 //!   never builds or reads the floor.
-//! * **Guard-dominance pruning** — before a risky guard replays its
-//!   toggle, `DeltaOracle::resolve_guard` tries to *prove* the
-//!   accept/reject outcome from local quantities: the
-//!   producer's new finish time is exactly computable, and when every
-//!   reader of it absorbs the change (their starts already clear it)
-//!   while the consumer's saving keeps its own finish bounded, the
-//!   global comparison reduces to `new_finish ≤ makespan` — decided
-//!   without touching the schedule. ResNet-like models resolve the
-//!   large majority of their guards this way
-//!   ([`SearchStats::guards_skipped`] / [`SearchStats::guards_total`]).
+//! * **Delay walk** — before a risky guard replays its toggle,
+//!   `DeltaOracle::resolve_guard` settles the schedule up to `from`'s
+//!   readers and tries to *prove* the accept: the toggle raises
+//!   `from`'s finish to an exactly computable `nf` and changes `to`'s
+//!   duration, and a bounded, read-only walk follows the raised
+//!   finishes through their readers in rank order, each computed with
+//!   the schedule's own monotone recurrence. When every raised layer
+//!   ends at a reader that does not rise (or, a sink, inside the
+//!   makespan), the toggled makespan cannot exceed the current one, and
+//!   the guard accepts without touching the schedule (see `DelayWalk`).
+//!   The large majority of guards resolve this way
+//!   ([`SearchStats::guards_skipped`] / [`SearchStats::guards_total`]);
+//!   past 8 raised layers, and for every reject, the guard toggles.
 //! * **`O(cone)` guard reverts** — unproven guards still toggle and
 //!   measure, but the toggle runs inside a journal savepoint
 //!   ([`h2h_system::incremental::IncrementalSchedule::savepoint`]), so
@@ -143,6 +158,9 @@
 //! [`SearchStats`] counts screened (and split-screened) moves and
 //! delta vs full evaluations so the savings are observable (`h2h-bench`
 //! records them in `BENCH_search.json`).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use serde::Serialize;
 
@@ -197,11 +215,11 @@ pub struct SearchStats {
     /// Risky fusion guards reached by the delta replay (each one the
     /// reference answers with a toggle + global makespan comparison).
     pub guards_total: usize,
-    /// Risky guards whose outcome was *proven* by dominance, skipping
-    /// the toggle/revert replay. Capacity-refused fusions (which also
-    /// avoid the replay, trivially) are deliberately not counted, so a
-    /// non-zero value always means the dominance proof itself fired —
-    /// the CI gate relies on that.
+    /// Risky guards whose accept was *proven* by the delay walk,
+    /// skipping the toggle/revert replay. Capacity-refused fusions
+    /// (which also avoid the replay, trivially) are deliberately not
+    /// counted, so the share of `guards_total` is the walk's own — the
+    /// CI gate relies on that.
     pub guards_skipped: usize,
     /// Rejected risky guards whose toggle was undone by the journal's
     /// `O(cone)` savepoint restore instead of a second re-propagation.
@@ -288,9 +306,9 @@ pub struct PhaseProfile {
     /// fusion-pass bookkeeping, staged-candidate rollback.
     pub scoring_s: f64,
     /// Deferred cost refresh + cone propagation rounds (the
-    /// `DeltaOracle` flush/toggle paths).
+    /// `DeltaOracle` settle/toggle paths).
     pub propagate_s: f64,
-    /// Risky-guard resolution: dominance proofs, toggle savepoints and
+    /// Risky-guard resolution: delay walks, toggle savepoints and
     /// `O(cone)` reverts.
     pub guard_s: f64,
     /// Committing accepted candidates into the engine state.
@@ -315,16 +333,18 @@ impl PhaseProfile {
 /// The [`FusionOracle`] that answers the shared fusion pass's makespan
 /// guards from the incremental schedule. Cost refreshes (the staged
 /// move itself and its pin diff, then fused edge endpoints) batch in
-/// `pending` and structural re-queue seeds in `pending_seeds`; both are
-/// flushed lazily right before a guard reads the makespan (and once at
-/// the end via [`DeltaOracle::flush`]), so a layer several fusions touch
-/// within one candidate is refreshed once, with its final state.
+/// `pending` and structural re-queue seeds in `pending_seeds`; both land
+/// lazily right before a guard reads the schedule, and the wavefront
+/// re-times only the ranks that read needs ([`DeltaOracle::settle_to`]);
+/// a makespan read, and the end of the replay via [`DeltaOracle::flush`],
+/// settle everything. A layer several fusions touch within one candidate
+/// is refreshed once, with its final state, and a cone several fusions
+/// seed is re-timed once.
 ///
-/// Risky guards additionally go through [`FusionOracle::resolve_guard`]
-/// dominance pruning (see [`DeltaOracle::resolve_guard`] for the proof
-/// obligations) and, when the toggle replay does run, a journal
-/// savepoint turns a rejected guard's revert into an `O(cone)` restore
-/// instead of a second re-propagation.
+/// Risky guards additionally go through [`FusionOracle::resolve_guard`]'s
+/// delay walk (see [`DelayWalk`] for the proof) and, when the toggle
+/// replay does run, a journal savepoint turns a rejected guard's revert
+/// into an `O(cone)` restore instead of a second re-propagation.
 struct DeltaOracle<'x, 'e, 'm> {
     ev: &'e Evaluator<'m>,
     mapping: &'x Mapping,
@@ -332,6 +352,7 @@ struct DeltaOracle<'x, 'e, 'm> {
     stats: &'x mut SearchStats,
     pending: Vec<LayerId>,
     pending_seeds: Vec<LayerId>,
+    walk: &'x mut DelayWalk,
     /// Restore point of the risky-guard toggle currently in flight.
     savepoint: Option<Savepoint>,
     /// Phase wall-clock accumulator, present iff profiling is on.
@@ -339,7 +360,10 @@ struct DeltaOracle<'x, 'e, 'm> {
 }
 
 impl DeltaOracle<'_, '_, '_> {
-    fn flush(&mut self, loc: &LocalityState) {
+    /// Lands the deferred batches (every pending cost refreshed against
+    /// `loc`, the seeds stamped) and re-times the pending ranks up to
+    /// `rank`.
+    fn settle_to(&mut self, loc: &LocalityState, rank: usize) {
         let t0 = self.profile.is_some().then(std::time::Instant::now);
         if !self.pending.is_empty() {
             // Endpoints of several fused edges appear several times in
@@ -355,17 +379,27 @@ impl DeltaOracle<'_, '_, '_> {
                 &mut self.pending_seeds,
             );
         }
-        // A batch whose refreshes all came back with identical durations
-        // (and no structural seeds outstanding) moves nothing: skip the
-        // zero-touch propagation round instead of counting it.
-        if !self.pending_seeds.is_empty() {
-            self.inc.propagate(&self.pending_seeds);
-            self.pending_seeds.clear();
-            note_propagation(self.stats, self.inc.touched());
-        }
+        self.inc.stamp(&self.pending_seeds);
+        self.pending_seeds.clear();
+        advance(self.inc, self.stats, rank);
         if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
             p.propagate_s += t0.elapsed().as_secs_f64();
         }
+    }
+
+    /// [`DeltaOracle::settle_to`] every rank: the schedule comes back
+    /// settled, exact for `loc`.
+    fn flush(&mut self, loc: &LocalityState) {
+        self.settle_to(loc, usize::MAX);
+    }
+}
+
+/// Re-times `inc`'s pending ranks up to `rank`, counting a round that
+/// re-timed anything.
+fn advance(inc: &mut IncrementalSchedule, stats: &mut SearchStats, rank: usize) {
+    inc.advance_to(rank);
+    if inc.touched() > 0 {
+        note_propagation(stats, inc.touched());
     }
 }
 
@@ -400,36 +434,12 @@ impl FusionOracle for DeltaOracle<'_, '_, '_> {
         self.inc.makespan()
     }
 
-    /// Dominance pruning for a risky guard. The reference semantics it
-    /// must reproduce: accept the fusion iff the toggled schedule's
-    /// makespan does not exceed the pre-toggle makespan.
-    ///
-    /// Toggling the `from → to` fusion changes exactly two durations —
-    /// `from`'s (it gains a DRAM write; call its new duration `ndf` and
-    /// its new finish `nf = start[from] + ndf`, both exactly computable
-    /// because nothing upstream of `from` changes) and `to`'s (its IFM
-    /// download becomes a DRAM read, `ndt`). The schedule recurrence
-    /// `start = max(inputs); finish = start + dur` is monotone in every
-    /// input *bitwise* (IEEE round-to-nearest `max`/`+` are monotone),
-    /// so one induction over the recurrence order settles the guard
-    /// when two local conditions hold:
-    ///
-    /// 1. **Absorption** — every reader of `from`'s finish other than
-    ///    `to` (graph successors + the queue successor) already starts
-    ///    at or after `nf`, so no start time outside `to`'s cone can
-    ///    increase.
-    /// 2. **Consumer slack** — `max(start[to], nf) + ndt ≤ finish[to]`:
-    ///    an exact upper bound on `to`'s new finish (its other inputs
-    ///    cannot increase, by 1.), so `to`'s cone only moves earlier.
-    ///
-    /// Under 1+2 every finish except `from`'s is bounded by its current
-    /// value ≤ the current makespan, and `from`'s is exactly `nf`;
-    /// hence the toggled makespan is `≤ before` iff `nf ≤ before` —
-    /// accept — and `> before` (it *is* `nf`) otherwise — reject. Both
-    /// outcomes are proven, not estimated, so the search decisions stay
-    /// bit-identical to the full replay (asserted over the zoo by the
-    /// equivalence suites). If either condition fails, `None` sends the
-    /// pass down the full toggle/measure path.
+    /// Resolves a risky guard without the toggle when the delay walk
+    /// proves the accept (see [`DelayWalk`]). The reference semantics
+    /// it must reproduce: accept the fusion iff the toggled schedule's
+    /// makespan does not exceed the pre-toggle makespan. A guard the
+    /// walk cannot prove, and every reject, returns `None` and takes the
+    /// full toggle/measure path.
     fn resolve_guard(
         &mut self,
         loc: &mut LocalityState,
@@ -439,13 +449,31 @@ impl FusionOracle for DeltaOracle<'_, '_, '_> {
         bytes: Bytes,
     ) -> Option<bool> {
         self.stats.guards_total += 1;
-        // The proof reads exact start/finish times, so the deferred
-        // batches must land first — the same flush the reference pays
-        // at this guard's `before` makespan read. Must happen before
-        // the tentative fuse: pending layers refresh against the
-        // pre-toggle locality. (Charged to `propagate_s`, not
-        // `guard_s`: the reference pays the same flush.)
-        self.flush(loc);
+        if !loc.is_fused(from, to) && bytes > loc.dram_free(acc, self.ev.system()) {
+            // Capacity-refused: the reference would measure `before`,
+            // fail the same try_fuse and move on. No state changed and
+            // nothing is read. Not counted in `guards_skipped` — that
+            // counter certifies the walk's proof fired, and this branch
+            // never ran it.
+            return Some(false);
+        }
+        // The proof reads `from`'s start and the times of `from`'s
+        // readers (graph successors, `to` among them, and the queue
+        // successor), so it settles the ranks up to the highest of
+        // them; the walk settles further as it goes. The deferred
+        // batches land first, against the pre-toggle locality, as they
+        // do at the reference's `before` read. (Charged to
+        // `propagate_s`: the reference pays the same re-timing.)
+        let inc = &*self.inc;
+        let rank = self
+            .ev
+            .successors_flat(from)
+            .iter()
+            .chain(inc.queue_successor(from).as_ref())
+            .map(|l| inc.rank_of(*l))
+            .max()
+            .expect("`to` succeeds `from`");
+        self.settle_to(loc, rank);
         let t0 = self.profile.is_some().then(std::time::Instant::now);
         let out = self.resolve_guard_inner(loc, from, to, acc, bytes);
         if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
@@ -483,9 +511,9 @@ impl FusionOracle for DeltaOracle<'_, '_, '_> {
 }
 
 impl DeltaOracle<'_, '_, '_> {
-    /// The dominance-proof body of [`FusionOracle::resolve_guard`],
-    /// factored out so the wrapper can charge it to
-    /// [`PhaseProfile::guard_s`] as one span.
+    /// The proof body of [`FusionOracle::resolve_guard`], factored out
+    /// so the wrapper can charge it to [`PhaseProfile::guard_s`] as one
+    /// span.
     fn resolve_guard_inner(
         &mut self,
         loc: &mut LocalityState,
@@ -494,19 +522,11 @@ impl DeltaOracle<'_, '_, '_> {
         acc: AccId,
         bytes: Bytes,
     ) -> Option<bool> {
-        if !loc.is_fused(from, to) && bytes > loc.dram_free(acc, self.ev.system()) {
-            // Capacity-refused: the reference would measure `before`,
-            // fail the same try_fuse and move on. No state changed;
-            // only the makespan scan is saved. Not counted in
-            // `guards_skipped` — that counter certifies the dominance
-            // proof fired, and this branch never ran it.
-            return Some(false);
-        }
         // The toggle changes exactly one term on each endpoint: `from`
         // gains a DRAM write (OFM), `to`'s download becomes a DRAM read
         // (IFM). Everything else — weights, compute, the other
         // endpoint's untouched transfer side — is read from the costs
-        // the pre-toggle flush just certified, so only the changed term
+        // the pre-guard refresh just certified, so only the changed term
         // reruns the kernel, with the toggle itself priced as an
         // `extra_fused` overlay — no tentative fuse/unfuse churn on the
         // sorted fused-edge vector. Bitwise equal to the full recompute
@@ -535,34 +555,154 @@ impl DeltaOracle<'_, '_, '_> {
             assert!(loc.unfuse(from, to, acc));
         }
         let nf = self.inc.start_of(from).as_f64() + ndf;
-        let start_of = |l: LayerId| self.inc.start_of(l).as_f64();
-        let absorbed = self.ev.successors_flat(from).iter().all(|&s| s == to || nf <= start_of(s))
-            && self
-                .inc
-                .queue_successor(from)
-                .is_none_or(|q| q == to || nf <= start_of(q));
-        if absorbed {
-            let new_finish_to_bound = start_of(to).max(nf) + ndt;
-            if new_finish_to_bound <= self.inc.finish_of(to).as_f64() {
-                let accept = nf <= self.inc.makespan().as_f64();
-                if accept {
-                    // The overlay becomes real only now — a proven
-                    // reject (and the unproven fall-through below)
-                    // leaves `loc` untouched, where the pre-overlay
-                    // proof paid a tentative fuse and its revert.
-                    let ok = loc.try_fuse_bytes(self.ev.system(), from, to, acc, bytes);
-                    debug_assert!(ok, "capacity was checked above");
-                    // Exactly like a non-risky accept: the endpoints'
-                    // refreshes defer to the next flush.
-                    self.pending.push(from);
-                    self.pending.push(to);
-                }
-                self.stats.guards_skipped += 1;
-                return Some(accept);
-            }
+        if !self.walk.proves_accept(self.ev, self.inc, self.stats, from, to, nf, ndt) {
+            // Unproven: hand the untouched state back to the full guard.
+            return None;
         }
-        // Unproven: hand the untouched state back to the full guard.
-        None
+        #[cfg(debug_assertions)]
+        self.assert_toggle_accepts(loc, from, to, acc, bytes);
+        // The overlay becomes real only now: an unproven guard leaves
+        // `loc` untouched for the full guard.
+        let ok = loc.try_fuse_bytes(self.ev.system(), from, to, acc, bytes);
+        debug_assert!(ok, "capacity was checked above");
+        // Exactly like a non-risky accept: the endpoints' refreshes
+        // defer to the next settle.
+        self.pending.push(from);
+        self.pending.push(to);
+        self.stats.guards_skipped += 1;
+        Some(true)
+    }
+
+    /// Checks a walk-proven accept against the real toggle, run on a
+    /// settled copy of the schedule.
+    #[cfg(debug_assertions)]
+    fn assert_toggle_accepts(
+        &self,
+        loc: &LocalityState,
+        from: LayerId,
+        to: LayerId,
+        acc: AccId,
+        bytes: Bytes,
+    ) {
+        let mut copy = self.inc.clone();
+        copy.settle();
+        let before = copy.makespan();
+        let mut fused = loc.clone();
+        assert!(fused.try_fuse_bytes(self.ev.system(), from, to, acc, bytes));
+        let mut seeds = Vec::new();
+        let (ev, mapping) = (self.ev, self.mapping);
+        copy.refresh_costs_into([from, to], |id| ev.layer_cost(mapping, &fused, id), &mut seeds);
+        copy.propagate(&seeds);
+        assert!(
+            copy.makespan() <= before,
+            "the delay walk accepted {from:?} -> {to:?}, whose toggle raises the makespan"
+        );
+    }
+}
+
+/// Raised layers the delay walk follows before it hands a guard to the
+/// toggle path. On ~390-layer synthetic models a cap of 2 left step 4
+/// slower than 8, and caps of 4 to 64 were no faster.
+const WALK_MAX_RAISED: usize = 8;
+
+/// The delay walk: a bounded, read-only proof that a risky guard's
+/// toggle keeps the makespan, so the guard accepts without toggling.
+///
+/// The toggle changes two durations: `from`'s, whose finish becomes
+/// `nf` (exact: nothing upstream of `from` changes), and `to`'s, which
+/// becomes `ndt`. The walk visits the layers whose start reads a raised
+/// finish — graph successors and the queue successor — in rank order,
+/// settling each one's rank before reading it, and bounds its new
+/// finish by `max(start, raised) + duration`: `start` is its settled
+/// start, the latest settled finish among its inputs, `raised` the
+/// latest raised finish among them, and `to` takes duration `ndt`. A
+/// layer whose bound does not exceed its settled finish does not rise,
+/// and its readers are not visited on its account.
+///
+/// The recurrence `max(inputs) + duration` is monotone in every input
+/// under IEEE round-to-nearest (`max`, `+`), so by induction in rank
+/// order every bound is at least the toggled finish, and every layer the
+/// walk does not visit keeps a finish at most its settled one. (The
+/// bound equals the recurrence with the raised inputs substituted
+/// whenever a layer rises, so no layer is raised that the exact
+/// recurrence would not raise.) A raised layer is read by a later layer
+/// that starts no earlier than the raised finish, so following readers
+/// from any raised layer ends at a layer that does not rise (finish at
+/// most its settled one, at most the makespan) or at a raised sink,
+/// which the walk compares against the settled makespan directly. Once
+/// the walk ends with every raised sink inside it, the toggled makespan
+/// is at most the current one: the guard accepts, proven. When the
+/// toggle raises nothing beyond `from`, and `to` does not rise, this is
+/// the whole proof: `nf` is bounded by `to`'s new finish. The walk never
+/// proves a reject; more than [`WALK_MAX_RAISED`] raised layers, or a
+/// raised sink past the makespan, sends the guard to the toggle.
+#[derive(Debug, Default)]
+struct DelayWalk {
+    /// Layers to visit, by rank (one rank is one layer), each with the
+    /// raised finish of the input that queued it, as `f64` bits.
+    readers: BinaryHeap<Reverse<(usize, LayerId, u64)>>,
+}
+
+impl DelayWalk {
+    #[allow(clippy::too_many_arguments)]
+    fn proves_accept(
+        &mut self,
+        ev: &Evaluator<'_>,
+        inc: &mut IncrementalSchedule,
+        stats: &mut SearchStats,
+        from: LayerId,
+        to: LayerId,
+        nf: f64,
+        ndt: f64,
+    ) -> bool {
+        self.readers.clear();
+        let mut raised = 0;
+        if nf > inc.finish_of(from).as_f64() {
+            raised += 1;
+            self.queue_readers(ev, inc, from, nf);
+        } else {
+            // `from` does not rise, but `to`'s duration changes.
+            self.readers.push(Reverse((inc.rank_of(to), to, 0.0f64.to_bits())));
+        }
+        while let Some(Reverse((rank, layer, bits))) = self.readers.pop() {
+            let mut input = f64::from_bits(bits);
+            while let Some(Reverse((_, _, bits))) =
+                self.readers.peek().copied().filter(|Reverse((r, ..))| *r == rank)
+            {
+                input = input.max(f64::from_bits(bits));
+                self.readers.pop();
+            }
+            advance(inc, stats, rank);
+            let dur = if layer == to { ndt } else { inc.duration_of(layer).as_f64() };
+            let finish = inc.start_of(layer).as_f64().max(input) + dur;
+            if finish <= inc.finish_of(layer).as_f64() {
+                continue;
+            }
+            raised += 1;
+            if raised > WALK_MAX_RAISED {
+                return false;
+            }
+            if ev.successors_flat(layer).is_empty() && inc.queue_successor(layer).is_none() {
+                advance(inc, stats, usize::MAX);
+                if finish > inc.makespan().as_f64() {
+                    return false;
+                }
+            }
+            self.queue_readers(ev, inc, layer, finish);
+        }
+        true
+    }
+
+    /// Queues the readers of `layer`, raised to `finish`.
+    fn queue_readers(
+        &mut self,
+        ev: &Evaluator<'_>,
+        inc: &IncrementalSchedule,
+        layer: LayerId,
+        finish: f64,
+    ) {
+        let readers = ev.successors_flat(layer).iter().copied().chain(inc.queue_successor(layer));
+        self.readers.extend(readers.map(|l| Reverse((inc.rank_of(l), l, finish.to_bits()))));
     }
 }
 
@@ -756,6 +896,9 @@ struct Floor {
     // Reusable scratch, so pricing allocates nothing.
     refresh: Vec<LayerId>,
     seeds: Vec<LayerId>,
+    /// The critical path of each open split node, tail first and its
+    /// producer last, stacked by depth.
+    path: Vec<LayerId>,
     /// A candidate is priced and neither accepted nor rejected yet.
     open: bool,
 }
@@ -775,6 +918,7 @@ impl Floor {
             added: Vec::new(),
             refresh: Vec::new(),
             seeds: Vec::new(),
+            path: Vec::new(),
             open: false,
         }
     }
@@ -852,11 +996,13 @@ impl Floor {
     /// the priced candidate (moved). At each node the producer to fix
     /// is the first splittable one on the floor's critical path
     /// ([`Floor::branch_producer`]); each of its two classes is priced
-    /// under a savepoint by refreshing it and its co-located consumers
-    /// and propagating once. A hopeful branch is split again; an open
-    /// leaf (depth [`SPLIT_MAX_DEPTH`] or nothing left to split) or a
-    /// spent `budget` ends the search with `false`. Either way the
-    /// floor comes back in its pricing state.
+    /// under a savepoint by refreshing it and its co-located consumers.
+    /// A branch whose critical-path bound ([`Floor::path_bound`])
+    /// already fails is closed without propagating; any other
+    /// propagates once, and a hopeful one is split again. An open leaf
+    /// (depth [`SPLIT_MAX_DEPTH`] or nothing left to split) or a spent
+    /// `budget` ends the search with `false`. Either way the floor comes
+    /// back in its pricing state.
     fn split(
         &mut self,
         ev: &Evaluator<'_>,
@@ -869,13 +1015,17 @@ impl Floor {
         if depth == SPLIT_MAX_DEPTH {
             return false;
         }
+        let base = self.path.len();
         let Some(producer) = self.branch_producer(ev, mapping) else {
+            self.path.truncate(base);
             return false;
         };
         let acc = mapping.acc_of(producer);
+        let mut all_closed = true;
         for outcome in [FusionOutcome::Fused, FusionOutcome::Unfused] {
             if *budget == 0 {
-                return false;
+                all_closed = false;
+                break;
             }
             *budget -= 1;
             let sp = self.inc.savepoint();
@@ -893,19 +1043,52 @@ impl Floor {
                 |id| ev.layer_cost_floor(mapping, &self.pins, &self.outcomes, id),
                 &mut self.seeds,
             );
-            if !self.seeds.is_empty() {
+            let path_closed = !self.seeds.is_empty() && !hopeful(self.path_bound(base));
+            #[cfg(debug_assertions)]
+            if path_closed {
+                let bound = self.path_bound(base);
                 self.inc.propagate(&self.seeds);
-                note_propagation(stats, self.inc.touched());
+                assert!(
+                    bound <= self.inc.makespan().as_f64(),
+                    "the path bound {bound} exceeds the branch's floor makespan"
+                );
             }
-            let closed = !hopeful(self.inc.makespan().as_f64())
-                || self.split(ev, mapping, hopeful, depth + 1, budget, stats);
+            let closed = path_closed || {
+                if !self.seeds.is_empty() {
+                    self.inc.propagate(&self.seeds);
+                    note_propagation(stats, self.inc.touched());
+                }
+                !hopeful(self.inc.makespan().as_f64())
+                    || self.split(ev, mapping, hopeful, depth + 1, budget, stats)
+            };
             self.inc.rollback_to(&sp);
             self.outcomes[producer.index()] = FusionOutcome::Free;
             if !closed {
-                return false;
+                all_closed = false;
+                break;
             }
         }
-        true
+        self.path.truncate(base);
+        all_closed
+    }
+
+    /// A lower bound on the open branch's floor makespan, read before
+    /// propagating it: the critical path `self.path[base..]` (tail
+    /// first, the branch's producer last) re-timed forward from the
+    /// producer under the branch's refreshed durations, every off-path
+    /// input at its current floor time. Both outcome classes only raise
+    /// durations, so every input only rises, and the recurrence is
+    /// monotone (`max`, `+`): each re-timed finish bounds the branch's
+    /// from below, the tail's bounds its makespan.
+    fn path_bound(&self, base: usize) -> f64 {
+        let inc = &self.inc;
+        let mut path = self.path[base..].iter().rev();
+        let producer = *path.next().expect("the path ends at the producer");
+        let mut finish = inc.start_of(producer).as_f64() + inc.duration_of(producer).as_f64();
+        for &layer in path {
+            finish = inc.start_of(layer).as_f64().max(finish) + inc.duration_of(layer).as_f64();
+        }
+        finish
     }
 
     /// The producer the split fixes next: walking the floor schedule's
@@ -915,8 +1098,10 @@ impl Floor {
     /// whose none-fused OFM floor is below its all-fused one. Only then
     /// does each class raise some duration: the fused class the
     /// producer's OFM, the unfused class its co-located consumers' IFM
-    /// edges (from the lesser of DRAM and route to the route).
-    fn branch_producer(&self, ev: &Evaluator<'_>, mapping: &Mapping) -> Option<LayerId> {
+    /// edges (from the lesser of DRAM and route to the route). Appends
+    /// the walked path, tail first and the producer last, to
+    /// `self.path`.
+    fn branch_producer(&mut self, ev: &Evaluator<'_>, mapping: &Mapping) -> Option<LayerId> {
         let inc = &self.inc;
         let makespan = inc.makespan().as_f64();
         let mut layer = ev
@@ -925,6 +1110,7 @@ impl Floor {
             .filter_map(|a| inc.queue(a).last().copied())
             .find(|l| inc.finish_of(*l).as_f64() == makespan)?;
         loop {
+            self.path.push(layer);
             if self.outcomes[layer.index()] == FusionOutcome::Free
                 && ev
                     .ofm_floor_branches(mapping, layer)
@@ -1006,6 +1192,7 @@ pub struct DeltaEngine<'e, 'm> {
     scratch_cands: Vec<(LayerId, LayerId, Bytes)>,
     scratch_stripped: Vec<(LayerId, AccId)>,
     scratch_added: Vec<(LayerId, AccId)>,
+    scratch_walk: DelayWalk,
     /// Evaluation counters for this run.
     pub stats: SearchStats,
     /// Phase timers armed ([`H2hConfig::profile_phases`]).
@@ -1058,6 +1245,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             scratch_cands: Vec::new(),
             scratch_stripped: Vec::new(),
             scratch_added: Vec::new(),
+            scratch_walk: DelayWalk::default(),
             stats,
             profile_enabled: cfg.profile_phases,
             profile: PhaseProfile::default(),
@@ -1176,6 +1364,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             stats: &mut self.stats,
             pending: pending_costs,
             pending_seeds,
+            walk: &mut self.scratch_walk,
             savepoint: None,
             profile: self.profile_enabled.then_some(&mut self.profile),
         };

@@ -22,7 +22,7 @@
 //! move and its pin diff (or, when the two touched boards do not fit all
 //! their weights, their rerun step 2) land on the engine's fusion-free
 //! resting schedule, and the fusion pass replays on top with cone-local
-//! schedule propagation, risky fusion guards dominance-pruned and
+//! schedule propagation, risky fusion guards proven by a delay walk and
 //! rejected toggles restored from the journal savepoint (see
 //! [`crate::delta`]; the replay scores bitwise like a full evaluation,
 //! and the screen only rejects moves the exact score would reject too).

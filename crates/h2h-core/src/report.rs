@@ -113,7 +113,7 @@ pub fn mapping_report(
 /// only its split on fusion outcomes rejected), the evaluation mix
 /// (delta / prefix / full), the propagation locality, and the
 /// risky-guard columns (how many guards the fusion replay reached, how
-/// many were resolved by dominance pruning, how many rejected toggles
+/// many the delay walk proved without a toggle, how many rejected toggles
 /// used the `O(cone)` fast revert).
 pub fn search_stats_report(stats: &SearchStats) -> String {
     use std::fmt::Write as _;

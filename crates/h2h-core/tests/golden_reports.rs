@@ -65,8 +65,8 @@ fn search_stats_report_snapshot_mocap() {
 
 #[test]
 fn search_stats_report_snapshot_casia_surf() {
-    // A ResNet-like model: risky guards reached, most resolved by
-    // dominance pruning — the full counter surface.
+    // A ResNet-like model: risky guards reached, most proven by the
+    // delay walk — the full counter surface.
     let model = h2h_model::zoo::casia_surf();
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let out = H2hMapper::new(&model, &system).run().unwrap();

@@ -104,7 +104,7 @@ fn delta_search_matches_reference_on_non_uniform_topologies() {
 fn delta_search_matches_reference_on_synthetic_models() {
     // Synthetic MMMT models with 8 branches of depth 12 (~165 layers),
     // past the zoo's sizes: their replays meet many risky guards, and
-    // the dominance proof must resolve some of them.
+    // the delay walk must prove some of them.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     for seed in [4u64, 6] {
         let model = synthetic_mmmt(&SyntheticConfig {
@@ -180,8 +180,8 @@ fn delta_search_matches_reference_on_boards_too_small_for_their_weights() {
 #[test]
 fn dominance_resolves_most_guards_on_resnet_like_models() {
     // The risky large models (ResNet-like: CASIA-SURF, FaceBag) must
-    // resolve most of their guards by the dominance proof instead of the
-    // toggle/revert replay.
+    // resolve most of their guards by the delay walk's proof instead of
+    // the toggle/revert replay.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     for model in [h2h_model::zoo::casia_surf(), h2h_model::zoo::facebag()] {
         let stats = remap_from_step1(&model, &system).stats;
@@ -199,9 +199,9 @@ fn dominance_resolves_most_guards_on_resnet_like_models() {
 fn guard_counters_are_coherent() {
     // Skip/revert counters must stay within the guard population, and
     // fast reverts can only come from guards the pruning did *not*
-    // resolve (a dominance-rejected guard never toggles, so it has
-    // nothing to revert). Every model that reaches a guard resolves
-    // some by dominance.
+    // resolve (a proven guard never toggles, so it has nothing to
+    // revert). Every model that reaches a guard proves some without a
+    // toggle.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     for model in h2h_model::zoo::all_models() {
         let stats = remap_from_step1(&model, &system).stats;

@@ -30,9 +30,17 @@ use crate::graph::{LayerId, ModelError, ModelGraph};
 use crate::layer::{ConvParams, FcParams, Layer, LayerOp, LstmParams, PoolKind, PoolParams};
 use crate::tensor::TensorShape;
 
-/// Output spatial size under "same" padding: `ceil(in / stride)`.
-fn same_out(dim: u32, stride: u32) -> u32 {
-    dim.div_ceil(stride)
+/// Output spatial size under "same" padding: `ceil(in / stride)`, for
+/// layer `name`.
+///
+/// # Errors
+///
+/// Returns [`ModelError::ZeroStride`] for `stride == 0`.
+fn same_out(name: &str, dim: u32, stride: u32) -> Result<u32, ModelError> {
+    if stride == 0 {
+        return Err(ModelError::ZeroStride(name.to_owned()));
+    }
+    Ok(dim.div_ceil(stride))
 }
 
 /// A fluent, shape-checked builder for [`ModelGraph`].
@@ -92,7 +100,7 @@ impl ModelBuilder {
     /// # Errors
     ///
     /// Returns [`ModelError::ShapeMismatch`] unless `from` produces a
-    /// spatial feature map.
+    /// spatial feature map, and [`ModelError::ZeroStride`] for `s == 0`.
     pub fn conv(
         &mut self,
         name: &str,
@@ -103,7 +111,8 @@ impl ModelBuilder {
     ) -> Result<LayerId, ModelError> {
         match self.shape(from) {
             TensorShape::Feature { c, h, w } => {
-                let p = ConvParams::square(out_channels, c, same_out(h, s), same_out(w, s), k, s);
+                let (out_h, out_w) = (same_out(name, h, s)?, same_out(name, w, s)?);
+                let p = ConvParams::square(out_channels, c, out_h, out_w, k, s);
                 self.push(name, LayerOp::Conv(p), &[from])
             }
             other => Err(ModelError::ShapeMismatch(format!(
@@ -118,7 +127,7 @@ impl ModelBuilder {
     /// # Errors
     ///
     /// Returns [`ModelError::ShapeMismatch`] unless `from` produces a
-    /// sequence.
+    /// sequence, and [`ModelError::ZeroStride`] for `s == 0`.
     pub fn conv1d(
         &mut self,
         name: &str,
@@ -129,10 +138,11 @@ impl ModelBuilder {
     ) -> Result<LayerId, ModelError> {
         match self.shape(from) {
             TensorShape::Sequence { steps, features } => {
+                let out_steps = same_out(name, steps, s)?;
                 let p = ConvParams {
                     out_channels,
                     in_channels: features,
-                    out_h: same_out(steps, s),
+                    out_h: out_steps,
                     out_w: 1,
                     kernel_h: k,
                     kernel_w: 1,
@@ -143,7 +153,7 @@ impl ModelBuilder {
                 let id = self.push(name, LayerOp::Conv(p), &[from])?;
                 self.shapes.insert(
                     id,
-                    TensorShape::Sequence { steps: same_out(steps, s), features: out_channels },
+                    TensorShape::Sequence { steps: out_steps, features: out_channels },
                 );
                 Ok(id)
             }
@@ -208,18 +218,21 @@ impl ModelBuilder {
         kind: PoolKind,
     ) -> Result<LayerId, ModelError> {
         match self.shape(from) {
-            TensorShape::Feature { c, h, w } => self.push(
-                name,
-                LayerOp::Pool(PoolParams {
-                    kernel: k,
-                    stride: s,
-                    kind,
-                    channels: c,
-                    out_h: same_out(h, s),
-                    out_w: same_out(w, s),
-                }),
-                &[from],
-            ),
+            TensorShape::Feature { c, h, w } => {
+                let (out_h, out_w) = (same_out(name, h, s)?, same_out(name, w, s)?);
+                self.push(
+                    name,
+                    LayerOp::Pool(PoolParams {
+                        kernel: k,
+                        stride: s,
+                        kind,
+                        channels: c,
+                        out_h,
+                        out_w,
+                    }),
+                    &[from],
+                )
+            }
             other => Err(ModelError::ShapeMismatch(format!(
                 "pool `{name}` needs a Feature input, got {other:?}"
             ))),
@@ -231,7 +244,7 @@ impl ModelBuilder {
     /// # Errors
     ///
     /// Returns [`ModelError::ShapeMismatch`] unless `from` produces a
-    /// spatial feature map.
+    /// spatial feature map, and [`ModelError::ZeroStride`] for `s == 0`.
     pub fn max_pool(&mut self, name: &str, from: LayerId, k: u32, s: u32) -> Result<LayerId, ModelError> {
         self.pool(name, from, k, s, PoolKind::Max)
     }
@@ -389,6 +402,19 @@ mod tests {
         assert_eq!(b.shape(c), TensorShape::Feature { c: 64, h: 112, w: 112 });
         let p = b.max_pool("p", c, 3, 2).unwrap();
         assert_eq!(b.shape(p), TensorShape::Feature { c: 64, h: 56, w: 56 });
+    }
+
+    #[test]
+    fn zero_strides_are_rejected_not_divided_by() {
+        let mut b = ModelBuilder::new("t");
+        let img = b.input("img", TensorShape::Feature { c: 3, h: 8, w: 8 });
+        let seq = b.input("seq", TensorShape::Sequence { steps: 8, features: 4 });
+        let zero = |r| matches!(r, Err(ModelError::ZeroStride(n)) if n == "z");
+        assert!(zero(b.conv("z", img, 4, 3, 0)));
+        assert!(zero(b.conv1d("z", seq, 4, 3, 0)));
+        assert!(zero(b.max_pool("z", img, 2, 0)));
+        assert!(zero(b.avg_pool("z", img, 2, 0)));
+        assert_eq!(b.finish().unwrap().num_layers(), 2, "no rejected layer was added");
     }
 
     #[test]

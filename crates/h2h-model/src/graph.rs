@@ -74,6 +74,8 @@ pub enum ModelError {
     DuplicateName(String),
     /// A shape constraint is violated (builder-level detail inside).
     ShapeMismatch(String),
+    /// A convolution or pooling layer was given stride 0 (layer name).
+    ZeroStride(String),
     /// The graph has no layers.
     Empty,
 }
@@ -87,6 +89,7 @@ impl fmt::Display for ModelError {
             ModelError::SelfLoop(n) => write!(f, "self loop on layer `{n}`"),
             ModelError::DuplicateName(n) => write!(f, "duplicate layer name `{n}`"),
             ModelError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
+            ModelError::ZeroStride(n) => write!(f, "layer `{n}` has stride 0"),
             ModelError::Empty => write!(f, "model graph has no layers"),
         }
     }
@@ -312,17 +315,26 @@ impl ModelGraph {
         rank
     }
 
-    /// The mapping frontier: layers not yet in `mapped` whose predecessors
-    /// are all in `mapped` (paper Algorithm 1, step 1: "nodes without
-    /// predecessors").
-    pub fn frontier(&self, mapped: &HashSet<LayerId>) -> Vec<LayerId> {
-        let mut f: Vec<LayerId> = self
-            .layer_ids()
-            .filter(|id| !mapped.contains(id))
-            .filter(|id| self.predecessors(*id).all(|p| mapped.contains(&p)))
-            .collect();
-        f.sort_by_key(|id| id.index());
-        f
+    /// The mapping waves of paper Algorithm 1, step 1: wave 0 holds the
+    /// "nodes without predecessors", and each later wave the layers whose
+    /// predecessors all sit in earlier waves. A layer's wave is its ASAP
+    /// rank ([`ModelGraph::asap_ranks`]), so the waves are that rank's
+    /// buckets, each in index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is cyclic; call [`ModelGraph::validate`] first.
+    pub fn asap_waves(&self) -> Vec<Vec<LayerId>> {
+        let ranks = self.asap_ranks();
+        let mut waves: Vec<Vec<LayerId>> = Vec::new();
+        for id in self.layer_ids() {
+            let r = ranks[id.index()] as usize;
+            if waves.len() <= r {
+                waves.resize_with(r + 1, Vec::new);
+            }
+            waves[r].push(id);
+        }
+        waves
     }
 
     /// Total trainable parameter count.
@@ -471,17 +483,10 @@ mod tests {
     #[test]
     fn frontier_walk_covers_graph_in_waves() {
         let (g, ids) = diamond();
-        let mut mapped = HashSet::new();
-        let f0 = g.frontier(&mapped);
-        assert_eq!(f0, vec![ids[0]]);
-        mapped.insert(ids[0]);
-        let f1 = g.frontier(&mapped);
-        assert_eq!(f1, vec![ids[1], ids[2]]);
-        mapped.extend(f1);
-        let f2 = g.frontier(&mapped);
-        assert_eq!(f2, vec![ids[3]]);
-        mapped.extend(f2);
-        assert!(g.frontier(&mapped).is_empty());
+        assert_eq!(
+            g.asap_waves(),
+            vec![vec![ids[0]], vec![ids[1], ids[2]], vec![ids[3]]]
+        );
     }
 
     #[test]

@@ -75,6 +75,16 @@ impl From<ModelError> for ParseError {
     }
 }
 
+/// A builder error raised by line `line`'s own operands: a zero stride
+/// is reported with the line; any other builder error stays a model
+/// error.
+fn on_line(line: usize, e: ModelError) -> ParseError {
+    match e {
+        ModelError::ZeroStride(_) => ParseError::Syntax(line, e.to_string()),
+        e => ParseError::Model(e),
+    }
+}
+
 fn parse_u32(line: usize, tok: &str, what: &str) -> Result<u32, ParseError> {
     tok.parse::<u32>()
         .map_err(|_| ParseError::Syntax(line, format!("bad {what} `{tok}`")))
@@ -177,10 +187,11 @@ pub fn parse_model(text: &str) -> Result<ModelGraph, ParseError> {
                 let k = parse_u32(ln, toks[4], "kernel")?;
                 let s = parse_u32(ln, toks[5], "stride")?;
                 if op == "conv" {
-                    builder.conv(toks[1], from, c, k, s)?
+                    builder.conv(toks[1], from, c, k, s)
                 } else {
-                    builder.conv1d(toks[1], from, c, k, s)?
+                    builder.conv1d(toks[1], from, c, k, s)
                 }
+                .map_err(|e| on_line(ln, e))?
             }
             "fc" => {
                 need(4)?;
@@ -210,10 +221,11 @@ pub fn parse_model(text: &str) -> Result<ModelGraph, ParseError> {
                 let k = parse_u32(ln, toks[3], "kernel")?;
                 let s = parse_u32(ln, toks[4], "stride")?;
                 if op == "maxpool" {
-                    builder.max_pool(toks[1], from, k, s)?
+                    builder.max_pool(toks[1], from, k, s)
                 } else {
-                    builder.avg_pool(toks[1], from, k, s)?
+                    builder.avg_pool(toks[1], from, k, s)
                 }
+                .map_err(|e| on_line(ln, e))?
             }
             "gap" => {
                 need(3)?;
@@ -375,6 +387,19 @@ fc head cat 4
     fn empty_input_rejected() {
         assert!(matches!(parse_model("# nothing\n"), Err(ParseError::Empty)));
         assert!(matches!(parse_model(""), Err(ParseError::Empty)));
+    }
+
+    #[test]
+    fn zero_strides_are_rejected_with_their_line() {
+        for line in ["conv c a 4 3 0", "conv1d c s 4 3 0", "maxpool c a 2 0", "avgpool c a 2 0"] {
+            let text = format!("input a img 3 8 8\ninput s seq 8 4\n{line}\n");
+            match parse_model(&text) {
+                Err(ParseError::Syntax(3, msg)) => {
+                    assert!(msg.contains("stride 0"), "{line}: {msg}")
+                }
+                other => panic!("{line}: expected a line-3 error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -58,17 +58,12 @@ proptest! {
             prev = b.fc(&format!("fc{i}"), prev, *w).unwrap();
         }
         let m = b.finish().unwrap();
-        let mut mapped = std::collections::HashSet::new();
-        let mut visited = 0usize;
-        loop {
-            let f = m.frontier(&mapped);
-            if f.is_empty() { break; }
-            // A chain's frontier is always exactly one layer.
-            prop_assert_eq!(f.len(), 1);
-            visited += 1;
-            mapped.extend(f);
+        let waves = m.asap_waves();
+        // A chain's frontier is always exactly one layer, in chain order.
+        prop_assert_eq!(waves.len(), m.num_layers());
+        for (wave, id) in waves.iter().zip(m.topo_order()) {
+            prop_assert_eq!(wave, &vec![id]);
         }
-        prop_assert_eq!(visited, m.num_layers());
     }
 
     #[test]

@@ -12,7 +12,12 @@
 //! [`IncrementalSchedule::move_layer`] re-queues a layer onto another
 //! accelerator, [`IncrementalSchedule::refresh_costs`] re-derives
 //! per-layer cost decompositions from a tentative locality state, and
-//! [`IncrementalSchedule::propagate`] re-times the cone. The schedule
+//! [`IncrementalSchedule::propagate`] re-times the cone. The re-timing
+//! is a wavefront in topological rank order that can stop at a rank and
+//! resume: [`IncrementalSchedule::stamp`] marks seeds pending,
+//! [`IncrementalSchedule::advance_to`] re-times the pending layers up to
+//! a rank, and [`IncrementalSchedule::settle`] re-times the rest, so a
+//! caller that reads only early layers pays only for those. The schedule
 //! keeps no running totals: [`IncrementalSchedule::proxy`] sums the
 //! schedule-level quantities from the per-layer state on read, so any
 //! [`crate::schedule::Schedule`]-level objective can be scored without a
@@ -48,6 +53,15 @@
 //!    the recorded set, no re-propagation. The fusion pass uses this to
 //!    revert a rejected risky-guard toggle at the cost of the cone it
 //!    touched instead of a second propagation round.
+//! 4. **Settledness** — a layer's start and finish are current once no
+//!    rank at or below its own is pending; the schedule is *settled*
+//!    when no rank is. [`IncrementalSchedule::makespan`],
+//!    [`IncrementalSchedule::proxy`], savepoints and both rollbacks
+//!    read or restore every layer, so they require a settled schedule,
+//!    and reading one layer's times requires its rank settled; debug
+//!    builds assert both. A pending rank is re-timed once, in rank
+//!    order, by whichever advance reaches it, so stopping early and
+//!    resuming ends at the times one full propagation gives.
 //!
 //! Equivalence with full re-evaluation is asserted by unit tests here
 //! and by the `prop_schedule.rs`/`prop_incremental.rs` property suites.
@@ -160,16 +174,20 @@ pub struct IncrementalSchedule {
     acc_of: Vec<usize>,
     /// Shared read-only topology/energy data (see [`IncShared`]).
     shared: Arc<IncShared>,
-    /// Layers touched by the last [`IncrementalSchedule::propagate`].
+    /// Layers re-timed by the last [`IncrementalSchedule::advance_to`].
     touched: usize,
     /// First-touch epoch stamps for time/cost journaling.
     time_stamp: Vec<u64>,
     cost_stamp: Vec<u64>,
     epoch: u64,
-    /// Rank-indexed pending stamps for the `propagate` wavefront
-    /// (persistent, so the hot path allocates nothing per call).
-    queued_stamp: Vec<u64>,
-    prop_epoch: u64,
+    /// Rank-indexed pending flags of the wavefront (persistent, so the
+    /// hot path allocates nothing per call).
+    pending: Vec<bool>,
+    /// The rank the next advance scans from (no rank below it is
+    /// pending) and the highest pending rank; `pending_lo > pending_hi`
+    /// exactly when the schedule is settled.
+    pending_lo: usize,
+    pending_hi: usize,
     journal: Option<Journal>,
     /// Retired journal kept for buffer reuse (one transaction per
     /// scored candidate — the hot loop should not allocate).
@@ -212,6 +230,7 @@ impl IncrementalSchedule {
         let n_accs = system.num_accs();
         let emodel = system.energy_model();
         let order = model.topo_order();
+        let n = order.len();
         let mut topo_pos = vec![usize::MAX; bound];
         for (rank, id) in order.iter().enumerate() {
             topo_pos[id.index()] = rank;
@@ -263,8 +282,9 @@ impl IncrementalSchedule {
             time_stamp: vec![0; bound],
             cost_stamp: vec![0; bound],
             epoch: 0,
-            queued_stamp: vec![0; bound],
-            prop_epoch: 0,
+            pending: vec![false; n],
+            pending_lo: n,
+            pending_hi: 0,
             journal: None,
             spare_journal: None,
         };
@@ -307,7 +327,9 @@ impl IncrementalSchedule {
     /// non-negative, NaN-free finish times) — read in `O(accelerators)`
     /// instead of `O(layers)`. The fusion pass reads the makespan at
     /// every guard, so on large models this scan was itself a hot path.
+    /// Requires a settled schedule (invariant 4).
     pub fn makespan(&self) -> Seconds {
+        debug_assert!(self.is_settled(), "makespan read on an unsettled schedule");
         let mut max = 0.0f64;
         for queue in &self.acc_queue {
             if let Some(last) = queue.last() {
@@ -317,21 +339,42 @@ impl IncrementalSchedule {
         Seconds::new(max)
     }
 
-    /// Finish time of one layer.
+    /// Finish time of one layer, whose rank must be settled
+    /// (invariant 4).
     pub fn finish_of(&self, layer: LayerId) -> Seconds {
+        debug_assert!(self.settled_through(layer), "{layer}: finish read before it settled");
         Seconds::new(self.finish[layer.index()])
     }
 
-    /// Start time of one layer.
+    /// Start time of one layer, whose rank must be settled
+    /// (invariant 4).
     pub fn start_of(&self, layer: LayerId) -> Seconds {
+        debug_assert!(self.settled_through(layer), "{layer}: start read before it settled");
         Seconds::new(self.start[layer.index()])
+    }
+
+    /// `layer`'s rank in the global topological priority, the order the
+    /// wavefront re-times in: every layer whose finish `layer`'s start
+    /// reads has a lower rank.
+    pub fn rank_of(&self, layer: LayerId) -> usize {
+        self.shared.topo_pos[layer.index()]
+    }
+
+    /// Whether no rank is pending: every start and finish is current.
+    pub fn is_settled(&self) -> bool {
+        self.pending_lo > self.pending_hi
+    }
+
+    /// Whether no rank at or below `layer`'s is pending.
+    fn settled_through(&self, layer: LayerId) -> bool {
+        self.rank_of(layer) < self.pending_lo
     }
 
     /// The layer scheduled immediately after `layer` on its accelerator
     /// queue (`None` if it runs last). Together with the graph
     /// successors, this is exactly the set of layers whose start times
-    /// read `layer`'s finish — the guard-dominance check of the fusion
-    /// pass walks it to prove a duration change is absorbed locally.
+    /// read `layer`'s finish — the delay walk of the fusion pass's risky
+    /// guards follows it to prove a raised finish is absorbed.
     pub fn queue_successor(&self, layer: LayerId) -> Option<LayerId> {
         let next = self.queue_next[layer.index()];
         (next != u32::MAX).then(|| LayerId::from_index(next as usize))
@@ -355,8 +398,8 @@ impl IncrementalSchedule {
     /// The full cost decomposition currently assumed for one layer —
     /// after a flush of deferred refreshes, bitwise what
     /// [`Evaluator::layer_cost`] returns for the current `(mapping,
-    /// locality)` state. The fusion-guard dominance proof reads the
-    /// unchanged terms from here instead of recomputing them.
+    /// locality)` state. The risky-guard proof reads the unchanged
+    /// terms from here instead of recomputing them.
     pub fn cost_of(&self, layer: LayerId) -> &LayerCost {
         &self.costs[layer.index()]
     }
@@ -367,7 +410,8 @@ impl IncrementalSchedule {
     }
 
     /// Number of layers whose times were recomputed by the last
-    /// propagation (the paper's locality-of-update argument).
+    /// [`IncrementalSchedule::advance_to`] (the paper's
+    /// locality-of-update argument).
     pub fn touched(&self) -> usize {
         self.touched
     }
@@ -378,8 +422,10 @@ impl IncrementalSchedule {
     /// over its queue, which holds its layers in that same order — the
     /// same values in the same order as [`Evaluator::evaluate`] adds
     /// them, so every field is bitwise-equal to the full evaluation of
-    /// the same state (invariant 1).
+    /// the same state (invariant 1). Requires a settled schedule
+    /// (invariant 4).
     pub fn proxy(&self) -> ScheduleProxy {
+        debug_assert!(self.is_settled(), "proxy read on an unsettled schedule");
         let mut eth_busy = 0.0f64;
         let mut dram_bytes = 0u64;
         let mut compute_energy = 0.0f64;
@@ -432,8 +478,10 @@ impl IncrementalSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if no transaction is open.
+    /// Panics if no transaction is open. Requires a settled schedule
+    /// (invariant 4).
     pub fn rollback(&mut self) {
+        debug_assert!(self.is_settled(), "rollback of an unsettled schedule");
         let journal = self.journal.take().expect("no open transaction");
         // Undo queue surgery in reverse order; the canonical sorted
         // insertion restores exact positions. Costs/times also apply in
@@ -472,8 +520,10 @@ impl IncrementalSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if no transaction is open.
+    /// Panics if no transaction is open. Requires a settled schedule
+    /// (invariant 4).
     pub fn savepoint(&mut self) -> Savepoint {
+        debug_assert!(self.is_settled(), "savepoint of an unsettled schedule");
         let j = self.journal.as_ref().expect("savepoint requires an open transaction");
         // New epoch: layers first-touched before this savepoint must be
         // re-journaled (with their current, i.e. at-savepoint, values)
@@ -495,8 +545,9 @@ impl IncrementalSchedule {
     ///
     /// Panics if no transaction is open. `sp` must come from this
     /// instance's current transaction (debug-asserted via the journal
-    /// marks).
+    /// marks), and the schedule must be settled (invariant 4).
     pub fn rollback_to(&mut self, sp: &Savepoint) {
+        debug_assert!(self.is_settled(), "rollback_to on an unsettled schedule");
         // Take the journal out so `requeue` can borrow `self` freely.
         let mut journal = self.journal.take().expect("rollback_to requires an open transaction");
         debug_assert!(
@@ -688,20 +739,47 @@ impl IncrementalSchedule {
     }
 
     /// Recomputes start/finish times along the affected cone of `seeds`
-    /// (the layers whose durations or queue predecessors changed). This
-    /// is the hottest loop of the search core (a large-model run visits
-    /// millions of layers here), so it runs as a *monotone wavefront*:
-    /// pending layers are marked in a rank-indexed stamp array and
-    /// processed in global topological order — every dependency (graph
-    /// edges and same-accelerator queue edges both point forward in
-    /// that order) is final before its reader is visited, so each layer
-    /// in the cone is recomputed **exactly once**, with neighbours read
-    /// from a CSR copy of the graph's adjacency. Read
+    /// (the layers whose durations or queue predecessors changed):
+    /// [`IncrementalSchedule::stamp`], then
+    /// [`IncrementalSchedule::settle`]. Read
     /// [`IncrementalSchedule::makespan`] afterwards when the new value
-    /// is needed (most propagations — deferred-batch flushes — never
-    /// look at it).
+    /// is needed.
     pub fn propagate(&mut self, seeds: &[LayerId]) {
-        self.prop_epoch += 1;
+        self.stamp(seeds);
+        self.settle();
+    }
+
+    /// Marks `seeds` pending without re-timing anything; the next
+    /// advance that reaches their ranks re-times them and whatever their
+    /// changes reach.
+    pub fn stamp(&mut self, seeds: &[LayerId]) {
+        for s in seeds {
+            let r = self.shared.topo_pos[s.index()];
+            self.pending[r] = true;
+            self.pending_lo = self.pending_lo.min(r);
+            self.pending_hi = self.pending_hi.max(r);
+        }
+    }
+
+    /// Re-times every pending layer, settling the schedule (invariant
+    /// 4).
+    pub fn settle(&mut self) {
+        self.advance_to(usize::MAX);
+    }
+
+    /// Re-times the pending layers at ranks up to `rank`, leaving the
+    /// stamps above it pending, so every layer at or below `rank` reads
+    /// its final start and finish. This is the hottest loop of the
+    /// search core (a large-model run visits millions of layers here),
+    /// so it runs as a *monotone wavefront*: pending layers are flagged
+    /// in a rank-indexed array and processed in global topological
+    /// order — every dependency (graph edges and same-accelerator queue
+    /// edges both point forward in that order) is final before its
+    /// reader is visited, so each pending rank is re-timed once per
+    /// stamp, with neighbours read from a CSR copy of the graph's
+    /// adjacency. A re-timed layer whose times changed stamps its graph
+    /// successors and its queue successor.
+    pub fn advance_to(&mut self, rank: usize) {
         // Destructure into disjoint field borrows once: the loop below
         // then runs on locals — no per-iteration `Arc` deref, no method
         // calls, and the journal option is resolved outside the loop's
@@ -713,31 +791,25 @@ impl IncrementalSchedule {
             ref mut finish,
             ref queue_prev,
             ref queue_next,
-            ref mut queued_stamp,
+            ref mut pending,
+            ref mut pending_lo,
+            ref mut pending_hi,
             ref mut time_stamp,
             ref mut journal,
             epoch: journal_epoch,
-            prop_epoch: epoch,
             ..
         } = *self;
         let shared: &IncShared = shared;
         let mut journal = journal.as_mut();
-        let n = shared.order.len();
-        let mut lo = n;
-        let mut hi = 0usize;
-        for s in seeds {
-            let r = shared.topo_pos[s.index()];
-            queued_stamp[r] = epoch;
-            lo = lo.min(r);
-            hi = hi.max(r);
-        }
+        let mut hi = *pending_hi;
         let mut touched = 0usize;
-        let mut r = lo;
-        while r <= hi {
-            if queued_stamp[r] != epoch {
+        let mut r = *pending_lo;
+        while r <= hi.min(rank) {
+            if !pending[r] {
                 r += 1;
                 continue;
             }
+            pending[r] = false;
             let i = shared.order[r].index();
             touched += 1;
             let mut deps = 0.0f64;
@@ -766,18 +838,27 @@ impl IncrementalSchedule {
                     [shared.succ_off[i] as usize..shared.succ_off[i + 1] as usize]
                 {
                     let sr = *sr as usize;
-                    queued_stamp[sr] = epoch;
+                    pending[sr] = true;
                     hi = hi.max(sr);
                 }
                 // …and the next layer in this accelerator's queue.
                 let next = queue_next[i];
                 if next != u32::MAX {
                     let nr = shared.topo_pos[next as usize];
-                    queued_stamp[nr] = epoch;
+                    pending[nr] = true;
                     hi = hi.max(nr);
                 }
             }
             r += 1;
+        }
+        // `hi` is a stamped rank, so ranks stay pending iff it lies past
+        // where the scan stopped.
+        if hi >= r {
+            *pending_lo = r;
+            *pending_hi = hi;
+        } else {
+            *pending_lo = shared.order.len();
+            *pending_hi = 0;
         }
         self.touched = touched;
     }
@@ -792,6 +873,7 @@ impl IncrementalSchedule {
         mapping: &Mapping,
         locality: &LocalityState,
     ) {
+        assert!(self.is_settled(), "only a settled schedule matches a full evaluation");
         let full = ev.evaluate(mapping, locality);
         for id in ev.model().layer_ids() {
             let t = full.timing(id).expect("scheduled");

@@ -983,8 +983,8 @@ impl<'a> Evaluator<'a> {
     /// `self.layer_cost(mapping, locality, id).duration()` because the
     /// IFM sum reruns `Evaluator::accum_ifm` verbatim (same values,
     /// same float-op order) and `duration()`'s left-to-right sum is
-    /// reproduced term for term. The fusion-guard dominance proof uses
-    /// this to price a fuse toggle's consumer — whose weight, compute
+    /// reproduced term for term. The delta engine's risky-guard proof
+    /// uses this to price a fuse toggle's consumer — whose weight, compute
     /// and OFM terms the toggle provably cannot change — without paying
     /// the full kernel. `extra_fused` prices the toggle itself: the
     /// hypothetical `extra_fused → id` fusion is layered over

@@ -428,6 +428,15 @@ impl Topology {
                                         "peer {a}-{b} invalid for {n_accs} accelerators"
                                     ));
                                 }
+                                // A pair prices one link: a second rate
+                                // for it, in either order, would be
+                                // silently dropped.
+                                if peers
+                                    .iter()
+                                    .any(|&(pa, pb, _)| (pa, pb) == (a, b) || (pa, pb) == (b, a))
+                                {
+                                    return Err(format!("peer {a}-{b} given twice"));
+                                }
                                 peers.push((a, b, gbps(rate)?));
                             }
                         }
@@ -697,6 +706,8 @@ mod tests {
             ("switched:peers=a-1@2", "bad peer index"),
             ("switched:peers=0-1", "not i-j@rate"),
             ("switched:peers=0-1@0", "must be positive"),
+            ("switched:host=1;links=1;peers=0-1@1,0-1@8", "given twice"),
+            ("switched:peers=2-3@1,3-2@8", "given twice"),
             ("mesh", "unknown topology"),
         ];
         for (spec, needle) in cases {

@@ -3,11 +3,14 @@
 //! move sequences (re-queue a layer onto another capable accelerator,
 //! refresh its costs, propagate the affected cone) must reproduce the
 //! full evaluation's start/finish times and schedule proxy bitwise —
-//! and rollback must restore the exact pre-move state.
+//! and rollback must restore the exact pre-move state. The resumable
+//! wavefront must settle every rank it advances to at the times a full
+//! propagation gives.
 
 use proptest::prelude::*;
 
 use h2h_model::graph::{LayerId, ModelGraph};
+use h2h_model::synth::{synthetic_mmmt, SyntheticConfig};
 use h2h_system::incremental::IncrementalSchedule;
 use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;
@@ -253,6 +256,71 @@ proptest! {
                 prop_assert!(inc.queue(acc) == reference.queue(acc));
             }
             prop_assert!(inc.proxy() == reference.proxy());
+        }
+    }
+
+    #[test]
+    fn advances_to_random_ranks_settle_what_a_full_propagation_gives(
+        steps in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<bool>()), 10),
+    ) {
+        // Random cost refreshes (alternating between a bare and a pinned
+        // locality) and stray stamps, each followed by an advance to a
+        // random rank: every layer at or below that rank must read the
+        // times a schedule seeded from the same costs gives, while the
+        // layers above it may still be pending.
+        let mut models = h2h_model::zoo::all_models();
+        models.extend([2, 3].map(|seed| {
+            synthetic_mmmt(&SyntheticConfig {
+                seed,
+                ..Default::default()
+            })
+        }));
+        for model in &models {
+            let system = SystemSpec::standard(BandwidthClass::LowMinus);
+            let ev = Evaluator::new(model, &system);
+            let mapping = base_mapping(model, &system);
+            let bare = LocalityState::new(&system);
+            let mut pinned = LocalityState::new(&system);
+            for (k, id) in model.topo_order().into_iter().enumerate() {
+                if k % 3 == 0 && model.layer(id).has_weights() {
+                    let _ = pinned.try_pin(model, &system, id, mapping.acc_of(id));
+                }
+            }
+            let mut inc = IncrementalSchedule::new(&ev, &mapping, &bare);
+            let layers = model.topo_order();
+            let n = layers.len();
+            for (pick, rank, pin) in &steps {
+                let loc = if *pin { &pinned } else { &bare };
+                let window = &layers[pick % n..(pick % n + n / 8 + 1).min(n)];
+                let seeds = inc.refresh_costs(&ev, &mapping, loc, window.iter().copied());
+                inc.stamp(&seeds);
+                inc.stamp(&[layers[(pick / 7) % n]]);
+                let rank = rank % n;
+                inc.advance_to(rank);
+                let full = IncrementalSchedule::from_costs(&ev, &mapping, |id| *inc.cost_of(id));
+                for id in &layers[..=rank] {
+                    prop_assert!(inc.rank_of(*id) <= rank);
+                    prop_assert!(
+                        inc.start_of(*id) == full.start_of(*id)
+                            && inc.finish_of(*id) == full.finish_of(*id),
+                        "{} {id:?} at rank {rank}", model.name()
+                    );
+                }
+            }
+            let seeds = inc.refresh_costs(&ev, &mapping, &pinned, layers.iter().copied());
+            inc.stamp(&seeds);
+            inc.settle();
+            prop_assert!(inc.is_settled());
+            inc.assert_matches_full(&ev, &mapping, &pinned);
+            let evaluated = ev.evaluate(&mapping, &pinned);
+            let proxy = inc.proxy();
+            let at = model.name();
+            prop_assert!(proxy.makespan == evaluated.makespan(), "{at}: makespan");
+            prop_assert!(
+                proxy.energy_total == evaluated.energy().total().as_f64(),
+                "{at}: energy"
+            );
+            prop_assert!(proxy.bottleneck_busy == evaluated.bottleneck_busy(), "{at}: bottleneck");
         }
     }
 }

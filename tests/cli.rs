@@ -148,3 +148,17 @@ fn parse_reports_a_bare_modality_tag_without_panicking() {
     assert!(err.contains("line 3"), "error should carry the line number: {err}");
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn parse_rejects_a_zero_stride_without_panicking() {
+    let dir = std::env::temp_dir().join("h2h_cli_parse_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("zero_stride.h2h");
+    std::fs::write(&path, "model strided\ninput a img 3 8 8\nconv c a 4 3 0\n").unwrap();
+    let out = h2h(&["parse", path.to_str().unwrap(), "low-"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "an error, not a panic: {err}");
+    assert!(err.contains("line 3") && err.contains("stride 0"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
