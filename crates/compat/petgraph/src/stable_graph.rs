@@ -89,7 +89,11 @@ impl<N, E> StableDiGraph<N, E> {
     pub fn add_edge(&mut self, a: NodeIndex, b: NodeIndex, weight: E) -> EdgeIndex {
         assert!(a.index() < self.nodes.len() && b.index() < self.nodes.len());
         let id = self.edges.len() as u32;
-        self.edges.push(Edge { source: a.0, target: b.0, weight });
+        self.edges.push(Edge {
+            source: a.0,
+            target: b.0,
+            weight,
+        });
         self.out_edges[a.index()].push(id);
         self.in_edges[b.index()].push(id);
         EdgeIndex(id)
@@ -176,7 +180,10 @@ impl<N: Serialize, E: Serialize> Serialize for StableDiGraph<N, E> {
                 })
                 .collect(),
         );
-        Value::Object(vec![("nodes".to_owned(), nodes), ("edges".to_owned(), edges)])
+        Value::Object(vec![
+            ("nodes".to_owned(), nodes),
+            ("edges".to_owned(), edges),
+        ])
     }
 }
 
@@ -204,7 +211,11 @@ impl<N: Deserialize, E: Deserialize> Deserialize for StableDiGraph<N, E> {
             if a >= g.node_count() || b >= g.node_count() {
                 return Err(Error::msg("graph: edge endpoint out of bounds"));
             }
-            g.add_edge(NodeIndex::new(a), NodeIndex::new(b), E::from_value(&triple[2])?);
+            g.add_edge(
+                NodeIndex::new(a),
+                NodeIndex::new(b),
+                E::from_value(&triple[2])?,
+            );
         }
         Ok(g)
     }

@@ -69,7 +69,11 @@ impl<'a, N, E> Iterator for EdgeReferences<'a, N, E> {
         }
         let (source, target, weight) = self.graph.raw_edge(self.next);
         self.next += 1;
-        Some(EdgeReference { source, target, weight })
+        Some(EdgeReference {
+            source,
+            target,
+            weight,
+        })
     }
 }
 
@@ -77,7 +81,10 @@ impl<'a, N, E> IntoEdgeReferences for &'a StableDiGraph<N, E> {
     type EdgeRef = EdgeReference<'a, E>;
     type EdgeReferences = EdgeReferences<'a, N, E>;
     fn edge_references(self) -> Self::EdgeReferences {
-        EdgeReferences { graph: self, next: 0 }
+        EdgeReferences {
+            graph: self,
+            next: 0,
+        }
     }
 }
 

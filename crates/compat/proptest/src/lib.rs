@@ -62,7 +62,10 @@ pub struct ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig { cases: 64, max_shrink_iters: 0 }
+        ProptestConfig {
+            cases: 64,
+            max_shrink_iters: 0,
+        }
     }
 }
 
@@ -300,7 +303,10 @@ pub mod collection {
 
     /// A vector of values drawn from `elem`, sized by `size`.
     pub fn vec<S: Strategy>(elem: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { elem, size: size.into() }
+        VecStrategy {
+            elem,
+            size: size.into(),
+        }
     }
 }
 

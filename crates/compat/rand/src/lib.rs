@@ -26,7 +26,9 @@ pub trait SeedableRng: Sized {
 
 impl SeedableRng for StdRng {
     fn seed_from_u64(seed: u64) -> Self {
-        StdRng { state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15) }
+        StdRng {
+            state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
+        }
     }
 }
 

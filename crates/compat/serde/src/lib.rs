@@ -234,7 +234,10 @@ impl<T: Deserialize + Copy + Default, const N: usize> Deserialize for [T; N] {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let items = Vec::<T>::from_value(v)?;
         if items.len() != N {
-            return Err(Error::msg(format!("expected {N} elements, got {}", items.len())));
+            return Err(Error::msg(format!(
+                "expected {N} elements, got {}",
+                items.len()
+            )));
         }
         let mut out = [T::default(); N];
         out.copy_from_slice(&items);
@@ -254,14 +257,20 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
             Value::Array(items) if items.len() == 2 => {
                 Ok((A::from_value(&items[0])?, B::from_value(&items[1])?))
             }
-            other => Err(Error::msg(format!("expected 2-element array, got {other:?}"))),
+            other => Err(Error::msg(format!(
+                "expected 2-element array, got {other:?}"
+            ))),
         }
     }
 }
 
 impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
     fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value(), self.2.to_value()])
+        Value::Array(vec![
+            self.0.to_value(),
+            self.1.to_value(),
+            self.2.to_value(),
+        ])
     }
 }
 
@@ -273,7 +282,9 @@ impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
                 B::from_value(&items[1])?,
                 C::from_value(&items[2])?,
             )),
-            other => Err(Error::msg(format!("expected 3-element array, got {other:?}"))),
+            other => Err(Error::msg(format!(
+                "expected 3-element array, got {other:?}"
+            ))),
         }
     }
 }

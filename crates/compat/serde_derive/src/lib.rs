@@ -18,8 +18,14 @@ enum Fields {
 
 #[derive(Debug)]
 enum Item {
-    Struct { name: String, fields: Fields },
-    Enum { name: String, variants: Vec<(String, Fields)> },
+    Struct {
+        name: String,
+        fields: Fields,
+    },
+    Enum {
+        name: String,
+        variants: Vec<(String, Fields)>,
+    },
 }
 
 fn skip_attrs_and_vis(toks: &[TokenTree], mut i: usize) -> usize {
@@ -75,7 +81,9 @@ fn parse_named_fields(group: &proc_macro::Group) -> Vec<String> {
     let mut i = 0;
     while i < toks.len() {
         i = skip_attrs_and_vis(&toks, i);
-        let Some(TokenTree::Ident(name)) = toks.get(i) else { break };
+        let Some(TokenTree::Ident(name)) = toks.get(i) else {
+            break;
+        };
         names.push(name.to_string());
         i += 1;
         match toks.get(i) {
@@ -162,7 +170,9 @@ fn parse_item(input: TokenStream) -> Item {
             let mut j = 0;
             while j < vt.len() {
                 j = skip_attrs_and_vis(&vt, j);
-                let Some(TokenTree::Ident(vname)) = vt.get(j) else { break };
+                let Some(TokenTree::Ident(vname)) = vt.get(j) else {
+                    break;
+                };
                 let vname = vname.to_string();
                 j += 1;
                 let fields = match vt.get(j) {
@@ -211,9 +221,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     let pairs: Vec<String> = names
                         .iter()
                         .map(|f| {
-                            format!(
-                                "(\"{f}\".to_owned(), ::serde::Serialize::to_value(&self.{f}))"
-                            )
+                            format!("(\"{f}\".to_owned(), ::serde::Serialize::to_value(&self.{f}))")
                         })
                         .collect();
                     format!("::serde::Value::Object(vec![{}])", pairs.join(", "))
@@ -229,9 +237,9 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|(v, fields)| match fields {
-                    Fields::Unit => format!(
-                        "{name}::{v} => ::serde::Value::Str(\"{v}\".to_owned()),"
-                    ),
+                    Fields::Unit => {
+                        format!("{name}::{v} => ::serde::Value::Str(\"{v}\".to_owned()),")
+                    }
                     Fields::Tuple(1) => format!(
                         "{name}::{v}(__f0) => ::serde::Value::Object(vec![(\"{v}\".to_owned(), \
                          ::serde::Serialize::to_value(__f0))]),"
@@ -254,9 +262,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         let pairs: Vec<String> = fs
                             .iter()
                             .map(|f| {
-                                format!(
-                                    "(\"{f}\".to_owned(), ::serde::Serialize::to_value({f}))"
-                                )
+                                format!("(\"{f}\".to_owned(), ::serde::Serialize::to_value({f}))")
                             })
                             .collect();
                         format!(
@@ -277,7 +283,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             )
         }
     };
-    code.parse().expect("serde_derive shim: generated invalid Serialize impl")
+    code.parse()
+        .expect("serde_derive shim: generated invalid Serialize impl")
 }
 
 /// Derives `serde::Deserialize` (shim) for structs and enums.
@@ -397,5 +404,6 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             )
         }
     };
-    code.parse().expect("serde_derive shim: generated invalid Deserialize impl")
+    code.parse()
+        .expect("serde_derive shim: generated invalid Deserialize impl")
 }

@@ -42,7 +42,10 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 ///
 /// Returns an [`Error`] for malformed JSON or a shape mismatch.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: s.as_bytes(),
+        pos: 0,
+    };
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -71,11 +74,7 @@ fn write_escaped(out: &mut String, s: &str) {
 
 fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
     let (nl, pad, pad_in) = match indent {
-        Some(w) => (
-            "\n",
-            " ".repeat(w * depth),
-            " ".repeat(w * (depth + 1)),
-        ),
+        Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
         None => ("", String::new(), String::new()),
     };
     match v {
@@ -331,7 +330,10 @@ mod tests {
     #[test]
     fn roundtrip_compound() {
         let v = Value::Object(vec![
-            ("a".to_owned(), Value::Array(vec![Value::U64(1), Value::F64(2.5)])),
+            (
+                "a".to_owned(),
+                Value::Array(vec![Value::U64(1), Value::F64(2.5)]),
+            ),
             ("b".to_owned(), Value::Str("x \"y\"\n".to_owned())),
             ("c".to_owned(), Value::Null),
             ("d".to_owned(), Value::I64(-3)),

@@ -60,9 +60,21 @@ impl AnalyticAccel {
     /// power) — catalog constants are validated at construction.
     pub fn new(spec: AccelSpec) -> Self {
         assert!(spec.peak_gmacs > 0.0, "{}: peak must be positive", spec.id);
-        assert!(spec.dram_gbps > 0.0, "{}: dram bandwidth must be positive", spec.id);
-        assert!(spec.active_power_w > 0.0, "{}: power must be positive", spec.id);
-        assert!(spec.pj_per_mac > 0.0, "{}: pj/mac must be positive", spec.id);
+        assert!(
+            spec.dram_gbps > 0.0,
+            "{}: dram bandwidth must be positive",
+            spec.id
+        );
+        assert!(
+            spec.active_power_w > 0.0,
+            "{}: power must be positive",
+            spec.id
+        );
+        assert!(
+            spec.pj_per_mac > 0.0,
+            "{}: pj/mac must be positive",
+            spec.id
+        );
         let meta = AccelMeta {
             id: spec.id.to_owned(),
             name: spec.name.to_owned(),
@@ -161,7 +173,10 @@ mod tests {
 
     fn conv_layer() -> Layer {
         // 512x512 1x1 at 14x14: perfectly tiled -> util 1.0.
-        Layer::new("c", LayerOp::Conv(ConvParams::square(512, 512, 14, 14, 1, 1)))
+        Layer::new(
+            "c",
+            LayerOp::Conv(ConvParams::square(512, 512, 14, 14, 1, 1)),
+        )
     }
 
     #[test]
@@ -197,7 +212,13 @@ mod tests {
         let acc = AnalyticAccel::new(spec());
         let add = Layer::new(
             "a",
-            LayerOp::Add { shape: TensorShape::Feature { c: 64, h: 56, w: 56 } },
+            LayerOp::Add {
+                shape: TensorShape::Feature {
+                    c: 64,
+                    h: 56,
+                    w: 56,
+                },
+            },
         );
         let t = acc.compute_time(&add).unwrap();
         let expect = (64.0 * 56.0 * 56.0) / (100e9 * 0.25) + 10e-6;
@@ -209,10 +230,12 @@ mod tests {
         let acc = AnalyticAccel::new(spec());
         let good = conv_layer();
         // Stem conv: util = 3/32 -> heavy inflation (capped at 2.5x).
-        let starved = Layer::new("s", LayerOp::Conv(ConvParams::square(64, 3, 112, 112, 7, 2)));
+        let starved = Layer::new(
+            "s",
+            LayerOp::Conv(ConvParams::square(64, 3, 112, 112, 7, 2)),
+        );
         let e_good = acc.compute_energy(&good).unwrap().as_f64() / good.macs().as_f64();
-        let e_starved =
-            acc.compute_energy(&starved).unwrap().as_f64() / starved.macs().as_f64();
+        let e_starved = acc.compute_energy(&starved).unwrap().as_f64() / starved.macs().as_f64();
         assert!(e_starved > e_good * 2.0);
         assert!(e_starved <= e_good * 2.5 + 1e-12);
     }
@@ -220,7 +243,13 @@ mod tests {
     #[test]
     fn fc_supported_when_listed() {
         let acc = AnalyticAccel::new(spec());
-        let fc = Layer::new("f", LayerOp::Fc(FcParams { in_features: 64, out_features: 64 }));
+        let fc = Layer::new(
+            "f",
+            LayerOp::Fc(FcParams {
+                in_features: 64,
+                out_features: 64,
+            }),
+        );
         assert!(acc.compute_time(&fc).is_some());
     }
 

@@ -23,7 +23,10 @@ pub fn jz_gx1150() -> AnalyticAccel {
         id: "JZ",
         name: "J.Z [26] OpenCL conv (on-chip memory opt.)",
         fpga: "GX1150",
-        dataflow: Dataflow::RowStationary { spatial_cap: 1024, channel_cap: 64 },
+        dataflow: Dataflow::RowStationary {
+            spatial_cap: 1024,
+            channel_cap: 64,
+        },
         peak_gmacs: 42.0,
         supports: CONV_ONLY,
         dram_mib: 4096,
@@ -97,7 +100,10 @@ pub fn ac_xc7z045() -> AnalyticAccel {
         id: "AC",
         name: "A.C [29] conv (loop optimization)",
         fpga: "XC7Z045",
-        dataflow: Dataflow::OutputStationary { spatial_pes: 256, channel_tile: 32 },
+        dataflow: Dataflow::OutputStationary {
+            spatial_pes: 256,
+            channel_tile: 32,
+        },
         peak_gmacs: 8.0,
         supports: CONV_ONLY,
         dram_mib: 1024,
@@ -134,7 +140,10 @@ pub fn tm_gx1150() -> AnalyticAccel {
         id: "TM",
         name: "T.M [31] conv (loop optimization)",
         fpga: "GX1150",
-        dataflow: Dataflow::OutputStationary { spatial_pes: 196, channel_tile: 64 },
+        dataflow: Dataflow::OutputStationary {
+            spatial_pes: 196,
+            channel_tile: 64,
+        },
         peak_gmacs: 34.0,
         supports: CONV_ONLY,
         dram_mib: 4096,
@@ -153,7 +162,12 @@ pub fn ap_stratixv() -> AnalyticAccel {
         id: "AP",
         name: "A.P [32] conv (Winograd)",
         fpga: "Stratix-V",
-        dataflow: Dataflow::Winograd { tn: 32, tm: 32, speedup: 2.25, fallback: 0.2 },
+        dataflow: Dataflow::Winograd {
+            tn: 32,
+            tm: 32,
+            speedup: 2.25,
+            fallback: 0.2,
+        },
         peak_gmacs: 14.0,
         supports: CONV_ONLY,
         dram_mib: 4096,
@@ -172,7 +186,11 @@ pub fn xw_gt1150() -> AnalyticAccel {
         id: "XW",
         name: "X.W [33] conv (systolic array)",
         fpga: "GT1150",
-        dataflow: Dataflow::Systolic { rows: 128, cols: 128, im2col_penalty: 0.06 },
+        dataflow: Dataflow::Systolic {
+            rows: 128,
+            cols: 128,
+            im2col_penalty: 0.06,
+        },
         peak_gmacs: 48.0,
         supports: CONV_ONLY,
         dram_mib: 8192,
@@ -206,7 +224,15 @@ mod tests {
                 return_sequences: false,
             }),
         );
-        for acc in [jz_gx1150(), cz_vc707(), wj_zcu102(), ac_xc7z045(), tm_gx1150(), ap_stratixv(), xw_gt1150()] {
+        for acc in [
+            jz_gx1150(),
+            cz_vc707(),
+            wj_zcu102(),
+            ac_xc7z045(),
+            tm_gx1150(),
+            ap_stratixv(),
+            xw_gt1150(),
+        ] {
             assert!(!acc.supports(&lstm), "{} must not run LSTM", acc.meta().id);
         }
         // The generality designs do run LSTM.
@@ -230,9 +256,20 @@ mod tests {
     fn xw_wins_pointwise_convolutions() {
         let pw = conv(512, 2048, 7, 1, 1);
         let xw = xw_gt1150().compute_time(&pw).unwrap();
-        for acc in [jz_gx1150(), cz_vc707(), wj_zcu102(), ac_xc7z045(), tm_gx1150(), ap_stratixv()] {
+        for acc in [
+            jz_gx1150(),
+            cz_vc707(),
+            wj_zcu102(),
+            ac_xc7z045(),
+            tm_gx1150(),
+            ap_stratixv(),
+        ] {
             let t = acc.compute_time(&pw).unwrap();
-            assert!(xw < t, "XW should beat {} on 1x1 ({xw} vs {t})", acc.meta().id);
+            assert!(
+                xw < t,
+                "XW should beat {} on 1x1 ({xw} vs {t})",
+                acc.meta().id
+            );
         }
     }
 
@@ -240,9 +277,19 @@ mod tests {
     fn tm_wins_full_channel_mid_3x3() {
         let mid = conv(128, 128, 28, 3, 1);
         let tm = tm_gx1150().compute_time(&mid).unwrap();
-        for acc in [cz_vc707(), wj_zcu102(), ac_xc7z045(), ap_stratixv(), xw_gt1150()] {
+        for acc in [
+            cz_vc707(),
+            wj_zcu102(),
+            ac_xc7z045(),
+            ap_stratixv(),
+            xw_gt1150(),
+        ] {
             let t = acc.compute_time(&mid).unwrap();
-            assert!(tm < t, "TM should beat {} on mid 3x3 ({tm} vs {t})", acc.meta().id);
+            assert!(
+                tm < t,
+                "TM should beat {} on mid 3x3 ({tm} vs {t})",
+                acc.meta().id
+            );
         }
     }
 
@@ -251,9 +298,20 @@ mod tests {
         // Half-width ResNet block shapes (CASIA-SURF): 32 channels.
         let thin3 = conv(32, 32, 28, 3, 1);
         let ap = ap_stratixv().compute_time(&thin3).unwrap();
-        for acc in [jz_gx1150(), cz_vc707(), wj_zcu102(), ac_xc7z045(), tm_gx1150(), xw_gt1150()] {
+        for acc in [
+            jz_gx1150(),
+            cz_vc707(),
+            wj_zcu102(),
+            ac_xc7z045(),
+            tm_gx1150(),
+            xw_gt1150(),
+        ] {
             let t = acc.compute_time(&thin3).unwrap();
-            assert!(ap < t, "AP should beat {} on thin 3x3 ({ap} vs {t})", acc.meta().id);
+            assert!(
+                ap < t,
+                "AP should beat {} on thin 3x3 ({ap} vs {t})",
+                acc.meta().id
+            );
         }
     }
 
@@ -261,9 +319,22 @@ mod tests {
     fn jz_wins_stem_layers() {
         let stem = conv(3, 64, 112, 7, 2);
         let jz = jz_gx1150().compute_time(&stem).unwrap();
-        for acc in [cz_vc707(), wj_zcu102(), jq_zc706(), ac_xc7z045(), yg_stratixv(), tm_gx1150(), ap_stratixv(), xw_gt1150()] {
+        for acc in [
+            cz_vc707(),
+            wj_zcu102(),
+            jq_zc706(),
+            ac_xc7z045(),
+            yg_stratixv(),
+            tm_gx1150(),
+            ap_stratixv(),
+            xw_gt1150(),
+        ] {
             let t = acc.compute_time(&stem).unwrap();
-            assert!(jz < t, "JZ should beat {} on the stem ({jz} vs {t})", acc.meta().id);
+            assert!(
+                jz < t,
+                "JZ should beat {} on the stem ({jz} vs {t})",
+                acc.meta().id
+            );
         }
     }
 
@@ -275,18 +346,34 @@ mod tests {
         let reduce = conv(1024, 256, 14, 1, 1);
         let spatial = conv(256, 256, 14, 3, 1);
         let best = |l: &Layer| {
-            [jz_gx1150(), cz_vc707(), wj_zcu102(), jq_zc706(), ac_xc7z045(), yg_stratixv(), tm_gx1150(), ap_stratixv(), xw_gt1150()]
-                .into_iter()
-                .min_by(|a, b| {
-                    a.compute_time(l).unwrap().partial_cmp(&b.compute_time(l).unwrap()).unwrap()
-                })
-                .unwrap()
-                .meta()
-                .id
-                .clone()
+            [
+                jz_gx1150(),
+                cz_vc707(),
+                wj_zcu102(),
+                jq_zc706(),
+                ac_xc7z045(),
+                yg_stratixv(),
+                tm_gx1150(),
+                ap_stratixv(),
+                xw_gt1150(),
+            ]
+            .into_iter()
+            .min_by(|a, b| {
+                a.compute_time(l)
+                    .unwrap()
+                    .partial_cmp(&b.compute_time(l).unwrap())
+                    .unwrap()
+            })
+            .unwrap()
+            .meta()
+            .id
+            .clone()
         };
         let b1 = best(&reduce);
         let b2 = best(&spatial);
-        assert_ne!(b1, b2, "1x1 ({b1}) and 3x3 ({b2}) should prefer different accelerators");
+        assert_ne!(
+            b1, b2,
+            "1x1 ({b1}) and 3x3 ({b2}) should prefer different accelerators"
+        );
     }
 }

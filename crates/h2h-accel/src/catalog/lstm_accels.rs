@@ -16,7 +16,10 @@ pub fn sh_xcku060() -> AnalyticAccel {
         id: "SH",
         name: "S.H [34] LSTM/FC (deep pipeline, sparse)",
         fpga: "XCKU060",
-        dataflow: Dataflow::LstmPipeline { lanes: 2048, depth: 32 },
+        dataflow: Dataflow::LstmPipeline {
+            lanes: 2048,
+            depth: 32,
+        },
         peak_gmacs: 50.0,
         supports: LSTM_FC,
         dram_mib: 8192,
@@ -55,7 +58,10 @@ pub fn bl_vcu118() -> AnalyticAccel {
         id: "BL",
         name: "B.L [36] LSTM (deep pipeline)",
         fpga: "VCU118",
-        dataflow: Dataflow::LstmPipeline { lanes: 4096, depth: 128 },
+        dataflow: Dataflow::LstmPipeline {
+            lanes: 4096,
+            depth: 128,
+        },
         peak_gmacs: 120.0,
         supports: LSTM_FC,
         dram_mib: 4096,
@@ -114,7 +120,13 @@ mod tests {
     #[test]
     fn lstm_only_design_rejects_fc() {
         use h2h_model::layer::FcParams;
-        let fc = Layer::new("f", LayerOp::Fc(FcParams { in_features: 64, out_features: 64 }));
+        let fc = Layer::new(
+            "f",
+            LayerOp::Fc(FcParams {
+                in_features: 64,
+                out_features: 64,
+            }),
+        );
         assert!(!xz_pynqz1().supports(&fc));
         assert!(sh_xcku060().supports(&fc));
         assert!(bl_vcu118().supports(&fc));
@@ -125,7 +137,10 @@ mod tests {
         use h2h_model::layer::FcParams;
         let wide = Layer::new(
             "f",
-            LayerOp::Fc(FcParams { in_features: 25088, out_features: 4096 }),
+            LayerOp::Fc(FcParams {
+                in_features: 25088,
+                out_features: 4096,
+            }),
         );
         let bl = bl_vcu118().compute_time(&wide).unwrap();
         let sh = sh_xcku060().compute_time(&wide).unwrap();

@@ -49,7 +49,9 @@ pub fn standard_accelerators() -> Vec<AccelRef> {
 
 /// Looks an accelerator up by its short id (`"CZ"`, `"SH"`, …).
 pub fn by_id(id: &str) -> Option<AccelRef> {
-    standard_accelerators().into_iter().find(|a| a.meta().id == id)
+    standard_accelerators()
+        .into_iter()
+        .find(|a| a.meta().id == id)
 }
 
 /// Markdown datasheet of the catalog (id, design, board, supported
@@ -111,7 +113,11 @@ mod tests {
         // the DDR3/DDR4 band, well inside.
         for a in standard_accelerators() {
             let gbps = a.dram_bandwidth().as_f64() / 1e9;
-            assert!((4.0..=460.0).contains(&gbps), "{}: {gbps} GB/s", a.meta().id);
+            assert!(
+                (4.0..=460.0).contains(&gbps),
+                "{}: {gbps} GB/s",
+                a.meta().id
+            );
         }
     }
 
@@ -119,7 +125,10 @@ mod tests {
     fn every_layer_class_has_a_home() {
         let accs = standard_accelerators();
         for class in [LayerClass::Conv, LayerClass::Fc, LayerClass::Lstm] {
-            let n = accs.iter().filter(|a| a.supported_classes().contains(&class)).count();
+            let n = accs
+                .iter()
+                .filter(|a| a.supported_classes().contains(&class))
+                .count();
             assert!(n >= 2, "{class:?} supported by only {n} accelerators");
         }
     }
@@ -127,7 +136,9 @@ mod tests {
     #[test]
     fn datasheet_lists_every_design() {
         let sheet = datasheet();
-        for id in ["JZ", "CZ", "WJ", "JQ", "AC", "YG", "TM", "AP", "XW", "SH", "XZ", "BL"] {
+        for id in [
+            "JZ", "CZ", "WJ", "JQ", "AC", "YG", "TM", "AP", "XW", "SH", "XZ", "BL",
+        ] {
             assert!(sheet.contains(&format!("| {id} |")), "missing {id}");
         }
         assert!(sheet.contains("PYNQ-Z1"));
@@ -136,7 +147,9 @@ mod tests {
 
     #[test]
     fn by_id_finds_each_entry() {
-        for id in ["JZ", "CZ", "WJ", "JQ", "AC", "YG", "TM", "AP", "XW", "SH", "XZ", "BL"] {
+        for id in [
+            "JZ", "CZ", "WJ", "JQ", "AC", "YG", "TM", "AP", "XW", "SH", "XZ", "BL",
+        ] {
             assert!(by_id(id).is_some(), "missing {id}");
         }
         assert!(by_id("nope").is_none());

@@ -116,20 +116,31 @@ impl Dataflow {
             Dataflow::ChannelParallel { tn, tm } => {
                 occupancy(m, tn as u64) * occupancy(n, tm as u64)
             }
-            Dataflow::OutputStationary { spatial_pes, channel_tile } => {
-                occupancy(spatial, spatial_pes as u64) * occupancy(n, channel_tile as u64)
-            }
-            Dataflow::RowStationary { spatial_cap, channel_cap } => {
-                (occupancy(spatial, spatial_cap as u64) * occupancy(n, channel_cap as u64)).sqrt()
-            }
-            Dataflow::Winograd { tn, tm, speedup, fallback } => {
+            Dataflow::OutputStationary {
+                spatial_pes,
+                channel_tile,
+            } => occupancy(spatial, spatial_pes as u64) * occupancy(n, channel_tile as u64),
+            Dataflow::RowStationary {
+                spatial_cap,
+                channel_cap,
+            } => (occupancy(spatial, spatial_cap as u64) * occupancy(n, channel_cap as u64)).sqrt(),
+            Dataflow::Winograd {
+                tn,
+                tm,
+                speedup,
+                fallback,
+            } => {
                 if p.is_square(3) && p.stride == 1 {
                     occupancy(m, tn as u64) * occupancy(n, tm as u64) * speedup
                 } else {
                     fallback
                 }
             }
-            Dataflow::Systolic { rows, cols, im2col_penalty } => {
+            Dataflow::Systolic {
+                rows,
+                cols,
+                im2col_penalty,
+            } => {
                 let gemm = occupancy(m, rows as u64) * occupancy(n, cols as u64);
                 gemm / (1.0 + im2col_penalty * (kernel_area as f64 - 1.0))
             }
@@ -152,9 +163,7 @@ impl Dataflow {
             Dataflow::OutputStationary { channel_tile, .. } => {
                 0.5 * occupancy(n, channel_tile as u64)
             }
-            Dataflow::RowStationary { channel_cap, .. } => {
-                0.5 * occupancy(n, channel_cap as u64)
-            }
+            Dataflow::RowStationary { channel_cap, .. } => 0.5 * occupancy(n, channel_cap as u64),
             Dataflow::Winograd { fallback, .. } => fallback * 0.5,
             Dataflow::Systolic { rows, cols, .. } => {
                 0.5 * occupancy(m, rows as u64) * occupancy(n, cols as u64)
@@ -230,7 +239,10 @@ mod tests {
 
     #[test]
     fn output_stationary_prefers_large_spatial() {
-        let df = Dataflow::OutputStationary { spatial_pes: 256, channel_tile: 64 };
+        let df = Dataflow::OutputStationary {
+            spatial_pes: 256,
+            channel_tile: 64,
+        };
         let early = conv(64, 64, 56, 3, 1);
         let late = conv(512, 512, 7, 3, 1);
         assert!(df.utilization(&early) > 0.9);
@@ -239,7 +251,12 @@ mod tests {
 
     #[test]
     fn winograd_only_pays_on_3x3_s1() {
-        let df = Dataflow::Winograd { tn: 32, tm: 32, speedup: 2.25, fallback: 0.2 };
+        let df = Dataflow::Winograd {
+            tn: 32,
+            tm: 32,
+            speedup: 2.25,
+            fallback: 0.2,
+        };
         let three = conv(64, 64, 56, 3, 1);
         let strided = conv(64, 64, 28, 3, 2);
         let one = conv(256, 64, 56, 1, 1);
@@ -250,7 +267,11 @@ mod tests {
 
     #[test]
     fn systolic_pays_im2col_penalty_on_wide_kernels() {
-        let df = Dataflow::Systolic { rows: 128, cols: 128, im2col_penalty: 0.06 };
+        let df = Dataflow::Systolic {
+            rows: 128,
+            cols: 128,
+            im2col_penalty: 0.06,
+        };
         let pointwise = conv(512, 512, 14, 1, 1);
         let k3 = conv(512, 512, 14, 3, 1);
         let k7 = conv(128, 128, 56, 7, 2);
@@ -262,7 +283,10 @@ mod tests {
 
     #[test]
     fn lstm_pipeline_needs_long_sequences() {
-        let df = Dataflow::LstmPipeline { lanes: 1024, depth: 64 };
+        let df = Dataflow::LstmPipeline {
+            lanes: 1024,
+            depth: 64,
+        };
         let short = LayerOp::Lstm(LstmParams {
             in_size: 256,
             hidden: 256,

@@ -114,11 +114,19 @@ mod tests {
     #[test]
     fn aux_layers_always_supported() {
         let acc = Fake;
-        let aux = Layer::new("add", LayerOp::Add { shape: TensorShape::Vector { features: 4 } });
+        let aux = Layer::new(
+            "add",
+            LayerOp::Add {
+                shape: TensorShape::Vector { features: 4 },
+            },
+        );
         assert!(acc.supports(&aux));
         let fc = Layer::new(
             "fc",
-            LayerOp::Fc(h2h_model::layer::FcParams { in_features: 4, out_features: 4 }),
+            LayerOp::Fc(h2h_model::layer::FcParams {
+                in_features: 4,
+                out_features: 4,
+            }),
         );
         assert!(!acc.supports(&fc), "FC not in supported_classes");
     }

@@ -124,12 +124,19 @@ fn malformed_profile(p: &PhaseProfile, attempted_moves: usize) -> Option<String>
             return Some(format!("{name} = {v}"));
         }
     }
-    (attempted_moves > 0 && p.scoring_s <= 0.0)
-        .then(|| format!("scoring_s = {} with {attempted_moves} attempted moves", p.scoring_s))
+    (attempted_moves > 0 && p.scoring_s <= 0.0).then(|| {
+        format!(
+            "scoring_s = {} with {attempted_moves} attempted moves",
+            p.scoring_s
+        )
+    })
 }
 
 fn parse_list(arg: &str) -> Vec<String> {
-    arg.split(',').map(|s| s.trim().to_owned()).filter(|s| !s.is_empty()).collect()
+    arg.split(',')
+        .map(|s| s.trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .collect()
 }
 
 fn main() {
@@ -138,14 +145,19 @@ fn main() {
     let mut bandwidths = vec!["Low-".to_owned(), "Mid".to_owned()];
     let mut reps = 3usize;
     let mut min_large_speedup: Option<f64> = None;
-    let mut topologies = vec!["uniform".to_owned(), "skewed".to_owned(), "switched".to_owned()];
+    let mut topologies = vec![
+        "uniform".to_owned(),
+        "skewed".to_owned(),
+        "switched".to_owned(),
+    ];
     let mut min_topology_gain: Option<f64> = None;
     let mut profile_phases = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| panic!("{name} needs a value"))
+            args.next()
+                .unwrap_or_else(|| panic!("{name} needs a value"))
         };
         match arg.as_str() {
             "--models" => models_filter = Some(parse_list(&value("--models"))),
@@ -197,13 +209,25 @@ fn main() {
         })
         .collect();
 
-    let cfg = H2hConfig { profile_phases, ..H2hConfig::default() };
+    let cfg = H2hConfig {
+        profile_phases,
+        ..H2hConfig::default()
+    };
     let mut records = Vec::new();
     let mut gate_failures = 0usize;
     println!(
         "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
-        "model", "bw", "topology", "layers", "attempts", "screened", "split", "reduction",
-        "g-skip", "speedup", "match"
+        "model",
+        "bw",
+        "topology",
+        "layers",
+        "attempts",
+        "screened",
+        "split",
+        "reduction",
+        "g-skip",
+        "speedup",
+        "match"
     );
     for bw in &bandwidths {
         let uniform_system = SystemSpec::standard(*bw);
@@ -214,241 +238,246 @@ fn main() {
         let mut blind_maps: std::collections::HashMap<String, Mapping> =
             std::collections::HashMap::new();
         for topo_spec in &topologies {
-        let system = SystemSpec::standard_with_topology(*bw, Some(topo_spec))
-            .unwrap_or_else(|e| panic!("--topology `{topo_spec}`: {e}"));
-        let fabric_uniform = system.topology().is_uniform();
-        let mut best_large_gain = f64::NEG_INFINITY;
-        let mut any_large = false;
-        for model in h2h_model::zoo::all_models() {
-            if let Some(filter) = &models_filter {
-                if !filter.iter().any(|m| m.eq_ignore_ascii_case(model.name())) {
-                    continue;
+            let system = SystemSpec::standard_with_topology(*bw, Some(topo_spec))
+                .unwrap_or_else(|e| panic!("--topology `{topo_spec}`: {e}"));
+            let fabric_uniform = system.topology().is_uniform();
+            let mut best_large_gain = f64::NEG_INFINITY;
+            let mut any_large = false;
+            for model in h2h_model::zoo::all_models() {
+                if let Some(filter) = &models_filter {
+                    if !filter.iter().any(|m| m.eq_ignore_ascii_case(model.name())) {
+                        continue;
+                    }
                 }
-            }
-            let ev = Evaluator::new(&model, &system);
-            let (seed, _) = computation_prioritized(&ev, &cfg, &PinPreset::new())
-                .expect("standard system maps every zoo model");
-            // The topology-blind yardstick: map with the scalar model,
-            // rebuild the locality (a deployment still pins/fuses
-            // against real capacities), evaluate on the true fabric.
-            let blind_latency: Option<f64> = if fabric_uniform {
-                None
-            } else {
-                let blind_map =
-                    blind_maps.entry(model.name().to_owned()).or_insert_with(|| {
-                        let blind_ev = Evaluator::new(&model, &uniform_system);
-                        let (mut blind_map, _) =
-                            computation_prioritized(&blind_ev, &cfg, &PinPreset::new())
-                                .expect("uniform system maps every zoo model");
-                        let _ = data_locality_remapping(
-                            &blind_ev,
-                            &cfg,
-                            &PinPreset::new(),
-                            &mut blind_map,
-                        );
-                        blind_map
+                let ev = Evaluator::new(&model, &system);
+                let (seed, _) = computation_prioritized(&ev, &cfg, &PinPreset::new())
+                    .expect("standard system maps every zoo model");
+                // The topology-blind yardstick: map with the scalar model,
+                // rebuild the locality (a deployment still pins/fuses
+                // against real capacities), evaluate on the true fabric.
+                let blind_latency: Option<f64> = if fabric_uniform {
+                    None
+                } else {
+                    let blind_map =
+                        blind_maps
+                            .entry(model.name().to_owned())
+                            .or_insert_with(|| {
+                                let blind_ev = Evaluator::new(&model, &uniform_system);
+                                let (mut blind_map, _) =
+                                    computation_prioritized(&blind_ev, &cfg, &PinPreset::new())
+                                        .expect("uniform system maps every zoo model");
+                                let _ = data_locality_remapping(
+                                    &blind_ev,
+                                    &cfg,
+                                    &PinPreset::new(),
+                                    &mut blind_map,
+                                );
+                                blind_map
+                            });
+                    let loc = rebuild_locality(&ev, blind_map, &cfg, &PinPreset::new());
+                    Some(ev.evaluate(blind_map, &loc).makespan().as_f64())
+                };
+                // "Large risky" = more than LARGE_MODEL_LAYERS layers AND
+                // at least one multi-consumer producer (a risky fusion
+                // candidate can actually arise) — the ResNet-like zoo
+                // entries. Only these rows are held to the
+                // delay-walk and speedup gates.
+                let large = model.num_layers() > LARGE_MODEL_LAYERS;
+                let large_risky = large
+                    && model.layer_ids().any(|id| {
+                        !matches!(
+                            model.layer(id).op(),
+                            h2h_model::layer::LayerOp::Input { .. }
+                        ) && model.successors(id).count() >= 2
                     });
-                let loc = rebuild_locality(&ev, blind_map, &cfg, &PinPreset::new());
-                Some(ev.evaluate(blind_map, &loc).makespan().as_f64())
-            };
-            // "Large risky" = more than LARGE_MODEL_LAYERS layers AND
-            // at least one multi-consumer producer (a risky fusion
-            // candidate can actually arise) — the ResNet-like zoo
-            // entries. Only these rows are held to the
-            // delay-walk and speedup gates.
-            let large = model.num_layers() > LARGE_MODEL_LAYERS;
-            let large_risky = large
-                && model.layer_ids().any(|id| {
-                    !matches!(
-                        model.layer(id).op(),
-                        h2h_model::layer::LayerOp::Input { .. }
-                    ) && model.successors(id).count() >= 2
-                });
 
-            // Untimed warm-up of both code paths (first-touch cache and
-            // allocator effects otherwise land on whichever
-            // configuration happens to run first — visible on the
-            // sub-millisecond models).
-            {
-                let mut m = seed.clone();
-                let _ = data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), &mut m);
-                let mut m = seed.clone();
-                let _ = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut m);
-            }
-
-            // Best-of-N timing; sub-millisecond runs sample until ~50 ms
-            // of total run time so a single scheduler hiccup cannot skew
-            // a row.
-            let time_best = |run: &mut dyn FnMut(&mut Mapping) -> RemapOutcome| {
-                let mut best_seconds = f64::INFINITY;
-                let mut result = None;
-                let mut spent = 0.0;
-                let mut samples = 0;
-                while samples < reps || (spent < 0.05 && samples < 200) {
+                // Untimed warm-up of both code paths (first-touch cache and
+                // allocator effects otherwise land on whichever
+                // configuration happens to run first — visible on the
+                // sub-millisecond models).
+                {
                     let mut m = seed.clone();
-                    let t = Instant::now();
-                    let out = run(&mut m);
-                    let elapsed = t.elapsed().as_secs_f64();
-                    spent += elapsed;
-                    samples += 1;
-                    best_seconds = best_seconds.min(elapsed);
-                    result = Some((m, out));
+                    let _ = data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), &mut m);
+                    let mut m = seed.clone();
+                    let _ = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut m);
                 }
-                let (mapping, outcome) = result.expect("at least one sample");
-                (best_seconds, mapping, outcome)
-            };
-            let (reference_seconds, map_ref, reference) = time_best(&mut |m| {
-                data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), m)
-            });
-            let (delta_seconds, map_delta, delta) = time_best(&mut |m| {
-                data_locality_remapping(&ev, &cfg, &PinPreset::new(), m)
-            });
 
-            let aware_latency = delta.schedule.makespan().as_f64();
-            let topology_gain = blind_latency.map(|b| b / aware_latency.max(1e-15));
-            if let Some(g) = topology_gain {
-                if large {
-                    any_large = true;
-                    best_large_gain = best_large_gain.max(g);
+                // Best-of-N timing; sub-millisecond runs sample until ~50 ms
+                // of total run time so a single scheduler hiccup cannot skew
+                // a row.
+                let time_best = |run: &mut dyn FnMut(&mut Mapping) -> RemapOutcome| {
+                    let mut best_seconds = f64::INFINITY;
+                    let mut result = None;
+                    let mut spent = 0.0;
+                    let mut samples = 0;
+                    while samples < reps || (spent < 0.05 && samples < 200) {
+                        let mut m = seed.clone();
+                        let t = Instant::now();
+                        let out = run(&mut m);
+                        let elapsed = t.elapsed().as_secs_f64();
+                        spent += elapsed;
+                        samples += 1;
+                        best_seconds = best_seconds.min(elapsed);
+                        result = Some((m, out));
+                    }
+                    let (mapping, outcome) = result.expect("at least one sample");
+                    (best_seconds, mapping, outcome)
+                };
+                let (reference_seconds, map_ref, reference) = time_best(&mut |m| {
+                    data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), m)
+                });
+                let (delta_seconds, map_delta, delta) =
+                    time_best(&mut |m| data_locality_remapping(&ev, &cfg, &PinPreset::new(), m));
+
+                let aware_latency = delta.schedule.makespan().as_f64();
+                let topology_gain = blind_latency.map(|b| b / aware_latency.max(1e-15));
+                if let Some(g) = topology_gain {
+                    if large {
+                        any_large = true;
+                        best_large_gain = best_large_gain.max(g);
+                    }
                 }
-            }
-            let matches_reference = map_delta == map_ref
-                && (aware_latency - reference.schedule.makespan().as_f64()).abs()
-                    <= reference.schedule.makespan().as_f64() * 1e-12;
-            let reduction = if delta.stats.full_evals > 0 {
-                reference.stats.full_evals as f64 / delta.stats.full_evals as f64
-            } else {
-                f64::INFINITY
-            };
-            let speedup = reference_seconds / delta_seconds.max(1e-12);
-            println!(
-                "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>9} {:>8.1}x {:>9} {:>8.1}x {:>8}{}",
-                model.name(),
-                bw.label(),
-                topo_spec,
-                model.num_layers(),
-                delta.stats.attempted_moves,
-                delta.stats.screened,
-                delta.stats.split_screened,
-                reduction,
-                delta.stats.guards_skipped,
-                speedup,
-                matches_reference,
-                topology_gain.map(|g| format!(" gain {g:.2}x")).unwrap_or_default(),
-            );
-            let row = format!("{} @ {} ({topo_spec})", model.name(), bw.label());
-            let mut failures = Vec::new();
-            // The delay walk must prove most guards where it is the
-            // point: large risky models reach many risky guards in the
-            // replay, so a low proven share there means the walk
-            // regressed. (Small models reach at most a handful of risky
-            // guards, too few to hold them to it.)
-            let skip_ratio =
-                delta.stats.guards_skipped as f64 / delta.stats.guards_total.max(1) as f64;
-            if large_risky && skip_ratio < MIN_LARGE_GUARD_SKIP {
-                failures.push(format!(
-                    "{} of {} risky guards ({:.0}%) resolved without a toggle on a large \
-                     risky model, below the {:.0}% gate",
-                    delta.stats.guards_skipped,
-                    delta.stats.guards_total,
-                    skip_ratio * 100.0,
-                    MIN_LARGE_GUARD_SKIP * 100.0
-                ));
-            }
-            // Likewise the latency screen: on a large model most moves
-            // are hopeless, so a screen that rejects none has regressed.
-            if large && delta.stats.screened == 0 {
-                failures.push("screened == 0 on a large model".to_owned());
-            }
-            // And its split: where the search reaches risky guards, the
-            // producers it branches on exist, so a split that rejects
-            // nothing has regressed.
-            if large && delta.stats.guards_total > 0 && delta.stats.split_screened == 0 {
-                failures.push(
-                    "split_screened == 0 on a large model with risky guards".to_owned(),
-                );
-            }
-            if let Some(min) = min_large_speedup.filter(|min| large_risky && speedup < *min) {
-                failures.push(format!("speedup {speedup:.2}x below the {min:.2}x gate"));
-            }
-            if profile_phases {
-                let p = &delta.profile;
+                let matches_reference = map_delta == map_ref
+                    && (aware_latency - reference.schedule.makespan().as_f64()).abs()
+                        <= reference.schedule.makespan().as_f64() * 1e-12;
+                let reduction = if delta.stats.full_evals > 0 {
+                    reference.stats.full_evals as f64 / delta.stats.full_evals as f64
+                } else {
+                    f64::INFINITY
+                };
+                let speedup = reference_seconds / delta_seconds.max(1e-12);
                 println!(
-                    "{:>16} scoring {:.6} s, propagate {:.6} s, guard {:.6} s, commit {:.6} s \
-                     (total {:.6} s)",
-                    "profile:",
-                    p.scoring_s,
-                    p.propagate_s,
-                    p.guard_s,
-                    p.commit_s,
-                    p.total()
+                    "{:<10} {:>5} {:>9} {:>7} {:>9} {:>9} {:>9} {:>8.1}x {:>9} {:>8.1}x {:>8}{}",
+                    model.name(),
+                    bw.label(),
+                    topo_spec,
+                    model.num_layers(),
+                    delta.stats.attempted_moves,
+                    delta.stats.screened,
+                    delta.stats.split_screened,
+                    reduction,
+                    delta.stats.guards_skipped,
+                    speedup,
+                    matches_reference,
+                    topology_gain
+                        .map(|g| format!(" gain {g:.2}x"))
+                        .unwrap_or_default(),
                 );
-                if let Some(err) = malformed_profile(p, delta.stats.attempted_moves) {
-                    failures.push(format!("malformed profile: {err}"));
+                let row = format!("{} @ {} ({topo_spec})", model.name(), bw.label());
+                let mut failures = Vec::new();
+                // The delay walk must prove most guards where it is the
+                // point: large risky models reach many risky guards in the
+                // replay, so a low proven share there means the walk
+                // regressed. (Small models reach at most a handful of risky
+                // guards, too few to hold them to it.)
+                let skip_ratio =
+                    delta.stats.guards_skipped as f64 / delta.stats.guards_total.max(1) as f64;
+                if large_risky && skip_ratio < MIN_LARGE_GUARD_SKIP {
+                    failures.push(format!(
+                        "{} of {} risky guards ({:.0}%) resolved without a toggle on a large \
+                     risky model, below the {:.0}% gate",
+                        delta.stats.guards_skipped,
+                        delta.stats.guards_total,
+                        skip_ratio * 100.0,
+                        MIN_LARGE_GUARD_SKIP * 100.0
+                    ));
                 }
+                // Likewise the latency screen: on a large model most moves
+                // are hopeless, so a screen that rejects none has regressed.
+                if large && delta.stats.screened == 0 {
+                    failures.push("screened == 0 on a large model".to_owned());
+                }
+                // And its split: where the search reaches risky guards, the
+                // producers it branches on exist, so a split that rejects
+                // nothing has regressed.
+                if large && delta.stats.guards_total > 0 && delta.stats.split_screened == 0 {
+                    failures
+                        .push("split_screened == 0 on a large model with risky guards".to_owned());
+                }
+                if let Some(min) = min_large_speedup.filter(|min| large_risky && speedup < *min) {
+                    failures.push(format!("speedup {speedup:.2}x below the {min:.2}x gate"));
+                }
+                if profile_phases {
+                    let p = &delta.profile;
+                    println!(
+                        "{:>16} scoring {:.6} s, propagate {:.6} s, guard {:.6} s, commit {:.6} s \
+                     (total {:.6} s)",
+                        "profile:",
+                        p.scoring_s,
+                        p.propagate_s,
+                        p.guard_s,
+                        p.commit_s,
+                        p.total()
+                    );
+                    if let Some(err) = malformed_profile(p, delta.stats.attempted_moves) {
+                        failures.push(format!("malformed profile: {err}"));
+                    }
+                }
+                for failure in &failures {
+                    eprintln!("FAIL: {row}: {failure}");
+                }
+                if !failures.is_empty() {
+                    gate_failures += 1;
+                }
+                records.push(SearchRecord {
+                    model: model.name().to_owned(),
+                    bandwidth: bw.label().to_owned(),
+                    topology: topo_spec.clone(),
+                    layers: model.num_layers(),
+                    attempted_moves: delta.stats.attempted_moves,
+                    accepted_moves: delta.stats.accepted_moves,
+                    passes: delta.stats.passes,
+                    screened: delta.stats.screened,
+                    split_screened: delta.stats.split_screened,
+                    delta_evals: delta.stats.delta_evals,
+                    full_evals_delta: delta.stats.full_evals,
+                    full_evals_reference: reference.stats.full_evals,
+                    full_eval_reduction: reduction,
+                    propagations: delta.stats.propagations,
+                    mean_propagated_layers: delta.stats.mean_propagated(),
+                    max_propagated_layers: delta.stats.max_propagated,
+                    guards_total: delta.stats.guards_total,
+                    guards_skipped: delta.stats.guards_skipped,
+                    guard_reverts_fast: delta.stats.guard_reverts_fast,
+                    final_latency_s: aware_latency,
+                    topology_blind_latency_s: blind_latency,
+                    topology_gain,
+                    matches_reference,
+                });
             }
-            for failure in &failures {
-                eprintln!("FAIL: {row}: {failure}");
-            }
-            if !failures.is_empty() {
-                gate_failures += 1;
-            }
-            records.push(SearchRecord {
-                model: model.name().to_owned(),
-                bandwidth: bw.label().to_owned(),
-                topology: topo_spec.clone(),
-                layers: model.num_layers(),
-                attempted_moves: delta.stats.attempted_moves,
-                accepted_moves: delta.stats.accepted_moves,
-                passes: delta.stats.passes,
-                screened: delta.stats.screened,
-                split_screened: delta.stats.split_screened,
-                delta_evals: delta.stats.delta_evals,
-                full_evals_delta: delta.stats.full_evals,
-                full_evals_reference: reference.stats.full_evals,
-                full_eval_reduction: reduction,
-                propagations: delta.stats.propagations,
-                mean_propagated_layers: delta.stats.mean_propagated(),
-                max_propagated_layers: delta.stats.max_propagated,
-                guards_total: delta.stats.guards_total,
-                guards_skipped: delta.stats.guards_skipped,
-                guard_reverts_fast: delta.stats.guard_reverts_fast,
-                final_latency_s: aware_latency,
-                topology_blind_latency_s: blind_latency,
-                topology_gain,
-                matches_reference,
-            });
-        }
-        if let Some(min) = min_topology_gain {
-            if !fabric_uniform && !any_large {
-                // A filter with no large model must not read as "gate
-                // passed" — the gain only means anything where the
-                // search has room to move layers.
-                eprintln!(
-                    "FAIL: topology `{topo_spec}` @ {}: --min-topology-gain set but the \
+            if let Some(min) = min_topology_gain {
+                if !fabric_uniform && !any_large {
+                    // A filter with no large model must not read as "gate
+                    // passed" — the gain only means anything where the
+                    // search has room to move layers.
+                    eprintln!(
+                        "FAIL: topology `{topo_spec}` @ {}: --min-topology-gain set but the \
                      model filter contains no large model — gate not evaluated",
-                    bw.label()
-                );
-                gate_failures += 1;
-            } else if !fabric_uniform && best_large_gain < min {
-                eprintln!(
-                    "FAIL: topology `{topo_spec}` @ {}: best large-model gain {:.2}x below \
+                        bw.label()
+                    );
+                    gate_failures += 1;
+                } else if !fabric_uniform && best_large_gain < min {
+                    eprintln!(
+                        "FAIL: topology `{topo_spec}` @ {}: best large-model gain {:.2}x below \
                      the {:.2}x gate — the topology-aware search is not beating the \
                      topology-blind mapping",
-                    bw.label(),
-                    best_large_gain,
-                    min
-                );
-                gate_failures += 1;
+                        bw.label(),
+                        best_large_gain,
+                        min
+                    );
+                    gate_failures += 1;
+                }
             }
-        }
         }
     }
 
     let json = serde_json::to_string_pretty(&records).expect("records serialize");
     std::fs::write(&out_path, json).expect("write BENCH_search.json");
     println!("\nwrote {out_path} ({} records)", records.len());
-    assert!(!records.is_empty(), "benchmark produced no records — nothing was verified");
+    assert!(
+        !records.is_empty(),
+        "benchmark produced no records — nothing was verified"
+    );
     if records.iter().any(|r| !r.matches_reference) {
         eprintln!("WARNING: delta search diverged from the reference on some configuration");
         std::process::exit(1);

@@ -158,7 +158,10 @@ fn degraded_attainment(out: &h2h_core::serve::ServeOutcome) -> f64 {
 }
 
 fn parse_list(arg: &str) -> Vec<String> {
-    arg.split(',').map(|s| s.trim().to_owned()).filter(|s| !s.is_empty()).collect()
+    arg.split(',')
+        .map(|s| s.trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .collect()
 }
 
 fn main() {
@@ -168,8 +171,11 @@ fn main() {
     // the population batching exists for. MoCap / CNN-LSTM are
     // activation-dominated (≤ 2% weight share) and show only marginal
     // batching gains; pass them via --tenants to measure that floor.
-    let mut tenant_args =
-        vec!["CASIA-SURF:24".to_owned(), "FaceBag:24".to_owned(), "VFS:24".to_owned()];
+    let mut tenant_args = vec![
+        "CASIA-SURF:24".to_owned(),
+        "FaceBag:24".to_owned(),
+        "VFS:24".to_owned(),
+    ];
     let mut bandwidths = vec!["Low-".to_owned()];
     let mut max_batch = 8u32;
     // Two budget scenarios by default: the full board (everything the
@@ -192,13 +198,16 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| panic!("{name} needs a value"))
+            args.next()
+                .unwrap_or_else(|| panic!("{name} needs a value"))
         };
         match arg.as_str() {
             "--tenants" => tenant_args = parse_list(&value("--tenants")),
             "--bandwidths" => bandwidths = parse_list(&value("--bandwidths")),
             "--max-batch" => {
-                max_batch = value("--max-batch").parse().expect("--max-batch takes an integer");
+                max_batch = value("--max-batch")
+                    .parse()
+                    .expect("--max-batch takes an integer");
             }
             "--budget-frac" => {
                 budget_fracs = parse_list(&value("--budget-frac"))
@@ -207,8 +216,11 @@ fn main() {
                     .collect();
             }
             "--min-speedup" => {
-                min_speedup =
-                    Some(value("--min-speedup").parse().expect("--min-speedup takes a float"));
+                min_speedup = Some(
+                    value("--min-speedup")
+                        .parse()
+                        .expect("--min-speedup takes a float"),
+                );
             }
             "--topology" => topologies = parse_list(&value("--topology")),
             "--faults" => fault_arg = Some(value("--faults")),
@@ -221,8 +233,9 @@ fn main() {
                     .collect();
             }
             "--min-tail-gain" => {
-                min_tail_gain =
-                    value("--min-tail-gain").parse().expect("--min-tail-gain takes a float");
+                min_tail_gain = value("--min-tail-gain")
+                    .parse()
+                    .expect("--min-tail-gain takes a float");
             }
             flag if flag.starts_with("--") => panic!("unknown flag `{flag}`"),
             path => out_path = path.to_owned(),
@@ -237,8 +250,8 @@ fn main() {
                 .unwrap_or_else(|| panic!("unknown bandwidth class `{label}`"))
         })
         .collect();
-    let arrival_process = ArrivalProcess::parse(&arrivals_arg)
-        .unwrap_or_else(|e| panic!("--arrivals: {e}"));
+    let arrival_process =
+        ArrivalProcess::parse(&arrivals_arg).unwrap_or_else(|e| panic!("--arrivals: {e}"));
     let policies: Vec<RoundPolicy> = policies
         .iter()
         .map(|p| RoundPolicy::parse(p).unwrap_or_else(|e| panic!("--policy: {e}")))
@@ -248,239 +261,260 @@ fn main() {
     let mut failures = 0usize;
     println!(
         "{:<10} {:>5} {:>9} {:>6} {:>5} {:>8} {:>10} {:>10} {:>5} {:>9} {:>8} {:>6}",
-        "tenant", "bw", "topology", "dram", "req", "maxbatch", "ideal", "mean", "viol",
-        "speedup", "budget", "match"
+        "tenant",
+        "bw",
+        "topology",
+        "dram",
+        "req",
+        "maxbatch",
+        "ideal",
+        "mean",
+        "viol",
+        "speedup",
+        "budget",
+        "match"
     );
     for bw in &bandwidths {
         for topo_spec in &topologies {
-        let system = SystemSpec::standard_with_topology(*bw, Some(topo_spec))
-            .unwrap_or_else(|e| panic!("--topology `{topo_spec}`: {e}"));
-        for &budget_frac in &budget_fracs {
-            // A nonzero per-move repair cost only matters to the
-            // fault-window serves (admission and the no-fault drains
-            // never read it), so the no-fault records stay
-            // bit-identical with or without `--faults nic-degrade`.
-            let repair_secs_per_move =
-                if fault_arg.as_deref() == Some("nic-degrade") { 25e-6 } else { 0.0 };
-            let cfg = H2hConfig {
-                serve_max_batch: max_batch,
-                serve_dram_budget_frac: budget_frac,
-                serve_verify: true,
-                repair_secs_per_move,
-                ..H2hConfig::default()
-            };
-            let mut reg = TenantRegistry::new(&system, cfg);
-            for entry in &tenant_args {
-                let parts: Vec<&str> = entry.split(':').collect();
-                let name = parts[0];
-                let model = h2h_model::zoo::by_name(name).unwrap_or_else(|| {
-                    panic!(
-                        "--tenants entry `{name}` matches no zoo model (have: {})",
-                        h2h_model::zoo::all_models()
-                            .iter()
-                            .map(|m| m.name().to_owned())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                });
-                let requests: usize = parts
-                    .get(1)
-                    .map(|r| r.parse().expect("tenant requests must be an integer"))
-                    .unwrap_or(24);
-                let explicit_rate: Option<f64> = parts
-                    .get(2)
-                    .map(|r| r.parse().expect("tenant rate must be a float (Hz)"));
-                let explicit_slo: Option<f64> = parts.get(3).map(|s| {
-                    s.parse::<f64>().expect("tenant SLO must be a float (ms)") / 1e3
-                });
-                // Admit first (one pipeline run), then scale the
-                // omitted contract terms to the tenant's own
-                // zero-queueing latency: a backlog-heavy 8/ideal
-                // arrival rate and a 24x ideal SLO so every model
-                // batches.
-                let id = reg
-                    .admit(TenantSpec::new(
-                        name,
-                        model,
-                        explicit_rate.unwrap_or(1.0),
-                        Seconds::new(explicit_slo.unwrap_or(1.0)),
-                        requests,
-                    ))
-                    .unwrap_or_else(|e| panic!("admission failed: {e}"));
-                let ideal = reg.tenant(id).ideal_latency().as_f64();
-                reg.set_contract(
-                    id,
-                    explicit_rate.unwrap_or(8.0 / ideal),
-                    Seconds::new(explicit_slo.unwrap_or(24.0 * ideal)),
-                    requests,
-                )
-                .unwrap_or_else(|e| panic!("contract rejected: {e}"));
-                // The arrival process re-materializes against the
-                // scaled contract (default `fixed` is the historical
-                // deterministic clock, bit-identical).
-                reg.set_arrivals(id, arrival_process.clone())
-                    .unwrap_or_else(|e| panic!("--arrivals: {e}"));
-            }
-
-            let batched = reg.serve();
-            let naive = reg.serve_naive();
-            let coherent = match batched.check_coherence().and(naive.check_coherence()) {
-                Ok(()) => true,
-                Err(e) => {
-                    eprintln!("FAIL: incoherent serve accounting @ {}: {e}", bw.label());
-                    false
-                }
-            };
-            let matches_reference = batched.counters.crosscheck_mismatches == 0
-                && naive.counters.crosscheck_mismatches == 0
-                && batched.counters.crosschecks > 0;
-            if !matches_reference {
-                eprintln!(
-                    "FAIL: slice evaluations diverged from the full evaluator @ {} ({} of {})",
-                    bw.label(),
-                    batched.counters.crosscheck_mismatches + naive.counters.crosscheck_mismatches,
-                    batched.counters.crosschecks + naive.counters.crosschecks
-                );
-            }
-            let budget_ok = batched
-                .peak_resident
-                .iter()
-                .zip(batched.budgets.iter())
-                .all(|(peak, budget)| peak <= budget);
-            let speedup = naive.makespan.as_f64() / batched.makespan.as_f64().max(1e-12);
-            let speedup_ok = min_speedup.is_none_or(|min| speedup >= min);
-            if !speedup_ok {
-                eprintln!(
-                    "FAIL: batching speedup {:.3}x below the {:.2}x gate @ {}",
-                    speedup,
-                    min_speedup.unwrap_or(0.0),
-                    bw.label()
-                );
-            }
-            // Degraded-fabric window: serve the same drain through the
-            // fault plan with budgeted repair and evacuate-only, and
-            // gate repair's value. Runs after the no-fault serves and
-            // leaves the registry untouched (snapshot/restore), so the
-            // records above stay bit-identical with or without it.
-            let mut fault = None;
-            if let Some(spec) = &fault_arg {
-                let n_accs = system.num_accs();
-                let plan = if spec == "board-down" {
-                    // Down the board holding the most resident tenant
-                    // weights (ties to the lowest index), just after
-                    // the drain starts, with no recovery.
-                    let dead = system
-                        .acc_ids()
-                        .max_by_key(|acc| {
-                            let held: u64 =
-                                reg.tenants().map(|t| t.resident_bytes(*acc).as_u64()).sum();
-                            (held, std::cmp::Reverse(acc.index()))
-                        })
-                        .expect("system has boards");
-                    FaultPlan::board_down(dead, Seconds::new(1e-6))
-                } else if spec == "nic-degrade" {
-                    // Halve the host NIC and throttle the board where
-                    // the tenants' compute concentrates (most mapped
-                    // layers, ties to the lowest index) 8x, just after
-                    // the drain starts, with no recovery: repairs must
-                    // move real work off the slowed board while paying
-                    // the re-priced host link, each staged behind its
-                    // 25µs-per-move wall time.
-                    let slowed = system
-                        .acc_ids()
-                        .max_by_key(|acc| {
-                            let layers: usize = reg
-                                .tenants()
-                                .map(|t| {
-                                    t.spec()
-                                        .model
-                                        .layer_ids()
-                                        .filter(|id| t.mapping().acc_of(*id) == *acc)
-                                        .count()
-                                })
-                                .sum();
-                            (layers, std::cmp::Reverse(acc.index()))
-                        })
-                        .expect("system has boards");
-                    FaultPlan::parse(
-                        &format!("host:2@0.000001;slow:{}/8@0.000001", slowed.index()),
-                        n_accs,
-                    )
-                    .expect("nic-degrade preset plan parses")
+            let system = SystemSpec::standard_with_topology(*bw, Some(topo_spec))
+                .unwrap_or_else(|e| panic!("--topology `{topo_spec}`: {e}"));
+            for &budget_frac in &budget_fracs {
+                // A nonzero per-move repair cost only matters to the
+                // fault-window serves (admission and the no-fault drains
+                // never read it), so the no-fault records stay
+                // bit-identical with or without `--faults nic-degrade`.
+                let repair_secs_per_move = if fault_arg.as_deref() == Some("nic-degrade") {
+                    25e-6
                 } else {
-                    FaultPlan::parse(spec, n_accs)
-                        .unwrap_or_else(|e| panic!("--faults `{spec}`: {e}"))
+                    0.0
                 };
-                let repaired =
-                    reg.serve_with_faults(&plan).unwrap_or_else(|e| panic!("fault serve: {e}"));
-                let unrepaired = reg
-                    .serve_with_faults_unrepaired(&plan)
-                    .unwrap_or_else(|e| panic!("fault serve (unrepaired): {e}"));
-                let fault_coherent =
-                    match repaired.check_coherence().and(unrepaired.check_coherence()) {
-                        Ok(()) => true,
-                        Err(e) => {
-                            eprintln!("FAIL: incoherent fault-window accounting: {e}");
-                            false
-                        }
-                    };
-                let crossed = repaired.counters.fault_transitions > 0;
-                if !crossed {
-                    eprintln!("FAIL: fault plan `{spec}` was never crossed during the drain");
+                let cfg = H2hConfig {
+                    serve_max_batch: max_batch,
+                    serve_dram_budget_frac: budget_frac,
+                    serve_verify: true,
+                    repair_secs_per_move,
+                    ..H2hConfig::default()
+                };
+                let mut reg = TenantRegistry::new(&system, cfg);
+                for entry in &tenant_args {
+                    let parts: Vec<&str> = entry.split(':').collect();
+                    let name = parts[0];
+                    let model = h2h_model::zoo::by_name(name).unwrap_or_else(|| {
+                        panic!(
+                            "--tenants entry `{name}` matches no zoo model (have: {})",
+                            h2h_model::zoo::all_models()
+                                .iter()
+                                .map(|m| m.name().to_owned())
+                                .collect::<Vec<_>>()
+                                .join(", ")
+                        )
+                    });
+                    let requests: usize = parts
+                        .get(1)
+                        .map(|r| r.parse().expect("tenant requests must be an integer"))
+                        .unwrap_or(24);
+                    let explicit_rate: Option<f64> = parts
+                        .get(2)
+                        .map(|r| r.parse().expect("tenant rate must be a float (Hz)"));
+                    let explicit_slo: Option<f64> = parts
+                        .get(3)
+                        .map(|s| s.parse::<f64>().expect("tenant SLO must be a float (ms)") / 1e3);
+                    // Admit first (one pipeline run), then scale the
+                    // omitted contract terms to the tenant's own
+                    // zero-queueing latency: a backlog-heavy 8/ideal
+                    // arrival rate and a 24x ideal SLO so every model
+                    // batches.
+                    let id = reg
+                        .admit(TenantSpec::new(
+                            name,
+                            model,
+                            explicit_rate.unwrap_or(1.0),
+                            Seconds::new(explicit_slo.unwrap_or(1.0)),
+                            requests,
+                        ))
+                        .unwrap_or_else(|e| panic!("admission failed: {e}"));
+                    let ideal = reg.tenant(id).ideal_latency().as_f64();
+                    reg.set_contract(
+                        id,
+                        explicit_rate.unwrap_or(8.0 / ideal),
+                        Seconds::new(explicit_slo.unwrap_or(24.0 * ideal)),
+                        requests,
+                    )
+                    .unwrap_or_else(|e| panic!("contract rejected: {e}"));
+                    // The arrival process re-materializes against the
+                    // scaled contract (default `fixed` is the historical
+                    // deterministic clock, bit-identical).
+                    reg.set_arrivals(id, arrival_process.clone())
+                        .unwrap_or_else(|e| panic!("--arrivals: {e}"));
                 }
-                let att_rep = degraded_attainment(&repaired);
-                let att_unrep = degraded_attainment(&unrepaired);
-                let drain_ok = repaired.makespan <= unrepaired.makespan;
-                let att_ok = att_rep >= att_unrep;
-                if !drain_ok || !att_ok {
+
+                let batched = reg.serve();
+                let naive = reg.serve_naive();
+                let coherent = match batched.check_coherence().and(naive.check_coherence()) {
+                    Ok(()) => true,
+                    Err(e) => {
+                        eprintln!("FAIL: incoherent serve accounting @ {}: {e}", bw.label());
+                        false
+                    }
+                };
+                let matches_reference = batched.counters.crosscheck_mismatches == 0
+                    && naive.counters.crosscheck_mismatches == 0
+                    && batched.counters.crosschecks > 0;
+                if !matches_reference {
                     eprintln!(
-                        "FAIL: repair lost to evacuate-only (drain {:.3}s vs {:.3}s, \
-                         attainment {:.1}% vs {:.1}%)",
-                        repaired.makespan.as_f64(),
-                        unrepaired.makespan.as_f64(),
-                        att_rep * 100.0,
-                        att_unrep * 100.0
+                        "FAIL: slice evaluations diverged from the full evaluator @ {} ({} of {})",
+                        bw.label(),
+                        batched.counters.crosscheck_mismatches
+                            + naive.counters.crosscheck_mismatches,
+                        batched.counters.crosschecks + naive.counters.crosschecks
                     );
                 }
-                // The nic-degrade preset must exercise the staged-
-                // repair path: a repair held behind its modeled wall
-                // time, and that time charged to a tenant ledger.
-                let staged_ok = spec != "nic-degrade"
-                    || (repaired.counters.staged_repairs > 0
-                        && repaired
-                            .tenants
-                            .iter()
-                            .any(|t| t.repair_time_charged > Seconds::ZERO));
-                if !staged_ok {
+                let budget_ok = batched
+                    .peak_resident
+                    .iter()
+                    .zip(batched.budgets.iter())
+                    .all(|(peak, budget)| peak <= budget);
+                let speedup = naive.makespan.as_f64() / batched.makespan.as_f64().max(1e-12);
+                let speedup_ok = min_speedup.is_none_or(|min| speedup >= min);
+                if !speedup_ok {
                     eprintln!(
+                        "FAIL: batching speedup {:.3}x below the {:.2}x gate @ {}",
+                        speedup,
+                        min_speedup.unwrap_or(0.0),
+                        bw.label()
+                    );
+                }
+                // Degraded-fabric window: serve the same drain through the
+                // fault plan with budgeted repair and evacuate-only, and
+                // gate repair's value. Runs after the no-fault serves and
+                // leaves the registry untouched (snapshot/restore), so the
+                // records above stay bit-identical with or without it.
+                let mut fault = None;
+                if let Some(spec) = &fault_arg {
+                    let n_accs = system.num_accs();
+                    let plan = if spec == "board-down" {
+                        // Down the board holding the most resident tenant
+                        // weights (ties to the lowest index), just after
+                        // the drain starts, with no recovery.
+                        let dead = system
+                            .acc_ids()
+                            .max_by_key(|acc| {
+                                let held: u64 =
+                                    reg.tenants().map(|t| t.resident_bytes(*acc).as_u64()).sum();
+                                (held, std::cmp::Reverse(acc.index()))
+                            })
+                            .expect("system has boards");
+                        FaultPlan::board_down(dead, Seconds::new(1e-6))
+                    } else if spec == "nic-degrade" {
+                        // Halve the host NIC and throttle the board where
+                        // the tenants' compute concentrates (most mapped
+                        // layers, ties to the lowest index) 8x, just after
+                        // the drain starts, with no recovery: repairs must
+                        // move real work off the slowed board while paying
+                        // the re-priced host link, each staged behind its
+                        // 25µs-per-move wall time.
+                        let slowed = system
+                            .acc_ids()
+                            .max_by_key(|acc| {
+                                let layers: usize = reg
+                                    .tenants()
+                                    .map(|t| {
+                                        t.spec()
+                                            .model
+                                            .layer_ids()
+                                            .filter(|id| t.mapping().acc_of(*id) == *acc)
+                                            .count()
+                                    })
+                                    .sum();
+                                (layers, std::cmp::Reverse(acc.index()))
+                            })
+                            .expect("system has boards");
+                        FaultPlan::parse(
+                            &format!("host:2@0.000001;slow:{}/8@0.000001", slowed.index()),
+                            n_accs,
+                        )
+                        .expect("nic-degrade preset plan parses")
+                    } else {
+                        FaultPlan::parse(spec, n_accs)
+                            .unwrap_or_else(|e| panic!("--faults `{spec}`: {e}"))
+                    };
+                    let repaired = reg
+                        .serve_with_faults(&plan)
+                        .unwrap_or_else(|e| panic!("fault serve: {e}"));
+                    let unrepaired = reg
+                        .serve_with_faults_unrepaired(&plan)
+                        .unwrap_or_else(|e| panic!("fault serve (unrepaired): {e}"));
+                    let fault_coherent =
+                        match repaired.check_coherence().and(unrepaired.check_coherence()) {
+                            Ok(()) => true,
+                            Err(e) => {
+                                eprintln!("FAIL: incoherent fault-window accounting: {e}");
+                                false
+                            }
+                        };
+                    let crossed = repaired.counters.fault_transitions > 0;
+                    if !crossed {
+                        eprintln!("FAIL: fault plan `{spec}` was never crossed during the drain");
+                    }
+                    let att_rep = degraded_attainment(&repaired);
+                    let att_unrep = degraded_attainment(&unrepaired);
+                    let drain_ok = repaired.makespan <= unrepaired.makespan;
+                    let att_ok = att_rep >= att_unrep;
+                    if !drain_ok || !att_ok {
+                        eprintln!(
+                            "FAIL: repair lost to evacuate-only (drain {:.3}s vs {:.3}s, \
+                         attainment {:.1}% vs {:.1}%)",
+                            repaired.makespan.as_f64(),
+                            unrepaired.makespan.as_f64(),
+                            att_rep * 100.0,
+                            att_unrep * 100.0
+                        );
+                    }
+                    // The nic-degrade preset must exercise the staged-
+                    // repair path: a repair held behind its modeled wall
+                    // time, and that time charged to a tenant ledger.
+                    let staged_ok = spec != "nic-degrade"
+                        || (repaired.counters.staged_repairs > 0
+                            && repaired
+                                .tenants
+                                .iter()
+                                .any(|t| t.repair_time_charged > Seconds::ZERO));
+                    if !staged_ok {
+                        eprintln!(
                         "FAIL: nic-degrade staged no repair ({} staged) or charged no wall time",
                         repaired.counters.staged_repairs
                     );
-                }
-                println!(
-                    "  faults `{spec}`: repaired drain {:.3}s / attainment {:.1}% vs \
+                    }
+                    println!(
+                        "  faults `{spec}`: repaired drain {:.3}s / attainment {:.1}% vs \
                      evacuate-only {:.3}s / {:.1}% ({} repairs, {} moves)",
-                    repaired.makespan.as_f64(),
-                    att_rep * 100.0,
-                    unrepaired.makespan.as_f64(),
-                    att_unrep * 100.0,
-                    repaired.counters.repairs,
-                    repaired.counters.repair_evals,
-                );
-                if !fault_coherent || !crossed || !drain_ok || !att_ok || !staged_ok {
+                        repaired.makespan.as_f64(),
+                        att_rep * 100.0,
+                        unrepaired.makespan.as_f64(),
+                        att_unrep * 100.0,
+                        repaired.counters.repairs,
+                        repaired.counters.repair_evals,
+                    );
+                    if !fault_coherent || !crossed || !drain_ok || !att_ok || !staged_ok {
+                        failures += 1;
+                    }
+                    fault = Some((repaired, unrepaired, att_rep, att_unrep));
+                }
+                if !coherent || !matches_reference || !budget_ok || !speedup_ok {
                     failures += 1;
                 }
-                fault = Some((repaired, unrepaired, att_rep, att_unrep));
-            }
-            if !coherent || !matches_reference || !budget_ok || !speedup_ok {
-                failures += 1;
-            }
-            let peak_mib: f64 =
-                batched.peak_resident.iter().map(|b| b.as_u64() as f64 / (1 << 20) as f64).sum();
-            let budget_mib: f64 =
-                batched.budgets.iter().map(|b| b.as_u64() as f64 / (1 << 20) as f64).sum();
-            for (t, tenant) in batched.tenants.iter().zip(reg.tenants()) {
-                println!(
+                let peak_mib: f64 = batched
+                    .peak_resident
+                    .iter()
+                    .map(|b| b.as_u64() as f64 / (1 << 20) as f64)
+                    .sum();
+                let budget_mib: f64 = batched
+                    .budgets
+                    .iter()
+                    .map(|b| b.as_u64() as f64 / (1 << 20) as f64)
+                    .sum();
+                for (t, tenant) in batched.tenants.iter().zip(reg.tenants()) {
+                    println!(
                     "{:<10} {:>5} {:>9} {:>5.0}% {:>5} {:>8} {:>8.1}ms {:>8.1}ms {:>5} {:>8.2}x {:>8} {:>6}",
                     t.name,
                     bw.label(),
@@ -495,145 +529,155 @@ fn main() {
                     budget_ok,
                     matches_reference,
                 );
-                records.push(ServeRecord {
-                    bandwidth: bw.label().to_owned(),
-                    topology: topo_spec.clone(),
-                    tenants: batched.tenants.len(),
-                    tenant: t.name.clone(),
-                    layers: tenant.spec().model.num_layers(),
-                    requests: t.requests,
-                    rate_hz: tenant.spec().rate_hz,
-                    slo_ms: t.slo.as_millis(),
-                    ideal_ms: t.ideal.as_millis(),
-                    attained_mean_ms: t.attained_mean().as_millis(),
-                    attained_max_ms: t.attained_max.as_millis(),
-                    p50_ms: t.latencies.p50().as_millis(),
-                    p95_ms: t.latencies.p95().as_millis(),
-                    p99_ms: t.latencies.p99().as_millis(),
-                    violations: t.violations,
-                    shed: t.shed,
-                    batches: t.batches,
-                    max_batch: t.max_batch,
-                    amortized_weight_ms: t.amortized_weight_time.as_millis(),
-                    weight_reloads: t.weight_reloads,
-                    reload_time_ms: t.reload_time.as_millis(),
-                    trimmed_pins: tenant.trimmed_pins(),
-                    arrivals: arrival_process.label(),
-                    policy: batched.policy.label().to_owned(),
-                    offered_load_frac: None,
-                    tail_gain: None,
-                    max_batch_cap: max_batch,
-                    budget_frac,
-                    rounds: batched.counters.rounds,
-                    slice_evals: batched.counters.slice_evals,
-                    slice_cache_hits: batched.counters.slice_cache_hits,
-                    drain_batched_s: batched.makespan.as_f64(),
-                    drain_naive_s: naive.makespan.as_f64(),
-                    batching_speedup: speedup,
-                    peak_resident_mib: peak_mib,
-                    budget_mib,
-                    budget_ok,
-                    matches_reference,
-                    coherent,
-                    fault_spec: fault_arg.clone(),
-                    fault_transitions: fault
-                        .as_ref()
-                        .map_or(0, |(r, _, _, _)| r.counters.fault_transitions),
-                    fault_repairs: fault.as_ref().map_or(0, |(r, _, _, _)| r.counters.repairs),
-                    drain_repaired_s: fault.as_ref().map(|(r, _, _, _)| r.makespan.as_f64()),
-                    drain_unrepaired_s: fault.as_ref().map(|(_, u, _, _)| u.makespan.as_f64()),
-                    degraded_attainment_repaired: fault.as_ref().map(|(_, _, a, _)| *a),
-                    degraded_attainment_unrepaired: fault.as_ref().map(|(_, _, _, a)| *a),
-                });
+                    records.push(ServeRecord {
+                        bandwidth: bw.label().to_owned(),
+                        topology: topo_spec.clone(),
+                        tenants: batched.tenants.len(),
+                        tenant: t.name.clone(),
+                        layers: tenant.spec().model.num_layers(),
+                        requests: t.requests,
+                        rate_hz: tenant.spec().rate_hz,
+                        slo_ms: t.slo.as_millis(),
+                        ideal_ms: t.ideal.as_millis(),
+                        attained_mean_ms: t.attained_mean().as_millis(),
+                        attained_max_ms: t.attained_max.as_millis(),
+                        p50_ms: t.latencies.p50().as_millis(),
+                        p95_ms: t.latencies.p95().as_millis(),
+                        p99_ms: t.latencies.p99().as_millis(),
+                        violations: t.violations,
+                        shed: t.shed,
+                        batches: t.batches,
+                        max_batch: t.max_batch,
+                        amortized_weight_ms: t.amortized_weight_time.as_millis(),
+                        weight_reloads: t.weight_reloads,
+                        reload_time_ms: t.reload_time.as_millis(),
+                        trimmed_pins: tenant.trimmed_pins(),
+                        arrivals: arrival_process.label(),
+                        policy: batched.policy.label().to_owned(),
+                        offered_load_frac: None,
+                        tail_gain: None,
+                        max_batch_cap: max_batch,
+                        budget_frac,
+                        rounds: batched.counters.rounds,
+                        slice_evals: batched.counters.slice_evals,
+                        slice_cache_hits: batched.counters.slice_cache_hits,
+                        drain_batched_s: batched.makespan.as_f64(),
+                        drain_naive_s: naive.makespan.as_f64(),
+                        batching_speedup: speedup,
+                        peak_resident_mib: peak_mib,
+                        budget_mib,
+                        budget_ok,
+                        matches_reference,
+                        coherent,
+                        fault_spec: fault_arg.clone(),
+                        fault_transitions: fault
+                            .as_ref()
+                            .map_or(0, |(r, _, _, _)| r.counters.fault_transitions),
+                        fault_repairs: fault.as_ref().map_or(0, |(r, _, _, _)| r.counters.repairs),
+                        drain_repaired_s: fault.as_ref().map(|(r, _, _, _)| r.makespan.as_f64()),
+                        drain_unrepaired_s: fault.as_ref().map(|(_, u, _, _)| u.makespan.as_f64()),
+                        degraded_attainment_repaired: fault.as_ref().map(|(_, _, a, _)| *a),
+                        degraded_attainment_unrepaired: fault.as_ref().map(|(_, _, _, a)| *a),
+                    });
+                }
             }
-        }
-        // ---- Open-loop load sweep: the throughput–p99 curve --------
-        if !load_sweep.is_empty() {
-            // A fresh registry at the 10% serve budget (the
-            // weight-streaming regime batching exists for): pins trim
-            // at admission, evicted tenants re-stream over the fabric,
-            // and the tail actually moves with the batch former.
-            const SWEEP_REQUESTS: usize = 200;
-            const SWEEP_BUDGET_FRAC: f64 = 0.1;
-            let cfg = H2hConfig {
-                serve_max_batch: max_batch,
-                serve_dram_budget_frac: SWEEP_BUDGET_FRAC,
-                serve_verify: true,
-                ..H2hConfig::default()
-            };
-            let mut reg = TenantRegistry::new(&system, cfg);
-            let mut ids = Vec::new();
-            for entry in &tenant_args {
-                let name = entry.split(':').next().expect("tenant entry is non-empty");
-                let model = h2h_model::zoo::by_name(name)
-                    .unwrap_or_else(|| panic!("--tenants entry `{name}` matches no zoo model"));
-                let id = reg
-                    .admit(TenantSpec::new(name, model, 1.0, Seconds::new(1.0), SWEEP_REQUESTS))
-                    .unwrap_or_else(|e| panic!("sweep admission failed: {e}"));
-                reg.set_arrivals(id, arrival_process.clone())
-                    .unwrap_or_else(|e| panic!("--arrivals: {e}"));
-                ids.push(id);
-            }
-            // Fleet capacity at the batch cap: one full round of
-            // max-batch slices serves `tenants × max_batch` requests
-            // in the sum of the tenants' batch-cap slice makespans
-            // (reload time ignored — a deliberate over-estimate, so
-            // a 1.1 point is genuinely past sustainable throughput).
-            let round_time: f64 = ids
-                .iter()
-                .map(|&id| {
-                    let t = reg.tenant(id);
-                    Evaluator::new(&t.spec().model, &system)
-                        .with_batch(max_batch)
-                        .evaluate(t.mapping(), t.locality())
-                        .makespan()
-                        .as_f64()
-                })
-                .sum();
-            for &policy in &policies {
-                reg.set_policy(policy);
-                for &load in &load_sweep {
-                    let rate = load * max_batch as f64 / round_time;
-                    for &id in &ids {
-                        let ideal = reg.tenant(id).ideal_latency().as_f64();
-                        reg.set_contract(id, rate, Seconds::new(24.0 * ideal), SWEEP_REQUESTS)
-                            .unwrap_or_else(|e| panic!("sweep contract rejected: {e}"));
-                    }
-                    let batched = reg.serve();
-                    let naive = reg.serve_naive();
-                    let coherent = match batched.check_coherence().and(naive.check_coherence()) {
-                        Ok(()) => true,
-                        Err(e) => {
-                            eprintln!("FAIL: incoherent sweep accounting @ {}: {e}", bw.label());
-                            false
+            // ---- Open-loop load sweep: the throughput–p99 curve --------
+            if !load_sweep.is_empty() {
+                // A fresh registry at the 10% serve budget (the
+                // weight-streaming regime batching exists for): pins trim
+                // at admission, evicted tenants re-stream over the fabric,
+                // and the tail actually moves with the batch former.
+                const SWEEP_REQUESTS: usize = 200;
+                const SWEEP_BUDGET_FRAC: f64 = 0.1;
+                let cfg = H2hConfig {
+                    serve_max_batch: max_batch,
+                    serve_dram_budget_frac: SWEEP_BUDGET_FRAC,
+                    serve_verify: true,
+                    ..H2hConfig::default()
+                };
+                let mut reg = TenantRegistry::new(&system, cfg);
+                let mut ids = Vec::new();
+                for entry in &tenant_args {
+                    let name = entry.split(':').next().expect("tenant entry is non-empty");
+                    let model = h2h_model::zoo::by_name(name)
+                        .unwrap_or_else(|| panic!("--tenants entry `{name}` matches no zoo model"));
+                    let id = reg
+                        .admit(TenantSpec::new(
+                            name,
+                            model,
+                            1.0,
+                            Seconds::new(1.0),
+                            SWEEP_REQUESTS,
+                        ))
+                        .unwrap_or_else(|e| panic!("sweep admission failed: {e}"));
+                    reg.set_arrivals(id, arrival_process.clone())
+                        .unwrap_or_else(|e| panic!("--arrivals: {e}"));
+                    ids.push(id);
+                }
+                // Fleet capacity at the batch cap: one full round of
+                // max-batch slices serves `tenants × max_batch` requests
+                // in the sum of the tenants' batch-cap slice makespans
+                // (reload time ignored — a deliberate over-estimate, so
+                // a 1.1 point is genuinely past sustainable throughput).
+                let round_time: f64 = ids
+                    .iter()
+                    .map(|&id| {
+                        let t = reg.tenant(id);
+                        Evaluator::new(&t.spec().model, &system)
+                            .with_batch(max_batch)
+                            .evaluate(t.mapping(), t.locality())
+                            .makespan()
+                            .as_f64()
+                    })
+                    .sum();
+                for &policy in &policies {
+                    reg.set_policy(policy);
+                    for &load in &load_sweep {
+                        let rate = load * max_batch as f64 / round_time;
+                        for &id in &ids {
+                            let ideal = reg.tenant(id).ideal_latency().as_f64();
+                            reg.set_contract(id, rate, Seconds::new(24.0 * ideal), SWEEP_REQUESTS)
+                                .unwrap_or_else(|e| panic!("sweep contract rejected: {e}"));
                         }
-                    };
-                    let matches_reference = batched.counters.crosscheck_mismatches == 0
-                        && naive.counters.crosscheck_mismatches == 0;
-                    let p99 = |out: &h2h_core::serve::ServeOutcome| {
-                        out.tenants
-                            .iter()
-                            .map(|t| t.latencies.p99())
-                            .fold(Seconds::ZERO, Seconds::max)
-                    };
-                    let tail_gain = p99(&naive).as_f64() / p99(&batched).as_f64().max(1e-12);
-                    // The gate judges only the default former — the
-                    // EDF / WFQ rows are exploratory curve data.
-                    let tail_ok = policy != RoundPolicy::Knapsack || tail_gain >= min_tail_gain;
-                    if !tail_ok {
-                        eprintln!(
-                            "FAIL: knapsack p99 lost to naive at {:.0}% load \
+                        let batched = reg.serve();
+                        let naive = reg.serve_naive();
+                        let coherent = match batched.check_coherence().and(naive.check_coherence())
+                        {
+                            Ok(()) => true,
+                            Err(e) => {
+                                eprintln!(
+                                    "FAIL: incoherent sweep accounting @ {}: {e}",
+                                    bw.label()
+                                );
+                                false
+                            }
+                        };
+                        let matches_reference = batched.counters.crosscheck_mismatches == 0
+                            && naive.counters.crosscheck_mismatches == 0;
+                        let p99 = |out: &h2h_core::serve::ServeOutcome| {
+                            out.tenants
+                                .iter()
+                                .map(|t| t.latencies.p99())
+                                .fold(Seconds::ZERO, Seconds::max)
+                        };
+                        let tail_gain = p99(&naive).as_f64() / p99(&batched).as_f64().max(1e-12);
+                        // The gate judges only the default former — the
+                        // EDF / WFQ rows are exploratory curve data.
+                        let tail_ok = policy != RoundPolicy::Knapsack || tail_gain >= min_tail_gain;
+                        if !tail_ok {
+                            eprintln!(
+                                "FAIL: knapsack p99 lost to naive at {:.0}% load \
                              (tail gain {tail_gain:.3} < {min_tail_gain:.2}) @ {}",
-                            load * 100.0,
-                            bw.label()
-                        );
-                    }
-                    if !coherent || !matches_reference || !tail_ok {
-                        failures += 1;
-                    }
-                    let speedup =
-                        naive.makespan.as_f64() / batched.makespan.as_f64().max(1e-12);
-                    println!(
+                                load * 100.0,
+                                bw.label()
+                            );
+                        }
+                        if !coherent || !matches_reference || !tail_ok {
+                            failures += 1;
+                        }
+                        let speedup =
+                            naive.makespan.as_f64() / batched.makespan.as_f64().max(1e-12);
+                        println!(
                         "sweep {:<8} {:>5} {:>9} load {:>3.0}% p99 {:>9.1}ms vs naive {:>9.1}ms ({:.2}x tail gain)",
                         policy.label(),
                         bw.label(),
@@ -643,81 +687,84 @@ fn main() {
                         p99(&naive).as_millis(),
                         tail_gain,
                     );
-                    let peak_mib: f64 = batched
-                        .peak_resident
-                        .iter()
-                        .map(|b| b.as_u64() as f64 / (1 << 20) as f64)
-                        .sum();
-                    let budget_mib: f64 = batched
-                        .budgets
-                        .iter()
-                        .map(|b| b.as_u64() as f64 / (1 << 20) as f64)
-                        .sum();
-                    let budget_ok = batched
-                        .peak_resident
-                        .iter()
-                        .zip(batched.budgets.iter())
-                        .all(|(peak, budget)| peak <= budget);
-                    for (t, tenant) in batched.tenants.iter().zip(reg.tenants()) {
-                        records.push(ServeRecord {
-                            bandwidth: bw.label().to_owned(),
-                            topology: topo_spec.clone(),
-                            tenants: batched.tenants.len(),
-                            tenant: t.name.clone(),
-                            layers: tenant.spec().model.num_layers(),
-                            requests: t.requests,
-                            rate_hz: tenant.spec().rate_hz,
-                            slo_ms: t.slo.as_millis(),
-                            ideal_ms: t.ideal.as_millis(),
-                            attained_mean_ms: t.attained_mean().as_millis(),
-                            attained_max_ms: t.attained_max.as_millis(),
-                            p50_ms: t.latencies.p50().as_millis(),
-                            p95_ms: t.latencies.p95().as_millis(),
-                            p99_ms: t.latencies.p99().as_millis(),
-                            violations: t.violations,
-                            shed: t.shed,
-                            batches: t.batches,
-                            max_batch: t.max_batch,
-                            amortized_weight_ms: t.amortized_weight_time.as_millis(),
-                            weight_reloads: t.weight_reloads,
-                            reload_time_ms: t.reload_time.as_millis(),
-                            trimmed_pins: tenant.trimmed_pins(),
-                            arrivals: arrival_process.label(),
-                            policy: policy.label().to_owned(),
-                            offered_load_frac: Some(load),
-                            tail_gain: Some(tail_gain),
-                            max_batch_cap: max_batch,
-                            budget_frac: SWEEP_BUDGET_FRAC,
-                            rounds: batched.counters.rounds,
-                            slice_evals: batched.counters.slice_evals,
-                            slice_cache_hits: batched.counters.slice_cache_hits,
-                            drain_batched_s: batched.makespan.as_f64(),
-                            drain_naive_s: naive.makespan.as_f64(),
-                            batching_speedup: speedup,
-                            peak_resident_mib: peak_mib,
-                            budget_mib,
-                            budget_ok,
-                            matches_reference,
-                            coherent,
-                            fault_spec: None,
-                            fault_transitions: 0,
-                            fault_repairs: 0,
-                            drain_repaired_s: None,
-                            drain_unrepaired_s: None,
-                            degraded_attainment_repaired: None,
-                            degraded_attainment_unrepaired: None,
-                        });
+                        let peak_mib: f64 = batched
+                            .peak_resident
+                            .iter()
+                            .map(|b| b.as_u64() as f64 / (1 << 20) as f64)
+                            .sum();
+                        let budget_mib: f64 = batched
+                            .budgets
+                            .iter()
+                            .map(|b| b.as_u64() as f64 / (1 << 20) as f64)
+                            .sum();
+                        let budget_ok = batched
+                            .peak_resident
+                            .iter()
+                            .zip(batched.budgets.iter())
+                            .all(|(peak, budget)| peak <= budget);
+                        for (t, tenant) in batched.tenants.iter().zip(reg.tenants()) {
+                            records.push(ServeRecord {
+                                bandwidth: bw.label().to_owned(),
+                                topology: topo_spec.clone(),
+                                tenants: batched.tenants.len(),
+                                tenant: t.name.clone(),
+                                layers: tenant.spec().model.num_layers(),
+                                requests: t.requests,
+                                rate_hz: tenant.spec().rate_hz,
+                                slo_ms: t.slo.as_millis(),
+                                ideal_ms: t.ideal.as_millis(),
+                                attained_mean_ms: t.attained_mean().as_millis(),
+                                attained_max_ms: t.attained_max.as_millis(),
+                                p50_ms: t.latencies.p50().as_millis(),
+                                p95_ms: t.latencies.p95().as_millis(),
+                                p99_ms: t.latencies.p99().as_millis(),
+                                violations: t.violations,
+                                shed: t.shed,
+                                batches: t.batches,
+                                max_batch: t.max_batch,
+                                amortized_weight_ms: t.amortized_weight_time.as_millis(),
+                                weight_reloads: t.weight_reloads,
+                                reload_time_ms: t.reload_time.as_millis(),
+                                trimmed_pins: tenant.trimmed_pins(),
+                                arrivals: arrival_process.label(),
+                                policy: policy.label().to_owned(),
+                                offered_load_frac: Some(load),
+                                tail_gain: Some(tail_gain),
+                                max_batch_cap: max_batch,
+                                budget_frac: SWEEP_BUDGET_FRAC,
+                                rounds: batched.counters.rounds,
+                                slice_evals: batched.counters.slice_evals,
+                                slice_cache_hits: batched.counters.slice_cache_hits,
+                                drain_batched_s: batched.makespan.as_f64(),
+                                drain_naive_s: naive.makespan.as_f64(),
+                                batching_speedup: speedup,
+                                peak_resident_mib: peak_mib,
+                                budget_mib,
+                                budget_ok,
+                                matches_reference,
+                                coherent,
+                                fault_spec: None,
+                                fault_transitions: 0,
+                                fault_repairs: 0,
+                                drain_repaired_s: None,
+                                drain_unrepaired_s: None,
+                                degraded_attainment_repaired: None,
+                                degraded_attainment_unrepaired: None,
+                            });
+                        }
                     }
                 }
             }
-        }
         }
     }
 
     let json = serde_json::to_string_pretty(&records).expect("records serialize");
     std::fs::write(&out_path, json).expect("write BENCH_serve.json");
     println!("\nwrote {out_path} ({} records)", records.len());
-    assert!(!records.is_empty(), "benchmark produced no records — nothing was verified");
+    assert!(
+        !records.is_empty(),
+        "benchmark produced no records — nothing was verified"
+    );
     if failures > 0 {
         eprintln!("WARNING: {failures} run(s) failed the serve gates");
         std::process::exit(1);

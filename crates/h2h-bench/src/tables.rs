@@ -8,17 +8,32 @@ use h2h_system::system::BandwidthClass;
 use crate::experiments::{at_bandwidth, of_model, ModelRun};
 
 /// The six model names in Table 2 / Fig. 4 order.
-pub const MODEL_ORDER: [&str; 6] =
-    ["VLocNet", "CASIA-SURF", "VFS", "FaceBag", "CNN-LSTM", "MoCap"];
+pub const MODEL_ORDER: [&str; 6] = [
+    "VLocNet",
+    "CASIA-SURF",
+    "VFS",
+    "FaceBag",
+    "CNN-LSTM",
+    "MoCap",
+];
 
 /// Figure 4 (top): modeled latency per step, one block per model, one
 /// row per bandwidth class.
 pub fn fig4_latency(runs: &[ModelRun]) -> String {
     let mut out = String::new();
-    writeln!(out, "Figure 4 — system latency (seconds) after each H2H step").unwrap();
+    writeln!(
+        out,
+        "Figure 4 — system latency (seconds) after each H2H step"
+    )
+    .unwrap();
     for model in MODEL_ORDER {
         writeln!(out, "\n{model}").unwrap();
-        writeln!(out, "  {:<6} {:>10} {:>10} {:>10} {:>10}  reduction", "BW", "step1", "step2", "step3", "step4").unwrap();
+        writeln!(
+            out,
+            "  {:<6} {:>10} {:>10} {:>10} {:>10}  reduction",
+            "BW", "step1", "step2", "step3", "step4"
+        )
+        .unwrap();
         for r in of_model(runs, model) {
             writeln!(
                 out,
@@ -42,7 +57,12 @@ pub fn fig4_energy(runs: &[ModelRun]) -> String {
     writeln!(out, "Figure 4 — system energy (joules) after each H2H step").unwrap();
     for model in MODEL_ORDER {
         writeln!(out, "\n{model}").unwrap();
-        writeln!(out, "  {:<6} {:>10} {:>10} {:>10} {:>10}  reduction", "BW", "step1", "step2", "step3", "step4").unwrap();
+        writeln!(
+            out,
+            "  {:<6} {:>10} {:>10} {:>10} {:>10}  reduction",
+            "BW", "step1", "step2", "step3", "step4"
+        )
+        .unwrap();
         for r in of_model(runs, model) {
             writeln!(
                 out,
@@ -75,7 +95,13 @@ pub fn table4(runs: &[ModelRun]) -> String {
             .collect::<String>()
     )
     .unwrap();
-    writeln!(out, "{:<6} | {}", "", "     1      2      3%     4% ".repeat(6)).unwrap();
+    writeln!(
+        out,
+        "{:<6} | {}",
+        "",
+        "     1      2      3%     4% ".repeat(6)
+    )
+    .unwrap();
     for bw in BandwidthClass::ALL {
         let mut row = format!("{:<6} |", bw.label());
         for model in MODEL_ORDER {
@@ -105,7 +131,11 @@ pub fn table4(runs: &[ModelRun]) -> String {
 /// after H2H, at Bandwidth Low-.
 pub fn fig5a(runs: &[ModelRun]) -> String {
     let mut out = String::new();
-    writeln!(out, "Figure 5a — computation share of busy time (Bandwidth Low-)").unwrap();
+    writeln!(
+        out,
+        "Figure 5a — computation share of busy time (Bandwidth Low-)"
+    )
+    .unwrap();
     writeln!(out, "  {:<12} {:>14} {:>10}", "model", "baseline", "H2H").unwrap();
     for r in at_bandwidth(runs, BandwidthClass::LowMinus) {
         writeln!(
@@ -152,7 +182,11 @@ pub fn headline(runs: &[ModelRun]) -> String {
     let max = |v: &[f64]| v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
 
     let mut out = String::new();
-    writeln!(out, "Headline claims (paper §1 / §5.2) vs this reproduction").unwrap();
+    writeln!(
+        out,
+        "Headline claims (paper §1 / §5.2) vs this reproduction"
+    )
+    .unwrap();
     writeln!(
         out,
         "  latency reduction @ Low- : paper 15%..74%   | measured {:.0}%..{:.0}%",

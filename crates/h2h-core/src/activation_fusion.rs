@@ -13,8 +13,8 @@ use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;
 use h2h_system::schedule::Evaluator;
 
-use crate::preset::PinPreset;
 use crate::config::H2hConfig;
+use crate::preset::PinPreset;
 use crate::weight_locality::weight_locality_opt;
 
 /// Marks capacity-feasible same-accelerator edges as fused, biggest
@@ -29,13 +29,15 @@ use crate::weight_locality::weight_locality_opt;
 /// while the saving lands on the consumer. Those risky candidates are
 /// accepted only if the evaluated system latency does not increase,
 /// preserving the pipeline's step-monotonicity invariant.
-pub fn activation_fusion_opt(
-    ev: &Evaluator<'_>,
-    mapping: &Mapping,
-    loc: &mut LocalityState,
-) {
+pub fn activation_fusion_opt(ev: &Evaluator<'_>, mapping: &Mapping, loc: &mut LocalityState) {
     let candidates = sorted_fusion_candidates(ev, mapping);
-    fusion_pass(ev, mapping, loc, &candidates, &mut FullEvalOracle { ev, mapping });
+    fusion_pass(
+        ev,
+        mapping,
+        loc,
+        &candidates,
+        &mut FullEvalOracle { ev, mapping },
+    );
 }
 
 /// Every fusable edge (non-input producer) in the pass's canonical
@@ -47,9 +49,7 @@ pub fn activation_fusion_opt(
 pub fn sorted_fusable_edges(model: &h2h_model::ModelGraph) -> Vec<(LayerId, LayerId, Bytes)> {
     let mut edges: Vec<(Bytes, LayerId, LayerId)> = model
         .edges()
-        .filter(|(from, _, _)| {
-            !matches!(model.layer(*from).op(), LayerOp::Input { .. })
-        })
+        .filter(|(from, _, _)| !matches!(model.layer(*from).op(), LayerOp::Input { .. }))
         .map(|(from, to, e)| (e.bytes(), from, to))
         .collect();
     edges.sort_by(|a, b| {
@@ -236,7 +236,10 @@ mod tests {
     fn fuses_colocated_edges_only() {
         let m = chain();
         let sys = const_system(
-            vec![ConstAccel::universal("u0", 1e-3), ConstAccel::universal("u1", 1e-3)],
+            vec![
+                ConstAccel::universal("u0", 1e-3),
+                ConstAccel::universal("u1", 1e-3),
+            ],
             1e6,
         );
         let ids = m.topo_order();

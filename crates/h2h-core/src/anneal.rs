@@ -48,7 +48,12 @@ pub struct AnnealConfig {
 
 impl Default for AnnealConfig {
     fn default() -> Self {
-        AnnealConfig { iterations: 2000, initial_temp: 0.05, cooling: 0.9985, seed: 1 }
+        AnnealConfig {
+            iterations: 2000,
+            initial_temp: 0.05,
+            cooling: 0.9985,
+            seed: 1,
+        }
     }
 }
 
@@ -108,7 +113,10 @@ pub fn simulated_annealing(
         let old = mapping.acc_of(layer);
         let mut to = options[(u_pick * options.len() as f64) as usize % options.len()];
         if to == old {
-            let at = options.iter().position(|a| *a == old).expect("old is capable");
+            let at = options
+                .iter()
+                .position(|a| *a == old)
+                .expect("old is capable");
             to = options[(at + 1) % options.len()];
         }
         engine.stats.attempted_moves += 1;
@@ -141,7 +149,12 @@ pub fn simulated_annealing(
         stats.full_rebuilds += 1;
         stats.full_evals += 1;
     }
-    Ok(BaselineOutcome { mapping: best_mapping, locality, schedule, stats })
+    Ok(BaselineOutcome {
+        mapping: best_mapping,
+        locality,
+        schedule,
+        stats,
+    })
 }
 
 #[cfg(test)]
@@ -166,7 +179,10 @@ mod tests {
         let sa = simulated_annealing(
             &ev,
             &cfg,
-            &AnnealConfig { iterations: 200, ..Default::default() },
+            &AnnealConfig {
+                iterations: 200,
+                ..Default::default()
+            },
             &PinPreset::new(),
         )
         .unwrap();
@@ -188,14 +204,22 @@ mod tests {
         let a = simulated_annealing(
             &ev,
             &cfg,
-            &AnnealConfig { iterations: 150, seed: 42, ..Default::default() },
+            &AnnealConfig {
+                iterations: 150,
+                seed: 42,
+                ..Default::default()
+            },
             &PinPreset::new(),
         )
         .unwrap();
         let b = simulated_annealing(
             &ev,
             &cfg,
-            &AnnealConfig { iterations: 150, seed: 42, ..Default::default() },
+            &AnnealConfig {
+                iterations: 150,
+                seed: 42,
+                ..Default::default()
+            },
             &PinPreset::new(),
         )
         .unwrap();
@@ -212,7 +236,10 @@ mod tests {
         let sa = simulated_annealing(
             &ev,
             &cfg,
-            &AnnealConfig { iterations: 0, ..Default::default() },
+            &AnnealConfig {
+                iterations: 0,
+                ..Default::default()
+            },
             &PinPreset::new(),
         )
         .unwrap();
@@ -242,7 +269,10 @@ mod tests {
         let sa = simulated_annealing(
             &ev,
             &cfg,
-            &AnnealConfig { iterations: 40, ..Default::default() },
+            &AnnealConfig {
+                iterations: 40,
+                ..Default::default()
+            },
             &preset,
         )
         .unwrap();
@@ -254,7 +284,10 @@ mod tests {
                 "preset pin dropped by the annealer"
             );
         }
-        assert!(sa.stats.delta_evals > 0, "SA must route through the delta engine");
+        assert!(
+            sa.stats.delta_evals > 0,
+            "SA must route through the delta engine"
+        );
     }
 
     #[test]
@@ -269,7 +302,10 @@ mod tests {
         let sa = simulated_annealing(
             &ev,
             &cfg,
-            &AnnealConfig { iterations: 300, ..Default::default() },
+            &AnnealConfig {
+                iterations: 300,
+                ..Default::default()
+            },
             &PinPreset::new(),
         )
         .unwrap();

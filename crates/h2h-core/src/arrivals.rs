@@ -140,8 +140,8 @@ impl ArrivalProcess {
             return Ok(ArrivalProcess::Poisson { seed });
         }
         if let Some(path) = spec.strip_prefix("trace:") {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("trace file `{path}`: {e}"))?;
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("trace file `{path}`: {e}"))?;
             let tr = ArrivalTrace::parse(&text).map_err(|e| format!("trace `{path}`: {e}"))?;
             return Ok(ArrivalProcess::Trace(tr));
         }
@@ -160,7 +160,10 @@ impl ArrivalProcess {
     /// sampling cannot fail for a validated contract: gaps are
     /// `-ln(1-u)/rate` with `u ∈ [0,1)`, always finite and ≥ 0.)
     pub fn materialize(&self, rate_hz: f64, requests: usize) -> Result<ArrivalSchedule, String> {
-        debug_assert!(rate_hz > 0.0 && rate_hz.is_finite(), "contract validated upstream");
+        debug_assert!(
+            rate_hz > 0.0 && rate_hz.is_finite(),
+            "contract validated upstream"
+        );
         match self {
             ArrivalProcess::Fixed => Ok(ArrivalSchedule::Fixed(FixedArrivals { rate_hz })),
             ArrivalProcess::Poisson { seed } => {
@@ -174,9 +177,9 @@ impl ArrivalProcess {
                 }
                 Ok(ArrivalSchedule::Sampled(SampledArrivals { times }))
             }
-            ArrivalProcess::Trace(tr) => {
-                Ok(ArrivalSchedule::Sampled(SampledArrivals { times: tr.prefix(requests)? }))
-            }
+            ArrivalProcess::Trace(tr) => Ok(ArrivalSchedule::Sampled(SampledArrivals {
+                times: tr.prefix(requests)?,
+            })),
         }
     }
 }
@@ -197,10 +200,16 @@ mod tests {
 
     #[test]
     fn poisson_is_seeded_monotone_and_rate_scaled() {
-        let a = ArrivalProcess::Poisson { seed: 7 }.materialize(10.0, 200).unwrap();
-        let b = ArrivalProcess::Poisson { seed: 7 }.materialize(10.0, 200).unwrap();
+        let a = ArrivalProcess::Poisson { seed: 7 }
+            .materialize(10.0, 200)
+            .unwrap();
+        let b = ArrivalProcess::Poisson { seed: 7 }
+            .materialize(10.0, 200)
+            .unwrap();
         assert_eq!(a, b, "equal seeds must replay equal workloads");
-        let c = ArrivalProcess::Poisson { seed: 8 }.materialize(10.0, 200).unwrap();
+        let c = ArrivalProcess::Poisson { seed: 8 }
+            .materialize(10.0, 200)
+            .unwrap();
         assert_ne!(a, c, "different seeds must differ");
         let mut prev = 0.0;
         for j in 0..200 {
@@ -210,7 +219,10 @@ mod tests {
         }
         // Mean inter-arrival gap ≈ 1/rate over 200 draws (loose bound).
         let mean_gap = a.arrival(199) / 199.0;
-        assert!((0.05..0.2).contains(&mean_gap), "mean gap {mean_gap} far from 0.1");
+        assert!(
+            (0.05..0.2).contains(&mean_gap),
+            "mean gap {mean_gap} far from 0.1"
+        );
     }
 
     #[test]
@@ -224,7 +236,10 @@ mod tests {
 
     #[test]
     fn grammar_round_trips() {
-        assert_eq!(ArrivalProcess::parse("fixed").unwrap(), ArrivalProcess::Fixed);
+        assert_eq!(
+            ArrivalProcess::parse("fixed").unwrap(),
+            ArrivalProcess::Fixed
+        );
         assert_eq!(
             ArrivalProcess::parse("poisson:42").unwrap(),
             ArrivalProcess::Poisson { seed: 42 }

@@ -22,8 +22,8 @@ use h2h_system::system::AccId;
 
 use crate::activation_fusion::rebuild_locality;
 use crate::compute_map::computation_prioritized;
-use crate::delta::SearchStats;
 use crate::config::H2hConfig;
+use crate::delta::SearchStats;
 use crate::pipeline::H2hError;
 use crate::preset::PinPreset;
 use crate::weight_locality::weight_locality_opt;
@@ -62,7 +62,12 @@ pub fn computation_prioritized_baseline(
         &PinPreset::new(),
     );
     let schedule = ev.evaluate(&mapping, &locality);
-    Ok(BaselineOutcome { mapping, locality, schedule, stats: SearchStats::default() })
+    Ok(BaselineOutcome {
+        mapping,
+        locality,
+        schedule,
+        stats: SearchStats::default(),
+    })
 }
 
 /// Communication-prioritized cluster mapping: all layers of one modality
@@ -77,10 +82,7 @@ pub fn computation_prioritized_baseline(
 ///
 /// Returns [`H2hError::NoCapableAccelerator`] if some layer cannot run
 /// anywhere.
-pub fn cluster_mapping(
-    ev: &Evaluator<'_>,
-    cfg: &H2hConfig,
-) -> Result<BaselineOutcome, H2hError> {
+pub fn cluster_mapping(ev: &Evaluator<'_>, cfg: &H2hConfig) -> Result<BaselineOutcome, H2hError> {
     let model = ev.model();
     let system = ev.system();
 
@@ -131,7 +133,12 @@ pub fn cluster_mapping(
 
     let locality = rebuild_locality(ev, &mapping, cfg, &PinPreset::new());
     let schedule = ev.evaluate(&mapping, &locality);
-    Ok(BaselineOutcome { mapping, locality, schedule, stats: SearchStats::default() })
+    Ok(BaselineOutcome {
+        mapping,
+        locality,
+        schedule,
+        stats: SearchStats::default(),
+    })
 }
 
 /// Deterministic xorshift64* stream of the seeded mappers
@@ -144,7 +151,11 @@ impl XorShift {
     /// give distinct streams; 0, xorshift's fixed point, maps to a fixed
     /// non-zero constant.
     pub(crate) fn new(seed: u64) -> Self {
-        XorShift(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })
+        XorShift(if seed == 0 {
+            0x9E37_79B9_7F4A_7C15
+        } else {
+            seed
+        })
     }
 
     pub(crate) fn next_u64(&mut self) -> u64 {
@@ -168,10 +179,7 @@ impl XorShift {
 ///
 /// Returns [`H2hError::NoCapableAccelerator`] if some layer cannot run
 /// anywhere.
-pub fn random_mapping(
-    ev: &Evaluator<'_>,
-    seed: u64,
-) -> Result<BaselineOutcome, H2hError> {
+pub fn random_mapping(ev: &Evaluator<'_>, seed: u64) -> Result<BaselineOutcome, H2hError> {
     let model = ev.model();
     let system = ev.system();
     let mut rng = XorShift::new(seed);
@@ -182,14 +190,21 @@ pub fn random_mapping(
             .filter(|a| ev.cache().time(id, *a).is_some())
             .collect();
         if capable.is_empty() {
-            return Err(H2hError::NoCapableAccelerator { layer: layer.name().to_owned() });
+            return Err(H2hError::NoCapableAccelerator {
+                layer: layer.name().to_owned(),
+            });
         }
         let pick = (rng.next_u64() % capable.len() as u64) as usize;
         mapping.set(id, capable[pick]);
     }
     let locality = LocalityState::new(system);
     let schedule = ev.evaluate(&mapping, &locality);
-    Ok(BaselineOutcome { mapping, locality, schedule, stats: SearchStats::default() })
+    Ok(BaselineOutcome {
+        mapping,
+        locality,
+        schedule,
+        stats: SearchStats::default(),
+    })
 }
 
 /// Brute-force optimum over all capable assignments, with steps 2–3
@@ -229,10 +244,7 @@ pub fn exhaustive_best(
         }
         let loc = rebuild_locality(ev, &mapping, cfg, &PinPreset::new());
         let sched = ev.evaluate(&mapping, &loc);
-        if best
-            .as_ref()
-            .is_none_or(|(b, _, _)| sched.makespan() < *b)
-        {
+        if best.as_ref().is_none_or(|(b, _, _)| sched.makespan() < *b) {
             best = Some((sched.makespan(), mapping, sched));
         }
         let mut pos = 0;

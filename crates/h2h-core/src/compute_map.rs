@@ -197,8 +197,7 @@ pub fn computation_prioritized(
     // Filled lazily, one frontier wave at a time (see
     // `refresh_wave_durations`); rows are only ever read after their
     // group's refresh.
-    let mut dur: Vec<Vec<Option<Seconds>>> =
-        vec![vec![None; system.num_accs()]; model.id_bound()];
+    let mut dur: Vec<Vec<Option<Seconds>>> = vec![vec![None; system.num_accs()]; model.id_bound()];
 
     let mut mapping = Mapping::new(model);
     let mut state = WaveState {
@@ -223,7 +222,11 @@ pub fn computation_prioritized(
         candidates.resize_with(group.len(), Vec::new);
         for (layer, accs) in group.iter().zip(&mut candidates) {
             accs.clear();
-            accs.extend(system.acc_ids().filter(|a| dur[layer.index()][a.index()].is_some()));
+            accs.extend(
+                system
+                    .acc_ids()
+                    .filter(|a| dur[layer.index()][a.index()].is_some()),
+            );
             if accs.is_empty() {
                 return Err(H2hError::NoCapableAccelerator {
                     layer: model.layer(*layer).name().to_owned(),
@@ -460,8 +463,10 @@ mod tests {
         }));
         // The paper grid's seven fabrics: the five standard bandwidth
         // classes and the skewed preset at Low- and Mid.
-        let mut systems: Vec<SystemSpec> =
-            BandwidthClass::ALL.iter().map(|bw| SystemSpec::standard(*bw)).collect();
+        let mut systems: Vec<SystemSpec> = BandwidthClass::ALL
+            .iter()
+            .map(|bw| SystemSpec::standard(*bw))
+            .collect();
         for bw in [BandwidthClass::LowMinus, BandwidthClass::Mid] {
             systems.push(SystemSpec::standard_with_topology(bw, Some("skewed")).unwrap());
         }
@@ -470,7 +475,10 @@ mod tests {
             for system in &systems {
                 let ev = Evaluator::new(model, system);
                 for enumeration_cap in [0, 16, 4096] {
-                    let cfg = H2hConfig { enumeration_cap, ..Default::default() };
+                    let cfg = H2hConfig {
+                        enumeration_cap,
+                        ..Default::default()
+                    };
                     let (mapping, makespan) = computation_prioritized(&ev, &cfg, &preset).unwrap();
                     let (ref_mapping, ref_makespan) =
                         computation_prioritized_reference(&ev, &cfg, &preset);
@@ -520,7 +528,10 @@ mod tests {
         let _ = f2;
         let m = b.finish().unwrap();
         let sys = const_system(
-            vec![ConstAccel::universal("slow", 1.0), ConstAccel::universal("fast", 0.1)],
+            vec![
+                ConstAccel::universal("slow", 1.0),
+                ConstAccel::universal("fast", 0.1),
+            ],
             1e9,
         );
         let ev = Evaluator::new(&m, &sys);
@@ -543,7 +554,10 @@ mod tests {
         let _ = (fa, fb);
         let m = b.finish().unwrap();
         let sys = const_system(
-            vec![ConstAccel::universal("u0", 1.0), ConstAccel::universal("u1", 1.0)],
+            vec![
+                ConstAccel::universal("u0", 1.0),
+                ConstAccel::universal("u1", 1.0),
+            ],
             1e9,
         );
         let ev = Evaluator::new(&m, &sys);
@@ -562,12 +576,22 @@ mod tests {
         let sys = SystemSpec::standard(BandwidthClass::Mid);
         let ev = Evaluator::new(&m, &sys);
         let exhaustive = {
-            let cfg = H2hConfig { enumeration_cap: 1_000_000, ..Default::default() };
-            computation_prioritized(&ev, &cfg, &PinPreset::new()).unwrap().1
+            let cfg = H2hConfig {
+                enumeration_cap: 1_000_000,
+                ..Default::default()
+            };
+            computation_prioritized(&ev, &cfg, &PinPreset::new())
+                .unwrap()
+                .1
         };
         let greedy = {
-            let cfg = H2hConfig { enumeration_cap: 0, ..Default::default() };
-            computation_prioritized(&ev, &cfg, &PinPreset::new()).unwrap().1
+            let cfg = H2hConfig {
+                enumeration_cap: 0,
+                ..Default::default()
+            };
+            computation_prioritized(&ev, &cfg, &PinPreset::new())
+                .unwrap()
+                .1
         };
         // Greedy is a heuristic: allowed to be equal or slightly worse,
         // never better than the exhaustive optimum of the same objective.
@@ -582,7 +606,13 @@ mod tests {
     fn unmappable_layer_reports_error() {
         use h2h_model::layer::LayerClass;
         let mut b = ModelBuilder::new("lstm-only");
-        let i = b.input("i", TensorShape::Sequence { steps: 8, features: 8 });
+        let i = b.input(
+            "i",
+            TensorShape::Sequence {
+                steps: 8,
+                features: 8,
+            },
+        );
         b.lstm("l", i, 16, 1, false).unwrap();
         let m = b.finish().unwrap();
         // System whose only accelerator cannot run LSTM.
@@ -605,14 +635,16 @@ mod tests {
         let f = b.fc("f", i, 4096).unwrap();
         let m = b.finish().unwrap();
         let sys = const_system(
-            vec![ConstAccel::universal("u0", 0.5), ConstAccel::universal("u1", 0.5)],
+            vec![
+                ConstAccel::universal("u0", 0.5),
+                ConstAccel::universal("u1", 0.5),
+            ],
             1e6, // slow ethernet: weight transfer dominates
         );
         let ev = Evaluator::new(&m, &sys);
         let mut preset = PinPreset::new();
         preset.insert(f, h2h_system::system::AccId::new(1));
-        let (mapping, _) =
-            computation_prioritized(&ev, &H2hConfig::default(), &preset).unwrap();
+        let (mapping, _) = computation_prioritized(&ev, &H2hConfig::default(), &preset).unwrap();
         assert_eq!(mapping.acc_of(f).index(), 1);
     }
 }

@@ -284,7 +284,11 @@ mod tests {
 
     #[test]
     fn round_policy_labels_round_trip() {
-        for p in [RoundPolicy::Knapsack, RoundPolicy::Edf, RoundPolicy::WeightedFair] {
+        for p in [
+            RoundPolicy::Knapsack,
+            RoundPolicy::Edf,
+            RoundPolicy::WeightedFair,
+        ] {
             assert_eq!(RoundPolicy::parse(p.label()).unwrap(), p);
         }
         assert!(RoundPolicy::parse("fifo").is_err());
@@ -304,7 +308,10 @@ mod tests {
         let ev = Evaluator::new(&model, &system);
         let mut mapping = Mapping::new(&model);
         for (id, layer) in model.layers() {
-            let acc = system.acc_ids().find(|a| system.acc(*a).supports(layer)).unwrap();
+            let acc = system
+                .acc_ids()
+                .find(|a| system.acc(*a).supports(layer))
+                .unwrap();
             mapping.set(id, acc);
         }
         let s = ev.evaluate(&mapping, &LocalityState::new(&system));

@@ -173,9 +173,7 @@ use h2h_system::mapping::Mapping;
 use h2h_system::schedule::{Evaluator, FusionOutcome, Schedule};
 use h2h_system::system::AccId;
 
-use crate::activation_fusion::{
-    fusion_pass, rebuild_locality, sorted_fusable_edges, FusionOracle,
-};
+use crate::activation_fusion::{fusion_pass, rebuild_locality, sorted_fusable_edges, FusionOracle};
 use crate::config::{H2hConfig, KnapsackKind, MapObjective, ACCEPT_EPSILON};
 use crate::preset::PinPreset;
 use crate::weight_locality::{pin_saving_per_byte, pins_every_item, weight_locality_pass};
@@ -497,7 +495,10 @@ impl FusionOracle for DeltaOracle<'_, '_, '_> {
         // (costs, durations, start/finish times); restoring it is
         // O(touched), replacing the reference's second refresh +
         // re-propagation — which would recompute exactly these values.
-        let sp = self.savepoint.take().expect("guard_begin marks the restore point");
+        let sp = self
+            .savepoint
+            .take()
+            .expect("guard_begin marks the restore point");
         self.inc.rollback_to(&sp);
         self.stats.guard_reverts_fast += 1;
         if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
@@ -546,16 +547,27 @@ impl DeltaOracle<'_, '_, '_> {
             assert!(loc.try_fuse_bytes(self.ev.system(), from, to, acc, bytes));
             assert_eq!(
                 ndf.to_bits(),
-                self.ev.layer_cost(self.mapping, loc, from).duration().as_f64().to_bits()
+                self.ev
+                    .layer_cost(self.mapping, loc, from)
+                    .duration()
+                    .as_f64()
+                    .to_bits()
             );
             assert_eq!(
                 ndt.to_bits(),
-                self.ev.layer_cost(self.mapping, loc, to).duration().as_f64().to_bits()
+                self.ev
+                    .layer_cost(self.mapping, loc, to)
+                    .duration()
+                    .as_f64()
+                    .to_bits()
             );
             assert!(loc.unfuse(from, to, acc));
         }
         let nf = self.inc.start_of(from).as_f64() + ndf;
-        if !self.walk.proves_accept(self.ev, self.inc, self.stats, from, to, nf, ndt) {
+        if !self
+            .walk
+            .proves_accept(self.ev, self.inc, self.stats, from, to, nf, ndt)
+        {
             // Unproven: hand the untouched state back to the full guard.
             return None;
         }
@@ -591,7 +603,11 @@ impl DeltaOracle<'_, '_, '_> {
         assert!(fused.try_fuse_bytes(self.ev.system(), from, to, acc, bytes));
         let mut seeds = Vec::new();
         let (ev, mapping) = (self.ev, self.mapping);
-        copy.refresh_costs_into([from, to], |id| ev.layer_cost(mapping, &fused, id), &mut seeds);
+        copy.refresh_costs_into(
+            [from, to],
+            |id| ev.layer_cost(mapping, &fused, id),
+            &mut seeds,
+        );
         copy.propagate(&seeds);
         assert!(
             copy.makespan() <= before,
@@ -662,18 +678,26 @@ impl DelayWalk {
             self.queue_readers(ev, inc, from, nf);
         } else {
             // `from` does not rise, but `to`'s duration changes.
-            self.readers.push(Reverse((inc.rank_of(to), to, 0.0f64.to_bits())));
+            self.readers
+                .push(Reverse((inc.rank_of(to), to, 0.0f64.to_bits())));
         }
         while let Some(Reverse((rank, layer, bits))) = self.readers.pop() {
             let mut input = f64::from_bits(bits);
-            while let Some(Reverse((_, _, bits))) =
-                self.readers.peek().copied().filter(|Reverse((r, ..))| *r == rank)
+            while let Some(Reverse((_, _, bits))) = self
+                .readers
+                .peek()
+                .copied()
+                .filter(|Reverse((r, ..))| *r == rank)
             {
                 input = input.max(f64::from_bits(bits));
                 self.readers.pop();
             }
             advance(inc, stats, rank);
-            let dur = if layer == to { ndt } else { inc.duration_of(layer).as_f64() };
+            let dur = if layer == to {
+                ndt
+            } else {
+                inc.duration_of(layer).as_f64()
+            };
             let finish = inc.start_of(layer).as_f64().max(input) + dur;
             if finish <= inc.finish_of(layer).as_f64() {
                 continue;
@@ -701,8 +725,13 @@ impl DelayWalk {
         layer: LayerId,
         finish: f64,
     ) {
-        let readers = ev.successors_flat(layer).iter().copied().chain(inc.queue_successor(layer));
-        self.readers.extend(readers.map(|l| Reverse((inc.rank_of(l), l, finish.to_bits()))));
+        let readers = ev
+            .successors_flat(layer)
+            .iter()
+            .copied()
+            .chain(inc.queue_successor(layer));
+        self.readers
+            .extend(readers.map(|l| Reverse((inc.rank_of(l), l, finish.to_bits()))));
     }
 }
 
@@ -744,8 +773,7 @@ fn pin_diff_applies(
     from: AccId,
     to: AccId,
 ) -> bool {
-    if !(full_boards[from.index()] && full_boards[to.index()])
-        || pin_saving_per_byte(ev, to) <= 0.0
+    if !(full_boards[from.index()] && full_boards[to.index()]) || pin_saving_per_byte(ev, to) <= 0.0
     {
         return false;
     }
@@ -1383,9 +1411,11 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         let mut loc = recycled(self.spare_locality.take(), &pins);
         let mut candidates = std::mem::take(&mut self.scratch_cands);
         candidates.clear();
-        candidates.extend(self.sorted_edges.iter().copied().filter(|(f, t, _)| {
-            mapping.get(*f).is_some() && mapping.get(*f) == mapping.get(*t)
-        }));
+        candidates.extend(
+            self.sorted_edges.iter().copied().filter(|(f, t, _)| {
+                mapping.get(*f).is_some() && mapping.get(*f) == mapping.get(*t)
+            }),
+        );
         fusion_pass(self.ev, mapping, &mut loc, &candidates, &mut oracle);
         self.scratch_cands = candidates;
         oracle.flush(&loc);
@@ -1499,12 +1529,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
     ///
     /// Panics if a candidate is already staged or `to` equals the
     /// layer's current accelerator.
-    pub fn try_improving_move(
-        &mut self,
-        mapping: &mut Mapping,
-        layer: LayerId,
-        to: AccId,
-    ) -> bool {
+    pub fn try_improving_move(&mut self, mapping: &mut Mapping, layer: LayerId, to: AccId) -> bool {
         assert!(self.staged.is_none(), "candidate already staged");
         assert_ne!(mapping.acc_of(layer), to, "staging a no-op move");
         self.stats.attempted_moves += 1;

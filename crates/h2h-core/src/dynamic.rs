@@ -64,7 +64,11 @@ pub struct DynamicSession<'s> {
 impl<'s> DynamicSession<'s> {
     /// Starts a session with nothing buffered.
     pub fn new(system: &'s SystemSpec, config: H2hConfig) -> Self {
-        DynamicSession { system, config, buffered: HashMap::new() }
+        DynamicSession {
+            system,
+            config,
+            buffered: HashMap::new(),
+        }
     }
 
     /// Bytes currently buffered across the system.
@@ -116,7 +120,12 @@ impl<'s> DynamicSession<'s> {
         }
         self.buffered = next;
 
-        Ok(DynamicOutcome { outcome, reused, reused_by_acc, reloaded })
+        Ok(DynamicOutcome {
+            outcome,
+            reused,
+            reused_by_acc,
+            reloaded,
+        })
     }
 }
 

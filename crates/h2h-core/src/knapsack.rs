@@ -173,7 +173,10 @@ mod tests {
         let cap = 8_000_000_000;
         let chosen = solve_dp(&its, cap);
         assert!(selection_weight(&its, &chosen) <= cap);
-        assert!(selection_value(&its, &chosen) >= 5.0, "should pick ~7-8 GB worth");
+        assert!(
+            selection_value(&its, &chosen) >= 5.0,
+            "should pick ~7-8 GB worth"
+        );
     }
 
     #[test]
@@ -211,7 +214,11 @@ mod tests {
     #[test]
     fn auto_switches_to_greedy_on_huge_instances() {
         let many: Vec<Item> = (0..600)
-            .map(|id| Item { id, weight: 10, value: 1.0 })
+            .map(|id| Item {
+                id,
+                weight: 10,
+                value: 1.0,
+            })
             .collect();
         let chosen = solve_auto(&many, 100);
         assert_eq!(chosen.len(), 10);

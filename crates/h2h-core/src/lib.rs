@@ -58,6 +58,5 @@ pub use pipeline::{H2hError, H2hMapper, H2hOutcome, Step, StepSnapshot};
 pub use preset::PinPreset;
 pub use repair::{repair_mapping, scratch_remap, RepairOutcome, ScratchOutcome};
 pub use serve::{
-    ServeCounters, ServeError, ServeOutcome, TenantId, TenantRegistry, TenantServeStats,
-    TenantSpec,
+    ServeCounters, ServeError, ServeOutcome, TenantId, TenantRegistry, TenantServeStats, TenantSpec,
 };

@@ -284,7 +284,11 @@ impl<'a> H2hMapper<'a> {
         let (mut mapping, _) = computation_prioritized(ev, cfg, &self.preset)?;
         let zero = LocalityState::new(ev.system());
         let s1 = ev.evaluate(&mapping, &zero);
-        snapshots.push(StepSnapshot::record(Step::ComputePrioritized, &s1, t.elapsed()));
+        snapshots.push(StepSnapshot::record(
+            Step::ComputePrioritized,
+            &s1,
+            t.elapsed(),
+        ));
 
         // Step 2: weight locality.
         let t = Instant::now();
@@ -297,12 +301,20 @@ impl<'a> H2hMapper<'a> {
         let mut loc3 = loc2;
         activation_fusion_opt(ev, &mapping, &mut loc3);
         let s3 = ev.evaluate(&mapping, &loc3);
-        snapshots.push(StepSnapshot::record(Step::ActivationFusion, &s3, t.elapsed()));
+        snapshots.push(StepSnapshot::record(
+            Step::ActivationFusion,
+            &s3,
+            t.elapsed(),
+        ));
 
         // Step 4: remapping (delta-scored, exact at accept time).
         let t = Instant::now();
         let remap = data_locality_remapping(ev, cfg, &self.preset, &mut mapping);
-        snapshots.push(StepSnapshot::record(Step::Remapping, &remap.schedule, t.elapsed()));
+        snapshots.push(StepSnapshot::record(
+            Step::Remapping,
+            &remap.schedule,
+            t.elapsed(),
+        ));
 
         mapping.validate(ev.model(), ev.system())?;
         Ok(H2hOutcome {
@@ -405,6 +417,9 @@ mod tests {
         let out = H2hMapper::new(&model, &system).run().unwrap();
         let before = out.after(Step::WeightLocality).compute_ratio;
         let after = out.after(Step::Remapping).compute_ratio;
-        assert!(after > before, "compute ratio should rise: {before:.3} -> {after:.3}");
+        assert!(
+            after > before,
+            "compute ratio should rise: {before:.3} -> {after:.3}"
+        );
     }
 }

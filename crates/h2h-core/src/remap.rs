@@ -114,7 +114,12 @@ pub fn data_locality_remapping(
     let profile = engine.profile;
     let (locality, schedule, mut stats) = engine.finalize(mapping);
     stats.passes = passes;
-    RemapOutcome { locality, schedule, stats, profile }
+    RemapOutcome {
+        locality,
+        schedule,
+        stats,
+        profile,
+    }
 }
 
 /// Candidate destinations of one layer's move: the accelerators hosting
@@ -204,7 +209,12 @@ pub fn data_locality_remapping_reference(
         full_rebuilds: attempted_moves + 1,
         ..SearchStats::default()
     };
-    RemapOutcome { locality: best_loc, schedule: best, stats, profile: PhaseProfile::default() }
+    RemapOutcome {
+        locality: best_loc,
+        schedule: best,
+        stats,
+        profile: PhaseProfile::default(),
+    }
 }
 
 #[cfg(test)]
@@ -275,12 +285,8 @@ mod tests {
         let cfg = H2hConfig::default();
         for model in h2h_model::zoo::all_models().into_iter().take(3) {
             let ev = Evaluator::new(&model, &sys);
-            let (mut mapping, _) = crate::compute_map::computation_prioritized(
-                &ev,
-                &cfg,
-                &PinPreset::new(),
-            )
-            .unwrap();
+            let (mut mapping, _) =
+                crate::compute_map::computation_prioritized(&ev, &cfg, &PinPreset::new()).unwrap();
             let before = {
                 let loc = rebuild_locality(&ev, &mapping, &cfg, &PinPreset::new());
                 ev.evaluate(&mapping, &loc).makespan()
@@ -308,22 +314,15 @@ mod tests {
             let cfg = H2hConfig::default();
             for model in h2h_model::zoo::all_models() {
                 let ev = Evaluator::new(&model, &sys);
-                let (seed, _) = crate::compute_map::computation_prioritized(
-                    &ev,
-                    &cfg,
-                    &PinPreset::new(),
-                )
-                .unwrap();
+                let (seed, _) =
+                    crate::compute_map::computation_prioritized(&ev, &cfg, &PinPreset::new())
+                        .unwrap();
                 let mut map_delta = seed.clone();
                 let mut map_ref = seed;
                 let out_delta =
                     data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut map_delta);
-                let out_ref = data_locality_remapping_reference(
-                    &ev,
-                    &cfg,
-                    &PinPreset::new(),
-                    &mut map_ref,
-                );
+                let out_ref =
+                    data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), &mut map_ref);
                 let d = out_delta.schedule.makespan().as_f64();
                 let r = out_ref.schedule.makespan().as_f64();
                 assert!(
@@ -358,25 +357,21 @@ mod tests {
             MapObjective::EnergyDelayProduct,
             MapObjective::Throughput,
         ] {
-            let cfg = H2hConfig { objective, ..Default::default() };
+            let cfg = H2hConfig {
+                objective,
+                ..Default::default()
+            };
             for model in [h2h_model::zoo::mocap(), h2h_model::zoo::cnn_lstm()] {
                 let ev = Evaluator::new(&model, &sys);
-                let (seed, _) = crate::compute_map::computation_prioritized(
-                    &ev,
-                    &cfg,
-                    &PinPreset::new(),
-                )
-                .unwrap();
+                let (seed, _) =
+                    crate::compute_map::computation_prioritized(&ev, &cfg, &PinPreset::new())
+                        .unwrap();
                 let mut map_delta = seed.clone();
                 let mut map_ref = seed;
                 let out_delta =
                     data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut map_delta);
-                let out_ref = data_locality_remapping_reference(
-                    &ev,
-                    &cfg,
-                    &PinPreset::new(),
-                    &mut map_ref,
-                );
+                let out_ref =
+                    data_locality_remapping_reference(&ev, &cfg, &PinPreset::new(), &mut map_ref);
                 assert_eq!(
                     map_delta,
                     map_ref,
@@ -436,7 +431,10 @@ mod tests {
     fn zero_passes_config_is_a_no_op() {
         let (m, sys, mut map) = setup();
         let ev = Evaluator::new(&m, &sys);
-        let cfg = H2hConfig { remap_max_passes: 0, ..Default::default() };
+        let cfg = H2hConfig {
+            remap_max_passes: 0,
+            ..Default::default()
+        };
         let before = map.clone();
         let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut map);
         assert_eq!(map, before);
@@ -448,7 +446,10 @@ mod tests {
     fn fixpoint_terminates_before_pass_bound() {
         let (m, sys, mut map) = setup();
         let ev = Evaluator::new(&m, &sys);
-        let cfg = H2hConfig { remap_max_passes: 100, ..Default::default() };
+        let cfg = H2hConfig {
+            remap_max_passes: 100,
+            ..Default::default()
+        };
         let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut map);
         assert!(out.passes() < 100, "tiny model must converge quickly");
     }
@@ -460,13 +461,12 @@ mod tests {
         let model = h2h_model::zoo::mocap();
         let sys = SystemSpec::standard(BandwidthClass::LowMinus);
         let ev = Evaluator::new(&model, &sys);
-        let cfg = H2hConfig { objective: MapObjective::Energy, ..Default::default() };
-        let (mut mapping, _) = crate::compute_map::computation_prioritized(
-            &ev,
-            &cfg,
-            &PinPreset::new(),
-        )
-        .unwrap();
+        let cfg = H2hConfig {
+            objective: MapObjective::Energy,
+            ..Default::default()
+        };
+        let (mut mapping, _) =
+            crate::compute_map::computation_prioritized(&ev, &cfg, &PinPreset::new()).unwrap();
         let before = {
             let loc = rebuild_locality(&ev, &mapping, &cfg, &PinPreset::new());
             ev.evaluate(&mapping, &loc).energy().total()
@@ -487,7 +487,10 @@ mod tests {
         let model = h2h_model::zoo::casia_surf();
         let sys = SystemSpec::standard(BandwidthClass::LowMinus);
         let run = |objective| {
-            let cfg = H2hConfig { objective, ..Default::default() };
+            let cfg = H2hConfig {
+                objective,
+                ..Default::default()
+            };
             crate::pipeline::H2hMapper::new(&model, &sys)
                 .with_config(cfg)
                 .run()
@@ -517,7 +520,10 @@ mod tests {
         let model = h2h_model::zoo::cnn_lstm();
         let sys = SystemSpec::standard(BandwidthClass::LowMinus);
         let run = |objective| {
-            let cfg = H2hConfig { objective, ..Default::default() };
+            let cfg = H2hConfig {
+                objective,
+                ..Default::default()
+            };
             crate::pipeline::H2hMapper::new(&model, &sys)
                 .with_config(cfg)
                 .run()

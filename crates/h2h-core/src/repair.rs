@@ -175,7 +175,15 @@ pub fn repair_mapping(
     // per-move cost converts it into modeled wall time (see
     // `H2hConfig::repair_secs_per_move` for a measured setting).
     let wall_time = Seconds::new(stats.attempted_moves as f64 * cfg.repair_secs_per_move);
-    Ok(RepairOutcome { mapping, locality, schedule, evacuated, incumbent_degraded, stats, wall_time })
+    Ok(RepairOutcome {
+        mapping,
+        locality,
+        schedule,
+        evacuated,
+        incumbent_degraded,
+        stats,
+        wall_time,
+    })
 }
 
 /// Moves every layer on a down board to the best live supporting
@@ -199,9 +207,8 @@ fn evacuate(
             continue;
         }
         let layer = model.layer(id);
-        let live_supporting = |acc: &AccId| {
-            state.acc_is_up(*acc) && system.acc(*acc).supports(layer)
-        };
+        let live_supporting =
+            |acc: &AccId| state.acc_is_up(*acc) && system.acc(*acc).supports(layer);
         let pick = |accs: &mut dyn Iterator<Item = AccId>| -> Option<AccId> {
             accs.filter(live_supporting)
                 .map(|acc| {
@@ -229,7 +236,9 @@ fn evacuate(
                 evacuated.push(id);
             }
             None => {
-                return Err(H2hError::NoCapableAccelerator { layer: layer.name().to_string() })
+                return Err(H2hError::NoCapableAccelerator {
+                    layer: layer.name().to_string(),
+                })
             }
         }
     }
@@ -293,8 +302,9 @@ pub fn scratch_remap(
     preset: &PinPreset,
 ) -> Result<ScratchOutcome, H2hError> {
     let (sub_sys, live_ids) = system.live_subsystem(state);
-    let mapper =
-        H2hMapper::new(model, &sub_sys).with_config(*cfg).with_preset(preset.clone());
+    let mapper = H2hMapper::new(model, &sub_sys)
+        .with_config(*cfg)
+        .with_preset(preset.clone());
     let outcome = mapper.run()?;
 
     // Translate sub-system accelerator indices back to full-system ids
@@ -309,7 +319,12 @@ pub fn scratch_remap(
     let locality = rebuild_locality(&ev, &mapping, cfg, preset);
     let makespan = ev.evaluate(&mapping, &locality).makespan();
     let pipeline_evals = mapper.evaluator().evals_performed() + ev.evals_performed();
-    Ok(ScratchOutcome { mapping, makespan, stats: outcome.remap_stats, pipeline_evals })
+    Ok(ScratchOutcome {
+        mapping,
+        makespan,
+        stats: outcome.remap_stats,
+        pipeline_evals,
+    })
 }
 
 #[cfg(test)]
@@ -329,13 +344,19 @@ mod tests {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let cfg = H2hConfig::default();
         let preset = PinPreset::new();
-        let outcome = H2hMapper::new(&model, &system).with_config(cfg).run().unwrap();
+        let outcome = H2hMapper::new(&model, &system)
+            .with_config(cfg)
+            .run()
+            .unwrap();
         let state = FaultState::healthy(system.num_accs());
         let degraded = system.degrade(&state);
         let ev = Evaluator::new(&model, &degraded);
         let rep = repair_mapping(&ev, &cfg, &preset, &outcome.mapping, &state, 10_000).unwrap();
         assert!(rep.evacuated.is_empty());
-        assert_eq!(rep.mapping, outcome.mapping, "healthy repair must not move anything");
+        assert_eq!(
+            rep.mapping, outcome.mapping,
+            "healthy repair must not move anything"
+        );
         assert_eq!(rep.stats.accepted_moves, 0);
         assert_eq!(
             rep.repaired().as_f64(),
@@ -350,7 +371,10 @@ mod tests {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let cfg = H2hConfig::default();
         let preset = PinPreset::new();
-        let outcome = H2hMapper::new(&model, &system).with_config(cfg).run().unwrap();
+        let outcome = H2hMapper::new(&model, &system)
+            .with_config(cfg)
+            .run()
+            .unwrap();
         // Down the board hosting the most layers so the evacuation is
         // non-trivial.
         let mut load = vec![0usize; system.num_accs()];
@@ -365,7 +389,11 @@ mod tests {
         assert_eq!(rep.evacuated.len(), load[dead]);
         assert_eq!(rep.stats.attempted_moves, 0, "budget 0 must not search");
         for id in model.layer_ids() {
-            assert_ne!(rep.mapping.acc_of(id).index(), dead, "dead board must be empty");
+            assert_ne!(
+                rep.mapping.acc_of(id).index(),
+                dead,
+                "dead board must be empty"
+            );
         }
         rep.mapping.validate(&model, &degraded).unwrap();
         assert_eq!(
@@ -381,7 +409,10 @@ mod tests {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let cfg = H2hConfig::default();
         let preset = PinPreset::new();
-        let outcome = H2hMapper::new(&model, &system).with_config(cfg).run().unwrap();
+        let outcome = H2hMapper::new(&model, &system)
+            .with_config(cfg)
+            .run()
+            .unwrap();
         let mut load = vec![0usize; system.num_accs()];
         for id in model.layer_ids() {
             load[outcome.mapping.acc_of(id).index()] += 1;

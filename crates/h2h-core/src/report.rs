@@ -105,7 +105,12 @@ pub fn mapping_report(
         }
     }
 
-    MappingReport { rows, transfers, host_ingress, makespan: schedule.makespan() }
+    MappingReport {
+        rows,
+        transfers,
+        host_ingress,
+        makespan: schedule.makespan(),
+    }
 }
 
 /// Human-readable summary of one search run's [`SearchStats`]: the
@@ -191,8 +196,22 @@ pub fn serve_report(outcome: &crate::serve::ServeOutcome) -> String {
         out,
         "  {:<12} {:>5} {:>7} {:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>5} \
          {:>5} {:>12} {:>5} {:>12}",
-        "tenant", "req", "batches", "maxb", "ideal", "mean", "p50", "p95", "p99", "max", "slo",
-        "viol", "shed", "amortized", "swaps", "reload"
+        "tenant",
+        "req",
+        "batches",
+        "maxb",
+        "ideal",
+        "mean",
+        "p50",
+        "p95",
+        "p99",
+        "max",
+        "slo",
+        "viol",
+        "shed",
+        "amortized",
+        "swaps",
+        "reload"
     );
     for t in &outcome.tenants {
         let _ = writeln!(
@@ -224,7 +243,13 @@ pub fn serve_report(outcome: &crate::serve::ServeOutcome) -> String {
         if peak == h2h_model::units::Bytes::ZERO {
             continue;
         }
-        let _ = writeln!(out, "    {:<5} {:>12} / {:>12}", name, format!("{peak}"), format!("{budget}"));
+        let _ = writeln!(
+            out,
+            "    {:<5} {:>12} / {:>12}",
+            name,
+            format!("{peak}"),
+            format!("{budget}")
+        );
     }
     let c = &outcome.counters;
     let _ = writeln!(
@@ -287,7 +312,11 @@ impl fmt::Display for MappingReport {
                 format!("{}", r.busy),
             )?;
         }
-        writeln!(f, "  host ingress (inputs + streamed weights): {}", self.host_ingress)?;
+        writeln!(
+            f,
+            "  host ingress (inputs + streamed weights): {}",
+            self.host_ingress
+        )?;
         if self.transfers.is_empty() {
             writeln!(f, "  no cross-accelerator activation traffic")?;
         } else {
@@ -329,9 +358,7 @@ mod tests {
         let h2h = H2hMapper::new(&model, &system).run().unwrap();
         let base_rep = mapping_report(&ev, &base.mapping, &base.locality, &base.schedule);
         let h2h_rep = mapping_report(&ev, &h2h.mapping, &h2h.locality, &h2h.schedule);
-        let sum = |r: &MappingReport| -> u64 {
-            r.transfers.values().map(|b| b.as_u64()).sum()
-        };
+        let sum = |r: &MappingReport| -> u64 { r.transfers.values().map(|b| b.as_u64()).sum() };
         assert!(
             sum(&h2h_rep) < sum(&base_rep),
             "H2H should cut cross-accelerator traffic: {} vs {}",

@@ -334,8 +334,10 @@ fn trim_to_budget(
         if used <= budget {
             continue;
         }
-        let mut pins: Vec<LayerId> =
-            locality.pinned_layers().filter(|l| mapping.acc_of(*l) == acc).collect();
+        let mut pins: Vec<LayerId> = locality
+            .pinned_layers()
+            .filter(|l| mapping.acc_of(*l) == acc)
+            .collect();
         pins.sort_unstable();
         let pinned_bytes: u64 = pins
             .iter()
@@ -595,7 +597,10 @@ impl Placement {
             .layer_ids()
             .map(|id| ev.layer_cost(&mapping, &locality, id).weight_xfer)
             .sum();
-        let resident = system.acc_ids().map(|a| locality.dram_used(a).as_u64()).collect();
+        let resident = system
+            .acc_ids()
+            .map(|a| locality.dram_used(a).as_u64())
+            .collect();
         let pinned_total = locality.total_pinned_bytes(model);
         let mut pinned_by_acc = vec![0u64; system.num_accs()];
         for l in locality.pinned_layers() {
@@ -1012,8 +1017,11 @@ impl ServeOutcome {
                 shed_total, self.counters.requests_shed
             ));
         }
-        for (i, (peak, budget)) in
-            self.peak_resident.iter().zip(self.budgets.iter()).enumerate()
+        for (i, (peak, budget)) in self
+            .peak_resident
+            .iter()
+            .zip(self.budgets.iter())
+            .enumerate()
         {
             if peak > budget {
                 return Err(format!(
@@ -1050,8 +1058,11 @@ impl ServeOutcome {
                 self.counters.staged_repairs, self.counters.repairs, self.counters.sheds
             ));
         }
-        let charged: f64 =
-            self.tenants.iter().map(|t| t.repair_time_charged.as_f64()).sum();
+        let charged: f64 = self
+            .tenants
+            .iter()
+            .map(|t| t.repair_time_charged.as_f64())
+            .sum();
         if charged > 0.0 && self.counters.repairs == 0 && self.counters.sheds == 0 {
             return Err(format!(
                 "{charged}s of repair time charged without any repair or shed"
@@ -1200,8 +1211,15 @@ impl<'s> TenantRegistry<'s> {
             "serve_dram_budget_frac must be in (0, 1], got {}",
             config.serve_dram_budget_frac
         );
-        assert!(config.serve_max_batch >= 1, "serve_max_batch must be at least 1");
-        TenantRegistry { system, config, tenants: Vec::new() }
+        assert!(
+            config.serve_max_batch >= 1,
+            "serve_max_batch must be at least 1"
+        );
+        TenantRegistry {
+            system,
+            config,
+            tenants: Vec::new(),
+        }
     }
 
     /// The shared system.
@@ -1258,7 +1276,10 @@ impl<'s> TenantRegistry<'s> {
         let arrivals = spec
             .arrivals
             .materialize(spec.rate_hz, spec.requests)
-            .map_err(|reason| ServeError::BadSpec { tenant: spec.name.clone(), reason })?;
+            .map_err(|reason| ServeError::BadSpec {
+                tenant: spec.name.clone(),
+                reason,
+            })?;
 
         let mapper = H2hMapper::new(&spec.model, self.system).with_config(self.config);
         let out = mapper.run()?;
@@ -1271,7 +1292,9 @@ impl<'s> TenantRegistry<'s> {
             // the (possibly trim-delta-produced) ideal here instead. A
             // mismatch is an internal soundness bug, not a caller
             // error, hence the assert.
-            let full = ev.evaluate(&placement.mapping, &placement.locality).makespan();
+            let full = ev
+                .evaluate(&placement.mapping, &placement.locality)
+                .makespan();
             assert!(
                 placement.ideal.as_f64() == full.as_f64(),
                 "tenant `{}`: admission ideal {} diverged from the full evaluation {} \
@@ -1281,7 +1304,12 @@ impl<'s> TenantRegistry<'s> {
                 full
             );
         }
-        self.tenants.push(Tenant { spec, cache, arrivals, placement });
+        self.tenants.push(Tenant {
+            spec,
+            cache,
+            arrivals,
+            placement,
+        });
         Ok(TenantId(self.tenants.len() - 1))
     }
 
@@ -1311,7 +1339,10 @@ impl<'s> TenantRegistry<'s> {
             .spec
             .arrivals
             .materialize(rate_hz, requests)
-            .map_err(|reason| ServeError::BadSpec { tenant: t.spec.name.clone(), reason })?;
+            .map_err(|reason| ServeError::BadSpec {
+                tenant: t.spec.name.clone(),
+                reason,
+            })?;
         t.spec.rate_hz = rate_hz;
         t.spec.slo = slo;
         t.spec.requests = requests;
@@ -1336,7 +1367,10 @@ impl<'s> TenantRegistry<'s> {
         let t = &mut self.tenants[id.0];
         let arrivals = process
             .materialize(t.spec.rate_hz, t.spec.requests)
-            .map_err(|reason| ServeError::BadSpec { tenant: t.spec.name.clone(), reason })?;
+            .map_err(|reason| ServeError::BadSpec {
+                tenant: t.spec.name.clone(),
+                reason,
+            })?;
         t.spec.arrivals = process;
         t.arrivals = arrivals;
         Ok(())
@@ -1454,7 +1488,10 @@ impl<'s> TenantRegistry<'s> {
         debug_assert!(!chosen.is_empty(), "form_round needs backlog");
         let fits = |sel: &[usize]| {
             budgets.iter().enumerate().all(|(a, budget)| {
-                sel.iter().map(|i| self.tenants[*i].placement.resident[a]).sum::<u64>() <= *budget
+                sel.iter()
+                    .map(|i| self.tenants[*i].placement.resident[a])
+                    .sum::<u64>()
+                    <= *budget
             })
         };
         if self.config.serve_policy != RoundPolicy::Knapsack {
@@ -1468,8 +1505,12 @@ impl<'s> TenantRegistry<'s> {
             let mut first = true;
             chosen.retain(|&i| {
                 let r = &self.tenants[i].placement.resident;
-                let enters =
-                    first || used.iter().zip(r).zip(budgets).all(|((u, b), cap)| u + b <= *cap);
+                let enters = first
+                    || used
+                        .iter()
+                        .zip(r)
+                        .zip(budgets)
+                        .all(|((u, b), cap)| u + b <= *cap);
                 if enters {
                     for (u, b) in used.iter_mut().zip(r) {
                         *u += b;
@@ -1505,7 +1546,9 @@ impl<'s> TenantRegistry<'s> {
                 .min_by(|&a, &b| {
                     let da = urgency[a] / self.tenants[a].resident_total().as_u64().max(1) as f64;
                     let db = urgency[b] / self.tenants[b].resident_total().as_u64().max(1) as f64;
-                    da.partial_cmp(&db).expect("urgency is finite").then(b.cmp(&a))
+                    da.partial_cmp(&db)
+                        .expect("urgency is finite")
+                        .then(b.cmp(&a))
                 })
                 .expect("chosen is non-empty");
             chosen.retain(|&i| i != worst);
@@ -1516,7 +1559,10 @@ impl<'s> TenantRegistry<'s> {
                 .iter()
                 .map(|it| it.id)
                 .max_by(|&a, &b| {
-                    urgency[a].partial_cmp(&urgency[b]).expect("urgency is finite").then(b.cmp(&a))
+                    urgency[a]
+                        .partial_cmp(&urgency[b])
+                        .expect("urgency is finite")
+                        .then(b.cmp(&a))
                 })
                 .expect("candidates are non-empty");
             chosen.push(best);
@@ -1588,8 +1634,11 @@ impl<'s> TenantRegistry<'s> {
             // Any stage computed against the previous fabric is stale.
             drain.staged[i] = None;
             let ev = Evaluator::from_cache(&t.spec.model, sys, t.cache.clone());
-            let budget =
-                if budgeted { resolve_repair_budget(&cfg, &t.spec.model) } else { 0 };
+            let budget = if budgeted {
+                resolve_repair_budget(&cfg, &t.spec.model)
+            } else {
+                0
+            };
             let old = &t.placement.mapping;
             let Ok(rep) = repair_mapping(&ev, &cfg, &preset, old, state, budget) else {
                 // Shed: no live board can host some stranded layer.
@@ -1632,12 +1681,22 @@ impl<'s> TenantRegistry<'s> {
         plan: &FaultPlan,
         budgeted: bool,
     ) -> Result<ServeOutcome, ServeError> {
-        assert!(!self.tenants.is_empty(), "serve() needs at least one admitted tenant");
+        assert!(
+            !self.tenants.is_empty(),
+            "serve() needs at least one admitted tenant"
+        );
         let n = self.tenants.len();
         let n_accs = self.system.num_accs();
-        let budgets: Vec<Bytes> = self.system.acc_ids().map(|a| self.budget_bytes(a)).collect();
-        let acc_names: Vec<String> =
-            self.system.acc_ids().map(|a| self.system.acc(a).meta().id.clone()).collect();
+        let budgets: Vec<Bytes> = self
+            .system
+            .acc_ids()
+            .map(|a| self.budget_bytes(a))
+            .collect();
+        let acc_names: Vec<String> = self
+            .system
+            .acc_ids()
+            .map(|a| self.system.acc(a).meta().id.clone())
+            .collect();
 
         let mut drain = Drain::new(&self.tenants);
         let mut peak = vec![0u64; n_accs];
@@ -1713,7 +1772,10 @@ impl<'s> TenantRegistry<'s> {
             // slice) unless the host-down unchanged-placement rule
             // keeps residency.
             for i in 0..n {
-                if !drain.staged[i].as_ref().is_some_and(|s| event_reached(now, s.lands_at)) {
+                if !drain.staged[i]
+                    .as_ref()
+                    .is_some_and(|s| event_reached(now, s.lands_at))
+                {
                     continue;
                 }
                 let sr = drain.staged[i].take().expect("a due stage exists");
@@ -1756,7 +1818,11 @@ impl<'s> TenantRegistry<'s> {
             // the dead host). Healthy runs never zero anything here.
             for i in 0..n {
                 servable[i] = !drain.parked[i] && (host_up || drain.resident[i]);
-                pending[i] = if servable[i] { arrived[i] - drain.done(i) } else { 0 };
+                pending[i] = if servable[i] {
+                    arrived[i] - drain.done(i)
+                } else {
+                    0
+                };
             }
             if pending.iter().all(|p| *p == 0) {
                 // Idle: jump to the earliest outstanding servable
@@ -1769,10 +1835,13 @@ impl<'s> TenantRegistry<'s> {
                     .filter(|&i| servable[i] && drain.done(i) < self.tenants[i].spec.requests)
                     .map(|i| self.tenants[i].arrival(drain.done(i)))
                     .fold(f64::INFINITY, f64::min);
-                let blocked = (0..n)
-                    .any(|i| !servable[i] && drain.done(i) < self.tenants[i].spec.requests);
+                let blocked =
+                    (0..n).any(|i| !servable[i] && drain.done(i) < self.tenants[i].spec.requests);
                 let next_b = if blocked {
-                    boundaries.get(next_boundary).copied().unwrap_or(f64::INFINITY)
+                    boundaries
+                        .get(next_boundary)
+                        .copied()
+                        .unwrap_or(f64::INFINITY)
                 } else {
                     f64::INFINITY
                 };
@@ -1820,7 +1889,9 @@ impl<'s> TenantRegistry<'s> {
                 } else {
                     let horizon = now + t.placement.ideal.as_f64() - t.spec.slo.as_f64();
                     let doomed_arrivals = t.doomed_arrivals(horizon);
-                    let at_risk = doomed_arrivals.saturating_sub(drain.done(i)).min(pending[i]);
+                    let at_risk = doomed_arrivals
+                        .saturating_sub(drain.done(i))
+                        .min(pending[i]);
                     (pending[i] + at_risk) as f64
                 };
             }
@@ -1841,7 +1912,14 @@ impl<'s> TenantRegistry<'s> {
                     }
                 };
             }
-            self.form_round(&budgets_u, &pending, &urgency, &rank, &mut used, &mut selected);
+            self.form_round(
+                &budgets_u,
+                &pending,
+                &urgency,
+                &rank,
+                &mut used,
+                &mut selected,
+            );
             // Residency transition: the selected tenants swap in
             // (evicted ones re-stream their pinned weights over
             // Ethernet before their slice); previous residents keep
@@ -1983,14 +2061,20 @@ mod tests {
     fn single_tenant_serving_is_coherent_and_batches() {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let model = h2h_model::zoo::cnn_lstm();
-        let cfg = H2hConfig { serve_verify: true, ..H2hConfig::default() };
+        let cfg = H2hConfig {
+            serve_verify: true,
+            ..H2hConfig::default()
+        };
         let mut reg = TenantRegistry::new(&system, cfg);
         // Arrivals far faster than the service rate force batching.
         reg.admit(spec("cnn", model, 200.0, 5.0, 24)).unwrap();
         let out = reg.serve();
         out.check_coherence().unwrap();
         assert_eq!(out.total_served(), 24);
-        assert!(out.tenants[0].max_batch > 1, "backlog must trigger batching");
+        assert!(
+            out.tenants[0].max_batch > 1,
+            "backlog must trigger batching"
+        );
         assert!(out.counters.crosschecks > 0);
         assert_eq!(out.counters.crosscheck_mismatches, 0);
         // The naive reference pays weights per request and must drain
@@ -2037,7 +2121,11 @@ mod tests {
                 // evaluation of the trimmed locality.
                 let ev = Evaluator::new(&model, &system);
                 let full = ev.evaluate(t.mapping(), t.locality()).makespan();
-                assert_eq!(t.ideal_latency(), full, "delta trim diverged from full eval");
+                assert_eq!(
+                    t.ideal_latency(),
+                    full,
+                    "delta trim diverged from full eval"
+                );
                 let out = reg.serve();
                 out.check_coherence().unwrap();
             }
@@ -2081,7 +2169,10 @@ mod tests {
             // oversubscription path is still covered by prop_serve.
             return;
         };
-        let cfg = H2hConfig { serve_dram_budget_frac: frac, ..H2hConfig::default() };
+        let cfg = H2hConfig {
+            serve_dram_budget_frac: frac,
+            ..H2hConfig::default()
+        };
         let mut reg = TenantRegistry::new(&system, cfg);
         reg.admit(spec("a", a, 50.0, 10.0, 8)).unwrap();
         reg.admit(spec("b", b, 50.0, 10.0, 8)).unwrap();
@@ -2106,17 +2197,28 @@ mod tests {
     fn set_contract_rescales_without_remapping() {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let mut reg = TenantRegistry::new(&system, H2hConfig::default());
-        let id = reg.admit(spec("m", h2h_model::zoo::mocap(), 1.0, 1.0, 1)).unwrap();
+        let id = reg
+            .admit(spec("m", h2h_model::zoo::mocap(), 1.0, 1.0, 1))
+            .unwrap();
         let ideal = reg.tenant(id).ideal_latency();
-        reg.set_contract(id, 8.0 / ideal.as_f64(), ideal * 16.0, 24).unwrap();
+        reg.set_contract(id, 8.0 / ideal.as_f64(), ideal * 16.0, 24)
+            .unwrap();
         let t = reg.tenant(id);
-        assert_eq!(t.ideal_latency(), ideal, "contract changes must not touch the mapping");
+        assert_eq!(
+            t.ideal_latency(),
+            ideal,
+            "contract changes must not touch the mapping"
+        );
         assert_eq!(t.spec().requests, 24);
         assert!(matches!(
             reg.set_contract(id, 0.0, Seconds::new(1.0), 4),
             Err(ServeError::BadSpec { .. })
         ));
-        assert_eq!(reg.tenant(id).spec().requests, 24, "rejected contracts leave state alone");
+        assert_eq!(
+            reg.tenant(id).spec().requests,
+            24,
+            "rejected contracts leave state alone"
+        );
         let out = reg.serve();
         out.check_coherence().unwrap();
         assert_eq!(out.total_served(), 24);
@@ -2126,14 +2228,21 @@ mod tests {
     fn slice_memo_and_noop_counters_fire() {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let mut reg = TenantRegistry::new(&system, H2hConfig::default());
-        reg.admit(spec("m", h2h_model::zoo::mocap(), 500.0, 60.0, 40)).unwrap();
+        reg.admit(spec("m", h2h_model::zoo::mocap(), 500.0, 60.0, 40))
+            .unwrap();
         let out = reg.serve();
         out.check_coherence().unwrap();
         // 40 requests at batch ≤ 8 need ≥ 5 slices but only a handful
         // of distinct batch sizes — the memo must carry most slices.
         assert!(out.tenants[0].batches >= 5);
-        assert!(out.counters.slice_cache_hits > 0, "repeated batch sizes must hit the memo");
-        assert!(out.counters.slice_evals <= 8, "distinct batch sizes are few");
+        assert!(
+            out.counters.slice_cache_hits > 0,
+            "repeated batch sizes must hit the memo"
+        );
+        assert!(
+            out.counters.slice_evals <= 8,
+            "distinct batch sizes are few"
+        );
     }
 
     #[test]
@@ -2165,7 +2274,9 @@ mod tests {
     fn doomed_arrival_count_is_strict_at_integral_horizons() {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let mut reg = TenantRegistry::new(&system, H2hConfig::default());
-        let id = reg.admit(spec("m", h2h_model::zoo::mocap(), 1.0, 1.0, 4)).unwrap();
+        let id = reg
+            .admit(spec("m", h2h_model::zoo::mocap(), 1.0, 1.0, 4))
+            .unwrap();
         let t = reg.tenant(id);
         // Rate 1 Hz: arrivals at 0, 1, 2, 3. An exactly-integral
         // horizon of 2.0 dooms the arrivals strictly before it — 0 and
@@ -2198,7 +2309,9 @@ mod tests {
                 .with_arrivals(ArrivalProcess::Poisson { seed: 3 }),
         )
         .unwrap();
-        let ties = vec![0.0, 0.0, 0.1, 0.1, 0.1, 0.25, 0.5, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0];
+        let ties = vec![
+            0.0, 0.0, 0.1, 0.1, 0.1, 0.25, 0.5, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0,
+        ];
         let n_ties = ties.len();
         let tr = ArrivalTrace::new(ties).unwrap();
         reg.admit(spec("ties", m, 5.0, 1.0, n_ties).with_arrivals(ArrivalProcess::Trace(tr)))
@@ -2240,7 +2353,10 @@ mod tests {
         for &x in &samples {
             ledger.record(x);
         }
-        assert!(!ledger.sorted.is_sorted(), "the samples must arrive out of order");
+        assert!(
+            !ledger.sorted.is_sorted(),
+            "the samples must arrive out of order"
+        );
         ledger.sort();
         assert!(ledger.sorted.is_sorted());
         // The per-insert ordering `record` used to keep.
@@ -2257,7 +2373,10 @@ mod tests {
         assert_eq!(ledger.max(), inserted.max());
         assert_eq!(ledger.total().to_bits(), inserted.total().to_bits());
         for slo in [0.0, 5e-3, 0.02, 0.037, 1.0] {
-            assert_eq!(ledger.over(Seconds::new(slo)), inserted.over(Seconds::new(slo)));
+            assert_eq!(
+                ledger.over(Seconds::new(slo)),
+                inserted.over(Seconds::new(slo))
+            );
         }
     }
 
@@ -2265,11 +2384,15 @@ mod tests {
     fn an_unsorted_ledger_fails_the_coherence_check() {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let mut reg = TenantRegistry::new(&system, H2hConfig::default());
-        reg.admit(spec("m", h2h_model::zoo::mocap(), 500.0, 60.0, 40)).unwrap();
+        reg.admit(spec("m", h2h_model::zoo::mocap(), 500.0, 60.0, 40))
+            .unwrap();
         let mut out = reg.serve();
         out.check_coherence().unwrap();
         let samples = &mut out.tenants[0].latencies.sorted;
-        assert!(samples.first() < samples.last(), "the drain must attain distinct latencies");
+        assert!(
+            samples.first() < samples.last(),
+            "the drain must attain distinct latencies"
+        );
         samples.reverse();
         let err = out.check_coherence().unwrap_err();
         assert!(err.contains("not sorted"), "unexpected error: {err}");
@@ -2334,10 +2457,15 @@ mod tests {
     fn ranked_policies_serve_everything_coherently() {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         for policy in [RoundPolicy::Edf, RoundPolicy::WeightedFair] {
-            let cfg = H2hConfig { serve_policy: policy, ..H2hConfig::default() };
+            let cfg = H2hConfig {
+                serve_policy: policy,
+                ..H2hConfig::default()
+            };
             let mut reg = TenantRegistry::new(&system, cfg);
-            reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 60.0, 8.0, 12)).unwrap();
-            reg.admit(spec("mocap", h2h_model::zoo::mocap(), 60.0, 8.0, 12)).unwrap();
+            reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 60.0, 8.0, 12))
+                .unwrap();
+            reg.admit(spec("mocap", h2h_model::zoo::mocap(), 60.0, 8.0, 12))
+                .unwrap();
             let out = reg.serve();
             out.check_coherence().unwrap();
             assert_eq!(out.total_served(), 24);
@@ -2348,19 +2476,28 @@ mod tests {
     #[test]
     fn bounded_queue_sheds_overload_and_stays_coherent() {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
-        let cfg = H2hConfig { serve_queue_cap: 2, ..H2hConfig::default() };
+        let cfg = H2hConfig {
+            serve_queue_cap: 2,
+            ..H2hConfig::default()
+        };
         let mut reg = TenantRegistry::new(&system, cfg);
         // Arrivals far above the service rate against a 2-deep queue:
         // most of the window must be dropped at the head, and the
         // drops must reconcile with the served ledger exactly.
-        let id = reg.admit(spec("m", h2h_model::zoo::mocap(), 1.0, 1.0, 1)).unwrap();
+        let id = reg
+            .admit(spec("m", h2h_model::zoo::mocap(), 1.0, 1.0, 1))
+            .unwrap();
         let ideal = reg.tenant(id).ideal_latency();
-        reg.set_contract(id, 50.0 / ideal.as_f64(), ideal * 4.0, 60).unwrap();
+        reg.set_contract(id, 50.0 / ideal.as_f64(), ideal * 4.0, 60)
+            .unwrap();
         let out = reg.serve();
         out.check_coherence().unwrap();
         let t = &out.tenants[0];
         assert!(t.shed > 0, "overload against a bounded queue must shed");
-        assert!(t.served > 0, "the queue head that survives must still be served");
+        assert!(
+            t.served > 0,
+            "the queue head that survives must still be served"
+        );
         assert_eq!(t.served + t.shed, 60);
         assert_eq!(out.counters.requests_shed, t.shed);
         assert!(t.shed_doomed <= t.shed);
@@ -2385,7 +2522,10 @@ mod tests {
         }
         let tr = ArrivalTrace::new((0..6).map(|j| 0.5 + j as f64 * 0.1).collect()).unwrap();
         let mk = |cap: usize| {
-            let cfg = H2hConfig { serve_queue_cap: cap, ..H2hConfig::default() };
+            let cfg = H2hConfig {
+                serve_queue_cap: cap,
+                ..H2hConfig::default()
+            };
             let mut reg = TenantRegistry::new(&system, cfg);
             reg.admit(
                 spec("m", h2h_model::zoo::mocap(), 10.0, 1.0, 6)
@@ -2415,7 +2555,9 @@ mod tests {
         // zero-count the request. Everything still drains, once.
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let mut reg = TenantRegistry::new(&system, H2hConfig::default());
-        let id = reg.admit(spec("m", h2h_model::zoo::mocap(), 1.0, 1.0, 1)).unwrap();
+        let id = reg
+            .admit(spec("m", h2h_model::zoo::mocap(), 1.0, 1.0, 1))
+            .unwrap();
         let ideal = reg.tenant(id).ideal_latency();
         let rate = 0.5 / ideal.as_f64();
         reg.set_contract(id, rate, ideal * 16.0, 6).unwrap();
@@ -2437,10 +2579,17 @@ mod tests {
     /// Admits one tenant whose serve budget trims its pins: VFS keeps
     /// only part of its weights resident at 10% of every board.
     fn trimmed_vfs(system: &SystemSpec) -> TenantRegistry<'_> {
-        let cfg = H2hConfig { serve_dram_budget_frac: 0.1, ..H2hConfig::default() };
+        let cfg = H2hConfig {
+            serve_dram_budget_frac: 0.1,
+            ..H2hConfig::default()
+        };
         let mut reg = TenantRegistry::new(system, cfg);
-        reg.admit(spec("vfs", h2h_model::zoo::vfs(), 2.0, 2.0, 6)).unwrap();
-        assert!(reg.tenants[0].trimmed_pins() > 0, "the 10% budget must trim VFS");
+        reg.admit(spec("vfs", h2h_model::zoo::vfs(), 2.0, 2.0, 6))
+            .unwrap();
+        assert!(
+            reg.tenants[0].trimmed_pins() > 0,
+            "the 10% budget must trim VFS"
+        );
         reg
     }
 
@@ -2467,8 +2616,12 @@ mod tests {
             assert_eq!(bits(a.inc.start_of(id)), bits(b.inc.start_of(id)));
             assert_eq!(bits(a.inc.finish_of(id)), bits(b.inc.finish_of(id)));
         }
-        let memo =
-            |p: &Placement| p.slice_memo.iter().map(|(k, m)| (*k, bits(*m))).collect::<Vec<_>>();
+        let memo = |p: &Placement| {
+            p.slice_memo
+                .iter()
+                .map(|(k, m)| (*k, bits(*m)))
+                .collect::<Vec<_>>()
+        };
         assert_eq!(memo(a), memo(b));
         assert_eq!(bits(a.ideal), bits(b.ideal));
         assert_eq!(bits(a.weight_xfer_once), bits(b.weight_xfer_once));
@@ -2483,7 +2636,10 @@ mod tests {
         let reg = trimmed_vfs(&system);
         let t = &reg.tenants[0];
         let p = placement_of(&reg, &reg.config, t.mapping(), t.locality()).unwrap();
-        assert_eq!(p.trimmed_pins, 0, "the admitted locality already fits the budget");
+        assert_eq!(
+            p.trimmed_pins, 0,
+            "the admitted locality already fits the budget"
+        );
         assert_same_placement(&p, &t.placement, &t.spec.model);
     }
 
@@ -2494,7 +2650,10 @@ mod tests {
         let before = reg.tenants[0].placement.clone();
         // A zero-byte budget cannot hold the tenant's fusion buffers.
         assert!(before.locality.num_fused() > 0);
-        let none = H2hConfig { serve_dram_budget_frac: 1e-12, ..reg.config };
+        let none = H2hConfig {
+            serve_dram_budget_frac: 1e-12,
+            ..reg.config
+        };
         let failed = placement_of(&reg, &none, &before.mapping, &before.locality);
         assert!(matches!(failed, Err(ServeError::DramBudget { .. })));
         let mut drain = Drain::new(&reg.tenants);
@@ -2531,13 +2690,29 @@ mod tests {
             assert!(!drain.parked[0], "an install un-parks");
             drain.resident[0]
         };
-        assert!(install(&mut reg, &locality, true), "unchanged and kept: stays resident");
-        assert!(!install(&mut reg, &locality, false), "unchanged, not kept: evicted");
+        assert!(
+            install(&mut reg, &locality, true),
+            "unchanged and kept: stays resident"
+        );
+        assert!(
+            !install(&mut reg, &locality, false),
+            "unchanged, not kept: evicted"
+        );
         // One pin fewer changes the placement.
         let mut fewer = locality.clone();
-        let l = fewer.pinned_layers().next().expect("the trimmed tenant keeps some pins");
+        let l = fewer
+            .pinned_layers()
+            .next()
+            .expect("the trimmed tenant keeps some pins");
         assert!(fewer.unpin(l, mapping.acc_of(l)));
-        assert!(!install(&mut reg, &fewer, true), "changed: evicted even when kept");
-        assert_eq!(reg.tenants[0].locality(), &fewer, "the changed placement is installed");
+        assert!(
+            !install(&mut reg, &fewer, true),
+            "changed: evicted even when kept"
+        );
+        assert_eq!(
+            reg.tenants[0].locality(),
+            &fewer,
+            "the changed placement is installed"
+        );
     }
 }

@@ -190,13 +190,8 @@ mod tests {
         let (m, sys, map) = setup();
         let ev = Evaluator::new(&m, &sys);
         for kind in [KnapsackKind::Dp, KnapsackKind::Greedy, KnapsackKind::Auto] {
-            let loc = weight_locality_opt(
-                &ev,
-                &map,
-                LocalityState::new(&sys),
-                kind,
-                &PinPreset::new(),
-            );
+            let loc =
+                weight_locality_opt(&ev, &map, LocalityState::new(&sys), kind, &PinPreset::new());
             // 600 MiB budget, 256 MiB items -> exactly 2 pinned.
             assert_eq!(loc.num_pinned(), 2, "{kind:?}");
             assert!(loc.total_pinned_bytes(&m) <= Bytes::from_mib(600));

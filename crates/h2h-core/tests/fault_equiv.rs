@@ -44,11 +44,20 @@ fn empty_fault_plan_serving_is_bitwise_identical_zoo_wide() {
     for model in h2h_model::zoo::all_models() {
         let mut plain = TenantRegistry::new(&system, H2hConfig::default());
         let mut faulted = TenantRegistry::new(&system, H2hConfig::default());
-        plain.admit(spec(model.name(), model.clone(), 6.0, 10.0, 5)).unwrap();
-        faulted.admit(spec(model.name(), model.clone(), 6.0, 10.0, 5)).unwrap();
+        plain
+            .admit(spec(model.name(), model.clone(), 6.0, 10.0, 5))
+            .unwrap();
+        faulted
+            .admit(spec(model.name(), model.clone(), 6.0, 10.0, 5))
+            .unwrap();
         let a = plain.serve();
         let b = faulted.serve_with_faults(&FaultPlan::empty()).unwrap();
-        assert_eq!(a, b, "{}: empty fault plan must be bitwise invisible", model.name());
+        assert_eq!(
+            a,
+            b,
+            "{}: empty fault plan must be bitwise invisible",
+            model.name()
+        );
     }
 }
 
@@ -60,8 +69,10 @@ fn faulted_serve_leaves_no_trace_on_the_registry() {
     // serve indistinguishable from A's.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let admit = |reg: &mut TenantRegistry| {
-        reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 8.0, 8)).unwrap();
-        reg.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 8.0, 8)).unwrap();
+        reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 8.0, 8))
+            .unwrap();
+        reg.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 8.0, 8))
+            .unwrap();
     };
     let mut a = TenantRegistry::new(&system, H2hConfig::default());
     let mut b = TenantRegistry::new(&system, H2hConfig::default());
@@ -69,7 +80,11 @@ fn faulted_serve_leaves_no_trace_on_the_registry() {
     admit(&mut b);
 
     let first = a.serve();
-    assert_eq!(first, b.serve(), "identical registries must serve identically");
+    assert_eq!(
+        first,
+        b.serve(),
+        "identical registries must serve identically"
+    );
 
     // Down a board carrying real work just after the drain starts
     // (fault boundaries are sampled at round starts, so an onset inside
@@ -82,9 +97,16 @@ fn faulted_serve_leaves_no_trace_on_the_registry() {
     let plan = FaultPlan::board_down(AccId::new(dead), Seconds::new(1e-6));
     let out = b.serve_with_faults(&plan).unwrap();
     out.check_coherence().unwrap();
-    assert!(out.counters.fault_transitions > 0, "the outage must be crossed");
+    assert!(
+        out.counters.fault_transitions > 0,
+        "the outage must be crossed"
+    );
 
-    assert_eq!(a.serve(), b.serve(), "the faulted serve must leave no trace");
+    assert_eq!(
+        a.serve(),
+        b.serve(),
+        "the faulted serve must leave no trace"
+    );
 }
 
 #[test]
@@ -95,8 +117,10 @@ fn pr6_fault_kinds_leave_the_new_ledgers_untouched() {
     // old path — every ledger this PR added stays at its zero.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let mut reg = TenantRegistry::new(&system, H2hConfig::default());
-    reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 8.0, 8)).unwrap();
-    reg.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 8.0, 8)).unwrap();
+    reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 8.0, 8))
+        .unwrap();
+    reg.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 8.0, 8))
+        .unwrap();
     let dead = {
         let t = reg.tenants().next().unwrap();
         most_loaded_board(&t.spec().model, t.mapping(), system.num_accs())
@@ -109,11 +133,25 @@ fn pr6_fault_kinds_leave_the_new_ledgers_untouched() {
     .unwrap();
     let out = reg.serve_with_faults(&plan).unwrap();
     out.check_coherence().unwrap();
-    assert!(out.counters.fault_transitions > 0, "the window must be crossed");
-    assert_eq!(out.counters.staged_repairs, 0, "nothing stages under zero repair cost");
-    assert_eq!(out.counters.sheds, 0, "nothing sheds on a survivable outage");
+    assert!(
+        out.counters.fault_transitions > 0,
+        "the window must be crossed"
+    );
+    assert_eq!(
+        out.counters.staged_repairs, 0,
+        "nothing stages under zero repair cost"
+    );
+    assert_eq!(
+        out.counters.sheds, 0,
+        "nothing sheds on a survivable outage"
+    );
     for t in &out.tenants {
-        assert_eq!(t.repair_time_charged, Seconds::ZERO, "{}: no wall time charged", t.name);
+        assert_eq!(
+            t.repair_time_charged,
+            Seconds::ZERO,
+            "{}: no wall time charged",
+            t.name
+        );
         assert_eq!(t.parks, 0, "{}: never parked", t.name);
     }
 }
@@ -127,12 +165,17 @@ fn host_and_compute_degradation_charges_repair_wall_time() {
     // must stay coherent — and the whole episode must leave no trace
     // on the registry.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
-    let cfg = H2hConfig { repair_secs_per_move: 25e-6, ..H2hConfig::default() };
+    let cfg = H2hConfig {
+        repair_secs_per_move: 25e-6,
+        ..H2hConfig::default()
+    };
     let mut reg = TenantRegistry::new(&system, cfg);
     let mut plain = TenantRegistry::new(&system, cfg);
     for r in [&mut reg, &mut plain] {
-        r.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 8.0, 8)).unwrap();
-        r.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 8.0, 8)).unwrap();
+        r.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 8.0, 8))
+            .unwrap();
+        r.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 8.0, 8))
+            .unwrap();
     }
     let slowed = {
         let t = reg.tenants().next().unwrap();
@@ -145,10 +188,18 @@ fn host_and_compute_degradation_charges_repair_wall_time() {
     .unwrap();
     let out = reg.serve_with_faults(&plan).unwrap();
     out.check_coherence().unwrap();
-    assert!(out.counters.fault_transitions > 0, "the degradation must be crossed");
-    assert!(out.counters.staged_repairs > 0, "a changed placement must stage behind its wall time");
     assert!(
-        out.tenants.iter().any(|t| t.repair_time_charged > Seconds::ZERO),
+        out.counters.fault_transitions > 0,
+        "the degradation must be crossed"
+    );
+    assert!(
+        out.counters.staged_repairs > 0,
+        "a changed placement must stage behind its wall time"
+    );
+    assert!(
+        out.tenants
+            .iter()
+            .any(|t| t.repair_time_charged > Seconds::ZERO),
         "the repair search's wall time must be charged to a ledger"
     );
     assert_eq!(
@@ -166,8 +217,10 @@ fn bounded_host_outage_is_served_through_by_resident_tenants() {
     // finishes normally — no stall, every request served.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let mut reg = TenantRegistry::new(&system, H2hConfig::default());
-    reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 8.0, 24)).unwrap();
-    reg.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 8.0, 24)).unwrap();
+    reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 8.0, 24))
+        .unwrap();
+    reg.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 8.0, 24))
+        .unwrap();
     // Size the outage window from the no-fault drain so recovery is
     // guaranteed to fall among the serving rounds, whatever the
     // models' latencies are.
@@ -175,9 +228,16 @@ fn bounded_host_outage_is_served_through_by_resident_tenants() {
     let plan = FaultPlan::parse(&format!("host:down@0.000001-{mid}"), system.num_accs()).unwrap();
     let out = reg.serve_with_faults(&plan).unwrap();
     out.check_coherence().unwrap();
-    assert!(out.counters.fault_transitions >= 2, "onset and recovery must both be crossed");
+    assert!(
+        out.counters.fault_transitions >= 2,
+        "onset and recovery must both be crossed"
+    );
     for t in &out.tenants {
-        assert_eq!(t.served, t.requests, "{}: every request drains through the outage", t.name);
+        assert_eq!(
+            t.served, t.requests,
+            "{}: every request drains through the outage",
+            t.name
+        );
     }
 }
 
@@ -194,7 +254,10 @@ fn budgeted_repair_recovers_most_of_scratch_at_a_fraction_of_the_bill() {
     let cfg = H2hConfig::default();
     let preset = PinPreset::new();
     for model in [h2h_model::zoo::vlocnet(), h2h_model::zoo::casia_surf()] {
-        let outcome = H2hMapper::new(&model, &system).with_config(cfg).run().unwrap();
+        let outcome = H2hMapper::new(&model, &system)
+            .with_config(cfg)
+            .run()
+            .unwrap();
         let dead = most_loaded_board(&model, &outcome.mapping, system.num_accs());
         let mut state = FaultState::healthy(system.num_accs());
         state.set_down(AccId::new(dead));
@@ -205,10 +268,21 @@ fn budgeted_repair_recovers_most_of_scratch_at_a_fraction_of_the_bill() {
         let rep = repair_mapping(&ev, &cfg, &preset, &outcome.mapping, &state, budget).unwrap();
         let scr = scratch_remap(&model, &system, &state, &cfg, &preset).unwrap();
 
-        assert!(rep.stats.attempted_moves <= budget, "{}: budget overrun", model.name());
-        let (inc, fixed, fresh) =
-            (rep.incumbent_degraded.as_f64(), rep.repaired().as_f64(), scr.makespan.as_f64());
-        assert!(fixed <= inc + 1e-12, "{}: repair must never lose to the incumbent", model.name());
+        assert!(
+            rep.stats.attempted_moves <= budget,
+            "{}: budget overrun",
+            model.name()
+        );
+        let (inc, fixed, fresh) = (
+            rep.incumbent_degraded.as_f64(),
+            rep.repaired().as_f64(),
+            scr.makespan.as_f64(),
+        );
+        assert!(
+            fixed <= inc + 1e-12,
+            "{}: repair must never lose to the incumbent",
+            model.name()
+        );
         if fresh < inc {
             let recovery = (inc - fixed) / (inc - fresh);
             assert!(
@@ -224,6 +298,10 @@ fn budgeted_repair_recovers_most_of_scratch_at_a_fraction_of_the_bill() {
             "{}: repair spent {spent} moves vs scratch {bill} — over half the search bill",
             model.name()
         );
-        assert!(scr.pipeline_evals > 0, "{}: the pipeline bill must be instrumented", model.name());
+        assert!(
+            scr.pipeline_evals > 0,
+            "{}: the pipeline bill must be instrumented",
+            model.name()
+        );
     }
 }

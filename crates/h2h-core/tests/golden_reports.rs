@@ -30,7 +30,9 @@ use h2h_system::schedule::{Evaluator, Schedule};
 use h2h_system::system::{AccId, BandwidthClass, SystemSpec};
 
 fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{name}.txt"))
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.txt"))
 }
 
 fn check_golden(name: &str, actual: &str) {
@@ -60,7 +62,10 @@ fn search_stats_report_snapshot_mocap() {
     let model = h2h_model::zoo::mocap();
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let out = H2hMapper::new(&model, &system).run().unwrap();
-    check_golden("search_stats_mocap_lowminus", &search_stats_report(&out.remap_stats));
+    check_golden(
+        "search_stats_mocap_lowminus",
+        &search_stats_report(&out.remap_stats),
+    );
 }
 
 #[test]
@@ -70,7 +75,10 @@ fn search_stats_report_snapshot_casia_surf() {
     let model = h2h_model::zoo::casia_surf();
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let out = H2hMapper::new(&model, &system).run().unwrap();
-    check_golden("search_stats_casia_surf_lowminus", &search_stats_report(&out.remap_stats));
+    check_golden(
+        "search_stats_casia_surf_lowminus",
+        &search_stats_report(&out.remap_stats),
+    );
 }
 
 #[test]
@@ -83,10 +91,17 @@ fn simulated_annealing_snapshot_cnn_lstm() {
     let model = h2h_model::zoo::cnn_lstm();
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let ev = Evaluator::new(&model, &system);
-    let anneal = AnnealConfig { iterations: 300, seed: 1, ..AnnealConfig::default() };
+    let anneal = AnnealConfig {
+        iterations: 300,
+        seed: 1,
+        ..AnnealConfig::default()
+    };
     let sa = simulated_annealing(&ev, &H2hConfig::default(), &anneal, &PinPreset::new()).unwrap();
-    let placement: Vec<String> =
-        model.topo_order().iter().map(|id| sa.mapping.acc_of(*id).index().to_string()).collect();
+    let placement: Vec<String> = model
+        .topo_order()
+        .iter()
+        .map(|id| sa.mapping.acc_of(*id).index().to_string())
+        .collect();
     let makespan = sa.schedule.makespan();
     let report = format!(
         "simulated annealing — {} @ Low-, seed {}, {} iterations\n  \
@@ -110,14 +125,24 @@ fn fig2_motivation_snapshot() {
     // H2H trades a little per-layer compute efficiency for far less
     // data movement.
     let mut b = ModelBuilder::new("fig2-toy");
-    let shape = TensorShape::Feature { c: 256, h: 28, w: 28 };
+    let shape = TensorShape::Feature {
+        c: 256,
+        h: 28,
+        w: 28,
+    };
     for branch in 1..=2 {
         b.modality(Some(&format!("net{branch}")));
         let mut x = b.input(&format!("{branch}.in"), shape);
         for i in 1..=2 {
-            let r = b.conv(&format!("{branch}.{i}.reduce"), x, 128, 1, 1).unwrap();
-            let s = b.conv(&format!("{branch}.{i}.spatial"), r, 128, 3, 1).unwrap();
-            let e = b.conv(&format!("{branch}.{i}.expand"), s, 256, 1, 1).unwrap();
+            let r = b
+                .conv(&format!("{branch}.{i}.reduce"), x, 128, 1, 1)
+                .unwrap();
+            let s = b
+                .conv(&format!("{branch}.{i}.spatial"), r, 128, 3, 1)
+                .unwrap();
+            let e = b
+                .conv(&format!("{branch}.{i}.expand"), s, 256, 1, 1)
+                .unwrap();
             x = b.add(&format!("{branch}.{i}.add"), &[e, x]).unwrap();
         }
         b.global_pool(&format!("{branch}.gap"), x).unwrap();
@@ -159,7 +184,10 @@ fn fig2_motivation_snapshot() {
 #[test]
 fn serve_report_snapshot_two_tenants() {
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
-    let cfg = H2hConfig { serve_verify: true, ..H2hConfig::default() };
+    let cfg = H2hConfig {
+        serve_verify: true,
+        ..H2hConfig::default()
+    };
     let mut reg = TenantRegistry::new(&system, cfg);
     reg.admit(TenantSpec::new(
         "mocap",
@@ -190,7 +218,10 @@ fn serve_report_snapshot_fault_window() {
     // report grows the fault section — transitions, repairs, and the
     // per-tenant degraded-mode SLO ledger.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
-    let cfg = H2hConfig { serve_verify: true, ..H2hConfig::default() };
+    let cfg = H2hConfig {
+        serve_verify: true,
+        ..H2hConfig::default()
+    };
     let mut reg = TenantRegistry::new(&system, cfg);
     reg.admit(TenantSpec::new(
         "mocap",
@@ -222,7 +253,10 @@ fn serve_report_snapshot_fault_window() {
     let plan = FaultPlan::board_down(AccId::new(dead), Seconds::new(1e-6));
     let out = reg.serve_with_faults(&plan).unwrap();
     out.check_coherence().unwrap();
-    assert!(out.counters.fault_transitions > 0, "the outage must be crossed");
+    assert!(
+        out.counters.fault_transitions > 0,
+        "the outage must be crossed"
+    );
     check_golden("serve_report_fault_window_lowminus", &serve_report(&out));
 }
 
@@ -274,9 +308,14 @@ fn serve_report_snapshot_repair_charged_window() {
     .unwrap();
     let out = reg.serve_with_faults(&plan).unwrap();
     out.check_coherence().unwrap();
-    assert!(out.counters.fault_transitions > 0, "the degradation must be crossed");
     assert!(
-        out.tenants.iter().any(|t| t.repair_time_charged > Seconds::ZERO),
+        out.counters.fault_transitions > 0,
+        "the degradation must be crossed"
+    );
+    assert!(
+        out.tenants
+            .iter()
+            .any(|t| t.repair_time_charged > Seconds::ZERO),
         "a budgeted repair under a nonzero per-move cost must charge wall time"
     );
     check_golden("serve_report_repair_charged_lowminus", &serve_report(&out));

@@ -30,15 +30,16 @@ fn model_pool() -> Vec<h2h_model::ModelGraph> {
 fn zero_headroom_budget_serves_by_eviction_not_trimming() {
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let model = h2h_model::zoo::mocap();
-    let mk_spec = |name: &str| {
-        TenantSpec::new(name, model.clone(), 200.0, Seconds::new(5.0), 6)
-    };
+    let mk_spec = |name: &str| TenantSpec::new(name, model.clone(), 200.0, Seconds::new(5.0), 6);
 
     // Probe at the full budget to learn the admitted footprint, then
     // compute the fraction that makes the most-subscribed board exact:
     // frac = (resident + 0.5) / capacity floors back to `resident`
     // when multiplied out, so the budget equals the footprint bitwise.
-    let probe_cfg = H2hConfig { serve_verify: true, ..H2hConfig::default() };
+    let probe_cfg = H2hConfig {
+        serve_verify: true,
+        ..H2hConfig::default()
+    };
     let mut probe = TenantRegistry::new(&system, probe_cfg);
     probe.admit(mk_spec("probe")).unwrap();
     let (binding, res, cap, frac) = {
@@ -69,13 +70,26 @@ fn zero_headroom_budget_serves_by_eviction_not_trimming() {
     reg.admit(mk_spec("a")).unwrap();
     reg.admit(mk_spec("b")).unwrap();
     for t in reg.tenants() {
-        assert_eq!(t.trimmed_pins(), 0, "{}: each tenant fits alone, nothing may trim", t.spec().name);
-        assert_eq!(t.resident_bytes(binding).as_u64(), res, "{}: same model, same footprint", t.spec().name);
+        assert_eq!(
+            t.trimmed_pins(),
+            0,
+            "{}: each tenant fits alone, nothing may trim",
+            t.spec().name
+        );
+        assert_eq!(
+            t.resident_bytes(binding).as_u64(),
+            res,
+            "{}: same model, same footprint",
+            t.spec().name
+        );
     }
 
     let out = reg.serve();
     out.check_coherence().unwrap();
-    assert!(out.counters.rounds >= 2, "two tenants cannot drain in one round");
+    assert!(
+        out.counters.rounds >= 2,
+        "two tenants cannot drain in one round"
+    );
     assert!(
         out.counters.weight_reloads > 0,
         "zero headroom forces at least one eviction/re-stream cycle"
@@ -87,7 +101,10 @@ fn zero_headroom_budget_serves_by_eviction_not_trimming() {
         "the binding board must run exactly full, not over"
     );
     for (peak, budget) in out.peak_resident.iter().zip(&out.budgets) {
-        assert!(peak <= budget, "round footprint exceeds the zero-headroom budget");
+        assert!(
+            peak <= budget,
+            "round footprint exceeds the zero-headroom budget"
+        );
     }
 }
 

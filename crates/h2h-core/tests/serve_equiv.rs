@@ -24,21 +24,41 @@ fn single_tenant_admission_is_bit_identical_to_the_pipeline() {
     // (full) budget must reproduce the standalone H2hMapper run bit for
     // bit — mapping, locality, and final latency.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
-    for model in [h2h_model::zoo::mocap(), h2h_model::zoo::cnn_lstm(), h2h_model::zoo::casia_surf()]
-    {
+    for model in [
+        h2h_model::zoo::mocap(),
+        h2h_model::zoo::cnn_lstm(),
+        h2h_model::zoo::casia_surf(),
+    ] {
         let offline = H2hMapper::new(&model, &system).run().unwrap();
         let mut reg = TenantRegistry::new(&system, H2hConfig::default());
-        let id = reg.admit(spec(model.name(), model.clone(), 4.0, 10.0, 4)).unwrap();
+        let id = reg
+            .admit(spec(model.name(), model.clone(), 4.0, 10.0, 4))
+            .unwrap();
         let t = reg.tenant(id);
-        assert_eq!(t.mapping(), &offline.mapping, "{}: mapping diverged", model.name());
-        assert_eq!(t.locality(), &offline.locality, "{}: locality diverged", model.name());
+        assert_eq!(
+            t.mapping(),
+            &offline.mapping,
+            "{}: mapping diverged",
+            model.name()
+        );
+        assert_eq!(
+            t.locality(),
+            &offline.locality,
+            "{}: locality diverged",
+            model.name()
+        );
         assert_eq!(
             t.ideal_latency(),
             offline.final_latency(),
             "{}: latency diverged",
             model.name()
         );
-        assert_eq!(t.trimmed_pins(), 0, "{}: the full budget must trim nothing", model.name());
+        assert_eq!(
+            t.trimmed_pins(),
+            0,
+            "{}: the full budget must trim nothing",
+            model.name()
+        );
     }
 }
 
@@ -48,15 +68,23 @@ fn slice_makespans_match_the_batched_full_evaluator_bitwise() {
     // cross-checked against Evaluator::with_batch(k).evaluate of the
     // same (mapping, locality). Zero mismatches allowed.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
-    let cfg = H2hConfig { serve_verify: true, ..H2hConfig::default() };
+    let cfg = H2hConfig {
+        serve_verify: true,
+        ..H2hConfig::default()
+    };
     let mut reg = TenantRegistry::new(&system, cfg);
     let ids = [
-        reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 300.0, 8.0, 20)).unwrap(),
-        reg.admit(spec("mocap", h2h_model::zoo::mocap(), 300.0, 8.0, 20)).unwrap(),
+        reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 300.0, 8.0, 20))
+            .unwrap(),
+        reg.admit(spec("mocap", h2h_model::zoo::mocap(), 300.0, 8.0, 20))
+            .unwrap(),
     ];
     let out = reg.serve();
     out.check_coherence().unwrap();
-    assert!(out.counters.crosschecks > 0, "verification must actually run");
+    assert!(
+        out.counters.crosschecks > 0,
+        "verification must actually run"
+    );
     assert_eq!(out.counters.crosscheck_mismatches, 0);
 
     // And explicitly, outside the serve loop: the registry's slice
@@ -83,11 +111,17 @@ fn three_tenant_batched_serving_beats_naive_within_budget() {
     // serving strictly faster than per-request serving, DRAM budget
     // respected throughout.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
-    let cfg = H2hConfig { serve_verify: true, ..H2hConfig::default() };
+    let cfg = H2hConfig {
+        serve_verify: true,
+        ..H2hConfig::default()
+    };
     let mut reg = TenantRegistry::new(&system, cfg);
-    reg.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 30.0, 16)).unwrap();
-    reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 30.0, 16)).unwrap();
-    reg.admit(spec("casia", h2h_model::zoo::casia_surf(), 40.0, 30.0, 16)).unwrap();
+    reg.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 30.0, 16))
+        .unwrap();
+    reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 30.0, 16))
+        .unwrap();
+    reg.admit(spec("casia", h2h_model::zoo::casia_surf(), 40.0, 30.0, 16))
+        .unwrap();
     let batched = reg.serve();
     batched.check_coherence().unwrap();
     let naive = reg.serve_naive();
@@ -102,7 +136,11 @@ fn three_tenant_batched_serving_beats_naive_within_budget() {
     // weight-fetch time through batching.
     for t in &batched.tenants {
         assert!(t.max_batch > 1, "{}: backlog must batch", t.name);
-        assert!(t.amortized_weight_time > Seconds::ZERO, "{}: no amortization", t.name);
+        assert!(
+            t.amortized_weight_time > Seconds::ZERO,
+            "{}: no amortization",
+            t.name
+        );
     }
     for t in &naive.tenants {
         assert_eq!(t.max_batch, 1);
@@ -138,11 +176,15 @@ fn serving_stays_coherent_and_verified_on_non_uniform_topologies() {
                 .admit(TenantSpec::new(name, model, 1.0, Seconds::new(1.0), 12))
                 .unwrap();
             let ideal = reg.tenant(id).ideal_latency().as_f64();
-            reg.set_contract(id, 8.0 / ideal, Seconds::new(24.0 * ideal), 12).unwrap();
+            reg.set_contract(id, 8.0 / ideal, Seconds::new(24.0 * ideal), 12)
+                .unwrap();
         }
         let out = reg.serve();
         out.check_coherence().unwrap();
-        assert!(out.counters.crosschecks > 0, "verification must actually run");
+        assert!(
+            out.counters.crosschecks > 0,
+            "verification must actually run"
+        );
         assert_eq!(
             out.counters.crosscheck_mismatches, 0,
             "incremental slices must match the topology-aware evaluator"
@@ -200,7 +242,9 @@ fn explicit_fixed_arrivals_are_bitwise_identical_to_the_default() {
         let s = spec(model.name(), model.clone(), 60.0, 6.0, 10);
         default_reg.admit(s.clone()).unwrap();
         let id = explicit_reg.admit(s).unwrap();
-        explicit_reg.set_arrivals(id, ArrivalProcess::Fixed).unwrap();
+        explicit_reg
+            .set_arrivals(id, ArrivalProcess::Fixed)
+            .unwrap();
     }
     assert_eq!(default_reg.serve(), explicit_reg.serve());
 }
@@ -212,8 +256,10 @@ fn serve_runs_are_deterministic() {
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let build = || {
         let mut reg = TenantRegistry::new(&system, H2hConfig::default());
-        reg.admit(spec("a", h2h_model::zoo::mocap(), 25.0, 5.0, 12)).unwrap();
-        reg.admit(spec("b", h2h_model::zoo::cnn_lstm(), 25.0, 5.0, 12)).unwrap();
+        reg.admit(spec("a", h2h_model::zoo::mocap(), 25.0, 5.0, 12))
+            .unwrap();
+        reg.admit(spec("b", h2h_model::zoo::cnn_lstm(), 25.0, 5.0, 12))
+            .unwrap();
         reg.serve()
     };
     let first = build();

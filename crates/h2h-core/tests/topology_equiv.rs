@@ -18,7 +18,10 @@ fn uniform_variants(bw: BandwidthClass, n: usize) -> Vec<(&'static str, Topology
     vec![
         ("uniform_star", Topology::uniform_star(rate, n)),
         ("equal_links_star", Topology::star(rate, vec![rate; n])),
-        ("peerless_switched", Topology::switched(rate, vec![rate; n], Vec::new())),
+        (
+            "peerless_switched",
+            Topology::switched(rate, vec![rate; n], Vec::new()),
+        ),
     ]
 }
 
@@ -67,9 +70,16 @@ fn uniform_topology_pipeline_is_bit_identical_to_the_scalar_path_zoo_wide() {
                     reference.schedule.energy().total(),
                     "{tag}: energy diverged"
                 );
-                assert_eq!(out.remap_stats, reference.remap_stats, "{tag}: SearchStats diverged");
+                assert_eq!(
+                    out.remap_stats, reference.remap_stats,
+                    "{tag}: SearchStats diverged"
+                );
                 for (a, b) in out.snapshots.iter().zip(reference.snapshots.iter()) {
-                    assert_eq!(a.latency, b.latency, "{tag}: step {:?} latency diverged", a.step);
+                    assert_eq!(
+                        a.latency, b.latency,
+                        "{tag}: step {:?} latency diverged",
+                        a.step
+                    );
                 }
             }
         }

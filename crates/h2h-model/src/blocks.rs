@@ -28,7 +28,13 @@ pub fn resnet_stem(
     from: LayerId,
     width: f64,
 ) -> Result<LayerId, ModelError> {
-    let c = b.conv(&format!("{prefix}.stem"), from, scale_channels(64, width), 7, 2)?;
+    let c = b.conv(
+        &format!("{prefix}.stem"),
+        from,
+        scale_channels(64, width),
+        7,
+        2,
+    )?;
     b.max_pool(&format!("{prefix}.stem_pool"), c, 3, 2)
 }
 
@@ -98,7 +104,13 @@ pub fn resnet18_trunk(
         let c = scale_channels(channels, width);
         for blk in 0..blocks {
             let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            x = basic_block(b, &format!("{prefix}.s{}b{}", stage + 1, blk + 1), x, c, stride)?;
+            x = basic_block(
+                b,
+                &format!("{prefix}.s{}b{}", stage + 1, blk + 1),
+                x,
+                c,
+                stride,
+            )?;
         }
     }
     Ok(x)
@@ -124,7 +136,13 @@ pub fn resnet50_trunk(
         let m = scale_channels(mid, width);
         for blk in 0..blocks {
             let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            x = bottleneck_block(b, &format!("{prefix}.s{}b{}", stage + 1, blk + 1), x, m, stride)?;
+            x = bottleneck_block(
+                b,
+                &format!("{prefix}.s{}b{}", stage + 1, blk + 1),
+                x,
+                m,
+                stride,
+            )?;
         }
     }
     Ok(x)
@@ -187,7 +205,13 @@ pub fn vdcnn_trunk(
     width: f64,
     blocks_per_stage: u32,
 ) -> Result<LayerId, ModelError> {
-    let mut x = b.conv1d(&format!("{prefix}.embed"), from, scale_channels(64, width), 3, 1)?;
+    let mut x = b.conv1d(
+        &format!("{prefix}.embed"),
+        from,
+        scale_channels(64, width),
+        3,
+        1,
+    )?;
     for (stage, channels) in [64u32, 128, 256, 512].into_iter().enumerate() {
         let c = scale_channels(channels, width);
         for blk in 0..blocks_per_stage {
@@ -223,7 +247,14 @@ pub fn sensor_convnet(
 
 /// Convenience: standard image input (`3 × side × side`).
 pub fn image_input(b: &mut ModelBuilder, name: &str, side: u32) -> LayerId {
-    b.input(name, TensorShape::Feature { c: 3, h: side, w: side })
+    b.input(
+        name,
+        TensorShape::Feature {
+            c: 3,
+            h: side,
+            w: side,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -303,22 +334,50 @@ mod tests {
     #[test]
     fn basic_block_uses_projection_only_when_needed() {
         let mut b = ModelBuilder::new("bb");
-        let i = b.input("in", TensorShape::Feature { c: 64, h: 56, w: 56 });
+        let i = b.input(
+            "in",
+            TensorShape::Feature {
+                c: 64,
+                h: 56,
+                w: 56,
+            },
+        );
         basic_block(&mut b, "same", i, 64, 1).unwrap();
         let m1 = b.finish().unwrap();
-        assert_eq!(count_class(&m1, LayerClass::Conv), 2, "identity skip needs no proj");
+        assert_eq!(
+            count_class(&m1, LayerClass::Conv),
+            2,
+            "identity skip needs no proj"
+        );
 
         let mut b = ModelBuilder::new("bb2");
-        let i = b.input("in", TensorShape::Feature { c: 64, h: 56, w: 56 });
+        let i = b.input(
+            "in",
+            TensorShape::Feature {
+                c: 64,
+                h: 56,
+                w: 56,
+            },
+        );
         basic_block(&mut b, "down", i, 128, 2).unwrap();
         let m2 = b.finish().unwrap();
-        assert_eq!(count_class(&m2, LayerClass::Conv), 3, "downsample needs projection");
+        assert_eq!(
+            count_class(&m2, LayerClass::Conv),
+            3,
+            "downsample needs projection"
+        );
     }
 
     #[test]
     fn vdcnn_trunk_is_sequence_out() {
         let mut b = ModelBuilder::new("vd");
-        let i = b.input("in", TensorShape::Sequence { steps: 256, features: 16 });
+        let i = b.input(
+            "in",
+            TensorShape::Sequence {
+                steps: 256,
+                features: 16,
+            },
+        );
         let t = vdcnn_trunk(&mut b, "vd", i, 1.0, 2).unwrap();
         match b.shape(t) {
             TensorShape::Sequence { steps, features } => {
@@ -333,9 +392,21 @@ mod tests {
     #[test]
     fn sensor_convnet_strides_halve_sequence() {
         let mut b = ModelBuilder::new("sc");
-        let i = b.input("in", TensorShape::Sequence { steps: 400, features: 6 });
+        let i = b.input(
+            "in",
+            TensorShape::Sequence {
+                steps: 400,
+                features: 6,
+            },
+        );
         let t = sensor_convnet(&mut b, "imu", i, &[32, 64, 128]).unwrap();
-        assert_eq!(b.shape(t), TensorShape::Sequence { steps: 100, features: 128 });
+        assert_eq!(
+            b.shape(t),
+            TensorShape::Sequence {
+                steps: 100,
+                features: 128
+            }
+        );
         b.finish().unwrap();
     }
 }

@@ -54,7 +54,11 @@ pub struct ModelBuilder {
 impl ModelBuilder {
     /// Starts a new model.
     pub fn new(name: impl Into<String>) -> Self {
-        ModelBuilder { graph: ModelGraph::new(name), shapes: HashMap::new(), modality: None }
+        ModelBuilder {
+            graph: ModelGraph::new(name),
+            shapes: HashMap::new(),
+            modality: None,
+        }
     }
 
     /// Sets the modality tag applied to subsequently created layers
@@ -153,7 +157,10 @@ impl ModelBuilder {
                 let id = self.push(name, LayerOp::Conv(p), &[from])?;
                 self.shapes.insert(
                     id,
-                    TensorShape::Sequence { steps: out_steps, features: out_channels },
+                    TensorShape::Sequence {
+                        steps: out_steps,
+                        features: out_channels,
+                    },
                 );
                 Ok(id)
             }
@@ -169,12 +176,23 @@ impl ModelBuilder {
     ///
     /// Returns [`ModelError::ShapeMismatch`] if the flattened input width
     /// exceeds `u32::MAX`.
-    pub fn fc(&mut self, name: &str, from: LayerId, out_features: u32) -> Result<LayerId, ModelError> {
+    pub fn fc(
+        &mut self,
+        name: &str,
+        from: LayerId,
+        out_features: u32,
+    ) -> Result<LayerId, ModelError> {
         let inf = self.shape(from).flat_features();
-        let in_features = u32::try_from(inf).map_err(|_| {
-            ModelError::ShapeMismatch(format!("fc `{name}` input too wide: {inf}"))
-        })?;
-        self.push(name, LayerOp::Fc(FcParams { in_features, out_features }), &[from])
+        let in_features = u32::try_from(inf)
+            .map_err(|_| ModelError::ShapeMismatch(format!("fc `{name}` input too wide: {inf}")))?;
+        self.push(
+            name,
+            LayerOp::Fc(FcParams {
+                in_features,
+                out_features,
+            }),
+            &[from],
+        )
     }
 
     /// Adds an LSTM stack reading a sequence.
@@ -245,7 +263,13 @@ impl ModelBuilder {
     ///
     /// Returns [`ModelError::ShapeMismatch`] unless `from` produces a
     /// spatial feature map, and [`ModelError::ZeroStride`] for `s == 0`.
-    pub fn max_pool(&mut self, name: &str, from: LayerId, k: u32, s: u32) -> Result<LayerId, ModelError> {
+    pub fn max_pool(
+        &mut self,
+        name: &str,
+        from: LayerId,
+        k: u32,
+        s: u32,
+    ) -> Result<LayerId, ModelError> {
         self.pool(name, from, k, s, PoolKind::Max)
     }
 
@@ -254,7 +278,13 @@ impl ModelBuilder {
     /// # Errors
     ///
     /// See [`ModelBuilder::max_pool`].
-    pub fn avg_pool(&mut self, name: &str, from: LayerId, k: u32, s: u32) -> Result<LayerId, ModelError> {
+    pub fn avg_pool(
+        &mut self,
+        name: &str,
+        from: LayerId,
+        k: u32,
+        s: u32,
+    ) -> Result<LayerId, ModelError> {
         self.pool(name, from, k, s, PoolKind::Avg)
     }
 
@@ -266,9 +296,15 @@ impl ModelBuilder {
     /// spatial feature map.
     pub fn global_pool(&mut self, name: &str, from: LayerId) -> Result<LayerId, ModelError> {
         match self.shape(from) {
-            TensorShape::Feature { c, h, w } => {
-                self.push(name, LayerOp::GlobalPool { channels: c, in_h: h, in_w: w }, &[from])
-            }
+            TensorShape::Feature { c, h, w } => self.push(
+                name,
+                LayerOp::GlobalPool {
+                    channels: c,
+                    in_h: h,
+                    in_w: w,
+                },
+                &[from],
+            ),
             other => Err(ModelError::ShapeMismatch(format!(
                 "global_pool `{name}` needs a Feature input, got {other:?}"
             ))),
@@ -284,10 +320,14 @@ impl ModelBuilder {
     /// fewer than two inputs are given.
     pub fn add(&mut self, name: &str, inputs: &[LayerId]) -> Result<LayerId, ModelError> {
         let [first, rest @ ..] = inputs else {
-            return Err(ModelError::ShapeMismatch(format!("add `{name}` needs >= 2 inputs")));
+            return Err(ModelError::ShapeMismatch(format!(
+                "add `{name}` needs >= 2 inputs"
+            )));
         };
         if rest.is_empty() {
-            return Err(ModelError::ShapeMismatch(format!("add `{name}` needs >= 2 inputs")));
+            return Err(ModelError::ShapeMismatch(format!(
+                "add `{name}` needs >= 2 inputs"
+            )));
         }
         let shape = self.shape(*first);
         for id in rest {
@@ -312,7 +352,9 @@ impl ModelBuilder {
     /// temporal extents, or fewer than two inputs.
     pub fn concat(&mut self, name: &str, inputs: &[LayerId]) -> Result<LayerId, ModelError> {
         if inputs.len() < 2 {
-            return Err(ModelError::ShapeMismatch(format!("concat `{name}` needs >= 2 inputs")));
+            return Err(ModelError::ShapeMismatch(format!(
+                "concat `{name}` needs >= 2 inputs"
+            )));
         }
         let shapes: Vec<TensorShape> = inputs.iter().map(|id| self.shape(*id)).collect();
         let out = match shapes[0] {
@@ -366,11 +408,15 @@ impl ModelBuilder {
     pub fn to_sequence(&mut self, name: &str, from: LayerId) -> Result<LayerId, ModelError> {
         match self.shape(from) {
             TensorShape::Feature { c, h, w } => {
-                let out = TensorShape::Sequence { steps: h * w, features: c };
-                self.push(name, LayerOp::Concat { out }, &[from]).map_err(|e| match e {
-                    ModelError::ShapeMismatch(m) => ModelError::ShapeMismatch(m),
-                    other => other,
-                })
+                let out = TensorShape::Sequence {
+                    steps: h * w,
+                    features: c,
+                };
+                self.push(name, LayerOp::Concat { out }, &[from])
+                    .map_err(|e| match e {
+                        ModelError::ShapeMismatch(m) => ModelError::ShapeMismatch(m),
+                        other => other,
+                    })
             }
             other => Err(ModelError::ShapeMismatch(format!(
                 "to_sequence `{name}` needs a Feature input, got {other:?}"
@@ -397,39 +443,85 @@ mod tests {
     #[test]
     fn conv_shape_propagation_same_padding() {
         let mut b = ModelBuilder::new("t");
-        let i = b.input("i", TensorShape::Feature { c: 3, h: 224, w: 224 });
+        let i = b.input(
+            "i",
+            TensorShape::Feature {
+                c: 3,
+                h: 224,
+                w: 224,
+            },
+        );
         let c = b.conv("c", i, 64, 7, 2).unwrap();
-        assert_eq!(b.shape(c), TensorShape::Feature { c: 64, h: 112, w: 112 });
+        assert_eq!(
+            b.shape(c),
+            TensorShape::Feature {
+                c: 64,
+                h: 112,
+                w: 112
+            }
+        );
         let p = b.max_pool("p", c, 3, 2).unwrap();
-        assert_eq!(b.shape(p), TensorShape::Feature { c: 64, h: 56, w: 56 });
+        assert_eq!(
+            b.shape(p),
+            TensorShape::Feature {
+                c: 64,
+                h: 56,
+                w: 56
+            }
+        );
     }
 
     #[test]
     fn zero_strides_are_rejected_not_divided_by() {
         let mut b = ModelBuilder::new("t");
         let img = b.input("img", TensorShape::Feature { c: 3, h: 8, w: 8 });
-        let seq = b.input("seq", TensorShape::Sequence { steps: 8, features: 4 });
+        let seq = b.input(
+            "seq",
+            TensorShape::Sequence {
+                steps: 8,
+                features: 4,
+            },
+        );
         let zero = |r| matches!(r, Err(ModelError::ZeroStride(n)) if n == "z");
         assert!(zero(b.conv("z", img, 4, 3, 0)));
         assert!(zero(b.conv1d("z", seq, 4, 3, 0)));
         assert!(zero(b.max_pool("z", img, 2, 0)));
         assert!(zero(b.avg_pool("z", img, 2, 0)));
-        assert_eq!(b.finish().unwrap().num_layers(), 2, "no rejected layer was added");
+        assert_eq!(
+            b.finish().unwrap().num_layers(),
+            2,
+            "no rejected layer was added"
+        );
     }
 
     #[test]
     fn conv_rejects_vector_input() {
         let mut b = ModelBuilder::new("t");
         let i = b.input("i", TensorShape::Vector { features: 10 });
-        assert!(matches!(b.conv("c", i, 8, 3, 1), Err(ModelError::ShapeMismatch(_))));
+        assert!(matches!(
+            b.conv("c", i, 8, 3, 1),
+            Err(ModelError::ShapeMismatch(_))
+        ));
     }
 
     #[test]
     fn conv1d_keeps_sequence_shape() {
         let mut b = ModelBuilder::new("t");
-        let i = b.input("i", TensorShape::Sequence { steps: 128, features: 16 });
+        let i = b.input(
+            "i",
+            TensorShape::Sequence {
+                steps: 128,
+                features: 16,
+            },
+        );
         let c = b.conv1d("c", i, 64, 3, 2).unwrap();
-        assert_eq!(b.shape(c), TensorShape::Sequence { steps: 64, features: 64 });
+        assert_eq!(
+            b.shape(c),
+            TensorShape::Sequence {
+                steps: 64,
+                features: 64
+            }
+        );
         // And it can feed an LSTM.
         let l = b.lstm("l", c, 128, 1, false).unwrap();
         assert_eq!(b.shape(l), TensorShape::Vector { features: 128 });
@@ -450,7 +542,10 @@ mod tests {
     fn lstm_rejects_feature_input() {
         let mut b = ModelBuilder::new("t");
         let i = b.input("i", TensorShape::Feature { c: 3, h: 8, w: 8 });
-        assert!(matches!(b.lstm("l", i, 64, 1, true), Err(ModelError::ShapeMismatch(_))));
+        assert!(matches!(
+            b.lstm("l", i, 64, 1, true),
+            Err(ModelError::ShapeMismatch(_))
+        ));
     }
 
     #[test]
@@ -459,7 +554,10 @@ mod tests {
         let i = b.input("i", TensorShape::Feature { c: 8, h: 4, w: 4 });
         let a = b.conv("a", i, 8, 3, 1).unwrap();
         let c = b.conv("c", i, 16, 3, 1).unwrap();
-        assert!(matches!(b.add("bad", &[a, c]), Err(ModelError::ShapeMismatch(_))));
+        assert!(matches!(
+            b.add("bad", &[a, c]),
+            Err(ModelError::ShapeMismatch(_))
+        ));
         let d = b.conv("d", i, 8, 3, 1).unwrap();
         let ok = b.add("ok", &[a, d]).unwrap();
         assert_eq!(b.shape(ok), TensorShape::Feature { c: 8, h: 4, w: 4 });
@@ -469,7 +567,10 @@ mod tests {
     fn add_requires_two_inputs() {
         let mut b = ModelBuilder::new("t");
         let i = b.input("i", TensorShape::Vector { features: 4 });
-        assert!(matches!(b.add("one", &[i]), Err(ModelError::ShapeMismatch(_))));
+        assert!(matches!(
+            b.add("one", &[i]),
+            Err(ModelError::ShapeMismatch(_))
+        ));
     }
 
     #[test]
@@ -486,7 +587,13 @@ mod tests {
     fn concat_mixed_shapes_flattens() {
         let mut b = ModelBuilder::new("t");
         let v = b.input("v", TensorShape::Vector { features: 100 });
-        let s = b.input("s", TensorShape::Sequence { steps: 10, features: 8 });
+        let s = b.input(
+            "s",
+            TensorShape::Sequence {
+                steps: 10,
+                features: 8,
+            },
+        );
         let cat = b.concat("cat", &[v, s]).unwrap();
         assert_eq!(b.shape(cat), TensorShape::Vector { features: 180 });
     }
@@ -494,10 +601,28 @@ mod tests {
     #[test]
     fn concat_sequences_requires_same_steps() {
         let mut b = ModelBuilder::new("t");
-        let a = b.input("a", TensorShape::Sequence { steps: 10, features: 8 });
-        let c = b.input("c", TensorShape::Sequence { steps: 10, features: 4 });
+        let a = b.input(
+            "a",
+            TensorShape::Sequence {
+                steps: 10,
+                features: 8,
+            },
+        );
+        let c = b.input(
+            "c",
+            TensorShape::Sequence {
+                steps: 10,
+                features: 4,
+            },
+        );
         let cat = b.concat("cat", &[a, c]).unwrap();
-        assert_eq!(b.shape(cat), TensorShape::Sequence { steps: 10, features: 12 });
+        assert_eq!(
+            b.shape(cat),
+            TensorShape::Sequence {
+                steps: 10,
+                features: 12
+            }
+        );
     }
 
     #[test]
@@ -508,7 +633,14 @@ mod tests {
         b.modality(None);
         let g = b.global_pool("g", i).unwrap();
         let model = b.finish().unwrap();
-        let by_name = |n: &str| model.layers().find(|(_, l)| l.name() == n).unwrap().1.clone();
+        let by_name = |n: &str| {
+            model
+                .layers()
+                .find(|(_, l)| l.name() == n)
+                .unwrap()
+                .1
+                .clone()
+        };
         assert_eq!(by_name("i").modality(), Some("rgb"));
         assert_eq!(by_name("g").modality(), None);
         let _ = g;
@@ -519,7 +651,13 @@ mod tests {
         let mut b = ModelBuilder::new("t");
         let i = b.input("i", TensorShape::Feature { c: 32, h: 4, w: 4 });
         let s = b.to_sequence("s", i).unwrap();
-        assert_eq!(b.shape(s), TensorShape::Sequence { steps: 16, features: 32 });
+        assert_eq!(
+            b.shape(s),
+            TensorShape::Sequence {
+                steps: 16,
+                features: 32
+            }
+        );
         b.lstm("l", s, 64, 2, false).unwrap();
         b.finish().unwrap();
     }
@@ -532,10 +670,19 @@ mod tests {
         let g = b.global_pool("g", c).unwrap();
         let f = b.fc("f", g, 10).unwrap();
         let m = b.finish().unwrap();
-        let classes: Vec<LayerClass> = m.topo_order().iter().map(|id| m.layer(*id).class()).collect();
+        let classes: Vec<LayerClass> = m
+            .topo_order()
+            .iter()
+            .map(|id| m.layer(*id).class())
+            .collect();
         assert_eq!(
             classes,
-            vec![LayerClass::Aux, LayerClass::Conv, LayerClass::Aux, LayerClass::Fc]
+            vec![
+                LayerClass::Aux,
+                LayerClass::Conv,
+                LayerClass::Aux,
+                LayerClass::Fc
+            ]
         );
         let _ = f;
     }

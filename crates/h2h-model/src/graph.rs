@@ -130,7 +130,10 @@ pub struct ModelGraph {
 impl ModelGraph {
     /// Creates an empty model graph.
     pub fn new(name: impl Into<String>) -> Self {
-        ModelGraph { name: name.into(), graph: StableDiGraph::new() }
+        ModelGraph {
+            name: name.into(),
+            graph: StableDiGraph::new(),
+        }
     }
 
     /// Model name (e.g. `"VLocNet"`).
@@ -241,7 +244,9 @@ impl ModelGraph {
 
     /// Iterate over `(handle, layer)` pairs.
     pub fn layers(&self) -> impl Iterator<Item = (LayerId, &Layer)> + '_ {
-        self.graph.node_indices().map(move |n| (LayerId(n), &self.graph[n]))
+        self.graph
+            .node_indices()
+            .map(move |n| (LayerId(n), &self.graph[n]))
     }
 
     /// Iterate over `(producer, consumer, edge)` triples.
@@ -261,12 +266,16 @@ impl ModelGraph {
 
     /// Direct predecessors of a layer.
     pub fn predecessors(&self, id: LayerId) -> impl Iterator<Item = LayerId> + '_ {
-        self.graph.neighbors_directed(id.0, Direction::Incoming).map(LayerId)
+        self.graph
+            .neighbors_directed(id.0, Direction::Incoming)
+            .map(LayerId)
     }
 
     /// Direct successors of a layer.
     pub fn successors(&self, id: LayerId) -> impl Iterator<Item = LayerId> + '_ {
-        self.graph.neighbors_directed(id.0, Direction::Outgoing).map(LayerId)
+        self.graph
+            .neighbors_directed(id.0, Direction::Outgoing)
+            .map(LayerId)
     }
 
     /// Layers with no predecessors (model inputs).
@@ -383,7 +392,8 @@ impl ModelGraph {
         }
         for (a, b, _) in self.edges() {
             if let (Some(&na), Some(&nb)) = (remap.get(&a), remap.get(&b)) {
-                out.connect(na, nb).expect("remapped edges are unique and non-self");
+                out.connect(na, nb)
+                    .expect("remapped edges are unique and non-self");
             }
         }
         out
@@ -428,13 +438,21 @@ mod tests {
     use crate::tensor::TensorShape;
 
     fn vec_input(g: &mut ModelGraph, name: &str, features: u32) -> LayerId {
-        g.add_layer(Layer::new(name, LayerOp::Input { shape: TensorShape::Vector { features } }))
+        g.add_layer(Layer::new(
+            name,
+            LayerOp::Input {
+                shape: TensorShape::Vector { features },
+            },
+        ))
     }
 
     fn fc(g: &mut ModelGraph, name: &str, inf: u32, outf: u32) -> LayerId {
         g.add_layer(Layer::new(
             name,
-            LayerOp::Fc(FcParams { in_features: inf, out_features: outf }),
+            LayerOp::Fc(FcParams {
+                in_features: inf,
+                out_features: outf,
+            }),
         ))
     }
 
@@ -445,7 +463,9 @@ mod tests {
         let c = fc(&mut g, "right", 16, 32);
         let d = g.add_layer(Layer::new(
             "join",
-            LayerOp::Add { shape: TensorShape::Vector { features: 32 } },
+            LayerOp::Add {
+                shape: TensorShape::Vector { features: 32 },
+            },
         ));
         g.connect(a, b).unwrap();
         g.connect(a, c).unwrap();
@@ -499,7 +519,10 @@ mod tests {
     #[test]
     fn rejects_self_loop_and_duplicate_edges() {
         let (mut g, ids) = diamond();
-        assert!(matches!(g.connect(ids[1], ids[1]), Err(ModelError::SelfLoop(_))));
+        assert!(matches!(
+            g.connect(ids[1], ids[1]),
+            Err(ModelError::SelfLoop(_))
+        ));
         assert!(matches!(
             g.connect(ids[0], ids[1]),
             Err(ModelError::DuplicateEdge(_, _))
@@ -545,17 +568,23 @@ mod tests {
         let mut g = ModelGraph::new("mm");
         let a = g.add_layer(Layer::with_modality(
             "rgb_in",
-            LayerOp::Input { shape: TensorShape::Vector { features: 8 } },
+            LayerOp::Input {
+                shape: TensorShape::Vector { features: 8 },
+            },
             "rgb",
         ));
         let b = g.add_layer(Layer::with_modality(
             "depth_in",
-            LayerOp::Input { shape: TensorShape::Vector { features: 8 } },
+            LayerOp::Input {
+                shape: TensorShape::Vector { features: 8 },
+            },
             "depth",
         ));
         let head = g.add_layer(Layer::new(
             "fuse",
-            LayerOp::Concat { out: TensorShape::Vector { features: 16 } },
+            LayerOp::Concat {
+                out: TensorShape::Vector { features: 16 },
+            },
         ));
         g.connect(a, head).unwrap();
         g.connect(b, head).unwrap();

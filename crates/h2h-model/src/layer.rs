@@ -43,7 +43,14 @@ pub struct ConvParams {
 
 impl ConvParams {
     /// Standard square-kernel 2-D convolution (`K = kernel_h = kernel_w`).
-    pub fn square(out_channels: u32, in_channels: u32, out_h: u32, out_w: u32, k: u32, s: u32) -> Self {
+    pub fn square(
+        out_channels: u32,
+        in_channels: u32,
+        out_h: u32,
+        out_w: u32,
+        k: u32,
+        s: u32,
+    ) -> Self {
         ConvParams {
             out_channels,
             in_channels,
@@ -84,7 +91,11 @@ impl ConvParams {
 
     /// Output feature-map shape.
     pub fn ofm_shape(&self) -> TensorShape {
-        TensorShape::Feature { c: self.out_channels, h: self.out_h, w: self.out_w }
+        TensorShape::Feature {
+            c: self.out_channels,
+            h: self.out_h,
+            w: self.out_w,
+        }
     }
 }
 
@@ -110,7 +121,9 @@ impl FcParams {
 
     /// Output shape.
     pub fn ofm_shape(&self) -> TensorShape {
-        TensorShape::Vector { features: self.out_features }
+        TensorShape::Vector {
+            features: self.out_features,
+        }
     }
 }
 
@@ -155,9 +168,14 @@ impl LstmParams {
     /// Output shape.
     pub fn ofm_shape(&self) -> TensorShape {
         if self.return_sequences {
-            TensorShape::Sequence { steps: self.seq_len, features: self.hidden }
+            TensorShape::Sequence {
+                steps: self.seq_len,
+                features: self.hidden,
+            }
         } else {
-            TensorShape::Vector { features: self.hidden }
+            TensorShape::Vector {
+                features: self.hidden,
+            }
         }
     }
 }
@@ -201,7 +219,11 @@ impl PoolParams {
 
     /// Output shape.
     pub fn ofm_shape(&self) -> TensorShape {
-        TensorShape::Feature { c: self.channels, h: self.out_h, w: self.out_w }
+        TensorShape::Feature {
+            c: self.channels,
+            h: self.out_h,
+            w: self.out_w,
+        }
     }
 }
 
@@ -281,9 +303,11 @@ impl LayerOp {
             LayerOp::Fc(p) => p.macs(),
             LayerOp::Lstm(p) => p.macs(),
             LayerOp::Pool(p) => p.macs(),
-            LayerOp::GlobalPool { channels, in_h, in_w } => {
-                Macs::new(*channels as u64 * *in_h as u64 * *in_w as u64)
-            }
+            LayerOp::GlobalPool {
+                channels,
+                in_h,
+                in_w,
+            } => Macs::new(*channels as u64 * *in_h as u64 * *in_w as u64),
             LayerOp::Add { shape } => Macs::new(shape.elements()),
             LayerOp::Concat { .. } | LayerOp::Input { .. } => Macs::ZERO,
         }
@@ -307,7 +331,9 @@ impl LayerOp {
             LayerOp::Fc(p) => p.ofm_shape(),
             LayerOp::Lstm(p) => p.ofm_shape(),
             LayerOp::Pool(p) => p.ofm_shape(),
-            LayerOp::GlobalPool { channels, .. } => TensorShape::Vector { features: *channels },
+            LayerOp::GlobalPool { channels, .. } => TensorShape::Vector {
+                features: *channels,
+            },
             LayerOp::Add { shape } => *shape,
             LayerOp::Concat { out } => *out,
         }
@@ -325,13 +351,25 @@ pub struct Layer {
 impl Layer {
     /// Creates a layer with no modality tag.
     pub fn new(name: impl Into<String>, op: LayerOp) -> Self {
-        Layer { name: name.into(), op, modality: None }
+        Layer {
+            name: name.into(),
+            op,
+            modality: None,
+        }
     }
 
     /// Creates a layer tagged with the modality (sub-network) it belongs
     /// to; used by the dynamic-modality extension (paper §4.5).
-    pub fn with_modality(name: impl Into<String>, op: LayerOp, modality: impl Into<String>) -> Self {
-        Layer { name: name.into(), op, modality: Some(modality.into()) }
+    pub fn with_modality(
+        name: impl Into<String>,
+        op: LayerOp,
+        modality: impl Into<String>,
+    ) -> Self {
+        Layer {
+            name: name.into(),
+            op,
+            modality: Some(modality.into()),
+        }
     }
 
     /// Layer name (unique within a model by construction in the builder).
@@ -398,7 +436,14 @@ mod tests {
         let p = conv();
         assert_eq!(p.macs().as_u64(), 64 * 3 * 112 * 112 * 49);
         assert_eq!(p.weight_elems(), 64 * 3 * 49 + 64);
-        assert_eq!(p.ofm_shape(), TensorShape::Feature { c: 64, h: 112, w: 112 });
+        assert_eq!(
+            p.ofm_shape(),
+            TensorShape::Feature {
+                c: 64,
+                h: 112,
+                w: 112
+            }
+        );
     }
 
     #[test]
@@ -420,7 +465,10 @@ mod tests {
 
     #[test]
     fn fc_macs_and_weights() {
-        let p = FcParams { in_features: 2048, out_features: 1000 };
+        let p = FcParams {
+            in_features: 2048,
+            out_features: 1000,
+        };
         assert_eq!(p.macs().as_u64(), 2048 * 1000);
         assert_eq!(p.weight_elems(), 2048 * 1000 + 1000);
     }
@@ -428,7 +476,13 @@ mod tests {
     #[test]
     fn lstm_weight_formula() {
         // Single layer: 4*(N*H + H^2 + H).
-        let p = LstmParams { in_size: 128, hidden: 256, layers: 1, seq_len: 10, return_sequences: true };
+        let p = LstmParams {
+            in_size: 128,
+            hidden: 256,
+            layers: 1,
+            seq_len: 10,
+            return_sequences: true,
+        };
         assert_eq!(p.weight_elems(), 4 * (128 * 256 + 256 * 256 + 256));
         // Two layers add 4*(2H^2 + H).
         let p2 = LstmParams { layers: 2, ..p };
@@ -440,27 +494,54 @@ mod tests {
 
     #[test]
     fn lstm_macs_scale_with_seq_len() {
-        let p = LstmParams { in_size: 64, hidden: 64, layers: 1, seq_len: 1, return_sequences: false };
+        let p = LstmParams {
+            in_size: 64,
+            hidden: 64,
+            layers: 1,
+            seq_len: 1,
+            return_sequences: false,
+        };
         let p10 = LstmParams { seq_len: 10, ..p };
         assert_eq!(p10.macs().as_u64(), 10 * p.macs().as_u64());
     }
 
     #[test]
     fn lstm_output_shape_follows_return_sequences() {
-        let p = LstmParams { in_size: 64, hidden: 32, layers: 1, seq_len: 7, return_sequences: true };
-        assert_eq!(p.ofm_shape(), TensorShape::Sequence { steps: 7, features: 32 });
-        let p2 = LstmParams { return_sequences: false, ..p };
+        let p = LstmParams {
+            in_size: 64,
+            hidden: 32,
+            layers: 1,
+            seq_len: 7,
+            return_sequences: true,
+        };
+        assert_eq!(
+            p.ofm_shape(),
+            TensorShape::Sequence {
+                steps: 7,
+                features: 32
+            }
+        );
+        let p2 = LstmParams {
+            return_sequences: false,
+            ..p
+        };
         assert_eq!(p2.ofm_shape(), TensorShape::Vector { features: 32 });
     }
 
     #[test]
     fn aux_ops_have_no_weights() {
-        let add = LayerOp::Add { shape: TensorShape::Vector { features: 10 } };
+        let add = LayerOp::Add {
+            shape: TensorShape::Vector { features: 10 },
+        };
         assert_eq!(add.weight_elems(), 0);
         assert_eq!(add.class(), LayerClass::Aux);
-        let cat = LayerOp::Concat { out: TensorShape::Vector { features: 10 } };
+        let cat = LayerOp::Concat {
+            out: TensorShape::Vector { features: 10 },
+        };
         assert_eq!(cat.macs(), Macs::ZERO);
-        let inp = LayerOp::Input { shape: TensorShape::Vector { features: 10 } };
+        let inp = LayerOp::Input {
+            shape: TensorShape::Vector { features: 10 },
+        };
         assert_eq!(inp.class(), LayerClass::Aux);
     }
 
@@ -468,7 +549,10 @@ mod tests {
     fn layer_byte_accessors() {
         let l = Layer::with_modality("c1", LayerOp::Conv(conv()), "rgb");
         assert_eq!(l.modality(), Some("rgb"));
-        assert_eq!(l.weight_bytes(DataType::F32).as_u64(), (64 * 3 * 49 + 64) * 4);
+        assert_eq!(
+            l.weight_bytes(DataType::F32).as_u64(),
+            (64 * 3 * 49 + 64) * 4
+        );
         assert!(l.has_weights());
         assert_eq!(l.ofm_bytes(DataType::F32).as_u64(), 64 * 112 * 112 * 4);
         assert_eq!(l.class(), LayerClass::Conv);
@@ -476,7 +560,11 @@ mod tests {
 
     #[test]
     fn global_pool_shape() {
-        let op = LayerOp::GlobalPool { channels: 512, in_h: 7, in_w: 7 };
+        let op = LayerOp::GlobalPool {
+            channels: 512,
+            in_h: 7,
+            in_w: 7,
+        };
         assert_eq!(op.ofm_shape(), TensorShape::Vector { features: 512 });
         assert_eq!(op.macs().as_u64(), 512 * 49);
     }

@@ -117,7 +117,10 @@ pub fn parse_model(text: &str) -> Result<ModelGraph, ParseError> {
         };
         let toks: Vec<&str> = line.split_whitespace().collect();
         let Some(&op) = toks.first() else {
-            return Err(ParseError::Syntax(ln, "modality tag without a layer".into()));
+            return Err(ParseError::Syntax(
+                ln,
+                "modality tag without a layer".into(),
+            ));
         };
 
         if op == "model" {
@@ -162,7 +165,9 @@ pub fn parse_model(text: &str) -> Result<ModelGraph, ParseError> {
                     }
                     "vec" => {
                         need(4)?;
-                        TensorShape::Vector { features: parse_u32(ln, toks[3], "features")? }
+                        TensorShape::Vector {
+                            features: parse_u32(ln, toks[3], "features")?,
+                        }
                     }
                     "seq" => {
                         need(5)?;
@@ -255,7 +260,9 @@ pub fn parse_model(text: &str) -> Result<ModelGraph, ParseError> {
             }
         };
         if by_name.insert(toks[1].to_owned(), id).is_some() {
-            return Err(ParseError::Model(ModelError::DuplicateName(toks[1].to_owned())));
+            return Err(ParseError::Model(ModelError::DuplicateName(
+                toks[1].to_owned(),
+            )));
         }
         any_layer = true;
     }
@@ -391,7 +398,12 @@ fc head cat 4
 
     #[test]
     fn zero_strides_are_rejected_with_their_line() {
-        for line in ["conv c a 4 3 0", "conv1d c s 4 3 0", "maxpool c a 2 0", "avgpool c a 2 0"] {
+        for line in [
+            "conv c a 4 3 0",
+            "conv1d c s 4 3 0",
+            "maxpool c a 2 0",
+            "avgpool c a 2 0",
+        ] {
             let text = format!("input a img 3 8 8\ninput s seq 8 4\n{line}\n");
             match parse_model(&text) {
                 Err(ParseError::Syntax(3, msg)) => {

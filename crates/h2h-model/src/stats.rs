@@ -97,8 +97,13 @@ impl fmt::Display for ModelStats {
         writeln!(
             f,
             "{}: {} layers ({} conv / {} fc / {} lstm / {} aux), {} edges",
-            self.name, self.layers, self.conv_layers, self.fc_layers, self.lstm_layers,
-            self.aux_layers, self.edges
+            self.name,
+            self.layers,
+            self.conv_layers,
+            self.fc_layers,
+            self.lstm_layers,
+            self.aux_layers,
+            self.edges
         )?;
         write!(
             f,
@@ -127,7 +132,13 @@ mod tests {
         let ca = b.conv("ca", ia, 16, 3, 1).unwrap();
         let ga = b.global_pool("gpa", ca).unwrap();
         b.modality(Some("v"));
-        let iv = b.input("iv", TensorShape::Sequence { steps: 16, features: 8 });
+        let iv = b.input(
+            "iv",
+            TensorShape::Sequence {
+                steps: 16,
+                features: 8,
+            },
+        );
         let lv = b.lstm("lv", iv, 32, 1, false).unwrap();
         b.modality(None);
         let cat = b.concat("fuse", &[ga, lv]).unwrap();

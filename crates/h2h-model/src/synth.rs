@@ -134,10 +134,25 @@ fn vision_branch(
     depth: usize,
     rng: &mut StdRng,
 ) -> Result<(LayerId, LayerId), ModelError> {
-    let side = *[96u32, 112, 128, 160].get(rng.random_range(0..4usize)).expect("static") ;
-    let input = b.input(&format!("{tag}.in"), TensorShape::Feature { c: 3, h: side, w: side });
+    let side = *[96u32, 112, 128, 160]
+        .get(rng.random_range(0..4usize))
+        .expect("static");
+    let input = b.input(
+        &format!("{tag}.in"),
+        TensorShape::Feature {
+            c: 3,
+            h: side,
+            w: side,
+        },
+    );
     let mut channels = 8 * rng.random_range(4u32..=8);
-    let mut x = b.conv(&format!("{tag}.stem"), input, channels, rng.random_range(3..=7), 2)?;
+    let mut x = b.conv(
+        &format!("{tag}.stem"),
+        input,
+        channels,
+        rng.random_range(3..=7),
+        2,
+    )?;
     let mut summary = None;
     for d in 0..depth.saturating_sub(1) {
         let stride = if rng.random_bool(0.4) { 2 } else { 1 };
@@ -168,13 +183,22 @@ fn sequence_branch(
 ) -> Result<(LayerId, LayerId), ModelError> {
     let steps = rng.random_range(500..=4000);
     let features = 8 * rng.random_range(2u32..=16);
-    let input = b.input(&format!("{tag}.in"), TensorShape::Sequence { steps, features });
+    let input = b.input(
+        &format!("{tag}.in"),
+        TensorShape::Sequence { steps, features },
+    );
     let mut x = input;
     let conv_layers = depth / 2;
     let mut channels = 8 * rng.random_range(8u32..=32);
     for d in 0..conv_layers {
         let stride = if rng.random_bool(0.5) { 2 } else { 1 };
-        x = b.conv1d(&format!("{tag}.c1d{d}"), x, channels, rng.random_range(3..=5), stride)?;
+        x = b.conv1d(
+            &format!("{tag}.c1d{d}"),
+            x,
+            channels,
+            rng.random_range(3..=5),
+            stride,
+        )?;
         channels = (channels + 64).min(512);
     }
     let hidden = 8 * rng.random_range(16u32..=64);
@@ -243,8 +267,14 @@ mod tests {
 
     #[test]
     fn cross_talk_dial_adds_edges() {
-        let none = synthetic_mmmt(&SyntheticConfig { cross_talk: 0.0, ..Default::default() });
-        let full = synthetic_mmmt(&SyntheticConfig { cross_talk: 1.0, ..Default::default() });
+        let none = synthetic_mmmt(&SyntheticConfig {
+            cross_talk: 0.0,
+            ..Default::default()
+        });
+        let full = synthetic_mmmt(&SyntheticConfig {
+            cross_talk: 1.0,
+            ..Default::default()
+        });
         let n0 = ModelStats::of(&none);
         let n1 = ModelStats::of(&full);
         assert!(
@@ -269,13 +299,19 @@ mod tests {
 
     #[test]
     fn task_count_controls_sinks() {
-        let m = synthetic_mmmt(&SyntheticConfig { tasks: 4, ..Default::default() });
+        let m = synthetic_mmmt(&SyntheticConfig {
+            tasks: 4,
+            ..Default::default()
+        });
         assert_eq!(m.sinks().len(), 4);
     }
 
     #[test]
     #[should_panic(expected = "at least two layers")]
     fn rejects_degenerate_depth() {
-        let _ = synthetic_mmmt(&SyntheticConfig { depth: 1, ..Default::default() });
+        let _ = synthetic_mmmt(&SyntheticConfig {
+            depth: 1,
+            ..Default::default()
+        });
     }
 }

@@ -16,8 +16,7 @@ use crate::units::Bytes;
 /// The reproduction transfers all inter-accelerator data in `F32`
 /// (the paper does not model quantized transfers); narrower types exist so
 /// custom accelerator plug-ins can model quantized local storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum DataType {
     /// 32-bit float (default model precision).
     #[default]
@@ -38,7 +37,6 @@ impl DataType {
         }
     }
 }
-
 
 /// Logical shape of an activation tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -119,7 +117,11 @@ mod tests {
 
     #[test]
     fn byte_volume() {
-        let fm = TensorShape::Feature { c: 64, h: 56, w: 56 };
+        let fm = TensorShape::Feature {
+            c: 64,
+            h: 56,
+            w: 56,
+        };
         assert_eq!(fm.bytes(DataType::F32).as_u64(), 64 * 56 * 56 * 4);
         assert_eq!(fm.bytes(DataType::I8).as_u64(), 64 * 56 * 56);
     }
@@ -128,7 +130,10 @@ mod tests {
     fn flat_features_flattens_spatial() {
         let fm = TensorShape::Feature { c: 512, h: 7, w: 7 };
         assert_eq!(fm.flat_features(), 512 * 49);
-        let seq = TensorShape::Sequence { steps: 20, features: 128 };
+        let seq = TensorShape::Sequence {
+            steps: 20,
+            features: 128,
+        };
         assert_eq!(seq.flat_features(), 20 * 128);
     }
 

@@ -25,7 +25,13 @@ fn branch(
         let c = scale_channels(channels, WIDTH);
         for blk in 0..2u32 {
             let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            x = basic_block(b, &format!("{prefix}.s{}b{}", stage + 1, blk + 1), x, c, stride)?;
+            x = basic_block(
+                b,
+                &format!("{prefix}.s{}b{}", stage + 1, blk + 1),
+                x,
+                c,
+                stride,
+            )?;
         }
     }
     let stage3 = x;
@@ -65,7 +71,13 @@ fn try_build() -> Result<ModelGraph, ModelError> {
     // Mid-level fusion: concat stage-3 maps, squeeze, then downsample to
     // stage-4 scale.
     let mid_cat = b.concat("fuse.mid_cat", &mids)?;
-    let mid_sq = b.conv("fuse.mid_squeeze", mid_cat, scale_channels(256, WIDTH), 1, 1)?;
+    let mid_sq = b.conv(
+        "fuse.mid_squeeze",
+        mid_cat,
+        scale_channels(256, WIDTH),
+        1,
+        1,
+    )?;
     let mid_down = b.conv("fuse.mid_down", mid_sq, scale_channels(512, WIDTH), 3, 2)?;
 
     // Late fusion: concat stage-4 maps with the fused mid-level path.

@@ -34,7 +34,14 @@ fn try_build() -> Result<ModelGraph, ModelError> {
     // Video stream: 16-frame stacked clip through a compact ConvNet,
     // then a stacked LSTM over the spatial-temporal feature sequence.
     b.modality(Some("video"));
-    let clip = b.input("video_in", TensorShape::Feature { c: 48, h: 112, w: 112 });
+    let clip = b.input(
+        "video_in",
+        TensorShape::Feature {
+            c: 48,
+            h: 112,
+            w: 112,
+        },
+    );
     let v1 = b.conv("video.conv1", clip, 64, 3, 1)?;
     let v2 = b.conv("video.conv2", v1, 96, 3, 2)?;
     let v3 = b.conv("video.conv3", v2, 128, 3, 1)?;
@@ -49,7 +56,10 @@ fn try_build() -> Result<ModelGraph, ModelError> {
         b.modality(Some(name));
         let s_in = b.input(
             &format!("{name}_in"),
-            TensorShape::Sequence { steps: 400, features: channels },
+            TensorShape::Sequence {
+                steps: 400,
+                features: channels,
+            },
         );
         let enc = sensor_convnet(&mut b, name, s_in, &[64, 128])?;
         let s_lstm = b.lstm(&format!("{name}.lstm"), enc, 256, 1, false)?;
@@ -86,7 +96,11 @@ mod tests {
     #[test]
     fn under_30_layers() {
         let s = ModelStats::of(&cnn_lstm());
-        assert!(s.layers < 30, "CNN-LSTM layer count {} (paper: <30)", s.layers);
+        assert!(
+            s.layers < 30,
+            "CNN-LSTM layer count {} (paper: <30)",
+            s.layers
+        );
     }
 
     #[test]
@@ -94,7 +108,11 @@ mod tests {
         let s = ModelStats::of(&cnn_lstm());
         assert_eq!(s.modalities.len(), 4);
         assert_eq!(s.lstm_layers, 4);
-        assert!(s.conv_layers >= 10, "5 video + 6 sensor convs, got {}", s.conv_layers);
+        assert!(
+            s.conv_layers >= 10,
+            "5 video + 6 sensor convs, got {}",
+            s.conv_layers
+        );
     }
 
     #[test]
@@ -108,8 +126,16 @@ mod tests {
         // The video convolution edges carry megabytes; this is the
         // traffic activation fusion removes (paper Table 4 step 3).
         let m = cnn_lstm();
-        let conv1 = m.layers().find(|(_, l)| l.name() == "video.conv1").unwrap().0;
-        let conv2 = m.layers().find(|(_, l)| l.name() == "video.conv2").unwrap().0;
+        let conv1 = m
+            .layers()
+            .find(|(_, l)| l.name() == "video.conv1")
+            .unwrap()
+            .0;
+        let conv2 = m
+            .layers()
+            .find(|(_, l)| l.name() == "video.conv2")
+            .unwrap()
+            .0;
         let bytes = m.edge_bytes(conv1, conv2).unwrap();
         assert!(bytes.as_u64() > 3_000_000, "conv1->conv2 edge {bytes}");
     }

@@ -31,21 +31,39 @@ fn try_build() -> Result<ModelGraph, ModelError> {
 
     // Motion-capture stream: 4 min at 100 Hz, 64-d marker/rotation frame.
     b.modality(Some("mocap"));
-    let mc = b.input("mocap_in", TensorShape::Sequence { steps: 24_000, features: 64 });
+    let mc = b.input(
+        "mocap_in",
+        TensorShape::Sequence {
+            steps: 24_000,
+            features: 64,
+        },
+    );
     let mc1 = b.conv1d("mocap.conv1", mc, 512, 5, 1)?;
     let mc2 = b.conv1d("mocap.conv2", mc1, 128, 5, 4)?;
     let mc_lstm = b.lstm("mocap.lstm", mc2, 256, 1, false)?;
 
     // Speech stream: frame-level spectral features at the same rate.
     b.modality(Some("speech"));
-    let sp = b.input("speech_in", TensorShape::Sequence { steps: 24_000, features: 32 });
+    let sp = b.input(
+        "speech_in",
+        TensorShape::Sequence {
+            steps: 24_000,
+            features: 32,
+        },
+    );
     let sp1 = b.conv1d("speech.conv1", sp, 512, 5, 1)?;
     let sp2 = b.conv1d("speech.conv2", sp1, 128, 5, 4)?;
     let sp_lstm = b.lstm("speech.lstm", sp2, 256, 1, false)?;
 
     // Text stream: transcribed dialogue, 300-d word embeddings.
     b.modality(Some("text"));
-    let tx = b.input("text_in", TensorShape::Sequence { steps: 2_000, features: 300 });
+    let tx = b.input(
+        "text_in",
+        TensorShape::Sequence {
+            steps: 2_000,
+            features: 300,
+        },
+    );
     let tx_lstm = b.lstm("text.lstm", tx, 256, 2, false)?;
 
     // Fusion and emotion head.
@@ -101,7 +119,10 @@ mod tests {
         let input_bytes: u64 = m
             .sources()
             .iter()
-            .flat_map(|s| m.successors(*s).map(|t| m.edge_bytes(*s, t).unwrap().as_u64()))
+            .flat_map(|s| {
+                m.successors(*s)
+                    .map(|t| m.edge_bytes(*s, t).unwrap().as_u64())
+            })
             .sum();
         let total: u64 = m.edges().map(|(_, _, e)| e.bytes().as_u64()).sum();
         assert!(

@@ -33,7 +33,14 @@ use crate::graph::ModelGraph;
 
 /// All six evaluation models, in the paper's Table 2 / Figure 4 order.
 pub fn all_models() -> Vec<ModelGraph> {
-    vec![vlocnet(), casia_surf(), vfs(), facebag(), cnn_lstm(), mocap()]
+    vec![
+        vlocnet(),
+        casia_surf(),
+        vfs(),
+        facebag(),
+        cnn_lstm(),
+        mocap(),
+    ]
 }
 
 /// Resolves a zoo model from its Table-2 name, case-insensitively
@@ -41,7 +48,9 @@ pub fn all_models() -> Vec<ModelGraph> {
 /// front end shares. (The `h2h` CLI additionally accepts its own short
 /// aliases like `casia`; those stay CLI-local.)
 pub fn by_name(name: &str) -> Option<ModelGraph> {
-    all_models().into_iter().find(|m| m.name().eq_ignore_ascii_case(name))
+    all_models()
+        .into_iter()
+        .find(|m| m.name().eq_ignore_ascii_case(name))
 }
 
 #[cfg(test)]
@@ -51,11 +60,17 @@ mod tests {
 
     #[test]
     fn zoo_order_matches_table2() {
-        let names: Vec<String> =
-            all_models().iter().map(|m| m.name().to_owned()).collect();
+        let names: Vec<String> = all_models().iter().map(|m| m.name().to_owned()).collect();
         assert_eq!(
             names,
-            vec!["VLocNet", "CASIA-SURF", "VFS", "FaceBag", "CNN-LSTM", "MoCap"]
+            vec![
+                "VLocNet",
+                "CASIA-SURF",
+                "VFS",
+                "FaceBag",
+                "CNN-LSTM",
+                "MoCap"
+            ]
         );
     }
 

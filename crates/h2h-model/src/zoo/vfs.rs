@@ -15,16 +15,18 @@ use crate::graph::{LayerId, ModelError, ModelGraph};
 use crate::tensor::TensorShape;
 
 /// VGG-13 variant trunk (two convs per stage).
-fn vgg13_trunk(
-    b: &mut ModelBuilder,
-    prefix: &str,
-    from: LayerId,
-) -> Result<LayerId, ModelError> {
+fn vgg13_trunk(b: &mut ModelBuilder, prefix: &str, from: LayerId) -> Result<LayerId, ModelError> {
     let cfg: &[(u32, u32)] = &[(64, 2), (128, 2), (256, 2), (512, 2), (512, 2)];
     let mut x = from;
     for (stage, &(channels, convs)) in cfg.iter().enumerate() {
         for i in 0..convs {
-            x = b.conv(&format!("{prefix}.s{}c{}", stage + 1, i + 1), x, channels, 3, 1)?;
+            x = b.conv(
+                &format!("{prefix}.s{}c{}", stage + 1, i + 1),
+                x,
+                channels,
+                3,
+                1,
+            )?;
         }
         x = b.max_pool(&format!("{prefix}.pool{}", stage + 1), x, 2, 2)?;
     }
@@ -59,7 +61,13 @@ fn try_build() -> Result<ModelGraph, ModelError> {
     // Text stream: character-level VD-CNN (depth 29 flavour: 4 blocks
     // per stage → 2 convs each + downsampling).
     b.modality(Some("text"));
-    let text = b.input("text_in", TensorShape::Sequence { steps: 1024, features: 16 });
+    let text = b.input(
+        "text_in",
+        TensorShape::Sequence {
+            steps: 1024,
+            features: 16,
+        },
+    );
     let t = vdcnn_trunk(&mut b, "vdcnn", text, 1.0, 3)?;
     let t_fc1 = b.fc("vdcnn.fc1", t, 2048)?;
     let t_head = b.fc("vdcnn.fc2", t_fc1, 1024)?;

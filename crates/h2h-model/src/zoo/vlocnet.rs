@@ -18,16 +18,18 @@ use crate::graph::{LayerId, ModelError, ModelGraph};
 
 /// ResNet-50 stages 1–3 (`[3, 4, 6]` bottlenecks), emitting the
 /// `1024 × side/16 × side/16` feature map.
-fn r50_to_stage3(
-    b: &mut ModelBuilder,
-    prefix: &str,
-    from: LayerId,
-) -> Result<LayerId, ModelError> {
+fn r50_to_stage3(b: &mut ModelBuilder, prefix: &str, from: LayerId) -> Result<LayerId, ModelError> {
     let mut x = resnet_stem(b, prefix, from, 1.0)?;
     for (stage, (mid, blocks)) in [(64u32, 3u32), (128, 4), (256, 6)].into_iter().enumerate() {
         for blk in 0..blocks {
             let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            x = bottleneck_block(b, &format!("{prefix}.s{}b{}", stage + 1, blk + 1), x, mid, stride)?;
+            x = bottleneck_block(
+                b,
+                &format!("{prefix}.s{}b{}", stage + 1, blk + 1),
+                x,
+                mid,
+                stride,
+            )?;
         }
     }
     Ok(x)
@@ -125,7 +127,10 @@ mod tests {
     fn has_odometry_to_pose_cross_talk() {
         let m = vlocnet();
         let s = ModelStats::of(&m);
-        assert!(s.cross_modality_edges >= 1, "odometry embedding must feed pose head");
+        assert!(
+            s.cross_modality_edges >= 1,
+            "odometry embedding must feed pose head"
+        );
         assert_eq!(s.modalities, vec!["odometry".to_owned(), "pose".to_owned()]);
     }
 

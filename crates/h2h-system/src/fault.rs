@@ -132,7 +132,12 @@ impl FaultPlan {
     /// A single permanent board outage at `at`.
     pub fn board_down(acc: AccId, at: Seconds) -> Self {
         FaultPlan {
-            events: vec![FaultEvent { acc, kind: FaultKind::BoardDown, at, recover_at: None }],
+            events: vec![FaultEvent {
+                acc,
+                kind: FaultKind::BoardDown,
+                at,
+                recover_at: None,
+            }],
         }
     }
 
@@ -214,8 +219,10 @@ impl FaultPlan {
     /// overlapping host windows.
     pub fn parse(spec: &str, n_accs: usize) -> Result<FaultPlan, String> {
         let secs = |s: &str| -> Result<Seconds, String> {
-            let v: f64 =
-                s.trim().parse().map_err(|_| format!("bad time `{s}` (seconds expected)"))?;
+            let v: f64 = s
+                .trim()
+                .parse()
+                .map_err(|_| format!("bad time `{s}` (seconds expected)"))?;
             if !v.is_finite() || v < 0.0 {
                 return Err(format!("time `{s}` must be non-negative and finite"));
             }
@@ -240,10 +247,14 @@ impl FaultPlan {
             Ok((at, recover_at))
         };
         let board = |s: &str| -> Result<AccId, String> {
-            let idx: usize =
-                s.trim().parse().map_err(|_| format!("bad board index `{s}`"))?;
+            let idx: usize = s
+                .trim()
+                .parse()
+                .map_err(|_| format!("bad board index `{s}`"))?;
             if idx >= n_accs {
-                return Err(format!("board {idx} out of range for {n_accs} accelerators"));
+                return Err(format!(
+                    "board {idx} out of range for {n_accs} accelerators"
+                ));
             }
             Ok(AccId::new(idx))
         };
@@ -287,12 +298,17 @@ impl FaultPlan {
                     } else {
                         FaultKind::BoardDegraded { factor: f }
                     };
-                    plan.events.push(FaultEvent { acc, kind, at, recover_at });
+                    plan.events.push(FaultEvent {
+                        acc,
+                        kind,
+                        at,
+                        recover_at,
+                    });
                 }
                 "host" => {
-                    let (what, times) = rest
-                        .split_once('@')
-                        .ok_or_else(|| format!("host event `{rest}` is not F@T[-T2] or down@T[-T2]"))?;
+                    let (what, times) = rest.split_once('@').ok_or_else(|| {
+                        format!("host event `{rest}` is not F@T[-T2] or down@T[-T2]")
+                    })?;
                     let kind = if what.trim() == "down" {
                         FaultKind::HostDown
                     } else {
@@ -324,8 +340,11 @@ impl FaultPlan {
         if plan.is_empty() {
             return Err("fault spec contains no events".into());
         }
-        let hosts: Vec<&FaultEvent> =
-            plan.events.iter().filter(|e| e.kind.is_host_scoped()).collect();
+        let hosts: Vec<&FaultEvent> = plan
+            .events
+            .iter()
+            .filter(|e| e.kind.is_host_scoped())
+            .collect();
         for (i, a) in hosts.iter().enumerate() {
             for b in &hosts[i + 1..] {
                 let a_end = a.recover_at.map_or(f64::INFINITY, Seconds::as_f64);
@@ -398,7 +417,10 @@ impl FaultState {
 
     /// Sets a board's link slowdown divisor.
     pub fn set_link_factor(&mut self, acc: AccId, factor: f64) {
-        assert!(factor.is_finite() && factor >= 1.0, "slowdown factor must be >= 1");
+        assert!(
+            factor.is_finite() && factor >= 1.0,
+            "slowdown factor must be >= 1"
+        );
         self.link_factor[acc.index()] = factor;
     }
 
@@ -429,7 +451,10 @@ impl FaultState {
 
     /// Sets the host NIC slowdown divisor.
     pub fn set_host_factor(&mut self, factor: f64) {
-        assert!(factor.is_finite() && factor >= 1.0, "slowdown factor must be >= 1");
+        assert!(
+            factor.is_finite() && factor >= 1.0,
+            "slowdown factor must be >= 1"
+        );
         self.host_factor = factor;
     }
 }
@@ -455,8 +480,7 @@ mod tests {
 
     #[test]
     fn parse_accepts_host_and_slow_events() {
-        let plan =
-            FaultPlan::parse("slow:2/3@1-4;host:2.5@5-6;host:down@7", 12).unwrap();
+        let plan = FaultPlan::parse("slow:2/3@1-4;host:2.5@5-6;host:down@7", 12).unwrap();
         assert_eq!(plan.events().len(), 3);
         assert!(
             matches!(plan.events()[0].kind, FaultKind::BoardDegraded { factor } if factor == 3.0)
@@ -533,29 +557,47 @@ mod tests {
         assert!(!at(1.0).acc_is_up(AccId::new(0)), "onset is inclusive");
         assert!(at(3.0).acc_is_up(AccId::new(0)), "recovery is exclusive");
         assert_eq!(at(0.0).link_factor(AccId::new(2)), 2.0);
-        assert_eq!(at(2.5).link_factor(AccId::new(2)), 6.0, "stacked factors multiply");
+        assert_eq!(
+            at(2.5).link_factor(AccId::new(2)),
+            6.0,
+            "stacked factors multiply"
+        );
         assert_eq!(at(4.0).link_factor(AccId::new(2)), 2.0);
         assert!(!at(2.0).is_healthy());
-        assert!(FaultPlan::empty().state_at(Seconds::new(9.0), 4).is_healthy());
+        assert!(FaultPlan::empty()
+            .state_at(Seconds::new(9.0), 4)
+            .is_healthy());
     }
 
     #[test]
     fn state_at_tracks_host_and_compute_windows() {
         let plan =
-            FaultPlan::parse("slow:1/2@0-9;slow:1/3@2-4;host:4@1-2;host:down@2-3", 4)
-                .unwrap();
+            FaultPlan::parse("slow:1/2@0-9;slow:1/3@2-4;host:4@1-2;host:down@2-3", 4).unwrap();
         let at = |t: f64| plan.state_at(Seconds::new(t), 4);
         assert_eq!(at(0.5).compute_factor(AccId::new(1)), 2.0);
-        assert_eq!(at(3.0).compute_factor(AccId::new(1)), 6.0, "stacked factors multiply");
+        assert_eq!(
+            at(3.0).compute_factor(AccId::new(1)),
+            6.0,
+            "stacked factors multiply"
+        );
         assert!(at(3.0).any_compute_degraded());
         assert_eq!(at(9.0).compute_factor(AccId::new(1)), 1.0);
         assert_eq!(at(1.5).host_factor(), 4.0);
         assert!(at(1.5).host_is_up());
         assert_eq!(at(2.5).host_factor(), 1.0);
-        assert!(!at(2.5).host_is_up(), "down window replaces the NIC slowdown");
-        assert!(at(2.5).acc_is_up(AccId::new(0)), "host events leave boards up");
+        assert!(
+            !at(2.5).host_is_up(),
+            "down window replaces the NIC slowdown"
+        );
+        assert!(
+            at(2.5).acc_is_up(AccId::new(0)),
+            "host events leave boards up"
+        );
         assert!(at(3.5).host_is_up());
-        assert!(!at(3.5).is_healthy(), "the compute throttle is still in force");
+        assert!(
+            !at(3.5).is_healthy(),
+            "the compute throttle is still in force"
+        );
         assert!(at(9.5).is_healthy());
     }
 }

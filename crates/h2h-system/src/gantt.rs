@@ -124,7 +124,11 @@ pub fn render_link_gantt(
     let mut peer_lane = vec![usize::MAX; n * n];
     for (a, b, r) in topo.peers() {
         peer_lane[a * n + b] = lanes.len();
-        lanes.push(Lane { label: format!("A{a}<->A{b}"), rate: *r, spans: Vec::new() });
+        lanes.push(Lane {
+            label: format!("A{a}<->A{b}"),
+            rate: *r,
+            spans: Vec::new(),
+        });
     }
 
     let cols = |from: f64, to: f64| -> (usize, usize) {
@@ -134,31 +138,33 @@ pub fn render_link_gantt(
     };
     // Every link the `src → dst` route crosses gets the span: both
     // endpoint links of a host relay, the single lane of a direct peer.
-    let mark = |lanes: &mut Vec<Lane>, src: Endpoint, dst: Endpoint, s: usize, e: usize| {
-        match (src, dst) {
-            (Endpoint::Host, Endpoint::Acc(a)) | (Endpoint::Acc(a), Endpoint::Host) => {
+    let mark = |lanes: &mut Vec<Lane>, src: Endpoint, dst: Endpoint, s: usize, e: usize| match (
+        src, dst,
+    ) {
+        (Endpoint::Host, Endpoint::Acc(a)) | (Endpoint::Acc(a), Endpoint::Host) => {
+            lanes[a.index()].spans.push((s, e));
+        }
+        (Endpoint::Acc(a), Endpoint::Acc(b)) => {
+            let (lo, hi) = (a.index().min(b.index()), a.index().max(b.index()));
+            let pl = peer_lane[lo * n + hi];
+            if pl != usize::MAX {
+                lanes[pl].spans.push((s, e));
+            } else {
                 lanes[a.index()].spans.push((s, e));
-            }
-            (Endpoint::Acc(a), Endpoint::Acc(b)) => {
-                let (lo, hi) = (a.index().min(b.index()), a.index().max(b.index()));
-                let pl = peer_lane[lo * n + hi];
-                if pl != usize::MAX {
-                    lanes[pl].spans.push((s, e));
-                } else {
-                    lanes[a.index()].spans.push((s, e));
-                    if lo != hi {
-                        lanes[b.index()].spans.push((s, e));
-                    }
+                if lo != hi {
+                    lanes[b.index()].spans.push((s, e));
                 }
             }
-            (Endpoint::Host, Endpoint::Host) => {}
         }
+        (Endpoint::Host, Endpoint::Host) => {}
     };
 
     let edge_is_local = |from, to| locality.edge_is_local(model, mapping, from, to);
 
     for id in model.layer_ids() {
-        let Some(t) = schedule.timing(id) else { continue };
+        let Some(t) = schedule.timing(id) else {
+            continue;
+        };
         let acc = mapping.acc_of(id);
         let here = Endpoint::Acc(acc);
         let dram_bw = system.acc(acc).dram_bandwidth();
@@ -184,7 +190,10 @@ pub fn render_link_gantt(
                         (None, dram_bw.transfer_time(bytes).as_f64())
                     } else {
                         let src = crate::topology::edge_src(model, mapping, pred);
-                        (Some(src), topo.path_bw(src, here).transfer_time(bytes).as_f64())
+                        (
+                            Some(src),
+                            topo.path_bw(src, here).transfer_time(bytes).as_f64(),
+                        )
                     }
                 })
                 .collect();
@@ -205,9 +214,7 @@ pub fn render_link_gantt(
         }
         // Likewise the OFM window: the interconnect upload comes first,
         // a fused-consumer DRAM write second (layer_cost's term order).
-        if t.ofm_xfer > Seconds::ZERO
-            && !matches!(model.layer(id).op(), LayerOp::Input { .. })
-        {
+        if t.ofm_xfer > Seconds::ZERO && !matches!(model.layer(id).op(), LayerOp::Input { .. }) {
             let obytes = model.layer(id).ofm_bytes(h2h_model::tensor::DataType::F32);
             let is_output = model.successors(id).next().is_none();
             let any_local = model.successors(id).any(|succ| edge_is_local(id, succ));
@@ -215,8 +222,11 @@ pub fn render_link_gantt(
                 .ofm_route(model, mapping, locality, id)
                 .map(|(bw, _)| bw.transfer_time(obytes).as_f64())
                 .unwrap_or(0.0);
-            let dram_secs =
-                if any_local { dram_bw.transfer_time(obytes).as_f64() } else { 0.0 };
+            let dram_secs = if any_local {
+                dram_bw.transfer_time(obytes).as_f64()
+            } else {
+                0.0
+            };
             let total = eth_secs + dram_secs;
             if eth_secs > 0.0 && total > 0.0 {
                 let window = t.ofm_xfer.as_f64();
@@ -294,7 +304,10 @@ mod tests {
         let _ = j;
         let m = b.finish().unwrap();
         let sys = const_system(
-            vec![ConstAccel::universal("u0", 1e-3), ConstAccel::universal("u1", 1e-3)],
+            vec![
+                ConstAccel::universal("u0", 1e-3),
+                ConstAccel::universal("u1", 1e-3),
+            ],
             1e9,
         );
         let ids = m.topo_order();
@@ -361,8 +374,18 @@ mod tests {
         // transfer dominates the chart and its disappearance from the
         // lanes is many columns wide.
         let mut b = ModelBuilder::new("fused");
-        let i1 = b.input("i1", TensorShape::Vector { features: 4_000_000 });
-        let i2 = b.input("i2", TensorShape::Vector { features: 4_000_000 });
+        let i1 = b.input(
+            "i1",
+            TensorShape::Vector {
+                features: 4_000_000,
+            },
+        );
+        let i2 = b.input(
+            "i2",
+            TensorShape::Vector {
+                features: 4_000_000,
+            },
+        );
         let j = b.add("j", &[i1, i2]).unwrap();
         let k = b.add("k", &[j, i1]).unwrap();
         let _ = k;
@@ -404,7 +427,10 @@ mod tests {
         let _ = f2;
         let m = b.finish().unwrap();
         let sys = const_system(
-            vec![ConstAccel::universal("u0", 1e-3), ConstAccel::universal("u1", 1e-3)],
+            vec![
+                ConstAccel::universal("u0", 1e-3),
+                ConstAccel::universal("u1", 1e-3),
+            ],
             1e6,
         )
         .with_topology(Topology::switched(

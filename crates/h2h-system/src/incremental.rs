@@ -201,11 +201,7 @@ impl IncrementalSchedule {
     /// # Panics
     ///
     /// Panics if the mapping is incomplete (validate first).
-    pub fn new(
-        ev: &Evaluator<'_>,
-        mapping: &Mapping,
-        locality: &LocalityState,
-    ) -> Self {
+    pub fn new(ev: &Evaluator<'_>, mapping: &Mapping, locality: &LocalityState) -> Self {
         Self::from_costs(ev, mapping, |id| ev.layer_cost(mapping, locality, id))
     }
 
@@ -256,8 +252,10 @@ impl IncrementalSchedule {
                 succs[succ_off[i] as usize + k] = s.index() as u32;
             }
         }
-        let succ_ranks: Vec<u32> =
-            succs.into_iter().map(|s| topo_pos[s as usize] as u32).collect();
+        let succ_ranks: Vec<u32> = succs
+            .into_iter()
+            .map(|s| topo_pos[s as usize] as u32)
+            .collect();
         let mut inc = IncrementalSchedule {
             dur: vec![0.0; bound],
             costs: vec![LayerCost::default(); bound],
@@ -342,14 +340,20 @@ impl IncrementalSchedule {
     /// Finish time of one layer, whose rank must be settled
     /// (invariant 4).
     pub fn finish_of(&self, layer: LayerId) -> Seconds {
-        debug_assert!(self.settled_through(layer), "{layer}: finish read before it settled");
+        debug_assert!(
+            self.settled_through(layer),
+            "{layer}: finish read before it settled"
+        );
         Seconds::new(self.finish[layer.index()])
     }
 
     /// Start time of one layer, whose rank must be settled
     /// (invariant 4).
     pub fn start_of(&self, layer: LayerId) -> Seconds {
-        debug_assert!(self.settled_through(layer), "{layer}: start read before it settled");
+        debug_assert!(
+            self.settled_through(layer),
+            "{layer}: start read before it settled"
+        );
         Seconds::new(self.start[layer.index()])
     }
 
@@ -524,7 +528,10 @@ impl IncrementalSchedule {
     /// (invariant 4).
     pub fn savepoint(&mut self) -> Savepoint {
         debug_assert!(self.is_settled(), "savepoint of an unsettled schedule");
-        let j = self.journal.as_ref().expect("savepoint requires an open transaction");
+        let j = self
+            .journal
+            .as_ref()
+            .expect("savepoint requires an open transaction");
         // New epoch: layers first-touched before this savepoint must be
         // re-journaled (with their current, i.e. at-savepoint, values)
         // when touched inside the region.
@@ -549,7 +556,10 @@ impl IncrementalSchedule {
     pub fn rollback_to(&mut self, sp: &Savepoint) {
         debug_assert!(self.is_settled(), "rollback_to on an unsettled schedule");
         // Take the journal out so `requeue` can borrow `self` freely.
-        let mut journal = self.journal.take().expect("rollback_to requires an open transaction");
+        let mut journal = self
+            .journal
+            .take()
+            .expect("rollback_to requires an open transaction");
         debug_assert!(
             sp.times_len <= journal.times.len()
                 && sp.costs_len <= journal.costs.len()
@@ -813,14 +823,17 @@ impl IncrementalSchedule {
             let i = shared.order[r].index();
             touched += 1;
             let mut deps = 0.0f64;
-            for p in &shared.preds[shared.pred_off[i] as usize..shared.pred_off[i + 1] as usize]
-            {
+            for p in &shared.preds[shared.pred_off[i] as usize..shared.pred_off[i + 1] as usize] {
                 deps = deps.max(finish[*p as usize]);
             }
             // One flat load replaces the `acc_queue[a][pos - 1]`
             // double indirection of the queue-predecessor read.
             let qp = queue_prev[i];
-            let avail = if qp == u32::MAX { 0.0 } else { finish[qp as usize] };
+            let avail = if qp == u32::MAX {
+                0.0
+            } else {
+                finish[qp as usize]
+            };
             let new_start = deps.max(avail);
             let new_finish = new_start + dur[i];
             if new_finish != finish[i] || new_start != start[i] {
@@ -834,8 +847,8 @@ impl IncrementalSchedule {
                 finish[i] = new_finish;
                 // Direct graph successors (ranks pre-translated in the
                 // CSR, so stamping is load → store)…
-                for sr in &shared.succ_ranks
-                    [shared.succ_off[i] as usize..shared.succ_off[i + 1] as usize]
+                for sr in
+                    &shared.succ_ranks[shared.succ_off[i] as usize..shared.succ_off[i + 1] as usize]
                 {
                     let sr = *sr as usize;
                     pending[sr] = true;
@@ -873,7 +886,10 @@ impl IncrementalSchedule {
         mapping: &Mapping,
         locality: &LocalityState,
     ) {
-        assert!(self.is_settled(), "only a settled schedule matches a full evaluation");
+        assert!(
+            self.is_settled(),
+            "only a settled schedule matches a full evaluation"
+        );
         let full = ev.evaluate(mapping, locality);
         for id in ev.model().layer_ids() {
             let t = full.timing(id).expect("scheduled");
@@ -894,8 +910,8 @@ mod tests {
     use crate::schedule::Schedule;
     use crate::system::{AccId, BandwidthClass};
     use crate::testutil::{const_system, ConstAccel};
-    use h2h_model::graph::ModelGraph;
     use h2h_model::builder::ModelBuilder;
+    use h2h_model::graph::ModelGraph;
     use h2h_model::tensor::TensorShape;
 
     /// The proxy sums what the full schedule sums, in its order, so
@@ -922,7 +938,10 @@ mod tests {
     fn seed_matches_full_evaluation() {
         let m = chain();
         let sys = const_system(
-            vec![ConstAccel::universal("u0", 1e-3), ConstAccel::universal("u1", 2e-3)],
+            vec![
+                ConstAccel::universal("u0", 1e-3),
+                ConstAccel::universal("u1", 2e-3),
+            ],
             1e6,
         );
         let mut map = Mapping::new(&m);
@@ -1032,7 +1051,10 @@ mod tests {
         // full evaluation of the moved mapping bitwise.
         let m = chain();
         let sys = const_system(
-            vec![ConstAccel::universal("u0", 1e-3), ConstAccel::universal("u1", 2e-3)],
+            vec![
+                ConstAccel::universal("u0", 1e-3),
+                ConstAccel::universal("u1", 2e-3),
+            ],
             1e6,
         );
         let ids = m.topo_order();
@@ -1125,6 +1147,10 @@ mod tests {
         }
         // Same-batch rebatch is a no-op: no duration can change.
         let ev = Evaluator::from_cache(&m, &sys, base.cache().clone()).with_batch(2);
-        assert_eq!(inc.rebatch(&ev, &map, &loc), 0, "2 -> 2 must change nothing");
+        assert_eq!(
+            inc.rebatch(&ev, &map, &loc),
+            0,
+            "2 -> 2 must change nothing"
+        );
     }
 }

@@ -279,7 +279,10 @@ impl LocalityState {
         // settles those with one load.
         match self.fused_out.get(from.index()) {
             Some(0) | None => false,
-            Some(_) => self.fused.binary_search_by_key(&(from, to), |e| (e.0, e.1)).is_ok(),
+            Some(_) => self
+                .fused
+                .binary_search_by_key(&(from, to), |e| (e.0, e.1))
+                .is_ok(),
         }
     }
 
@@ -301,7 +304,10 @@ impl LocalityState {
             mapping,
             from,
             to,
-            matches!(model.layer(from).op(), h2h_model::layer::LayerOp::Input { .. }),
+            matches!(
+                model.layer(from).op(),
+                h2h_model::layer::LayerOp::Input { .. }
+            ),
         )
     }
 

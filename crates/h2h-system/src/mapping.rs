@@ -40,7 +40,10 @@ impl fmt::Display for MappingError {
         match self {
             MappingError::Unmapped(l) => write!(f, "layer `{l}` is unmapped"),
             MappingError::Unsupported { layer, acc, class } => {
-                write!(f, "layer `{layer}` ({class:?}) mapped to `{acc}` which cannot run it")
+                write!(
+                    f,
+                    "layer `{layer}` ({class:?}) mapped to `{acc}` which cannot run it"
+                )
             }
             MappingError::BadAccId(i) => write!(f, "accelerator id {i} out of range"),
         }
@@ -58,7 +61,9 @@ pub struct Mapping {
 impl Mapping {
     /// An empty mapping sized for `model`.
     pub fn new(model: &ModelGraph) -> Self {
-        Mapping { assign: vec![None; model.id_bound()] }
+        Mapping {
+            assign: vec![None; model.id_bound()],
+        }
     }
 
     /// Assigns (or re-assigns) a layer.

@@ -522,7 +522,8 @@ impl<'a> Evaluator<'a> {
     /// Panics if any layer is unmapped or mapped to an accelerator that
     /// cannot execute it (callers validate with [`Mapping::validate`]).
     pub fn evaluate(&self, mapping: &Mapping, locality: &LocalityState) -> Schedule {
-        self.evals.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.evals
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let emodel = self.system.energy_model();
         let bound = self.model.id_bound();
         let mut timings: Vec<Option<LayerTiming>> = vec![None; bound];
@@ -1001,7 +1002,15 @@ impl<'a> Evaluator<'a> {
         let acc = mapping.acc_of(id);
         let ai = acc.index();
         let mut cost = LayerCost::default();
-        self.accum_ifm(mapping, locality, id, ai + 1, self.flat.dram_bw[ai], extra_fused, &mut cost);
+        self.accum_ifm(
+            mapping,
+            locality,
+            id,
+            ai + 1,
+            self.flat.dram_bw[ai],
+            extra_fused,
+            &mut cost,
+        );
         stored.weight_xfer + cost.ifm_xfer + stored.compute + stored.ofm_xfer
     }
 
@@ -1022,7 +1031,15 @@ impl<'a> Evaluator<'a> {
         let acc = mapping.acc_of(id);
         let ai = acc.index();
         let mut cost = LayerCost::default();
-        self.accum_ofm(mapping, locality, id, ai + 1, self.flat.dram_bw[ai], extra_fused, &mut cost);
+        self.accum_ofm(
+            mapping,
+            locality,
+            id,
+            ai + 1,
+            self.flat.dram_bw[ai],
+            extra_fused,
+            &mut cost,
+        );
         stored.weight_xfer + stored.ifm_xfer + stored.compute + cost.ofm_xfer
     }
 
@@ -1257,7 +1274,10 @@ mod tests {
     fn fusion_requires_colocation() {
         let m = chain();
         let sys = const_system(
-            vec![ConstAccel::universal("U0", 1e-3), ConstAccel::universal("U1", 1e-3)],
+            vec![
+                ConstAccel::universal("U0", 1e-3),
+                ConstAccel::universal("U1", 1e-3),
+            ],
             1e6,
         );
         let ids = m.topo_order();
@@ -1285,7 +1305,10 @@ mod tests {
         let m = b.finish().unwrap();
 
         let sys2 = const_system(
-            vec![ConstAccel::universal("U0", 0.5), ConstAccel::universal("U1", 0.5)],
+            vec![
+                ConstAccel::universal("U0", 0.5),
+                ConstAccel::universal("U1", 0.5),
+            ],
             1e9,
         );
         let sys1 = const_system(vec![ConstAccel::universal("U0", 0.5)], 1e9);
@@ -1327,9 +1350,7 @@ mod tests {
         // 3 layers × 1 mJ compute (ConstAccel energy = 1 mJ per layer).
         assert!((s.energy().compute.as_f64() - 3e-3).abs() < 1e-9);
         // Ethernet energy = eth time × 5 W (default model).
-        assert!(
-            (s.energy().ethernet.as_f64() - s.eth_busy().as_f64() * 5.0).abs() < 1e-12
-        );
+        assert!((s.energy().ethernet.as_f64() - s.eth_busy().as_f64() * 5.0).abs() < 1e-12);
         assert!(s.energy().total() > s.energy().compute);
     }
 
@@ -1413,7 +1434,9 @@ mod tests {
         }
         let loc = LocalityState::new(&sys);
         for batch in [1u32, 4, 16] {
-            let a = Evaluator::new(&m, &sys).with_batch(batch).evaluate(&map, &loc);
+            let a = Evaluator::new(&m, &sys)
+                .with_batch(batch)
+                .evaluate(&map, &loc);
             let b = Evaluator::from_cache(&m, &sys, fresh.cache().clone())
                 .with_batch(batch)
                 .evaluate(&map, &loc);

@@ -114,12 +114,18 @@ pub struct SimConfig {
 impl SimConfig {
     /// Dedicated per-accelerator links (matches the analytical model).
     pub fn dedicated() -> Self {
-        SimConfig { host_nic_capacity: None, batch: 1 }
+        SimConfig {
+            host_nic_capacity: None,
+            batch: 1,
+        }
     }
 
     /// A shared host NIC of `capacity`.
     pub fn shared_nic(capacity: BytesPerSec) -> Self {
-        SimConfig { host_nic_capacity: Some(capacity), batch: 1 }
+        SimConfig {
+            host_nic_capacity: Some(capacity),
+            batch: 1,
+        }
     }
 
     /// Sets the serving batch size.
@@ -161,11 +167,19 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::Stalled { at, remaining, host_down } => write!(
+            SimError::Stalled {
+                at,
+                remaining,
+                host_down,
+            } => write!(
                 f,
                 "simulation stalled at t={at}: {remaining} layers unfinished \
                  ({} — an unrecovered outage strands mapped work)",
-                if *host_down { "host down" } else { "board down or head-of-line deadlock" }
+                if *host_down {
+                    "host down"
+                } else {
+                    "board down or head-of-line deadlock"
+                }
             ),
         }
     }
@@ -216,7 +230,12 @@ enum Phase {
     /// phases contend for `SimConfig::host_nic_capacity`, and only
     /// those stall while the host is down), and the route itself (for
     /// re-rating at fault boundaries).
-    Link { bytes: f64, rate: f64, via_host: bool, route: Route },
+    Link {
+        bytes: f64,
+        rate: f64,
+        via_host: bool,
+        route: Route,
+    },
     /// Fixed-duration work immune to fault re-rating: local-DRAM
     /// traffic (seconds).
     Timed(f64),
@@ -249,8 +268,15 @@ pub fn simulate(
     locality: &LocalityState,
     config: SimConfig,
 ) -> SimReport {
-    simulate_with_faults(model, system, mapping, locality, config, &FaultPlan::empty())
-        .expect("an empty fault plan cannot stall")
+    simulate_with_faults(
+        model,
+        system,
+        mapping,
+        locality,
+        config,
+        &FaultPlan::empty(),
+    )
+    .expect("an empty fault plan cannot stall")
 }
 
 /// [`simulate`] through a fault timeline: board outages, link/NIC
@@ -292,10 +318,10 @@ pub fn simulate_with_faults(
     while next_boundary < boundaries.len() && boundaries[next_boundary] <= 0.0 {
         next_boundary += 1;
     }
-    let mut degraded: Option<Topology> =
-        (!state.is_healthy()).then(|| base_topo.degrade(&state));
-    let mut board_up: Vec<bool> =
-        (0..n_accs).map(|i| state.acc_is_up(AccId::new(i))).collect();
+    let mut degraded: Option<Topology> = (!state.is_healthy()).then(|| base_topo.degrade(&state));
+    let mut board_up: Vec<bool> = (0..n_accs)
+        .map(|i| state.acc_is_up(AccId::new(i)))
+        .collect();
 
     // Per-acc queues in global topological priority order.
     let mut queues: Vec<Vec<LayerId>> = vec![Vec::new(); n_accs];
@@ -351,7 +377,11 @@ pub fn simulate_with_faults(
             if edge_is_local(pred, id) {
                 phases.push(Phase::Timed(b * bytes / dram));
             } else {
-                phases.push(link(b * bytes, crate::topology::edge_src(model, mapping, pred), here));
+                phases.push(link(
+                    b * bytes,
+                    crate::topology::edge_src(model, mapping, pred),
+                    here,
+                ));
             }
         }
         // Remaining compute is tracked at healthy speed; the board's
@@ -390,11 +420,18 @@ pub fn simulate_with_faults(
     // new route rate (fluid model).
     let rerate = |a: &mut ActiveLayer, topo: &Topology| {
         for p in a.phases[a.current..].iter_mut() {
-            if let Phase::Link { rate, via_host, route, .. } = p {
+            if let Phase::Link {
+                rate,
+                via_host,
+                route,
+                ..
+            } = p
+            {
                 let (r, v) = match route {
-                    Route::Pair(src, dst) => {
-                        (topo.path_bw(*src, *dst).as_f64(), topo.crosses_host(*src, *dst))
-                    }
+                    Route::Pair(src, dst) => (
+                        topo.path_bw(*src, *dst).as_f64(),
+                        topo.crosses_host(*src, *dst),
+                    ),
                     Route::Ofm(id) => {
                         let (bw, via) = topo
                             .ofm_route(model, mapping, locality, *id)
@@ -438,8 +475,11 @@ pub fn simulate_with_faults(
             if model.predecessors(head).all(|p| finished[p.index()]) {
                 next_in_queue[acc] += 1;
                 let topo = degraded.as_ref().unwrap_or(base_topo);
-                active[acc] =
-                    Some(ActiveLayer { id: head, phases: build_phases(head, topo), current: 0 });
+                active[acc] = Some(ActiveLayer {
+                    id: head,
+                    phases: build_phases(head, topo),
+                    current: 0,
+                });
             }
         }
 
@@ -511,8 +551,11 @@ pub fn simulate_with_faults(
             };
             dt = dt.min(t);
         }
-        let horizon =
-            boundaries.get(next_boundary).copied().unwrap_or(f64::INFINITY) - now;
+        let horizon = boundaries
+            .get(next_boundary)
+            .copied()
+            .unwrap_or(f64::INFINITY)
+            - now;
         if !dt.is_finite() {
             // Every runnable phase is frozen by an outage: jump to the
             // next fault boundary (a recovery) if one is scheduled;
@@ -565,7 +608,11 @@ pub fn simulate_with_faults(
         }
     }
 
-    Ok(SimReport { makespan: Seconds::new(now), finish: finish_time, events })
+    Ok(SimReport {
+        makespan: Seconds::new(now),
+        finish: finish_time,
+        events,
+    })
 }
 
 #[cfg(test)]
@@ -616,10 +663,7 @@ mod tests {
         let sim = simulate(&m, &sys, &map, &loc, SimConfig::dedicated());
         let a = analytic.makespan().as_f64();
         let s = sim.makespan().as_f64();
-        assert!(
-            (a - s).abs() / a < 1e-6,
-            "analytic {a} vs simulated {s}"
-        );
+        assert!((a - s).abs() / a < 1e-6, "analytic {a} vs simulated {s}");
         // Per-layer finishes agree too.
         for id in m.layer_ids() {
             let at = analytic.timing(id).unwrap().finish.as_f64();
@@ -632,7 +676,10 @@ mod tests {
     fn dedicated_links_match_analytic_with_locality() {
         let m = branchy_model();
         let sys = const_system(
-            vec![ConstAccel::universal("U0", 2e-3), ConstAccel::universal("U1", 1e-3)],
+            vec![
+                ConstAccel::universal("U0", 2e-3),
+                ConstAccel::universal("U1", 1e-3),
+            ],
             1e6,
         );
         let ids = m.topo_order();
@@ -689,7 +736,10 @@ mod tests {
     fn generous_shared_nic_converges_to_dedicated() {
         let m = branchy_model();
         let sys = const_system(
-            vec![ConstAccel::universal("U0", 1e-3), ConstAccel::universal("U1", 1e-3)],
+            vec![
+                ConstAccel::universal("U0", 1e-3),
+                ConstAccel::universal("U1", 1e-3),
+            ],
             1e6,
         );
         let map = spread_mapping(&m, 2);
@@ -704,7 +754,10 @@ mod tests {
         );
         let d = ded.makespan().as_f64();
         let r = roomy.makespan().as_f64();
-        assert!((d - r).abs() / d < 1e-9, "dedicated {d} vs roomy shared {r}");
+        assert!(
+            (d - r).abs() / d < 1e-9,
+            "dedicated {d} vs roomy shared {r}"
+        );
     }
 
     #[test]
@@ -715,7 +768,13 @@ mod tests {
         for id in m.layer_ids() {
             map.set(id, AccId::new(0));
         }
-        let rep = simulate(&m, &sys, &map, &LocalityState::new(&sys), SimConfig::dedicated());
+        let rep = simulate(
+            &m,
+            &sys,
+            &map,
+            &LocalityState::new(&sys),
+            SimConfig::dedicated(),
+        );
         // At most a handful of events per phase.
         assert!(rep.events() < m.num_layers() * 8);
     }
@@ -724,12 +783,18 @@ mod tests {
     fn empty_fault_plan_is_bitwise_identical() {
         let m = branchy_model();
         let sys = const_system(
-            vec![ConstAccel::universal("U0", 2e-3), ConstAccel::universal("U1", 1e-3)],
+            vec![
+                ConstAccel::universal("U0", 2e-3),
+                ConstAccel::universal("U1", 1e-3),
+            ],
             1e6,
         );
         let map = spread_mapping(&m, 2);
         let loc = LocalityState::new(&sys);
-        for cfg in [SimConfig::dedicated(), SimConfig::shared_nic(BytesPerSec::new(5e5))] {
+        for cfg in [
+            SimConfig::dedicated(),
+            SimConfig::shared_nic(BytesPerSec::new(5e5)),
+        ] {
             let plain = simulate(&m, &sys, &map, &loc, cfg);
             let faulted =
                 simulate_with_faults(&m, &sys, &map, &loc, cfg, &FaultPlan::empty()).unwrap();
@@ -767,7 +832,10 @@ mod tests {
             simulate_with_faults(&m, &sys, &map, &loc, SimConfig::dedicated(), &plan).unwrap();
         let a = analytic.makespan().as_f64();
         let s = sim.makespan().as_f64();
-        assert!((a - s).abs() / a < 1e-6, "analytic-on-degraded {a} vs fault sim {s}");
+        assert!(
+            (a - s).abs() / a < 1e-6,
+            "analytic-on-degraded {a} vs fault sim {s}"
+        );
         for id in m.layer_ids() {
             let at = analytic.timing(id).unwrap().finish.as_f64();
             let st = sim.finish_of(id).unwrap().as_f64();
@@ -781,7 +849,10 @@ mod tests {
         // healthy analytic and at most the always-degraded one.
         let m = branchy_model();
         let sys = const_system(
-            vec![ConstAccel::universal("U0", 2e-3), ConstAccel::universal("U1", 1e-3)],
+            vec![
+                ConstAccel::universal("U0", 2e-3),
+                ConstAccel::universal("U1", 1e-3),
+            ],
             1e6,
         );
         let map = spread_mapping(&m, 2);
@@ -796,17 +867,11 @@ mod tests {
                 recover_at: None,
             })
         };
-        let worst = simulate_with_faults(
-            &m,
-            &sys,
-            &map,
-            &loc,
-            SimConfig::dedicated(),
-            &mk_plan(0.0),
-        )
-        .unwrap()
-        .makespan()
-        .as_f64();
+        let worst =
+            simulate_with_faults(&m, &sys, &map, &loc, SimConfig::dedicated(), &mk_plan(0.0))
+                .unwrap()
+                .makespan()
+                .as_f64();
         let mid = simulate_with_faults(
             &m,
             &sys,
@@ -872,7 +937,11 @@ mod tests {
             &plan,
         )
         .unwrap_err();
-        let SimError::Stalled { remaining, host_down, .. } = err;
+        let SimError::Stalled {
+            remaining,
+            host_down,
+            ..
+        } = err;
         assert_eq!(remaining, m.num_layers());
         assert!(!host_down, "the host is fine, the board is dead");
         assert!(err.to_string().contains("stalled"), "{err}");
@@ -913,7 +982,10 @@ mod tests {
             simulate_with_faults(&m, &sys, &map, &loc, SimConfig::dedicated(), &plan).unwrap();
         let a = analytic.makespan().as_f64();
         let s = sim.makespan().as_f64();
-        assert!((a - s).abs() / a < 1e-6, "analytic-on-throttled {a} vs fault sim {s}");
+        assert!(
+            (a - s).abs() / a < 1e-6,
+            "analytic-on-throttled {a} vs fault sim {s}"
+        );
         for id in m.layer_ids() {
             let at = analytic.timing(id).unwrap().finish.as_f64();
             let st = sim.finish_of(id).unwrap().as_f64();
@@ -928,7 +1000,10 @@ mod tests {
         // degraded system.
         let m = branchy_model();
         let sys = const_system(
-            vec![ConstAccel::universal("U0", 2e-3), ConstAccel::universal("U1", 1e-3)],
+            vec![
+                ConstAccel::universal("U0", 2e-3),
+                ConstAccel::universal("U1", 1e-3),
+            ],
             1e6,
         );
         let map = spread_mapping(&m, 2);
@@ -951,7 +1026,10 @@ mod tests {
             simulate_with_faults(&m, &sys, &map, &loc, SimConfig::dedicated(), &plan).unwrap();
         let a = analytic.makespan().as_f64();
         let s = sim.makespan().as_f64();
-        assert!((a - s).abs() / a < 1e-6, "analytic-on-degraded-host {a} vs fault sim {s}");
+        assert!(
+            (a - s).abs() / a < 1e-6,
+            "analytic-on-degraded-host {a} vs fault sim {s}"
+        );
     }
 
     #[test]
@@ -1003,7 +1081,10 @@ mod tests {
         let m = b.finish().unwrap();
         let rate = 1e6;
         let star = const_system(
-            vec![ConstAccel::universal("U0", 1e-3), ConstAccel::universal("U1", 1e-3)],
+            vec![
+                ConstAccel::universal("U0", 1e-3),
+                ConstAccel::universal("U1", 1e-3),
+            ],
             rate,
         );
         let peered = star.clone().with_topology(Topology::switched(
@@ -1065,7 +1146,11 @@ mod tests {
             &plan,
         )
         .unwrap_err();
-        let SimError::Stalled { host_down, remaining, .. } = err;
+        let SimError::Stalled {
+            host_down,
+            remaining,
+            ..
+        } = err;
         assert!(host_down, "the stall is the host's fault");
         assert!(remaining > 0);
     }
@@ -1079,12 +1164,18 @@ mod tests {
         // A fast fabric keeps the timeline compute-bound, so the
         // throttle is what moves the makespan.
         let sys = const_system(
-            vec![ConstAccel::universal("U0", 2e-3), ConstAccel::universal("U1", 1e-3)],
+            vec![
+                ConstAccel::universal("U0", 2e-3),
+                ConstAccel::universal("U1", 1e-3),
+            ],
             1e9,
         );
         let map = spread_mapping(&m, 2);
         let loc = LocalityState::new(&sys);
-        let healthy = Evaluator::new(&m, &sys).evaluate(&map, &loc).makespan().as_f64();
+        let healthy = Evaluator::new(&m, &sys)
+            .evaluate(&map, &loc)
+            .makespan()
+            .as_f64();
         let mk_plan = |at: f64| {
             FaultPlan::empty().with_event(FaultEvent {
                 acc: AccId::new(1),
@@ -1094,10 +1185,8 @@ mod tests {
             })
         };
         let cfg = SimConfig::dedicated();
-        let worst =
-            simulate_with_faults(&m, &sys, &map, &loc, cfg, &mk_plan(0.0)).unwrap();
-        let mid = simulate_with_faults(&m, &sys, &map, &loc, cfg, &mk_plan(healthy * 0.5))
-            .unwrap();
+        let worst = simulate_with_faults(&m, &sys, &map, &loc, cfg, &mk_plan(0.0)).unwrap();
+        let mid = simulate_with_faults(&m, &sys, &map, &loc, cfg, &mk_plan(healthy * 0.5)).unwrap();
         let (worst, mid) = (worst.makespan().as_f64(), mid.makespan().as_f64());
         assert!(worst > healthy * 1.01, "an 8x throttle must actually hurt");
         assert!(

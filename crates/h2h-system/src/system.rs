@@ -96,7 +96,9 @@ impl BandwidthClass {
     /// (`"Low-"`, `"mid"`, …) — the one parser every bench/CLI front
     /// end shares.
     pub fn by_label(label: &str) -> Option<BandwidthClass> {
-        BandwidthClass::ALL.into_iter().find(|b| b.label().eq_ignore_ascii_case(label))
+        BandwidthClass::ALL
+            .into_iter()
+            .find(|b| b.label().eq_ignore_ascii_case(label))
     }
 }
 
@@ -119,7 +121,10 @@ pub struct SystemEnergyModel {
 impl Default for SystemEnergyModel {
     fn default() -> Self {
         // ~5 W for a NIC/switch path; ~20 pJ/B for DDR3/DDR4 access.
-        SystemEnergyModel { eth_link_power_w: 5.0, dram_pj_per_byte: 20.0 }
+        SystemEnergyModel {
+            eth_link_power_w: 5.0,
+            dram_pj_per_byte: 20.0,
+        }
     }
 }
 
@@ -161,7 +166,12 @@ impl SystemSpec {
     pub fn new(accs: Vec<AccelRef>, ethernet: BytesPerSec) -> Self {
         assert!(!accs.is_empty(), "a system needs at least one accelerator");
         let topology = Topology::uniform_star(ethernet, accs.len());
-        SystemSpec { accs, topology, energy: SystemEnergyModel::default(), compute_slow: None }
+        SystemSpec {
+            accs,
+            topology,
+            energy: SystemEnergyModel::default(),
+            compute_slow: None,
+        }
     }
 
     /// The paper's evaluation system: the 12-accelerator catalog at the
@@ -179,10 +189,7 @@ impl SystemSpec {
     /// # Errors
     ///
     /// Returns [`Topology::parse`]'s message for malformed specs.
-    pub fn standard_with_topology(
-        bw: BandwidthClass,
-        spec: Option<&str>,
-    ) -> Result<Self, String> {
+    pub fn standard_with_topology(bw: BandwidthClass, spec: Option<&str>) -> Result<Self, String> {
         let system = SystemSpec::standard(bw);
         match spec {
             None => Ok(system),
@@ -245,7 +252,9 @@ impl SystemSpec {
     /// must query [`SystemSpec::topology`] per route instead (display
     /// and back-compat call sites only).
     pub fn ethernet(&self) -> BytesPerSec {
-        self.topology.uniform_bw().unwrap_or_else(|| self.topology.host_nic())
+        self.topology
+            .uniform_bw()
+            .unwrap_or_else(|| self.topology.host_nic())
     }
 
     /// Interconnect/memory energy constants.
@@ -265,9 +274,9 @@ impl SystemSpec {
     /// — that is what makes serve-time repair cheap. A healthy state
     /// returns a bitwise-identical system.
     pub fn degrade(&self, state: &FaultState) -> SystemSpec {
-        let compute_slow = state.any_compute_degraded().then(|| {
-            self.acc_ids().map(|a| state.compute_factor(a)).collect()
-        });
+        let compute_slow = state
+            .any_compute_degraded()
+            .then(|| self.acc_ids().map(|a| state.compute_factor(a)).collect());
         SystemSpec {
             accs: self.accs.clone(),
             topology: self.topology.degrade(state),
@@ -302,9 +311,11 @@ impl SystemSpec {
     /// Panics if every board is down — there is nothing left to map on.
     pub fn live_subsystem(&self, state: &FaultState) -> (SystemSpec, Vec<AccId>) {
         let degraded = self.topology.degrade(state);
-        let live_ids: Vec<AccId> =
-            self.acc_ids().filter(|a| state.acc_is_up(*a)).collect();
-        assert!(!live_ids.is_empty(), "a live subsystem needs at least one surviving board");
+        let live_ids: Vec<AccId> = self.acc_ids().filter(|a| state.acc_is_up(*a)).collect();
+        assert!(
+            !live_ids.is_empty(),
+            "a live subsystem needs at least one surviving board"
+        );
         let sub_index: Vec<Option<usize>> = {
             let mut map = vec![None; self.num_accs()];
             for (sub, id) in live_ids.iter().enumerate() {
@@ -319,11 +330,19 @@ impl SystemSpec {
             .filter_map(|(a, b, r)| Some((sub_index[*a]?, sub_index[*b]?, *r)))
             .collect();
         let topology = Topology::switched(degraded.host_nic(), links, peers);
-        let accs = live_ids.iter().map(|a| self.accs[a.index()].clone()).collect();
-        let compute_slow = state.any_compute_degraded().then(|| {
-            live_ids.iter().map(|a| state.compute_factor(*a)).collect()
-        });
-        let sub = SystemSpec { accs, topology, energy: self.energy, compute_slow };
+        let accs = live_ids
+            .iter()
+            .map(|a| self.accs[a.index()].clone())
+            .collect();
+        let compute_slow = state
+            .any_compute_degraded()
+            .then(|| live_ids.iter().map(|a| state.compute_factor(*a)).collect());
+        let sub = SystemSpec {
+            accs,
+            topology,
+            energy: self.energy,
+            compute_slow,
+        };
         (sub, live_ids)
     }
 

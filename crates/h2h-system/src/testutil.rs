@@ -36,7 +36,12 @@ impl ConstAccel {
                 fpga: "virtual".to_owned(),
                 dataflow: Dataflow::Generality { eff: 1.0 },
             },
-            classes: vec![LayerClass::Conv, LayerClass::Fc, LayerClass::Lstm, LayerClass::Aux],
+            classes: vec![
+                LayerClass::Conv,
+                LayerClass::Fc,
+                LayerClass::Lstm,
+                LayerClass::Aux,
+            ],
             time: Seconds::new(secs),
             energy: Joules::new(1e-3),
             dram_capacity: Bytes::from_gib(1),

@@ -107,7 +107,10 @@ impl Topology {
         links: Vec<BytesPerSec>,
         peers: Vec<(usize, usize, BytesPerSec)>,
     ) -> Self {
-        assert!(!links.is_empty(), "a topology needs at least one accelerator link");
+        assert!(
+            !links.is_empty(),
+            "a topology needs at least one accelerator link"
+        );
         assert!(host_nic.as_f64() > 0.0, "host NIC rate must be positive");
         for l in &links {
             assert!(l.as_f64() > 0.0, "link rates must be positive");
@@ -116,7 +119,10 @@ impl Topology {
         let peers: Vec<(usize, usize, BytesPerSec)> = peers
             .into_iter()
             .map(|(a, b, r)| {
-                assert!(a < n && b < n, "peer link ({a},{b}) out of range for {n} accelerators");
+                assert!(
+                    a < n && b < n,
+                    "peer link ({a},{b}) out of range for {n} accelerators"
+                );
                 assert!(a != b, "peer link endpoints must differ");
                 assert!(r.as_f64() > 0.0, "peer rates must be positive");
                 (a.min(b), a.max(b), r)
@@ -139,9 +145,7 @@ impl Topology {
                             Some((_, _, r)) => (*r, false),
                             // Relay through the host: up `a`'s link,
                             // across the NIC, down `b`'s link.
-                            None => {
-                                (min_bw(min_bw(links[a - 1], host_nic), links[b - 1]), true)
-                            }
+                            None => (min_bw(min_bw(links[a - 1], host_nic), links[b - 1]), true),
                         }
                     }
                 };
@@ -150,9 +154,18 @@ impl Topology {
             }
         }
         let first = route[0];
-        let uniform =
-            route.iter().all(|r| r.as_f64() == first.as_f64()).then_some(first);
-        Topology { host_nic, links, peers, route, via_host, uniform }
+        let uniform = route
+            .iter()
+            .all(|r| r.as_f64() == first.as_f64())
+            .then_some(first);
+        Topology {
+            host_nic,
+            links,
+            peers,
+            route,
+            via_host,
+            uniform,
+        }
     }
 
     /// Number of accelerators this fabric connects.
@@ -228,7 +241,10 @@ impl Topology {
             }
             None => per_acc
                 .into_iter()
-                .map(|(a, b)| self.path_bw(Endpoint::Host, Endpoint::Acc(a)).transfer_time(b))
+                .map(|(a, b)| {
+                    self.path_bw(Endpoint::Host, Endpoint::Acc(a))
+                        .transfer_time(b)
+                })
                 .sum(),
         }
     }
@@ -263,9 +279,7 @@ impl Topology {
             let r = self.path_bw(here, dst);
             let via = self.crosses_host(here, dst);
             route = Some(match route {
-                Some((cur, cur_via)) => {
-                    (if cur < r { cur } else { r }, cur_via || via)
-                }
+                Some((cur, cur_via)) => (if cur < r { cur } else { r }, cur_via || via),
                 None => (r, via),
             });
         }
@@ -316,9 +330,7 @@ impl Topology {
             .peers
             .iter()
             .copied()
-            .filter(|(a, b, _)| {
-                state.acc_is_up(AccId::new(*a)) && state.acc_is_up(AccId::new(*b))
-            })
+            .filter(|(a, b, _)| state.acc_is_up(AccId::new(*a)) && state.acc_is_up(AccId::new(*b)))
             .collect();
         Topology::switched(host_nic, links, peers)
     }
@@ -347,8 +359,10 @@ impl Topology {
             return Err("a topology needs at least one accelerator".into());
         }
         let gbps = |s: &str| -> Result<BytesPerSec, String> {
-            let v: f64 =
-                s.trim().parse().map_err(|_| format!("bad rate `{s}` (GB/s expected)"))?;
+            let v: f64 = s
+                .trim()
+                .parse()
+                .map_err(|_| format!("bad rate `{s}` (GB/s expected)"))?;
             if !v.is_finite() || v <= 0.0 {
                 return Err(format!("rate `{s}` must be positive and finite"));
             }
@@ -402,10 +416,8 @@ impl Topology {
                     match key {
                         "host" => host = gbps(val)?,
                         "links" => {
-                            let rates: Vec<BytesPerSec> = val
-                                .split(',')
-                                .map(gbps)
-                                .collect::<Result<_, _>>()?;
+                            let rates: Vec<BytesPerSec> =
+                                val.split(',').map(gbps).collect::<Result<_, _>>()?;
                             if rates.is_empty() {
                                 return Err("links list must not be empty".into());
                             }
@@ -469,8 +481,16 @@ impl Topology {
             );
             return out;
         }
-        let kind = if self.peers.is_empty() { "star" } else { "switched" };
-        let _ = writeln!(out, "topology: {kind} — host NIC {} GB/s", gb(self.host_nic));
+        let kind = if self.peers.is_empty() {
+            "star"
+        } else {
+            "switched"
+        };
+        let _ = writeln!(
+            out,
+            "topology: {kind} — host NIC {} GB/s",
+            gb(self.host_nic)
+        );
         for (i, l) in self.links.iter().enumerate() {
             let _ = writeln!(out, "  host <-> A{i:<2} {:>8} GB/s", gb(*l));
         }
@@ -485,12 +505,28 @@ impl Topology {
         }
         let _ = writeln!(out, "{header}");
         for i in 0..=n {
-            let name = if i == 0 { "host".to_owned() } else { format!("A{}", i - 1) };
+            let name = if i == 0 {
+                "host".to_owned()
+            } else {
+                format!("A{}", i - 1)
+            };
             let _ = write!(out, "  {name:<5}");
             for j in 0..=n {
-                let src = if i == 0 { Endpoint::Host } else { Endpoint::Acc(AccId::new(i - 1)) };
-                let dst = if j == 0 { Endpoint::Host } else { Endpoint::Acc(AccId::new(j - 1)) };
-                let mark = if self.crosses_host(src, dst) { ' ' } else { '*' };
+                let src = if i == 0 {
+                    Endpoint::Host
+                } else {
+                    Endpoint::Acc(AccId::new(i - 1))
+                };
+                let dst = if j == 0 {
+                    Endpoint::Host
+                } else {
+                    Endpoint::Acc(AccId::new(j - 1))
+                };
+                let mark = if self.crosses_host(src, dst) {
+                    ' '
+                } else {
+                    '*'
+                };
                 let _ = write!(out, " {:>6}{mark}", gb(self.path_bw(src, dst)));
             }
             out.push('\n');
@@ -590,10 +626,7 @@ mod tests {
         assert_eq!(t.uniform_bw().unwrap().as_f64(), 0.125e9);
         for i in 0..4 {
             for j in 0..4 {
-                let p = t.path_bw(
-                    Endpoint::Acc(AccId::new(i)),
-                    Endpoint::Acc(AccId::new(j)),
-                );
+                let p = t.path_bw(Endpoint::Acc(AccId::new(i)), Endpoint::Acc(AccId::new(j)));
                 assert_eq!(p.as_f64(), 0.125e9);
             }
             let h = t.path_bw(Endpoint::Host, Endpoint::Acc(AccId::new(i)));
@@ -617,11 +650,7 @@ mod tests {
 
     #[test]
     fn switched_peers_bypass_the_host() {
-        let t = Topology::switched(
-            bw(0.125),
-            vec![bw(0.125); 4],
-            vec![(0, 1, bw(1.0))],
-        );
+        let t = Topology::switched(bw(0.125), vec![bw(0.125); 4], vec![(0, 1, bw(1.0))]);
         let a = |i| Endpoint::Acc(AccId::new(i));
         assert_eq!(t.path_bw(a(0), a(1)).as_f64(), 1.0e9);
         assert_eq!(t.path_bw(a(1), a(0)).as_f64(), 1.0e9);
@@ -661,8 +690,7 @@ mod tests {
         let ex = Topology::parse("star:host=1;links=0.5,0.25", base, 4).unwrap();
         assert_eq!(ex.host_nic().as_f64(), 1e9);
         assert_eq!(ex.link(AccId::new(2)).as_f64(), 0.5e9, "cyclic repeat");
-        let exs =
-            Topology::parse("switched:links=0.125;peers=0-3@2", base, 4).unwrap();
+        let exs = Topology::parse("switched:links=0.125;peers=0-3@2", base, 4).unwrap();
         assert_eq!(exs.peers()[0], (0, 3, bw(2.0)));
         assert!(Topology::parse("nope", base, 4).is_err());
         assert!(Topology::parse("skewed:0.5", base, 4).is_err());
@@ -715,7 +743,9 @@ mod tests {
             assert!(err.contains(needle), "`{spec}`: `{err}` lacks `{needle}`");
         }
         assert!(
-            Topology::parse("uniform", base, 0).unwrap_err().contains("at least one"),
+            Topology::parse("uniform", base, 0)
+                .unwrap_err()
+                .contains("at least one"),
             "an empty system must be rejected, not panic"
         );
     }
@@ -739,17 +769,35 @@ mod tests {
         let d = t.degrade(&slow);
         assert_eq!(d.link(AccId::new(2)).as_f64(), 0.125e9 / 4.0);
         assert_eq!(d.path_bw(Endpoint::Host, a(2)).as_f64(), 0.125e9 / 4.0);
-        assert_eq!(d.path_bw(a(0), a(2)).as_f64(), 0.125e9 / 4.0, "relay bottleneck");
-        assert_eq!(d.path_bw(a(2), a(3)).as_f64(), 1.0e9, "peer links unaffected");
-        assert_eq!(d.path_bw(Endpoint::Host, a(0)).as_f64(), 0.125e9, "others untouched");
+        assert_eq!(
+            d.path_bw(a(0), a(2)).as_f64(),
+            0.125e9 / 4.0,
+            "relay bottleneck"
+        );
+        assert_eq!(
+            d.path_bw(a(2), a(3)).as_f64(),
+            1.0e9,
+            "peer links unaffected"
+        );
+        assert_eq!(
+            d.path_bw(Endpoint::Host, a(0)).as_f64(),
+            0.125e9,
+            "others untouched"
+        );
 
         // A dead board loses its peer link; the surviving partner's
         // traffic falls back to the host relay.
         let mut dead = FaultState::healthy(4);
         dead.set_down(AccId::new(1));
         let d = t.degrade(&dead);
-        assert!(d.peers().len() == 1 && d.peers()[0].0 == 2, "0-1 severed, 2-3 kept");
-        assert!(d.crosses_host(a(0), a(1)), "severed pair relays through the host");
+        assert!(
+            d.peers().len() == 1 && d.peers()[0].0 == 2,
+            "0-1 severed, 2-3 kept"
+        );
+        assert!(
+            d.crosses_host(a(0), a(1)),
+            "severed pair relays through the host"
+        );
 
         // A degraded host NIC re-prices every via-host route at once;
         // peer links and board link rates are untouched.
@@ -757,10 +805,22 @@ mod tests {
         nic.set_host_factor(5.0);
         let d = t.degrade(&nic);
         assert_eq!(d.host_nic().as_f64(), 0.125e9 / 5.0);
-        assert_eq!(d.link(AccId::new(0)).as_f64(), 0.125e9, "board links keep their rate");
+        assert_eq!(
+            d.link(AccId::new(0)).as_f64(),
+            0.125e9,
+            "board links keep their rate"
+        );
         assert_eq!(d.path_bw(Endpoint::Host, a(0)).as_f64(), 0.125e9 / 5.0);
-        assert_eq!(d.path_bw(a(0), a(2)).as_f64(), 0.125e9 / 5.0, "relay bottleneck");
-        assert_eq!(d.path_bw(a(0), a(1)).as_f64(), 1.0e9, "peer route unaffected");
+        assert_eq!(
+            d.path_bw(a(0), a(2)).as_f64(),
+            0.125e9 / 5.0,
+            "relay bottleneck"
+        );
+        assert_eq!(
+            d.path_bw(a(0), a(1)).as_f64(),
+            1.0e9,
+            "peer route unaffected"
+        );
 
         // A *down* host leaves rates untouched (liveness is enforced by
         // the sim/serve layers, not by zeroed bandwidths).

@@ -58,7 +58,9 @@ pub fn to_chrome_trace(
     }
     // Layer executions.
     for id in model.layer_ids() {
-        let Some(t) = schedule.timing(id) else { continue };
+        let Some(t) = schedule.timing(id) else {
+            continue;
+        };
         let layer = model.layer(id);
         let acc = mapping.acc_of(id);
         events.push(format!(
@@ -150,9 +152,9 @@ impl ArrivalTrace {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let t: f64 = line.parse().map_err(|_| {
-                format!("line {}: `{line}` is not a timestamp", lineno + 1)
-            })?;
+            let t: f64 = line
+                .parse()
+                .map_err(|_| format!("line {}: `{line}` is not a timestamp", lineno + 1))?;
             times.push(t);
         }
         ArrivalTrace::new(times)
@@ -219,10 +221,7 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let events = v["traceEvents"].as_array().expect("array");
         let model = h2h_model::zoo::cnn_lstm();
-        let complete = events
-            .iter()
-            .filter(|e| e["ph"] == "X")
-            .count();
+        let complete = events.iter().filter(|e| e["ph"] == "X").count();
         assert_eq!(complete, model.num_layers());
         // Metadata events name every accelerator track.
         let meta = events.iter().filter(|e| e["ph"] == "M").count();

@@ -48,11 +48,7 @@ fn strategy() -> impl Strategy<Value = (ModelGraph, Vec<usize>, Vec<f64>)> {
         .prop_map(|(branches, picks, speeds)| (build_chains(&branches), picks, speeds))
 }
 
-fn setup(
-    model: &ModelGraph,
-    picks: &[usize],
-    speeds: &[f64],
-) -> (h2h_system::SystemSpec, Mapping) {
+fn setup(model: &ModelGraph, picks: &[usize], speeds: &[f64]) -> (h2h_system::SystemSpec, Mapping) {
     let sys = const_system(
         speeds
             .iter()
@@ -63,7 +59,10 @@ fn setup(
     );
     let mut map = Mapping::new(model);
     for (i, id) in model.topo_order().into_iter().enumerate() {
-        map.set(id, AccId::new(picks.get(i).copied().unwrap_or(0) % speeds.len()));
+        map.set(
+            id,
+            AccId::new(picks.get(i).copied().unwrap_or(0) % speeds.len()),
+        );
     }
     (sys, map)
 }

@@ -79,7 +79,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         id: "HBM",
         name: "user-defined HBM systolic array",
         fpga: "hypothetical-HBM",
-        dataflow: Dataflow::Systolic { rows: 256, cols: 256, im2col_penalty: 0.04 },
+        dataflow: Dataflow::Systolic {
+            rows: 256,
+            cols: 256,
+            im2col_penalty: 0.04,
+        },
         peak_gmacs: 160.0,
         supports: &[LayerClass::Conv, LayerClass::Fc],
         dram_mib: 16 * 1024,
@@ -96,8 +100,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ext_out = H2hMapper::new(&model, &extended).run()?;
 
     println!("CASIA-SURF @ {}:", bw.label());
-    println!("  stock system (12 accs): H2H latency {}", stock_out.final_latency());
-    println!("  + HBM systolic + CGRA : H2H latency {}", ext_out.final_latency());
+    println!(
+        "  stock system (12 accs): H2H latency {}",
+        stock_out.final_latency()
+    );
+    println!(
+        "  + HBM systolic + CGRA : H2H latency {}",
+        ext_out.final_latency()
+    );
 
     let histogram = ext_out.mapping.load_histogram(extended.num_accs());
     println!("\nlayers per accelerator in the extended system:");

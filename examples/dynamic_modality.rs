@@ -20,13 +20,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let timeline = [
         ("rest: video only", vec!["video"]),
         ("walk: + wrist IMU", vec!["video", "imu_wrist"]),
-        ("run: all sensors", vec!["video", "imu_wrist", "imu_ankle", "emg"]),
-        ("cooldown: IMUs only", vec!["video", "imu_wrist", "imu_ankle"]),
+        (
+            "run: all sensors",
+            vec!["video", "imu_wrist", "imu_ankle", "emg"],
+        ),
+        (
+            "cooldown: IMUs only",
+            vec!["video", "imu_wrist", "imu_ankle"],
+        ),
         ("rest: video only", vec!["video"]),
-        ("run: all sensors", vec!["video", "imu_wrist", "imu_ankle", "emg"]),
+        (
+            "run: all sensors",
+            vec!["video", "imu_wrist", "imu_ankle", "emg"],
+        ),
     ];
 
-    println!("dynamic modality change on CNN-LSTM @ {}:", system.ethernet());
+    println!(
+        "dynamic modality change on CNN-LSTM @ {}:",
+        system.ethernet()
+    );
     println!(
         "{:<26} {:>10} {:>12} {:>12} {:>14}",
         "configuration", "latency", "reused", "reloaded", "reload saved"
@@ -46,9 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{}", saved),
         );
     }
-    println!(
-        "\ntotal reconfiguration traffic avoided across the timeline: {total_saved}"
-    );
+    println!("\ntotal reconfiguration traffic avoided across the timeline: {total_saved}");
     println!(
         "({} layers currently buffered, {} total)",
         session.buffered_layers(),

@@ -128,16 +128,29 @@ fn map_and_report(
         println!();
     }
     let ev = Evaluator::new(model, system);
-    print!("{}", mapping_report(&ev, &out.mapping, &out.locality, &out.schedule));
+    print!(
+        "{}",
+        mapping_report(&ev, &out.mapping, &out.locality, &out.schedule)
+    );
     println!();
     if report == Report::Inspect {
         print!("{}", search_stats_report(&out.remap_stats));
         println!();
     }
-    println!("{}", render_gantt(model, system, &out.mapping, &out.schedule, 100));
     println!(
         "{}",
-        render_link_gantt(model, system, &out.mapping, &out.locality, &out.schedule, 100)
+        render_gantt(model, system, &out.mapping, &out.schedule, 100)
+    );
+    println!(
+        "{}",
+        render_link_gantt(
+            model,
+            system,
+            &out.mapping,
+            &out.locality,
+            &out.schedule,
+            100
+        )
     );
     Ok(())
 }
@@ -172,7 +185,10 @@ fn fault_repair_report(
     let budget = resolve_repair_budget(&cfg, model);
     let rep = repair_mapping(&ev, &cfg, &preset, &incumbent.mapping, &state, budget)?;
     let scratch = scratch_remap(model, system, &state, &cfg, &preset)?;
-    println!("repair report — healthy incumbent {}", incumbent.final_latency());
+    println!(
+        "repair report — healthy incumbent {}",
+        incumbent.final_latency()
+    );
     println!(
         "  incumbent-on-degraded {} ({} layers evacuated)",
         rep.incumbent_degraded,
@@ -232,7 +248,9 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let repair_cost = match take_string_flag(&mut args, "--repair-cost").and_then(|v| {
         v.map(|raw| match raw.parse::<f64>() {
             Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
-            _ => Err(format!("seconds per move must be finite and >= 0, got `{raw}`")),
+            _ => Err(format!(
+                "seconds per move must be finite and >= 0, got `{raw}`"
+            )),
         })
         .transpose()
     }) {
@@ -263,8 +281,11 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         }
     };
     let queue_cap = match take_string_flag(&mut args, "--queue-cap").and_then(|v| {
-        v.map(|s| s.parse::<usize>().map_err(|_| format!("`{s}` is not a queue depth")))
-            .transpose()
+        v.map(|s| {
+            s.parse::<usize>()
+                .map_err(|_| format!("`{s}` is not a queue depth"))
+        })
+        .transpose()
     }) {
         Ok(v) => v,
         Err(e) => {
@@ -335,7 +356,9 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
         }
         "parse" => {
-            let Some(path) = args.get(1) else { return Ok(usage()) };
+            let Some(path) = args.get(1) else {
+                return Ok(usage());
+            };
             let Some(bw) = bw_by_name(args.get(2).map(String::as_str)) else {
                 return Ok(usage());
             };
@@ -345,10 +368,13 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             map_and_report(&model, bw, &system, Report::Map)?;
         }
         "serve" => {
-            let Some(names) = args.get(1) else { return Ok(usage()) };
-            let models: Option<Vec<ModelGraph>> =
-                names.split(',').map(model_by_name).collect();
-            let Some(models) = models else { return Ok(usage()) };
+            let Some(names) = args.get(1) else {
+                return Ok(usage());
+            };
+            let models: Option<Vec<ModelGraph>> = names.split(',').map(model_by_name).collect();
+            let Some(models) = models else {
+                return Ok(usage());
+            };
             if models.is_empty() {
                 return Ok(usage());
             }
@@ -426,7 +452,9 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             let Some(bw) = bw_by_name(args.get(2).map(String::as_str)) else {
                 return Ok(usage());
             };
-            let Some(out_path) = args.get(3) else { return Ok(usage()) };
+            let Some(out_path) = args.get(3) else {
+                return Ok(usage());
+            };
             let system = system_for(bw, topology)?;
             let out = H2hMapper::new(&model, &system).run()?;
             let json = to_chrome_trace(&model, &system, &out.mapping, &out.schedule);

@@ -2,9 +2,7 @@
 //! dominate the paper's computation-prioritized baseline everywhere and
 //! never lose to clustering or random assignment.
 
-use h2h::core::baseline::{
-    cluster_mapping, computation_prioritized_baseline, random_mapping,
-};
+use h2h::core::baseline::{cluster_mapping, computation_prioritized_baseline, random_mapping};
 use h2h::core::config::H2hConfig;
 use h2h::core::H2hMapper;
 use h2h::model::zoo;
@@ -36,7 +34,10 @@ fn h2h_beats_clustering_and_random() {
     for model in zoo::all_models() {
         let system = SystemSpec::standard(bw);
         let ev = Evaluator::new(&model, &system);
-        let h2h = H2hMapper::new(&model, &system).run().unwrap().final_latency();
+        let h2h = H2hMapper::new(&model, &system)
+            .run()
+            .unwrap()
+            .final_latency();
         let cluster = cluster_mapping(&ev, &H2hConfig::default())
             .unwrap()
             .schedule

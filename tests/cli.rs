@@ -19,7 +19,14 @@ fn zoo_lists_all_six_models() {
     let out = h2h(&["zoo"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    for name in ["VLocNet", "CASIA-SURF", "VFS", "FaceBag", "CNN-LSTM", "MoCap"] {
+    for name in [
+        "VLocNet",
+        "CASIA-SURF",
+        "VFS",
+        "FaceBag",
+        "CNN-LSTM",
+        "MoCap",
+    ] {
         assert!(text.contains(name), "missing {name}");
     }
 }
@@ -29,7 +36,9 @@ fn accels_prints_the_datasheet() {
     let out = h2h(&["accels"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    for id in ["JZ", "CZ", "WJ", "JQ", "AC", "YG", "TM", "AP", "XW", "SH", "XZ", "BL"] {
+    for id in [
+        "JZ", "CZ", "WJ", "JQ", "AC", "YG", "TM", "AP", "XW", "SH", "XZ", "BL",
+    ] {
         assert!(text.contains(&format!("| {id} |")), "missing {id}");
     }
 }
@@ -37,7 +46,11 @@ fn accels_prints_the_datasheet() {
 #[test]
 fn map_reports_placement_and_gantt() {
     let out = h2h(&["map", "mocap", "high"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = stdout(&out);
     assert!(text.contains("H2H @ High"));
     assert!(text.contains("mapping report"));
@@ -48,10 +61,17 @@ fn map_reports_placement_and_gantt() {
 #[test]
 fn inspect_reports_the_search_stats() {
     let out = h2h(&["inspect", "casia", "low-", "--topology", "skewed"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = stdout(&out);
     assert!(text.contains("mapping report"));
-    assert!(text.contains("search stats —"), "step-4 counters expected: {text}");
+    assert!(
+        text.contains("search stats —"),
+        "step-4 counters expected: {text}"
+    );
     assert!(text.contains("skipped by dominance"));
 }
 
@@ -88,13 +108,20 @@ fn trace_writes_valid_chrome_json() {
 #[test]
 fn serve_prints_the_tenant_ledger() {
     let out = h2h(&["serve", "mocap,cnnlstm", "high"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = stdout(&out);
     assert!(text.contains("serve report — 2 tenants"));
     assert!(text.contains("MoCap"));
     assert!(text.contains("CNN-LSTM"));
     assert!(text.contains("shared DRAM budget"));
-    assert!(text.contains("0 mismatched"), "slice verification must hold: {text}");
+    assert!(
+        text.contains("0 mismatched"),
+        "slice verification must hold: {text}"
+    );
     assert!(text.contains("naive per-request drain"));
 }
 
@@ -118,7 +145,11 @@ fn bad_arguments_exit_with_usage() {
     ] {
         let out = h2h(args);
         assert!(!out.status.success(), "args {args:?} should fail");
-        assert_eq!(out.status.code(), Some(2), "args {args:?} should print usage");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "args {args:?} should print usage"
+        );
     }
 }
 
@@ -131,7 +162,10 @@ fn parse_rejects_broken_files() {
     let out = h2h(&["parse", path.to_str().unwrap()]);
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("line 2"), "error should carry the line number: {err}");
+    assert!(
+        err.contains("line 2"),
+        "error should carry the line number: {err}"
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -144,8 +178,14 @@ fn parse_reports_a_bare_modality_tag_without_panicking() {
     let out = h2h(&["parse", path.to_str().unwrap(), "low-"]);
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(!err.contains("panicked"), "a syntax error, not a panic: {err}");
-    assert!(err.contains("line 3"), "error should carry the line number: {err}");
+    assert!(
+        !err.contains("panicked"),
+        "a syntax error, not a panic: {err}"
+    );
+    assert!(
+        err.contains("line 3"),
+        "error should carry the line number: {err}"
+    );
     std::fs::remove_file(&path).ok();
 }
 

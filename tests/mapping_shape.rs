@@ -17,8 +17,7 @@ fn conv_adjacency(model: &h2h::model::ModelGraph, mapping: &h2h::system::Mapping
     let mut total = 0usize;
     let mut same = 0usize;
     for (a, b, _) in model.edges() {
-        if model.layer(a).class() == LayerClass::Conv
-            && model.layer(b).class() == LayerClass::Conv
+        if model.layer(a).class() == LayerClass::Conv && model.layer(b).class() == LayerClass::Conv
         {
             total += 1;
             if mapping.acc_of(a) == mapping.acc_of(b) {
@@ -78,7 +77,10 @@ fn mocap_lstms_map_to_deep_pipeline_engines() {
         homes.iter().all(|h| h == "BL" || h == "SH"),
         "LSTMs should sit on pipeline engines, got {homes:?}"
     );
-    assert!(homes.contains("BL"), "the long-sequence specialist must be used");
+    assert!(
+        homes.contains("BL"),
+        "the long-sequence specialist must be used"
+    );
 
     // After the full pipeline, each stream's conv chain is co-located
     // (step 1 may spread parallel streams for overlap; remapping pulls
@@ -153,9 +155,7 @@ fn stems_prefer_the_on_chip_memory_design() {
                 if p.in_channels == 3 {
                     let best = system
                         .acc_ids()
-                        .filter_map(|a| {
-                            system.acc(a).compute_time(layer).map(|t| (t, a))
-                        })
+                        .filter_map(|a| system.acc(a).compute_time(layer).map(|t| (t, a)))
                         .min_by(|x, y| x.0.partial_cmp(&y.0).unwrap())
                         .map(|(_, a)| system.acc(a).meta().id.clone())
                         .unwrap();
@@ -185,8 +185,18 @@ fn h2h_reduces_cross_accelerator_traffic_on_every_model() {
         let traffic = |rep: &h2h::core::report::MappingReport| -> u64 {
             rep.transfers.values().map(|b| b.as_u64()).sum()
         };
-        let t_base = traffic(&mapping_report(&ev, &base.mapping, &base.locality, &base.schedule));
-        let t_h2h = traffic(&mapping_report(&ev, &h2h.mapping, &h2h.locality, &h2h.schedule));
+        let t_base = traffic(&mapping_report(
+            &ev,
+            &base.mapping,
+            &base.locality,
+            &base.schedule,
+        ));
+        let t_h2h = traffic(&mapping_report(
+            &ev,
+            &h2h.mapping,
+            &h2h.locality,
+            &h2h.schedule,
+        ));
         assert!(
             t_h2h <= t_base,
             "{}: cross-acc traffic grew {t_base} -> {t_h2h}",

@@ -8,8 +8,11 @@ use h2h::model::units::Seconds;
 use h2h::model::zoo;
 use h2h::system::{BandwidthClass, SystemSpec};
 
-const BANDWIDTHS: [BandwidthClass; 3] =
-    [BandwidthClass::LowMinus, BandwidthClass::Mid, BandwidthClass::High];
+const BANDWIDTHS: [BandwidthClass; 3] = [
+    BandwidthClass::LowMinus,
+    BandwidthClass::Mid,
+    BandwidthClass::High,
+];
 
 #[test]
 fn steps_never_increase_latency_anywhere() {
@@ -156,10 +159,7 @@ fn higher_bandwidth_never_slower_for_a_fixed_mapping() {
         for bw in BandwidthClass::ALL {
             let system = SystemSpec::standard(bw);
             let ev = Evaluator::new(&model, &system);
-            let lat = ev
-                .evaluate(&out.mapping, &out.locality)
-                .makespan()
-                .as_f64();
+            let lat = ev.evaluate(&out.mapping, &out.locality).makespan().as_f64();
             assert!(
                 lat <= last + 1e-12,
                 "{}: fixed-mapping latency rose from {last} to {lat} at {}",
@@ -207,8 +207,14 @@ fn headline_bands_hold() {
     }
     let min = low_reductions.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = low_reductions.iter().cloned().fold(0.0f64, f64::max);
-    assert!(min > 0.15, "every model should gain >15% at Low- (paper: 15-74%), min {min:.3}");
-    assert!(max > 0.55, "the best model should gain >55% at Low- (paper: up to 74%), max {max:.3}");
+    assert!(
+        min > 0.15,
+        "every model should gain >15% at Low- (paper: 15-74%), min {min:.3}"
+    );
+    assert!(
+        max > 0.55,
+        "the best model should gain >55% at Low- (paper: up to 74%), max {max:.3}"
+    );
     let over60 = low_reductions.iter().filter(|r| **r > 0.60).count();
     assert!(
         (2..=4).contains(&over60),

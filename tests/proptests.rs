@@ -41,7 +41,9 @@ fn random_model(inputs: usize, widths: Vec<u16>, grows: Vec<Grow>) -> ModelGraph
         b.modality(Some(&format!("m{i}")));
         nodes.push(b.input(
             &format!("in{i}"),
-            TensorShape::Vector { features: *w as u32 + 1 },
+            TensorShape::Vector {
+                features: *w as u32 + 1,
+            },
         ));
     }
     b.modality(None);

@@ -36,8 +36,8 @@ fn event_sim_matches_analytic_on_all_final_mappings() {
 
 #[test]
 fn event_sim_matches_analytic_on_baseline_mappings() {
-    use h2h::core::config::H2hConfig;
     use h2h::core::baseline::computation_prioritized_baseline;
+    use h2h::core::config::H2hConfig;
     use h2h::system::Evaluator;
     for model in zoo::all_models() {
         let system = SystemSpec::standard(BandwidthClass::Mid);
@@ -178,7 +178,13 @@ fn shared_nic_contention_is_monotone_in_capacity() {
         last = mk;
     }
     // A 12x NIC equals fully dedicated links (12 accelerators).
-    let ded = simulate(&model, &system, &out.mapping, &out.locality, SimConfig::dedicated());
+    let ded = simulate(
+        &model,
+        &system,
+        &out.mapping,
+        &out.locality,
+        SimConfig::dedicated(),
+    );
     assert!((last - ded.makespan().as_f64()).abs() / last < 1e-9);
 }
 
@@ -195,8 +201,22 @@ fn event_sim_matches_analytic_on_admitted_serve_tenants() {
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let mut reg = TenantRegistry::new(&system, H2hConfig::default());
     let ids = [
-        reg.admit(TenantSpec::new("mocap", zoo::mocap(), 4.0, Seconds::new(4.0), 4)).unwrap(),
-        reg.admit(TenantSpec::new("cnn", zoo::cnn_lstm(), 4.0, Seconds::new(4.0), 4)).unwrap(),
+        reg.admit(TenantSpec::new(
+            "mocap",
+            zoo::mocap(),
+            4.0,
+            Seconds::new(4.0),
+            4,
+        ))
+        .unwrap(),
+        reg.admit(TenantSpec::new(
+            "cnn",
+            zoo::cnn_lstm(),
+            4.0,
+            Seconds::new(4.0),
+            4,
+        ))
+        .unwrap(),
     ];
     for id in ids {
         let t = reg.tenant(id);
