@@ -147,8 +147,24 @@
 //!   recorded undo entries ([`SearchStats::guard_reverts_fast`])
 //!   instead of paying a second cost-refresh + re-propagation.
 //!
+//! # Seeding (step 3 on the engine's own schedule)
+//!
+//! [`DeltaEngine::new`] seeds the engine the way staging scores a
+//! candidate: step 2 (`weight_locality_opt`), the pins-only
+//! [`IncrementalSchedule`], and, inside a transaction, the shared fusion
+//! pass replayed through the same oracle, delay walk and savepoint
+//! reverts included. The seed score and makespan are read from the
+//! schedule's proxy, and the transaction is rolled back, so the engine
+//! rests at the pins-only state. The seed therefore costs no full
+//! evaluation, where the one-shot step 3 pays up to two per risky
+//! guard. The replay is step 3's work, so it adds nothing to the
+//! search's counters. Debug builds check every seed against the
+//! one-shot steps 2–3 and a full evaluation, bitwise, on a copy of the
+//! evaluator. `H2hMapper::run` takes its step-3 locality from the
+//! engine it then searches with, so steps 2–3 run once per map.
+//!
 //! Accepted candidates commit the delta state directly; the only full
-//! evaluations in a search run are the seed and the finalization. Final
+//! evaluation in a search run is its finalization. Final
 //! mappings and latencies are identical to the per-candidate
 //! full-re-evaluation reference,
 //! [`crate::remap::data_locality_remapping_reference`] (asserted by the
@@ -173,10 +189,12 @@ use h2h_system::mapping::Mapping;
 use h2h_system::schedule::{Evaluator, FusionOutcome, Schedule};
 use h2h_system::system::AccId;
 
-use crate::activation_fusion::{fusion_pass, rebuild_locality, sorted_fusable_edges, FusionOracle};
+use crate::activation_fusion::{fusion_pass, sorted_fusable_edges, FusionOracle};
 use crate::config::{H2hConfig, KnapsackKind, MapObjective, ACCEPT_EPSILON};
 use crate::preset::PinPreset;
-use crate::weight_locality::{pin_saving_per_byte, pins_every_item, weight_locality_pass};
+use crate::weight_locality::{
+    pin_saving_per_byte, pins_every_item, weight_locality_opt, weight_locality_pass,
+};
 
 /// Deepest chain of producers the latency screen's split fixes before
 /// it gives up on a move (see the module docs).
@@ -197,7 +215,10 @@ pub struct SearchStats {
     /// replay. Kept only until the next benchmark change stops reading
     /// it.
     pub prefix_evals: usize,
-    /// Full `Evaluator::evaluate` calls on the search path.
+    /// Full `Evaluator::evaluate` calls on the search path. The delta
+    /// engine spends one, its finalization: its seed is step 3 replayed
+    /// on its own schedule. The full-re-evaluation reference spends one
+    /// per attempted move plus its seed.
     pub full_evals: usize,
     /// Full (all-accelerator) locality rebuilds.
     pub full_rebuilds: usize,
@@ -389,6 +410,31 @@ impl DeltaOracle<'_, '_, '_> {
     /// settled, exact for `loc`.
     fn flush(&mut self, loc: &LocalityState) {
         self.settle_to(loc, usize::MAX);
+    }
+
+    /// Step 3 on the delta schedule: the shared `fusion_pass` body over
+    /// the mapping's co-located edges of `sorted_edges`, in the exact
+    /// global candidate order of `activation_fusion_opt`, each risky
+    /// guard answered by the schedule (bitwise-equal to the full
+    /// evaluation it replaces). `loc` enters as the pins-only state and
+    /// leaves as the replayed locality; the final flush lands whatever
+    /// the guards left pending, so the schedule comes back settled and
+    /// exact for it. `candidates` is scratch.
+    fn replay_step3(
+        &mut self,
+        sorted_edges: &[(LayerId, LayerId, Bytes)],
+        candidates: &mut Vec<(LayerId, LayerId, Bytes)>,
+        loc: &mut LocalityState,
+    ) {
+        let (ev, mapping) = (self.ev, self.mapping);
+        candidates.clear();
+        candidates.extend(
+            sorted_edges.iter().copied().filter(|(f, t, _)| {
+                mapping.get(*f).is_some() && mapping.get(*f) == mapping.get(*t)
+            }),
+        );
+        fusion_pass(ev, mapping, loc, candidates, self);
+        self.flush(loc);
     }
 }
 
@@ -790,6 +836,7 @@ fn board_full(ev: &Evaluator<'_>, mapping: &Mapping, pins: &LocalityState, acc: 
 }
 
 /// The pins of `locality` alone: the pins-only state the engine rests at.
+#[cfg(any(test, debug_assertions))]
 fn pins_of(ev: &Evaluator<'_>, mapping: &Mapping, locality: &LocalityState) -> LocalityState {
     let (model, system) = (ev.model(), ev.system());
     let mut pins = LocalityState::new(system);
@@ -798,6 +845,46 @@ fn pins_of(ev: &Evaluator<'_>, mapping: &Mapping, locality: &LocalityState) -> L
         debug_assert!(ok, "pins fit without the fusions they fitted beside");
     }
     pins
+}
+
+/// Checks an engine seed against the one-shot steps 2–3
+/// ([`rebuild_locality`](crate::activation_fusion::rebuild_locality))
+/// and a full evaluation, bitwise. It runs them on a copy of `ev`, so
+/// the check bills nothing to the engine's evaluator.
+#[cfg(debug_assertions)]
+#[allow(clippy::too_many_arguments)]
+fn assert_seed_matches_step3(
+    ev: &Evaluator<'_>,
+    cfg: &H2hConfig,
+    preset: &PinPreset,
+    mapping: &Mapping,
+    locality: &LocalityState,
+    pins: &LocalityState,
+    score: f64,
+    makespan: Seconds,
+) {
+    let copy =
+        Evaluator::from_cache(ev.model(), ev.system(), ev.cache().clone()).with_batch(ev.batch());
+    let rebuilt = crate::activation_fusion::rebuild_locality(&copy, mapping, cfg, preset);
+    assert!(
+        *locality == rebuilt,
+        "the seed replay's locality diverged from step 3"
+    );
+    assert!(
+        *pins == pins_of(&copy, mapping, &rebuilt),
+        "the seed's pins diverged from step 2"
+    );
+    let full = copy.evaluate(mapping, &rebuilt);
+    assert_eq!(
+        makespan.as_f64().to_bits(),
+        full.makespan().as_f64().to_bits(),
+        "seed makespan"
+    );
+    assert_eq!(
+        score.to_bits(),
+        cfg.objective.score(&full).to_bits(),
+        "seed score"
+    );
 }
 
 /// A copy of `source`, in `spare`'s buffers when there is one.
@@ -1182,7 +1269,9 @@ impl Floor {
 ///
 /// The engine always holds the exact state of the current mapping: its
 /// locality and score, and the delta schedule of its pins-only state,
-/// where each candidate's fusion replay starts. Candidates are staged
+/// where each candidate's fusion replay starts. It is seeded by step 3
+/// replayed on that schedule (see the module docs), so a search's only
+/// full evaluation is [`DeltaEngine::finalize`]. Candidates are staged
 /// transactionally on top and either rolled back or committed as the
 /// new current state.
 #[derive(Debug)]
@@ -1199,8 +1288,8 @@ pub struct DeltaEngine<'e, 'm> {
     /// pinned. An accepted pin diff keeps both flags set; a fallback
     /// recounts its two boards.
     full_boards: Vec<bool>,
-    /// The seed mapping's full evaluation.
-    seed_schedule: Schedule,
+    /// The seed mapping's makespan, from the step-3 replay.
+    seed_makespan: Seconds,
     score: f64,
     staged: Option<StagedMove>,
     /// All non-input-producer edges pre-sorted by the fusion pass's
@@ -1232,22 +1321,66 @@ pub struct DeltaEngine<'e, 'm> {
 }
 
 impl<'e, 'm> DeltaEngine<'e, 'm> {
-    /// Binds the engine to `mapping`'s exact state (one full rebuild +
-    /// evaluation).
+    /// Binds the engine to `mapping`'s exact state: step 2, then step 3
+    /// replayed on the engine's own pins-only schedule. No full
+    /// evaluation.
     pub fn new(
         ev: &'e Evaluator<'m>,
         cfg: &'e H2hConfig,
         preset: &'e PinPreset,
         mapping: &Mapping,
     ) -> Self {
-        let mut stats = SearchStats::default();
-        stats.full_rebuilds += 1;
-        stats.full_evals += 1;
-        let locality = rebuild_locality(ev, mapping, cfg, preset);
-        let seed_schedule = ev.evaluate(mapping, &locality);
-        let score = cfg.objective.score(&seed_schedule);
-        let pins = pins_of(ev, mapping, &locality);
-        let inc = IncrementalSchedule::new(ev, mapping, &pins);
+        let zero = LocalityState::new(ev.system());
+        let pins = weight_locality_opt(ev, mapping, zero, cfg.knapsack, preset);
+        Self::from_pins(ev, cfg, preset, mapping, pins)
+    }
+
+    /// [`DeltaEngine::new`] from `mapping`'s step-2 locality `pins`, for a
+    /// caller that already ran step 2. The seed is step 3, replayed the
+    /// way staging scores a candidate: the shared `fusion_pass` through
+    /// a `DeltaOracle` on the pins-only schedule, inside a transaction
+    /// that is rolled back once the score is read, so the engine rests
+    /// at the pins-only state. The replay is step 3's work, not the
+    /// search's: its propagation and guard counters are dropped, and it
+    /// is not phase-profiled.
+    pub(crate) fn from_pins(
+        ev: &'e Evaluator<'m>,
+        cfg: &'e H2hConfig,
+        preset: &'e PinPreset,
+        mapping: &Mapping,
+        pins: LocalityState,
+    ) -> Self {
+        let sorted_edges = sorted_fusable_edges(ev.model());
+        let mut inc = IncrementalSchedule::new(ev, mapping, &pins);
+        let (mut walk, mut candidates) = (DelayWalk::default(), Vec::new());
+        let mut locality = pins.clone();
+        inc.begin();
+        DeltaOracle {
+            ev,
+            mapping,
+            inc: &mut inc,
+            stats: &mut SearchStats::default(),
+            pending: Vec::new(),
+            pending_seeds: Vec::new(),
+            walk: &mut walk,
+            savepoint: None,
+            profile: None,
+        }
+        .replay_step3(&sorted_edges, &mut candidates, &mut locality);
+        let proxy = inc.proxy();
+        inc.rollback();
+        let score = cfg.objective.score_proxy(&proxy);
+        #[cfg(debug_assertions)]
+        assert_seed_matches_step3(
+            ev,
+            cfg,
+            preset,
+            mapping,
+            &locality,
+            &pins,
+            score,
+            proxy.makespan,
+        );
         let full_boards = ev
             .system()
             .acc_ids()
@@ -1261,20 +1394,23 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             locality,
             pins,
             full_boards,
-            seed_schedule,
+            seed_makespan: proxy.makespan,
             score,
             staged: None,
-            sorted_edges: sorted_fusable_edges(ev.model()),
+            sorted_edges,
             floor: None,
             spare_locality: None,
             spare_pins: None,
             scratch_costs: Vec::new(),
             scratch_seeds: Vec::new(),
-            scratch_cands: Vec::new(),
+            scratch_cands: candidates,
             scratch_stripped: Vec::new(),
             scratch_added: Vec::new(),
-            scratch_walk: DelayWalk::default(),
-            stats,
+            scratch_walk: walk,
+            stats: SearchStats {
+                full_rebuilds: 1,
+                ..SearchStats::default()
+            },
             profile_enabled: cfg.profile_phases,
             profile: PhaseProfile::default(),
         }
@@ -1285,12 +1421,13 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         self.score
     }
 
-    /// Schedule of the seed mapping, from the one full evaluation
-    /// [`DeltaEngine::new`] runs. Accepted moves advance the engine past
-    /// it; call [`DeltaEngine::finalize`] for an exact schedule of the
-    /// current state.
-    pub fn seed_schedule(&self) -> &Schedule {
-        &self.seed_schedule
+    /// Makespan of the seed mapping, read from the step-3 replay
+    /// [`DeltaEngine::new`] runs (bitwise a full evaluation's).
+    /// Accepted moves advance the engine past it; call
+    /// [`DeltaEngine::finalize`] for an exact schedule of the current
+    /// state.
+    pub fn seed_makespan(&self) -> Seconds {
+        self.seed_makespan
     }
 
     /// Locality of the current state (exact: the staged rebuild replay
@@ -1402,23 +1539,9 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         oracle.flush(&pins);
         let resting = oracle.inc.savepoint();
 
-        // Step 3 replay: the shared `fusion_pass` body over all
-        // accelerators in the exact global candidate order of
-        // `activation_fusion_opt`, with the makespan guard for risky
-        // candidates answered by the delta schedule (bitwise-equal to
-        // the full evaluation it replaces). The final flush lands
-        // whatever the guards left pending.
+        // Step 3 replay over all accelerators, from the moved pins.
         let mut loc = recycled(self.spare_locality.take(), &pins);
-        let mut candidates = std::mem::take(&mut self.scratch_cands);
-        candidates.clear();
-        candidates.extend(
-            self.sorted_edges.iter().copied().filter(|(f, t, _)| {
-                mapping.get(*f).is_some() && mapping.get(*f) == mapping.get(*t)
-            }),
-        );
-        fusion_pass(self.ev, mapping, &mut loc, &candidates, &mut oracle);
-        self.scratch_cands = candidates;
-        oracle.flush(&loc);
+        oracle.replay_step3(&self.sorted_edges, &mut self.scratch_cands, &mut loc);
         self.scratch_costs = oracle.pending;
         self.scratch_seeds = oracle.pending_seeds;
 
@@ -1601,6 +1724,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation_fusion::rebuild_locality;
     use crate::compute_map::computation_prioritized;
     use crate::remap::neighbour_accs;
     use h2h_model::synth::{synthetic_mmmt, SyntheticConfig};
@@ -1665,20 +1789,9 @@ mod tests {
             seed: 5,
             ..Default::default()
         });
-        let small = Bytes::new(model_weight_bytes(&model) / 10);
         let systems = [
             ("standard", SystemSpec::standard(BandwidthClass::LowMinus)),
-            (
-                "small boards",
-                const_system(
-                    [1.0e-3, 1.2e-3, 1.5e-3, 2.0e-3]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| ConstAccel::universal(&format!("b{i}"), *t).with_dram(small))
-                        .collect(),
-                    1e8,
-                ),
-            ),
+            ("small boards", small_boards(&model)),
         ];
         for (name, system) in &systems {
             let ev = Evaluator::new(&model, system);
@@ -1717,12 +1830,97 @@ mod tests {
         }
     }
 
+    /// Four universal boards that each hold a tenth of `model`'s weight
+    /// bytes: step 2 cannot pin every weight, and capacity refuses many
+    /// of step 3's fusions.
+    fn small_boards(model: &ModelGraph) -> SystemSpec {
+        let small = Bytes::new(model_weight_bytes(model) / 10);
+        const_system(
+            [1.0e-3, 1.2e-3, 1.5e-3, 2.0e-3]
+                .iter()
+                .enumerate()
+                .map(|(i, t)| ConstAccel::universal(&format!("b{i}"), *t).with_dram(small))
+                .collect(),
+            1e8,
+        )
+    }
+
     /// Total weight bytes of `model`.
     fn model_weight_bytes(model: &ModelGraph) -> u64 {
         model
             .layers()
             .map(|(_, l)| l.weight_bytes(DataType::F32).as_u64())
             .sum()
+    }
+
+    /// Asserts that a fresh engine on `model`'s step-1 mapping rests
+    /// where the one-shot steps 2-3 land (locality, pins, full boards,
+    /// pins-only schedule), with the full evaluation's score and
+    /// makespan bit for bit, under every objective whose score reads
+    /// more than the makespan, and with nothing billed to the search.
+    fn assert_seed_is_steps_2_and_3(model: &ModelGraph, system: &SystemSpec, tag: &str) {
+        let ev = Evaluator::new(model, system);
+        let preset = PinPreset::new();
+        for objective in [
+            MapObjective::Latency,
+            MapObjective::Energy,
+            MapObjective::EnergyDelayProduct,
+        ] {
+            let cfg = H2hConfig {
+                objective,
+                ..H2hConfig::default()
+            };
+            let (mapping, _) = computation_prioritized(&ev, &cfg, &preset).unwrap();
+            let engine = DeltaEngine::new(&ev, &cfg, &preset, &mapping);
+            let tag = format!("{tag}, {objective:?}");
+            assert_resting(&engine, &mapping, &tag);
+            let full = ev.evaluate(&mapping, engine.locality());
+            assert_eq!(
+                engine.score().to_bits(),
+                cfg.objective.score(&full).to_bits(),
+                "{tag}: score"
+            );
+            assert_eq!(
+                engine.seed_makespan().as_f64().to_bits(),
+                full.makespan().as_f64().to_bits(),
+                "{tag}: seed makespan"
+            );
+            let seeded = SearchStats {
+                full_rebuilds: 1,
+                ..SearchStats::default()
+            };
+            assert_eq!(engine.stats, seeded, "{tag}: the seed billed the search");
+        }
+    }
+
+    #[test]
+    fn the_seed_replay_equals_steps_2_and_3_and_a_full_evaluation() {
+        // Every zoo model on the 7 paper-grid fabrics, seeded synthetic
+        // models, and the small boards where capacity refuses many of
+        // step 3's fusions (most of the risky guards on seed 5).
+        let skewed = [BandwidthClass::LowMinus, BandwidthClass::Mid];
+        for model in h2h_model::zoo::all_models() {
+            for bw in BandwidthClass::ALL {
+                let tag = format!("{} @ {}", model.name(), bw.label());
+                assert_seed_is_steps_2_and_3(&model, &SystemSpec::standard(bw), &tag);
+            }
+            for bw in skewed {
+                let system = SystemSpec::standard_with_topology(bw, Some("skewed")).unwrap();
+                let tag = format!("{} @ {}/skewed", model.name(), bw.label());
+                assert_seed_is_steps_2_and_3(&model, &system, &tag);
+            }
+        }
+        for seed in 1..=5 {
+            let model = synthetic_mmmt(&SyntheticConfig {
+                seed,
+                ..Default::default()
+            });
+            let tag = format!("synthetic seed {seed}");
+            let system = SystemSpec::standard(BandwidthClass::LowMinus);
+            assert_seed_is_steps_2_and_3(&model, &system, &tag);
+            let tag = format!("{tag}, small boards");
+            assert_seed_is_steps_2_and_3(&model, &small_boards(&model), &tag);
+        }
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! works can also assume local DRAM", §5.2); [`H2hOutcome`] keeps one
 //! snapshot per step so Fig. 4 / Table 4 style reductions can be read
 //! off directly.
+//!
+//! Step 3 runs on the step-4 search engine: [`DeltaEngine`] replays the
+//! fusion pass on its own pins-only schedule, bitwise the one-shot
+//! `activation_fusion_opt`, and the search starts from that engine. A
+//! map therefore runs steps 2–3 once and makes four full evaluations:
+//! one per step-1, step-2 and step-3 snapshot, and step 4's result.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -24,12 +30,11 @@ use h2h_system::mapping::{Mapping, MappingError};
 use h2h_system::schedule::{EnergyBreakdown, Evaluator, Schedule};
 use h2h_system::system::SystemSpec;
 
-use crate::activation_fusion::activation_fusion_opt;
 use crate::compute_map::computation_prioritized;
 use crate::config::H2hConfig;
-use crate::delta::SearchStats;
+use crate::delta::{DeltaEngine, SearchStats};
 use crate::preset::PinPreset;
-use crate::remap::data_locality_remapping;
+use crate::remap::remap_seeded;
 use crate::weight_locality::weight_locality_opt;
 
 /// Errors of the H2H pipeline.
@@ -296,11 +301,11 @@ impl<'a> H2hMapper<'a> {
         let s2 = ev.evaluate(&mapping, &loc2);
         snapshots.push(StepSnapshot::record(Step::WeightLocality, &s2, t.elapsed()));
 
-        // Step 3: activation fusion.
+        // Step 3: activation fusion, replayed on the step-4 engine's own
+        // schedule (see the module docs).
         let t = Instant::now();
-        let mut loc3 = loc2;
-        activation_fusion_opt(ev, &mapping, &mut loc3);
-        let s3 = ev.evaluate(&mapping, &loc3);
+        let engine = DeltaEngine::from_pins(ev, cfg, &self.preset, &mapping, loc2);
+        let s3 = ev.evaluate(&mapping, engine.locality());
         snapshots.push(StepSnapshot::record(
             Step::ActivationFusion,
             &s3,
@@ -309,7 +314,7 @@ impl<'a> H2hMapper<'a> {
 
         // Step 4: remapping (delta-scored, exact at accept time).
         let t = Instant::now();
-        let remap = data_locality_remapping(ev, cfg, &self.preset, &mut mapping);
+        let remap = remap_seeded(ev, cfg, engine, &mut mapping);
         snapshots.push(StepSnapshot::record(
             Step::Remapping,
             &remap.schedule,
@@ -353,6 +358,23 @@ mod tests {
         assert!(l[1] <= l[0] + 1e-12, "weight locality must not hurt: {l:?}");
         assert!(l[2] <= l[1] + 1e-12, "fusion must not hurt: {l:?}");
         assert!(l[3] <= l[2] + 1e-12, "remapping must not hurt: {l:?}");
+    }
+
+    #[test]
+    fn a_map_evaluates_fully_only_for_its_snapshots_and_its_result() {
+        // One full evaluation per step-1, step-2 and step-3 snapshot and
+        // one for step 4's result: step 3 runs once, on the step-4
+        // engine's own schedule, and none of its guards evaluates fully.
+        for bw in [BandwidthClass::LowMinus, BandwidthClass::Mid] {
+            let system = SystemSpec::standard(bw);
+            for model in h2h_model::zoo::all_models() {
+                let mapper = H2hMapper::new(&model, &system);
+                let out = mapper.run().unwrap();
+                let tag = format!("{} @ {}", model.name(), bw.label());
+                assert_eq!(mapper.evaluator().evals_performed(), 4, "{tag}");
+                assert_eq!(out.remap_stats.full_evals, 1, "{tag}");
+            }
+        }
     }
 
     #[test]

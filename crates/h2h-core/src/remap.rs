@@ -8,10 +8,15 @@
 //! a fixpoint (no accepted move in a full pass) or the configured pass
 //! bound.
 //!
-//! The loop runs on the [`DeltaEngine`]. Under the latency objective a
-//! move first meets the latency screen: a floor schedule, priced with
-//! the move's exact pins and a lower bound on every fusion step 3 could
-//! choose, rejects a move whose bound already fails the accept rule.
+//! The loop runs on the [`DeltaEngine`], seeded by step 3 replayed on
+//! its own pins-only schedule rather than by a full evaluation.
+//! [`crate::pipeline::H2hMapper::run`] seeds that engine as its step 3
+//! and hands it to the loop, so steps 2–3 run once per map.
+//!
+//! Under the latency objective a move first meets the latency screen: a
+//! floor schedule, priced with the move's exact pins and a lower bound
+//! on every fusion step 3 could choose, rejects a move whose bound
+//! already fails the accept rule.
 //! When the bound passes, the screen splits it on the fusion outcomes
 //! of producers along the floor's critical path (some co-located
 //! consumer fused, or none) and rejects the move if every branch fails
@@ -26,10 +31,11 @@
 //! rejected toggles restored from the journal savepoint (see
 //! [`crate::delta`]; the replay scores bitwise like a full evaluation,
 //! and the screen only rejects moves the exact score would reject too).
-//! Accepted moves commit the delta state directly, producing final
-//! mappings identical to the per-candidate full-re-evaluation loop, kept
-//! below as [`data_locality_remapping_reference`] and asserted
-//! equivalent by the test suites.
+//! Accepted moves commit the delta state directly, and the search's only
+//! full evaluation is its finalization. Final mappings are identical to
+//! the per-candidate full-re-evaluation loop, kept below as
+//! [`data_locality_remapping_reference`] and asserted equivalent by the
+//! test suites.
 
 use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;
@@ -84,9 +90,21 @@ pub fn data_locality_remapping(
     preset: &PinPreset,
     mapping: &mut Mapping,
 ) -> RemapOutcome {
+    let engine = DeltaEngine::new(ev, cfg, preset, mapping);
+    remap_seeded(ev, cfg, engine, mapping)
+}
+
+/// The loop of [`data_locality_remapping`] on an `engine` already seeded
+/// at `mapping`: [`crate::pipeline::H2hMapper::run`] seeds it as its
+/// step 3, so steps 2–3 run once per map.
+pub(crate) fn remap_seeded(
+    ev: &Evaluator<'_>,
+    cfg: &H2hConfig,
+    mut engine: DeltaEngine<'_, '_>,
+    mapping: &mut Mapping,
+) -> RemapOutcome {
     let model = ev.model();
     let system = ev.system();
-    let mut engine = DeltaEngine::new(ev, cfg, preset, mapping);
     let order = model.topo_order();
     let mut neighbours: Vec<AccId> = Vec::new();
     let mut passes = 0;
@@ -414,10 +432,10 @@ mod tests {
             out.stats.full_evals
         );
         // Every attempted move is screened, scored on the delta engine
-        // or scored by a full evaluation (beyond seed + finalize).
+        // or scored by a full evaluation (beyond the finalization).
         let s = &out.stats;
         assert_eq!(
-            s.screened + s.delta_evals + (s.full_evals - 2),
+            s.screened + s.delta_evals + (s.full_evals - 1),
             s.attempted_moves
         );
         assert!(s.screened > 0, "the latency screen rejected nothing: {s:?}");

@@ -14,8 +14,9 @@
 //! 2. **Re-price**: the evacuated incumbent is evaluated on the
 //!    degraded fabric (every route-crossing edge now pays the degraded
 //!    per-route bandwidth) — the *incumbent-on-degraded* baseline. The
-//!    search engine's seed evaluation is exactly this pricing, so it is
-//!    read from there rather than paid twice.
+//!    search engine's seed (steps 2–3 replayed on its own schedule,
+//!    bitwise a full evaluation's makespan) is exactly this pricing, so
+//!    it is read from there rather than paid for with an evaluation.
 //! 3. **Budgeted search**: a [`DeltaEngine`] pass loop identical in
 //!    decision rule and candidate scoring to step-4 remapping (pin diff
 //!    and fusion replay on the engine's fusion-free resting schedule),
@@ -138,9 +139,10 @@ pub fn repair_mapping(
     let evacuated = evacuate(ev, &mut mapping, state)?;
 
     // 2. Price the evacuated incumbent on the degraded fabric: the
-    //    engine's seed is that mapping's full rebuild and evaluation.
+    //    engine's seed replays that mapping's steps 2-3 on its own
+    //    schedule, and its makespan is a full evaluation's, bitwise.
     let mut engine = DeltaEngine::new(ev, cfg, preset, &mapping);
-    let incumbent_degraded = engine.seed_schedule().makespan();
+    let incumbent_degraded = engine.seed_makespan();
 
     // 3. Budgeted delta search, fault-affected layers first.
     let order = repair_visit_order(model, &mapping, &evacuated, state);
@@ -424,6 +426,10 @@ mod tests {
         let budget = resolve_repair_budget(&cfg, &model);
         let rep = repair_mapping(&ev, &cfg, &preset, &outcome.mapping, &state, budget).unwrap();
         assert!(rep.stats.attempted_moves <= budget);
+        // The incumbent is priced by the engine's seed replay, so the
+        // repair's only full evaluation is its finalization.
+        assert_eq!(ev.evals_performed(), 1, "full evaluations of one repair");
+        assert_eq!(rep.stats.full_evals, 1);
         assert!(
             rep.repaired() <= rep.incumbent_degraded,
             "search must not make the evacuated incumbent worse: {} vs {}",

@@ -162,7 +162,7 @@ pub fn search_stats_report(stats: &SearchStats) -> String {
     );
     let _ = writeln!(
         out,
-        "  risky guards: {} reached, {} skipped by dominance ({:.0}%), {} fast reverts",
+        "  risky guards: {} reached, {} proven by the delay walk ({:.0}%), {} fast reverts",
         stats.guards_total,
         stats.guards_skipped,
         if stats.guards_total > 0 {
@@ -370,20 +370,20 @@ mod tests {
     #[test]
     fn search_stats_report_names_the_guard_counters() {
         use h2h_system::system::{BandwidthClass, SystemSpec};
-        // A large ResNet-like model under the default (adaptive +
-        // dominance) configuration must report reached guards, a
-        // non-zero skip count, and the fast-revert column.
+        // A large ResNet-like model under the default configuration
+        // must report reached guards, a non-zero count proven by the
+        // delay walk, and the fast-revert column.
         let model = h2h_model::zoo::casia_surf();
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let out = H2hMapper::new(&model, &system).run().unwrap();
         let rep = search_stats_report(&out.remap_stats);
         assert!(rep.contains("screened:"), "{rep}");
         assert!(rep.contains("risky guards"), "{rep}");
-        assert!(rep.contains("skipped by dominance"), "{rep}");
+        assert!(rep.contains("proven by the delay walk"), "{rep}");
         assert!(rep.contains("fast reverts"), "{rep}");
         assert!(
             out.remap_stats.guards_total > 0 && out.remap_stats.guards_skipped > 0,
-            "CASIA-SURF should reach and skip guards: {rep}"
+            "CASIA-SURF should reach guards and prove some: {rep}"
         );
         // Zero-guard runs must render without dividing by zero.
         let empty = search_stats_report(&crate::delta::SearchStats::default());

@@ -43,6 +43,44 @@ fn same_out(name: &str, dim: u32, stride: u32) -> Result<u32, ModelError> {
     Ok(dim.div_ceil(stride))
 }
 
+/// Rejects a zero `value` for layer `name`'s size `what`.
+///
+/// # Errors
+///
+/// Returns [`ModelError::ZeroSize`] for `value == 0`.
+fn nonzero(name: &str, what: &'static str, value: u32) -> Result<(), ModelError> {
+    if value == 0 {
+        return Err(ModelError::ZeroSize {
+            layer: name.to_owned(),
+            what,
+        });
+    }
+    Ok(())
+}
+
+/// Rejects an input shape with a zero dimension. [`ModelBuilder::input`]
+/// cannot fail, so [`ModelBuilder::finish`] runs this over every input,
+/// and the parser runs it on each input line.
+///
+/// # Errors
+///
+/// Returns [`ModelError::ZeroSize`] naming input `name`'s first zero
+/// dimension.
+pub(crate) fn check_input(name: &str, shape: &TensorShape) -> Result<(), ModelError> {
+    match *shape {
+        TensorShape::Feature { c, h, w } => {
+            nonzero(name, "channels", c)?;
+            nonzero(name, "height", h)?;
+            nonzero(name, "width", w)
+        }
+        TensorShape::Vector { features } => nonzero(name, "features", features),
+        TensorShape::Sequence { steps, features } => {
+            nonzero(name, "steps", steps)?;
+            nonzero(name, "features", features)
+        }
+    }
+}
+
 /// A fluent, shape-checked builder for [`ModelGraph`].
 #[derive(Debug)]
 pub struct ModelBuilder {
@@ -104,7 +142,8 @@ impl ModelBuilder {
     /// # Errors
     ///
     /// Returns [`ModelError::ShapeMismatch`] unless `from` produces a
-    /// spatial feature map, and [`ModelError::ZeroStride`] for `s == 0`.
+    /// spatial feature map, [`ModelError::ZeroStride`] for `s == 0` and
+    /// [`ModelError::ZeroSize`] for no output channels or `k == 0`.
     pub fn conv(
         &mut self,
         name: &str,
@@ -116,6 +155,8 @@ impl ModelBuilder {
         match self.shape(from) {
             TensorShape::Feature { c, h, w } => {
                 let (out_h, out_w) = (same_out(name, h, s)?, same_out(name, w, s)?);
+                nonzero(name, "output channels", out_channels)?;
+                nonzero(name, "kernel size", k)?;
                 let p = ConvParams::square(out_channels, c, out_h, out_w, k, s);
                 self.push(name, LayerOp::Conv(p), &[from])
             }
@@ -131,7 +172,8 @@ impl ModelBuilder {
     /// # Errors
     ///
     /// Returns [`ModelError::ShapeMismatch`] unless `from` produces a
-    /// sequence, and [`ModelError::ZeroStride`] for `s == 0`.
+    /// sequence, [`ModelError::ZeroStride`] for `s == 0` and
+    /// [`ModelError::ZeroSize`] for no output channels or `k == 0`.
     pub fn conv1d(
         &mut self,
         name: &str,
@@ -143,6 +185,8 @@ impl ModelBuilder {
         match self.shape(from) {
             TensorShape::Sequence { steps, features } => {
                 let out_steps = same_out(name, steps, s)?;
+                nonzero(name, "output channels", out_channels)?;
+                nonzero(name, "kernel size", k)?;
                 let p = ConvParams {
                     out_channels,
                     in_channels: features,
@@ -175,7 +219,8 @@ impl ModelBuilder {
     /// # Errors
     ///
     /// Returns [`ModelError::ShapeMismatch`] if the flattened input width
-    /// exceeds `u32::MAX`.
+    /// exceeds `u32::MAX`, and [`ModelError::ZeroSize`] for
+    /// `out_features == 0`.
     pub fn fc(
         &mut self,
         name: &str,
@@ -185,6 +230,7 @@ impl ModelBuilder {
         let inf = self.shape(from).flat_features();
         let in_features = u32::try_from(inf)
             .map_err(|_| ModelError::ShapeMismatch(format!("fc `{name}` input too wide: {inf}")))?;
+        nonzero(name, "output features", out_features)?;
         self.push(
             name,
             LayerOp::Fc(FcParams {
@@ -200,7 +246,8 @@ impl ModelBuilder {
     /// # Errors
     ///
     /// Returns [`ModelError::ShapeMismatch`] unless `from` produces a
-    /// sequence.
+    /// sequence, and [`ModelError::ZeroSize`] for `hidden == 0` or
+    /// `layers == 0`.
     pub fn lstm(
         &mut self,
         name: &str,
@@ -210,17 +257,21 @@ impl ModelBuilder {
         return_sequences: bool,
     ) -> Result<LayerId, ModelError> {
         match self.shape(from) {
-            TensorShape::Sequence { steps, features } => self.push(
-                name,
-                LayerOp::Lstm(LstmParams {
-                    in_size: features,
-                    hidden,
-                    layers,
-                    seq_len: steps,
-                    return_sequences,
-                }),
-                &[from],
-            ),
+            TensorShape::Sequence { steps, features } => {
+                nonzero(name, "hidden units", hidden)?;
+                nonzero(name, "layers", layers)?;
+                self.push(
+                    name,
+                    LayerOp::Lstm(LstmParams {
+                        in_size: features,
+                        hidden,
+                        layers,
+                        seq_len: steps,
+                        return_sequences,
+                    }),
+                    &[from],
+                )
+            }
             other => Err(ModelError::ShapeMismatch(format!(
                 "lstm `{name}` needs a Sequence input, got {other:?}"
             ))),
@@ -238,6 +289,7 @@ impl ModelBuilder {
         match self.shape(from) {
             TensorShape::Feature { c, h, w } => {
                 let (out_h, out_w) = (same_out(name, h, s)?, same_out(name, w, s)?);
+                nonzero(name, "kernel size", k)?;
                 self.push(
                     name,
                     LayerOp::Pool(PoolParams {
@@ -262,7 +314,8 @@ impl ModelBuilder {
     /// # Errors
     ///
     /// Returns [`ModelError::ShapeMismatch`] unless `from` produces a
-    /// spatial feature map, and [`ModelError::ZeroStride`] for `s == 0`.
+    /// spatial feature map, [`ModelError::ZeroStride`] for `s == 0` and
+    /// [`ModelError::ZeroSize`] for `k == 0`.
     pub fn max_pool(
         &mut self,
         name: &str,
@@ -428,8 +481,15 @@ impl ModelBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates any [`ModelError`] found by [`ModelGraph::validate`].
+    /// Returns [`ModelError::ZeroSize`] for an input with a zero
+    /// dimension, and propagates any [`ModelError`] found by
+    /// [`ModelGraph::validate`].
     pub fn finish(self) -> Result<ModelGraph, ModelError> {
+        for (_, layer) in self.graph.layers() {
+            if let LayerOp::Input { shape } = layer.op() {
+                check_input(layer.name(), shape)?;
+            }
+        }
         self.graph.validate()?;
         Ok(self.graph)
     }
@@ -492,6 +552,60 @@ mod tests {
             2,
             "no rejected layer was added"
         );
+    }
+
+    #[test]
+    fn zero_sizes_are_rejected_naming_the_layer() {
+        let mut b = ModelBuilder::new("t");
+        let img = b.input("img", TensorShape::Feature { c: 3, h: 8, w: 8 });
+        let seq = b.input(
+            "seq",
+            TensorShape::Sequence {
+                steps: 8,
+                features: 4,
+            },
+        );
+        let zero = |r, size: &str| matches!(r, Err(ModelError::ZeroSize { layer, what }) if layer == "z" && what == size);
+        assert!(zero(b.conv("z", img, 4, 0, 1), "kernel size"));
+        assert!(zero(b.conv("z", img, 0, 3, 1), "output channels"));
+        assert!(zero(b.conv1d("z", seq, 4, 0, 1), "kernel size"));
+        assert!(zero(b.conv1d("z", seq, 0, 3, 1), "output channels"));
+        assert!(zero(b.fc("z", img, 0), "output features"));
+        assert!(zero(b.lstm("z", seq, 0, 1, false), "hidden units"));
+        assert!(zero(b.lstm("z", seq, 8, 0, true), "layers"));
+        assert!(zero(b.max_pool("z", img, 0, 1), "kernel size"));
+        assert!(zero(b.avg_pool("z", img, 0, 1), "kernel size"));
+        assert_eq!(
+            b.finish().unwrap().num_layers(),
+            2,
+            "no rejected layer was added"
+        );
+    }
+
+    #[test]
+    fn inputs_with_a_zero_dimension_fail_at_finish() {
+        for (shape, size) in [
+            (TensorShape::Feature { c: 0, h: 8, w: 8 }, "channels"),
+            (TensorShape::Feature { c: 3, h: 8, w: 0 }, "width"),
+            (TensorShape::Vector { features: 0 }, "features"),
+            (
+                TensorShape::Sequence {
+                    steps: 0,
+                    features: 4,
+                },
+                "steps",
+            ),
+        ] {
+            let mut b = ModelBuilder::new("t");
+            let i = b.input("in", shape);
+            b.fc("f", i, 2).unwrap();
+            match b.finish() {
+                Err(ModelError::ZeroSize { layer, what }) => {
+                    assert_eq!((layer.as_str(), what), ("in", size), "{shape:?}")
+                }
+                other => panic!("{shape:?}: expected a zero-size error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

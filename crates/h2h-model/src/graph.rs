@@ -76,6 +76,14 @@ pub enum ModelError {
     ShapeMismatch(String),
     /// A convolution or pooling layer was given stride 0 (layer name).
     ZeroStride(String),
+    /// A layer was given a size of 0, such as a zero kernel, feature
+    /// count or input dimension.
+    ZeroSize {
+        /// Layer name.
+        layer: String,
+        /// The size that is zero (e.g. `"kernel size"`).
+        what: &'static str,
+    },
     /// The graph has no layers.
     Empty,
 }
@@ -90,6 +98,7 @@ impl fmt::Display for ModelError {
             ModelError::DuplicateName(n) => write!(f, "duplicate layer name `{n}`"),
             ModelError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
             ModelError::ZeroStride(n) => write!(f, "layer `{n}` has stride 0"),
+            ModelError::ZeroSize { layer, what } => write!(f, "layer `{layer}` has zero {what}"),
             ModelError::Empty => write!(f, "model graph has no layers"),
         }
     }

@@ -37,7 +37,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::builder::ModelBuilder;
+use crate::builder::{check_input, ModelBuilder};
 use crate::graph::{LayerId, ModelError, ModelGraph};
 use crate::tensor::TensorShape;
 
@@ -76,11 +76,13 @@ impl From<ModelError> for ParseError {
 }
 
 /// A builder error raised by line `line`'s own operands: a zero stride
-/// is reported with the line; any other builder error stays a model
-/// error.
+/// or size is reported with the line; any other builder error stays a
+/// model error.
 fn on_line(line: usize, e: ModelError) -> ParseError {
     match e {
-        ModelError::ZeroStride(_) => ParseError::Syntax(line, e.to_string()),
+        ModelError::ZeroStride(_) | ModelError::ZeroSize { .. } => {
+            ParseError::Syntax(line, e.to_string())
+        }
         e => ParseError::Model(e),
     }
 }
@@ -183,6 +185,7 @@ pub fn parse_model(text: &str) -> Result<ModelGraph, ParseError> {
                         ))
                     }
                 };
+                check_input(toks[1], &shape).map_err(|e| on_line(ln, e))?;
                 builder.input(toks[1], shape)
             }
             "conv" | "conv1d" => {
@@ -201,7 +204,9 @@ pub fn parse_model(text: &str) -> Result<ModelGraph, ParseError> {
             "fc" => {
                 need(4)?;
                 let from = lookup(toks[2], &by_name)?;
-                builder.fc(toks[1], from, parse_u32(ln, toks[3], "features")?)?
+                builder
+                    .fc(toks[1], from, parse_u32(ln, toks[3], "features")?)
+                    .map_err(|e| on_line(ln, e))?
             }
             "lstm" => {
                 need(6)?;
@@ -218,7 +223,9 @@ pub fn parse_model(text: &str) -> Result<ModelGraph, ParseError> {
                         ))
                     }
                 };
-                builder.lstm(toks[1], from, hidden, layers, return_sequences)?
+                builder
+                    .lstm(toks[1], from, hidden, layers, return_sequences)
+                    .map_err(|e| on_line(ln, e))?
             }
             "maxpool" | "avgpool" => {
                 need(5)?;
@@ -408,6 +415,30 @@ fc head cat 4
             match parse_model(&text) {
                 Err(ParseError::Syntax(3, msg)) => {
                     assert!(msg.contains("stride 0"), "{line}: {msg}")
+                }
+                other => panic!("{line}: expected a line-3 error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_sizes_are_rejected_with_their_line() {
+        for (line, size) in [
+            ("conv c a 8 0 1", "zero kernel size"),
+            ("conv c a 0 3 1", "zero output channels"),
+            ("conv1d c s 4 0 1", "zero kernel size"),
+            ("fc c a 0", "zero output features"),
+            ("lstm c s 0 1 last", "zero hidden units"),
+            ("lstm c s 8 0 seq", "zero layers"),
+            ("maxpool c a 0 1", "zero kernel size"),
+            ("input c img 0 32 32", "zero channels"),
+            ("input c vec 0", "zero features"),
+            ("input c seq 8 0", "zero features"),
+        ] {
+            let text = format!("input a img 3 8 8\ninput s seq 8 4\n{line}\n");
+            match parse_model(&text) {
+                Err(ParseError::Syntax(3, msg)) => {
+                    assert!(msg.contains("`c`") && msg.contains(size), "{line}: {msg}")
                 }
                 other => panic!("{line}: expected a line-3 error, got {other:?}"),
             }

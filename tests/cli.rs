@@ -72,7 +72,7 @@ fn inspect_reports_the_search_stats() {
         text.contains("search stats —"),
         "step-4 counters expected: {text}"
     );
-    assert!(text.contains("skipped by dominance"));
+    assert!(text.contains("proven by the delay walk"));
 }
 
 #[test]
@@ -200,5 +200,23 @@ fn parse_rejects_a_zero_stride_without_panicking() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(!err.contains("panicked"), "an error, not a panic: {err}");
     assert!(err.contains("line 3") && err.contains("stride 0"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn parse_rejects_a_zero_kernel_with_exit_code_1() {
+    let dir = std::env::temp_dir().join("h2h_cli_parse_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("zero_kernel.h2h");
+    std::fs::write(&path, "model sized\ninput a img 3 8 8\nconv c a 8 0 1\n").unwrap();
+    let out = h2h(&["parse", path.to_str().unwrap(), "low-"]);
+    assert_eq!(out.status.code(), Some(1), "a parse error, not a report");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "an error, not a panic: {err}");
+    assert!(
+        err.contains("line 3") && err.contains("zero kernel size"),
+        "{err}"
+    );
+    assert!(stdout(&out).is_empty(), "no report for a rejected model");
     std::fs::remove_file(&path).ok();
 }

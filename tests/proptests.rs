@@ -279,7 +279,7 @@ fn staged_walk_matches_full_evaluation(
 fn staged_walks_reach_risky_guards_on_fixed_random_dags() {
     // The walk property below holds vacuously for the guard path if no
     // walk meets a risky guard. Pin that walks on the four fixed
-    // recipes do, and that the dominance proof resolves some of them.
+    // recipes do, and that the delay walk proves some of them.
     let system = SystemSpec::standard(BandwidthClass::LowMinus);
     let mut stats = h2h::core::SearchStats::default();
     for seed in 0..4u64 {
@@ -300,7 +300,7 @@ fn staged_walks_reach_risky_guards_on_fixed_random_dags() {
     );
     assert!(
         stats.guards_skipped > 0,
-        "no guard resolved by dominance: {stats:?}"
+        "the delay walk proved no guard: {stats:?}"
     );
 }
 
