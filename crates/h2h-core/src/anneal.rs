@@ -15,15 +15,15 @@
 //! staged on the [`DeltaEngine`]'s fusion replay exactly as in the
 //! greedy loop (see [`crate::delta`]), so their makespans are
 //! bitwise-equal to full evaluations and no proposal pays one. The seed
-//! is step 3 replayed on the engine's own schedule, so a walk's only
-//! full evaluation is its result, which is evaluated exactly and
-//! guarded to never lose to the seed mapping.
+//! is step 3 replayed on the engine's own schedule, and so is the
+//! result's, on a fresh engine at the best mapping, so a walk's only
+//! full evaluation is that engine's finalization: the result, evaluated
+//! exactly and guarded to never lose to the seed mapping.
 
-use h2h_model::graph::LayerId;
+use h2h_system::mapping::Mapping;
 use h2h_system::schedule::Evaluator;
 use h2h_system::system::AccId;
 
-use crate::activation_fusion::rebuild_locality;
 use crate::baseline::{BaselineOutcome, XorShift};
 use crate::compute_map::computation_prioritized;
 use crate::config::H2hConfig;
@@ -73,10 +73,8 @@ pub fn simulated_annealing(
     anneal: &AnnealConfig,
     preset: &PinPreset,
 ) -> Result<BaselineOutcome, H2hError> {
-    let model = ev.model();
     let system = ev.system();
-
-    let layers: Vec<LayerId> = model.topo_order();
+    let layers = ev.order();
     let capable: Vec<Vec<AccId>> = layers
         .iter()
         .map(|id| {
@@ -136,17 +134,19 @@ pub fn simulated_annealing(
         }
     }
 
+    // The result's steps 2-3 are a fresh engine's seed (step 3 replayed
+    // on its own schedule, bitwise the full rebuild), and its one exact
+    // evaluation is that engine's finalization.
     let mut stats = engine.stats;
-    let mut locality = rebuild_locality(ev, &best_mapping, cfg, preset);
-    let mut schedule = ev.evaluate(&best_mapping, &locality);
+    let result = |mapping: &Mapping| DeltaEngine::new(ev, cfg, preset, mapping).finalize(mapping);
+    let (mut locality, mut schedule, _) = result(&best_mapping);
     stats.full_rebuilds += 1;
     stats.full_evals += 1;
     if schedule.makespan() > seed_makespan {
         // Safety net (never expected to trigger): the walk may not lose
         // to its own seed.
         best_mapping = seed_mapping;
-        locality = rebuild_locality(ev, &best_mapping, cfg, preset);
-        schedule = ev.evaluate(&best_mapping, &locality);
+        (locality, schedule, _) = result(&best_mapping);
         stats.full_rebuilds += 1;
         stats.full_evals += 1;
     }
@@ -161,6 +161,7 @@ pub fn simulated_annealing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation_fusion::rebuild_locality;
     use crate::baseline::computation_prioritized_baseline;
     use h2h_system::system::{BandwidthClass, SystemSpec};
 
@@ -318,5 +319,34 @@ mod tests {
         assert_eq!(sa.stats.delta_evals, sa.stats.attempted_moves);
         // The Metropolis rule needs exact scores: no proposal is screened.
         assert_eq!(sa.stats.screened, 0);
+    }
+
+    #[test]
+    fn a_walk_evaluates_fully_exactly_as_often_as_it_reports() {
+        // The result's steps 2-3 come from an engine seed, not from the
+        // full-evaluation step 3 (up to two evaluations per risky guard
+        // on the large models), so the counter is the whole bill.
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let cfg = H2hConfig::default();
+        for model in h2h_model::zoo::all_models() {
+            let ev = Evaluator::new(&model, &system);
+            let sa = simulated_annealing(
+                &ev,
+                &cfg,
+                &AnnealConfig {
+                    iterations: 60,
+                    ..Default::default()
+                },
+                &PinPreset::new(),
+            )
+            .unwrap();
+            assert_eq!(
+                ev.evals_performed(),
+                sa.stats.full_evals,
+                "{}: evaluator calls vs reported full evaluations",
+                model.name()
+            );
+            assert_eq!(sa.stats.full_evals, 1, "{}", model.name());
+        }
     }
 }

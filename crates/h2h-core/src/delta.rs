@@ -849,8 +849,9 @@ fn pins_of(ev: &Evaluator<'_>, mapping: &Mapping, locality: &LocalityState) -> L
 
 /// Checks an engine seed against the one-shot steps 2–3
 /// ([`rebuild_locality`](crate::activation_fusion::rebuild_locality))
-/// and a full evaluation, bitwise. It runs them on a copy of `ev`, so
-/// the check bills nothing to the engine's evaluator.
+/// and a full evaluation, bitwise. It runs them on a view of `ev`'s
+/// tables with its own counter, so the check bills nothing to the
+/// engine's evaluator.
 #[cfg(debug_assertions)]
 #[allow(clippy::too_many_arguments)]
 fn assert_seed_matches_step3(
@@ -863,8 +864,9 @@ fn assert_seed_matches_step3(
     score: f64,
     makespan: Seconds,
 ) {
+    let (tables, fabric) = (ev.model_tables().clone(), ev.fabric_rates().clone());
     let copy =
-        Evaluator::from_cache(ev.model(), ev.system(), ev.cache().clone()).with_batch(ev.batch());
+        Evaluator::from_tables(ev.model(), ev.system(), tables, fabric).with_batch(ev.batch());
     let rebuilt = crate::activation_fusion::rebuild_locality(&copy, mapping, cfg, preset);
     assert!(
         *locality == rebuilt,
@@ -1734,15 +1736,12 @@ mod tests {
 
     /// Every move of a layer to a capable board that hosts one of its
     /// graph neighbours under `mapping`, in topological order.
-    fn neighbour_moves(
-        model: &ModelGraph,
-        system: &SystemSpec,
-        mapping: &Mapping,
-    ) -> Vec<(LayerId, AccId)> {
+    fn neighbour_moves(ev: &Evaluator<'_>, mapping: &Mapping) -> Vec<(LayerId, AccId)> {
+        let (model, system) = (ev.model(), ev.system());
         let mut moves = Vec::new();
         let mut accs = Vec::new();
-        for layer in model.topo_order() {
-            neighbour_accs(model, mapping, layer, &mut accs);
+        for &layer in ev.order() {
+            neighbour_accs(ev, mapping, layer, &mut accs);
             let supported = accs
                 .iter()
                 .filter(|a| system.acc(**a).supports(model.layer(layer)));
@@ -1802,10 +1801,7 @@ mod tests {
             assert_resting(&engine, &mapping, name);
             let mut accepts = [0; 2];
             for pass in 0..4 {
-                for (k, (layer, to)) in neighbour_moves(&model, system, &mapping)
-                    .into_iter()
-                    .enumerate()
-                {
+                for (k, (layer, to)) in neighbour_moves(&ev, &mapping).into_iter().enumerate() {
                     if mapping.acc_of(layer) == to {
                         continue;
                     }
@@ -1934,7 +1930,7 @@ mod tests {
         let cfg = H2hConfig::default();
         let preset = PinPreset::new();
         let (mut mapping, _) = computation_prioritized(&ev, &cfg, &preset).unwrap();
-        let moves = neighbour_moves(&model, &system, &mapping);
+        let moves = neighbour_moves(&ev, &mapping);
         let mut engine = DeltaEngine::new(&ev, &cfg, &preset, &mapping);
         engine.try_improving_move(&mut mapping, moves[0].0, moves[0].1);
         assert!(engine.floor.is_some(), "a screened move builds the floor");

@@ -42,7 +42,7 @@ use h2h_system::mapping::Mapping;
 use h2h_system::schedule::{Evaluator, Schedule};
 use h2h_system::system::AccId;
 
-use h2h_model::graph::{LayerId, ModelGraph};
+use h2h_model::graph::LayerId;
 
 use crate::activation_fusion::rebuild_locality;
 use crate::config::{H2hConfig, ACCEPT_EPSILON};
@@ -105,14 +105,13 @@ pub(crate) fn remap_seeded(
 ) -> RemapOutcome {
     let model = ev.model();
     let system = ev.system();
-    let order = model.topo_order();
     let mut neighbours: Vec<AccId> = Vec::new();
     let mut passes = 0;
     while passes < cfg.remap_max_passes {
         passes += 1;
         let mut improved = false;
-        for &layer in &order {
-            neighbour_accs(model, mapping, layer, &mut neighbours);
+        for &layer in ev.order() {
+            neighbour_accs(ev, mapping, layer, &mut neighbours);
             // Greedy: take the first improving move, go to the next
             // layer.
             for &acc in &neighbours {
@@ -145,7 +144,7 @@ pub(crate) fn remap_seeded(
 /// order without repeats. Written into `out` (cleared first) so the
 /// search loops allocate nothing per visit.
 pub(crate) fn neighbour_accs(
-    model: &ModelGraph,
+    ev: &Evaluator<'_>,
     mapping: &Mapping,
     layer: LayerId,
     out: &mut Vec<AccId>,
@@ -153,10 +152,10 @@ pub(crate) fn neighbour_accs(
     let current = mapping.acc_of(layer);
     out.clear();
     out.extend(
-        model
-            .predecessors(layer)
-            .chain(model.successors(layer))
-            .filter_map(|n| mapping.get(n))
+        ev.predecessors_flat(layer)
+            .iter()
+            .chain(ev.successors_flat(layer))
+            .filter_map(|n| mapping.get(*n))
             .filter(|acc| *acc != current),
     );
     out.sort_unstable();
@@ -191,7 +190,7 @@ pub fn data_locality_remapping_reference(
         let mut improved = false;
         for &layer in &order {
             let current = mapping.acc_of(layer);
-            neighbour_accs(model, mapping, layer, &mut neighbours);
+            neighbour_accs(ev, mapping, layer, &mut neighbours);
             for &acc in &neighbours {
                 if !system.acc(acc).supports(model.layer(layer)) {
                     continue;

@@ -145,14 +145,14 @@ pub fn repair_mapping(
     let incumbent_degraded = engine.seed_makespan();
 
     // 3. Budgeted delta search, fault-affected layers first.
-    let order = repair_visit_order(model, &mapping, &evacuated, state);
+    let order = repair_visit_order(ev, &mapping, &evacuated, state);
     let mut passes = 0;
     let mut neighbours: Vec<AccId> = Vec::new();
     'outer: while passes < cfg.remap_max_passes {
         passes += 1;
         let mut improved = false;
         for &layer in &order {
-            neighbour_accs(model, &mapping, layer, &mut neighbours);
+            neighbour_accs(ev, &mapping, layer, &mut neighbours);
             for &acc in &neighbours {
                 if !state.acc_is_up(acc) || !system.acc(acc).supports(model.layer(layer)) {
                     continue;
@@ -204,7 +204,7 @@ fn evacuate(
     let model = ev.model();
     let system = ev.system();
     let mut evacuated = Vec::new();
-    for id in model.topo_order() {
+    for &id in ev.order() {
         if state.acc_is_up(mapping.acc_of(id)) {
             continue;
         }
@@ -227,10 +227,11 @@ fn evacuate(
         };
         // Prefer a board already hosting a neighbour (so the evacuation
         // severs as few co-locations as possible), then any live board.
-        let mut near = model
-            .predecessors(id)
-            .chain(model.successors(id))
-            .filter_map(|n| mapping.get(n));
+        let mut near = ev
+            .predecessors_flat(id)
+            .iter()
+            .chain(ev.successors_flat(id))
+            .filter_map(|n| mapping.get(*n));
         let dest = pick(&mut near).or_else(|| pick(&mut system.acc_ids()));
         match dest {
             Some(acc) => {
@@ -255,23 +256,27 @@ fn evacuate(
 /// add no per-board priority: the plain topological order is already
 /// the right sweep.
 fn repair_visit_order(
-    model: &ModelGraph,
+    ev: &Evaluator<'_>,
     mapping: &Mapping,
     evacuated: &[LayerId],
     state: &FaultState,
 ) -> Vec<LayerId> {
-    let mut priority = vec![false; model.id_bound()];
+    let mut priority = vec![false; ev.model().id_bound()];
     let mark_with_neighbours = |id: LayerId, priority: &mut Vec<bool>| {
         priority[id.index()] = true;
-        for n in model.predecessors(id).chain(model.successors(id)) {
+        for n in ev
+            .predecessors_flat(id)
+            .iter()
+            .chain(ev.successors_flat(id))
+        {
             priority[n.index()] = true;
         }
     };
     for &id in evacuated {
         mark_with_neighbours(id, &mut priority);
     }
-    let topo = model.topo_order();
-    for &id in &topo {
+    let topo = ev.order();
+    for &id in topo {
         let acc = mapping.acc_of(id);
         if state.link_factor(acc) > 1.0 || state.compute_factor(acc) > 1.0 {
             mark_with_neighbours(id, &mut priority);

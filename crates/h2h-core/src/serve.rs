@@ -6,12 +6,13 @@
 //! run"; deployment asks the next question — *N* tenants, each a
 //! (model, arrival process, latency SLO) triple, sharing the same
 //! boards and the same local DRAM. A [`Tenant`] is a contract (its
-//! spec, cost cache and arrival schedule) plus the placement installed
-//! for it: mapping, locality, incremental schedule, slice memo and
-//! footprint, all derived by one constructor, so admission, every
-//! fault-transition install and every staged-repair landing build it
-//! the same way. A serve run keeps its per-run ledgers, residency,
-//! parked flags and staged repairs in one drain state. The pieces:
+//! spec, evaluator tables and arrival schedule) plus the placement
+//! installed for it: mapping, locality, fabric rates, incremental
+//! schedule, slice memo and footprint, all derived by one constructor,
+//! so admission, every fault-transition install and every staged-repair
+//! landing build it the same way. A serve run keeps its per-run ledgers,
+//! residency, parked flags and staged repairs in one drain state. The
+//! pieces:
 //!
 //! 1. **Tenant registry** ([`TenantRegistry::admit`]) — each tenant is
 //!    mapped *offline* by the full four-step pipeline (bit-identical to
@@ -52,8 +53,14 @@
 //!    [`IncrementalSchedule::rebatch`]: changing `k` re-costs layers
 //!    and propagates, re-serving the same `k` propagates nothing, and
 //!    repeated sizes hit a memo outright — bitwise-equal to a full
-//!    evaluation either way (cross-checked when
-//!    [`H2hConfig::serve_verify`] is set).
+//!    evaluation either way (cross-checked against an evaluator built
+//!    from scratch when [`H2hConfig::serve_verify`] is set). The
+//!    evaluator tables are derived once per tenant, at admission
+//!    ([`h2h_system::schedule::ModelTables`]): a slice re-costs through
+//!    an O(1) batch view of them, and a fault transition switches every
+//!    tenant to the degraded fabric's
+//!    [`h2h_system::schedule::FabricRates`], derived once per
+//!    transition, so neither re-derives the model.
 //! 5. **Per-tenant tail-latency accounting** ([`TenantServeStats`]) —
 //!    the full attained-latency *distribution* per tenant (exact
 //!    samples, [`LatencyLedger`]): p50/p95/p99 alongside mean/max,
@@ -119,6 +126,7 @@
 //! heterogeneous-CPS challenge (arXiv:2005.07841).
 
 use std::fmt;
+use std::sync::Arc;
 
 use h2h_model::graph::{LayerId, ModelGraph};
 use h2h_model::tensor::DataType;
@@ -127,7 +135,7 @@ use h2h_system::fault::{FaultPlan, FaultState};
 use h2h_system::incremental::IncrementalSchedule;
 use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;
-use h2h_system::schedule::{CostCache, Evaluator};
+use h2h_system::schedule::{Evaluator, FabricRates, ModelTables};
 use h2h_system::sim::event_reached;
 use h2h_system::system::{AccId, SystemSpec};
 use h2h_system::topology::Endpoint;
@@ -408,10 +416,15 @@ fn trim_to_budget(
 }
 
 /// Evaluates one tenant's slice makespan at batch `k` through its
-/// incremental schedule (memoized per batch size). `system` is the
-/// fabric the tenant is currently priced on — the degraded system
-/// during a fault window; every install starts a fresh memo, so hits
-/// never cross fabrics.
+/// incremental schedule (memoized per batch size). A miss re-costs the
+/// schedule through an O(1) batch view: the tenant's shared model
+/// tables priced with the fabric rates its placement was installed on,
+/// so no table is derived again. `system` is the fabric the tenant is
+/// currently served on — the degraded system during a fault window;
+/// every install starts a fresh memo, so hits never cross fabrics.
+/// With `verify` the slice is cross-checked against an evaluator built
+/// from scratch on `system` (the cost cache alone is shared), which
+/// also catches a placement priced on a stale fabric.
 fn slice_makespan_on(
     system: &SystemSpec,
     verify: bool,
@@ -425,14 +438,17 @@ fn slice_makespan_on(
         return *m;
     }
     counters.slice_evals += 1;
-    let ev = Evaluator::from_cache(&t.spec.model, system, t.cache.clone()).with_batch(k);
+    let model = &t.spec.model;
+    let ev =
+        Evaluator::from_tables(model, system, t.tables.clone(), p.fabric.clone()).with_batch(k);
     // The memo pre-empts same-size re-evaluation, so every call
     // here rebatches to a genuinely new size.
     p.inc.rebatch(&ev, &p.mapping, &p.locality);
     let m = p.inc.makespan();
     if verify {
         counters.crosschecks += 1;
-        let full = ev.evaluate(&p.mapping, &p.locality).makespan();
+        let fresh = Evaluator::from_cache(model, system, ev.cache().clone()).with_batch(k);
+        let full = fresh.evaluate(&p.mapping, &p.locality).makespan();
         if full.as_f64() != m.as_f64() {
             counters.crosscheck_mismatches += 1;
         }
@@ -441,17 +457,17 @@ fn slice_makespan_on(
     m
 }
 
-/// One admitted tenant: its contract (the spec, the cost cache and
-/// the arrival schedule) plus the placement currently installed.
+/// One admitted tenant: its contract (the spec, the evaluator tables
+/// and the arrival schedule) plus the placement currently installed.
 #[derive(Debug)]
 pub struct Tenant {
     spec: TenantSpec,
-    /// Memoized per-(layer, accelerator) compute costs, cloned from the
-    /// admission mapper so per-round evaluator rebuilds are cheap
-    /// ([`Evaluator::from_cache`]). It stores healthy-speed times
-    /// (throttles are priced at read time), so it stays valid on any
-    /// degraded fabric.
-    cache: CostCache,
+    /// The admission mapper's model tables, derived once and shared by
+    /// every placement and slice view of the tenant
+    /// ([`Evaluator::from_tables`]). Compute times are stored at healthy
+    /// speed (throttles are priced at read time), so they stay valid on
+    /// any degraded fabric.
+    tables: Arc<ModelTables>,
     /// Materialization of `spec.arrivals` against the contract —
     /// rebuilt by `admit`, `set_contract` and `set_arrivals`, never by
     /// serving.
@@ -503,6 +519,17 @@ impl Tenant {
         Bytes::new(self.placement.resident.iter().sum())
     }
 
+    /// A view of the tenant's shared tables on `system`, priced with
+    /// `fabric`, `system`'s rates ([`Evaluator::from_tables`]).
+    fn view<'t>(&'t self, system: &'t SystemSpec, fabric: &Arc<FabricRates>) -> Evaluator<'t> {
+        Evaluator::from_tables(
+            &self.spec.model,
+            system,
+            self.tables.clone(),
+            fabric.clone(),
+        )
+    }
+
     /// Arrival time of request `j` under the materialized schedule
     /// (the deterministic `j / rate_hz` clock by default).
     fn arrival(&self, j: usize) -> f64 {
@@ -548,6 +575,9 @@ impl Tenant {
 struct Placement {
     mapping: Mapping,
     locality: LocalityState,
+    /// The rates of the fabric the placement was installed on, which
+    /// its slices are priced with.
+    fabric: Arc<FabricRates>,
     /// The schedule state; durations reflect the batch size of the
     /// last fresh slice evaluation.
     inc: IncrementalSchedule,
@@ -575,9 +605,10 @@ struct Placement {
 
 impl Placement {
     /// Derives the placement of `(mapping, locality)` on the fabric
-    /// `ev` is priced on: builds the incremental schedule, trims the
-    /// pins to the serve budget ([`trim_to_budget`]), derives the
-    /// footprint and seeds the memo with the batch-1 makespan.
+    /// `ev` is priced on: builds the incremental schedule on `ev`'s
+    /// tables, trims the pins to the serve budget ([`trim_to_budget`]),
+    /// derives the footprint and seeds the memo with the batch-1
+    /// makespan.
     ///
     /// # Errors
     ///
@@ -610,6 +641,7 @@ impl Placement {
         Ok(Placement {
             mapping,
             locality,
+            fabric: ev.fabric_rates().clone(),
             inc,
             slice_memo: vec![(1, ideal)],
             ideal,
@@ -1173,6 +1205,10 @@ impl Drain {
             self.park(i);
             return false;
         };
+        debug_assert!(
+            Arc::ptr_eq(p.inc.model_tables(), &t.tables),
+            "a placement must be built on its tenant's tables"
+        );
         let unchanged = p.mapping == t.placement.mapping && p.locality == t.placement.locality;
         if !(keep_if_unchanged && unchanged) {
             self.resident[i] = false;
@@ -1283,9 +1319,11 @@ impl<'s> TenantRegistry<'s> {
 
         let mapper = H2hMapper::new(&spec.model, self.system).with_config(self.config);
         let out = mapper.run()?;
-        let cache = mapper.evaluator().cache().clone();
-        let ev = Evaluator::from_cache(&spec.model, self.system, cache.clone());
-        let placement = Placement::new(&ev, &self.config, &spec.name, out.mapping, out.locality)?;
+        // The mapper's tables become the tenant's: every later
+        // placement and slice is a view of them.
+        let ev = mapper.evaluator();
+        let tables = ev.model_tables().clone();
+        let placement = Placement::new(ev, &self.config, &spec.name, out.mapping, out.locality)?;
         if self.config.serve_verify {
             // The memo is pre-seeded with `(1, ideal)`, so batch-1
             // slices never re-run the serve-loop crosscheck — verify
@@ -1306,7 +1344,7 @@ impl<'s> TenantRegistry<'s> {
         }
         self.tenants.push(Tenant {
             spec,
-            cache,
+            tables,
             arrivals,
             placement,
         });
@@ -1590,14 +1628,14 @@ impl<'s> TenantRegistry<'s> {
         result
     }
 
-    /// Applies one fault-state change mid-serve: rebuild the degraded
-    /// system and, for every tenant, repair its mapping onto it
-    /// (budget per [`H2hConfig::repair_eval_budget`], or
-    /// evacuation-only when `budgeted` is false) and install the
-    /// result on the new fabric. Returns the degraded system the
-    /// following rounds are priced on (`None` once healthy again).
-    /// One evaluator per tenant prices the repair, the interim and the
-    /// install. Three refinements over the plain install:
+    /// Applies one fault-state change mid-serve: for every tenant,
+    /// repair its mapping onto `sys`, the system `state` degrades the
+    /// registry's to (budget per [`H2hConfig::repair_eval_budget`], or
+    /// evacuation-only when `budgeted` is false), and install the
+    /// result there. `fabric` holds `sys`'s rates, derived once per
+    /// transition: one view per tenant of its shared tables on them
+    /// prices the repair, the interim and the install. Three
+    /// refinements over the plain install:
     ///
     /// * **Repair wall time** — when
     ///   [`H2hConfig::repair_secs_per_move`] is set and the budgeted
@@ -1621,19 +1659,19 @@ impl<'s> TenantRegistry<'s> {
     fn apply_fault_transition(
         &mut self,
         state: &FaultState,
+        sys: &SystemSpec,
+        fabric: &Arc<FabricRates>,
         budgeted: bool,
         now: f64,
         drain: &mut Drain,
-    ) -> Option<SystemSpec> {
+    ) {
         drain.counters.fault_transitions += 1;
-        let degraded = (!state.is_healthy()).then(|| self.system.degrade(state));
-        let sys: &SystemSpec = degraded.as_ref().unwrap_or(self.system);
         let cfg = self.config;
         let preset = PinPreset::new();
         for (i, t) in self.tenants.iter_mut().enumerate() {
             // Any stage computed against the previous fabric is stale.
             drain.staged[i] = None;
-            let ev = Evaluator::from_cache(&t.spec.model, sys, t.cache.clone());
+            let ev = t.view(sys, fabric);
             let budget = if budgeted {
                 resolve_repair_budget(&cfg, &t.spec.model)
             } else {
@@ -1672,7 +1710,6 @@ impl<'s> TenantRegistry<'s> {
                 drain.stats[i].repairs += 1;
             }
         }
-        degraded
     }
 
     fn serve_inner(
@@ -1711,14 +1748,17 @@ impl<'s> TenantRegistry<'s> {
         let mut now = 0.0f64;
         let budgets_u: Vec<u64> = budgets.iter().map(|b| b.as_u64()).collect();
         // Fault timeline state: boundaries still ahead, the condition
-        // in force, and the degraded system rounds are priced on
-        // (`None` while healthy). Empty plan → all of this is inert
-        // and the loop below is the historical no-fault arithmetic.
+        // in force, the degraded system rounds are priced on (`None`
+        // while healthy) and the rates of the fabric the last transition
+        // installed on (`None` before the first). Empty plan → all of
+        // this is inert and the loop below is the historical no-fault
+        // arithmetic.
         let boundaries = plan.boundaries();
         let mut next_boundary = 0usize;
         let mut fault_state = FaultState::healthy(n_accs);
         let mut fault_active = false;
         let mut degraded_sys: Option<SystemSpec> = None;
+        let mut fabric: Option<Arc<FabricRates>> = None;
         let verify = self.config.serve_verify;
         // Per-round buffers, allocated once per drain and overwritten
         // by every round.
@@ -1760,8 +1800,17 @@ impl<'s> TenantRegistry<'s> {
                 if new_state != fault_state {
                     fault_state = new_state;
                     fault_active = !fault_state.is_healthy();
-                    degraded_sys =
-                        self.apply_fault_transition(&fault_state, budgeted, now, &mut drain);
+                    degraded_sys = fault_active.then(|| self.system.degrade(&fault_state));
+                    let sys = degraded_sys.as_ref().unwrap_or(self.system);
+                    let rates = fabric.insert(Arc::new(FabricRates::new(sys)));
+                    self.apply_fault_transition(
+                        &fault_state,
+                        sys,
+                        rates,
+                        budgeted,
+                        now,
+                        &mut drain,
+                    );
                 }
             }
             let active_sys: &SystemSpec = degraded_sys.as_ref().unwrap_or(self.system);
@@ -1779,8 +1828,9 @@ impl<'s> TenantRegistry<'s> {
                     continue;
                 }
                 let sr = drain.staged[i].take().expect("a due stage exists");
+                let rates = fabric.as_ref().expect("stages follow a transition");
                 let t = &mut self.tenants[i];
-                let ev = Evaluator::from_cache(&t.spec.model, active_sys, t.cache.clone());
+                let ev = t.view(active_sys, rates);
                 let placement =
                     Placement::new(&ev, &self.config, &t.spec.name, sr.mapping, sr.locality);
                 drain.install(i, t, placement, !host_up);
@@ -2602,7 +2652,7 @@ mod tests {
         locality: &LocalityState,
     ) -> Result<Placement, ServeError> {
         let t = &reg.tenants[0];
-        let ev = Evaluator::from_cache(&t.spec.model, reg.system, t.cache.clone());
+        let ev = t.view(reg.system, &t.placement.fabric);
         Placement::new(&ev, cfg, &t.spec.name, mapping.clone(), locality.clone())
     }
 
@@ -2628,6 +2678,58 @@ mod tests {
         assert_eq!(a.resident, b.resident);
         assert_eq!(a.pinned_total, b.pinned_total);
         assert_eq!(a.pinned_by_acc, b.pinned_by_acc);
+    }
+
+    #[test]
+    fn every_install_and_slice_of_a_faulted_drain_shares_its_tenants_tables() {
+        // Fault transitions switch fabrics and slices change batch
+        // sizes; neither may derive a tenant's model tables again. Debug
+        // builds check every install (`Drain::install`) and every slice
+        // view (`IncrementalSchedule::refresh_costs`); this drives both
+        // by hand and compares the pointers directly.
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let cfg = H2hConfig {
+            serve_verify: true,
+            repair_secs_per_move: 25e-6,
+            ..H2hConfig::default()
+        };
+        let mut reg = TenantRegistry::new(&system, cfg);
+        reg.admit(spec("cnn", h2h_model::zoo::cnn_lstm(), 40.0, 8.0, 8))
+            .unwrap();
+        reg.admit(spec("mocap", h2h_model::zoo::mocap(), 40.0, 8.0, 8))
+            .unwrap();
+        let tables: Vec<_> = reg.tenants.iter().map(|t| t.tables.clone()).collect();
+        let n = system.num_accs();
+        let plan = FaultPlan::parse("board:3@0.001-0.5;link:1/4@0.2;slow:0/2@0.3-0.6", n).unwrap();
+        let mut drain = Drain::new(&reg.tenants);
+        for t_b in plan.boundaries() {
+            let state = plan.state_at(Seconds::new(t_b), n);
+            let sys = system.degrade(&state);
+            let fabric = Arc::new(FabricRates::new(&sys));
+            reg.apply_fault_transition(&state, &sys, &fabric, true, t_b, &mut drain);
+            for (i, t) in reg.tenants.iter_mut().enumerate() {
+                assert!(Arc::ptr_eq(&t.tables, &tables[i]), "the tenant's own");
+                assert!(!drain.parked[i], "every board class survives");
+                let p = &t.placement;
+                assert!(Arc::ptr_eq(p.inc.model_tables(), &tables[i]), "install");
+                assert!(Arc::ptr_eq(&p.fabric, &fabric), "priced on {t_b}'s fabric");
+                for k in [3, 1, 6, 3] {
+                    slice_makespan_on(&sys, true, t, k, &mut drain.counters);
+                }
+            }
+        }
+        assert_eq!(drain.counters.slice_evals, 2 * 2 * plan.boundaries().len());
+        assert_eq!(drain.counters.crosscheck_mismatches, 0);
+        // A whole drain, staged landings included, checked in debug
+        // builds; the admitted placements come back afterwards.
+        let out = reg.serve_with_faults(&plan).unwrap();
+        out.check_coherence().unwrap();
+        assert!(out.counters.crosschecks > 0);
+        assert_eq!(out.counters.crosscheck_mismatches, 0);
+        assert!(out.counters.staged_repairs > 0, "a repair lands");
+        for (t, tables) in reg.tenants.iter().zip(&tables) {
+            assert!(Arc::ptr_eq(t.placement.inc.model_tables(), tables));
+        }
     }
 
     #[test]

@@ -11,9 +11,11 @@ use proptest::prelude::*;
 
 use h2h_core::serve::{ServeError, TenantRegistry, TenantSpec};
 use h2h_core::H2hConfig;
+use h2h_model::synth::{synthetic_mmmt, SyntheticConfig};
 use h2h_model::units::Seconds;
 use h2h_system::fault::FaultPlan;
 use h2h_system::system::{BandwidthClass, SystemSpec};
+use h2h_system::topology::Topology;
 
 /// The fast zoo entries (the suite runs whole pipelines per case).
 fn model_pool() -> Vec<h2h_model::ModelGraph> {
@@ -297,6 +299,105 @@ proptest! {
     }
 }
 
+/// One random fault event: kind (board, link, slow, host), board,
+/// slowdown factor, onset, duration and whether the window recovers.
+type Event = (usize, usize, f64, f64, f64, bool);
+
+fn event_strategy() -> impl Strategy<Value = Vec<Event>> {
+    proptest::collection::vec(
+        (
+            0usize..4,
+            0usize..16,
+            1.5f64..6.0,
+            1e-4f64..0.05,
+            0.01f64..0.3,
+            any::<bool>(),
+        ),
+        1..5,
+    )
+}
+
+/// Renders random events into the fault grammar, onsets and durations
+/// in units of `unit` seconds. Host windows must not overlap, so only
+/// the first host event is kept (as a full outage when `host_down`);
+/// factors on one board may stack freely.
+fn render_plan(events: &[Event], host_down: bool, n_accs: usize, unit: f64) -> FaultPlan {
+    let mut parts = Vec::new();
+    let mut host_used = false;
+    for (kind, board, factor, onset, dur, bounded) in events {
+        let (onset, dur) = (onset * unit, dur * unit);
+        let b = board % n_accs;
+        let window = if *bounded {
+            format!("{onset}-{}", onset + dur)
+        } else {
+            format!("{onset}")
+        };
+        match kind {
+            0 => parts.push(format!("board:{b}@{window}")),
+            1 => parts.push(format!("link:{b}/{factor}@{window}")),
+            2 => parts.push(format!("slow:{b}/{factor}@{window}")),
+            _ if host_used => {}
+            _ => {
+                host_used = true;
+                if host_down {
+                    parts.push(format!("host:down@{window}"));
+                } else {
+                    parts.push(format!("host:{factor}@{window}"));
+                }
+            }
+        }
+    }
+    // At least one event always renders: the first host-kind event is
+    // kept and every other kind is unconditional.
+    assert!(!parts.is_empty());
+    FaultPlan::parse(&parts.join(";"), n_accs)
+        .unwrap_or_else(|e| panic!("generated plan must parse: {e}"))
+}
+
+/// Serves `plan` through `reg`: the drain either ends coherent with every
+/// request served and every slice cross-check matching, or reports a
+/// structured stall (an unrecovered outage can legitimately block
+/// everything). Either way the registry must come back bit-identical to
+/// `control`, an identically admitted registry that never saw a fault.
+/// With `must_cross`, a drain must cross at least one fault transition.
+fn assert_faulted_serve(
+    reg: &mut TenantRegistry<'_>,
+    control: &mut TenantRegistry<'_>,
+    plan: &FaultPlan,
+    must_cross: bool,
+) {
+    match reg.serve_with_faults(plan) {
+        Ok(out) => {
+            if let Err(e) = out.check_coherence() {
+                panic!("incoherent faulted outcome: {e}");
+            }
+            if must_cross {
+                assert!(
+                    out.counters.fault_transitions > 0,
+                    "{plan:?} was never crossed"
+                );
+            }
+            assert_eq!(out.counters.crosscheck_mismatches, 0);
+            for t in &out.tenants {
+                assert_eq!(t.served, t.requests);
+            }
+        }
+        Err(ServeError::Stalled { unserved, .. }) => assert!(unserved > 0),
+        Err(e) => panic!("unexpected fault-serve error: {e}"),
+    }
+    assert_eq!(control.serve(), reg.serve(), "faulted serve left a trace");
+}
+
+/// The standard Low- system on a star whose host NIC (`classes[0]`)
+/// and board links (`classes[1..]`) each run at an independently drawn
+/// bandwidth class.
+fn random_star(classes: &[usize]) -> SystemSpec {
+    let rate = |i: usize| BandwidthClass::ALL[classes[i]].bandwidth();
+    let base = SystemSpec::standard(BandwidthClass::LowMinus);
+    let links = (0..base.num_accs()).map(|a| rate(1 + a)).collect();
+    base.with_topology(Topology::star(rate(0), links))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
@@ -308,15 +409,11 @@ proptest! {
     // either way leaves no trace on the registry.
     #[test]
     fn faulted_serving_is_coherent_or_stalls_structurally(
-        events in proptest::collection::vec(
-            (0usize..4, 0usize..16, 1.5f64..6.0, 1e-4f64..0.05, 0.01f64..0.3, any::<bool>()),
-            1..5,
-        ),
+        events in event_strategy(),
         repair_cost_pick in 0usize..3,
         host_down in any::<bool>(),
     ) {
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
-        let n_accs = system.num_accs();
         let cfg = H2hConfig {
             serve_verify: true,
             repair_secs_per_move: [0.0, 25e-6, 5e-3][repair_cost_pick],
@@ -330,58 +427,62 @@ proptest! {
             r.admit(TenantSpec::new("mocap", h2h_model::zoo::mocap(), 40.0, Seconds::new(8.0), 8))
                 .unwrap();
         }
+        let plan = render_plan(&events, host_down, system.num_accs(), 1.0);
+        assert_faulted_serve(&mut reg, &mut control, &plan, true);
+    }
+}
 
-        // Render the random events into the grammar. Host windows must
-        // not overlap, so only the first host event is kept; factors on
-        // one board may stack freely.
-        let mut parts = Vec::new();
-        let mut host_used = false;
-        for (kind, board, factor, onset, dur, bounded) in &events {
-            let b = board % n_accs;
-            let window = if *bounded {
-                format!("{onset}-{}", onset + dur)
-            } else {
-                format!("{onset}")
-            };
-            match kind {
-                0 => parts.push(format!("board:{b}@{window}")),
-                1 => parts.push(format!("link:{b}/{factor}@{window}")),
-                2 => parts.push(format!("slow:{b}/{factor}@{window}")),
-                _ if host_used => {}
-                _ => {
-                    host_used = true;
-                    if host_down {
-                        parts.push(format!("host:down@{window}"));
-                    } else {
-                        parts.push(format!("host:{factor}@{window}"));
-                    }
-                }
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
+
+    // The same property on random star fabrics, whose host NIC and
+    // per-board links each run at one of the five bandwidth classes,
+    // with a small seeded synthetic MMMT tenant beside MoCap: every
+    // slice priced through a tenant's shared tables on a degraded,
+    // non-uniform fabric is cross-checked against a from-scratch
+    // evaluator. Slices take from microseconds to seconds across these
+    // fabrics, so time is counted in ideal slices of the slower tenant:
+    // requests arrive two per slice, so backlogs form batches of several
+    // sizes, and fault times are drawn in that unit. A window that opens
+    // and closes between two round starts is never crossed, so only a
+    // plan holding an unrecovered event must be.
+    #[test]
+    fn faulted_serving_on_random_star_fabrics_is_coherent_or_stalls_structurally(
+        classes in proptest::collection::vec(0usize..BandwidthClass::ALL.len(), 13),
+        seed in 1u64..1000,
+        events in event_strategy(),
+        repair_cost_pick in 0usize..3,
+        host_down in any::<bool>(),
+    ) {
+        let system = random_star(&classes);
+        let cfg = H2hConfig {
+            serve_verify: true,
+            repair_secs_per_move: [0.0, 25e-6, 5e-3][repair_cost_pick],
+            ..H2hConfig::default()
+        };
+        let synth = synthetic_mmmt(&SyntheticConfig {
+            modalities: 2,
+            depth: 3,
+            tasks: 1,
+            seed,
+            ..SyntheticConfig::default()
+        });
+        let mut reg = TenantRegistry::new(&system, cfg);
+        let mut control = TenantRegistry::new(&system, cfg);
+        let mut pace = 0.0f64;
+        for r in [&mut reg, &mut control] {
+            let ids = [
+                r.admit(TenantSpec::new("synth", synth.clone(), 1.0, Seconds::new(1.0), 8)),
+                r.admit(TenantSpec::new("mocap", h2h_model::zoo::mocap(), 1.0, Seconds::new(1.0), 8)),
+            ];
+            pace = r.tenants().map(|t| t.ideal_latency().as_f64()).fold(0.0, f64::max);
+            for id in ids {
+                r.set_contract(id.unwrap(), 2.0 / pace, Seconds::new(20.0 * pace), 24).unwrap();
             }
         }
-        // At least one event always renders: the first host-kind event
-        // is kept and every other kind is unconditional.
-        prop_assert!(!parts.is_empty());
-        let plan = FaultPlan::parse(&parts.join(";"), n_accs)
-            .unwrap_or_else(|e| panic!("generated plan must parse: {e}"));
-
-        match reg.serve_with_faults(&plan) {
-            Ok(out) => {
-                if let Err(e) = out.check_coherence() {
-                    panic!("incoherent faulted outcome: {e}");
-                }
-                prop_assert!(out.counters.fault_transitions > 0, "a nonempty plan must be crossed");
-                for t in &out.tenants {
-                    prop_assert_eq!(t.served, t.requests);
-                }
-            }
-            // An unrecovered outage that blocks every remaining tenant
-            // is a legal, structured end state — not a panic.
-            Err(ServeError::Stalled { unserved, .. }) => prop_assert!(unserved > 0),
-            Err(e) => panic!("unexpected fault-serve error: {e}"),
-        }
-
-        // Whatever happened in the degraded window, the registry must
-        // come back bit-identical.
-        prop_assert_eq!(control.serve(), reg.serve(), "faulted serve left a trace");
+        // Onsets within the first five paces, windows of one to thirty.
+        let plan = render_plan(&events, host_down, system.num_accs(), 100.0 * pace);
+        let permanent = events.iter().any(|e| !e.5);
+        assert_faulted_serve(&mut reg, &mut control, &plan, permanent);
     }
 }

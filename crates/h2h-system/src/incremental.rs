@@ -38,7 +38,8 @@
 //!    from below the exact one of every fusion set in the floor's
 //!    outcome classes (the recurrence is monotone).
 //! 2. **Queue order** — each accelerator executes its layers in the
-//!    single global topological priority (`Evaluator`'s `topo_order`);
+//!    single global topological priority ([`Evaluator::order`], read
+//!    from the evaluator's shared [`ModelTables`]);
 //!    [`IncrementalSchedule::move_layer`] re-inserts at the sorted
 //!    position, so queue order never depends on move history.
 //! 3. **Transactionality** — between [`IncrementalSchedule::begin`] and
@@ -73,7 +74,7 @@ use h2h_model::units::Seconds;
 
 use crate::locality::LocalityState;
 use crate::mapping::Mapping;
-use crate::schedule::{Evaluator, LayerCost};
+use crate::schedule::{Evaluator, LayerCost, ModelTables};
 use crate::system::AccId;
 
 /// Schedule-level quantities summed from the per-layer state — enough
@@ -118,37 +119,6 @@ pub struct Savepoint {
     moves_len: usize,
 }
 
-/// Read-only per-(model, system) data shared by every clone of an
-/// [`IncrementalSchedule`]: the global topological priority and the
-/// energy-model constants. It sits behind an [`Arc`], so a clone copies
-/// only the mutable scratch.
-#[derive(Debug)]
-struct IncShared {
-    /// Rank of each layer in the global topological priority.
-    topo_pos: Vec<usize>,
-    /// The global topological priority itself (the evaluator's
-    /// iteration order, which [`IncrementalSchedule::proxy`] sums in).
-    order: Vec<LayerId>,
-    /// CSR-flattened adjacency (by raw layer index): predecessor ids of
-    /// layer `i` live in `preds[pred_off[i]..pred_off[i + 1]]`, and
-    /// likewise for successors. The propagate hot loop re-times a
-    /// million-plus layer visits per large-model search run; reading
-    /// neighbours from these flat arrays instead of the graph's
-    /// indirect edge storage is what keeps a visit to a handful of
-    /// cache lines.
-    pred_off: Vec<u32>,
-    preds: Vec<u32>,
-    succ_off: Vec<u32>,
-    /// Successors stored as topological *ranks* (CSR payload for
-    /// `succ_off`): the propagate wavefront stamps pending layers by
-    /// rank, and storing the ranks pre-translated saves a `topo_pos`
-    /// gather per edge in the hottest loop of the search core.
-    succ_ranks: Vec<u32>,
-    // Energy-model constants captured at seed time.
-    eth_power_w: f64,
-    dram_pj_per_byte: f64,
-}
-
 /// A mutable schedule supporting localized updates and transactional
 /// candidate evaluation (see module docs for the invariants).
 #[derive(Debug, Clone)]
@@ -172,8 +142,18 @@ pub struct IncrementalSchedule {
     queue_next: Vec<u32>,
     /// Accelerator index per layer (`usize::MAX` for sparse slots).
     acc_of: Vec<usize>,
-    /// Shared read-only topology/energy data (see [`IncShared`]).
-    shared: Arc<IncShared>,
+    /// The evaluator's model tables, shared read-only by every clone:
+    /// the global topological priority and its ranks (the evaluator's
+    /// iteration order, which [`IncrementalSchedule::proxy`] sums in),
+    /// and the CSR adjacency the propagate hot loop reads neighbours
+    /// from. A large-model search run re-times a million-plus layer
+    /// visits, and reading them from these flat arrays instead of the
+    /// graph's indirect edge storage keeps a visit to a handful of cache
+    /// lines.
+    tables: Arc<ModelTables>,
+    // Energy-model constants captured at seed time.
+    eth_power_w: f64,
+    dram_pj_per_byte: f64,
     /// Layers re-timed by the last [`IncrementalSchedule::advance_to`].
     touched: usize,
     /// First-touch epoch stamps for time/cost journaling.
@@ -220,42 +200,11 @@ impl IncrementalSchedule {
         mapping: &Mapping,
         mut cost_of: impl FnMut(LayerId) -> LayerCost,
     ) -> Self {
-        let model = ev.model();
         let system = ev.system();
-        let bound = model.id_bound();
+        let bound = ev.model().id_bound();
         let n_accs = system.num_accs();
         let emodel = system.energy_model();
-        let order = model.topo_order();
-        let n = order.len();
-        let mut topo_pos = vec![usize::MAX; bound];
-        for (rank, id) in order.iter().enumerate() {
-            topo_pos[id.index()] = rank;
-        }
-        let mut pred_off = vec![0u32; bound + 1];
-        let mut succ_off = vec![0u32; bound + 1];
-        for id in model.layer_ids() {
-            pred_off[id.index() + 1] = model.predecessors(id).count() as u32;
-            succ_off[id.index() + 1] = model.successors(id).count() as u32;
-        }
-        for i in 0..bound {
-            pred_off[i + 1] += pred_off[i];
-            succ_off[i + 1] += succ_off[i];
-        }
-        let mut preds = vec![0u32; pred_off[bound] as usize];
-        let mut succs = vec![0u32; succ_off[bound] as usize];
-        for id in model.layer_ids() {
-            let i = id.index();
-            for (k, p) in model.predecessors(id).enumerate() {
-                preds[pred_off[i] as usize + k] = p.index() as u32;
-            }
-            for (k, s) in model.successors(id).enumerate() {
-                succs[succ_off[i] as usize + k] = s.index() as u32;
-            }
-        }
-        let succ_ranks: Vec<u32> = succs
-            .into_iter()
-            .map(|s| topo_pos[s as usize] as u32)
-            .collect();
+        let n = ev.order().len();
         let mut inc = IncrementalSchedule {
             dur: vec![0.0; bound],
             costs: vec![LayerCost::default(); bound],
@@ -266,16 +215,9 @@ impl IncrementalSchedule {
             queue_prev: vec![u32::MAX; bound],
             queue_next: vec![u32::MAX; bound],
             acc_of: vec![usize::MAX; bound],
-            shared: Arc::new(IncShared {
-                topo_pos,
-                order,
-                pred_off,
-                preds,
-                succ_off,
-                succ_ranks,
-                eth_power_w: emodel.eth_link_power_w,
-                dram_pj_per_byte: emodel.dram_pj_per_byte,
-            }),
+            tables: ev.model_tables().clone(),
+            eth_power_w: emodel.eth_link_power_w,
+            dram_pj_per_byte: emodel.dram_pj_per_byte,
             touched: 0,
             time_stamp: vec![0; bound],
             cost_stamp: vec![0; bound],
@@ -287,8 +229,7 @@ impl IncrementalSchedule {
             spare_journal: None,
         };
         let mut acc_ready = vec![0.0f64; n_accs];
-        let shared = inc.shared.clone();
-        for id in shared.order.iter().copied() {
+        for &id in ev.order() {
             let i = id.index();
             let cost = cost_of(id);
             let dur = cost.duration().as_f64();
@@ -302,8 +243,9 @@ impl IncrementalSchedule {
             inc.acc_queue[a].push(id);
             inc.costs[i] = cost;
             inc.dur[i] = dur;
-            let deps = model
-                .predecessors(id)
+            let deps = ev
+                .predecessors_flat(id)
+                .iter()
                 .map(|p| inc.finish[p.index()])
                 .fold(0.0f64, f64::max);
             let s = deps.max(acc_ready[a]);
@@ -357,11 +299,18 @@ impl IncrementalSchedule {
         Seconds::new(self.start[layer.index()])
     }
 
+    /// The model tables the schedule was seeded from and reads its
+    /// order, ranks and adjacency from: those of the evaluator passed to
+    /// [`IncrementalSchedule::from_costs`], shared, not copied.
+    pub fn model_tables(&self) -> &Arc<ModelTables> {
+        &self.tables
+    }
+
     /// `layer`'s rank in the global topological priority, the order the
     /// wavefront re-times in: every layer whose finish `layer`'s start
     /// reads has a lower rank.
     pub fn rank_of(&self, layer: LayerId) -> usize {
-        self.shared.topo_pos[layer.index()]
+        self.tables.rank[layer.index()]
     }
 
     /// Whether no rank is pending: every start and finish is current.
@@ -433,7 +382,7 @@ impl IncrementalSchedule {
         let mut eth_busy = 0.0f64;
         let mut dram_bytes = 0u64;
         let mut compute_energy = 0.0f64;
-        for id in &self.shared.order {
+        for id in &self.tables.order {
             let c = &self.costs[id.index()];
             eth_busy += c.eth_time.as_f64();
             dram_bytes += c.dram_bytes.as_u64();
@@ -447,8 +396,8 @@ impl IncrementalSchedule {
             bottleneck = bottleneck.max(busy);
         }
         let energy_total = compute_energy
-            + eth_busy * self.shared.eth_power_w
-            + dram_bytes as f64 * self.shared.dram_pj_per_byte * 1e-12;
+            + eth_busy * self.eth_power_w
+            + dram_bytes as f64 * self.dram_pj_per_byte * 1e-12;
         ScheduleProxy {
             makespan: self.makespan(),
             energy_total,
@@ -616,9 +565,10 @@ impl IncrementalSchedule {
         for k in pos..self.acc_queue[from_acc].len() {
             self.queue_pos[self.acc_queue[from_acc][k].index()] = k;
         }
-        let rank = self.shared.topo_pos[i];
+        let ranks = &self.tables.rank;
+        let rank = ranks[i];
         let queue = &self.acc_queue[to_acc];
-        let insert_at = queue.partition_point(|l| self.shared.topo_pos[l.index()] < rank);
+        let insert_at = queue.partition_point(|l| ranks[l.index()] < rank);
         // Link into the new queue at the insertion point.
         let new_prev = insert_at
             .checked_sub(1)
@@ -680,7 +630,10 @@ impl IncrementalSchedule {
     /// Re-derives the cost decomposition of `layers` from `(mapping,
     /// locality)` (journaled), updating their durations. Returns the
     /// subset whose duration actually changed — the seeds a subsequent
-    /// [`IncrementalSchedule::propagate`] needs.
+    /// [`IncrementalSchedule::propagate`] needs. `ev` must be a view of
+    /// the schedule's own [`IncrementalSchedule::model_tables`] (any
+    /// batch size or fabric, see [`Evaluator::from_tables`]); debug
+    /// builds assert it.
     pub fn refresh_costs(
         &mut self,
         ev: &Evaluator<'_>,
@@ -688,6 +641,10 @@ impl IncrementalSchedule {
         locality: &LocalityState,
         layers: impl IntoIterator<Item = LayerId>,
     ) -> Vec<LayerId> {
+        debug_assert!(
+            Arc::ptr_eq(&self.tables, ev.model_tables()),
+            "refresh through an evaluator with other model tables"
+        );
         let mut changed = Vec::new();
         self.refresh_costs_into(
             layers,
@@ -723,7 +680,7 @@ impl IncrementalSchedule {
 
     /// Re-derives **every** layer's cost under `ev` and propagates the
     /// affected cone — the slice-resize primitive of the multi-tenant
-    /// serving loop, where `ev` is the tenant's evaluator at a new
+    /// serving loop, where `ev` is a view of the tenant's tables at a new
     /// serving batch size (same mapping, same locality, different
     /// per-request repetition factor).
     ///
@@ -764,7 +721,7 @@ impl IncrementalSchedule {
     /// changes reach.
     pub fn stamp(&mut self, seeds: &[LayerId]) {
         for s in seeds {
-            let r = self.shared.topo_pos[s.index()];
+            let r = self.tables.rank[s.index()];
             self.pending[r] = true;
             self.pending_lo = self.pending_lo.min(r);
             self.pending_hi = self.pending_hi.max(r);
@@ -795,7 +752,7 @@ impl IncrementalSchedule {
         // calls, and the journal option is resolved outside the loop's
         // dependent-load chain.
         let IncrementalSchedule {
-            ref shared,
+            ref tables,
             ref dur,
             ref mut start,
             ref mut finish,
@@ -809,7 +766,7 @@ impl IncrementalSchedule {
             epoch: journal_epoch,
             ..
         } = *self;
-        let shared: &IncShared = shared;
+        let t: &ModelTables = tables;
         let mut journal = journal.as_mut();
         let mut hi = *pending_hi;
         let mut touched = 0usize;
@@ -820,11 +777,11 @@ impl IncrementalSchedule {
                 continue;
             }
             pending[r] = false;
-            let i = shared.order[r].index();
+            let i = t.order[r].index();
             touched += 1;
             let mut deps = 0.0f64;
-            for p in &shared.preds[shared.pred_off[i] as usize..shared.pred_off[i + 1] as usize] {
-                deps = deps.max(finish[*p as usize]);
+            for p in &t.pred_src[t.pred_off[i] as usize..t.pred_off[i + 1] as usize] {
+                deps = deps.max(finish[p.index()]);
             }
             // One flat load replaces the `acc_queue[a][pos - 1]`
             // double indirection of the queue-predecessor read.
@@ -847,9 +804,7 @@ impl IncrementalSchedule {
                 finish[i] = new_finish;
                 // Direct graph successors (ranks pre-translated in the
                 // CSR, so stamping is load → store)…
-                for sr in
-                    &shared.succ_ranks[shared.succ_off[i] as usize..shared.succ_off[i + 1] as usize]
-                {
+                for sr in &t.succ_rank[t.succ_off[i] as usize..t.succ_off[i + 1] as usize] {
                     let sr = *sr as usize;
                     pending[sr] = true;
                     hi = hi.max(sr);
@@ -857,7 +812,7 @@ impl IncrementalSchedule {
                 // …and the next layer in this accelerator's queue.
                 let next = queue_next[i];
                 if next != u32::MAX {
-                    let nr = shared.topo_pos[next as usize];
+                    let nr = t.rank[next as usize];
                     pending[nr] = true;
                     hi = hi.max(nr);
                 }
@@ -870,7 +825,7 @@ impl IncrementalSchedule {
             *pending_lo = r;
             *pending_hi = hi;
         } else {
-            *pending_lo = shared.order.len();
+            *pending_lo = t.order.len();
             *pending_hi = 0;
         }
         self.touched = touched;
@@ -1138,17 +1093,22 @@ mod tests {
             }
         }
         let base = Evaluator::new(&m, &sys);
+        // Batch changes are views of the seed evaluator's tables, as in
+        // serving; the reference is an evaluator built from scratch.
+        let view = |batch| {
+            let (tables, fabric) = (base.model_tables(), base.fabric_rates());
+            Evaluator::from_tables(&m, &sys, tables.clone(), fabric.clone()).with_batch(batch)
+        };
         let mut inc = IncrementalSchedule::new(&base, &map, &loc);
         for batch in [4u32, 1, 16, 16, 2] {
-            let ev = Evaluator::from_cache(&m, &sys, base.cache().clone()).with_batch(batch);
-            inc.rebatch(&ev, &map, &loc);
-            inc.assert_matches_full(&ev, &map, &loc);
-            assert_proxy_matches(&inc, &ev.evaluate(&map, &loc));
+            inc.rebatch(&view(batch), &map, &loc);
+            let fresh = Evaluator::from_cache(&m, &sys, base.cache().clone()).with_batch(batch);
+            inc.assert_matches_full(&fresh, &map, &loc);
+            assert_proxy_matches(&inc, &fresh.evaluate(&map, &loc));
         }
         // Same-batch rebatch is a no-op: no duration can change.
-        let ev = Evaluator::from_cache(&m, &sys, base.cache().clone()).with_batch(2);
         assert_eq!(
-            inc.rebatch(&ev, &map, &loc),
+            inc.rebatch(&view(2), &map, &loc),
             0,
             "2 -> 2 must change nothing"
         );

@@ -27,15 +27,28 @@
 //!
 //! [`Evaluator::layer_cost`] is the unit cost of the entire search
 //! stack — the delta engine scores millions of candidates through it —
-//! so the evaluator flattens everything the kernel reads into
-//! structure-of-arrays form at construction (`FlatCost`): per-layer
-//! weight/OFM byte volumes and Input bits, CSR predecessor/successor
-//! adjacency with per-edge byte volumes, dense per-(layer, accelerator)
-//! compute tables, per-accelerator DRAM rates and compute-slowdown
-//! factors, and a dense `(src, dst)` route-rate matrix copied from the
-//! [`crate::topology::Topology`]. The hot kernel is straight-line
-//! arithmetic over indexed arrays — no `model.layer`, `edge_bytes`
-//! (a per-edge linear scan in the graph backend) or `path_bw` calls.
+//! so everything the kernel reads is flattened into structure-of-arrays
+//! tables, in two halves:
+//!
+//! * [`ModelTables`], derived from the model (and the accelerator
+//!   catalog's compute costs): per-layer weight/OFM byte volumes and
+//!   Input bits, CSR predecessor/successor adjacency with per-edge byte
+//!   volumes, the dense per-(layer, accelerator) compute table, and the
+//!   global topological order with its ranks. It is built once per model
+//!   and shared behind an [`Arc`] by every evaluator view of that model
+//!   and by every [`crate::incremental::IncrementalSchedule`] seeded
+//!   from one, which reads its order, ranks and adjacency from it.
+//! * [`FabricRates`], derived from one [`SystemSpec`] view: the dense
+//!   `(src, dst)` route-rate matrix copied from the
+//!   [`crate::topology::Topology`], per-accelerator DRAM rates and
+//!   compute-slowdown factors — O(accelerators²).
+//!
+//! [`Evaluator::from_tables`] binds the two without deriving anything,
+//! so a batch change is an O(1) view of the same tables and a fabric
+//! switch (a degraded view of the same boards) costs only a new
+//! [`FabricRates`]. The hot kernel is straight-line arithmetic over
+//! indexed arrays — no `model.layer`, `edge_bytes` (a per-edge linear
+//! scan in the graph backend) or `path_bw` calls.
 //!
 //! Bit-identity is preserved by construction, not by accident: the flat
 //! tables store the *same* unit-typed values (`Bytes`, `BytesPerSec`,
@@ -46,6 +59,9 @@
 //! retained as [`Evaluator::layer_cost_reference`] — the executable
 //! spec — and a property test asserts bitwise equality across the model
 //! zoo, fabrics and random mapping/locality states.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -59,108 +75,107 @@ use crate::mapping::Mapping;
 use crate::system::{AccId, SystemSpec};
 use crate::topology::Endpoint;
 
-/// Memoized per-(layer, accelerator) compute costs. Building one of
-/// these once per model/system pair makes repeated schedule evaluations
-/// (the inner loop of remapping) pure arithmetic.
+/// Memoized per-(layer, accelerator) compute costs, flat at `layer *
+/// n_accs + acc`. Building one of these once per model/system pair
+/// makes repeated schedule evaluations (the inner loop of remapping)
+/// pure arithmetic. Times are stored at healthy speed and no entry
+/// depends on the fabric, so a cache built on a system stays valid on
+/// every degraded view of it ([`SystemSpec::degrade`]).
 #[derive(Debug, Clone)]
 pub struct CostCache {
-    time: Vec<Vec<Option<Seconds>>>,
-    energy: Vec<Vec<Option<Joules>>>,
+    n_accs: usize,
+    time: Vec<Option<Seconds>>,
+    energy: Vec<Option<Joules>>,
 }
 
 impl CostCache {
     /// Precomputes compute time/energy for every layer on every
     /// accelerator (`None` where unsupported).
     pub fn new(model: &ModelGraph, system: &SystemSpec) -> Self {
-        let bound = model.id_bound();
         let n_accs = system.num_accs();
-        let mut time = vec![vec![None; n_accs]; bound];
-        let mut energy = vec![vec![None; n_accs]; bound];
+        let mut time = vec![None; model.id_bound() * n_accs];
+        let mut energy = vec![None; model.id_bound() * n_accs];
         for (id, layer) in model.layers() {
             for acc in system.acc_ids() {
-                time[id.index()][acc.index()] = system.acc(acc).compute_time(layer);
-                energy[id.index()][acc.index()] = system.acc(acc).compute_energy(layer);
+                let at = id.index() * n_accs + acc.index();
+                time[at] = system.acc(acc).compute_time(layer);
+                energy[at] = system.acc(acc).compute_energy(layer);
             }
         }
-        CostCache { time, energy }
+        CostCache {
+            n_accs,
+            time,
+            energy,
+        }
     }
 
     /// Cached compute time of `layer` on `acc` (`None` if unsupported).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` or `acc` is out of range.
     pub fn time(&self, layer: LayerId, acc: AccId) -> Option<Seconds> {
-        self.time[layer.index()][acc.index()]
+        self.time[self.at(layer, acc)]
     }
 
     /// Cached compute energy of `layer` on `acc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` or `acc` is out of range.
     pub fn energy(&self, layer: LayerId, acc: AccId) -> Option<Joules> {
-        self.energy[layer.index()][acc.index()]
+        self.energy[self.at(layer, acc)]
+    }
+
+    /// Flat index of `(layer, acc)`. An accelerator past the row would
+    /// read the next layer's entry, so it is rejected.
+    fn at(&self, layer: LayerId, acc: AccId) -> usize {
+        assert!(acc.index() < self.n_accs, "{acc:?} out of range");
+        layer.index() * self.n_accs + acc.index()
     }
 }
 
-/// Structure-of-arrays snapshot of everything the cost kernel reads,
-/// built once per evaluator (see the module docs). Indices follow the
-/// repo-wide conventions: layers by `LayerId::index()` up to
-/// `ModelGraph::id_bound()` (holes hold zeros/empty rows), accelerators
-/// by `AccId::index()`, route nodes by the [`Endpoint`] numbering
-/// (host 0, accelerator `i` at `i + 1`).
+/// The model-derived tables every evaluator view of one model shares
+/// (see the module docs). Indices follow the repo-wide conventions:
+/// layers by `LayerId::index()` up to `ModelGraph::id_bound()` (holes
+/// hold zeros/empty rows), accelerators by `AccId::index()`.
 #[derive(Debug)]
-struct FlatCost {
-    /// Route-matrix side length (`n_accs + 1`).
-    nodes: usize,
-    n_accs: usize,
-    /// Effective `src → dst` rate at `src * nodes + dst`.
-    route: Vec<BytesPerSec>,
-    /// Local DRAM rate per accelerator.
-    dram_bw: Vec<BytesPerSec>,
-    /// Compute-slowdown factor per accelerator (1.0 when healthy).
-    compute_factor: Vec<f64>,
-    /// Compute time at `layer * n_accs + acc` (`None` if unsupported).
-    ctime: Vec<Option<Seconds>>,
-    /// Compute energy, same indexing.
-    cenergy: Vec<Option<Joules>>,
+pub struct ModelTables {
+    /// Compute time and energy per (layer, accelerator).
+    pub(crate) cache: CostCache,
     /// Weight bytes per layer (F32).
-    wbytes: Vec<Bytes>,
+    pub(crate) wbytes: Vec<Bytes>,
     /// OFM bytes per layer (F32).
-    obytes: Vec<Bytes>,
+    pub(crate) obytes: Vec<Bytes>,
     /// Whether the layer is a model input.
-    is_input: Vec<bool>,
+    pub(crate) is_input: Vec<bool>,
     /// Layers with weights paired with their F32 weight bytes, in graph
     /// iteration order (the step-2 knapsack's item order, part of the
     /// bit-identity contract: knapsack ties break by this order).
-    weighted: Vec<(LayerId, Bytes)>,
+    pub(crate) weighted: Vec<(LayerId, Bytes)>,
     /// CSR offsets into `pred_src`/`pred_bytes`, one row per layer
     /// index, in graph iteration order (IFM float-sum order).
-    pred_off: Vec<u32>,
-    pred_src: Vec<LayerId>,
-    pred_bytes: Vec<Bytes>,
-    /// CSR offsets into `succ_dst`.
-    succ_off: Vec<u32>,
-    succ_dst: Vec<LayerId>,
+    pub(crate) pred_off: Vec<u32>,
+    pub(crate) pred_src: Vec<LayerId>,
+    pub(crate) pred_bytes: Vec<Bytes>,
+    /// CSR offsets into `succ_dst` and `succ_rank`.
+    pub(crate) succ_off: Vec<u32>,
+    pub(crate) succ_dst: Vec<LayerId>,
+    /// Each `succ_dst` entry's topological rank: the incremental
+    /// wavefront stamps pending layers by rank, and storing the ranks
+    /// pre-translated saves a `rank` gather per edge in the hottest loop
+    /// of the search core.
+    pub(crate) succ_rank: Vec<u32>,
+    /// The global topological priority (`ModelGraph::topo_order`): the
+    /// evaluator's iteration order and every accelerator's queue order.
+    pub(crate) order: Vec<LayerId>,
+    /// Rank of each layer in `order` (`usize::MAX` for holes).
+    pub(crate) rank: Vec<usize>,
 }
 
-impl FlatCost {
-    fn build(model: &ModelGraph, system: &SystemSpec, cache: &CostCache) -> Self {
+impl ModelTables {
+    fn build(model: &ModelGraph, cache: CostCache) -> Self {
         let bound = model.id_bound();
-        let n_accs = system.num_accs();
-        let nodes = n_accs + 1;
-        let route = system.topology().route_rate_matrix();
-        debug_assert_eq!(route.len(), nodes * nodes);
-
-        let mut dram_bw = Vec::with_capacity(n_accs);
-        let mut compute_factor = Vec::with_capacity(n_accs);
-        for acc in system.acc_ids() {
-            dram_bw.push(system.acc(acc).dram_bandwidth());
-            compute_factor.push(system.compute_factor(acc));
-        }
-
-        let mut ctime = vec![None; bound * n_accs];
-        let mut cenergy = vec![None; bound * n_accs];
-        for li in 0..bound {
-            for ai in 0..n_accs {
-                ctime[li * n_accs + ai] = cache.time[li][ai];
-                cenergy[li * n_accs + ai] = cache.energy[li][ai];
-            }
-        }
-
         let mut wbytes = vec![Bytes::ZERO; bound];
         let mut obytes = vec![Bytes::ZERO; bound];
         let mut is_input = vec![false; bound];
@@ -207,14 +222,15 @@ impl FlatCost {
             }
         }
 
-        FlatCost {
-            nodes,
-            n_accs,
-            route,
-            dram_bw,
-            compute_factor,
-            ctime,
-            cenergy,
+        let order = model.topo_order();
+        let mut rank = vec![usize::MAX; bound];
+        for (r, id) in order.iter().enumerate() {
+            rank[id.index()] = r;
+        }
+        let succ_rank = succ_dst.iter().map(|s| rank[s.index()] as u32).collect();
+
+        ModelTables {
+            cache,
             wbytes,
             obytes,
             is_input,
@@ -224,6 +240,52 @@ impl FlatCost {
             pred_bytes,
             succ_off,
             succ_dst,
+            succ_rank,
+            order,
+            rank,
+        }
+    }
+
+    /// Row bound of the per-layer tables (`ModelGraph::id_bound()`).
+    fn bound(&self) -> usize {
+        self.wbytes.len()
+    }
+}
+
+/// The fabric rates of one [`SystemSpec`] view (see the module docs):
+/// O(accelerators²), so a fabric switch derives only these. Route nodes
+/// follow the [`Endpoint`] numbering (host 0, accelerator `i` at
+/// `i + 1`).
+#[derive(Debug)]
+pub struct FabricRates {
+    /// Route-matrix side length (`n_accs + 1`).
+    nodes: usize,
+    n_accs: usize,
+    /// Effective `src → dst` rate at `src * nodes + dst`.
+    route: Vec<BytesPerSec>,
+    /// Local DRAM rate per accelerator.
+    dram_bw: Vec<BytesPerSec>,
+    /// Compute-slowdown factor per accelerator (1.0 when healthy).
+    compute_factor: Vec<f64>,
+}
+
+impl FabricRates {
+    /// Copies `system`'s route-rate matrix, DRAM rates and compute
+    /// factors.
+    pub fn new(system: &SystemSpec) -> Self {
+        let n_accs = system.num_accs();
+        let nodes = n_accs + 1;
+        let route = system.topology().route_rate_matrix();
+        debug_assert_eq!(route.len(), nodes * nodes);
+        FabricRates {
+            nodes,
+            n_accs,
+            route,
+            dram_bw: system
+                .acc_ids()
+                .map(|a| system.acc(a).dram_bandwidth())
+                .collect(),
+            compute_factor: system.acc_ids().map(|a| system.compute_factor(a)).collect(),
         }
     }
 }
@@ -400,8 +462,9 @@ impl Schedule {
     }
 }
 
-/// Schedule evaluator bound to one (model, system) pair, with memoized
-/// compute costs and a fixed global priority order.
+/// Schedule evaluator bound to one (model, system) pair: a view of the
+/// model's shared [`ModelTables`] priced on one system's
+/// [`FabricRates`], at one batch size.
 ///
 /// The optional *batch* models weight-amortized serving: `batch`
 /// inference requests stream through back-to-back, weights (Ethernet or
@@ -412,49 +475,68 @@ impl Schedule {
 pub struct Evaluator<'a> {
     model: &'a ModelGraph,
     system: &'a SystemSpec,
-    cache: CostCache,
-    flat: FlatCost,
-    order: Vec<LayerId>,
+    tables: Arc<ModelTables>,
+    fabric: Arc<FabricRates>,
     batch: u32,
-    evals: std::sync::atomic::AtomicUsize,
+    evals: AtomicUsize,
 }
 
 impl<'a> Evaluator<'a> {
     /// Builds the evaluator (validates nothing: the model must already
     /// be [`ModelGraph::validate`]d).
     pub fn new(model: &'a ModelGraph, system: &'a SystemSpec) -> Self {
-        let cache = CostCache::new(model, system);
-        let flat = FlatCost::build(model, system, &cache);
-        Evaluator {
-            model,
-            system,
-            cache,
-            flat,
-            order: model.topo_order(),
-            batch: 1,
-            evals: std::sync::atomic::AtomicUsize::new(0),
-        }
+        Self::from_cache(model, system, CostCache::new(model, system))
     }
 
-    /// Rebuilds an evaluator around an already-memoized cost cache.
-    /// [`CostCache::new`] runs the analytic accelerator models for every
-    /// (layer, accelerator) pair — by far the most expensive part of
-    /// evaluator construction — so callers that repeatedly need fresh
-    /// evaluators for the *same* (model, system) pair at different batch
-    /// sizes (the multi-tenant serving loop re-batches one tenant's
-    /// evaluator per scheduling round) clone the cache once and rebuild
-    /// from it. `cache` must come from this exact (model, system) pair;
-    /// a mismatched cache produces wrong (or panicking) schedules.
+    /// Builds an evaluator from scratch around an already-memoized cost
+    /// cache: [`CostCache::new`] runs the analytic accelerator models
+    /// for every (layer, accelerator) pair, while this derives the rest
+    /// of the [`ModelTables`] and the [`FabricRates`] anew. It shares
+    /// nothing with the evaluator the cache came from, which makes it
+    /// an independent cross-check of views built with
+    /// [`Evaluator::from_tables`]; callers that only change the batch
+    /// size or the fabric should take such a view instead. `cache` must
+    /// come from `model` and `system`'s boards (any degraded view of a
+    /// system shares its cache); a mismatched cache produces wrong (or
+    /// panicking) schedules.
     pub fn from_cache(model: &'a ModelGraph, system: &'a SystemSpec, cache: CostCache) -> Self {
-        let flat = FlatCost::build(model, system, &cache);
+        let tables = Arc::new(ModelTables::build(model, cache));
+        Self::from_tables(model, system, tables, Arc::new(FabricRates::new(system)))
+    }
+
+    /// A view over already-derived tables, in O(1): `tables` from
+    /// another evaluator of `model` on the same boards
+    /// ([`Evaluator::model_tables`]) and `fabric` from `system`
+    /// ([`FabricRates::new`], or [`Evaluator::fabric_rates`] of an
+    /// evaluator on `system`). With the `fabric` of the evaluator the
+    /// tables came from, this is a batch change (pair with
+    /// [`Evaluator::with_batch`]); with a new [`FabricRates`] it is a
+    /// fabric switch, which derives only the O(accelerators²) rates.
+    /// The view starts at batch 1 with its own evaluation counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tables' layer or accelerator counts do not match
+    /// `model` and `system`. A `fabric` derived from another system of
+    /// the same size is not detected; it prices on that system's rates.
+    pub fn from_tables(
+        model: &'a ModelGraph,
+        system: &'a SystemSpec,
+        tables: Arc<ModelTables>,
+        fabric: Arc<FabricRates>,
+    ) -> Self {
+        assert_eq!(tables.bound(), model.id_bound(), "tables of another model");
+        assert!(
+            tables.cache.n_accs == system.num_accs() && fabric.n_accs == system.num_accs(),
+            "tables of another system"
+        );
         Evaluator {
             model,
             system,
-            cache,
-            flat,
-            order: model.topo_order(),
+            tables,
+            fabric,
             batch: 1,
-            evals: std::sync::atomic::AtomicUsize::new(0),
+            evals: AtomicUsize::new(0),
         }
     }
 
@@ -476,7 +558,18 @@ impl<'a> Evaluator<'a> {
 
     /// The memoized cost table.
     pub fn cache(&self) -> &CostCache {
-        &self.cache
+        &self.tables.cache
+    }
+
+    /// The model-derived tables this evaluator shares with every view
+    /// of it (see [`Evaluator::from_tables`]).
+    pub fn model_tables(&self) -> &Arc<ModelTables> {
+        &self.tables
+    }
+
+    /// The fabric rates this evaluator prices transfers with.
+    pub fn fabric_rates(&self) -> &Arc<FabricRates> {
+        &self.fabric
     }
 
     /// The model being scheduled (with the evaluator's full lifetime, so
@@ -490,29 +583,35 @@ impl<'a> Evaluator<'a> {
         self.system
     }
 
+    /// The global topological priority the schedule is evaluated in —
+    /// `ModelGraph::topo_order`, derived once with the tables.
+    pub fn order(&self) -> &[LayerId] {
+        &self.tables.order
+    }
+
     /// Layers with weights, paired with their F32 weight bytes, in
     /// graph iteration order. This is the exact candidate-item order
     /// the step-2 weight-locality knapsack sees, so consumers that
     /// filter it by mapping reproduce the pass's decisions bitwise.
     pub fn weighted_layers(&self) -> &[(LayerId, Bytes)] {
-        &self.flat.weighted
+        &self.tables.weighted
     }
 
     /// `id`'s graph successors from the flat CSR row — the same
     /// elements, in the same order, as `ModelGraph::successors`, without
     /// the graph walk. For search-core hot paths.
     pub fn successors_flat(&self, id: LayerId) -> &[LayerId] {
-        let f = &self.flat;
+        let t = &*self.tables;
         let li = id.index();
-        &f.succ_dst[f.succ_off[li] as usize..f.succ_off[li + 1] as usize]
+        &t.succ_dst[t.succ_off[li] as usize..t.succ_off[li + 1] as usize]
     }
 
     /// `id`'s graph predecessors from the flat CSR row (see
     /// [`Evaluator::successors_flat`]).
     pub fn predecessors_flat(&self, id: LayerId) -> &[LayerId] {
-        let f = &self.flat;
+        let t = &*self.tables;
         let li = id.index();
-        &f.pred_src[f.pred_off[li] as usize..f.pred_off[li + 1] as usize]
+        &t.pred_src[t.pred_off[li] as usize..t.pred_off[li + 1] as usize]
     }
 
     /// Evaluates a complete mapping.
@@ -522,8 +621,7 @@ impl<'a> Evaluator<'a> {
     /// Panics if any layer is unmapped or mapped to an accelerator that
     /// cannot execute it (callers validate with [`Mapping::validate`]).
     pub fn evaluate(&self, mapping: &Mapping, locality: &LocalityState) -> Schedule {
-        self.evals
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.evals.fetch_add(1, Ordering::Relaxed);
         let emodel = self.system.energy_model();
         let bound = self.model.id_bound();
         let mut timings: Vec<Option<LayerTiming>> = vec![None; bound];
@@ -538,7 +636,8 @@ impl<'a> Evaluator<'a> {
         let mut energy = EnergyBreakdown::default();
         let mut dram_bytes = Bytes::ZERO;
 
-        for &id in &self.order {
+        let t = &*self.tables;
+        for &id in &t.order {
             let acc = mapping.acc_of(id);
             let cost = self.layer_cost(mapping, locality, id);
             eth_busy += cost.eth_time;
@@ -552,10 +651,10 @@ impl<'a> Evaluator<'a> {
             // reading the CSR row instead of the graph iterator cannot
             // change the result bitwise.
             let (ps, pe) = (
-                self.flat.pred_off[id.index()] as usize,
-                self.flat.pred_off[id.index() + 1] as usize,
+                t.pred_off[id.index()] as usize,
+                t.pred_off[id.index() + 1] as usize,
             );
-            let ready = self.flat.pred_src[ps..pe]
+            let ready = t.pred_src[ps..pe]
                 .iter()
                 .map(|p| finish[p.index()])
                 .fold(Seconds::ZERO, Seconds::max);
@@ -595,7 +694,7 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::evaluate`] calls made through this evaluator since
     /// construction — the currency search budgets are billed in.
     pub fn evals_performed(&self) -> usize {
-        self.evals.load(std::sync::atomic::Ordering::Relaxed)
+        self.evals.load(Ordering::Relaxed)
     }
 
     /// See [`LocalityState::edge_is_local`] — the one owner of the
@@ -646,7 +745,7 @@ impl<'a> Evaluator<'a> {
         let ai = mapping.acc_of(id).index();
         // Route-matrix node of the owning accelerator (host is node 0).
         let here = ai + 1;
-        let dram_bw = self.flat.dram_bw[ai];
+        let dram_bw = self.fabric.dram_bw[ai];
         let mut cost = LayerCost::default();
         self.accum_weight(locality, id, here, dram_bw, &mut cost);
         self.accum_ifm(mapping, locality, id, here, dram_bw, None, &mut cost);
@@ -696,24 +795,24 @@ impl<'a> Evaluator<'a> {
         outcomes: &[FusionOutcome],
         id: LayerId,
     ) -> LayerCost {
-        let f = &self.flat;
+        let (t, r) = (&*self.tables, &*self.fabric);
         let li = id.index();
         let b = self.batch as f64;
         let ai = mapping.acc_of(id).index();
         let here = ai + 1;
-        let dram_bw = f.dram_bw[ai];
+        let dram_bw = r.dram_bw[ai];
         let mut cost = LayerCost::default();
         self.accum_weight(locality, id, here, dram_bw, &mut cost);
 
-        for k in f.pred_off[li] as usize..f.pred_off[li + 1] as usize {
-            let pred = f.pred_src[k];
-            let bytes = f.pred_bytes[k];
-            let pred_is_input = f.is_input[pred.index()];
+        for k in t.pred_off[li] as usize..t.pred_off[li + 1] as usize {
+            let pred = t.pred_src[k];
+            let bytes = t.pred_bytes[k];
+            let pred_is_input = t.is_input[pred.index()];
             let src = match mapping.get(pred) {
                 Some(pa) if !pred_is_input => pa.index() + 1,
                 _ => 0,
             };
-            let route = f.route[src * f.nodes + here].transfer_time(bytes) * b;
+            let route = r.route[src * r.nodes + here].transfer_time(bytes) * b;
             cost.ifm_xfer += if src == here && outcomes[pred.index()] != FusionOutcome::Unfused {
                 route.min(dram_bw.transfer_time(bytes) * b)
             } else {
@@ -751,19 +850,19 @@ impl<'a> Evaluator<'a> {
     /// one, neither bounds the other in general: with a remote consumer
     /// left, "none fused" skips the DRAM write that "all fused" pays.
     pub fn ofm_floor_branches(&self, mapping: &Mapping, id: LayerId) -> Option<(Seconds, Seconds)> {
-        let f = &self.flat;
+        let (t, r) = (&*self.tables, &*self.fabric);
         let li = id.index();
-        if f.is_input[li] {
+        if t.is_input[li] {
             return None;
         }
         let b = self.batch as f64;
         let acc = mapping.acc_of(id);
         let here = acc.index() + 1;
-        let obytes = f.obytes[li];
-        let (ss, se) = (f.succ_off[li] as usize, f.succ_off[li + 1] as usize);
+        let obytes = t.obytes[li];
+        let (ss, se) = (t.succ_off[li] as usize, t.succ_off[li + 1] as usize);
         let upload = |bw: BytesPerSec| bw.transfer_time(obytes) * b;
         if ss == se {
-            let to_host = Seconds::ZERO + upload(f.route[here * f.nodes]);
+            let to_host = Seconds::ZERO + upload(r.route[here * r.nodes]);
             return Some((to_host, to_host));
         }
         let slower = |cur: Option<BytesPerSec>, r: BytesPerSec| {
@@ -772,9 +871,9 @@ impl<'a> Evaluator<'a> {
         let mut slowest = None;
         let mut slowest_remote = None;
         let mut any_colocated = false;
-        for &succ in &f.succ_dst[ss..se] {
+        for &succ in &t.succ_dst[ss..se] {
             let sa = mapping.get(succ);
-            let r = f.route[here * f.nodes + sa.map_or(0, |a| a.index() + 1)];
+            let r = r.route[here * r.nodes + sa.map_or(0, |a| a.index() + 1)];
             slowest = slower(slowest, r);
             if sa == Some(acc) {
                 any_colocated = true;
@@ -788,7 +887,7 @@ impl<'a> Evaluator<'a> {
             all_fused += upload(bw);
         }
         if any_colocated {
-            all_fused += f.dram_bw[acc.index()].transfer_time(obytes) * b;
+            all_fused += r.dram_bw[acc.index()].transfer_time(obytes) * b;
         }
         Some((none_fused, all_fused))
     }
@@ -804,7 +903,7 @@ impl<'a> Evaluator<'a> {
         dram_bw: BytesPerSec,
         cost: &mut LayerCost,
     ) {
-        let wbytes = self.flat.wbytes[id.index()];
+        let wbytes = self.tables.wbytes[id.index()];
         if wbytes > Bytes::ZERO {
             if locality.is_pinned(id) {
                 cost.weight_xfer = dram_bw.transfer_time(wbytes);
@@ -812,7 +911,7 @@ impl<'a> Evaluator<'a> {
                 cost.dram_bytes += wbytes;
             } else {
                 // route[host * nodes + here] with host = 0.
-                cost.weight_xfer = self.flat.route[here].transfer_time(wbytes);
+                cost.weight_xfer = self.fabric.route[here].transfer_time(wbytes);
                 cost.eth_time += cost.weight_xfer;
             }
         }
@@ -825,16 +924,16 @@ impl<'a> Evaluator<'a> {
     /// bitwise-identical to the historical arithmetic.
     #[inline(always)]
     fn accum_compute(&self, id: LayerId, ai: usize, cost: &mut LayerCost) {
-        let f = &self.flat;
+        let (t, r) = (&*self.tables, &*self.fabric);
         let b = self.batch as f64;
-        let at = id.index() * f.n_accs + ai;
-        cost.compute = f.ctime[at].expect("mapping validated: accelerator supports layer") * b;
-        let slow = f.compute_factor[ai];
+        let at = id.index() * t.cache.n_accs + ai;
+        cost.compute = t.cache.time[at].expect("mapping validated: accelerator supports layer") * b;
+        let slow = r.compute_factor[ai];
         if slow != 1.0 {
             cost.compute = cost.compute * slow;
         }
         cost.compute_energy =
-            f.cenergy[at].expect("mapping validated: accelerator supports layer") * b;
+            t.cache.energy[at].expect("mapping validated: accelerator supports layer") * b;
     }
 
     /// The IFM section of [`Evaluator::layer_cost`]: one transfer per
@@ -863,14 +962,14 @@ impl<'a> Evaluator<'a> {
         extra_fused: Option<LayerId>,
         cost: &mut LayerCost,
     ) {
-        let f = &self.flat;
+        let (t, r) = (&*self.tables, &*self.fabric);
         let li = id.index();
         let b = self.batch as f64;
-        let (ps, pe) = (f.pred_off[li] as usize, f.pred_off[li + 1] as usize);
+        let (ps, pe) = (t.pred_off[li] as usize, t.pred_off[li + 1] as usize);
         for k in ps..pe {
-            let pred = f.pred_src[k];
-            let bytes = f.pred_bytes[k];
-            let pred_is_input = f.is_input[pred.index()];
+            let pred = t.pred_src[k];
+            let bytes = t.pred_bytes[k];
+            let pred_is_input = t.is_input[pred.index()];
             if locality.edge_is_local_flat(mapping, pred, id, pred_is_input)
                 || (extra_fused == Some(pred)
                     && !pred_is_input
@@ -892,7 +991,7 @@ impl<'a> Evaluator<'a> {
                         None => 0,
                     }
                 };
-                let t = f.route[src * f.nodes + here].transfer_time(bytes) * b;
+                let t = r.route[src * r.nodes + here].transfer_time(bytes) * b;
                 cost.ifm_xfer += t;
                 cost.eth_time += t;
             }
@@ -924,23 +1023,23 @@ impl<'a> Evaluator<'a> {
         extra_fused: Option<LayerId>,
         cost: &mut LayerCost,
     ) {
-        let f = &self.flat;
+        let (t, r) = (&*self.tables, &*self.fabric);
         let li = id.index();
         let b = self.batch as f64;
-        if !f.is_input[li] {
-            let obytes = f.obytes[li];
-            let (ss, se) = (f.succ_off[li] as usize, f.succ_off[li + 1] as usize);
+        if !t.is_input[li] {
+            let obytes = t.obytes[li];
+            let (ss, se) = (t.succ_off[li] as usize, t.succ_off[li + 1] as usize);
             let mut upload: Option<BytesPerSec> = None;
             let mut any_local = false;
             if ss == se {
                 // Model output: the result always lands at the host.
-                upload = Some(f.route[here * f.nodes]);
+                upload = Some(r.route[here * r.nodes]);
             } else {
                 for k in ss..se {
-                    let succ = f.succ_dst[k];
+                    let succ = t.succ_dst[k];
                     if locality.edge_is_local_flat(mapping, id, succ, false)
                         || (extra_fused == Some(succ)
-                            && !f.is_input[li]
+                            && !t.is_input[li]
                             && mapping.get(id) == mapping.get(succ)
                             && mapping.get(id).is_some())
                     {
@@ -951,7 +1050,7 @@ impl<'a> Evaluator<'a> {
                         Some(sa) => sa.index() + 1,
                         None => 0,
                     };
-                    let r = f.route[here * f.nodes + dst];
+                    let r = r.route[here * r.nodes + dst];
                     upload = Some(match upload {
                         Some(cur) => {
                             if cur < r {
@@ -1007,7 +1106,7 @@ impl<'a> Evaluator<'a> {
             locality,
             id,
             ai + 1,
-            self.flat.dram_bw[ai],
+            self.fabric.dram_bw[ai],
             extra_fused,
             &mut cost,
         );
@@ -1036,7 +1135,7 @@ impl<'a> Evaluator<'a> {
             locality,
             id,
             ai + 1,
-            self.flat.dram_bw[ai],
+            self.fabric.dram_bw[ai],
             extra_fused,
             &mut cost,
         );
@@ -1107,7 +1206,7 @@ impl<'a> Evaluator<'a> {
         // The branch (rather than an unconditional `* 1.0`) keeps the
         // healthy path bitwise-identical to the historical arithmetic.
         cost.compute = self
-            .cache
+            .cache()
             .time(id, acc)
             .expect("mapping validated: accelerator supports layer")
             * b;
@@ -1116,7 +1215,7 @@ impl<'a> Evaluator<'a> {
             cost.compute = cost.compute * slow;
         }
         cost.compute_energy = self
-            .cache
+            .cache()
             .energy(id, acc)
             .expect("mapping validated: accelerator supports layer")
             * b;
@@ -1417,6 +1516,56 @@ mod tests {
         let s = ev.evaluate(&map, &LocalityState::new(&sys));
         assert!(s.makespan() > Seconds::ZERO);
         assert!(s.compute_ratio() > 0.0 && s.compute_ratio() < 1.0);
+    }
+
+    #[test]
+    fn views_share_the_model_tables_and_price_like_fresh_evaluators() {
+        use crate::fault::FaultPlan;
+        let m = h2h_model::zoo::vfs();
+        let sys = SystemSpec::standard(BandwidthClass::LowMinus);
+        let base = Evaluator::new(&m, &sys);
+        let mut map = Mapping::new(&m);
+        for (id, layer) in m.layers() {
+            let acc = sys
+                .acc_ids()
+                .find(|a| sys.acc(*a).supports(layer))
+                .expect("some accelerator supports every layer");
+            map.set(id, acc);
+        }
+        let mut loc = LocalityState::new(&sys);
+        for id in m.topo_order().into_iter().step_by(3) {
+            let _ = loc.try_pin(&m, &sys, id, map.acc_of(id));
+        }
+        // A degraded fabric: one slow link, one throttled board, the
+        // host NIC at half rate.
+        let (a, b) = (map.acc_of(m.topo_order()[1]), map.acc_of(m.topo_order()[2]));
+        let spec = format!("link:{}/4@0;slow:{}/2@0;host:2@0", a.index(), b.index());
+        let state = FaultPlan::parse(&spec, sys.num_accs())
+            .unwrap()
+            .state_at(Seconds::ZERO, sys.num_accs());
+        let degraded = sys.degrade(&state);
+        let switched = Arc::new(FabricRates::new(&degraded));
+        for (system, fabric) in [(&sys, base.fabric_rates()), (&degraded, &switched)] {
+            for batch in [1u32, 3, 8] {
+                let view =
+                    Evaluator::from_tables(&m, system, base.model_tables().clone(), fabric.clone())
+                        .with_batch(batch);
+                assert!(Arc::ptr_eq(view.model_tables(), base.model_tables()));
+                let fresh =
+                    Evaluator::from_cache(&m, system, base.cache().clone()).with_batch(batch);
+                assert!(!Arc::ptr_eq(fresh.model_tables(), base.model_tables()));
+                let (a, b) = (view.evaluate(&map, &loc), fresh.evaluate(&map, &loc));
+                assert_eq!(a, b, "batch {batch}");
+                assert_eq!(view.order(), m.topo_order().as_slice());
+            }
+        }
+        assert_ne!(
+            Evaluator::from_tables(&m, &degraded, base.model_tables().clone(), switched.clone())
+                .evaluate(&map, &loc)
+                .makespan(),
+            base.evaluate(&map, &loc).makespan(),
+            "the switched fabric must price differently"
+        );
     }
 
     #[test]

@@ -269,10 +269,13 @@ impl SystemSpec {
     /// state (placement code queries [`FaultState::acc_is_up`]); cached
     /// per-layer costs are bandwidth-independent *and* stored at
     /// healthy speed (compute throttles are applied at cost-read time),
-    /// so a [`crate::schedule::CostCache`] built on the healthy system
-    /// remains valid here ([`crate::schedule::Evaluator::from_cache`])
-    /// — that is what makes serve-time repair cheap. A healthy state
-    /// returns a bitwise-identical system.
+    /// so a [`crate::schedule::CostCache`] built on the healthy system,
+    /// and the [`crate::schedule::ModelTables`] around it, remain valid
+    /// here: an evaluator on the degraded view needs only its
+    /// [`crate::schedule::FabricRates`]
+    /// ([`crate::schedule::Evaluator::from_tables`]) — that is what makes
+    /// serve-time repair cheap. A healthy state returns a
+    /// bitwise-identical system.
     pub fn degrade(&self, state: &FaultState) -> SystemSpec {
         let compute_slow = state
             .any_compute_degraded()

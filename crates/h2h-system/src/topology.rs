@@ -345,7 +345,8 @@ impl Topology {
     ///   between adjacent board pairs `(0,1), (2,3), …` at
     ///   `base × MULT` (default 4) — a partitioned switch;
     /// * `star:host=G;links=g0,g1,…` — explicit rates in GB/s (a links
-    ///   list shorter than the system repeats cyclically);
+    ///   list shorter than the system repeats cyclically; a longer one,
+    ///   or a repeated `host` or `links` field, is an error);
     /// * `switched:host=G;links=…;peers=i-j@G,…` — explicit switched
     ///   fabric.
     ///
@@ -409,10 +410,17 @@ impl Topology {
                 let mut host = base;
                 let mut links: Vec<BytesPerSec> = vec![base; n_accs];
                 let mut peers = Vec::new();
+                let mut seen = Vec::new();
                 for field in rest.split(';').filter(|f| !f.is_empty()) {
                     let (key, val) = field
                         .split_once('=')
                         .ok_or_else(|| format!("field `{field}` is not key=value"))?;
+                    // A second `host` or `links` would silently replace
+                    // the first (`peers` lists accumulate instead).
+                    if key != "peers" && seen.contains(&key) {
+                        return Err(format!("field `{key}` given twice"));
+                    }
+                    seen.push(key);
                     match key {
                         "host" => host = gbps(val)?,
                         "links" => {
@@ -420,6 +428,13 @@ impl Topology {
                                 val.split(',').map(gbps).collect::<Result<_, _>>()?;
                             if rates.is_empty() {
                                 return Err("links list must not be empty".into());
+                            }
+                            // Rates past the last board would be dropped.
+                            if rates.len() > n_accs {
+                                return Err(format!(
+                                    "links list has {} rates for {n_accs} accelerators",
+                                    rates.len()
+                                ));
                             }
                             links = (0..n_accs).map(|i| rates[i % rates.len()]).collect();
                         }
@@ -736,6 +751,16 @@ mod tests {
             ("switched:peers=0-1@0", "must be positive"),
             ("switched:host=1;links=1;peers=0-1@1,0-1@8", "given twice"),
             ("switched:peers=2-3@1,3-2@8", "given twice"),
+            ("star:host=1;host=9;links=1", "field `host` given twice"),
+            ("star:links=1;host=1;links=2", "field `links` given twice"),
+            (
+                "switched:links=1;peers=0-1@2;links=1",
+                "field `links` given twice",
+            ),
+            (
+                "star:host=1;links=1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1",
+                "20 rates for 12 accelerators",
+            ),
             ("mesh", "unknown topology"),
         ];
         for (spec, needle) in cases {

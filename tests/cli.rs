@@ -220,3 +220,19 @@ fn parse_rejects_a_zero_kernel_with_exit_code_1() {
     assert!(stdout(&out).is_empty(), "no report for a rejected model");
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn topology_fields_that_would_be_dropped_exit_with_code_1() {
+    let twenty = format!("star:host=1;links={}", vec!["1"; 20].join(","));
+    for (spec, needle) in [
+        ("star:host=1;host=9;links=1", "field `host` given twice"),
+        (twenty.as_str(), "20 rates for 12 accelerators"),
+    ] {
+        let out = h2h(&["map", "mocap", "low-", "--topology", spec]);
+        assert_eq!(out.status.code(), Some(1), "`{spec}`: an input error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "an error, not a panic: {err}");
+        assert!(err.contains(needle), "`{spec}`: {err}");
+        assert!(stdout(&out).is_empty(), "no report for a rejected fabric");
+    }
+}
