@@ -347,6 +347,8 @@ mod tests {
 
     #[test]
     fn repair_on_healthy_state_is_a_noop() {
+        // MoCap's step 4 reached its fixpoint, so a healthy repair finds
+        // nothing to accept.
         let model = h2h_model::zoo::mocap();
         let system = SystemSpec::standard(BandwidthClass::LowMinus);
         let cfg = H2hConfig::default();
@@ -442,5 +444,101 @@ mod tests {
             rep.incumbent_degraded
         );
         rep.mapping.validate(&model, &degraded).unwrap();
+    }
+
+    #[test]
+    fn healthy_repair_resumes_a_search_the_pass_cap_stopped() {
+        // FaceBag at Low- stops at step 4's 8-pass cap, so a healthy
+        // repair is more passes of the same search: it accepts 2 moves
+        // and reaches the fixpoint, 22.452 -> 22.271 ms.
+        let model = h2h_model::zoo::facebag();
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let cfg = H2hConfig::default();
+        let preset = PinPreset::new();
+        let outcome = H2hMapper::new(&model, &system)
+            .with_config(cfg)
+            .run()
+            .unwrap();
+        assert_eq!(outcome.remap_stats.passes, cfg.remap_max_passes);
+        let state = FaultState::healthy(system.num_accs());
+        let degraded = system.degrade(&state);
+        let ev = Evaluator::new(&model, &degraded);
+        let budget = resolve_repair_budget(&cfg, &model);
+        let rep = repair_mapping(&ev, &cfg, &preset, &outcome.mapping, &state, budget).unwrap();
+        let s = &rep.stats;
+        assert_eq!(
+            (budget, s.attempted_moves, s.accepted_moves, s.passes),
+            (151, 133, 2, 2)
+        );
+        assert_eq!(
+            rep.incumbent_degraded.as_f64().to_bits(),
+            outcome.schedule.makespan().as_f64().to_bits()
+        );
+        assert_eq!(
+            rep.incumbent_degraded.as_f64().to_bits(),
+            0x3f96fda40c62618d
+        );
+        assert_eq!(rep.repaired().as_f64().to_bits(), 0x3f96ce361c26b493);
+        assert_ne!(rep.mapping, outcome.mapping);
+    }
+
+    #[test]
+    fn repair_search_counters_are_pinned() {
+        // Per (model, downed board) and budget: attempted and accepted
+        // moves, passes, and the repaired makespan's bits. Budget 0 only
+        // evacuates (its one pass stops at the first candidate); the
+        // middle budget runs out mid-pass; the automatic budget runs out
+        // on CASIA-SURF and outlasts the fixpoint on CNN-LSTM.
+        type Row = (usize, usize, usize, usize, u64);
+        let cases: [(ModelGraph, usize, [Row; 3]); 2] = [
+            (
+                h2h_model::zoo::casia_surf(),
+                7,
+                [
+                    (0, 0, 0, 1, 0x3f99e75457b62e10),
+                    (60, 60, 7, 1, 0x3f97fa01e6a413d2),
+                    (147, 147, 11, 3, 0x3f9628c4c97d492f),
+                ],
+            ),
+            (
+                h2h_model::zoo::cnn_lstm(),
+                11,
+                [
+                    (0, 0, 0, 1, 0x3fcc22667556819c),
+                    (20, 20, 1, 2, 0x3fcc220bacae2cce),
+                    (37, 34, 1, 2, 0x3fcc220bacae2cce),
+                ],
+            ),
+        ];
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let cfg = H2hConfig::default();
+        let preset = PinPreset::new();
+        for (model, dead, rows) in cases {
+            let outcome = H2hMapper::new(&model, &system)
+                .with_config(cfg)
+                .run()
+                .unwrap();
+            let state = board_down(dead, system.num_accs());
+            let degraded = system.degrade(&state);
+            let ev = Evaluator::new(&model, &degraded);
+            assert_eq!(rows[2].0, resolve_repair_budget(&cfg, &model));
+            for (budget, attempted, accepted, passes, bits) in rows {
+                let rep =
+                    repair_mapping(&ev, &cfg, &preset, &outcome.mapping, &state, budget).unwrap();
+                let s = &rep.stats;
+                assert_eq!(
+                    (s.attempted_moves, s.accepted_moves, s.passes),
+                    (attempted, accepted, passes),
+                    "{} with board {dead} down, budget {budget}",
+                    model.name()
+                );
+                assert_eq!(
+                    rep.repaired().as_f64().to_bits(),
+                    bits,
+                    "{} with board {dead} down, budget {budget}",
+                    model.name()
+                );
+            }
+        }
     }
 }
