@@ -257,7 +257,7 @@ pub struct SearchStats {
     pub split_screened: usize,
     /// Moves accepted.
     pub accepted_moves: usize,
-    /// Full passes executed (remap loop only).
+    /// Search-loop passes started (repair's budget can cut the last).
     pub passes: usize,
 }
 
@@ -1416,6 +1416,16 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             profile_enabled: cfg.profile_phases,
             profile: PhaseProfile::default(),
         }
+    }
+
+    /// The evaluator the engine prices on.
+    pub(crate) fn evaluator(&self) -> &'e Evaluator<'m> {
+        self.ev
+    }
+
+    /// The configuration the engine scores and searches with.
+    pub(crate) fn config(&self) -> &'e H2hConfig {
+        self.cfg
     }
 
     /// Objective score of the current (exact) state.

@@ -148,8 +148,7 @@ impl StepSnapshot {
 /// Result of a full H2H pipeline run.
 #[derive(Debug)]
 pub struct H2hOutcome {
-    /// One snapshot per executed step (always 4; disabled steps record
-    /// the unchanged state with zero elapsed time).
+    /// One snapshot per step of Algorithm 1, in order (always 4).
     pub snapshots: Vec<StepSnapshot>,
     /// The final mapping.
     pub mapping: Mapping,
@@ -159,8 +158,7 @@ pub struct H2hOutcome {
     pub schedule: Schedule,
     /// Total mapper wall-clock ("search time", Fig. 5b).
     pub search_time: Duration,
-    /// Delta-vs-full evaluation counters of the step-4 search (zeroed
-    /// when remapping is disabled).
+    /// Search counters and delta-vs-full evaluation counts of step 4.
     pub remap_stats: SearchStats,
 }
 
@@ -314,7 +312,7 @@ impl<'a> H2hMapper<'a> {
 
         // Step 4: remapping (delta-scored, exact at accept time).
         let t = Instant::now();
-        let remap = remap_seeded(ev, cfg, engine, &mut mapping);
+        let remap = remap_seeded(engine, &mut mapping);
         snapshots.push(StepSnapshot::record(
             Step::Remapping,
             &remap.schedule,

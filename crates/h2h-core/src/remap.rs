@@ -8,10 +8,13 @@
 //! a fixpoint (no accepted move in a full pass) or the configured pass
 //! bound.
 //!
-//! The loop runs on the [`DeltaEngine`], seeded by step 3 replayed on
-//! its own pins-only schedule rather than by a full evaluation.
-//! [`crate::pipeline::H2hMapper::run`] seeds that engine as its step 3
-//! and hands it to the loop, so steps 2–3 run once per map.
+//! That rule is one crate-private loop, `greedy_passes`, on the
+//! [`DeltaEngine`]. Step 4 runs it in topological order; [`crate::repair`]
+//! runs it with fault-affected layers first and a budget of attempted
+//! moves. The engine is seeded by step 3 replayed on its own pins-only
+//! schedule rather than by a full evaluation:
+//! [`crate::pipeline::H2hMapper::run`] seeds it as its step 3 and hands
+//! it to the loop, so steps 2–3 run once per map.
 //!
 //! Under the latency objective a move first meets the latency screen: a
 //! floor schedule, priced with the move's exact pins and a lower bound
@@ -65,23 +68,6 @@ pub struct RemapOutcome {
     pub profile: PhaseProfile,
 }
 
-impl RemapOutcome {
-    /// Full passes executed.
-    pub fn passes(&self) -> usize {
-        self.stats.passes
-    }
-
-    /// Accepted moves.
-    pub fn accepted_moves(&self) -> usize {
-        self.stats.accepted_moves
-    }
-
-    /// Attempted moves (accepted + rejected).
-    pub fn attempted_moves(&self) -> usize {
-        self.stats.attempted_moves
-    }
-}
-
 /// Runs the greedy remapping loop on the incremental delta engine,
 /// mutating `mapping` in place.
 pub fn data_locality_remapping(
@@ -90,52 +76,60 @@ pub fn data_locality_remapping(
     preset: &PinPreset,
     mapping: &mut Mapping,
 ) -> RemapOutcome {
-    let engine = DeltaEngine::new(ev, cfg, preset, mapping);
-    remap_seeded(ev, cfg, engine, mapping)
+    remap_seeded(DeltaEngine::new(ev, cfg, preset, mapping), mapping)
 }
 
 /// The loop of [`data_locality_remapping`] on an `engine` already seeded
 /// at `mapping`: [`crate::pipeline::H2hMapper::run`] seeds it as its
 /// step 3, so steps 2–3 run once per map.
-pub(crate) fn remap_seeded(
-    ev: &Evaluator<'_>,
-    cfg: &H2hConfig,
-    mut engine: DeltaEngine<'_, '_>,
-    mapping: &mut Mapping,
-) -> RemapOutcome {
-    let model = ev.model();
-    let system = ev.system();
-    let mut neighbours: Vec<AccId> = Vec::new();
-    let mut passes = 0;
-    while passes < cfg.remap_max_passes {
-        passes += 1;
-        let mut improved = false;
-        for &layer in ev.order() {
-            neighbour_accs(ev, mapping, layer, &mut neighbours);
-            // Greedy: take the first improving move, go to the next
-            // layer.
-            for &acc in &neighbours {
-                if system.acc(acc).supports(model.layer(layer))
-                    && engine.try_improving_move(mapping, layer, acc)
-                {
-                    improved = true;
-                    break;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-
+pub(crate) fn remap_seeded(mut engine: DeltaEngine<'_, '_>, mapping: &mut Mapping) -> RemapOutcome {
+    let order = engine.evaluator().order();
+    greedy_passes(&mut engine, mapping, order, usize::MAX);
     let profile = engine.profile;
-    let (locality, schedule, mut stats) = engine.finalize(mapping);
-    stats.passes = passes;
+    let (locality, schedule, stats) = engine.finalize(mapping);
     RemapOutcome {
         locality,
         schedule,
         stats,
         profile,
+    }
+}
+
+/// Step 4's rule (paper §4.4, Algorithm 1), the search loop of both
+/// remapping and repair. Visits the layers in `order`, tries each one's
+/// [`neighbour_accs`] that support the layer, and keeps the first
+/// improving move. Stops after a pass that accepts nothing, after
+/// [`H2hConfig::remap_max_passes`] passes, or before an attempt once
+/// `budget` moves were attempted. Passes and moves count in
+/// `engine.stats`.
+pub(crate) fn greedy_passes(
+    engine: &mut DeltaEngine<'_, '_>,
+    mapping: &mut Mapping,
+    order: &[LayerId],
+    budget: usize,
+) {
+    let (ev, max_passes) = (engine.evaluator(), engine.config().remap_max_passes);
+    let mut neighbours: Vec<AccId> = Vec::new();
+    while engine.stats.passes < max_passes {
+        engine.stats.passes += 1;
+        let accepted = engine.stats.accepted_moves;
+        for &layer in order {
+            neighbour_accs(ev, mapping, layer, &mut neighbours);
+            for &acc in &neighbours {
+                if !ev.system().acc(acc).supports(ev.model().layer(layer)) {
+                    continue;
+                }
+                if engine.stats.attempted_moves >= budget {
+                    return;
+                }
+                if engine.try_improving_move(mapping, layer, acc) {
+                    break;
+                }
+            }
+        }
+        if engine.stats.accepted_moves == accepted {
+            return;
+        }
     }
 }
 
@@ -289,8 +283,8 @@ mod tests {
             ids[1..].iter().map(|id| map.acc_of(*id).index()).collect();
         assert_eq!(accs.len(), 1, "f1/f2/f3 should co-locate, got {accs:?}");
         assert!(out.schedule.makespan() < before);
-        assert!(out.accepted_moves() >= 1);
-        assert!(out.passes() >= 1);
+        assert!(out.stats.accepted_moves >= 1);
+        assert!(out.stats.passes >= 1);
     }
 
     #[test]
@@ -455,8 +449,8 @@ mod tests {
         let before = map.clone();
         let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut map);
         assert_eq!(map, before);
-        assert_eq!(out.accepted_moves(), 0);
-        assert_eq!(out.passes(), 0);
+        assert_eq!(out.stats.accepted_moves, 0);
+        assert_eq!(out.stats.passes, 0);
     }
 
     #[test]
@@ -468,7 +462,7 @@ mod tests {
             ..Default::default()
         };
         let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut map);
-        assert!(out.passes() < 100, "tiny model must converge quickly");
+        assert!(out.stats.passes < 100, "tiny model must converge quickly");
     }
 
     #[test]

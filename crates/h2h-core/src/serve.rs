@@ -1632,18 +1632,19 @@ impl<'s> TenantRegistry<'s> {
     /// repair its mapping onto `sys`, the system `state` degrades the
     /// registry's to (budget per [`H2hConfig::repair_eval_budget`], or
     /// evacuation-only when `budgeted` is false), and install the
-    /// result there. `fabric` holds `sys`'s rates, derived once per
-    /// transition: one view per tenant of its shared tables on them
-    /// prices the repair, the interim and the install. Three
-    /// refinements over the plain install:
+    /// result there. Each tenant gets one repair call per transition.
+    /// `fabric` holds `sys`'s rates, derived once per transition: one
+    /// view per tenant of its shared tables on them prices the repair
+    /// and the install. Three refinements over the plain install:
     ///
     /// * **Repair wall time** — when
     ///   [`H2hConfig::repair_secs_per_move`] is set and the budgeted
     ///   search actually changed the placement, the searched mapping
     ///   does not take effect instantly: the tenant keeps serving on
-    ///   the evacuation-only interim placement and the improvement is
-    ///   *staged* to land `attempted_moves × repair_secs_per_move`
-    ///   seconds later ([`TenantServeStats::repair_time_charged`]).
+    ///   the evacuated incumbent the search started from, and the
+    ///   improvement is *staged* to land `attempted_moves ×
+    ///   repair_secs_per_move` seconds later
+    ///   ([`TenantServeStats::repair_time_charged`]).
     ///   A newer transition drops pending stages — they were computed
     ///   against a fabric that no longer exists.
     /// * **Host-down residency** — while the host NIC is dead, a
@@ -1689,17 +1690,15 @@ impl<'s> TenantRegistry<'s> {
             drain.stats[i].repair_time_charged += rep.wall_time;
             let (mapping, locality) = if rep.wall_time > Seconds::ZERO && rep.mapping != *old {
                 // Stage the searched placement to land after its wall
-                // time; serve meanwhile on the evacuation-only interim
-                // (the same evacuation step, zero search budget).
-                let interim = repair_mapping(&ev, &cfg, &preset, old, state, 0)
-                    .expect("evacuation succeeded under the larger budget");
+                // time; serve meanwhile on the evacuated incumbent the
+                // search started from.
                 drain.staged[i] = Some(StagedRepair {
                     lands_at: now + rep.wall_time.as_f64(),
                     mapping: rep.mapping,
                     locality: rep.locality,
                 });
                 drain.counters.staged_repairs += 1;
-                (interim.mapping, interim.locality)
+                rep.interim
             } else {
                 (rep.mapping, rep.locality)
             };
