@@ -1,10 +1,10 @@
 //! Step 1 — computation-prioritized mapping (paper §4.1).
 //!
 //! Walks the model frontier by frontier ("nodes without predecessors"),
-//! enumerating the group's accelerator assignments and keeping the one
-//! with the smallest system-latency increment `ΔSys_latency`, under the
-//! zero-data-locality assumption: every weight and activation streams
-//! through the host's main memory.
+//! choosing each group's accelerator assignment with the smallest
+//! system-latency increment `ΔSys_latency`, under the zero-data-locality
+//! assumption: every weight and activation streams through the host's
+//! main memory.
 //!
 //! The frontier waves are the ASAP-rank buckets
 //! ([`h2h_model::ModelGraph::asap_waves`]), taken once, each in index
@@ -14,9 +14,28 @@
 //! assert. No layer reads another of its own wave, so each member's
 //! dependency time (the latest finish among its predecessors, all
 //! committed in earlier waves) is fixed for the wave and computed once.
-//! Group enumeration is exact up to [`H2hConfig::enumeration_cap`]
-//! combinations, in odometer order over reused buffers; wider groups
-//! fall back to per-node greedy with the same objective.
+//!
+//! An assignment of a wave is scored by placing its members in index
+//! order on the committed schedule: a member finishes at the later of
+//! its dependency time and its board's availability (raised by the
+//! earlier members placed there), plus its duration; the score is the
+//! makespan, then the sum of the members' finishes. A wave of at most
+//! [`H2hConfig::enumeration_cap`] combinations is searched exactly, by a
+//! depth-first walk over its members (member 0 outermost, candidates in
+//! ascending board id). Each prefix hands its per-board availability,
+//! makespan and sum to its children, so a complete assignment is scored
+//! by the same operations, in the same order, as a from-scratch
+//! simulation of it. Finishes are never negative, so neither part of a
+//! prefix's score falls as members are added: a prefix whose score is
+//! already worse than the best complete assignment is cut with all its
+//! completions, and one that only ties the best is walked on, since a
+//! completion could tie too. Among exactly tied assignments the walk
+//! keeps the one an odometer over the same candidates (member 0 varying
+//! fastest) meets first: the smaller index tuple compared from the last
+//! member down. Every assignment that could win is therefore scored
+//! bitwise as by a full enumeration, and the walk returns the full
+//! enumeration's choice. Wider waves descend the same walk greedily:
+//! each member takes its first strictly best child in candidate order.
 
 use h2h_model::graph::LayerId;
 use h2h_model::layer::LayerOp;
@@ -31,15 +50,18 @@ use crate::config::H2hConfig;
 use crate::pipeline::H2hError;
 use crate::preset::PinPreset;
 
-/// Recomputes the zero-locality duration rows of `group` —
-/// `weights/link + Σ ifm/route + compute + ofm/link`, every transfer at
-/// its topology route's effective bandwidth — against the
-/// already-committed predecessor placements in `mapping` (unmapped
-/// predecessors charge the host route, matching
-/// [`Evaluator::layer_cost`]'s partial-mapping rule).
-/// [`computation_prioritized`] calls this once per frontier wave, so
-/// the table is filled lazily, each row exactly once, just before its
-/// first read.
+/// One wave member's candidate boards, in ascending id order, each with
+/// the member's zero-locality duration there.
+type Candidates = Vec<(AccId, Seconds)>;
+
+/// Fills `out[i]` with the candidate boards of `group[i]`: every board
+/// that supports it, with its zero-locality duration — `weights/link +
+/// Σ ifm/route + compute + ofm/link`, every transfer at its topology
+/// route's effective bandwidth — against the already-committed
+/// predecessor placements in `mapping` (unmapped predecessors charge the
+/// host route, matching [`Evaluator::layer_cost`]'s partial-mapping
+/// rule). [`computation_prioritized`] calls this once per frontier wave,
+/// just before the wave is searched.
 ///
 /// Weights and the OFM upload are charged on the accelerator's *host*
 /// route (zero locality: weights stream from the host, results publish
@@ -57,25 +79,26 @@ use crate::preset::PinPreset;
 /// weights are already buffered on an accelerator see a zero weight-
 /// transfer term there — that is the "prioritize the layer mapping if
 /// the layer's weights are already buffered" rule.
-fn refresh_wave_durations(
+fn wave_candidates(
     ev: &Evaluator<'_>,
     preset: &PinPreset,
     mapping: &Mapping,
     group: &[LayerId],
-    dur: &mut [Vec<Option<Seconds>>],
+    out: &mut Vec<Candidates>,
 ) {
     let model = ev.model();
     let system = ev.system();
     let topo = system.topology();
     let b = ev.batch() as f64;
-    for &id in group {
+    out.resize_with(group.len(), Vec::new);
+    for (&id, cands) in group.iter().zip(out.iter_mut()) {
+        cands.clear();
         let layer = model.layer(id);
         let is_input = matches!(layer.op(), LayerOp::Input { .. });
         let wbytes = layer.weight_bytes(DataType::F32);
         let obytes = layer.ofm_bytes(DataType::F32);
         for acc in system.acc_ids() {
             let Some(comp) = ev.cache().time(id, acc) else {
-                dur[id.index()][acc.index()] = None;
                 continue;
             };
             let here = Endpoint::Acc(acc);
@@ -107,12 +130,12 @@ fn refresh_wave_durations(
             };
             // Weights amortize over the batch; activations and compute
             // repeat per request (matches Evaluator::with_batch).
-            dur[id.index()][acc.index()] = Some(weight + (ifm + comp + ofm) * b);
+            cands.push((acc, weight + (ifm + comp + ofm) * b));
         }
     }
 }
 
-/// Incremental schedule state shared by enumeration and greedy modes.
+/// The committed schedule of the waves mapped so far.
 struct WaveState {
     finish: Vec<Seconds>,
     acc_ready: Vec<Seconds>,
@@ -120,56 +143,22 @@ struct WaveState {
 }
 
 impl WaveState {
-    /// Simulates assigning `group[i] → combo[i]` (in order) on top of the
-    /// committed state, with `deps[i]` the dependency time of
-    /// `group[i]`; returns `(makespan, sum_of_finish)` without mutating
-    /// anything. `ready` is scratch.
-    fn peek(
-        &self,
-        dur: &[Vec<Option<Seconds>>],
-        group: &[LayerId],
-        deps: &[Seconds],
-        combo: &[AccId],
-        ready: &mut Vec<(usize, Seconds)>,
-    ) -> (Seconds, Seconds) {
-        ready.clear();
-        let mut makespan = self.makespan;
-        let mut sum = Seconds::ZERO;
-        for ((layer, acc), deps) in group.iter().zip(combo).zip(deps) {
-            let d = dur[layer.index()][acc.index()].expect("candidate filtered to supported");
-            // Accelerator availability includes earlier group members
-            // placed on the same accelerator within this wave.
-            let mut avail = self.acc_ready[acc.index()];
-            for &(a, f) in ready.iter() {
-                if a == acc.index() {
-                    avail = avail.max(f);
-                }
-            }
-            let fin = deps.max(avail) + d;
-            ready.push((acc.index(), fin));
-            makespan = makespan.max(fin);
-            sum += fin;
-        }
-        (makespan, sum)
-    }
-
-    /// Commits an assignment.
+    /// Commits `group[i] → candidates[i][pick[i]]`, in member order.
     fn commit(
         &mut self,
-        dur: &[Vec<Option<Seconds>>],
         group: &[LayerId],
         deps: &[Seconds],
-        combo: &[AccId],
+        candidates: &[Candidates],
+        pick: &[usize],
         mapping: &mut Mapping,
     ) {
-        for ((layer, acc), deps) in group.iter().zip(combo).zip(deps) {
-            let d = dur[layer.index()][acc.index()].expect("supported");
-            let start = deps.max(self.acc_ready[acc.index()]);
-            let fin = start + d;
+        for (((layer, dep), cands), &k) in group.iter().zip(deps).zip(candidates).zip(pick) {
+            let (acc, d) = cands[k];
+            let fin = dep.max(self.acc_ready[acc.index()]) + d;
             self.finish[layer.index()] = fin;
             self.acc_ready[acc.index()] = fin;
             self.makespan = self.makespan.max(fin);
-            mapping.set(*layer, *acc);
+            mapping.set(*layer, acc);
         }
     }
 }
@@ -178,6 +167,112 @@ impl WaveState {
 /// smaller sum of finishes.
 fn beats(mk: Seconds, sum: Seconds, best: Option<(Seconds, Seconds)>) -> bool {
     best.is_none_or(|(bmk, bsum)| mk < bmk || (mk == bmk && sum < bsum))
+}
+
+/// One wave's depth-first walk, its buffers reused across waves. The
+/// prefix of depth `i` places each member `j < i` on
+/// `candidates[j][idx[j]]`.
+#[derive(Default)]
+struct Walk {
+    /// Per-board availability under the current prefix: the committed
+    /// availability raised by the prefix's finishes on that board.
+    avail: Vec<Seconds>,
+    /// `undo[i]`: the availability member `i`'s board had before it.
+    undo: Vec<Seconds>,
+    /// `score[i]`: makespan and sum of finishes of the prefix of depth
+    /// `i` (`score[0]` is the committed makespan and zero).
+    score: Vec<(Seconds, Seconds)>,
+    /// Each member's current candidate index.
+    idx: Vec<usize>,
+    /// Each member's chosen candidate index.
+    pick: Vec<usize>,
+}
+
+impl Walk {
+    /// Resets the walk to the empty prefix of an `n`-member wave.
+    fn start(&mut self, state: &WaveState, n: usize) {
+        self.avail.clone_from(&state.acc_ready);
+        self.undo.resize(n, Seconds::ZERO);
+        self.score.resize(n + 1, (Seconds::ZERO, Seconds::ZERO));
+        self.score[0] = (state.makespan, Seconds::ZERO);
+        for v in [&mut self.idx, &mut self.pick] {
+            v.clear();
+            v.resize(n, 0);
+        }
+    }
+
+    /// Finish, makespan and sum of finishes once member `i`, with
+    /// dependency time `dep`, runs `d` on `acc` after the prefix of
+    /// depth `i`.
+    fn child(&self, i: usize, dep: Seconds, (acc, d): (AccId, Seconds)) -> [Seconds; 3] {
+        let fin = dep.max(self.avail[acc.index()]) + d;
+        let (mk, sum) = self.score[i];
+        [fin, mk.max(fin), sum + fin]
+    }
+
+    /// Extends the prefix of depth `i` by member `i` on `acc`.
+    fn push(&mut self, i: usize, acc: AccId, [fin, mk, sum]: [Seconds; 3]) {
+        let avail = &mut self.avail[acc.index()];
+        self.undo[i] = *avail;
+        *avail = avail.max(fin);
+        self.score[i + 1] = (mk, sum);
+    }
+
+    /// Sets `pick` to the wave's best assignment, with the odometer's
+    /// tie rule (see the module doc).
+    fn exhaustive(&mut self, candidates: &[Candidates], deps: &[Seconds]) {
+        let last = candidates.len() - 1;
+        let mut best: Option<(Seconds, Seconds)> = None;
+        let mut i = 0;
+        loop {
+            let Some(&cand) = candidates[i].get(self.idx[i]) else {
+                // Every child of this prefix walked: back up one member.
+                if i == 0 {
+                    return;
+                }
+                i -= 1;
+                let acc = candidates[i][self.idx[i]].0;
+                self.avail[acc.index()] = self.undo[i];
+                self.idx[i] += 1;
+                continue;
+            };
+            let child = self.child(i, deps[i], cand);
+            let [_, mk, sum] = child;
+            // No completion of a prefix the best already beats can score
+            // better: cut it.
+            let cut = best.is_some_and(|(bmk, bsum)| beats(bmk, bsum, Some((mk, sum))));
+            if !cut && i < last {
+                self.push(i, cand.0, child);
+                i += 1;
+                self.idx[i] = 0;
+                continue;
+            }
+            // A complete assignment that scores better, or ties the best
+            // and comes first in odometer order.
+            if !cut && (beats(mk, sum, best) || self.idx.iter().rev().lt(self.pick.iter().rev())) {
+                best = Some((mk, sum));
+                self.pick.copy_from_slice(&self.idx);
+            }
+            self.idx[i] += 1;
+        }
+    }
+
+    /// Sets `pick` member by member: each takes its first strictly best
+    /// child in candidate order.
+    fn greedy(&mut self, candidates: &[Candidates], deps: &[Seconds]) {
+        for (i, (cands, &dep)) in candidates.iter().zip(deps).enumerate() {
+            let mut best = None;
+            for (k, &cand) in cands.iter().enumerate() {
+                let [_, mk, sum] = self.child(i, dep, cand);
+                if beats(mk, sum, best) {
+                    best = Some((mk, sum));
+                    self.pick[i] = k;
+                }
+            }
+            let cand = cands[self.pick[i]];
+            self.push(i, cand.0, self.child(i, dep, cand));
+        }
+    }
 }
 
 /// Runs step 1 and returns the mapping together with the modeled
@@ -194,46 +289,26 @@ pub fn computation_prioritized(
 ) -> Result<(Mapping, Seconds), H2hError> {
     let model = ev.model();
     let system = ev.system();
-    // Filled lazily, one frontier wave at a time (see
-    // `refresh_wave_durations`); rows are only ever read after their
-    // group's refresh.
-    let mut dur: Vec<Vec<Option<Seconds>>> = vec![vec![None; system.num_accs()]; model.id_bound()];
-
     let mut mapping = Mapping::new(model);
     let mut state = WaveState {
         finish: vec![Seconds::ZERO; model.id_bound()],
         acc_ready: vec![Seconds::ZERO; system.num_accs()],
         makespan: Seconds::ZERO,
     };
-    // Per-wave buffers, reused across waves and combinations.
-    let mut candidates: Vec<Vec<AccId>> = Vec::new();
+    // Per-wave buffers, reused across waves.
+    let mut candidates: Vec<Candidates> = Vec::new();
     let mut deps: Vec<Seconds> = Vec::new();
-    let mut idx: Vec<usize> = Vec::new();
-    let mut combo: Vec<AccId> = Vec::new();
-    let mut chosen: Vec<AccId> = Vec::new();
-    let mut ready: Vec<(usize, Seconds)> = Vec::new();
+    let mut walk = Walk::default();
 
     for group in model.asap_waves() {
-        // Fill the wave's duration rows against the now-committed
-        // predecessor placements (per-route bandwidths).
-        refresh_wave_durations(ev, preset, &mapping, &group, &mut dur);
-
-        // Candidate accelerators per group member.
-        candidates.resize_with(group.len(), Vec::new);
-        for (layer, accs) in group.iter().zip(&mut candidates) {
-            accs.clear();
-            accs.extend(
-                system
-                    .acc_ids()
-                    .filter(|a| dur[layer.index()][a.index()].is_some()),
-            );
-            if accs.is_empty() {
-                return Err(H2hError::NoCapableAccelerator {
-                    layer: model.layer(*layer).name().to_owned(),
-                });
-            }
+        // The wave's candidate boards and durations, against the
+        // now-committed predecessor placements (per-route bandwidths).
+        wave_candidates(ev, preset, &mapping, &group, &mut candidates);
+        if let Some(i) = candidates.iter().position(Vec::is_empty) {
+            return Err(H2hError::NoCapableAccelerator {
+                layer: model.layer(group[i]).name().to_owned(),
+            });
         }
-        let candidates = &candidates[..group.len()];
         deps.clear();
         deps.extend(group.iter().map(|layer| {
             model
@@ -248,57 +323,13 @@ pub fn computation_prioritized(
             .try_fold(1usize, |acc, n| acc.checked_mul(n))
             .unwrap_or(usize::MAX);
 
+        walk.start(&state, group.len());
         if combos <= cfg.enumeration_cap {
-            // Exhaustive enumeration (odometer order → deterministic).
-            idx.clear();
-            idx.resize(group.len(), 0);
-            let mut best = None;
-            loop {
-                combo.clear();
-                combo.extend(idx.iter().zip(candidates).map(|(i, c)| c[*i]));
-                let (mk, sum) = state.peek(&dur, &group, &deps, &combo, &mut ready);
-                if beats(mk, sum, best) {
-                    best = Some((mk, sum));
-                    chosen.clone_from(&combo);
-                }
-                // Advance the odometer.
-                let mut pos = 0;
-                loop {
-                    if pos == idx.len() {
-                        break;
-                    }
-                    idx[pos] += 1;
-                    if idx[pos] < candidates[pos].len() {
-                        break;
-                    }
-                    idx[pos] = 0;
-                    pos += 1;
-                }
-                if pos == idx.len() {
-                    break;
-                }
-            }
+            walk.exhaustive(&candidates, &deps);
         } else {
-            // Greedy per node with the same Δ-latency objective.
-            chosen.clear();
-            for (i, accs) in candidates.iter().enumerate() {
-                let mut best = None;
-                let mut pick = accs[0];
-                for &acc in accs {
-                    chosen.push(acc);
-                    let (mk, sum) =
-                        state.peek(&dur, &group[..=i], &deps[..=i], &chosen, &mut ready);
-                    chosen.pop();
-                    if beats(mk, sum, best) {
-                        best = Some((mk, sum));
-                        pick = acc;
-                    }
-                }
-                chosen.push(pick);
-            }
+            walk.greedy(&candidates, &deps);
         }
-
-        state.commit(&dur, &group, &deps, &chosen, &mut mapping);
+        state.commit(&group, &deps, &candidates, &walk.pick, &mut mapping);
     }
 
     Ok((mapping, state.makespan))
@@ -313,10 +344,12 @@ mod tests {
     use h2h_system::system::{BandwidthClass, SystemSpec};
     use h2h_system::testutil::{const_system, ConstAccel};
 
-    /// Step 1 as it was before waves were taken once: a `HashSet`
-    /// frontier rescan per wave, a combination and a scratch `Vec` per
-    /// enumerated combination, and every member's predecessors walked
-    /// per combination. The per-wave enumerator must match it bitwise.
+    /// Step 1 as it was before waves were taken once and walked depth
+    /// first: a `HashSet` frontier rescan per wave, and every
+    /// combination of a wave within the cap scored from scratch in
+    /// odometer order, each with its own combination and scratch `Vec`
+    /// and every member's predecessors walked again. The depth-first
+    /// walk must match it bitwise.
     fn computation_prioritized_reference(
         ev: &Evaluator<'_>,
         cfg: &H2hConfig,
@@ -367,7 +400,13 @@ mod tests {
                 .filter(|id| model.predecessors(*id).all(|p| mapped.contains(&p)))
                 .collect();
             group.sort_by_key(|id| id.index());
-            refresh_wave_durations(ev, preset, &mapping, &group, &mut dur);
+            let mut rows = Vec::new();
+            wave_candidates(ev, preset, &mapping, &group, &mut rows);
+            for (l, row) in group.iter().zip(&rows) {
+                for &(a, d) in row {
+                    dur[l.index()][a.index()] = Some(d);
+                }
+            }
             let candidates: Vec<Vec<AccId>> = group
                 .iter()
                 .map(|l| {
@@ -470,28 +509,119 @@ mod tests {
         for bw in [BandwidthClass::LowMinus, BandwidthClass::Mid] {
             systems.push(SystemSpec::standard_with_topology(bw, Some("skewed")).unwrap());
         }
-        let preset = PinPreset::new();
         for model in &models {
             for system in &systems {
-                let ev = Evaluator::new(model, system);
-                for enumeration_cap in [0, 16, 4096] {
-                    let cfg = H2hConfig {
-                        enumeration_cap,
-                        ..Default::default()
-                    };
-                    let (mapping, makespan) = computation_prioritized(&ev, &cfg, &preset).unwrap();
-                    let (ref_mapping, ref_makespan) =
-                        computation_prioritized_reference(&ev, &cfg, &preset);
-                    let at = format!("{} cap {enumeration_cap}", model.name());
-                    assert_eq!(
-                        makespan.as_f64().to_bits(),
-                        ref_makespan.as_f64().to_bits(),
-                        "{at}"
-                    );
-                    for id in model.layer_ids() {
-                        assert_eq!(mapping.acc_of(id), ref_mapping.acc_of(id), "{at}: {id:?}");
-                    }
+                assert_matches_reference(&Evaluator::new(model, system), &[0, 16, 4096]);
+            }
+        }
+    }
+
+    /// Asserts that step 1 at each cap in `caps` returns the reference's
+    /// mapping and makespan, bit for bit.
+    fn assert_matches_reference(ev: &Evaluator<'_>, caps: &[usize]) {
+        let preset = PinPreset::new();
+        for &enumeration_cap in caps {
+            let cfg = H2hConfig {
+                enumeration_cap,
+                ..Default::default()
+            };
+            let (mapping, makespan) = computation_prioritized(ev, &cfg, &preset).unwrap();
+            let (ref_mapping, ref_makespan) = computation_prioritized_reference(ev, &cfg, &preset);
+            let at = format!(
+                "{} on {} boards, cap {enumeration_cap}",
+                ev.model().name(),
+                ev.system().num_accs()
+            );
+            assert_eq!(
+                makespan.as_f64().to_bits(),
+                ref_makespan.as_f64().to_bits(),
+                "{at}"
+            );
+            for id in ev.model().layer_ids() {
+                assert_eq!(mapping.acc_of(id), ref_mapping.acc_of(id), "{at}: {id:?}");
+            }
+        }
+    }
+
+    /// `n` identical universal boards on a uniform star.
+    fn identical_boards(n: usize) -> SystemSpec {
+        let boards = (0..n)
+            .map(|k| ConstAccel::universal(&format!("u{k}"), 1e-3))
+            .collect();
+        const_system(boards, 1e9)
+    }
+
+    /// `width` inputs, each feeding a chain of `depth` equal FC layers,
+    /// joined by a concat and one FC head: all but the last two waves
+    /// are `width` layers wide.
+    fn fan_in(width: usize, depth: usize) -> h2h_model::graph::ModelGraph {
+        let mut b = ModelBuilder::new(format!("fan-in {width}x{depth}"));
+        let tails: Vec<LayerId> = (0..width)
+            .map(|m| {
+                let mut x = b.input(&format!("i{m}"), TensorShape::Vector { features: 64 });
+                for d in 0..depth {
+                    x = b.fc(&format!("f{m}.{d}"), x, 64).unwrap();
                 }
+                x
+            })
+            .collect();
+        let joined = b.concat("cat", &tails).unwrap();
+        b.fc("head", joined, 16).unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn exact_ties_go_to_the_combination_the_odometer_meets_first() {
+        // On identical boards any permutation of an assignment's boards
+        // scores the same, bit for bit, so most assignments of a wide
+        // wave tie exactly, and the walk must keep the one the
+        // reference's odometer meets first. In the two-class mix only
+        // the fast pair runs FC layers: input and concat waves have 2
+        // candidates and FC waves 4, so at cap 16 the 3- and 4-wide
+        // input waves are enumerated and every FC wave is greedy.
+        use h2h_model::layer::LayerClass;
+        let fc_only = |id: &str| ConstAccel::universal(id, 5e-4).with_classes(&[LayerClass::Fc]);
+        let mix = const_system(
+            vec![
+                ConstAccel::universal("a0", 1e-3),
+                ConstAccel::universal("a1", 1e-3),
+                fc_only("f0"),
+                fc_only("f1"),
+            ],
+            1e9,
+        );
+        for system in [identical_boards(4), mix] {
+            for width in 3..=6 {
+                for depth in 1..=2 {
+                    let model = fan_in(width, depth);
+                    assert_matches_reference(&Evaluator::new(&model, &system), &[1, 16, 4096]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "a release-mode sweep; CI runs it with --ignored"]
+    fn the_walk_matches_the_reference_on_seeded_synthetic_models() {
+        // 200 seeded models of 2-6 modalities and depth 2-6, on a
+        // standard fabric (bandwidth class by seed), the skewed preset
+        // at Low- or Mid, and identical boards.
+        use h2h_model::synth::{synthetic_mmmt, SyntheticConfig};
+        for seed in 1..=200u64 {
+            let model = synthetic_mmmt(&SyntheticConfig {
+                modalities: 2 + (seed % 5) as usize,
+                depth: 2 + (seed / 5 % 5) as usize,
+                seed,
+                ..Default::default()
+            });
+            let skewed_bw = [BandwidthClass::LowMinus, BandwidthClass::Mid][seed as usize % 2];
+            let systems = [
+                SystemSpec::standard(BandwidthClass::ALL[seed as usize % 5]),
+                SystemSpec::standard_with_topology(skewed_bw, Some("skewed")).unwrap(),
+                identical_boards(4),
+            ];
+            for system in &systems {
+                assert_matches_reference(&Evaluator::new(&model, system), &[1, 16, 256, 4096]);
             }
         }
     }

@@ -141,11 +141,14 @@ pub const ACCEPT_EPSILON: f64 = 1e-9;
 /// Configuration of the four-step H2H mapper.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct H2hConfig {
-    /// Maximum number of frontier-group assignments enumerated
-    /// exhaustively in step 1; larger groups fall back to per-node
-    /// greedy with the same Δ-latency objective (paper Algorithm 1
-    /// enumerates "all possible mappings", which is `|accs|^|group|`
-    /// and intractable verbatim for wide fusion waves).
+    /// Maximum number of frontier-group assignments searched exactly in
+    /// step 1; larger groups fall back to per-node greedy with the same
+    /// Δ-latency objective (paper Algorithm 1 enumerates "all possible
+    /// mappings", which is `|accs|^|group|` and intractable verbatim for
+    /// wide fusion waves). The cap counts every combination of the
+    /// group's candidate boards, although the exact search, a
+    /// depth-first walk that cuts prefixes which cannot win
+    /// ([`crate::compute_map`]), usually scores far fewer.
     pub enumeration_cap: usize,
     /// Knapsack solver for weight locality (step 2).
     pub knapsack: KnapsackKind,

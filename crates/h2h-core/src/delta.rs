@@ -257,7 +257,8 @@ pub struct SearchStats {
     pub split_screened: usize,
     /// Moves accepted.
     pub accepted_moves: usize,
-    /// Search-loop passes started (repair's budget can cut the last).
+    /// Search-loop passes started (repair's budget can cut the last,
+    /// and a spent budget starts none).
     pub passes: usize,
 }
 

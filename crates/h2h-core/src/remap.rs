@@ -99,9 +99,10 @@ pub(crate) fn remap_seeded(mut engine: DeltaEngine<'_, '_>, mapping: &mut Mappin
 /// remapping and repair. Visits the layers in `order`, tries each one's
 /// [`neighbour_accs`] that support the layer, and keeps the first
 /// improving move. Stops after a pass that accepts nothing, after
-/// [`H2hConfig::remap_max_passes`] passes, or before an attempt once
-/// `budget` moves were attempted. Passes and moves count in
-/// `engine.stats`.
+/// [`H2hConfig::remap_max_passes`] passes, or once `budget` moves were
+/// attempted: a pass starts only while the budget lasts, so a zero
+/// budget runs none, and one that runs out mid-pass stops before the
+/// next attempt. Passes and moves count in `engine.stats`.
 pub(crate) fn greedy_passes(
     engine: &mut DeltaEngine<'_, '_>,
     mapping: &mut Mapping,
@@ -110,7 +111,7 @@ pub(crate) fn greedy_passes(
 ) {
     let (ev, max_passes) = (engine.evaluator(), engine.config().remap_max_passes);
     let mut neighbours: Vec<AccId> = Vec::new();
-    while engine.stats.passes < max_passes {
+    while engine.stats.passes < max_passes && engine.stats.attempted_moves < budget {
         engine.stats.passes += 1;
         let accepted = engine.stats.accepted_moves;
         for &layer in order {

@@ -468,16 +468,16 @@ mod tests {
     fn repair_search_counters_are_pinned() {
         // Per (model, downed board) and budget: attempted and accepted
         // moves, passes, and the repaired makespan's bits. Budget 0 only
-        // evacuates (its one pass stops at the first candidate); the
-        // middle budget runs out mid-pass; the automatic budget runs out
-        // on CASIA-SURF and outlasts the fixpoint on CNN-LSTM.
+        // evacuates and starts no pass; the middle budget runs out
+        // mid-pass; the automatic budget runs out on CASIA-SURF and
+        // outlasts the fixpoint on CNN-LSTM.
         type Row = (usize, usize, usize, usize, u64);
         let cases: [(ModelGraph, usize, [Row; 3]); 2] = [
             (
                 h2h_model::zoo::casia_surf(),
                 7,
                 [
-                    (0, 0, 0, 1, 0x3f99e75457b62e10),
+                    (0, 0, 0, 0, 0x3f99e75457b62e10),
                     (60, 60, 7, 1, 0x3f97fa01e6a413d2),
                     (147, 147, 11, 3, 0x3f9628c4c97d492f),
                 ],
@@ -486,7 +486,7 @@ mod tests {
                 h2h_model::zoo::cnn_lstm(),
                 11,
                 [
-                    (0, 0, 0, 1, 0x3fcc22667556819c),
+                    (0, 0, 0, 0, 0x3fcc22667556819c),
                     (20, 20, 1, 2, 0x3fcc220bacae2cce),
                     (37, 34, 1, 2, 0x3fcc220bacae2cce),
                 ],

@@ -1639,12 +1639,13 @@ impl<'s> TenantRegistry<'s> {
     ///
     /// * **Repair wall time** — when
     ///   [`H2hConfig::repair_secs_per_move`] is set and the budgeted
-    ///   search actually changed the placement, the searched mapping
-    ///   does not take effect instantly: the tenant keeps serving on
-    ///   the evacuated incumbent the search started from, and the
-    ///   improvement is *staged* to land `attempted_moves ×
-    ///   repair_secs_per_move` seconds later
-    ///   ([`TenantServeStats::repair_time_charged`]).
+    ///   search moved past the evacuated incumbent it started from,
+    ///   the searched mapping does not take effect instantly: the
+    ///   tenant keeps serving on that incumbent, and the improvement is
+    ///   *staged* to land `attempted_moves × repair_secs_per_move`
+    ///   seconds later ([`TenantServeStats::repair_time_charged`]). A
+    ///   search that accepted nothing stages nothing: its result is the
+    ///   incumbent, installed at once.
     ///   A newer transition drops pending stages — they were computed
     ///   against a fabric that no longer exists.
     /// * **Host-down residency** — while the host NIC is dead, a
@@ -1688,7 +1689,8 @@ impl<'s> TenantRegistry<'s> {
             // The search's wall time is charged whether or not it
             // found anything — the host CPU spent it either way.
             drain.stats[i].repair_time_charged += rep.wall_time;
-            let (mapping, locality) = if rep.wall_time > Seconds::ZERO && rep.mapping != *old {
+            let stage = rep.wall_time > Seconds::ZERO && rep.mapping != rep.interim.0;
+            let (mapping, locality) = if stage {
                 // Stage the searched placement to land after its wall
                 // time; serve meanwhile on the evacuated incumbent the
                 // search started from.
@@ -2729,6 +2731,38 @@ mod tests {
         for (t, tables) in reg.tenants.iter().zip(&tables) {
             assert!(Arc::ptr_eq(t.placement.inc.model_tables(), tables));
         }
+    }
+
+    #[test]
+    fn a_repair_whose_search_accepts_nothing_lands_at_once() {
+        // MoCap and CNN-LSTM at Low- (`h2h serve mocap,cnnlstm low-
+        // --faults board:11@0.000001 --repair-cost 0.001`): with board
+        // 11 down, MoCap's search attempts 4 moves and accepts none, so
+        // its evacuated incumbent is its repair. Staging that would
+        // re-install the same placement when it lands, evicting MoCap
+        // and re-streaming its weights a second time (2 staged, MoCap
+        // swapped in twice, drain 23.139 s).
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let cfg = H2hConfig {
+            serve_verify: true,
+            repair_secs_per_move: 0.001,
+            ..H2hConfig::default()
+        };
+        let mut reg = TenantRegistry::new(&system, cfg);
+        for model in [h2h_model::zoo::mocap(), h2h_model::zoo::cnn_lstm()] {
+            let id = reg.admit(spec("t", model, 1.0, 1.0, 32)).unwrap();
+            let ideal = reg.tenant(id).ideal_latency();
+            reg.set_contract(id, 4.0 / ideal.as_f64(), ideal * 16.0, 32)
+                .unwrap();
+        }
+        let plan = FaultPlan::parse("board:11@0.000001", system.num_accs()).unwrap();
+        let out = reg.serve_with_faults(&plan).unwrap();
+        out.check_coherence().unwrap();
+        assert_eq!(out.counters.repairs, 2);
+        assert_eq!(out.counters.staged_repairs, 1, "CNN-LSTM's only");
+        assert_eq!(out.tenants[0].weight_reloads, 1, "MoCap swaps in once");
+        assert_eq!(out.tenants[1].weight_reloads, 2);
+        assert_eq!(format!("{}", out.makespan), "22.899 s");
     }
 
     #[test]
