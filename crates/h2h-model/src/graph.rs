@@ -519,6 +519,37 @@ mod tests {
     }
 
     #[test]
+    fn iteration_follows_edge_insertion_order() {
+        // The evaluator sums a layer's incoming transfers in
+        // `predecessors` order, so that order is part of every pinned
+        // record: edge insertion order, not layer index order.
+        let mut g = ModelGraph::new("fan-in");
+        let a = vec_input(&mut g, "a", 4);
+        let b = vec_input(&mut g, "b", 4);
+        let c = vec_input(&mut g, "c", 4);
+        let d = fc(&mut g, "d", 12, 8);
+        let e = fc(&mut g, "e", 8, 8);
+        let f = vec_input(&mut g, "f", 4);
+        g.connect(c, d).unwrap();
+        g.connect(a, e).unwrap();
+        g.connect(a, d).unwrap();
+        g.connect(b, d).unwrap();
+        g.connect(f, e).unwrap();
+        g.validate().unwrap();
+        let preds = |id| g.predecessors(id).collect::<Vec<_>>();
+        let succs = |id| g.successors(id).collect::<Vec<_>>();
+        assert_eq!(preds(d), vec![c, a, b]);
+        assert_eq!(preds(e), vec![a, f]);
+        assert_eq!(succs(a), vec![e, d]);
+        assert_eq!(succs(c), vec![d]);
+        assert!(succs(d).is_empty() && preds(a).is_empty());
+        let edges: Vec<_> = g.edges().map(|(from, to, _)| (from, to)).collect();
+        assert_eq!(edges, vec![(c, d), (a, e), (a, d), (b, d), (f, e)]);
+        assert_eq!(g.asap_waves(), vec![vec![a, b, c, f], vec![d, e]]);
+        assert_eq!(g.topo_order(), vec![a, b, c, f, d, e]);
+    }
+
+    #[test]
     fn cycle_detected() {
         let (mut g, ids) = diamond();
         g.connect(ids[3], ids[0]).unwrap();

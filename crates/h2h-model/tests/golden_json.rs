@@ -1,0 +1,38 @@
+//! Golden snapshot of a model graph's JSON document: the serialized
+//! CNN-LSTM zoo model, compared byte for byte with the checked-in file.
+//! It pins the document layout (`{"name", "graph": {"nodes", "edges":
+//! [[from, to, {"bytes"}]]}}`), the order of layers and edges, and the
+//! multi-input fusion layer `fuse.cat`.
+//!
+//! To regenerate after an intentional change:
+//! `UPDATE_GOLDEN=1 cargo test -p h2h-model --test golden_json`.
+
+use std::path::PathBuf;
+
+use h2h_model::ModelGraph;
+
+#[test]
+fn cnn_lstm_json_snapshot() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cnn_lstm.json");
+    let model = h2h_model::zoo::cnn_lstm();
+    let actual = serde_json::to_string(&model).unwrap();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden snapshot {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    assert!(
+        expected == actual,
+        "model JSON drifted from tests/golden/cnn_lstm.json — if intentional, regenerate \
+         with UPDATE_GOLDEN=1\n--- expected ---\n{expected}\n--- actual ---\n{actual}"
+    );
+    // Reading the document back reproduces it.
+    let back: ModelGraph = serde_json::from_str(&expected).unwrap();
+    assert_eq!(serde_json::to_string(&back).unwrap(), expected);
+}

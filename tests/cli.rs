@@ -142,6 +142,10 @@ fn bad_arguments_exit_with_usage() {
         &["serve", "mocap", "--policy"][..],
         &["serve", "mocap", "--queue-cap"][..],
         &["serve", "mocap", "--repair-cost", "-1"][..],
+        // A value flag whose value does not parse.
+        &["serve", "mocap", "--policy", "fifo"][..],
+        &["serve", "mocap", "--queue-cap", "x"][..],
+        &["serve", "mocap", "--arrivals", "uniform"][..],
     ] {
         let out = h2h(args);
         assert!(!out.status.success(), "args {args:?} should fail");
