@@ -164,8 +164,8 @@ pub fn fusion_pass(
         };
         // Producer-side cost analysis (see doc comment). The consumer
         // list comes from the evaluator's flat CSR row — the search
-        // core replays this loop per scored candidate, and a petgraph
-        // successor walk per edge dominated the pass body.
+        // core replays this loop per scored candidate, and walking the
+        // model graph's successors per edge dominated the pass body.
         let succs = ev.successors_flat(from);
         let already_pays_dram_write = succs.iter().any(|s| local(s, loc));
         let all_local_after = succs.iter().all(|s| *s == to || local(s, loc));

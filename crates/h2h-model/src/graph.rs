@@ -5,14 +5,20 @@
 //! backbones) is just an ordinary edge — nothing distinguishes it
 //! structurally, which is exactly why clustering-based mappers struggle
 //! (paper §2) and why H2H reasons about per-edge transfer volumes instead.
+//!
+//! The graph is append-only, and every order it hands out is fixed:
+//! layers and edges come in insertion order; a layer's predecessors and
+//! successors come in the order their edges were added; waves and
+//! [`ModelGraph::topo_order`] are ordered by ASAP rank, then index.
+//! The evaluator sums a layer's incoming transfers in predecessor order,
+//! and a float sum taken in another order can round differently, so
+//! these orders are part of the bit-identity contract of every record.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 
-use petgraph::stable_graph::{NodeIndex, StableDiGraph};
-use petgraph::visit::{EdgeRef, IntoEdgeReferences, NodeIndexable};
-use petgraph::Direction;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::layer::{Layer, LayerClass};
 use crate::tensor::DataType;
@@ -20,14 +26,14 @@ use crate::units::{Bytes, Macs};
 
 /// Opaque handle to a layer vertex inside a [`ModelGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct LayerId(NodeIndex);
+pub struct LayerId(u32);
 
 impl LayerId {
     /// Stable dense-ish index of the layer; usable as a map key or a
     /// vector slot (indices are never reused because the graph is
     /// append-only).
     pub fn index(self) -> usize {
-        self.0.index()
+        self.0 as usize
     }
 
     /// Rebuilds the handle from [`LayerId::index`] — the inverse
@@ -35,13 +41,13 @@ impl LayerId {
     /// indices in flat arrays. The index must have come from a layer of
     /// the same graph; this is not checked.
     pub fn from_index(index: usize) -> Self {
-        LayerId(NodeIndex::new(index))
+        LayerId(index as u32)
     }
 }
 
 impl fmt::Display for LayerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "L{}", self.0.index())
+        write!(f, "L{}", self.0)
     }
 }
 
@@ -62,7 +68,8 @@ impl EdgeData {
 /// Errors raised while constructing or validating a model graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
-    /// The graph contains a dependency cycle (layer names on the cycle).
+    /// The graph contains a dependency cycle (the name of a layer on
+    /// the cycle).
     Cycle(String),
     /// `connect` was called with an unknown layer handle.
     UnknownLayer(String),
@@ -109,6 +116,14 @@ impl std::error::Error for ModelError {}
 /// The heterogeneous model graph: a DAG of layers with activation-volume
 /// annotated edges.
 ///
+/// It stores its layers, its edges and, per layer, the positions of its
+/// incoming and outgoing edges, all in insertion order. Nothing is ever
+/// removed, so a [`LayerId`] stays valid for the graph's lifetime. Every
+/// iteration order is fixed (see the module docs): layers and edges in
+/// insertion order, a layer's predecessors and successors in the order
+/// their edges were added, waves and [`ModelGraph::topo_order`] by ASAP
+/// rank, then index.
+///
 /// # Examples
 ///
 /// ```
@@ -130,10 +145,16 @@ impl std::error::Error for ModelError {}
 /// assert_eq!(g.num_layers(), 2);
 /// # Ok::<(), h2h_model::graph::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelGraph {
     name: String,
-    graph: StableDiGraph<Layer, EdgeData>,
+    layers: Vec<Layer>,
+    /// `(from, to, data)` per edge, in insertion order.
+    edges: Vec<(LayerId, LayerId, EdgeData)>,
+    /// Per layer, the positions in `edges` of its incoming edges.
+    incoming: Vec<Vec<u32>>,
+    /// Per layer, the positions in `edges` of its outgoing edges.
+    outgoing: Vec<Vec<u32>>,
 }
 
 impl ModelGraph {
@@ -141,7 +162,10 @@ impl ModelGraph {
     pub fn new(name: impl Into<String>) -> Self {
         ModelGraph {
             name: name.into(),
-            graph: StableDiGraph::new(),
+            layers: Vec::new(),
+            edges: Vec::new(),
+            incoming: Vec::new(),
+            outgoing: Vec::new(),
         }
     }
 
@@ -152,7 +176,11 @@ impl ModelGraph {
 
     /// Adds a layer vertex and returns its handle.
     pub fn add_layer(&mut self, layer: Layer) -> LayerId {
-        LayerId(self.graph.add_node(layer))
+        let id = LayerId::from_index(self.layers.len());
+        self.layers.push(layer);
+        self.incoming.push(Vec::new());
+        self.outgoing.push(Vec::new());
+        id
     }
 
     /// Adds a dependency edge `from -> to`, annotated with `from`'s OFM
@@ -167,29 +195,28 @@ impl ModelGraph {
         if from == to {
             return Err(ModelError::SelfLoop(self.layer_name_or_id(from)));
         }
-        let bytes = {
-            let producer = self
-                .graph
-                .node_weight(from.0)
-                .ok_or_else(|| ModelError::UnknownLayer(format!("{from}")))?;
-            if self.graph.node_weight(to.0).is_none() {
-                return Err(ModelError::UnknownLayer(format!("{to}")));
+        for id in [from, to] {
+            if id.index() >= self.layers.len() {
+                return Err(ModelError::UnknownLayer(format!("{id}")));
             }
-            producer.ofm_bytes(DataType::F32)
-        };
-        if self.graph.find_edge(from.0, to.0).is_some() {
+        }
+        if self.edge_bytes(from, to).is_some() {
             return Err(ModelError::DuplicateEdge(
                 self.layer_name_or_id(from),
                 self.layer_name_or_id(to),
             ));
         }
-        self.graph.add_edge(from.0, to.0, EdgeData { bytes });
+        let bytes = self.layer(from).ofm_bytes(DataType::F32);
+        let pos = self.edges.len() as u32;
+        self.edges.push((from, to, EdgeData { bytes }));
+        self.outgoing[from.index()].push(pos);
+        self.incoming[to.index()].push(pos);
         Ok(())
     }
 
     fn layer_name_or_id(&self, id: LayerId) -> String {
-        self.graph
-            .node_weight(id.0)
+        self.layers
+            .get(id.index())
             .map(|l| l.name().to_owned())
             .unwrap_or_else(|| format!("{id}"))
     }
@@ -198,43 +225,92 @@ impl ModelGraph {
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint.
+    /// Returns the first violated constraint. A cycle is reported by the
+    /// name of one layer on it.
     pub fn validate(&self) -> Result<(), ModelError> {
-        if self.graph.node_count() == 0 {
+        if self.layers.is_empty() {
             return Err(ModelError::Empty);
         }
         let mut names = HashSet::new();
-        for id in self.layer_ids() {
-            let name = self.layer(id).name();
-            if !names.insert(name.to_owned()) {
-                return Err(ModelError::DuplicateName(name.to_owned()));
+        for l in &self.layers {
+            if !names.insert(l.name()) {
+                return Err(ModelError::DuplicateName(l.name().to_owned()));
             }
         }
-        match petgraph::algo::toposort(&self.graph, None) {
+        match self.kahn() {
             Ok(_) => Ok(()),
-            Err(cycle) => Err(ModelError::Cycle(
-                self.graph
-                    .node_weight(cycle.node_id())
-                    .map(|l| l.name().to_owned())
-                    .unwrap_or_default(),
+            Err(unsorted) => Err(ModelError::Cycle(
+                self.layer(self.layer_on_cycle(&unsorted)).name().to_owned(),
             )),
         }
     }
 
+    /// Kahn's topological sort, ready layers taken lowest index first.
+    /// Returns each layer's ASAP rank (longest-path depth from a
+    /// source), or, if a cycle blocks the sort, which layers it left
+    /// unsorted.
+    fn kahn(&self) -> Result<Vec<u32>, Vec<bool>> {
+        let mut waiting: Vec<usize> = self.incoming.iter().map(Vec::len).collect();
+        let mut rank = vec![0u32; self.layers.len()];
+        let mut ready: BinaryHeap<Reverse<usize>> = (0..self.layers.len())
+            .filter(|&i| waiting[i] == 0)
+            .map(Reverse)
+            .collect();
+        let mut sorted = 0;
+        while let Some(Reverse(i)) = ready.pop() {
+            sorted += 1;
+            for s in self.successors(LayerId::from_index(i)) {
+                let s = s.index();
+                rank[s] = rank[s].max(rank[i] + 1);
+                waiting[s] -= 1;
+                if waiting[s] == 0 {
+                    ready.push(Reverse(s));
+                }
+            }
+        }
+        if sorted == self.layers.len() {
+            Ok(rank)
+        } else {
+            Err(waiting.iter().map(|&w| w > 0).collect())
+        }
+    }
+
+    /// A layer on a cycle, given the layers Kahn's sort left unsorted.
+    /// Each unsorted layer has an unsorted predecessor, so walking back
+    /// from the lowest-index one through first unsorted predecessors
+    /// must repeat a layer, and the first repeated layer is on a cycle.
+    fn layer_on_cycle(&self, unsorted: &[bool]) -> LayerId {
+        let mut seen = vec![false; self.layers.len()];
+        let mut at = LayerId::from_index(
+            unsorted
+                .iter()
+                .position(|&u| u)
+                .expect("a cycle leaves layers unsorted"),
+        );
+        while !seen[at.index()] {
+            seen[at.index()] = true;
+            at = self
+                .predecessors(at)
+                .find(|p| unsorted[p.index()])
+                .expect("an unsorted layer has an unsorted predecessor");
+        }
+        at
+    }
+
     /// Number of layer vertices.
     pub fn num_layers(&self) -> usize {
-        self.graph.node_count()
+        self.layers.len()
     }
 
     /// Exclusive upper bound on [`LayerId::index`] values, for building
     /// dense per-layer tables (`Vec` indexed by layer).
     pub fn id_bound(&self) -> usize {
-        self.graph.node_bound()
+        self.layers.len()
     }
 
     /// Number of dependency edges.
     pub fn num_edges(&self) -> usize {
-        self.graph.edge_count()
+        self.edges.len()
     }
 
     /// Borrow a layer by handle.
@@ -243,66 +319,65 @@ impl ModelGraph {
     ///
     /// Panics if `id` does not belong to this graph.
     pub fn layer(&self, id: LayerId) -> &Layer {
-        &self.graph[id.0]
+        &self.layers[id.index()]
     }
 
     /// Iterate over all layer handles (in insertion order).
     pub fn layer_ids(&self) -> impl Iterator<Item = LayerId> + '_ {
-        self.graph.node_indices().map(LayerId)
+        (0..self.layers.len()).map(LayerId::from_index)
     }
 
-    /// Iterate over `(handle, layer)` pairs.
+    /// Iterate over `(handle, layer)` pairs, in insertion order.
     pub fn layers(&self) -> impl Iterator<Item = (LayerId, &Layer)> + '_ {
-        self.graph
-            .node_indices()
-            .map(move |n| (LayerId(n), &self.graph[n]))
+        self.layer_ids().zip(&self.layers)
     }
 
-    /// Iterate over `(producer, consumer, edge)` triples.
+    /// Iterate over `(producer, consumer, edge)` triples, in insertion
+    /// order.
     pub fn edges(&self) -> impl Iterator<Item = (LayerId, LayerId, &EdgeData)> + '_ {
-        self.graph
-            .edge_references()
-            .map(|e| (LayerId(e.source()), LayerId(e.target()), e.weight()))
+        self.edges.iter().map(|(from, to, data)| (*from, *to, data))
     }
 
     /// Activation bytes crossing the `from -> to` edge, if it exists.
     pub fn edge_bytes(&self, from: LayerId, to: LayerId) -> Option<Bytes> {
-        self.graph
-            .find_edge(from.0, to.0)
-            .and_then(|e| self.graph.edge_weight(e))
-            .map(|d| d.bytes)
+        self.outgoing
+            .get(from.index())?
+            .iter()
+            .map(|&e| &self.edges[e as usize])
+            .find(|(_, t, _)| *t == to)
+            .map(|(_, _, data)| data.bytes)
     }
 
-    /// Direct predecessors of a layer.
+    /// Direct predecessors of a layer, in the order their edges were
+    /// added.
     pub fn predecessors(&self, id: LayerId) -> impl Iterator<Item = LayerId> + '_ {
-        self.graph
-            .neighbors_directed(id.0, Direction::Incoming)
-            .map(LayerId)
+        self.incoming[id.index()]
+            .iter()
+            .map(|&e| self.edges[e as usize].0)
     }
 
-    /// Direct successors of a layer.
+    /// Direct successors of a layer, in the order their edges were added.
     pub fn successors(&self, id: LayerId) -> impl Iterator<Item = LayerId> + '_ {
-        self.graph
-            .neighbors_directed(id.0, Direction::Outgoing)
-            .map(LayerId)
+        self.outgoing[id.index()]
+            .iter()
+            .map(|&e| self.edges[e as usize].1)
     }
 
     /// Layers with no predecessors (model inputs).
     pub fn sources(&self) -> Vec<LayerId> {
         self.layer_ids()
-            .filter(|id| self.predecessors(*id).next().is_none())
+            .filter(|id| self.incoming[id.index()].is_empty())
             .collect()
     }
 
     /// Layers with no successors (model outputs).
     pub fn sinks(&self) -> Vec<LayerId> {
         self.layer_ids()
-            .filter(|id| self.successors(*id).next().is_none())
+            .filter(|id| self.outgoing[id.index()].is_empty())
             .collect()
     }
 
-    /// Deterministic topological order (stable across runs: ties broken
-    /// by insertion index).
+    /// Deterministic topological order: by ASAP rank, then index.
     ///
     /// # Panics
     ///
@@ -315,22 +390,14 @@ impl ModelGraph {
     }
 
     /// ASAP rank per layer (longest-path depth from any source), indexed
-    /// by `LayerId::index()`. Sparse slots (never allocated ids) hold 0.
+    /// by `LayerId::index()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is cyclic; call [`ModelGraph::validate`] first.
     pub fn asap_ranks(&self) -> Vec<u32> {
-        let cap = self.graph.node_bound();
-        let mut rank = vec![0u32; cap];
-        let order = petgraph::algo::toposort(&self.graph, None)
-            .expect("asap_ranks requires an acyclic graph (run validate() first)");
-        for n in order {
-            let r = self
-                .graph
-                .neighbors_directed(n, Direction::Incoming)
-                .map(|p| rank[p.index()] + 1)
-                .max()
-                .unwrap_or(0);
-            rank[n.index()] = r;
-        }
-        rank
+        self.kahn()
+            .expect("asap_ranks requires an acyclic graph (run validate() first)")
     }
 
     /// The mapping waves of paper Algorithm 1, step 1: wave 0 holds the
@@ -437,6 +504,60 @@ impl ModelGraph {
         }
         s.push_str("}\n");
         s
+    }
+}
+
+/// The JSON document is `{"name", "graph": {"nodes", "edges"}}`: the
+/// layers in insertion order, then each edge as `[from, to, {"bytes"}]`
+/// in insertion order.
+impl Serialize for ModelGraph {
+    fn to_value(&self) -> Value {
+        let edges = self
+            .edges
+            .iter()
+            .map(|(from, to, data)| (from, to, data).to_value())
+            .collect();
+        let graph = Value::Object(vec![
+            ("nodes".to_owned(), self.layers.to_value()),
+            ("edges".to_owned(), Value::Array(edges)),
+        ]);
+        Value::Object(vec![
+            ("name".to_owned(), self.name.to_value()),
+            ("graph".to_owned(), graph),
+        ])
+    }
+}
+
+/// Reading replays the document through [`ModelGraph::add_layer`] and
+/// [`ModelGraph::connect`], so it refuses what `connect` refuses, and an
+/// edge whose bytes are not its producer's OFM.
+impl Deserialize for ModelGraph {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let mut g = ModelGraph::new(String::from_value(v.field("name"))?);
+        let graph = v.field("graph");
+        let nodes = graph
+            .field("nodes")
+            .as_array()
+            .ok_or_else(|| Error::msg("graph: missing nodes array"))?;
+        for node in nodes {
+            g.add_layer(Layer::from_value(node)?);
+        }
+        let edges = graph
+            .field("edges")
+            .as_array()
+            .ok_or_else(|| Error::msg("graph: missing edges array"))?;
+        for edge in edges {
+            let (from, to, data) = <(LayerId, LayerId, EdgeData)>::from_value(edge)?;
+            g.connect(from, to)
+                .map_err(|e| Error::msg(format!("graph: {e}")))?;
+            if g.edge_bytes(from, to) != Some(data.bytes) {
+                return Err(Error::msg(format!(
+                    "graph: edge {from} -> {to} carries {} bytes, not its producer's OFM",
+                    data.bytes.as_u64()
+                )));
+            }
+        }
+        Ok(g)
     }
 }
 
@@ -557,6 +678,25 @@ mod tests {
     }
 
     #[test]
+    fn cycle_error_names_a_layer_on_the_cycle() {
+        // `x` hangs off the `y <-> z` cycle, so the sort leaves it
+        // unsorted too, and it is the lowest-index layer it leaves.
+        let mut g = ModelGraph::new("cycle");
+        let x = fc(&mut g, "x", 4, 4);
+        let y = fc(&mut g, "y", 4, 4);
+        let z = fc(&mut g, "z", 4, 4);
+        g.connect(y, z).unwrap();
+        g.connect(z, y).unwrap();
+        g.connect(z, x).unwrap();
+        match g.validate() {
+            Err(ModelError::Cycle(name)) => {
+                assert!(name == "y" || name == "z", "`{name}` is not on the cycle")
+            }
+            other => panic!("expected a cycle, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn rejects_self_loop_and_duplicate_edges() {
         let (mut g, ids) = diamond();
         assert!(matches!(
@@ -644,6 +784,29 @@ mod tests {
         assert_eq!(back.num_edges(), g.num_edges());
         assert_eq!(back.param_count(), g.param_count());
         back.validate().unwrap();
+    }
+
+    #[test]
+    fn reading_refuses_what_connect_refuses() {
+        let (g, _) = diamond();
+        let json = serde_json::to_string(&g).unwrap();
+        let last = r#"[2,3,{"bytes":128}]"#;
+        assert!(json.contains(last));
+        for (edge, what) in [
+            (r#"[2,4,{"bytes":128}]"#, "an out-of-range endpoint"),
+            (r#"[2,2,{"bytes":128}]"#, "a self-loop"),
+            (r#"[1,3,{"bytes":128}]"#, "a duplicate edge"),
+            (
+                r#"[2,3,{"bytes":64}]"#,
+                "bytes that differ from the producer's OFM",
+            ),
+        ] {
+            let bad = json.replace(last, edge);
+            assert!(
+                serde_json::from_str::<ModelGraph>(&bad).is_err(),
+                "read a graph with {what}"
+            );
+        }
     }
 
     #[test]
