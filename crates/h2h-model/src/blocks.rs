@@ -6,6 +6,8 @@
 //! so the zoo generators can calibrate total parameter counts to the
 //! figures the paper reports.
 
+use std::ops::RangeInclusive;
+
 use crate::builder::ModelBuilder;
 use crate::graph::{LayerId, ModelError};
 use crate::tensor::TensorShape;
@@ -116,33 +118,36 @@ pub fn resnet18_trunk(
     Ok(x)
 }
 
-/// ResNet-50 trunk: stem + bottleneck stages `[3, 4, 6, 3]`. Emits the
-/// final spatial feature map (`2048·width × H/32 × W/32`).
+/// ResNet-50's bottleneck stages as `(mid channels, blocks)`: `[3, 4, 6,
+/// 3]` blocks, ending in a `2048·width` feature map.
+const RESNET50_STAGES: [(u32, u32); 4] = [(64, 3), (128, 4), (256, 6), (512, 3)];
+
+/// ResNet-50 bottleneck stages `stages` (numbered 1–4; `1..=4` after
+/// [`resnet_stem`] is the whole trunk). The first block of every stage
+/// after the first has stride 2, and blocks are named
+/// `{prefix}.s{stage}b{block}`.
 ///
 /// # Errors
 ///
 /// Propagates shape errors from the builder.
-pub fn resnet50_trunk(
+///
+/// # Panics
+///
+/// Panics if `stages` reaches outside `1..=4`.
+pub fn resnet50_stages(
     b: &mut ModelBuilder,
     prefix: &str,
     from: LayerId,
     width: f64,
+    stages: RangeInclusive<usize>,
 ) -> Result<LayerId, ModelError> {
-    let mut x = resnet_stem(b, prefix, from, width)?;
-    for (stage, (mid, blocks)) in [(64u32, 3u32), (128, 4), (256, 6), (512, 3)]
-        .into_iter()
-        .enumerate()
-    {
+    let mut x = from;
+    for stage in stages {
+        let (mid, blocks) = RESNET50_STAGES[stage - 1];
         let m = scale_channels(mid, width);
-        for blk in 0..blocks {
-            let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            x = bottleneck_block(
-                b,
-                &format!("{prefix}.s{}b{}", stage + 1, blk + 1),
-                x,
-                m,
-                stride,
-            )?;
+        for blk in 1..=blocks {
+            let stride = if stage > 1 && blk == 1 { 2 } else { 1 };
+            x = bottleneck_block(b, &format!("{prefix}.s{stage}b{blk}"), x, m, stride)?;
         }
     }
     Ok(x)
@@ -286,7 +291,8 @@ mod tests {
     fn resnet50_param_count_near_reference() {
         let mut b = ModelBuilder::new("r50");
         let i = image_input(&mut b, "in", 224);
-        let t = resnet50_trunk(&mut b, "r50", i, 1.0).unwrap();
+        let stem = resnet_stem(&mut b, "r50", i, 1.0).unwrap();
+        let t = resnet50_stages(&mut b, "r50", stem, 1.0, 1..=4).unwrap();
         let g = b.global_pool("gap", t).unwrap();
         b.fc("fc", g, 1000).unwrap();
         let m = b.finish().unwrap();

@@ -12,38 +12,15 @@
 //! 192M parameters, exactly the weight-locality pressure the H2H paper
 //! exploits.
 
-use crate::blocks::{bottleneck_block, image_input, resnet_stem};
+use crate::blocks::{image_input, resnet50_stages, resnet_stem};
 use crate::builder::ModelBuilder;
 use crate::graph::{LayerId, ModelError, ModelGraph};
 
-/// ResNet-50 stages 1–3 (`[3, 4, 6]` bottlenecks), emitting the
-/// `1024 × side/16 × side/16` feature map.
+/// ResNet-50 stem and stages 1–3, emitting the `1024 × side/16 ×
+/// side/16` feature map.
 fn r50_to_stage3(b: &mut ModelBuilder, prefix: &str, from: LayerId) -> Result<LayerId, ModelError> {
-    let mut x = resnet_stem(b, prefix, from, 1.0)?;
-    for (stage, (mid, blocks)) in [(64u32, 3u32), (128, 4), (256, 6)].into_iter().enumerate() {
-        for blk in 0..blocks {
-            let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            x = bottleneck_block(
-                b,
-                &format!("{prefix}.s{}b{}", stage + 1, blk + 1),
-                x,
-                mid,
-                stride,
-            )?;
-        }
-    }
-    Ok(x)
-}
-
-/// ResNet-50 stage 4 (`[3]` bottlenecks at mid=512), from an arbitrary
-/// input channel count.
-fn r50_stage4(b: &mut ModelBuilder, prefix: &str, from: LayerId) -> Result<LayerId, ModelError> {
-    let mut x = from;
-    for blk in 0..3u32 {
-        let stride = if blk == 0 { 2 } else { 1 };
-        x = bottleneck_block(b, &format!("{prefix}.s4b{}", blk + 1), x, 512, stride)?;
-    }
-    Ok(x)
+    let stem = resnet_stem(b, prefix, from, 1.0)?;
+    resnet50_stages(b, prefix, stem, 1.0, 1..=3)
 }
 
 /// Builds VLocNet.
@@ -73,14 +50,14 @@ fn try_build() -> Result<ModelGraph, ModelError> {
     // Odometry stream: concat(prev, cur) -> stage4 -> FC regressor.
     b.modality(Some("odometry"));
     let odo_cat = b.concat("odo.cat", &[feat_prev, feat_cur])?;
-    let odo_s4 = r50_stage4(&mut b, "odo", odo_cat)?;
+    let odo_s4 = resnet50_stages(&mut b, "odo", odo_cat, 1.0, 4..=4)?;
     let odo_fc1 = b.fc("odo.fc1", odo_s4, 448)?;
     let odo_out = b.fc("odo.fc2", odo_fc1, 6)?; // SE(3) twist
 
     // Global pose stream: cur trunk -> stage4 -> FC regressor that also
     // consumes the odometry embedding (auxiliary-learning cross-talk).
     b.modality(Some("pose"));
-    let pose_s4 = r50_stage4(&mut b, "pose", feat_cur)?;
+    let pose_s4 = resnet50_stages(&mut b, "pose", feat_cur, 1.0, 4..=4)?;
     let pose_cat = b.concat("pose.cat", &[pose_s4, odo_fc1])?;
     let pose_fc1 = b.fc("pose.fc1", pose_cat, 960)?;
     let pose_out = b.fc("pose.fc2", pose_fc1, 7)?; // xyz + quaternion
