@@ -2,10 +2,10 @@
 //!
 //! The serving layer ([`crate::serve`]) drains each tenant's request
 //! window against an *arrival schedule*: the time request `j` enters
-//! the tenant's queue. Three processes are supported, all behind the
-//! [`Arrivals`] trait so the round loop is process-agnostic:
+//! the tenant's queue. Three processes are supported, all read through
+//! [`ArrivalSchedule::arrival`] so the round loop is process-agnostic:
 //!
-//! * **Fixed** ([`FixedArrivals`]) — the PR 4 deterministic clock,
+//! * **Fixed** — the PR 4 deterministic clock,
 //!   `arrival(j) = j / rate_hz`. This is the default and computes the
 //!   *identical floating-point expression* the serve loop historically
 //!   inlined, so deterministic serving stays bit-identical zoo-wide
@@ -30,63 +30,30 @@ use rand::{Rng, SeedableRng};
 
 use h2h_system::trace::ArrivalTrace;
 
-/// A request-arrival process: monotone non-decreasing arrival times
-/// for requests `0..requests`.
-pub trait Arrivals {
-    /// Arrival time (seconds) of request `j`. Only `j` below the
-    /// materialized request window may be queried.
-    fn arrival(&self, j: usize) -> f64;
-}
-
-/// The deterministic open-loop clock: `arrival(j) = j / rate_hz`,
-/// bit-identical to the historical inline computation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FixedArrivals {
-    /// Contract arrival rate (validated positive and finite).
-    pub rate_hz: f64,
-}
-
-impl Arrivals for FixedArrivals {
-    fn arrival(&self, j: usize) -> f64 {
-        j as f64 / self.rate_hz
-    }
-}
-
-/// A pre-sampled arrival schedule (Poisson draws or a trace prefix):
-/// explicit timestamps, validated monotone at materialization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampledArrivals {
-    times: Vec<f64>,
-}
-
-impl SampledArrivals {
-    /// The materialized timestamps.
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-}
-
-impl Arrivals for SampledArrivals {
-    fn arrival(&self, j: usize) -> f64 {
-        self.times[j]
-    }
-}
-
 /// What a tenant consults during the drain: the materialization of its
-/// [`ArrivalProcess`] against its contract.
+/// [`ArrivalProcess`] against its contract, with monotone non-decreasing
+/// arrival times for requests `0..requests`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalSchedule {
-    /// Closed-form deterministic clock (the default process).
-    Fixed(FixedArrivals),
-    /// Explicit timestamps (Poisson / trace).
-    Sampled(SampledArrivals),
+    /// The closed-form deterministic clock `j / rate_hz` (the default
+    /// process).
+    Fixed {
+        /// Contract arrival rate (validated positive and finite).
+        rate_hz: f64,
+    },
+    /// Explicit timestamps (Poisson draws or a trace prefix),
+    /// validated monotone at materialization.
+    Sampled(Vec<f64>),
 }
 
-impl Arrivals for ArrivalSchedule {
-    fn arrival(&self, j: usize) -> f64 {
+impl ArrivalSchedule {
+    /// Arrival time (seconds) of request `j`. Only `j` below the
+    /// materialized request window may be queried. The fixed clock is
+    /// bit-identical to the historical inline computation.
+    pub fn arrival(&self, j: usize) -> f64 {
         match self {
-            ArrivalSchedule::Fixed(f) => f.arrival(j),
-            ArrivalSchedule::Sampled(s) => s.arrival(j),
+            ArrivalSchedule::Fixed { rate_hz } => j as f64 / rate_hz,
+            ArrivalSchedule::Sampled(times) => times[j],
         }
     }
 }
@@ -165,7 +132,7 @@ impl ArrivalProcess {
             "contract validated upstream"
         );
         match self {
-            ArrivalProcess::Fixed => Ok(ArrivalSchedule::Fixed(FixedArrivals { rate_hz })),
+            ArrivalProcess::Fixed => Ok(ArrivalSchedule::Fixed { rate_hz }),
             ArrivalProcess::Poisson { seed } => {
                 let mut rng = StdRng::seed_from_u64(*seed);
                 let mut t = 0.0f64;
@@ -175,11 +142,9 @@ impl ArrivalProcess {
                     t += -(1.0 - u).ln() / rate_hz;
                     times.push(t);
                 }
-                Ok(ArrivalSchedule::Sampled(SampledArrivals { times }))
+                Ok(ArrivalSchedule::Sampled(times))
             }
-            ArrivalProcess::Trace(tr) => Ok(ArrivalSchedule::Sampled(SampledArrivals {
-                times: tr.prefix(requests)?,
-            })),
+            ArrivalProcess::Trace(tr) => Ok(ArrivalSchedule::Sampled(tr.prefix(requests)?)),
         }
     }
 }

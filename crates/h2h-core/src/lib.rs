@@ -50,7 +50,7 @@ pub mod report;
 pub mod serve;
 pub mod weight_locality;
 
-pub use arrivals::{ArrivalProcess, ArrivalSchedule, Arrivals};
+pub use arrivals::{ArrivalProcess, ArrivalSchedule};
 pub use config::{H2hConfig, KnapsackKind, MapObjective, RoundPolicy, ACCEPT_EPSILON};
 pub use delta::{DeltaEngine, PhaseProfile, SearchStats};
 pub use dynamic::{DynamicOutcome, DynamicSession};

@@ -140,7 +140,7 @@ use h2h_system::sim::event_reached;
 use h2h_system::system::{AccId, SystemSpec};
 use h2h_system::topology::Endpoint;
 
-use crate::arrivals::{ArrivalProcess, ArrivalSchedule, Arrivals};
+use crate::arrivals::{ArrivalProcess, ArrivalSchedule};
 use crate::config::{H2hConfig, RoundPolicy};
 use crate::knapsack::{solve_auto, Item};
 use crate::pipeline::{H2hError, H2hMapper};
@@ -548,7 +548,7 @@ impl Tenant {
     ///
     /// A binary search for the partition point of
     /// `arrival(k) < horizon` over `0..requests`: it relies on the
-    /// [`Arrivals`] contract that schedules are monotone
+    /// [`ArrivalSchedule`] contract that schedules are monotone
     /// non-decreasing, under which the predicate holds on a prefix
     /// and the count equals a linear scan's exactly, in
     /// `O(log requests)` per round.
@@ -2612,7 +2612,7 @@ mod tests {
         let ideal = reg.tenant(id).ideal_latency();
         let rate = 0.5 / ideal.as_f64();
         reg.set_contract(id, rate, ideal * 16.0, 6).unwrap();
-        // The same quotient expression `FixedArrivals::arrival` uses.
+        // The same quotient expression the fixed `ArrivalSchedule` uses.
         let boundary = 2.0 / rate;
         assert_eq!(boundary.to_bits(), reg.tenant(id).arrival(2).to_bits());
         let plan = FaultPlan::empty().with_event(h2h_system::fault::FaultEvent {

@@ -222,7 +222,7 @@ proptest! {
         rate in 0.5f64..500.0,
         requests in 1usize..200,
     ) {
-        use h2h_core::{ArrivalProcess, Arrivals};
+        use h2h_core::ArrivalProcess;
         use h2h_system::trace::ArrivalTrace;
         let sched = ArrivalProcess::Poisson { seed }.materialize(rate, requests).unwrap();
         let mut prev = 0.0f64;

@@ -219,7 +219,7 @@ fn explicit_fixed_arrivals_are_bitwise_identical_to_the_default() {
     // `set_arrivals(Fixed)` re-materializes the schedule through the
     // streaming machinery; the untouched default never leaves the
     // closed form. Both must serve bitwise-identically zoo-wide —
-    // FixedArrivals computes the exact floating-point expression the
+    // the fixed schedule computes the exact floating-point expression the
     // serve loop historically inlined, so the open-loop refactor is
     // invisible to every deterministic workload.
     use h2h_core::ArrivalProcess;
