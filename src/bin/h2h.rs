@@ -42,7 +42,7 @@
 use std::process::ExitCode;
 
 use h2h::core::report::{mapping_report, search_stats_report};
-use h2h::core::H2hMapper;
+use h2h::core::{ArrivalProcess, H2hMapper, RoundPolicy};
 use h2h::model::parse::parse_model;
 use h2h::model::{ModelGraph, ModelStats};
 use h2h::system::gantt::{render_gantt, render_link_gantt};
@@ -208,10 +208,14 @@ fn fault_repair_report(
     Ok(())
 }
 
-/// Extracts a `--flag <value>` pair wherever it appears, returning the
-/// raw value; the caller parses it. `Err` when the flag is present but
-/// dangling.
-fn take_string_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+/// Extracts a `--flag <value>` pair wherever it appears and parses the
+/// value. `Err` is the message to print before the usage line: the flag
+/// is dangling, or its value does not parse.
+fn take_flag<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
     let Some(pos) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
@@ -220,79 +224,56 @@ fn take_string_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>
     }
     let raw = args.remove(pos + 1);
     args.remove(pos);
-    Ok(Some(raw))
+    parse(&raw).map(Some).map_err(|e| format!("{flag}: {e}"))
+}
+
+/// The value flags, each `None` when absent; `zoo` and `accels` read
+/// none of them.
+struct ValueFlags {
+    topology: Option<String>,
+    faults: Option<String>,
+    /// The modeled wall-time cost of one attempted repair move
+    /// (`H2hConfig::repair_secs_per_move`); only `serve` reads it, as it
+    /// does the arrival process, batch-forming policy and queue depth.
+    repair_cost: Option<f64>,
+    arrivals: Option<ArrivalProcess>,
+    policy: Option<RoundPolicy>,
+    queue_cap: Option<usize>,
+}
+
+impl ValueFlags {
+    fn take(args: &mut Vec<String>) -> Result<Self, String> {
+        let text = |s: &str| Ok(s.to_owned());
+        Ok(ValueFlags {
+            topology: take_flag(args, "--topology", text)?,
+            faults: take_flag(args, "--faults", text)?,
+            repair_cost: take_flag(args, "--repair-cost", |raw| match raw.parse::<f64>() {
+                Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+                _ => Err(format!(
+                    "seconds per move must be finite and >= 0, got `{raw}`"
+                )),
+            })?,
+            arrivals: take_flag(args, "--arrivals", ArrivalProcess::parse)?,
+            policy: take_flag(args, "--policy", RoundPolicy::parse)?,
+            queue_cap: take_flag(args, "--queue-cap", |s| {
+                s.parse::<usize>()
+                    .map_err(|_| format!("`{s}` is not a queue depth"))
+            })?,
+        })
+    }
 }
 
 fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Extract `--topology <spec>` wherever it appears; only the
-    // subcommands with no system to build (zoo, accels) never read it.
-    let topology = match take_string_flag(&mut args, "--topology") {
-        Ok(spec) => spec,
+    let flags = match ValueFlags::take(&mut args) {
+        Ok(flags) => flags,
         Err(e) => {
             eprintln!("{e}");
             return Ok(usage());
         }
     };
-    let topology = topology.as_deref();
-    let faults = match take_string_flag(&mut args, "--faults") {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("{e}");
-            return Ok(usage());
-        }
-    };
-    let faults = faults.as_deref();
-    // The modeled wall-time cost of one attempted repair move
-    // (`H2hConfig::repair_secs_per_move`); only `serve` reads it.
-    let repair_cost = match take_string_flag(&mut args, "--repair-cost").and_then(|v| {
-        v.map(|raw| match raw.parse::<f64>() {
-            Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
-            _ => Err(format!(
-                "seconds per move must be finite and >= 0, got `{raw}`"
-            )),
-        })
-        .transpose()
-    }) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("--repair-cost: {e}");
-            return Ok(usage());
-        }
-    };
-    // Serving knobs: arrival process, batch-forming policy and the
-    // bounded-queue depth; only `serve` reads them.
-    let arrivals = match take_string_flag(&mut args, "--arrivals")
-        .and_then(|v| v.map(|s| h2h::core::ArrivalProcess::parse(&s)).transpose())
-    {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("--arrivals: {e}");
-            return Ok(usage());
-        }
-    };
-    let policy = match take_string_flag(&mut args, "--policy")
-        .and_then(|v| v.map(|s| h2h::core::RoundPolicy::parse(&s)).transpose())
-    {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("--policy: {e}");
-            return Ok(usage());
-        }
-    };
-    let queue_cap = match take_string_flag(&mut args, "--queue-cap").and_then(|v| {
-        v.map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| format!("`{s}` is not a queue depth"))
-        })
-        .transpose()
-    }) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("--queue-cap: {e}");
-            return Ok(usage());
-        }
-    };
+    let topology = flags.topology.as_deref();
+    let faults = flags.faults.as_deref();
     let cmd = match args.first() {
         Some(c) => c.as_str(),
         None => return Ok(usage()),
@@ -388,9 +369,9 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
             let cfg = h2h::core::H2hConfig {
                 serve_verify: true,
-                repair_secs_per_move: repair_cost.unwrap_or(0.0),
-                serve_policy: policy.unwrap_or_default(),
-                serve_queue_cap: queue_cap.unwrap_or(0),
+                repair_secs_per_move: flags.repair_cost.unwrap_or(0.0),
+                serve_policy: flags.policy.unwrap_or_default(),
+                serve_queue_cap: flags.queue_cap.unwrap_or(0),
                 ..Default::default()
             };
             let mut reg = h2h::core::serve::TenantRegistry::new(&system, cfg);
@@ -415,7 +396,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
                     h2h::model::units::Seconds::new(16.0 * ideal),
                     32,
                 )?;
-                if let Some(process) = &arrivals {
+                if let Some(process) = &flags.arrivals {
                     reg.set_arrivals(id, process.clone())?;
                 }
             }
