@@ -576,8 +576,8 @@ impl DeltaOracle<'_, '_, '_> {
         // endpoint's untouched transfer side — is read from the costs
         // the pre-guard refresh just certified, so only the changed term
         // reruns the kernel, with the toggle itself priced as an
-        // `extra_fused` overlay — no tentative fuse/unfuse churn on the
-        // sorted fused-edge vector. Bitwise equal to the full recompute
+        // `extra_fused` overlay — the locality is not fused and unfused
+        // to price it. Bitwise equal to the full recompute
         // (the specialized sums replay the same float ops in the same
         // order over the same locality view), which the debug
         // assertions below pin down against a real toggle.

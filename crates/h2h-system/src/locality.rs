@@ -6,15 +6,17 @@
 //! no optimization pass can oversubscribe a board.
 //!
 //! The representation is optimized for the incremental search core,
-//! which clones one `LocalityState` per scored candidate: the read-only
-//! per-accelerator capacity table
-//! is shared behind an [`Arc`], and the mutable scratch is flat vectors
-//! (`memcpy`-cheap clones, allocation-free membership tests) instead of
-//! hash sets.
+//! which clones one `LocalityState` per scored candidate and re-fuses
+//! every edge of the candidate's fusion pass: the read-only
+//! per-accelerator capacity table is shared behind an [`Arc`], and the
+//! mutable scratch is flat vectors indexed by layer (`memcpy`-cheap
+//! clones, no hashing). Fused edges sit in one unordered vector, linked
+//! into a list per producer, so a membership test, a fusion and an
+//! unfusion each walk only the producer's fused edges and never shift
+//! the others.
 
+use std::fmt;
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 use h2h_model::graph::{LayerId, ModelGraph};
 use h2h_model::tensor::DataType;
@@ -25,8 +27,20 @@ use crate::system::{AccId, SystemSpec};
 /// Sentinel for "not pinned" in the position index.
 const UNPINNED: usize = usize::MAX;
 
+/// Sentinel for "no further fused edge" in the per-producer lists.
+const NIL: u32 = u32::MAX;
+
+/// One fused edge, the byte volume it charged, and the position of the
+/// producer's next fused edge (or [`NIL`]).
+#[derive(Clone, Copy)]
+struct FusedEdge {
+    from: LayerId,
+    to: LayerId,
+    next: u32,
+    bytes: u64,
+}
+
 /// Pinned-weight and fused-edge bookkeeping for one system.
-#[derive(Debug, Serialize, Deserialize)]
 pub struct LocalityState {
     /// Pinned layers, unordered (swap-removed on unpin).
     pinned: Vec<LayerId>,
@@ -39,20 +53,17 @@ pub struct LocalityState {
     /// [`UNPINNED`] (grown on demand; layer id bounds are not known at
     /// construction, only the system is).
     pinned_pos: Vec<usize>,
-    /// Fused edges with their charged byte volume, sorted ascending by
-    /// endpoints — binary-searched on the scheduler's hot path,
-    /// `memcpy`-cloned by the search core. The bytes ride in the same
-    /// entry (instead of a parallel vector) so the fusion pass's replay
-    /// churn pays one shift per insert/remove, not two; unfuse refunds
-    /// from the record instead of re-walking the model graph's edge
-    /// storage.
-    fused: Vec<(LayerId, LayerId, u64)>,
-    /// Number of fused outgoing edges per producer layer index (grown
-    /// on demand like `pinned_pos`). [`LocalityState::is_fused`] is
-    /// called per edge on the cost kernel's hot path and almost always
-    /// answers `false`; a zero count proves that with one load instead
-    /// of a binary search.
-    fused_out: Vec<u32>,
+    /// Fused edges with their charged byte volume, unordered
+    /// (swap-removed on unfuse): unfuse refunds from the record instead
+    /// of re-walking the model graph's edge storage.
+    fused: Vec<FusedEdge>,
+    /// `fused_head[from.index()]` = position in `fused` of the first of
+    /// `from`'s fused outgoing edges, or [`NIL`] (grown on demand like
+    /// `pinned_pos`); each edge's `next` links the rest. The cost kernel
+    /// asks [`LocalityState::is_fused`] per edge and almost always hears
+    /// `false`, which an empty list gives with one load; otherwise the
+    /// walk is at most the producer's out-degree.
+    fused_head: Vec<u32>,
     used: Vec<u64>,
     /// Per-accelerator DRAM capacities captured from the system at
     /// construction: read-only, shared by every clone.
@@ -66,7 +77,7 @@ impl Clone for LocalityState {
             pinned_bytes: self.pinned_bytes.clone(),
             pinned_pos: self.pinned_pos.clone(),
             fused: self.fused.clone(),
-            fused_out: self.fused_out.clone(),
+            fused_head: self.fused_head.clone(),
             used: self.used.clone(),
             caps: Arc::clone(&self.caps),
         }
@@ -80,22 +91,46 @@ impl Clone for LocalityState {
         self.pinned_bytes.clone_from(&source.pinned_bytes);
         self.pinned_pos.clone_from(&source.pinned_pos);
         self.fused.clone_from(&source.fused);
-        self.fused_out.clone_from(&source.fused_out);
+        self.fused_head.clone_from(&source.fused_head);
         self.used.clone_from(&source.used);
         self.caps = Arc::clone(&source.caps);
     }
 }
 
 impl PartialEq for LocalityState {
+    /// Set semantics: the same pinned layers, the same fused edges with
+    /// the same charges, and the same use of every board, in whatever
+    /// order either state was filled.
     fn eq(&self, other: &Self) -> bool {
-        // Set semantics for pins (insertion order is incidental);
-        // `fused` is kept sorted so direct comparison is set equality.
-        if self.pinned.len() != other.pinned.len() {
-            return false;
-        }
-        self.pinned.iter().all(|l| other.is_pinned(*l))
-            && self.fused == other.fused
+        self.pinned.len() == other.pinned.len()
+            && self.pinned.iter().all(|l| other.is_pinned(*l))
+            && self.fused.len() == other.fused.len()
+            && self.fused.iter().all(|e| {
+                other.position(e.from, e.to).map(|at| other.fused[at].bytes) == Some(e.bytes)
+            })
             && self.used == other.used
+    }
+}
+
+/// Pins and fused edges print sorted, so equal states print alike.
+impl fmt::Debug for LocalityState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut pinned: Vec<(LayerId, u64)> = self
+            .pinned
+            .iter()
+            .copied()
+            .zip(self.pinned_bytes.iter().copied())
+            .collect();
+        pinned.sort_unstable();
+        let mut fused: Vec<(LayerId, LayerId, u64)> =
+            self.fused.iter().map(|e| (e.from, e.to, e.bytes)).collect();
+        fused.sort_unstable();
+        f.debug_struct("LocalityState")
+            .field("pinned", &pinned)
+            .field("fused", &fused)
+            .field("used", &self.used)
+            .field("caps", &self.caps)
+            .finish()
     }
 }
 
@@ -107,7 +142,7 @@ impl LocalityState {
             pinned_bytes: Vec::new(),
             pinned_pos: Vec::new(),
             fused: Vec::new(),
-            fused_out: Vec::new(),
+            fused_head: Vec::new(),
             used: vec![0; system.num_accs()],
             caps: system
                 .acc_ids()
@@ -241,19 +276,28 @@ impl LocalityState {
         acc: AccId,
         bytes: Bytes,
     ) -> bool {
-        let Err(slot) = self.fused.binary_search_by_key(&(from, to), |e| (e.0, e.1)) else {
+        if self.position(from, to).is_some() {
             return true;
-        };
+        }
         if bytes > self.dram_free(acc, system) {
             return false;
         }
         self.used[acc.index()] += bytes.as_u64();
-        self.fused.insert(slot, (from, to, bytes.as_u64()));
         let i = from.index();
-        if self.fused_out.len() <= i {
-            self.fused_out.resize(i + 1, 0);
+        if self.fused_head.len() <= i {
+            self.fused_head.resize(i + 1, NIL);
         }
-        self.fused_out[i] += 1;
+        assert!(
+            self.fused.len() < NIL as usize,
+            "fused-edge positions fit a u32"
+        );
+        self.fused.push(FusedEdge {
+            from,
+            to,
+            next: self.fused_head[i],
+            bytes: bytes.as_u64(),
+        });
+        self.fused_head[i] = (self.fused.len() - 1) as u32;
         true
     }
 
@@ -263,27 +307,53 @@ impl LocalityState {
     pub fn unfuse(&mut self, from: LayerId, to: LayerId, acc: AccId) -> bool {
         // The refund comes from the recorded charge — no graph walk on
         // the search core's hot path.
-        let Ok(slot) = self.fused.binary_search_by_key(&(from, to), |e| (e.0, e.1)) else {
+        let Some(at) = self.position(from, to) else {
             return false;
         };
-        let bytes = self.fused.remove(slot).2;
-        self.fused_out[from.index()] -= 1;
+        // Unlink the edge, relink the last edge at its position, then
+        // move that edge there.
+        *self.link_to(from, at) = self.fused[at].next;
+        let last = self.fused.len() - 1;
+        if at != last {
+            *self.link_to(self.fused[last].from, last) = at as u32;
+        }
+        let bytes = self.fused.swap_remove(at).bytes;
         self.used[acc.index()] -= bytes;
         true
     }
 
     /// True if the `from → to` edge is activation-fused.
     pub fn is_fused(&self, from: LayerId, to: LayerId) -> bool {
-        // Most queries come from the cost kernel probing edges that are
-        // not fused; a zero outgoing-fusion count on the producer
-        // settles those with one load.
-        match self.fused_out.get(from.index()) {
-            Some(0) | None => false,
-            Some(_) => self
-                .fused
-                .binary_search_by_key(&(from, to), |e| (e.0, e.1))
-                .is_ok(),
+        self.position(from, to).is_some()
+    }
+
+    /// Position in `fused` of the `from → to` edge, if it is fused.
+    fn position(&self, from: LayerId, to: LayerId) -> Option<usize> {
+        let mut at = *self.fused_head.get(from.index())?;
+        while at != NIL {
+            let e = &self.fused[at as usize];
+            if e.to == to {
+                return Some(at as usize);
+            }
+            at = e.next;
         }
+        None
+    }
+
+    /// The link that holds position `target` on `from`'s list: the
+    /// list's head, or the `next` of the edge before it. `target` must
+    /// be on that list.
+    fn link_to(&mut self, from: LayerId, target: usize) -> &mut u32 {
+        let target = target as u32;
+        let head = &mut self.fused_head[from.index()];
+        if *head == target {
+            return head;
+        }
+        let mut at = *head as usize;
+        while self.fused[at].next != target {
+            at = self.fused[at].next as usize;
+        }
+        &mut self.fused[at].next
     }
 
     /// True when the `from → to` edge actually short-circuits through
@@ -339,9 +409,13 @@ impl LocalityState {
         self.pinned.iter().copied()
     }
 
-    /// Iterate over fused `(from, to)` edges (sorted by endpoint ids).
+    /// Iterate over fused `(from, to)` edges, ascending by endpoint ids
+    /// (sorted on each call).
     pub fn fused_edges(&self) -> impl Iterator<Item = (LayerId, LayerId)> + '_ {
-        self.fused.iter().map(|e| (e.0, e.1))
+        let mut edges: Vec<(LayerId, LayerId)> =
+            self.fused.iter().map(|e| (e.from, e.to)).collect();
+        edges.sort_unstable();
+        edges.into_iter()
     }
 
     /// Total pinned-weight bytes across the system.
@@ -421,6 +495,31 @@ mod tests {
         assert!(free < Bytes::from_mib(256));
         // A 32 KiB fusion still fits.
         assert!(loc.try_fuse(&m, &sys, ids[1], ids[2], xz));
+    }
+
+    #[test]
+    fn debug_prints_pins_and_edges_sorted() {
+        let m = fc_chain();
+        let sys = SystemSpec::standard(BandwidthClass::Mid);
+        let sh = sys.find_by_meta_id("SH").unwrap();
+        let ids = ids(&m);
+        let mut a = LocalityState::new(&sys);
+        assert!(a.try_fuse(&m, &sys, ids[2], ids[3], sh));
+        assert!(a.try_fuse(&m, &sys, ids[1], ids[2], sh));
+        assert!(a.try_pin(&m, &sys, ids[3], sh));
+        assert!(a.try_pin(&m, &sys, ids[2], sh));
+        let mut b = LocalityState::new(&sys);
+        assert!(b.try_pin(&m, &sys, ids[2], sh));
+        assert!(b.try_fuse(&m, &sys, ids[1], ids[2], sh));
+        assert!(b.try_pin(&m, &sys, ids[3], sh));
+        assert!(b.try_fuse(&m, &sys, ids[2], ids[3], sh));
+        let text = format!("{a:?}");
+        assert_eq!(text, format!("{b:?}"));
+        let at = |edge: (LayerId, LayerId)| {
+            text.find(&format!("({:?}, {:?}, ", edge.0, edge.1))
+                .unwrap()
+        };
+        assert!(at((ids[1], ids[2])) < at((ids[2], ids[3])), "{text}");
     }
 
     #[test]
