@@ -30,17 +30,11 @@ use crate::graph::{LayerId, ModelError, ModelGraph};
 use crate::layer::{ConvParams, FcParams, Layer, LayerOp, LstmParams, PoolKind, PoolParams};
 use crate::tensor::TensorShape;
 
-/// Output spatial size under "same" padding: `ceil(in / stride)`, for
-/// layer `name`.
-///
-/// # Errors
-///
-/// Returns [`ModelError::ZeroStride`] for `stride == 0`.
-fn same_out(name: &str, dim: u32, stride: u32) -> Result<u32, ModelError> {
-    if stride == 0 {
-        return Err(ModelError::ZeroStride(name.to_owned()));
-    }
-    Ok(dim.div_ceil(stride))
+/// Output spatial size under "same" padding: `ceil(in / stride)`. A
+/// zero stride is refused by [`check_layer`] before the layer is added;
+/// until then it divides as 1.
+fn same_out(dim: u32, stride: u32) -> u32 {
+    dim.div_ceil(stride.max(1))
 }
 
 /// Rejects a zero `value` for layer `name`'s size `what`.
@@ -59,8 +53,8 @@ fn nonzero(name: &str, what: &'static str, value: u32) -> Result<(), ModelError>
 }
 
 /// Rejects an input shape with a zero dimension. [`ModelBuilder::input`]
-/// cannot fail, so [`ModelBuilder::finish`] runs this over every input,
-/// and the parser runs it on each input line.
+/// cannot fail, so [`ModelGraph::validate`] runs this over every input
+/// (through [`check_layer`]), and the parser runs it on each input line.
 ///
 /// # Errors
 ///
@@ -78,6 +72,44 @@ pub(crate) fn check_input(name: &str, shape: &TensorShape) -> Result<(), ModelEr
             nonzero(name, "steps", steps)?;
             nonzero(name, "features", features)
         }
+    }
+}
+
+/// The size and stride checks every layer passes, whichever way it is
+/// built: the builder runs them before it adds a layer,
+/// [`ModelGraph::validate`] over every layer, and reading a model's JSON
+/// on every layer it reads. A stride must be nonzero, and so must an
+/// input's every dimension and a layer's output channels or features,
+/// kernel, hidden units and stacked layers.
+///
+/// # Errors
+///
+/// Returns [`ModelError::ZeroStride`] or [`ModelError::ZeroSize`] naming
+/// the layer, the stride first.
+pub(crate) fn check_layer(layer: &Layer) -> Result<(), ModelError> {
+    let name = layer.name();
+    let stride = |s: u32| match s {
+        0 => Err(ModelError::ZeroStride(name.to_owned())),
+        _ => Ok(()),
+    };
+    match layer.op() {
+        LayerOp::Input { shape } => check_input(name, shape),
+        LayerOp::Conv(p) => {
+            stride(p.stride)?;
+            nonzero(name, "output channels", p.out_channels)?;
+            nonzero(name, "kernel size", p.kernel_h)?;
+            nonzero(name, "kernel size", p.kernel_w)
+        }
+        LayerOp::Pool(p) => {
+            stride(p.stride)?;
+            nonzero(name, "kernel size", p.kernel)
+        }
+        LayerOp::Fc(p) => nonzero(name, "output features", p.out_features),
+        LayerOp::Lstm(p) => {
+            nonzero(name, "hidden units", p.hidden)?;
+            nonzero(name, "layers", p.layers)
+        }
+        LayerOp::GlobalPool { .. } | LayerOp::Add { .. } | LayerOp::Concat { .. } => Ok(()),
     }
 }
 
@@ -121,6 +153,11 @@ impl ModelBuilder {
             Some(m) => Layer::with_modality(name, op, m.clone()),
             None => Layer::new(name, op),
         };
+        // `input` cannot fail; `finish` refuses an input's zero
+        // dimension instead.
+        if !matches!(layer.op(), LayerOp::Input { .. }) {
+            check_layer(&layer)?;
+        }
         let shape = layer.ofm_shape();
         let id = self.graph.add_layer(layer);
         for &src in inputs {
@@ -154,10 +191,7 @@ impl ModelBuilder {
     ) -> Result<LayerId, ModelError> {
         match self.shape(from) {
             TensorShape::Feature { c, h, w } => {
-                let (out_h, out_w) = (same_out(name, h, s)?, same_out(name, w, s)?);
-                nonzero(name, "output channels", out_channels)?;
-                nonzero(name, "kernel size", k)?;
-                let p = ConvParams::square(out_channels, c, out_h, out_w, k, s);
+                let p = ConvParams::square(out_channels, c, same_out(h, s), same_out(w, s), k, s);
                 self.push(name, LayerOp::Conv(p), &[from])
             }
             other => Err(ModelError::ShapeMismatch(format!(
@@ -184,9 +218,7 @@ impl ModelBuilder {
     ) -> Result<LayerId, ModelError> {
         match self.shape(from) {
             TensorShape::Sequence { steps, features } => {
-                let out_steps = same_out(name, steps, s)?;
-                nonzero(name, "output channels", out_channels)?;
-                nonzero(name, "kernel size", k)?;
+                let out_steps = same_out(steps, s);
                 let p = ConvParams {
                     out_channels,
                     in_channels: features,
@@ -230,7 +262,6 @@ impl ModelBuilder {
         let inf = self.shape(from).flat_features();
         let in_features = u32::try_from(inf)
             .map_err(|_| ModelError::ShapeMismatch(format!("fc `{name}` input too wide: {inf}")))?;
-        nonzero(name, "output features", out_features)?;
         self.push(
             name,
             LayerOp::Fc(FcParams {
@@ -257,21 +288,17 @@ impl ModelBuilder {
         return_sequences: bool,
     ) -> Result<LayerId, ModelError> {
         match self.shape(from) {
-            TensorShape::Sequence { steps, features } => {
-                nonzero(name, "hidden units", hidden)?;
-                nonzero(name, "layers", layers)?;
-                self.push(
-                    name,
-                    LayerOp::Lstm(LstmParams {
-                        in_size: features,
-                        hidden,
-                        layers,
-                        seq_len: steps,
-                        return_sequences,
-                    }),
-                    &[from],
-                )
-            }
+            TensorShape::Sequence { steps, features } => self.push(
+                name,
+                LayerOp::Lstm(LstmParams {
+                    in_size: features,
+                    hidden,
+                    layers,
+                    seq_len: steps,
+                    return_sequences,
+                }),
+                &[from],
+            ),
             other => Err(ModelError::ShapeMismatch(format!(
                 "lstm `{name}` needs a Sequence input, got {other:?}"
             ))),
@@ -287,22 +314,18 @@ impl ModelBuilder {
         kind: PoolKind,
     ) -> Result<LayerId, ModelError> {
         match self.shape(from) {
-            TensorShape::Feature { c, h, w } => {
-                let (out_h, out_w) = (same_out(name, h, s)?, same_out(name, w, s)?);
-                nonzero(name, "kernel size", k)?;
-                self.push(
-                    name,
-                    LayerOp::Pool(PoolParams {
-                        kernel: k,
-                        stride: s,
-                        kind,
-                        channels: c,
-                        out_h,
-                        out_w,
-                    }),
-                    &[from],
-                )
-            }
+            TensorShape::Feature { c, h, w } => self.push(
+                name,
+                LayerOp::Pool(PoolParams {
+                    kernel: k,
+                    stride: s,
+                    kind,
+                    channels: c,
+                    out_h: same_out(h, s),
+                    out_w: same_out(w, s),
+                }),
+                &[from],
+            ),
             other => Err(ModelError::ShapeMismatch(format!(
                 "pool `{name}` needs a Feature input, got {other:?}"
             ))),
@@ -481,15 +504,10 @@ impl ModelBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::ZeroSize`] for an input with a zero
-    /// dimension, and propagates any [`ModelError`] found by
-    /// [`ModelGraph::validate`].
+    /// Propagates any [`ModelError`] found by [`ModelGraph::validate`],
+    /// [`ModelError::ZeroSize`] for an input with a zero dimension
+    /// among them.
     pub fn finish(self) -> Result<ModelGraph, ModelError> {
-        for (_, layer) in self.graph.layers() {
-            if let LayerOp::Input { shape } = layer.op() {
-                check_input(layer.name(), shape)?;
-            }
-        }
         self.graph.validate()?;
         Ok(self.graph)
     }

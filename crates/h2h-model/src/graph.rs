@@ -20,6 +20,7 @@ use std::fmt;
 
 use serde::{Deserialize, Error, Serialize, Value};
 
+use crate::builder::check_layer;
 use crate::layer::{Layer, LayerClass};
 use crate::tensor::DataType;
 use crate::units::{Bytes, Macs};
@@ -221,16 +222,18 @@ impl ModelGraph {
             .unwrap_or_else(|| format!("{id}"))
     }
 
-    /// Validates the graph: non-empty, acyclic, unique layer names.
+    /// Validates the graph: non-empty, every layer's sizes and stride
+    /// nonzero as the builder requires, unique layer names, acyclic.
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint. A cycle is reported by the
-    /// name of one layer on it.
+    /// Returns the first violated constraint, in that order. A cycle is
+    /// reported by the name of one layer on it.
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.layers.is_empty() {
             return Err(ModelError::Empty);
         }
+        self.layers.iter().try_for_each(check_layer)?;
         let mut names = HashSet::new();
         for l in &self.layers {
             if !names.insert(l.name()) {
@@ -529,8 +532,9 @@ impl Serialize for ModelGraph {
 }
 
 /// Reading replays the document through [`ModelGraph::add_layer`] and
-/// [`ModelGraph::connect`], so it refuses what `connect` refuses, and an
-/// edge whose bytes are not its producer's OFM.
+/// [`ModelGraph::connect`], so it refuses what `connect` refuses, a
+/// layer with a zero size or stride (the builder's checks, with its
+/// message), and an edge whose bytes are not its producer's OFM.
 impl Deserialize for ModelGraph {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let mut g = ModelGraph::new(String::from_value(v.field("name"))?);
@@ -540,7 +544,9 @@ impl Deserialize for ModelGraph {
             .as_array()
             .ok_or_else(|| Error::msg("graph: missing nodes array"))?;
         for node in nodes {
-            g.add_layer(Layer::from_value(node)?);
+            let layer = Layer::from_value(node)?;
+            check_layer(&layer).map_err(|e| Error::msg(format!("graph: {e}")))?;
+            g.add_layer(layer);
         }
         let edges = graph
             .field("edges")
@@ -807,6 +813,32 @@ mod tests {
                 "read a graph with {what}"
             );
         }
+    }
+
+    #[test]
+    fn validate_refuses_what_the_builder_refuses() {
+        let mut g = ModelGraph::new("t");
+        let a = vec_input(&mut g, "in", 16);
+        let b = fc(&mut g, "f", 16, 0);
+        g.connect(a, b).unwrap();
+        assert_eq!(
+            g.validate(),
+            Err(ModelError::ZeroSize {
+                layer: "f".to_owned(),
+                what: "output features"
+            })
+        );
+        let mut g = ModelGraph::new("t");
+        let a = vec_input(&mut g, "in", 0);
+        let b = fc(&mut g, "f", 0, 4);
+        g.connect(a, b).unwrap();
+        assert_eq!(
+            g.validate(),
+            Err(ModelError::ZeroSize {
+                layer: "in".to_owned(),
+                what: "features"
+            })
+        );
     }
 
     #[test]

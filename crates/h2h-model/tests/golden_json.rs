@@ -36,3 +36,32 @@ fn cnn_lstm_json_snapshot() {
     let back: ModelGraph = serde_json::from_str(&expected).unwrap();
     assert_eq!(serde_json::to_string(&back).unwrap(), expected);
 }
+
+/// The golden document with its first occurrence of `field` patched.
+fn patched(field: &str, to: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cnn_lstm.json");
+    let doc = std::fs::read_to_string(path).unwrap();
+    assert!(doc.contains(field), "{field}");
+    doc.replacen(field, to, 1)
+}
+
+#[test]
+fn reading_refuses_a_zero_kernel_as_the_builder_does() {
+    let err = serde_json::from_str::<ModelGraph>(&patched(r#""kernel_h":3"#, r#""kernel_h":0"#))
+        .expect_err("a zero kernel is refused");
+    assert!(
+        err.to_string()
+            .contains("layer `video.conv1` has zero kernel size"),
+        "{err}"
+    );
+}
+
+#[test]
+fn reading_refuses_a_zero_stride_as_the_builder_does() {
+    let err = serde_json::from_str::<ModelGraph>(&patched(r#""stride":1"#, r#""stride":0"#))
+        .expect_err("a zero stride is refused");
+    assert!(
+        err.to_string().contains("layer `video.conv1` has stride 0"),
+        "{err}"
+    );
+}
