@@ -13,6 +13,8 @@
 //!
 //! Models: vlocnet | casia | vfs | facebag | cnnlstm | mocap.
 //! Bandwidths: low- | low | mid- | mid | high (default low-).
+//! An argument past a command's positionals (a misspelt flag among
+//! them) or a value flag given twice prints the usage line and exits 2.
 //!
 //! `map`, `serve`, `sweep` and `inspect` additionally take
 //! `--topology <spec>` — `uniform` (default) | `skewed[:factor]` |
@@ -210,7 +212,7 @@ fn fault_repair_report(
 
 /// Extracts a `--flag <value>` pair wherever it appears and parses the
 /// value. `Err` is the message to print before the usage line: the flag
-/// is dangling, or its value does not parse.
+/// is dangling, given twice, or its value does not parse.
 fn take_flag<T>(
     args: &mut Vec<String>,
     flag: &str,
@@ -224,7 +226,21 @@ fn take_flag<T>(
     }
     let raw = args.remove(pos + 1);
     args.remove(pos);
+    if args.iter().any(|a| a == flag) {
+        return Err(format!("{flag} is given more than once"));
+    }
     parse(&raw).map(Some).map_err(|e| format!("{flag}: {e}"))
+}
+
+/// The most arguments `cmd` takes once the value flags are extracted,
+/// the command itself included.
+fn max_args(cmd: &str) -> usize {
+    match cmd {
+        "zoo" | "accels" => 1,
+        "sweep" => 2,
+        "trace" => 4,
+        _ => 3,
+    }
 }
 
 /// The value flags, each `None` when absent; `zoo` and `accels` read
@@ -278,6 +294,10 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         Some(c) => c.as_str(),
         None => return Ok(usage()),
     };
+    if let Some(extra) = args.get(max_args(cmd)) {
+        eprintln!("unexpected argument `{extra}`");
+        return Ok(usage());
+    }
     match cmd {
         "zoo" => {
             for model in h2h::model::zoo::all_models() {

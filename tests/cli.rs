@@ -146,6 +146,19 @@ fn bad_arguments_exit_with_usage() {
         &["serve", "mocap", "--policy", "fifo"][..],
         &["serve", "mocap", "--queue-cap", "x"][..],
         &["serve", "mocap", "--arrivals", "uniform"][..],
+        // A misspelt flag, a repeated value flag, and an argument past
+        // the command's positionals.
+        &["serve", "mocap", "low-", "--polcy", "edf"][..],
+        &[
+            "inspect",
+            "mocap",
+            "low-",
+            "--topology",
+            "uniform",
+            "--topology",
+            "skewed",
+        ][..],
+        &["map", "mocap", "low-", "extra"][..],
     ] {
         let out = h2h(args);
         assert!(!out.status.success(), "args {args:?} should fail");
@@ -154,6 +167,33 @@ fn bad_arguments_exit_with_usage() {
             Some(2),
             "args {args:?} should print usage"
         );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: h2h"), "args {args:?}: {err}");
+    }
+    for (args, message) in [
+        (
+            &["serve", "mocap", "low-", "--polcy", "edf"][..],
+            "unexpected argument `--polcy`",
+        ),
+        (
+            &[
+                "inspect",
+                "mocap",
+                "--topology",
+                "uniform",
+                "--topology",
+                "skewed",
+            ][..],
+            "--topology is given more than once",
+        ),
+        (
+            &["map", "mocap", "low-", "extra"][..],
+            "unexpected argument `extra`",
+        ),
+        (&["zoo", "mocap"][..], "unexpected argument `mocap`"),
+    ] {
+        let err = String::from_utf8_lossy(&h2h(args).stderr).into_owned();
+        assert!(err.contains(message), "args {args:?}: {err}");
     }
 }
 
