@@ -45,7 +45,12 @@
 //!    [`H2hConfig::serve_max_batch`] requests. Round forming is a
 //!    policy surface ([`RoundPolicy`]): the urgency knapsack (value =
 //!    backlog + doomed requests; the default), earliest-deadline-first,
-//!    or weighted-fair virtual finish times.
+//!    or weighted-fair virtual finish times. A round derives only
+//!    what its policy reads: the knapsack former takes every
+//!    backlogged tenant when they fit together and derives urgency
+//!    only when they do not, and only the ranked policies derive rank
+//!    keys. Residency is rebuilt only when a selected tenant swaps
+//!    in; otherwise the resident set and its per-board total stand.
 //! 4. **Interleaved slice evaluator** — a slice of `k` requests streams
 //!    through the tenant's pinned mapping with weights fetched **once**
 //!    ([`Evaluator::with_batch`] semantics). Slice makespans come from
@@ -551,7 +556,9 @@ impl Tenant {
     /// [`ArrivalSchedule`] contract that schedules are monotone
     /// non-decreasing, under which the predicate holds on a prefix
     /// and the count equals a linear scan's exactly, in
-    /// `O(log requests)` per round.
+    /// `O(log requests)` per call. The round former calls it once per
+    /// candidate, and only in a knapsack round whose backlog overflows
+    /// the budget.
     fn doomed_arrivals(&self, horizon: f64) -> usize {
         let (mut lo, mut hi) = (0, self.spec.requests);
         while lo < hi {
@@ -1114,6 +1121,11 @@ struct Drain {
     counters: ServeCounters,
     /// Whose weights sit on the boards now; a swap-in re-streams them.
     resident: Vec<bool>,
+    /// Per board, the resident tenants' footprint total. Re-derived
+    /// wherever residency changes: the round's rebuild, and every
+    /// fault transition and staged landing (parks and evicting
+    /// installs).
+    resident_used: Vec<u64>,
     /// Parked (shed) tenants sit out rounds until a later transition
     /// installs a placement for them.
     parked: Vec<bool>,
@@ -1125,6 +1137,7 @@ impl Drain {
     /// Empty ledgers for `tenants`: nobody resident, parked or staged.
     fn new(tenants: &[Tenant]) -> Self {
         let n = tenants.len();
+        let n_accs = tenants.first().map_or(0, |t| t.placement.resident.len());
         let stats = tenants
             .iter()
             .map(|t| TenantServeStats {
@@ -1155,8 +1168,19 @@ impl Drain {
             stats,
             counters: ServeCounters::default(),
             resident: vec![false; n],
+            resident_used: vec![0; n_accs],
             parked: vec![false; n],
             staged: (0..n).map(|_| None).collect(),
+        }
+    }
+
+    /// Re-derives [`Drain::resident_used`] from the resident set.
+    fn rederive_resident_used(&mut self, tenants: &[Tenant]) {
+        self.resident_used.fill(0);
+        for (t, _) in tenants.iter().zip(&self.resident).filter(|(_, r)| **r) {
+            for (u, b) in self.resident_used.iter_mut().zip(&t.placement.resident) {
+                *u += b;
+            }
         }
     }
 
@@ -1219,6 +1243,44 @@ impl Drain {
         self.stats[i].ideal = self.stats[i].ideal.min(p.ideal);
         t.placement = p;
         true
+    }
+}
+
+/// Rebuilds residency around a round's `selected` tenants: they swap
+/// in, then each of `was_resident` keeps its slot while it still fits
+/// next to them under `budgets`, in admission order. Writes the
+/// resident set into `resident` and its per-board total into `used`.
+fn rebuild_residency(
+    tenants: &[Tenant],
+    selected: &[usize],
+    budgets: &[u64],
+    was_resident: &[bool],
+    resident: &mut [bool],
+    used: &mut [u64],
+) {
+    resident.fill(false);
+    used.fill(0);
+    for &i in selected {
+        for (u, b) in used.iter_mut().zip(&tenants[i].placement.resident) {
+            *u += b;
+        }
+        resident[i] = true;
+    }
+    for (i, slot) in resident.iter_mut().enumerate() {
+        let r = &tenants[i].placement.resident;
+        if was_resident[i]
+            && !*slot
+            && used
+                .iter()
+                .zip(r)
+                .zip(budgets)
+                .all(|((u, b), cap)| u + b <= *cap)
+        {
+            for (u, b) in used.iter_mut().zip(r) {
+                *u += b;
+            }
+            *slot = true;
+        }
     }
 }
 
@@ -1499,25 +1561,30 @@ impl<'s> TenantRegistry<'s> {
     /// Packs this round's co-resident tenant set under the configured
     /// [`RoundPolicy`] and writes it into `chosen` (its previous
     /// contents are discarded). `budgets` are the per-board serve
-    /// budgets in bytes, computed once per drain; `used` is per-board
-    /// scratch the ranked path overwrites. The default (`Knapsack`)
+    /// budgets in bytes, computed once per drain; `pending` is each
+    /// tenant's servable backlog at `now`, the round's start; `drain`
+    /// holds the run's ledgers; `used` is per-board scratch the ranked
+    /// path overwrites. Each path derives the keys it reads itself,
+    /// for the backlogged candidates only. The default (`Knapsack`)
     /// keeps the historical bit-identical former: all backlogged
     /// tenants if they fit the budget together, otherwise a knapsack
-    /// over per-tenant footprints (value = backlog + SLO urgency) with
-    /// a per-board feasibility repair, in ascending tenant indices.
-    /// The ranked policies (`Edf`, `WeightedFair`) instead order
-    /// candidates by `rank` (ascending, ties to admission order) and
-    /// greedy-pack under the per-board budgets — the written order is
-    /// the *serve* order, so the most deadline-pressed (EDF) or
-    /// least-attended (WFQ) tenant's slice runs first. Never empty
-    /// when some tenant has backlog. Only the knapsack fallback for an
-    /// oversubscribed backlog allocates.
+    /// over per-tenant footprints with a per-board feasibility repair,
+    /// in ascending tenant indices. Only that overflow fallback
+    /// derives urgency (backlog + the requests
+    /// [`Tenant::doomed_arrivals`] counts as already at risk), so a
+    /// round whose backlog fits derives none. The ranked policies
+    /// (`Edf`, `WeightedFair`) instead order candidates by their rank
+    /// key (ascending, ties to admission order) and greedy-pack under
+    /// the per-board budgets — the written order is the *serve* order,
+    /// so the most deadline-pressed (EDF) or least-attended (WFQ)
+    /// tenant's slice runs first. Never empty when some tenant has
+    /// backlog. Only the knapsack fallback allocates.
     fn form_round(
         &self,
         budgets: &[u64],
         pending: &[usize],
-        urgency: &[f64],
-        rank: &[f64],
+        now: f64,
+        drain: &Drain,
         used: &mut [u64],
         chosen: &mut Vec<usize>,
     ) {
@@ -1533,12 +1600,24 @@ impl<'s> TenantRegistry<'s> {
             })
         };
         if self.config.serve_policy != RoundPolicy::Knapsack {
-            // Ranked path: serve order = rank order. Greedy-pack under
-            // the budgets; the front-ranked candidate always enters
-            // (admission guarantees a lone tenant fits its budget).
-            // Index ties make the order total, so the unstable sort
-            // gives the stable one's result.
-            chosen.sort_unstable_by(|&a, &b| rank[a].total_cmp(&rank[b]).then(a.cmp(&b)));
+            // Ranked path: serve order = rank order. EDF ranks by the
+            // head-of-queue deadline, weighted-fair by the virtual
+            // finish time of the tenant's next service quantum.
+            let rank = |i: usize| {
+                let t = &self.tenants[i];
+                match self.config.serve_policy {
+                    RoundPolicy::Edf => t.arrival(drain.done(i)) + t.spec.slo.as_f64(),
+                    RoundPolicy::WeightedFair => {
+                        (drain.stats[i].served + 1) as f64 / t.spec.rate_hz
+                    }
+                    RoundPolicy::Knapsack => unreachable!("the knapsack former ranks nothing"),
+                }
+            };
+            // Greedy-pack under the budgets; the front-ranked candidate
+            // always enters (admission guarantees a lone tenant fits
+            // its budget). Index ties make the order total, so the
+            // unstable sort gives the stable one's result.
+            chosen.sort_unstable_by(|&a, &b| rank(a).total_cmp(&rank(b)).then(a.cmp(&b)));
             used.fill(0);
             let mut first = true;
             chosen.retain(|&i| {
@@ -1561,6 +1640,20 @@ impl<'s> TenantRegistry<'s> {
         }
         if fits(chosen) {
             return;
+        }
+        // Urgency = backlog + requests already doomed to violate unless
+        // served immediately (arrived strictly before `now + ideal -
+        // slo`, counted against the actual arrival schedule — see
+        // [`Tenant::doomed_arrivals`]). Only this fallback reads it.
+        let mut urgency = vec![0.0f64; self.tenants.len()];
+        for &i in chosen.iter() {
+            let t = &self.tenants[i];
+            let horizon = now + t.placement.ideal.as_f64() - t.spec.slo.as_f64();
+            let at_risk = t
+                .doomed_arrivals(horizon)
+                .saturating_sub(drain.done(i))
+                .min(pending[i]);
+            urgency[i] = (pending[i] + at_risk) as f64;
         }
         // Knapsack over the total-footprint dimension…
         let items: Vec<Item> = chosen
@@ -1635,7 +1728,9 @@ impl<'s> TenantRegistry<'s> {
     /// result there. Each tenant gets one repair call per transition.
     /// `fabric` holds `sys`'s rates, derived once per transition: one
     /// view per tenant of its shared tables on them prices the repair
-    /// and the install. Three refinements over the plain install:
+    /// and the install. The parks and evicting installs change
+    /// residency, so the drain's per-board resident total is
+    /// re-derived at the end. Three refinements over the plain install:
     ///
     /// * **Repair wall time** — when
     ///   [`H2hConfig::repair_secs_per_move`] is set and the budgeted
@@ -1711,6 +1806,7 @@ impl<'s> TenantRegistry<'s> {
                 drain.stats[i].repairs += 1;
             }
         }
+        drain.rederive_resident_used(&self.tenants);
     }
 
     fn serve_inner(
@@ -1765,24 +1861,23 @@ impl<'s> TenantRegistry<'s> {
         // by every round.
         let mut pending = vec![0usize; n];
         let mut servable = vec![false; n];
-        let mut urgency = vec![0.0f64; n];
-        let mut rank = vec![0.0f64; n];
         let mut was_resident = vec![false; n];
         let mut used = vec![0u64; n_accs];
         let mut selected: Vec<usize> = Vec::with_capacity(n);
         // Deployment-time residency: admission-order greedy pack under
-        // the shared budget. Weights loaded here are part of bring-up,
-        // not the serving window (a single tenant is therefore always
-        // resident from the start — the bit-identity contract).
-        for (slot, t) in drain.resident.iter_mut().zip(self.tenants.iter()) {
-            let r = &t.placement.resident;
-            if (0..n_accs).all(|a| used[a] + r[a] <= budgets_u[a]) {
-                for (a, u) in used.iter_mut().enumerate() {
-                    *u += r[a];
-                }
-                *slot = true;
-            }
-        }
+        // the shared budget, the rebuild with nobody selected and
+        // everybody a candidate. Weights loaded here are part of
+        // bring-up, not the serving window (a single tenant is
+        // therefore always resident from the start — the bit-identity
+        // contract).
+        rebuild_residency(
+            &self.tenants,
+            &[],
+            &budgets_u,
+            &vec![true; n],
+            &mut drain.resident,
+            &mut drain.resident_used,
+        );
 
         while done < total {
             // Fault boundaries crossed since the last round change the
@@ -1820,7 +1915,8 @@ impl<'s> TenantRegistry<'s> {
             // install the searched placement on the current fabric and
             // evict (the improved placement's weights re-stream next
             // slice) unless the host-down unchanged-placement rule
-            // keeps residency.
+            // keeps residency; either way the resident total is
+            // re-derived.
             for i in 0..n {
                 if !drain.staged[i]
                     .as_ref()
@@ -1835,6 +1931,7 @@ impl<'s> TenantRegistry<'s> {
                 let placement =
                     Placement::new(&ev, &self.config, &t.spec.name, sr.mapping, sr.locality);
                 drain.install(i, t, placement, !host_up);
+                drain.rederive_resident_used(&self.tenants);
             }
             // Backlog at round start: arrivals up to `now`, minus
             // everything already served or shed. The cursor advance is
@@ -1930,78 +2027,54 @@ impl<'s> TenantRegistry<'s> {
                 now = now.max(next);
                 continue;
             }
-            // Urgency = backlog + requests already doomed to violate
-            // unless served immediately (arrived strictly before
-            // `now + ideal - slo`, counted against the actual arrival
-            // schedule — see [`Tenant::doomed_arrivals`]).
-            for (i, t) in self.tenants.iter().enumerate() {
-                urgency[i] = if pending[i] == 0 {
-                    0.0
-                } else {
-                    let horizon = now + t.placement.ideal.as_f64() - t.spec.slo.as_f64();
-                    let doomed_arrivals = t.doomed_arrivals(horizon);
-                    let at_risk = doomed_arrivals
-                        .saturating_sub(drain.done(i))
-                        .min(pending[i]);
-                    (pending[i] + at_risk) as f64
-                };
-            }
-            // Ranked-policy keys (unused under the default knapsack
-            // former): EDF ranks by the head-of-queue deadline,
-            // weighted-fair by the virtual finish time of the tenant's
-            // next service quantum.
-            for (i, t) in self.tenants.iter().enumerate() {
-                rank[i] = if pending[i] == 0 {
-                    f64::INFINITY
-                } else {
-                    match self.config.serve_policy {
-                        RoundPolicy::Knapsack => 0.0,
-                        RoundPolicy::Edf => t.arrival(drain.done(i)) + t.spec.slo.as_f64(),
-                        RoundPolicy::WeightedFair => {
-                            (drain.stats[i].served + 1) as f64 / t.spec.rate_hz
-                        }
-                    }
-                };
-            }
-            self.form_round(
-                &budgets_u,
-                &pending,
-                &urgency,
-                &rank,
-                &mut used,
-                &mut selected,
-            );
+            self.form_round(&budgets_u, &pending, now, &drain, &mut used, &mut selected);
             // Residency transition: the selected tenants swap in
             // (evicted ones re-stream their pinned weights over
-            // Ethernet before their slice); previous residents keep
-            // their slot while it still fits next to the selected set,
-            // in admission order.
-            std::mem::swap(&mut drain.resident, &mut was_resident);
-            drain.resident.fill(false);
-            used.fill(0);
-            for &i in &selected {
-                for (a, u) in used.iter_mut().enumerate() {
-                    *u += self.tenants[i].placement.resident[a];
-                }
-                drain.resident[i] = true;
-            }
-            for (i, slot) in drain.resident.iter_mut().enumerate() {
-                let r = &self.tenants[i].placement.resident;
-                if was_resident[i] && !*slot && (0..n_accs).all(|a| used[a] + r[a] <= budgets_u[a])
+            // Ethernet before their slice). When they are all resident
+            // already, residency and its total stand: the rebuild would
+            // re-add every previous resident, because the resident set
+            // always fits the budget (deployment packs under it, each
+            // round builds under it, parks and evicting installs only
+            // remove tenants, and a keeping install keeps its
+            // footprint). Debug builds check that against the rebuild.
+            let swap_in = selected.iter().any(|&i| !drain.resident[i]);
+            if swap_in {
+                std::mem::swap(&mut drain.resident, &mut was_resident);
+                rebuild_residency(
+                    &self.tenants,
+                    &selected,
+                    &budgets_u,
+                    &was_resident,
+                    &mut drain.resident,
+                    &mut drain.resident_used,
+                );
+            } else {
+                #[cfg(debug_assertions)]
                 {
-                    for (a, u) in used.iter_mut().enumerate() {
-                        *u += r[a];
-                    }
-                    *slot = true;
+                    let mut scratch = vec![false; n];
+                    let mut scratch_used = vec![0; n_accs];
+                    rebuild_residency(
+                        &self.tenants,
+                        &selected,
+                        &budgets_u,
+                        &drain.resident,
+                        &mut scratch,
+                        &mut scratch_used,
+                    );
+                    assert!(
+                        scratch == drain.resident && scratch_used == drain.resident_used,
+                        "a round that swaps nobody in must keep the rebuilt residency"
+                    );
                 }
             }
-            for (a, slot) in peak.iter_mut().enumerate() {
-                *slot = (*slot).max(used[a]);
+            for (slot, u) in peak.iter_mut().zip(&drain.resident_used) {
+                *slot = (*slot).max(*u);
             }
             drain.counters.rounds += 1;
             for &i in &selected {
                 let k = (pending[i].min(max_batch as usize)) as u32;
-                let reload = if was_resident[i] {
+                // A round that swaps nobody in reloads nobody.
+                let reload = if !swap_in || was_resident[i] {
                     Seconds::ZERO
                 } else {
                     drain.counters.weight_reloads += 1;
@@ -2807,6 +2880,59 @@ mod tests {
         assert_same_placement(&t.placement, &before, &t.spec.model);
         assert_eq!(t.trimmed_pins(), before.trimmed_pins);
         assert_eq!(drain.stats[0].ideal, before.ideal);
+    }
+
+    #[test]
+    fn residency_stands_through_evicting_installs_landings_and_parks() {
+        // Debug builds check every round that swaps nobody in against
+        // the full rebuild on a scratch copy: same residents, same
+        // per-board total. A conv-only tenant needs no Fc or LSTM board,
+        // so it stays resident and keeps serving through each host-down
+        // window below, while CNN-LSTM leaves residency by a different
+        // path in each; the rounds right after re-read the re-derived
+        // total. Window 1: board 2 (CNN-LSTM's, not the conv tenant's)
+        // goes down, so the transition's install evicts CNN-LSTM.
+        // Window 2: its repair for the degraded links 8 and 11 is
+        // staged on an unchanged interim, which keeps it resident, and
+        // lands inside the window, evicting it. Window 3: every Fc
+        // board goes down, so CNN-LSTM is parked.
+        use h2h_model::builder::ModelBuilder;
+        use h2h_model::tensor::TensorShape;
+        let system = SystemSpec::standard(BandwidthClass::LowMinus);
+        let cfg = H2hConfig {
+            repair_secs_per_move: 25e-6,
+            ..H2hConfig::default()
+        };
+        let mut b = ModelBuilder::new("convs");
+        let x = b.input("x", TensorShape::Feature { c: 3, h: 64, w: 64 });
+        let c1 = b.conv("c1", x, 32, 3, 1).unwrap();
+        let c2 = b.conv("c2", c1, 64, 3, 2).unwrap();
+        let c3 = b.conv("c3", c2, 128, 3, 2).unwrap();
+        b.global_pool("gap", c3).unwrap();
+        let mut reg = TenantRegistry::new(&system, cfg);
+        for (model, load, requests) in [
+            (b.finish().unwrap(), 0.3, 1000),
+            (h2h_model::zoo::cnn_lstm(), 0.15, 8),
+        ] {
+            let id = reg.admit(spec("t", model, 1.0, 1.0, 1)).unwrap();
+            let ideal = reg.tenant(id).ideal_latency();
+            reg.set_contract(id, load / ideal.as_f64(), ideal * 16.0, requests)
+                .unwrap();
+        }
+        let plan = FaultPlan::parse(
+            "host:down@0.3-0.9;board:2@0.3-0.9;\
+             host:down@2-3;link:8/4@2-3;link:11/4@2-3;\
+             host:down@4.5-5;board:3@4.5-5;board:5@4.5-5;board:9@4.5-5;board:11@4.5-5",
+            system.num_accs(),
+        )
+        .unwrap();
+        let out = reg.serve_with_faults(&plan).unwrap();
+        out.check_coherence().unwrap();
+        assert_eq!(out.total_served(), 1008);
+        assert_eq!(out.counters.fault_transitions, 6);
+        assert_eq!(out.counters.staged_repairs, 1, "CNN-LSTM's, in window 2");
+        assert_eq!((out.tenants[0].parks, out.tenants[1].parks), (0, 1));
+        assert_eq!(out.counters.weight_reloads, 6);
     }
 
     #[test]
