@@ -513,6 +513,76 @@ impl ModelBuilder {
     }
 }
 
+/// Replays `graph` through a [`ModelBuilder`], each layer with its own
+/// free parameters (output size, kernel, stride, …) and its producers
+/// in edge order, and checks that the builder derives exactly the
+/// layer's op from its producers' output shapes. A convolution reading
+/// a sequence replays as [`ModelBuilder::conv1d`], and a one-input
+/// concatenation as [`ModelBuilder::to_sequence`], as the builder makes
+/// them. Reading a model's JSON runs this once the edges are in.
+///
+/// # Errors
+///
+/// Returns [`ModelError::InputMismatch`] for a layer whose op or
+/// producer count is not what the builder derives, or that reads a
+/// layer after it, and the builder's own error (such as
+/// [`ModelError::ShapeMismatch`]) when it refuses the producers.
+pub(crate) fn check_producers(graph: &ModelGraph) -> Result<(), ModelError> {
+    let mut b = ModelBuilder::new(graph.name());
+    let mut built: Vec<LayerId> = Vec::with_capacity(graph.num_layers());
+    for (id, layer) in graph.layers() {
+        let name = layer.name();
+        let mismatch = |detail: String| ModelError::InputMismatch {
+            layer: name.to_owned(),
+            detail,
+        };
+        let from = graph
+            .predecessors(id)
+            .map(|p| {
+                built.get(p.index()).copied().ok_or_else(|| {
+                    mismatch(format!(
+                        "it reads `{}`, added after it",
+                        graph.layer(p).name()
+                    ))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let one = || match from[..] {
+            [f] => Ok(f),
+            _ => Err(mismatch(format!("it reads {} layers, not one", from.len()))),
+        };
+        let replayed = match *layer.op() {
+            LayerOp::Input { shape } if from.is_empty() => b.input(name, shape),
+            LayerOp::Input { .. } => return Err(mismatch("an input reads no layer".to_owned())),
+            LayerOp::Conv(p) => {
+                let f = one()?;
+                match b.shape(f) {
+                    TensorShape::Sequence { .. } => {
+                        b.conv1d(name, f, p.out_channels, p.kernel_h, p.stride)?
+                    }
+                    _ => b.conv(name, f, p.out_channels, p.kernel_h, p.stride)?,
+                }
+            }
+            LayerOp::Fc(p) => b.fc(name, one()?, p.out_features)?,
+            LayerOp::Lstm(p) => b.lstm(name, one()?, p.hidden, p.layers, p.return_sequences)?,
+            LayerOp::Pool(p) => b.pool(name, one()?, p.kernel, p.stride, p.kind)?,
+            LayerOp::GlobalPool { .. } => b.global_pool(name, one()?)?,
+            LayerOp::Add { .. } => b.add(name, &from)?,
+            LayerOp::Concat { .. } if from.len() == 1 => b.to_sequence(name, from[0])?,
+            LayerOp::Concat { .. } => b.concat(name, &from)?,
+        };
+        let derived = b.graph.layer(replayed).op();
+        if derived != layer.op() {
+            return Err(mismatch(format!(
+                "it is {:?}, the builder derives {derived:?}",
+                layer.op()
+            )));
+        }
+        built.push(replayed);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

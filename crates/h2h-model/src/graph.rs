@@ -20,7 +20,7 @@ use std::fmt;
 
 use serde::{Deserialize, Error, Serialize, Value};
 
-use crate::builder::check_layer;
+use crate::builder::{check_layer, check_producers};
 use crate::layer::{Layer, LayerClass};
 use crate::tensor::DataType;
 use crate::units::{Bytes, Macs};
@@ -92,6 +92,14 @@ pub enum ModelError {
         /// The size that is zero (e.g. `"kernel size"`).
         what: &'static str,
     },
+    /// A layer's input dimensions are not what the builder derives
+    /// from its producers' output shapes.
+    InputMismatch {
+        /// Layer name.
+        layer: String,
+        /// What disagrees.
+        detail: String,
+    },
     /// The graph has no layers.
     Empty,
 }
@@ -107,6 +115,9 @@ impl fmt::Display for ModelError {
             ModelError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
             ModelError::ZeroStride(n) => write!(f, "layer `{n}` has stride 0"),
             ModelError::ZeroSize { layer, what } => write!(f, "layer `{layer}` has zero {what}"),
+            ModelError::InputMismatch { layer, detail } => {
+                write!(f, "layer `{layer}` disagrees with its producers: {detail}")
+            }
             ModelError::Empty => write!(f, "model graph has no layers"),
         }
     }
@@ -534,7 +545,11 @@ impl Serialize for ModelGraph {
 /// Reading replays the document through [`ModelGraph::add_layer`] and
 /// [`ModelGraph::connect`], so it refuses what `connect` refuses, a
 /// layer with a zero size or stride (the builder's checks, with its
-/// message), and an edge whose bytes are not its producer's OFM.
+/// message), and an edge whose bytes are not its producer's OFM. It
+/// then replays the layers through the builder, so it also refuses a
+/// layer whose input dimensions are not what the builder derives from
+/// its producers ([`ModelError::InputMismatch`], or the builder's own
+/// [`ModelError::ShapeMismatch`]).
 impl Deserialize for ModelGraph {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let mut g = ModelGraph::new(String::from_value(v.field("name"))?);
@@ -563,6 +578,7 @@ impl Deserialize for ModelGraph {
                 )));
             }
         }
+        check_producers(&g).map_err(|e| Error::msg(format!("graph: {e}")))?;
         Ok(g)
     }
 }
@@ -790,6 +806,19 @@ mod tests {
         assert_eq!(back.num_edges(), g.num_edges());
         assert_eq!(back.param_count(), g.param_count());
         back.validate().unwrap();
+    }
+
+    #[test]
+    fn every_builder_made_model_reads_back() {
+        // Conv1d chains, LSTMs, to_sequence bridges and multi-input
+        // fusion layers all replay as the builder made them.
+        let synth = crate::synth::synthetic_mmmt(&crate::synth::SyntheticConfig::default());
+        for m in crate::zoo::all_models().into_iter().chain([synth]) {
+            let json = serde_json::to_string(&m).unwrap();
+            let back: ModelGraph = serde_json::from_str(&json)
+                .unwrap_or_else(|e| panic!("{} does not read back: {e}", m.name()));
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        }
     }
 
     #[test]

@@ -56,6 +56,28 @@ fn reading_refuses_a_zero_kernel_as_the_builder_does() {
     );
 }
 
+/// `video.conv1` reads `video_in`, a 48-channel feature map; the
+/// builder derives its input channels from it.
+fn refuses_in_channels(patched_to: &str) {
+    let doc = patched(r#""in_channels":48"#, patched_to);
+    let err = serde_json::from_str::<ModelGraph>(&doc).expect_err("the producer gives 48 channels");
+    assert!(
+        err.to_string()
+            .contains("layer `video.conv1` disagrees with its producers"),
+        "{err}"
+    );
+}
+
+#[test]
+fn reading_refuses_zero_input_channels_the_producer_does_not_give() {
+    refuses_in_channels(r#""in_channels":0"#);
+}
+
+#[test]
+fn reading_refuses_input_channels_the_producer_does_not_give() {
+    refuses_in_channels(r#""in_channels":7"#);
+}
+
 #[test]
 fn reading_refuses_a_zero_stride_as_the_builder_does() {
     let err = serde_json::from_str::<ModelGraph>(&patched(r#""stride":1"#, r#""stride":0"#))
